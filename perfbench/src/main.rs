@@ -7,12 +7,15 @@
 //! Builds the workload's simulated system through `deact`'s public API,
 //! times set-up and `System::try_run` (the engine `deact-sim run` uses)
 //! for `--seconds`, checks every run's output, and prints the metrics by
-//! name with their units. The last line of standard output is one JSON
+//! name with their units. Host times are divided by the host factor of
+//! `host.rs`, so they read in seconds of a quiet reference host. The
+//! last line of standard output is one JSON
 //! object: `--trace 0` carries the end-to-end metrics, `--trace 1` the
 //! per-layer ledger of a separate traced run (spans around each public
 //! call, plus the stage replay in `replay.rs`). `README.md` defines every
 //! workload and metric.
 
+mod host;
 mod replay;
 mod spans;
 mod stats;
@@ -27,6 +30,7 @@ use fam_sim::stats::Ratio;
 use fam_sim::Registry;
 use fam_workloads::Workload;
 
+use crate::host::Calibrator;
 use crate::replay::Layer;
 use crate::spans::SpanLog;
 use crate::workload::Scenario;
@@ -94,9 +98,12 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     })
 }
 
-/// What one build-and-run of the simulated system produced.
+/// What one build-and-run of the simulated system produced. Times are
+/// raw host seconds; `host` is the host factor measured around the run
+/// (see `host.rs`), which reported times are divided by.
 #[derive(Debug)]
 struct Run {
+    host: f64,
     streams_s: f64,
     system_s: f64,
     run_s: f64,
@@ -109,8 +116,17 @@ struct Run {
 }
 
 impl Run {
+    /// `raw_s` in seconds of the quiet reference host.
+    fn norm(&self, raw_s: f64) -> f64 {
+        raw_s / self.host
+    }
+
     fn setup_s(&self) -> f64 {
-        self.streams_s + self.system_s
+        self.norm(self.streams_s + self.system_s)
+    }
+
+    fn refs_per_s(&self, refs: u64) -> f64 {
+        refs as f64 / self.norm(self.run_s)
     }
 
     /// References whose FAM request ended fatally, or all `refs` when
@@ -130,10 +146,25 @@ fn total_refs(cfg: &SystemConfig) -> u64 {
     cfg.refs_per_core * (cfg.nodes * cfg.cores_per_node) as u64
 }
 
+/// The host factor now, inside a span.
+fn calibrate(cal: &mut Calibrator, log: &mut SpanLog) -> f64 {
+    let open = log.enter("calibrate");
+    let factor = cal.factor();
+    log.exit(open);
+    factor
+}
+
 /// Builds, runs and checks the system once, inside spans named after the
-/// public calls (recorded only while `log` records).
-fn run_once(cfg: &SystemConfig, workload: &Workload, log: &mut SpanLog) -> Run {
+/// public calls (recorded only while `log` records), with the host
+/// factor measured before set-up and after the run.
+fn run_once(
+    cfg: &SystemConfig,
+    workload: &Workload,
+    log: &mut SpanLog,
+    cal: &mut Calibrator,
+) -> Run {
     let root = log.enter("run");
+    let before = calibrate(cal, log);
     let open = log.enter("setup.streams");
     let streams = System::synthetic_streams(cfg, workload);
     let streams_s = log.exit(open);
@@ -143,6 +174,7 @@ fn run_once(cfg: &SystemConfig, workload: &Workload, log: &mut SpanLog) -> Run {
     let open = log.enter("engine.try_run");
     let result = sys.try_run();
     let run_s = log.exit(open);
+    let host = (before + calibrate(cal, log)) / 2.0;
     let open = log.enter("report.metrics");
     let registry = sys.metrics();
     let metrics_s = log.exit(open);
@@ -177,6 +209,7 @@ fn run_once(cfg: &SystemConfig, workload: &Workload, log: &mut SpanLog) -> Run {
     log.exit(open);
     log.exit(root);
     Run {
+        host,
         streams_s,
         system_s,
         run_s,
@@ -292,6 +325,7 @@ fn bench(args: &Args, refs_per_core: u64) -> Outcome {
     let started = std::time::Instant::now();
     let elapsed = || started.elapsed().as_secs_f64();
     let mut log = SpanLog::new();
+    let mut cal = Calibrator::new();
     let mut text = String::new();
     let _ = writeln!(
         text,
@@ -321,6 +355,7 @@ fn bench(args: &Args, refs_per_core: u64) -> Outcome {
     } else {
         budget
     };
+    let before = cal.factor();
     let mut setups: Vec<f64> = (0..SETUP_REPS)
         .map(|_| {
             let start = std::time::Instant::now();
@@ -331,9 +366,13 @@ fn bench(args: &Args, refs_per_core: u64) -> Outcome {
             setup_s
         })
         .collect();
+    let host = (before + cal.factor()) / 2.0;
+    for s in &mut setups {
+        *s /= host;
+    }
     let mut timed = Vec::new();
     while timed.len() < MIN_RUNS || elapsed() < timed_until {
-        timed.push(run_once(&cfg, &workload, &mut log));
+        timed.push(run_once(&cfg, &workload, &mut log, &mut cal));
     }
 
     // Traced runs: spans around every public call. Every invocation makes
@@ -342,7 +381,7 @@ fn bench(args: &Args, refs_per_core: u64) -> Outcome {
     let mut traced = Vec::new();
     loop {
         log.next_run();
-        traced.push(run_once(&cfg, &workload, &mut log));
+        traced.push(run_once(&cfg, &workload, &mut log, &mut cal));
         if !args.trace || (traced.len() >= MIN_RUNS && elapsed() >= budget * TRACE_TRACED_SHARE) {
             break;
         }
@@ -366,8 +405,15 @@ fn bench(args: &Args, refs_per_core: u64) -> Outcome {
         .map(|r| r.failed_refs(refs, &reference))
         .sum();
 
-    let refs_per_s: Vec<f64> = timed.iter().map(|r| refs as f64 / r.run_s).collect();
+    let refs_per_s: Vec<f64> = timed.iter().map(|r| r.refs_per_s(refs)).collect();
     let (q1, refs_per_s_median, q3) = stats::quartiles(&refs_per_s);
+    let raw_refs_per_s = stats::median(
+        &timed
+            .iter()
+            .map(|r| refs as f64 / r.run_s)
+            .collect::<Vec<_>>(),
+    );
+    let host_factor = stats::median(&timed.iter().map(|r| r.host).collect::<Vec<_>>());
     setups.extend(timed.iter().chain(&traced).map(Run::setup_s));
     let _ = writeln!(
         text,
@@ -376,6 +422,11 @@ fn bench(args: &Args, refs_per_core: u64) -> Outcome {
         timed.len(),
         traced.len(),
         stats::median(&setups),
+    );
+    let _ = writeln!(
+        text,
+        "host factor median {host_factor:.3} (host times are divided by it); \
+         raw refs_per_s median {raw_refs_per_s:.0}"
     );
     let _ = writeln!(
         text,
@@ -404,11 +455,14 @@ fn bench(args: &Args, refs_per_core: u64) -> Outcome {
                 &timed,
                 &traced,
                 &mut log,
+                &mut cal,
                 budget,
                 &elapsed,
                 &mut metrics,
                 &mut text,
             );
+            metrics.push("host.factor", host_factor, "x");
+            metrics.push("host.raw_refs_per_s", raw_refs_per_s, "1/s");
             let path = Path::new(env!("CARGO_MANIFEST_DIR"))
                 .join("out")
                 .join(format!("spans-{}-seed{}.json", scenario.name(), args.seed));
@@ -453,6 +507,7 @@ fn ledger(
     timed: &[Run],
     traced: &[Run],
     log: &mut SpanLog,
+    cal: &mut Calibrator,
     budget: f64,
     elapsed: &dyn Fn() -> f64,
     metrics: &mut Metrics,
@@ -460,8 +515,8 @@ fn ledger(
 ) {
     let refs = total_refs(cfg) as f64;
     let reg = &traced[0].registry;
-    let untraced_run_s = stats::median(&timed.iter().map(|r| r.run_s).collect::<Vec<_>>());
-    let traced_run_s = stats::median(&traced.iter().map(|r| r.run_s).collect::<Vec<_>>());
+    let untraced_run_s = stats::median(&timed.iter().map(|r| r.norm(r.run_s)).collect::<Vec<_>>());
+    let traced_run_s = stats::median(&traced.iter().map(|r| r.norm(r.run_s)).collect::<Vec<_>>());
     let ns_per_ref = untraced_run_s * 1e9 / refs;
 
     log.next_run();
@@ -474,19 +529,29 @@ fn ledger(
     let mut reps = 0;
     while reps < MIN_REPS || (reps < MAX_REPS && elapsed() < budget) {
         let rep = log.enter("replay.time");
-        for (layer, s) in layers.iter().zip(&mut samples) {
-            let open = log.enter(layer.name());
-            s.push(rec.time_once(*layer));
-            log.exit(open);
-        }
+        let before = calibrate(cal, log);
+        let raw: Vec<f64> = layers
+            .iter()
+            .map(|layer| {
+                let open = log.enter(layer.name());
+                let ns = rec.time_once(*layer);
+                log.exit(open);
+                ns
+            })
+            .collect();
+        let host = (before + calibrate(cal, log)) / 2.0;
         log.exit(rep);
+        for (s, ns) in samples.iter_mut().zip(raw) {
+            s.push(ns / host);
+        }
         reps += 1;
     }
     log.exit(root);
 
     let _ = writeln!(
         text,
-        "layer ledger ({reps} replay repetitions; {ns_per_ref:.1} host ns per simulated ref):"
+        "layer ledger ({reps} replay repetitions; {ns_per_ref:.1} reference-host ns per \
+         simulated ref):"
     );
     let _ = writeln!(
         text,
@@ -588,16 +653,21 @@ fn ledger(
     let all_runs: Vec<&Run> = timed.iter().chain(traced).collect();
     let median_of =
         |f: fn(&Run) -> f64| stats::median(&all_runs.iter().map(|r| f(r)).collect::<Vec<_>>());
-    metrics.push("setup.streams_s", median_of(|r| r.streams_s), "s");
-    metrics.push("setup.system_s", median_of(|r| r.system_s), "s");
+    metrics.push("setup.streams_s", median_of(|r| r.norm(r.streams_s)), "s");
+    metrics.push("setup.system_s", median_of(|r| r.norm(r.system_s)), "s");
     metrics.push(
         "report.metrics_s",
-        stats::median(&traced.iter().map(|r| r.metrics_s).collect::<Vec<_>>()),
+        stats::median(
+            &traced
+                .iter()
+                .map(|r| r.norm(r.metrics_s))
+                .collect::<Vec<_>>(),
+        ),
         "s",
     );
     metrics.push(
         "report.audit_s",
-        stats::median(&traced.iter().map(|r| r.audit_s).collect::<Vec<_>>()),
+        stats::median(&traced.iter().map(|r| r.norm(r.audit_s)).collect::<Vec<_>>()),
         "s",
     );
     let overhead_pct = (traced_run_s / untraced_run_s - 1.0) * 100.0;
