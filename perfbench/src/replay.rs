@@ -13,7 +13,7 @@
 //! layer alone on its recorded inputs from fresh state, timing whole
 //! batches, because one call costs only a few nanoseconds.
 //!
-//! The recording driver is functional, not the engine: cores take turns
+//! The recorder is functional, not the engine: cores take turns
 //! by a per-core clock with no outstanding window, so the states of
 //! shared structures (the LLC, the broker's allocation order) differ a
 //! little from the real run. A core's TLB sees only its own stream, so
@@ -193,7 +193,7 @@ pub struct Recording {
 /// configurations rule out.
 pub fn record(config: &SystemConfig, workload: &Workload) -> Recording {
     let streams = System::synthetic_streams(config, workload);
-    let mut d = Driver::new(config, workload, streams);
+    let mut d = Recorder::new(config, workload, streams);
     let cores = config.cores_per_node;
     let ranks = config.nodes * cores;
     let mut clock = vec![0u64; ranks];
@@ -231,8 +231,8 @@ fn broker_config(config: &SystemConfig) -> BrokerConfig {
     }
 }
 
-/// The recording driver: live layer state plus the recording it fills.
-struct Driver {
+/// The recorder: live layer state plus the recording it fills.
+struct Recorder {
     config: SystemConfig,
     nodes: Vec<Node>,
     stus: Vec<Stu>,
@@ -250,12 +250,12 @@ struct Driver {
     rec: Recording,
 }
 
-impl Driver {
+impl Recorder {
     fn new(
         config: &SystemConfig,
         workload: &Workload,
         streams: Vec<Vec<fam_workloads::RefStream>>,
-    ) -> Driver {
+    ) -> Recorder {
         let freq = config.frequency();
         let mut broker = MemoryBroker::new(broker_config(config));
         let nodes: Vec<Node> = streams
@@ -272,7 +272,7 @@ impl Driver {
         };
         let ranks = config.nodes * config.cores_per_node;
         let node_ids = nodes.iter().map(|n| n.id).collect();
-        Driver {
+        Recorder {
             config: *config,
             nodes,
             stus,
