@@ -20,11 +20,6 @@
 //! committed `BENCH_baseline.json` and fails on a >15% throughput
 //! regression.
 //!
-//! The suite also times the intra-run parallel engine
-//! ([`deact::System::try_run_parallel`]) on a 16-node system at
-//! 1/2/4 threads — the `parallel_per_ref/*` entries and the derived
-//! speedup land in the JSON for the CI artifact.
-//!
 //! The end-to-end runs honour `DEACT_TRACE` (`off` (default) |
 //! `breakdown` | `full`), which is how the tracer's own overhead is
 //! measured: run once with `off` and once with `breakdown`/`full` and
@@ -64,10 +59,6 @@ struct Throughput {
     total_refs: u64,
     elapsed_ns: u64,
     refs_per_sec: f64,
-    /// Fraction of references the engine retired without the
-    /// scheduler heap — archived alongside the wall-clock numbers so a
-    /// coverage regression is visible in the CI artifact, not silent.
-    fast_path_coverage: f64,
 }
 
 fn median(mut samples: Vec<f64>) -> f64 {
@@ -131,96 +122,6 @@ fn bench_scheduler_scaling(records: &mut Vec<Record>) {
     }
 }
 
-/// Parallel-engine scaling: wall-clock ns per reference of one
-/// 16-node run under [`deact::System::try_run_parallel`] at 1, 2 and
-/// 4 threads (1 = the sequential engine, the denominator of the
-/// speedup). Reports are bit-identical across the sweep, so this
-/// measures pure wall-clock, not behaviour. Returns the 4-thread
-/// speedup and the (thread-count-invariant) fraction of references
-/// the epoch shards retired — the coverage the speedup is bounded by.
-fn bench_parallel_scaling(records: &mut Vec<Record>) -> (f64, f64) {
-    let cfg = SystemConfig::paper_default()
-        .with_scheme(Scheme::DeactN)
-        .with_nodes(16)
-        .with_fam_modules(16)
-        .with_refs_per_core(SCHED_REFS)
-        .with_seed(0xBE9C)
-        .with_trace(fam_bench::trace_from_env(fam_sim::TraceConfig::disabled()));
-    let w = Workload::by_name("sssp").expect("table3 benchmark");
-    let total_refs = cfg.refs_per_core * (cfg.nodes * cfg.cores_per_node) as u64;
-    let mut sequential_ns = f64::NAN;
-    let mut speedup_4t = f64::NAN;
-    let mut coverage = 0.0;
-    for threads in [1usize, 2, 4] {
-        let samples: Vec<f64> = (0..SCHED_REPS)
-            .map(|_| {
-                let start = Instant::now();
-                let report = deact::System::new(cfg, &w).run_parallel(threads);
-                let elapsed = start.elapsed().as_nanos() as f64;
-                if threads > 1 {
-                    coverage = report.parallel_phase_coverage;
-                }
-                black_box(report.cycles);
-                elapsed / total_refs as f64
-            })
-            .collect();
-        let ns = median(samples);
-        let label = format!("parallel_per_ref/16_nodes_{threads}t");
-        if threads == 1 {
-            sequential_ns = ns;
-            println!("{label:28} {ns:>8.1} ns/op");
-        } else {
-            let speedup = sequential_ns / ns;
-            if threads == 4 {
-                speedup_4t = speedup;
-            }
-            println!("{label:28} {ns:>8.1} ns/op  ({speedup:.2}x)");
-        }
-        records.push(Record {
-            label,
-            ns_per_op: ns,
-        });
-    }
-    println!("parallel_phase_coverage      {:>7.1} %", coverage * 100.0);
-    (speedup_4t, coverage)
-}
-
-/// Per-reference cost of the fused fast-path engine on `sp`, the
-/// Table III workload with the highest fast-path coverage (~18% of
-/// references retire without touching the scheduler heap under
-/// paper-default translation rates). A classification regression —
-/// references silently falling back to the exact scheduler — shows up
-/// here as a time jump before it shows up anywhere else.
-fn bench_fastpath(records: &mut Vec<Record>) {
-    let cfg = SystemConfig::paper_default()
-        .with_refs_per_core(SCHED_REFS)
-        .with_seed(0xBE9C)
-        .with_trace(fam_bench::trace_from_env(fam_sim::TraceConfig::disabled()));
-    let w = Workload::by_name("sp").expect("table3 benchmark");
-    let total_refs = cfg.refs_per_core * (cfg.nodes * cfg.cores_per_node) as u64;
-    let mut coverage = 0.0;
-    let samples: Vec<f64> = (0..SCHED_REPS)
-        .map(|_| {
-            let start = Instant::now();
-            let report = deact::System::new(cfg, &w).run();
-            let elapsed = start.elapsed().as_nanos() as f64;
-            coverage = report.fast_path_coverage;
-            black_box(report.cycles);
-            elapsed / total_refs as f64
-        })
-        .collect();
-    let ns = median(samples);
-    let label = "fastpath_per_ref";
-    println!(
-        "{label:28} {ns:>8.1} ns/op  ({:.1}% coverage)",
-        coverage * 100.0
-    );
-    records.push(Record {
-        label: label.to_string(),
-        ns_per_op: ns,
-    });
-}
-
 /// Per-reference cost of running a recorded trace through the full
 /// system instead of the live generator: records the
 /// `sched_per_ref/4_cores` configuration's stream to a FAMT v2 file
@@ -266,82 +167,6 @@ fn bench_replay(records: &mut Vec<Record>) {
     std::fs::remove_file(&path).ok();
 }
 
-/// The sharded engine on a bursty phase-structured trace: synthesizes
-/// a 16-node FAMT v2 trace whose ranks rotate through scan/chase/dwell
-/// phases out of lockstep, replays it under
-/// [`deact::System::try_run_parallel`] at 2 threads, and returns the
-/// epoch-shard coverage plus the mean FAM refs the leader retires per
-/// granted epoch (leader-front dwell — ~1 on lockstep synthetics, the
-/// whole point of the bursty trace is to raise it). Both land in the
-/// JSON for the bench-diff gate.
-fn bench_replay_burst(records: &mut Vec<Record>) -> (f64, f64) {
-    let cfg = SystemConfig::paper_default()
-        .with_scheme(Scheme::DeactN)
-        .with_nodes(16)
-        .with_fam_modules(16)
-        .with_refs_per_core(SCHED_REFS)
-        .with_seed(0xBE9C)
-        .with_trace(fam_bench::trace_from_env(fam_sim::TraceConfig::disabled()));
-    let path = std::env::temp_dir().join(format!(
-        "deact-microbench-burst-{}.famt",
-        std::process::id()
-    ));
-    let burst = fam_workloads::trace::BurstConfig::new(0xBE9C);
-    let file = std::fs::File::create(&path).expect("temp trace file");
-    fam_workloads::trace::synthesize_bursty(
-        std::io::BufWriter::new(file),
-        &burst,
-        cfg.nodes,
-        cfg.cores_per_node,
-        cfg.refs_per_core,
-    )
-    .expect("synthesize bursty trace");
-    let total_refs = cfg.refs_per_core * (cfg.nodes * cfg.cores_per_node) as u64;
-    let mut coverage = 0.0;
-    let mut dwell = 0.0;
-    let samples: Vec<f64> = (0..SCHED_REPS)
-        .map(|_| {
-            let streams =
-                fam_workloads::trace::replay_streams(&path, cfg.nodes, cfg.cores_per_node)
-                    .expect("replay streams");
-            let mut system = deact::System::with_streams(cfg, "bursty", streams);
-            let start = Instant::now();
-            let report = system.try_run_parallel(2).expect("fault-free run");
-            let elapsed = start.elapsed().as_nanos() as f64;
-            coverage = report.parallel_phase_coverage;
-            let metrics = system.metrics();
-            let fam_refs = metrics.counter_value("parallel/fam_refs").unwrap_or(0);
-            let grants: u64 = (0..cfg.fam_modules)
-                .map(|m| {
-                    metrics
-                        .counter_value(&format!("nvm{m}/granted_epochs"))
-                        .unwrap_or(0)
-                })
-                .sum();
-            dwell = if grants > 0 {
-                fam_refs as f64 / grants as f64
-            } else {
-                0.0
-            };
-            black_box(report.cycles);
-            elapsed / total_refs as f64
-        })
-        .collect();
-    let ns = median(samples);
-    let label = "replay_parallel_per_ref/16_nodes_2t";
-    println!("{label:28} {ns:>8.1} ns/op");
-    println!(
-        "replay_parallel_coverage     {:>7.1} %  ({dwell:.2} FAM refs/granted epoch)",
-        coverage * 100.0
-    );
-    records.push(Record {
-        label: label.to_string(),
-        ns_per_op: ns,
-    });
-    std::fs::remove_file(&path).ok();
-    (coverage, dwell)
-}
-
 /// Whole-system throughput: simulated references per wall-clock second
 /// on the paper-default single-node configuration.
 fn bench_throughput() -> Throughput {
@@ -361,27 +186,17 @@ fn bench_throughput() -> Throughput {
         total_refs,
         elapsed_ns,
         refs_per_sec,
-        fast_path_coverage: report.fast_path_coverage,
     }
 }
 
 /// Serialises the results to `path` (default `BENCH_sim.json`).
 /// Hand-rolled writer: the workspace is dependency-free, and the
 /// labels are plain ASCII with nothing to escape.
-fn write_json(
-    path: &str,
-    records: &[Record],
-    throughput: &Throughput,
-    parallel_speedup_4t: f64,
-    parallel_phase_coverage: f64,
-    replay_parallel_phase_coverage: f64,
-    replay_fam_refs_per_grant: f64,
-) -> std::io::Result<()> {
+fn write_json(path: &str, records: &[Record], throughput: &Throughput) -> std::io::Result<()> {
     use std::io::Write;
     let mut out = String::from("{\n  \"schema\": \"deact-microbench-v1\",\n");
     out.push_str(&format!("  \"iters\": {ITERS},\n  \"reps\": {REPS},\n"));
-    // Recorded so the CI gate can tell a real parallel-engine
-    // regression from a runner that simply has no cores to run on.
+    // Recorded so an artifact says what kind of host measured it.
     let host_threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     out.push_str(&format!("  \"host_threads\": {host_threads},\n"));
     out.push_str("  \"entries\": [\n");
@@ -394,25 +209,9 @@ fn write_json(
     }
     out.push_str("  ],\n");
     out.push_str(&format!(
-        "  \"parallel_speedup_4t\": {parallel_speedup_4t:.3},\n"
-    ));
-    out.push_str(&format!(
-        "  \"parallel_phase_coverage\": {parallel_phase_coverage:.4},\n"
-    ));
-    out.push_str(&format!(
-        "  \"replay_parallel_phase_coverage\": {replay_parallel_phase_coverage:.4},\n"
-    ));
-    out.push_str(&format!(
-        "  \"replay_fam_refs_per_grant\": {replay_fam_refs_per_grant:.3},\n"
-    ));
-    out.push_str(&format!(
         "  \"throughput\": {{\"benchmark\": \"sssp\", \"total_refs\": {}, \
-         \"elapsed_ns\": {}, \"refs_per_sec\": {:.1}, \
-         \"fast_path_coverage\": {:.4}}}\n}}\n",
-        throughput.total_refs,
-        throughput.elapsed_ns,
-        throughput.refs_per_sec,
-        throughput.fast_path_coverage
+         \"elapsed_ns\": {}, \"refs_per_sec\": {:.1}}}\n}}\n",
+        throughput.total_refs, throughput.elapsed_ns, throughput.refs_per_sec
     ));
     let mut f = std::fs::File::create(path)?;
     f.write_all(out.as_bytes())
@@ -573,21 +372,10 @@ fn main() {
         "", "median"
     );
     bench_scheduler_scaling(&mut records);
-    bench_fastpath(&mut records);
     bench_replay(&mut records);
-    let (parallel_speedup_4t, parallel_phase_coverage) = bench_parallel_scaling(&mut records);
-    let (replay_coverage, replay_dwell) = bench_replay_burst(&mut records);
     let throughput = bench_throughput();
 
-    match write_json(
-        &out_path,
-        &records,
-        &throughput,
-        parallel_speedup_4t,
-        parallel_phase_coverage,
-        replay_coverage,
-        replay_dwell,
-    ) {
+    match write_json(&out_path, &records, &throughput) {
         Ok(()) => println!("\nwrote {out_path} ({} entries)", records.len()),
         Err(e) => eprintln!("microbench: could not write {out_path}: {e}"),
     }

@@ -15,16 +15,6 @@
 //!   above `throughput_floor ×` baseline (default 0.85×): it
 //!   integrates thousands of operations, so it is the least noisy
 //!   signal and gets the tightest relative floor.
-//! * **Parallel gate** — `parallel_speedup_4t` must not fall below
-//!   [`DiffConfig::parallel_speedup_floor`], checked only when the
-//!   measuring host reports ≥ 4 threads (a single-vCPU runner makes
-//!   > 1× physically impossible).
-//! * **Parallel-coverage gate** — `parallel_phase_coverage` (the
-//!   fraction of references the epoch shards retired) must not fall
-//!   below baseline. Unlike the wall-clock gates it is *deterministic*
-//!   — the epoch plan is thread-count and host invariant — so the
-//!   gate applies on every runner, single-vCPU included, with no
-//!   noise tolerance: any drop is a real admission regression.
 //! * **Coverage** — an entry present in the baseline but missing from
 //!   the fresh run fails the diff (a silently dropped benchmark looks
 //!   exactly like a fixed regression); new entries are informational.
@@ -50,14 +40,6 @@ pub struct DiffConfig {
     /// Fresh `refs_per_sec` must be at least this fraction of
     /// baseline.
     pub throughput_floor: f64,
-    /// Minimum `parallel_speedup_4t` on hosts with ≥ 4 threads. Held
-    /// at 1.0 (don't lose to the sequential engine) rather than the
-    /// aspirational 1.3×: the FAM-heavy scaling suite measures ~2%
-    /// parallel-phase coverage under the bit-identity barrier (see
-    /// DESIGN.md §3.8), which bounds its achievable speedup at ~1×,
-    /// and a floor above what the engine can deliver would
-    /// institutionalise a permanently red gate.
-    pub parallel_speedup_floor: f64,
 }
 
 impl Default for DiffConfig {
@@ -67,7 +49,6 @@ impl Default for DiffConfig {
             noise_floor_ns: 100.0,
             noise_tolerance: 3.0,
             throughput_floor: 0.85,
-            parallel_speedup_floor: 1.0,
         }
     }
 }
@@ -126,7 +107,7 @@ impl DiffRow {
 /// One named pass/fail gate over the summary numbers.
 #[derive(Debug, Clone)]
 pub struct Gate {
-    /// Gate name (`throughput`, `parallel-speedup`).
+    /// Gate name (`throughput`, `schema`).
     pub name: &'static str,
     /// Whether the gate held (skipped gates hold by definition).
     pub passed: bool,
@@ -276,92 +257,7 @@ pub fn diff(base: &Json, new: &Json, cfg: &DiffConfig) -> DiffReport {
         }),
     }
 
-    // The parallel gate reads the *fresh* run's host_threads: the gate
-    // asks whether the engine scales on the machine that just measured
-    // it, and a 1-vCPU runner cannot answer that question.
-    let host_threads = new
-        .get("host_threads")
-        .and_then(Json::as_f64)
-        .unwrap_or(1.0);
-    let speedup = new.get("parallel_speedup_4t").and_then(Json::as_f64);
-    report.gates.push(match (host_threads >= 4.0, speedup) {
-        (true, Some(sp)) => Gate {
-            name: "parallel-speedup",
-            passed: sp >= cfg.parallel_speedup_floor,
-            detail: format!(
-                "{sp:.3}x at 4 threads (floor {:.2}x)",
-                cfg.parallel_speedup_floor
-            ),
-        },
-        (false, sp) => Gate {
-            name: "parallel-speedup",
-            passed: true,
-            detail: format!(
-                "skipped: {host_threads:.0} host thread(s), measured {:?}",
-                sp.unwrap_or(f64::NAN)
-            ),
-        },
-        (true, None) => Gate {
-            name: "parallel-speedup",
-            passed: false,
-            detail: "parallel_speedup_4t missing from current run".into(),
-        },
-    });
-
-    // Coverage is deterministic (the epoch plan is host and
-    // thread-count invariant), so these gates never skip and take no
-    // noise tolerance: a fresh value below baseline means the planner
-    // admits fewer references than it used to. The same rule gates the
-    // synthetic probe (`parallel_phase_coverage`, lockstep sssp) and
-    // the bursty replayed trace (`replay_parallel_phase_coverage`),
-    // which exercises the leader-dwell regime the synthetics cannot.
-    report.gates.push(coverage_gate(
-        "parallel-coverage",
-        "parallel_phase_coverage",
-        base,
-        new,
-    ));
-    report.gates.push(coverage_gate(
-        "replay-coverage",
-        "replay_parallel_phase_coverage",
-        base,
-        new,
-    ));
-
     report
-}
-
-/// Builds the exact deterministic coverage gate for one top-level
-/// fraction field: current must be ≥ baseline, missing-from-current
-/// fails, missing-from-baseline is informational (so pre-regeneration
-/// baselines keep passing when a new field ships).
-fn coverage_gate(name: &'static str, field: &str, base: &Json, new: &Json) -> Gate {
-    let base_cov = base.get(field).and_then(Json::as_f64);
-    let new_cov = new.get(field).and_then(Json::as_f64);
-    match (base_cov, new_cov) {
-        (Some(b), Some(n)) => Gate {
-            name,
-            passed: n >= b - 1e-9,
-            detail: format!(
-                "{:.2}% of refs retired in epoch shards vs baseline {:.2}%",
-                n * 100.0,
-                b * 100.0
-            ),
-        },
-        (Some(_), None) => Gate {
-            name,
-            passed: false,
-            detail: format!("{field} missing from current run"),
-        },
-        (None, n) => Gate {
-            name,
-            passed: true,
-            detail: format!(
-                "baseline has no coverage entry, measured {:?}",
-                n.unwrap_or(f64::NAN)
-            ),
-        },
-    }
 }
 
 #[cfg(test)]
@@ -377,8 +273,6 @@ mod tests {
     {{"label": "set_assoc_cache_get", "ns_per_op": 2.6}},
     {{"label": "sched_per_ref/4_cores", "ns_per_op": {sched_ns}}}
   ],
-  "parallel_speedup_4t": 1.25,
-  "parallel_phase_coverage": 0.0156,
   "throughput": {{"refs_per_sec": {rps}}}
 }}"#
         ))
@@ -464,7 +358,6 @@ mod tests {
     {"label": "set_assoc_cache_get", "ns_per_op": 2.6},
     {"label": "sched_per_ref/8_cores", "ns_per_op": 1500.0}
   ],
-  "parallel_speedup_4t": 1.25,
   "throughput": {"refs_per_sec": 726000.0}
 }"#,
         )
@@ -479,78 +372,5 @@ mod tests {
             .rows
             .iter()
             .any(|r| r.label == "sched_per_ref/8_cores" && r.verdict == Verdict::New));
-    }
-
-    #[test]
-    fn coverage_drop_fails_even_on_a_single_thread_host() {
-        let base = artifact(1360.0, 726_000.0);
-        let mut dropped = artifact(1360.0, 726_000.0);
-        if let Json::Obj(m) = &mut dropped {
-            // Deterministic metric on a 1-vCPU runner: the speedup
-            // gate skips, the coverage gate must not.
-            m.insert("host_threads".into(), Json::Num(1.0));
-            m.insert("parallel_phase_coverage".into(), Json::Num(0.009));
-        }
-        let report = diff(&base, &dropped, &DiffConfig::default());
-        assert!(!report.passed(), "{}", report.to_markdown());
-        let gate = report
-            .gates
-            .iter()
-            .find(|g| g.name == "parallel-coverage")
-            .unwrap();
-        assert!(!gate.passed);
-    }
-
-    #[test]
-    fn missing_coverage_entry_fails_when_baseline_has_one() {
-        let base = artifact(1360.0, 726_000.0);
-        let mut gone = artifact(1360.0, 726_000.0);
-        if let Json::Obj(m) = &mut gone {
-            m.remove("parallel_phase_coverage");
-        }
-        let report = diff(&base, &gone, &DiffConfig::default());
-        assert!(!report.passed());
-        // The reverse direction (old baseline, new field) is
-        // informational, so pre-regeneration baselines keep passing.
-        let report = diff(&gone, &base, &DiffConfig::default());
-        assert!(report.passed(), "{}", report.to_markdown());
-    }
-
-    #[test]
-    fn replay_coverage_gate_mirrors_the_parallel_one() {
-        let with_replay = |cov: f64| {
-            let mut doc = artifact(1360.0, 726_000.0);
-            if let Json::Obj(m) = &mut doc {
-                m.insert("replay_parallel_phase_coverage".into(), Json::Num(cov));
-            }
-            doc
-        };
-        let base = with_replay(0.21);
-        // Equal coverage passes; a drop fails even on a 1-vCPU host.
-        assert!(diff(&base, &with_replay(0.21), &DiffConfig::default()).passed());
-        let report = diff(&base, &with_replay(0.15), &DiffConfig::default());
-        assert!(!report.passed(), "{}", report.to_markdown());
-        let gate = report
-            .gates
-            .iter()
-            .find(|g| g.name == "replay-coverage")
-            .unwrap();
-        assert!(!gate.passed);
-        // Field vanishing from the current run fails; a baseline
-        // predating the field is informational.
-        assert!(!diff(&base, &artifact(1360.0, 726_000.0), &DiffConfig::default()).passed());
-        assert!(diff(&artifact(1360.0, 726_000.0), &base, &DiffConfig::default()).passed());
-    }
-
-    #[test]
-    fn single_thread_host_skips_the_parallel_gate() {
-        let base = artifact(1360.0, 726_000.0);
-        let mut one_cpu = artifact(1360.0, 726_000.0);
-        if let Json::Obj(m) = &mut one_cpu {
-            m.insert("host_threads".into(), Json::Num(1.0));
-            m.insert("parallel_speedup_4t".into(), Json::Num(0.4));
-        }
-        let report = diff(&base, &one_cpu, &DiffConfig::default());
-        assert!(report.passed(), "{}", report.to_markdown());
     }
 }

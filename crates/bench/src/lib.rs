@@ -9,13 +9,10 @@
 //!
 //! Run length is controlled by the `DEACT_REFS` environment variable
 //! (references per core; default 100 000 for headline figures, less
-//! for multi-point sweeps), worker count by `DEACT_JOBS` (default: the
-//! host's available parallelism), and intra-run parallelism by
-//! `DEACT_SIM_THREADS` (threads per simulation via
-//! [`deact::System::try_run_parallel`]; default 1 = the sequential
-//! engine). The two levels compose — `DEACT_JOBS` spreads the matrix
-//! across runs, `DEACT_SIM_THREADS` spreads one run across its nodes —
-//! and reports are bit-identical at any setting of either.
+//! for multi-point sweeps) and worker count by `DEACT_JOBS` (default:
+//! the host's available parallelism). Parallelism is across runs only
+//! — each run executes on [`deact::System::try_run`] — so reports are
+//! bit-identical at any `DEACT_JOBS`.
 
 #![warn(missing_docs)]
 
@@ -23,7 +20,7 @@ use std::collections::HashMap;
 use std::sync::{mpsc, Mutex, OnceLock};
 
 use deact::{RunReport, Scheme, SystemConfig};
-use fam_sim::{cap_sim_threads, default_jobs, Stage, ThreadPool, TraceConfig};
+use fam_sim::{default_jobs, Stage, ThreadPool, TraceConfig};
 use fam_workloads::{table3, Workload};
 
 pub mod diff;
@@ -42,16 +39,6 @@ pub fn refs_from_env(default: u64) -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// Intra-run simulation threads from `DEACT_SIM_THREADS`, defaulting
-/// to 1 (the sequential engine). Like `DEACT_JOBS` this is a harness
-/// knob, not a [`SystemConfig`] field: it cannot change any report and
-/// must not perturb the memoized run cache's configuration keys.
-/// Delegates to [`fam_sim::sim_threads_from_env`], the reader the
-/// core crate's [`deact::try_run_benchmark`] shares.
-pub fn sim_threads_from_env() -> usize {
-    fam_sim::sim_threads_from_env()
 }
 
 /// Parses one `DEACT_TRACE` value: `off`/`0`/`none` disables tracing,
@@ -148,19 +135,14 @@ pub fn run_matrix_opts(
     if todo.is_empty() {
         return matrix;
     }
-    // Cap the intra-run thread level against the number of matrix
-    // jobs actually in flight so the two parallelism levels compose
-    // instead of oversubscribing; the helper's note prints once per
-    // process, not once per (benchmark, scheme) job.
     let concurrent = if jobs <= 1 || todo.len() == 1 {
         1
     } else {
         jobs.min(todo.len())
     };
-    let sim_threads = cap_sim_threads(concurrent, sim_threads_from_env());
     let results: Vec<((String, Scheme), RunReport)> = if concurrent <= 1 {
         todo.iter()
-            .map(|(b, s)| ((b.clone(), *s), run_one(b, *s, cfg, sim_threads)))
+            .map(|(b, s)| ((b.clone(), *s), run_one(b, *s, cfg)))
             .collect()
     } else {
         let pool = ThreadPool::new(concurrent);
@@ -169,7 +151,7 @@ pub fn run_matrix_opts(
             let tx = tx.clone();
             let (b, s) = (b.clone(), *s);
             pool.execute(move || {
-                let report = run_one(&b, s, cfg, sim_threads);
+                let report = run_one(&b, s, cfg);
                 let _ = tx.send(((b, s), report));
             });
         }
@@ -188,9 +170,9 @@ pub fn run_matrix_opts(
     matrix
 }
 
-fn run_one(bench: &str, scheme: Scheme, cfg: SystemConfig, sim_threads: usize) -> RunReport {
+fn run_one(bench: &str, scheme: Scheme, cfg: SystemConfig) -> RunReport {
     let w = Workload::by_name(bench).unwrap_or_else(|| panic!("unknown benchmark {bench}"));
-    deact::System::new(cfg.with_scheme(scheme), &w).run_parallel(sim_threads)
+    deact::System::new(cfg.with_scheme(scheme), &w).run()
 }
 
 /// Prints a figure header.
@@ -244,8 +226,7 @@ pub fn write_csv<W: std::io::Write>(mut w: W, matrix: &Matrix) -> std::io::Resul
         "benchmark,scheme,ipc,cycles,instructions,at_percent,translation_hit,acm_hit,\
          tlb_hit,mpki,fam_data_reads,fam_data_writes,fam_writebacks,fam_at_reads,\
          dram_reads,dram_writes,faults,injected_faults,retries,timeouts,nacks_corrupt,\
-         nacks_stale,recovered,fatal,backoff_cycles,fast_path_coverage,\
-         parallel_phase_coverage"
+         nacks_stale,recovered,fatal,backoff_cycles"
     )?;
     for stage in Stage::ALL {
         write!(w, ",lat_mean_{}", stage.name())?;
@@ -257,7 +238,7 @@ pub fn write_csv<W: std::io::Write>(mut w: W, matrix: &Matrix) -> std::io::Resul
         let r = &matrix[key];
         write!(
             w,
-            "{},{},{:.6},{},{},{:.4},{},{},{:.4},{:.2},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.4},{:.4}",
+            "{},{},{:.6},{},{},{:.4},{},{},{:.4},{:.2},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             r.workload,
             r.scheme.name(),
             r.ipc,
@@ -284,8 +265,6 @@ pub fn write_csv<W: std::io::Write>(mut w: W, matrix: &Matrix) -> std::io::Resul
             r.recovery.recovered,
             r.recovery.fatal,
             r.recovery.backoff_cycles,
-            r.fast_path_coverage,
-            r.parallel_phase_coverage,
         )?;
         for stage in Stage::ALL {
             let h = r.latency.stage(stage);

@@ -6,9 +6,7 @@
 //!                           [--fabric-ns N] [--stu-entries N] [--seed N]
 //!                           [--fault-profile transient[:seed]]
 //!                           [--kill-node <module>@<nth-fam-op>]
-//!                           [--sim-threads N]
-//! deact-sim compare <benchmark> [--refs N] [--jobs N]
-//!                               [--sim-threads N]      # all four schemes
+//! deact-sim compare <benchmark> [--refs N] [--jobs N]  # all four schemes
 //! deact-sim trace [<benchmark>] [--out trace.json] [--window N]
 //!                 [--ring N] [plus any `run` flag]    # Perfetto trace
 //! deact-sim profile [<benchmark>] [--out profile.folded] [--top N]
@@ -28,24 +26,15 @@
 //! or any externally produced FAMT trace — back through the full
 //! system model, so `record` → `replay` reproduces the live run's
 //! report bit for bit. Replay honors every `run` flag (`--scheme`,
-//! `--sim-threads`, `--kill-node`, ...); `--trace-out` additionally
-//! captures a Perfetto trace of the replayed run.
+//! `--kill-node`, ...); `--trace-out` additionally captures a Perfetto
+//! trace of the replayed run.
 //!
-//! Two parallelism knobs compose, and both leave reports bit-identical
-//! at any setting:
-//!
-//! * `--jobs N` — *across-run* parallelism: how many worker threads
-//!   `compare` uses to run the four schemes concurrently (default:
-//!   `DEACT_JOBS`, else the host's available parallelism).
-//! * `--sim-threads N` — *intra-run* parallelism: how many threads one
-//!   simulation spreads its nodes over
-//!   ([`deact::System::try_run_parallel`]; default:
-//!   `DEACT_SIM_THREADS`, else 1 = the sequential engine). Useful once
-//!   a single many-node run dominates wall clock.
-//!
-//! When both are set, `compare` caps `--sim-threads` so the product
-//! `jobs × sim_threads` stays within the host's available parallelism
-//! — oversubscription would only slow both levels down.
+//! Parallelism is across runs only: `--jobs N` sets how many worker
+//! threads `compare` uses to run the four schemes concurrently
+//! (default: `DEACT_JOBS`, else the host's available parallelism).
+//! Every run itself executes on the one sequential engine
+//! ([`deact::System::try_run`]), so reports are bit-identical at any
+//! `--jobs`.
 //!
 //! `trace` runs one benchmark (default `sssp` under the paper-default
 //! DeACT-N configuration) with the tracer on and writes a Chrome
@@ -65,7 +54,7 @@
 
 use std::process::ExitCode;
 
-use deact::{try_run_benchmark_threads, RunReport, Scheme, System, SystemConfig};
+use deact::{try_run_benchmark, RunReport, Scheme, System, SystemConfig};
 use fam_sim::{trace::write_chrome_trace, FaultConfig, PersistentFault, TraceConfig};
 use fam_workloads::{table3, Workload};
 
@@ -73,8 +62,8 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  deact-sim run <benchmark> [--scheme S] [--refs N] [--nodes N] \
          [--fam-modules N] [--fabric-ns N] [--stu-entries N] [--seed N] \
-         [--fault-profile transient[:seed]] [--kill-node M@OP] [--sim-threads N]\n  \
-         deact-sim compare <benchmark> [--refs N] [--jobs N] [--sim-threads N]\n  \
+         [--fault-profile transient[:seed]] [--kill-node M@OP]\n  \
+         deact-sim compare <benchmark> [--refs N] [--jobs N]\n  \
          deact-sim trace [<benchmark>] [--out trace.json] [--window N] [--ring N] \
          [plus any `run` flag]\n  \
          deact-sim profile [<benchmark>] [--out profile.folded] [--top N] \
@@ -84,11 +73,8 @@ fn usage() -> ExitCode {
          deact-sim replay <t.famt> [--trace-out trace.json] [plus any `run` flag]\n  \
          deact-sim list\n\n\
          parallelism: --jobs runs schemes concurrently (across-run, default \
-         DEACT_JOBS else all cores);\n  --sim-threads parallelizes the nodes \
-         *inside* one run (intra-run, default DEACT_SIM_THREADS else 1 = \
-         sequential).\n  They compose; compare caps jobs x sim-threads at the \
-         host's available parallelism.\n  Reports are bit-identical at any \
-         setting of either knob.\n\n\
+         DEACT_JOBS else all cores);\n  reports are bit-identical at any \
+         setting.\n\n\
          chaos: --kill-node M@OP permanently kills FAM module M at the OP-th \
          FAM operation;\n  the run survives degraded and the report gains a \
          perm-failure block."
@@ -146,35 +132,6 @@ fn extract_jobs(args: &[String]) -> Option<(Vec<String>, usize)> {
         }
     }
     Some((rest, jobs))
-}
-
-/// Intra-run thread count when `--sim-threads` is absent:
-/// `DEACT_SIM_THREADS`, else 1 (the sequential engine, so existing
-/// invocations behave byte-identically).
-fn sim_threads_default() -> usize {
-    std::env::var("DEACT_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
-}
-
-/// Splits `--sim-threads N` out of the argument list (like `--jobs`, a
-/// harness knob, not a [`SystemConfig`] field); returns the remaining
-/// flags and the intra-run thread count. Returns `None` on a malformed
-/// count.
-fn extract_sim_threads(args: &[String]) -> Option<(Vec<String>, usize)> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut threads = sim_threads_default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--sim-threads" {
-            threads = it.next()?.parse().ok().filter(|&n| n > 0)?;
-        } else {
-            rest.push(flag.clone());
-        }
-    }
-    Some((rest, threads))
 }
 
 /// Splits the trace-only options (`--out`, `--window`, `--ring`) out of
@@ -247,6 +204,17 @@ fn optional_bench(args: &[String]) -> (String, &[String]) {
     }
 }
 
+/// Parses the value of a count flag that must be at least 1. A zero
+/// gets a one-line error here instead of the config validator's panic.
+fn positive<T: std::str::FromStr + Default + PartialEq>(flag: &str, value: &str) -> Option<T> {
+    let n: T = value.parse().ok()?;
+    if n == T::default() {
+        eprintln!("deact-sim: {flag} must be at least 1");
+        return None;
+    }
+    Some(n)
+}
+
 /// Applies `--key value` pairs onto the config; returns `None` on a
 /// malformed option.
 fn apply_flags(mut cfg: SystemConfig, args: &[String]) -> Option<SystemConfig> {
@@ -255,11 +223,11 @@ fn apply_flags(mut cfg: SystemConfig, args: &[String]) -> Option<SystemConfig> {
         let value = it.next()?;
         cfg = match flag.as_str() {
             "--scheme" => cfg.with_scheme(parse_scheme(value)?),
-            "--refs" => cfg.with_refs_per_core(value.parse().ok()?),
-            "--nodes" => cfg.with_nodes(value.parse().ok()?),
-            "--fam-modules" => cfg.with_fam_modules(value.parse().ok()?),
+            "--refs" => cfg.with_refs_per_core(positive(flag, value)?),
+            "--nodes" => cfg.with_nodes(positive(flag, value)?),
+            "--fam-modules" => cfg.with_fam_modules(positive(flag, value)?),
             "--fabric-ns" => cfg.with_fabric_latency_ns(value.parse().ok()?),
-            "--stu-entries" => cfg.with_stu_entries(value.parse().ok()?),
+            "--stu-entries" => cfg.with_stu_entries(positive(flag, value)?),
             "--seed" => cfg.with_seed(value.parse().ok()?),
             "--fault-profile" => {
                 // Layer, don't clobber: an earlier `--kill-node`
@@ -327,14 +295,6 @@ fn print_report(r: &RunReport) {
         r.dram_reads, r.dram_writes
     );
     println!("page faults      {}", r.faults);
-    println!(
-        "fast path        {:.1}% of refs retired without the scheduler",
-        r.fast_path_coverage * 100.0
-    );
-    println!(
-        "parallel phase   {:.1}% of refs retired inside epoch shards",
-        r.parallel_phase_coverage * 100.0
-    );
     if !r.latency.is_empty() {
         println!(
             "latency          {} spans across {} stages:",
@@ -395,8 +355,8 @@ fn print_report(r: &RunReport) {
     }
 }
 
-fn run_or_report(bench: &str, cfg: SystemConfig, threads: usize) -> Result<RunReport, ExitCode> {
-    try_run_benchmark_threads(bench, cfg, threads).map_err(|e| {
+fn run_or_report(bench: &str, cfg: SystemConfig) -> Result<RunReport, ExitCode> {
+    try_run_benchmark(bench, cfg).map_err(|e| {
         eprintln!("deact-sim: {e}");
         ExitCode::FAILURE
     })
@@ -416,13 +376,10 @@ fn main() -> ExitCode {
             let Some(bench) = args.get(1) else {
                 return usage();
             };
-            let Some((rest, sim_threads)) = extract_sim_threads(&args[2..]) else {
+            let Some(cfg) = apply_flags(SystemConfig::paper_default(), &args[2..]) else {
                 return usage();
             };
-            let Some(cfg) = apply_flags(SystemConfig::paper_default(), &rest) else {
-                return usage();
-            };
-            match run_or_report(bench, cfg, sim_threads) {
+            match run_or_report(bench, cfg) {
                 Ok(r) => {
                     print_report(&r);
                     ExitCode::SUCCESS
@@ -441,9 +398,6 @@ fn main() -> ExitCode {
             let Some((rest, out, trace)) = extract_trace_opts(flags) else {
                 return usage();
             };
-            let Some((rest, sim_threads)) = extract_sim_threads(&rest) else {
-                return usage();
-            };
             let Some(cfg) = apply_flags(
                 SystemConfig::paper_default().with_scheme(Scheme::DeactN),
                 &rest,
@@ -457,7 +411,7 @@ fn main() -> ExitCode {
             };
             let frequency_mhz = cfg.frequency_mhz;
             let mut system = System::new(cfg, &workload);
-            let r = match system.try_run_parallel(sim_threads) {
+            let r = match system.try_run() {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!("deact-sim: {e}");
@@ -516,9 +470,6 @@ fn main() -> ExitCode {
             let Some((rest, out, top)) = extract_profile_opts(flags) else {
                 return usage();
             };
-            let Some((rest, sim_threads)) = extract_sim_threads(&rest) else {
-                return usage();
-            };
             let Some(cfg) = apply_flags(
                 SystemConfig::paper_default().with_scheme(Scheme::DeactN),
                 &rest,
@@ -529,7 +480,7 @@ fn main() -> ExitCode {
             // clock, so the report below is bit-identical to an
             // unprofiled run.
             fam_sim::profile::set_enabled(true);
-            let r = match run_or_report(&bench, cfg, sim_threads) {
+            let r = match run_or_report(&bench, cfg) {
                 Ok(r) => r,
                 Err(code) => return code,
             };
@@ -553,10 +504,7 @@ fn main() -> ExitCode {
         }
         Some("audit") => {
             let (bench, flags) = optional_bench(&args[1..]);
-            let Some((rest, sim_threads)) = extract_sim_threads(flags) else {
-                return usage();
-            };
-            let Some(cfg) = apply_flags(SystemConfig::paper_default(), &rest) else {
+            let Some(cfg) = apply_flags(SystemConfig::paper_default(), flags) else {
                 return usage();
             };
             let Some(workload) = Workload::by_name(&bench) else {
@@ -564,7 +512,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             };
             let mut system = System::new(cfg, &workload);
-            let r = match system.try_run_parallel(sim_threads) {
+            let r = match system.try_run() {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!("deact-sim: {e}");
@@ -593,12 +541,6 @@ fn main() -> ExitCode {
                 return usage();
             };
             let out = out.unwrap_or_else(|| format!("{bench}.famt"));
-            // Recording is engine-free (it only draws the streams), but
-            // accept — and discard — `--sim-threads` so any `run` flag
-            // set can be pasted onto `record` unchanged.
-            let Some((rest, _)) = extract_sim_threads(&rest) else {
-                return usage();
-            };
             let Some(cfg) = apply_flags(SystemConfig::paper_default(), &rest) else {
                 return usage();
             };
@@ -643,9 +585,6 @@ fn main() -> ExitCode {
             else {
                 return usage();
             };
-            let Some((rest, sim_threads)) = extract_sim_threads(&rest) else {
-                return usage();
-            };
             let Some(cfg) = apply_flags(SystemConfig::paper_default(), &rest) else {
                 return usage();
             };
@@ -679,7 +618,7 @@ fn main() -> ExitCode {
                 .unwrap_or_else(|| path.clone());
             let frequency_mhz = cfg.frequency_mhz;
             let mut system = System::with_streams(cfg, &label, streams);
-            let r = match system.try_run_parallel(sim_threads) {
+            let r = match system.try_run() {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!("deact-sim: {e}");
@@ -726,23 +665,14 @@ fn main() -> ExitCode {
             let Some((rest, jobs)) = extract_jobs(&args[2..]) else {
                 return usage();
             };
-            let Some((rest, sim_threads)) = extract_sim_threads(&rest) else {
-                return usage();
-            };
             let Some(cfg) = apply_flags(SystemConfig::paper_default(), &rest) else {
                 return usage();
             };
-            // Cap the product of the two parallelism levels at the
-            // host's available parallelism: with four scheme runs in
-            // flight, oversubscribing the intra-run threads would only
-            // slow everything down (reports are identical either way).
-            // The helper warns once per process, not once per job.
-            let sim_threads = fam_sim::cap_sim_threads(jobs, sim_threads);
             // Run all four schemes across the bounded pool; printing
             // happens afterwards in scheme order, so the table is
             // identical at any worker count.
             let reports = fam_sim::scoped_map(jobs, Scheme::ALL.len(), |i| {
-                run_or_report(bench, cfg.with_scheme(Scheme::ALL[i]), sim_threads)
+                run_or_report(bench, cfg.with_scheme(Scheme::ALL[i]))
             });
             let mut baseline_ipc = None;
             println!(
@@ -767,5 +697,24 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn flags(pairs: &[&str]) -> Vec<String> {
+        pairs.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn zero_counts_are_rejected_before_validation() {
+        for flag in ["--refs", "--nodes", "--fam-modules", "--stu-entries"] {
+            let cfg = apply_flags(SystemConfig::paper_default(), &flags(&[flag, "0"]));
+            assert!(cfg.is_none(), "{flag} 0 must be rejected");
+            let cfg = apply_flags(SystemConfig::paper_default(), &flags(&[flag, "1"]));
+            assert!(cfg.is_some(), "{flag} 1 is a valid count");
+        }
     }
 }

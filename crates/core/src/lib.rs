@@ -65,7 +65,7 @@ pub use metrics::{
     AuditCheck, AuditReport, DegradationReport, FamTraffic, FaultRecovery, RunReport,
 };
 pub use scheme::Scheme;
-pub use system::{run_benchmark, try_run_benchmark, try_run_benchmark_threads, System};
+pub use system::{run_benchmark, try_run_benchmark, System};
 pub use translator::{
     FamTranslator, OutstandingMappingList, RetryConfig, RetryOutcome, RetryState, TranslatorStats,
 };

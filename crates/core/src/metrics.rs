@@ -203,13 +203,12 @@ impl DegradationReport {
 /// and configuration.
 ///
 /// `PartialEq` compares every field (including the `f64` rates), which
-/// is exactly what the scheduler-equivalence and parallel-determinism
-/// tests need: two runs are "the same" only if they are bit-identical.
-/// The exceptions are [`RunReport::fast_path_coverage`] — an
-/// engine-dependent diagnostic (how much work the chosen engine
-/// retired off its fast path) — and [`RunReport::profile`] — host
-/// time, nondeterministic by nature; both are deliberately excluded
-/// from equality so reports stay engine- and host-independent.
+/// is exactly what the scheduler-equivalence and determinism tests
+/// need: two runs are "the same" only if they are bit-identical. The
+/// exceptions are [`RunReport::fast_path_coverage`] — a retired
+/// diagnostic, always zero — and [`RunReport::profile`] — host time,
+/// nondeterministic by nature; both are deliberately excluded from
+/// equality so reports stay host-independent.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Scheme simulated.
@@ -260,22 +259,12 @@ pub struct RunReport {
     /// report differs from a pre-trace-layer run *only* by this empty
     /// block.
     pub latency: LatencyBreakdown,
-    /// Fraction of references the engine retired without touching the
-    /// scheduler heap — the sequential engine's fused fast path plus
-    /// the parallel engine's node-local phase. A coverage regression
-    /// here means references silently fell back to the slow path.
-    /// Engine-dependent: excluded from `PartialEq` (and zero for the
-    /// preserved exact engines).
+    /// Always `0.0`. This once measured how much of a run a fused fast
+    /// path retired without the scheduler heap; that fast path was
+    /// removed (the plain heap scheduler measured faster), and the
+    /// field remains only because downstream benchmark tooling still
+    /// reads it. Excluded from `PartialEq`.
     pub fast_path_coverage: f64,
-    /// Fraction of references the parallel engine retired inside its
-    /// epoch-parallel phase (node-local retirements plus shard-granted
-    /// FAM retirements), before the sequential commit drain. Unlike
-    /// wall-clock speedup this is deterministic and thread-count
-    /// invariant — the admission scan is sequential — so it is the
-    /// portable measure of how much of a run the sharded engine can
-    /// take off the critical section. Engine-dependent: excluded from
-    /// `PartialEq` (zero for the sequential engines).
-    pub parallel_phase_coverage: f64,
     /// Host-time profile of the run (empty unless
     /// `fam_sim::profile::set_enabled(true)` was in effect). Host
     /// nanoseconds are nondeterministic by nature, so like
@@ -288,9 +277,8 @@ pub struct RunReport {
 
 impl PartialEq for RunReport {
     fn eq(&self, other: &RunReport) -> bool {
-        // Every field except `fast_path_coverage` (a property of the
-        // engine that produced the report) and `profile` (host time,
-        // not simulated state). Destructure so adding a field without
+        // Every field except `fast_path_coverage` (a retired
+        // diagnostic) and `profile` (host time, not simulated state). Destructure so adding a field without
         // deciding its equality role fails to compile.
         let RunReport {
             scheme,
@@ -313,7 +301,6 @@ impl PartialEq for RunReport {
             refs_per_core,
             latency,
             fast_path_coverage: _,
-            parallel_phase_coverage: _,
             profile: _,
         } = self;
         *scheme == other.scheme
@@ -465,7 +452,6 @@ mod tests {
             refs_per_core: 10,
             latency: LatencyBreakdown::default(),
             fast_path_coverage: 0.0,
-            parallel_phase_coverage: 0.0,
             profile: fam_sim::ProfileReport::default(),
         }
     }
@@ -475,8 +461,7 @@ mod tests {
         let a = report(1.0);
         let mut b = report(1.0);
         b.fast_path_coverage = 0.75;
-        b.parallel_phase_coverage = 0.5;
-        assert_eq!(a, b, "coverage is an engine diagnostic, not a result");
+        assert_eq!(a, b, "coverage is a diagnostic, not a result");
         b.cycles += 1;
         assert_ne!(a, b);
     }

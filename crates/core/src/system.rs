@@ -4,12 +4,12 @@ use std::collections::BTreeMap;
 
 use fam_broker::{AccessKind, BrokerConfig, MemoryBroker, PageRelocation, Quarantine};
 use fam_fabric::packet::{Packet, PacketKind, RESPONSE_BYTES};
-use fam_fabric::{traverse_split, Fabric, FabricTiming};
+use fam_fabric::Fabric;
 use fam_mem::{MemOpKind, NvmModel};
 use fam_sim::profile::{self, PhaseId};
 use fam_sim::{
     Cycle, Duration, FabricFault, FaultInjector, FreeList, IndexedMinHeap, PersistentFault,
-    RequestId, Resource, Stage, TraceEvent, Tracer, Track, WindowSample,
+    RequestId, Stage, TraceEvent, Tracer, Track, WindowSample,
 };
 use fam_stu::Stu;
 use fam_vm::{NodeId, Pte, VirtAddr, WalkAccess, PAGE_BYTES};
@@ -19,7 +19,7 @@ use crate::error::SimError;
 use crate::metrics::{
     AuditCheck, AuditReport, DegradationReport, FamTraffic, FaultRecovery, RunReport,
 };
-use crate::node::{CoreState, Node, FAM_KEY_PAGE};
+use crate::node::{Node, FAM_KEY_PAGE};
 use crate::translator::{RetryOutcome, RetryState};
 use crate::{Scheme, SystemConfig};
 
@@ -90,26 +90,6 @@ pub struct System {
     /// re-walk of one of these is a poisoned access, not an ordinary
     /// first touch.
     lost: BTreeMap<(NodeId, u64), u64>,
-    /// References retired by [`System::try_run_parallel`]'s node-local
-    /// phase — the engine's parallel coverage. Diagnostics only; never
-    /// part of the [`PartialEq`]-visible report (reports are
-    /// engine-independent).
-    local_phase_refs: u64,
-    /// References retired by the sequential engine's fused fast path
-    /// ([`System::try_run`]) without touching the scheduler heap.
-    /// Feeds the report's coverage diagnostic; like
-    /// `local_phase_refs`, engine-dependent and excluded from report
-    /// equality.
-    fast_path_refs: u64,
-    /// FAM-bound references retired inside the parallel phase under a
-    /// per-epoch module grant ([`System::plan_epoch`]) instead of the
-    /// sequential commit. Diagnostics only, like `local_phase_refs`.
-    fam_phase_refs: u64,
-    /// Per-module count of epochs in which the leader's shard actually
-    /// drove the module's port and device timeline — how often each
-    /// independently-owned NVM timeline left the sequential commit
-    /// path.
-    module_grant_epochs: Vec<u64>,
     /// Recycled page-walk access buffers: a node-level walk plans into
     /// one of these instead of allocating a fresh vector per walk.
     walk_bufs: FreeList<Vec<WalkAccess>>,
@@ -250,30 +230,9 @@ impl System {
             degradation: DegradationReport::default(),
             moved: BTreeMap::new(),
             lost: BTreeMap::new(),
-            local_phase_refs: 0,
-            fast_path_refs: 0,
-            fam_phase_refs: 0,
-            module_grant_epochs: vec![0; config.fam_modules],
             walk_bufs: FreeList::new(),
             config,
         }
-    }
-
-    /// References the parallel engine retired in its node-local phase
-    /// (zero after a sequential run) — the fraction of the run that
-    /// escaped the sequential commit phase, and so the ceiling on
-    /// intra-run speedup. Deterministic and thread-count invariant.
-    pub fn local_phase_refs(&self) -> u64 {
-        self.local_phase_refs
-    }
-
-    /// References the sequential engine retired on its fused fast path
-    /// (zero after [`System::try_run_exact`]). Together with
-    /// [`System::local_phase_refs`] this is the run's fast-path
-    /// coverage — how much of the work never touched the scheduler
-    /// heap.
-    pub fn fast_path_refs(&self) -> u64 {
-        self.fast_path_refs
     }
 
     /// The configuration in force.
@@ -325,127 +284,25 @@ impl System {
     /// Runs every core to `refs_per_core` references and reports,
     /// surfacing failures as a typed [`SimError`] instead of a panic.
     ///
-    /// This is the fused fast-path/slow-path engine. References that
-    /// provably touch node-local state only — TLB hit, and an LLC hit
-    /// or a DRAM-backed miss whose predicted victim is also DRAM-backed
-    /// ([`probe_local`], the same classifier the parallel engine
-    /// trusts) — retire in a per-node sweep with no scheduler-heap
-    /// pop/push and no per-reference allocation. Only FAM-bound,
-    /// TLB-missing, or faulting references fall through to the exact
-    /// event-driven scheduler ([`System::try_run_exact`]).
-    ///
-    /// Reports are bit-identical to the exact engine (a property the
-    /// integration tests pin down) because:
-    ///
-    /// - a locally-retired reference reads and writes nothing outside
-    ///   its node (TLB recency, cache state, node DRAM timeline, core
-    ///   bookkeeping), so retiring it early commutes with every
-    ///   reference of every other node;
-    /// - within a node, the sweep retires fronts in the same greedy
-    ///   `(ready, core)` order the exact scheduler uses, and stops at
-    ///   the first reference it cannot prove local;
-    /// - everything else drains through the heap in the exact global
-    ///   `(ready, slot)` order, and after each sweep every front the
-    ///   heap can pop is slow-classified, so the pop order equals the
-    ///   exact engine's order restricted to slow references;
-    /// - while a scheduled persistent fault is armed but unhandled, the
-    ///   fast path is disabled outright (recovery's broadcast shootdown
-    ///   mutates *other* nodes' TLBs — state the probe reads), exactly
-    ///   mirroring the parallel engine's recovery gate.
-    ///
-    /// Request ids are the one observable that differs (they are drawn
-    /// in retirement order, not exact-schedule order); ids never
-    /// influence timing, so only trace-ring contents may differ — the
-    /// same caveat [`System::try_run_parallel`] already carries.
+    /// The engine is an event-driven scheduler: an indexed min-heap
+    /// keyed on `(ready_cycle, slot)` (`slot = node * cores_per_node +
+    /// core`), one pop plus one re-insert per reference. Executing in
+    /// ready order keeps every shared-resource timeline advancing in
+    /// time order (out-of-order processing would let a far-future
+    /// request push a resource's timeline past everyone else's
+    /// present). The slot tie-break reproduces the reference scan's
+    /// first-wins order among equal ready times, and a core's predicted
+    /// ready time depends only on its own front end and outstanding
+    /// window, so only the core that just executed needs re-keying:
+    /// this engine and [`System::try_run_scan`] execute the same
+    /// references in the same order and their reports are
+    /// bit-identical.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::FamExhausted`] when the broker cannot
     /// demand-map another FAM page for the workload.
     pub fn try_run(&mut self) -> Result<RunReport, SimError> {
-        let refs = self.config.refs_per_core;
-        let cores_per_node = self.config.cores_per_node;
-        let mut ready_queue: IndexedMinHeap<(Cycle, usize)> =
-            IndexedMinHeap::new(self.nodes.len() * cores_per_node);
-        for n in 0..self.nodes.len() {
-            for c in 0..self.nodes[n].cores.len() {
-                if self.nodes[n].cores[c].refs_done < refs {
-                    self.stage_ref(n, c);
-                }
-            }
-        }
-        let armed = self.injector.persistent_schedule().is_some();
-        let mut fast_ok = !armed || self.persistent_handled;
-        if fast_ok {
-            for n in 0..self.nodes.len() {
-                self.fast_sweep_node(n, &mut ready_queue, refs, Cycle(u64::MAX));
-            }
-        } else {
-            for n in 0..self.nodes.len() {
-                for c in 0..self.nodes[n].cores.len() {
-                    if let Some(p) = self.nodes[n].cores[c].pending {
-                        let slot = n * cores_per_node + c;
-                        ready_queue.insert(slot, (p.ready, slot));
-                    }
-                }
-            }
-        }
-        // Slow path: execute in ready order so the shared-resource
-        // timelines advance in time order. (Out-of-order processing
-        // would let a far-future request push a resource's timeline
-        // past everyone else's present.)
-        loop {
-            let popped = {
-                let _prof = profile::span(PhaseId::SchedPop);
-                ready_queue.pop()
-            };
-            let Some((slot, _)) = popped else { break };
-            let (n, c) = (slot / cores_per_node, slot % cores_per_node);
-            self.sim_ref(n, c)?;
-            if self.nodes[n].cores[c].refs_done < refs {
-                self.stage_ref(n, c);
-            }
-            if fast_ok {
-                // Only node `n`'s probe-relevant state can have changed
-                // (cross-node mutation happens solely in the gated
-                // recovery shootdown), so only node `n` needs
-                // re-sweeping.
-                self.fast_sweep_node(n, &mut ready_queue, refs, Cycle(u64::MAX));
-            } else if !armed || self.persistent_handled {
-                // Recovery just completed: the fast path is safe from
-                // here on. Sweep everything once to catch up.
-                fast_ok = true;
-                for m in 0..self.nodes.len() {
-                    self.fast_sweep_node(m, &mut ready_queue, refs, Cycle(u64::MAX));
-                }
-            } else if let Some(p) = self.nodes[n].cores[c].pending {
-                let slot = n * cores_per_node + c;
-                ready_queue.insert(slot, (p.ready, slot));
-            }
-        }
-        Ok(self.report())
-    }
-
-    /// The preserved exact engine: every reference goes through the
-    /// event-driven scheduler — an indexed min-heap keyed on
-    /// `(ready_cycle, node, core)`, one pop plus one re-insert per
-    /// reference — with no fast path. The explicit `(node, core)`
-    /// tie-break in the key reproduces the reference scan's first-wins
-    /// order among equal ready times, and a core's predicted ready time
-    /// depends only on its own front-end and outstanding window, so
-    /// only the core that just executed needs re-keying: this engine
-    /// and [`System::try_run_scan`] execute the same references in the
-    /// same order and their reports are bit-identical.
-    ///
-    /// Kept as the executable specification [`System::try_run`]'s fast
-    /// path is differentially tested against; new callers want
-    /// [`System::try_run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::FamExhausted`] when the broker cannot
-    /// demand-map another FAM page for the workload.
-    pub fn try_run_exact(&mut self) -> Result<RunReport, SimError> {
         let refs = self.config.refs_per_core;
         let cores_per_node = self.config.cores_per_node;
         let mut ready_queue: IndexedMinHeap<(Cycle, usize)> =
@@ -473,43 +330,6 @@ impl System {
             }
         }
         Ok(self.report())
-    }
-
-    /// Retires node `n`'s provably-local front references below
-    /// `horizon` ([`node_local_phase`] with the system tracer), then
-    /// re-synchronizes the node's scheduler-heap entries: a staged
-    /// pending below the horizon is (re)keyed, everything else is
-    /// removed. The sweep is the fast path's only interaction with the
-    /// heap — retired references never enter it.
-    fn fast_sweep_node(
-        &mut self,
-        n: usize,
-        queue: &mut IndexedMinHeap<(Cycle, usize)>,
-        refs: u64,
-        horizon: Cycle,
-    ) {
-        let _prof = profile::span(PhaseId::FastpathRetire);
-        let issue_width = u64::from(self.config.issue_width);
-        let node = &mut self.nodes[n];
-        let retired = node_local_phase(n, node, &mut self.tracer, horizon, issue_width, refs);
-        self.fast_path_refs += retired;
-        let cores_per_node = self.config.cores_per_node;
-        for c in 0..self.nodes[n].cores.len() {
-            let slot = n * cores_per_node + c;
-            match self.nodes[n].cores[c].pending {
-                Some(p) if p.ready < horizon => {
-                    let key = (p.ready, slot);
-                    match queue.key_of(slot) {
-                        Some(k) if *k == key => {}
-                        Some(_) => queue.update(slot, key),
-                        None => queue.insert(slot, key),
-                    }
-                }
-                _ => {
-                    queue.remove(slot);
-                }
-            }
-        }
     }
 
     /// The reference scheduler the seed shipped: stages every idle
@@ -549,449 +369,6 @@ impl System {
         Ok(self.report())
     }
 
-    /// Runs the system with intra-run parallelism and reports,
-    /// bit-identically to [`System::try_run`] — a property the
-    /// integration tests pin down across schemes, node counts, fault
-    /// injection and tracing. `threads <= 1` (and single-node systems,
-    /// which have no cross-node work to overlap) delegate to the
-    /// sequential engine outright.
-    ///
-    /// The clock advances in epochs bounded by a conservative
-    /// lookahead: any cross-node influence rides the fabric, so no
-    /// reference starting at or after `epoch_start + fabric_latency`
-    /// can affect one starting before it. Each epoch runs two phases:
-    ///
-    /// 1. **Sharded retirement (parallel)** — every node with work
-    ///    below the horizon retires, on its own thread, the front
-    ///    references it can prove safe. Provably node-local references
-    ///    (TLB hit, and either an LLC hit or a DRAM-backed miss whose
-    ///    predicted victim is also DRAM-backed) always qualify. On
-    ///    fault-free runs, FAM-bound references qualify too on the
-    ///    epoch's *leader* node — the holder of the globally smallest
-    ///    front key, to which a per-epoch plan
-    ///    ([`System::plan_epoch`]) grants exclusive ownership of every
-    ///    FAM module — when the whole translation is decidable
-    ///    node-side (STU/ACM hit): the shard then drives the per-node
-    ///    fabric link, the module ports, and the NVM timelines
-    ///    itself, for keys strictly below the second-smallest front
-    ///    key (the cross-node barrier). A node *blocks* at its first
-    ///    unprovable reference, preserving per-node program order.
-    ///    Timing events land in a per-node shard tracer with a
-    ///    disjoint request-id range.
-    /// 2. **Shared-resource commit (sequential)** — everything still
-    ///    staged below the horizon (ungranted fabric/STU/NVM work, the
-    ///    broker, recovery, and any reference behind them) drains in
-    ///    exactly the global `(ready, slot)` order the sequential
-    ///    scheduler would have chosen.
-    ///
-    /// Bit-identity holds because locally-retired references commute
-    /// with everything outside their node, shard-FAM references
-    /// acquire their granted resources in keys strictly below anything
-    /// another node will ever stage (the barrier) and in locally
-    /// nondecreasing key order (so every shared timeline sees exactly
-    /// the sequential acquisition order), the commit phase is a
-    /// faithful replica of the sequential loop, and merged shard
-    /// statistics accumulate commutatively. Request ids are the one
-    /// observable that differs (shard streams draw from offset bases);
-    /// ids never influence timing, so reports are identical — only
-    /// trace-ring contents may differ.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::FamExhausted`] when the broker cannot
-    /// demand-map another FAM page for the workload.
-    pub fn try_run_parallel(&mut self, threads: usize) -> Result<RunReport, SimError> {
-        if threads <= 1 || self.nodes.len() < 2 {
-            return self.try_run();
-        }
-        // Oversubscribing the host only adds handoff latency: extra
-        // workers time-slice one another without retiring anything
-        // sooner. Clamp the worker *pool* to what the machine can run,
-        // but not the engine choice: the epoch engine's schedule is
-        // pool-size invariant, so a small host still exercises — and
-        // the test suite still pins — the exact sharded commit order a
-        // many-core host uses.
-        let host = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        let pool = threads.min(host);
-        let refs = self.config.refs_per_core;
-        let cores_per_node = self.config.cores_per_node;
-        let issue_width = u64::from(self.config.issue_width);
-        // Shard-FAM admission is planned only on fault-free runs: every
-        // injector arm (drops, corruption, staleness, stalls, the
-        // persistent strike) consumes deterministic injector state in
-        // global reference order, which only the sequential commit
-        // replays faithfully.
-        let fam_ok = !self.injector.is_enabled();
-        // Per-node shard tracers with disjoint request-id ranges, so
-        // ids stay unique without synchronizing on the main tracer.
-        let mut shard_tracers: Vec<Tracer> = (0..self.nodes.len())
-            .map(|n| {
-                Tracer::new(self.config.trace, self.config.nodes)
-                    .with_request_base(((n as u64) + 1) << 48)
-            })
-            .collect();
-        for n in 0..self.nodes.len() {
-            for c in 0..self.nodes[n].cores.len() {
-                if self.nodes[n].cores[c].refs_done < refs {
-                    self.stage_ref(n, c);
-                }
-            }
-        }
-        // Correctness needs only L >= 1 (the commit phase replays the
-        // sequential order below the horizon regardless); the fabric
-        // latency just makes epochs usefully wide. Widening beyond one
-        // fabric hop amortizes the per-epoch spawn/barrier cost over
-        // more locally-retired references — the measured fix for the
-        // fine-epoch handoff overhead that kept speedup below 1.0.
-        const EPOCH_LOOKAHEADS: u64 = 8;
-        let lookahead = Duration(self.fabric.latency().0.max(1) * EPOCH_LOOKAHEADS);
-        let mut commit_queue: IndexedMinHeap<(Cycle, usize)> =
-            IndexedMinHeap::new(self.nodes.len() * cores_per_node);
-        // Adaptive spawn gate: spawning is only worth its fixed cost
-        // when the local phase retires enough references per spawned
-        // epoch. Track the measured yield and fall back to the inline
-        // path for the rest of the run once it proves too thin. The
-        // gate changes execution strategy only — phase results are
-        // identical either way — so bit-identity is unaffected.
-        const SPAWN_PROBE_EPOCHS: u64 = 8;
-        const MIN_LOCAL_REFS_PER_SPAWN: u64 = 64;
-        let mut spawned_epochs = 0u64;
-        let mut spawned_refs = 0u64;
-        let mut spawning_pays = true;
-        loop {
-            let epoch_start = self
-                .nodes
-                .iter()
-                .flat_map(|node| node.cores.iter())
-                .filter_map(|core| core.pending.map(|p| p.ready))
-                .min();
-            let Some(epoch_start) = epoch_start else {
-                break;
-            };
-            let horizon = epoch_start + lookahead;
-
-            // Phase 1: node-local retirement, one thread per active
-            // node (the map is deterministic — each node mutates only
-            // its own state and shard, so thread scheduling is
-            // invisible). Spawning is gated on a cheap pre-check:
-            // epochs with fewer than two nodes holding provably-local
-            // front work — the common case on translation-hostile
-            // workloads — run the phase inline, because spawning costs
-            // more than the phase itself.
-            // Recovery safety gate: while a scheduled persistent fault
-            // is armed but not yet handled, the commit phase may run
-            // the broadcast shootdown, which mutates *other* cores'
-            // TLBs — state the node-local phase reads. Until the
-            // recovery protocol has run, nothing retires locally, so
-            // every reference flows through the commit phase's exact
-            // sequential order (the gate is evaluated once per epoch
-            // and is thread-count invariant, so bit-identity holds).
-            let recovery_pending =
-                self.injector.persistent_schedule().is_some() && !self.persistent_handled;
-            if !recovery_pending {
-                // Epoch plan: the leader node (global-minimum front
-                // key) gets every FAM module, bounded by the
-                // second-best front key — computed sequentially so the
-                // grant assignment is thread-count invariant.
-                let plan = if fam_ok {
-                    Some(self.plan_epoch(horizon))
-                } else {
-                    None
-                };
-                let mut admissible_nodes = 0usize;
-                if spawning_pays {
-                    match &plan {
-                        Some(p) => admissible_nodes = p.admissible_nodes,
-                        None => {
-                            for node in &self.nodes {
-                                if has_local_front(node, horizon) {
-                                    admissible_nodes += 1;
-                                    if admissible_nodes >= 2 {
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                let phase_threads = if admissible_nodes >= 2 { pool } else { 1 };
-                let params = ShardParams {
-                    scheme: self.config.scheme,
-                    router: self.router,
-                    stu_lookup: self.stu_lookup,
-                    timing: self.fabric.timing(),
-                    skip_read_checks: self.config.skip_read_checks,
-                    translation_cache_lru: self.config.translation_cache_lru,
-                    cores_per_node,
-                    modules: self.nvm.len(),
-                    issue_width,
-                    refs,
-                    horizon,
-                };
-                // Field-split borrows: each shard owns its node, its
-                // shard tracer, its STU, its fabric link, and — for
-                // this epoch's granted modules only — the module's
-                // port and NVM timeline. The broker is shared
-                // read-only (verification never mutates it).
-                let (epoch_local, epoch_fam, epoch_used) = {
-                    let broker = &self.broker;
-                    let modules = self.nvm.len();
-                    let (links, ports) = self.fabric.split_mut();
-                    let mut port_slots: Vec<Option<&mut Resource>> =
-                        ports.iter_mut().map(Some).collect();
-                    let mut nvm_slots: Vec<Option<&mut NvmModel>> =
-                        self.nvm.iter_mut().map(Some).collect();
-                    let mut stu_slots: Vec<Option<&mut Stu>> =
-                        self.stus.iter_mut().map(Some).collect();
-                    let mut items: Vec<Shard> = Vec::new();
-                    for (n, ((node, link), tracer)) in self
-                        .nodes
-                        .iter_mut()
-                        .zip(links.iter_mut())
-                        .zip(shard_tracers.iter_mut())
-                        .enumerate()
-                    {
-                        let has_front = node
-                            .cores
-                            .iter()
-                            .any(|core| core.pending.is_some_and(|p| p.ready < horizon));
-                        if !has_front {
-                            continue;
-                        }
-                        let is_leader = plan.as_ref().is_some_and(|p| p.leader == Some(n));
-                        let (my_ports, my_nvms) = if is_leader {
-                            (
-                                port_slots.iter_mut().map(Option::take).collect(),
-                                nvm_slots.iter_mut().map(Option::take).collect(),
-                            )
-                        } else {
-                            (Vec::new(), Vec::new())
-                        };
-                        items.push(Shard {
-                            n,
-                            node,
-                            tracer,
-                            stu: stu_slots.get_mut(n).and_then(Option::take),
-                            link,
-                            ports: my_ports,
-                            nvms: my_nvms,
-                            barrier: if is_leader {
-                                plan.as_ref().and_then(|p| p.barrier)
-                            } else {
-                                None
-                            },
-                            fam: is_leader,
-                            used_modules: if is_leader {
-                                vec![false; modules]
-                            } else {
-                                Vec::new()
-                            },
-                            traffic: FamTraffic::default(),
-                            traversals: 0,
-                            local_retired: 0,
-                            fam_retired: 0,
-                        });
-                    }
-                    fam_sim::scoped_map_mut(phase_threads, &mut items, |_, shard| {
-                        let _prof = profile::span(PhaseId::ParallelLocal);
-                        shard_phase(shard, broker, &params);
-                    });
-                    let mut traffic = FamTraffic::default();
-                    let mut traversals = 0u64;
-                    let mut local = 0u64;
-                    let mut fam = 0u64;
-                    let mut used = vec![false; modules];
-                    for s in &items {
-                        traffic.merge(&s.traffic);
-                        traversals += s.traversals;
-                        local += s.local_retired;
-                        fam += s.fam_retired;
-                        for (m, &u) in s.used_modules.iter().enumerate() {
-                            used[m] |= u;
-                        }
-                    }
-                    drop(items);
-                    self.traffic.merge(&traffic);
-                    self.fabric.add_traversals(traversals);
-                    (local, fam, used)
-                };
-                self.local_phase_refs += epoch_local;
-                self.fam_phase_refs += epoch_fam;
-                for (m, &used) in epoch_used.iter().enumerate() {
-                    if used {
-                        self.module_grant_epochs[m] += 1;
-                    }
-                }
-                if phase_threads > 1 {
-                    spawned_epochs += 1;
-                    // A FAM retirement replaces a full scheduler
-                    // dispatch (translation twin + fabric + device),
-                    // worth roughly an order of magnitude more saved
-                    // commit work than a local one — weight it so
-                    // FAM-heavy epochs keep the spawn gate open.
-                    spawned_refs += epoch_local + 8 * epoch_fam;
-                    if spawned_epochs >= SPAWN_PROBE_EPOCHS
-                        && spawned_refs < MIN_LOCAL_REFS_PER_SPAWN * spawned_epochs
-                    {
-                        spawning_pays = false;
-                    }
-                }
-            }
-
-            // Phase 2: sequential commit of everything left below the
-            // horizon, in global (ready, slot) order.
-            let _prof = profile::span(PhaseId::ParallelCommit);
-            debug_assert!(commit_queue.is_empty());
-            for n in 0..self.nodes.len() {
-                for c in 0..self.nodes[n].cores.len() {
-                    if let Some(p) = self.nodes[n].cores[c].pending {
-                        if p.ready < horizon {
-                            let slot = n * cores_per_node + c;
-                            commit_queue.insert(slot, (p.ready, slot));
-                        }
-                    }
-                }
-            }
-            loop {
-                let popped = {
-                    let _prof = profile::span(PhaseId::SchedPop);
-                    commit_queue.pop()
-                };
-                let Some((slot, _)) = popped else { break };
-                let (n, c) = (slot / cores_per_node, slot % cores_per_node);
-                self.sim_ref(n, c)?;
-                if self.nodes[n].cores[c].refs_done < refs {
-                    self.stage_ref(n, c);
-                }
-                // Drain the node's local tail behind the committed
-                // reference on the sequential fast path (heap-free,
-                // horizon-bounded) instead of heaping every one —
-                // unless recovery is still pending, in which case the
-                // same gate as the local phase applies.
-                if self.injector.persistent_schedule().is_none() || self.persistent_handled {
-                    self.fast_sweep_node(n, &mut commit_queue, refs, horizon);
-                } else if let Some(p) = self.nodes[n].cores[c].pending {
-                    if p.ready < horizon {
-                        commit_queue.insert(slot, (p.ready, slot));
-                    }
-                }
-            }
-        }
-        for shard in &shard_tracers {
-            self.tracer.absorb(shard);
-        }
-        Ok(self.report())
-    }
-
-    /// Plans one epoch of shard-FAM admission. The plan is a
-    /// **leader-only** grant:
-    ///
-    /// - **Leader.** The node holding the globally smallest front key.
-    ///   Per-core predicted-ready keys are monotone (restaging never
-    ///   moves a core's key backwards), so every reference any *other*
-    ///   node will ever issue — this epoch or later — carries a key no
-    ///   smaller than that node's current front, hence no smaller than
-    ///   the second-best front. Only the leader can ever hold keys
-    ///   strictly below every other node's future keys; granting
-    ///   shared FAM resources to anyone else is provably wasted — the
-    ///   non-leader's shard would stall at its barrier before touching
-    ///   them (its own front *is* at or above the leader's front).
-    /// - **Barrier.** The second-best front key. The leader's shard
-    ///   may acquire shared resources only with keys strictly below
-    ///   it, so every module port and device timeline still sees its
-    ///   acquisitions in exact global `(ready, slot)` order. `None`
-    ///   (no other node has pending work, so no other node will ever
-    ///   stage another key) leaves the leader unbounded.
-    /// - **Grants.** The leader owns *every* module's port and device
-    ///   timeline for the epoch. Pages interleave across modules, so a
-    ///   partial grant would block the leader's very next reference on
-    ///   an ungranted module.
-    ///
-    /// The plan is a prediction, not a promise: [`shard_phase`]
-    /// re-probes every reference at execution time, so a stale
-    /// prediction costs coverage, never correctness.
-    fn plan_epoch(&self, horizon: Cycle) -> EpochPlan {
-        let _prof = profile::span(PhaseId::ShardScan);
-        let cores_per_node = self.config.cores_per_node;
-        let modules = self.nvm.len();
-        // Best and second-best front keys over all nodes.
-        let mut best: Option<(usize, (Cycle, usize))> = None;
-        let mut second: Option<(Cycle, usize)> = None;
-        for (n, node) in self.nodes.iter().enumerate() {
-            let Some((ready, c)) = front_of(node) else {
-                continue;
-            };
-            let key = (ready, n * cores_per_node + c);
-            match best {
-                None => best = Some((n, key)),
-                Some((_, bk)) if key < bk => {
-                    second = Some(bk);
-                    best = Some((n, key));
-                }
-                Some(_) => {
-                    if second.is_none_or(|s| key < s) {
-                        second = Some(key);
-                    }
-                }
-            }
-        }
-        let leader = best.map(|(n, _)| n);
-        // Spawn-worthiness: count nodes whose *front* reference the
-        // parallel phase can provably retire. Probing just the front
-        // (not every staged reference) keeps the plan O(nodes); the
-        // shard loop re-probes everything at execution time anyway.
-        let mut admissible_nodes = 0usize;
-        for (n, node) in self.nodes.iter().enumerate() {
-            let Some((ready, c)) = front_of(node) else {
-                continue;
-            };
-            if ready >= horizon {
-                continue;
-            }
-            let p = node.cores[c].pending.expect("front reference is staged");
-            let admit = if probe_local(node, c, &p).is_some() {
-                true
-            } else if leader == Some(n)
-                && second.is_none_or(|b| (ready, n * cores_per_node + c) < b)
-            {
-                probe_fam(
-                    node,
-                    self.stus.get(n),
-                    &self.broker,
-                    self.config.scheme,
-                    self.config.skip_read_checks,
-                    modules,
-                    c,
-                    &p,
-                )
-                .is_some()
-            } else {
-                false
-            };
-            if admit {
-                admissible_nodes += 1;
-            }
-        }
-        EpochPlan {
-            leader,
-            barrier: second,
-            admissible_nodes,
-        }
-    }
-
-    /// Panicking wrapper over [`System::try_run_parallel`], mirroring
-    /// [`System::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run cannot complete.
-    pub fn run_parallel(&mut self, threads: usize) -> RunReport {
-        self.try_run_parallel(threads)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Predicted start of the reference just staged on `(n, c)`.
     fn staged_ready(&self, n: usize, c: usize) -> Cycle {
         self.nodes[n].cores[c]
@@ -1004,7 +381,32 @@ impl System {
     fn stage_ref(&mut self, n: usize, c: usize) {
         let issue_width = u64::from(self.config.issue_width);
         let req = self.tracer.next_request();
-        stage_core(&mut self.nodes[n].cores[c], issue_width, req);
+        let core = &mut self.nodes[n].cores[c];
+        core.staged += 1;
+        // Struct-of-arrays batching: the enum-dispatched generator call
+        // is paid once per `RefBatch::DEFAULT_LEN` references; the
+        // steady state is an indexed pop. Order is exactly the
+        // unbatched stream's.
+        let r = match core.batch.pop() {
+            Some(r) => r,
+            None => {
+                core.batch
+                    .refill(&mut core.gen, fam_workloads::RefBatch::DEFAULT_LEN);
+                core.batch.pop().expect("a refill yields references")
+            }
+        };
+        core.instructions += u64::from(r.gap_instrs) + 1;
+        core.next_issue += Duration(u64::from(r.gap_instrs).div_ceil(issue_width) + 1);
+        let mut start_req = core.next_issue.max(core.issue_clock);
+        if r.dependent {
+            start_req = start_req.max(core.last_mem_completion);
+        }
+        core.pending = Some(crate::node::PendingRef {
+            mem: r,
+            req,
+            start_req,
+            ready: core.window.would_start_mut(start_req),
+        });
     }
 
     /// Simulates one staged reference of core `c` on node `n` end to
@@ -1257,7 +659,12 @@ impl System {
 
     /// Selects the FAM module backing an address (page-interleaved).
     fn module_of(&self, fam_byte: u64) -> usize {
-        module_index(fam_byte, self.nvm.len())
+        // Single-module systems (the paper default) skip the divide.
+        let modules = self.nvm.len();
+        if modules == 1 {
+            return 0;
+        }
+        ((fam_byte / PAGE_BYTES) % modules as u64) as usize
     }
 
     /// Whether a scheduled persistent fault destroys the page holding
@@ -2126,25 +1533,7 @@ impl System {
             degradation: self.degradation,
             refs_per_core: self.config.refs_per_core,
             latency: self.tracer.breakdown(),
-            fast_path_coverage: {
-                let total: u64 = self.nodes.iter().map(|n| n.cores.len() as u64).sum::<u64>()
-                    * self.config.refs_per_core;
-                if total == 0 {
-                    0.0
-                } else {
-                    (self.fast_path_refs + self.local_phase_refs + self.fam_phase_refs) as f64
-                        / total as f64
-                }
-            },
-            parallel_phase_coverage: {
-                let total: u64 = self.nodes.iter().map(|n| n.cores.len() as u64).sum::<u64>()
-                    * self.config.refs_per_core;
-                if total == 0 {
-                    0.0
-                } else {
-                    (self.local_phase_refs + self.fam_phase_refs) as f64 / total as f64
-                }
-            },
+            fast_path_coverage: 0.0,
             profile: if profile::is_enabled() {
                 profile::take_report()
             } else {
@@ -2203,12 +1592,7 @@ impl System {
             reg.counter(&format!("nvm{m}/writes")).add(nvm.writes());
             reg.counter(&format!("nvm{m}/admission_stalls"))
                 .add(nvm.admission_stalls());
-            reg.counter(&format!("nvm{m}/granted_epochs"))
-                .add(self.module_grant_epochs[m]);
         }
-        reg.counter("parallel/local_refs")
-            .add(self.local_phase_refs);
-        reg.counter("parallel/fam_refs").add(self.fam_phase_refs);
         for (s, stu) in self.stus.iter().enumerate() {
             *reg.ratio(&format!("stu{s}/acm")) = stu.acm_stats();
         }
@@ -2248,7 +1632,7 @@ impl System {
     ///    (poisoned accesses retire through the degraded path, so
     ///    they are *included* in `refs_done`).
     /// 2. `tlb-conservation` — exactly one TLB hierarchy lookup per
-    ///    retired reference, on every engine.
+    ///    retired reference.
     /// 3. `nvm-traffic-balance` — every FAM traffic increment lands
     ///    exactly one NVM access; skipped when a permanent failure is
     ///    scheduled (evacuation copies bypass the traffic ledger).
@@ -2392,733 +1776,6 @@ fn access_kind(kind: MemOpKind) -> AccessKind {
     }
 }
 
-/// Draws the next reference of `core` and predicts its start — the body
-/// of [`System::stage_ref`], shared with the parallel engine's
-/// node-local phase (which draws `req` from a per-node shard tracer
-/// instead of the system one).
-fn stage_core(core: &mut CoreState, issue_width: u64, req: RequestId) {
-    core.staged += 1;
-    // Struct-of-arrays batching: the enum-dispatched generator call is
-    // paid once per `RefBatch::DEFAULT_LEN` references; the steady
-    // state is an indexed pop. Order is exactly the unbatched stream's.
-    let r = match core.batch.pop() {
-        Some(r) => r,
-        None => {
-            core.batch
-                .refill(&mut core.gen, fam_workloads::RefBatch::DEFAULT_LEN);
-            core.batch.pop().expect("a refill yields references")
-        }
-    };
-    core.instructions += u64::from(r.gap_instrs) + 1;
-    core.next_issue += Duration(u64::from(r.gap_instrs).div_ceil(issue_width) + 1);
-    let mut start_req = core.next_issue.max(core.issue_clock);
-    if r.dependent {
-        start_req = start_req.max(core.last_mem_completion);
-    }
-    core.pending = Some(crate::node::PendingRef {
-        mem: r,
-        req,
-        start_req,
-        ready: core.window.would_start_mut(start_req),
-    });
-}
-
-/// The node's front staged reference — the same greedy `(ready, core)`
-/// choice the sequential scheduler makes, restricted to one node.
-fn front_of(node: &Node) -> Option<(Cycle, usize)> {
-    let mut best: Option<(Cycle, usize)> = None;
-    for (c, core) in node.cores.iter().enumerate() {
-        if let Some(p) = core.pending {
-            if best.is_none_or(|b| (p.ready, c) < b) {
-                best = Some((p.ready, c));
-            }
-        }
-    }
-    best
-}
-
-/// Side-effect-free eligibility probe: predicts whether the staged
-/// reference `p` of core `c` provably touches node-local state only,
-/// returning the translation, physical byte, and predicted LLC outcome
-/// it would observe.
-///
-/// This mirrors the [`System::sim_ref`] fast path exactly: the TLB
-/// must hold the translation (a miss could walk or fault through the
-/// broker), and the data access must either hit the LLC or miss to
-/// node DRAM *and* evict — if anything — a DRAM-backed victim (FAM
-/// misses and FAM writebacks ride the fabric).
-fn probe_local(node: &Node, c: usize, p: &crate::node::PendingRef) -> Option<(Pte, u64, bool)> {
-    let _prof = profile::span(PhaseId::FastpathClassify);
-    let pte = node.cores[c].tlb.probe(p.mem.vaddr.vpage())?;
-    let phys_byte = pte.target_page * PAGE_BYTES + p.mem.vaddr.offset();
-    let line = phys_byte / 64;
-    let llc_hit = node.hierarchy.would_hit(line);
-    if !llc_hit
-        && (node.is_fam_page(pte.target_page)
-            || node
-                .hierarchy
-                .would_evict(line)
-                .is_some_and(|victim| node.is_fam_page(victim * 64 / PAGE_BYTES)))
-    {
-        return None;
-    }
-    Some((pte, phys_byte, llc_hit))
-}
-
-/// Whether `node`'s front reference would retire in the node-local
-/// phase — the spawn-worthiness test of an epoch's parallel phase.
-fn has_local_front(node: &Node, horizon: Cycle) -> bool {
-    match front_of(node) {
-        Some((ready, c)) if ready < horizon => {
-            let p = node.cores[c].pending.expect("front reference is staged");
-            probe_local(node, c, &p).is_some()
-        }
-        _ => false,
-    }
-}
-
-/// One node's share of a parallel epoch: retire front references below
-/// `horizon` that provably touch node-local state only ([`probe_local`]),
-/// in the same greedy `(ready, core)` order the sequential scheduler
-/// applies, blocking at the first reference that could reach shared
-/// state. Everything a retirement touches (TLB recency, cache state,
-/// node DRAM timeline, core bookkeeping, the shard tracer) belongs to
-/// this node alone. Returns the number of references retired.
-fn node_local_phase(
-    n: usize,
-    node: &mut Node,
-    shard: &mut Tracer,
-    horizon: Cycle,
-    issue_width: u64,
-    refs: u64,
-) -> u64 {
-    let mut retired = 0u64;
-    while let Some((ready, c)) = front_of(node) {
-        if ready >= horizon {
-            break;
-        }
-        let p = node.cores[c].pending.expect("front reference is staged");
-        let Some((pte, phys_byte, llc_hit)) = probe_local(node, c, &p) else {
-            break;
-        };
-        retire_local_ref(n, node, shard, c, &p, pte, phys_byte, llc_hit);
-        retired += 1;
-        let core = &mut node.cores[c];
-        if core.refs_done < refs {
-            let req = shard.next_request();
-            stage_core(core, issue_width, req);
-        }
-    }
-    retired
-}
-
-/// Executes one probed-local reference end to end — a faithful twin of
-/// the [`System::sim_ref`] local path, shared by the sequential fast
-/// sweep and the parallel shard phase. The caller restages.
-#[allow(clippy::too_many_arguments)]
-fn retire_local_ref(
-    n: usize,
-    node: &mut Node,
-    shard: &mut Tracer,
-    c: usize,
-    p: &crate::node::PendingRef,
-    pte: Pte,
-    phys_byte: u64,
-    llc_hit: bool,
-) {
-    let vpage = p.mem.vaddr.vpage();
-    let line = phys_byte / 64;
-    let (start, tlb_latency) = {
-        let core = &mut node.cores[c];
-        core.pending = None;
-        let start = core.window.admit(p.start_req);
-        core.issue_clock = start;
-        let (_, tlb_latency, hit) = core.tlb.lookup(vpage);
-        debug_assert_eq!(hit.map(|h| h.target_page), Some(pte.target_page));
-        (start, tlb_latency)
-    };
-    let t = start + tlb_latency;
-    if shard.is_enabled() {
-        shard.record(TraceEvent {
-            req: p.req,
-            stage: Stage::TlbLookup,
-            track: Track::Node(n as u16),
-            start,
-            end: t,
-        });
-    }
-    let lookup = node.hierarchy.access(c, line, p.mem.is_write);
-    debug_assert_eq!(lookup.level.is_some(), llc_hit);
-    let mut completion = t + lookup.latency;
-    if lookup.level.is_none() {
-        completion = if p.mem.is_write {
-            node.dram.write(completion, phys_byte)
-        } else {
-            node.dram.access(completion, phys_byte)
-        };
-    }
-    if let Some(wb_line) = lookup.writeback {
-        debug_assert!(!node.is_fam_page(wb_line * 64 / PAGE_BYTES));
-        node.dram.write(completion, wb_line * 64);
-    }
-
-    let core = &mut node.cores[c];
-    core.window.record_completion(completion);
-    core.last_mem_completion = completion;
-    core.refs_done += 1;
-    core.finish = core.finish.max(completion);
-    if shard.wants_windows() {
-        shard.sample(
-            completion,
-            WindowSample {
-                instructions: u64::from(p.mem.gap_instrs) + 1,
-                ..WindowSample::default()
-            },
-        );
-    }
-}
-
-/// One epoch's shard-admission plan ([`System::plan_epoch`]).
-#[derive(Debug)]
-struct EpochPlan {
-    /// The node holding the globally smallest front key — the only
-    /// node whose shard-FAM keys can clear the cross-node barrier, and
-    /// therefore the sole holder of every module grant this epoch.
-    leader: Option<usize>,
-    /// The second-best front key: the smallest key any non-leader node
-    /// can ever stage. The leader's shard-FAM retirement must stay
-    /// strictly below it; `None` means no other node has pending work.
-    barrier: Option<(Cycle, usize)>,
-    /// Nodes whose front reference the scan admitted — the parallel
-    /// phase's spawn-worthiness signal.
-    admissible_nodes: usize,
-}
-
-/// Selects the FAM module backing an address (page-interleaved) — the
-/// free-function twin of [`System::module_of`] for shard code that
-/// holds no `&System`.
-fn module_index(fam_byte: u64, modules: usize) -> usize {
-    // Single-module systems (the paper default) skip the divide.
-    if modules == 1 {
-        return 0;
-    }
-    ((fam_byte / PAGE_BYTES) % modules as u64) as usize
-}
-
-/// Everything a side-effect-free FAM probe decided, carried from
-/// admission to execution so the execute twin can assert its
-/// prediction instead of re-deriving it.
-#[derive(Debug, Clone, Copy)]
-struct FamProbe {
-    pte: Pte,
-    phys_byte: u64,
-    npa_page: u64,
-    fam_page: u64,
-    fam_byte: u64,
-    /// Module serving the data round trip.
-    data_module: usize,
-    /// Predicted FAM-bound dirty-victim writeback:
-    /// `(victim line, target FAM byte, module)`.
-    wb: Option<(u64, u64, usize)>,
-}
-
-impl FamProbe {
-    /// The modules this reference may touch — its grant footprint.
-    fn footprint(&self) -> impl Iterator<Item = usize> + '_ {
-        std::iter::once(self.data_module).chain(self.wb.map(|(_, _, m)| m))
-    }
-}
-
-/// Side-effect-free FAM eligibility probe: predicts whether the staged
-/// reference `p` of core `c` is a FAM data access whose *entire*
-/// translation chain is decidable node-side — TLB hit, LLC miss, and
-/// per scheme: E-FAM (the key page embeds the FAM address), I-FAM
-/// (coupled STU entry hit), DeACT (translation-cache hit, plus an ACM
-/// hit unless encrypted-memory reads skip verification). Anything that
-/// could walk, fill, fault, or fetch metadata returns `None` and rides
-/// the sequential commit.
-///
-/// Mirrors [`System::sim_ref`]'s FAM path exactly under a disabled
-/// injector (shard admission is never planned otherwise).
-#[allow(clippy::too_many_arguments)]
-fn probe_fam(
-    node: &Node,
-    stu: Option<&Stu>,
-    broker: &MemoryBroker,
-    scheme: Scheme,
-    skip_read_checks: bool,
-    modules: usize,
-    c: usize,
-    p: &crate::node::PendingRef,
-) -> Option<FamProbe> {
-    let _prof = profile::span(PhaseId::FastpathClassify);
-    let pte = node.cores[c].tlb.probe(p.mem.vaddr.vpage())?;
-    if !node.is_fam_page(pte.target_page) {
-        return None;
-    }
-    let offset = p.mem.vaddr.offset();
-    let phys_byte = pte.target_page * PAGE_BYTES + offset;
-    let line = phys_byte / 64;
-    if node.hierarchy.would_hit(line) {
-        // An LLC hit is provably local — [`probe_local`]'s territory.
-        return None;
-    }
-    let npa_page = pte.target_page;
-    let (fam_page, fam_byte) = match scheme {
-        Scheme::EFam => {
-            let fam_byte = phys_byte - FAM_KEY_PAGE * PAGE_BYTES;
-            (fam_byte / PAGE_BYTES, fam_byte)
-        }
-        Scheme::IFam => {
-            let fam_page = stu?.cache().ifam_probe(npa_page)?;
-            (fam_page, fam_page * PAGE_BYTES + offset)
-        }
-        Scheme::DeactW | Scheme::DeactN => {
-            let fam_page = node.translator.as_ref()?.probe(npa_page)?;
-            if (p.mem.is_write || !skip_read_checks) && !stu?.cache().acm_probe(fam_page) {
-                return None;
-            }
-            (fam_page, fam_page * PAGE_BYTES + offset)
-        }
-    };
-    let wb = match node.hierarchy.would_evict(line) {
-        None => None,
-        Some(victim_line) => {
-            let victim_byte = victim_line * 64;
-            let victim_page = victim_byte / PAGE_BYTES;
-            if node.is_fam_page(victim_page) {
-                let wb_fam_byte = match scheme {
-                    Scheme::EFam => victim_byte - FAM_KEY_PAGE * PAGE_BYTES,
-                    // The LLC holds node addresses; eviction reuses the
-                    // system translation. A removed mapping can only
-                    // exist post-recovery, and shards are never planned
-                    // with a fault armed — deny to stay conservative.
-                    _ => {
-                        let wpte = broker.translate(node.id, victim_page)?;
-                        wpte.target_page * PAGE_BYTES + victim_byte % PAGE_BYTES
-                    }
-                };
-                Some((victim_line, wb_fam_byte, module_index(wb_fam_byte, modules)))
-            } else {
-                // DRAM-backed victim: no fabric involvement.
-                None
-            }
-        }
-    };
-    Some(FamProbe {
-        pte,
-        phys_byte,
-        npa_page,
-        fam_page,
-        fam_byte,
-        data_module: module_index(fam_byte, modules),
-        wb,
-    })
-}
-
-/// Epoch-constant parameters of the parallel phase, copied out of
-/// `System` so shards need no `&self`.
-#[derive(Debug, Clone, Copy)]
-struct ShardParams {
-    scheme: Scheme,
-    router: Duration,
-    stu_lookup: Duration,
-    timing: FabricTiming,
-    skip_read_checks: bool,
-    translation_cache_lru: bool,
-    cores_per_node: usize,
-    modules: usize,
-    issue_width: u64,
-    refs: u64,
-    horizon: Cycle,
-}
-
-/// One node's slice of a parallel epoch: the node itself, its shard
-/// tracer, its STU, its fabric link, and — for granted modules only —
-/// the module port and NVM timeline, all held by `&mut` so the borrow
-/// checker proves shard disjointness. Statistics that normally live on
-/// `System` accumulate shard-locally and merge commutatively after the
-/// phase.
-struct Shard<'a> {
-    n: usize,
-    node: &'a mut Node,
-    tracer: &'a mut Tracer,
-    stu: Option<&'a mut Stu>,
-    link: &'a mut Resource,
-    /// Indexed by module; `Some` only for this epoch's grants. Empty
-    /// when the node holds no grants at all.
-    ports: Vec<Option<&'a mut Resource>>,
-    nvms: Vec<Option<&'a mut NvmModel>>,
-    barrier: Option<(Cycle, usize)>,
-    /// Whether any module is granted — a cheap pre-filter so grantless
-    /// shards skip FAM probing entirely.
-    fam: bool,
-    /// Per-module flag set when the shard actually drove the module's
-    /// port and device timeline this epoch (data round trip or
-    /// writeback). Sized only for the leader; merged into
-    /// [`System::module_grant_epochs`] after the phase.
-    used_modules: Vec<bool>,
-    traffic: FamTraffic,
-    traversals: u64,
-    local_retired: u64,
-    fam_retired: u64,
-}
-
-impl Shard<'_> {
-    /// Whether every module in the probe's footprint is granted to
-    /// this shard.
-    fn footprint_owned(&self, fp: &FamProbe) -> bool {
-        fp.footprint()
-            .all(|m| self.ports.get(m).is_some_and(Option::is_some))
-    }
-
-    /// Twin of [`System::fam_round_trip_clean`] on the shard's granted
-    /// resources: link out, module port, device service, port and link
-    /// back.
-    fn fam_round_trip(
-        &mut self,
-        t: Cycle,
-        fam_byte: u64,
-        kind: MemOpKind,
-        req: RequestId,
-        pp: &ShardParams,
-    ) -> Cycle {
-        let module = module_index(fam_byte, pp.modules);
-        self.used_modules[module] = true;
-        let port = self.ports[module].as_deref_mut().expect("granted module");
-        let nvm = self.nvms[module].as_deref_mut().expect("granted module");
-        let arrival = traverse_split(self.link, port, pp.timing, t, 1);
-        let done = nvm.access(arrival, fam_byte, kind);
-        // The 64-byte response is one flit, same as the request.
-        let ret = traverse_split(self.link, port, pp.timing, done, 1);
-        self.traversals += 2;
-        if self.tracer.is_enabled() {
-            let n = self.n as u16;
-            self.tracer.record(TraceEvent {
-                req,
-                stage: Stage::FabricSend,
-                track: Track::Fabric(n),
-                start: t,
-                end: arrival,
-            });
-            self.tracer.record(TraceEvent {
-                req,
-                stage: Stage::NvmAccess,
-                track: Track::Nvm(module as u16),
-                start: arrival,
-                end: done,
-            });
-            self.tracer.record(TraceEvent {
-                req,
-                stage: Stage::FabricRecv,
-                track: Track::Fabric(n),
-                start: done,
-                end: ret,
-            });
-        }
-        ret
-    }
-
-    /// Twin of [`System::ifam_fam_access`] on the coupled-entry hit
-    /// path (the only path admission grants).
-    fn ifam_access(
-        &mut self,
-        broker: &MemoryBroker,
-        t: Cycle,
-        fp: &FamProbe,
-        kind: MemOpKind,
-        req: RequestId,
-        pp: &ShardParams,
-    ) -> Cycle {
-        let node_id = self.node.id;
-        let acc_kind = access_kind(kind);
-        let lookup_done = t + pp.router + pp.stu_lookup;
-        if self.tracer.is_enabled() {
-            self.tracer.record(TraceEvent {
-                req,
-                stage: Stage::StuLookup,
-                track: Track::Stu(self.n as u16),
-                start: t,
-                end: lookup_done,
-            });
-        }
-        let t = lookup_done;
-        let fam_page = self
-            .stu
-            .as_mut()
-            .expect("I-FAM nodes have an STU")
-            .cache_mut()
-            .ifam_lookup(fp.npa_page)
-            .expect("admission probed a coupled-entry hit");
-        debug_assert_eq!(fam_page, fp.fam_page);
-        assert!(
-            broker.check_access(node_id, fam_page, acc_kind),
-            "benign workloads never trip access control"
-        );
-        match kind {
-            MemOpKind::Read => self.traffic.data_reads += 1,
-            MemOpKind::Write => self.traffic.data_writes += 1,
-        }
-        let done = self.fam_round_trip(t, fp.fam_byte, kind, req, pp);
-        done + pp.router
-    }
-
-    /// Twin of [`System::deact_fam_access`] on the translation-hit,
-    /// ACM-hit path (the only path admission grants; the injector is
-    /// disabled whenever shards are planned, so the stale-NACK arm
-    /// cannot fire).
-    fn deact_access(
-        &mut self,
-        broker: &MemoryBroker,
-        t: Cycle,
-        fp: &FamProbe,
-        kind: MemOpKind,
-        req: RequestId,
-        pp: &ShardParams,
-    ) -> Cycle {
-        let node_id = self.node.id;
-        let acc_kind = access_kind(kind);
-        let t_in = t;
-        let set_addr = self
-            .node
-            .translator
-            .as_ref()
-            .expect("DeACT nodes have a translator")
-            .dram_addr_of(fp.npa_page);
-        let mut t = self.node.dram.access(t, set_addr) + Duration(1);
-        if self.tracer.is_enabled() {
-            self.tracer.record(TraceEvent {
-                req,
-                stage: Stage::TranslationCache,
-                track: Track::Node(self.n as u16),
-                start: t_in,
-                end: t,
-            });
-        }
-        let cached = self
-            .node
-            .translator
-            .as_mut()
-            .expect("checked above")
-            .lookup(fp.npa_page);
-        if pp.translation_cache_lru {
-            self.node.dram.write(t, set_addr);
-        }
-        let fam_page = cached.expect("admission probed a translation hit");
-        debug_assert_eq!(fam_page, fp.fam_page);
-        t += pp.router;
-        if kind == MemOpKind::Read {
-            self.node
-                .translator
-                .as_mut()
-                .expect("checked above")
-                .oml_mut()
-                .register(fam_page, fp.npa_page);
-        }
-        if !(pp.skip_read_checks && kind == MemOpKind::Read) {
-            let v = self
-                .stu
-                .as_mut()
-                .expect("DeACT nodes have an STU")
-                .verify(broker, node_id, fam_page, acc_kind, req);
-            if self.tracer.is_enabled() {
-                self.tracer.record(TraceEvent {
-                    req,
-                    stage: Stage::StuLookup,
-                    track: Track::Stu(self.n as u16),
-                    start: t,
-                    end: t + pp.stu_lookup,
-                });
-            }
-            t += pp.stu_lookup;
-            debug_assert!(
-                v.acm_fetch_addr.is_none(),
-                "admission probed an ACM hit, so verification cannot fetch"
-            );
-            assert!(v.allowed, "benign workloads never trip access control");
-        }
-        match kind {
-            MemOpKind::Read => self.traffic.data_reads += 1,
-            MemOpKind::Write => self.traffic.data_writes += 1,
-        }
-        let done = self.fam_round_trip(t, fp.fam_byte, kind, req, pp);
-        if kind == MemOpKind::Read {
-            self.node
-                .translator
-                .as_mut()
-                .expect("checked above")
-                .oml_mut()
-                .complete(fam_page);
-        }
-        done + pp.router
-    }
-
-    /// Twin of [`System::writeback`] for a dirty victim evicted by a
-    /// shard-retired FAM reference, using the probe's predicted target.
-    fn writeback(&mut self, wb_line: u64, at: Cycle, fp: &FamProbe, pp: &ShardParams) {
-        match fp.wb {
-            Some((victim_line, wb_fam_byte, module)) => {
-                debug_assert_eq!(victim_line, wb_line, "eviction probe predicts the victim");
-                self.traffic.writebacks += 1;
-                self.used_modules[module] = true;
-                let port = self.ports[module].as_deref_mut().expect("granted module");
-                let nvm = self.nvms[module].as_deref_mut().expect("granted module");
-                // One-way: the writeback occupies the path out and the
-                // device, but nobody waits on a response.
-                let arrival = traverse_split(self.link, port, pp.timing, at, 1);
-                self.traversals += 1;
-                nvm.access(arrival, wb_fam_byte, MemOpKind::Write);
-            }
-            None => {
-                let byte = wb_line * 64;
-                debug_assert!(!self.node.is_fam_page(byte / PAGE_BYTES));
-                self.node.dram.write(at, byte);
-            }
-        }
-    }
-
-    /// Executes one admitted FAM reference end to end — the shard twin
-    /// of [`System::sim_ref`]'s FAM path.
-    fn retire_fam(
-        &mut self,
-        broker: &MemoryBroker,
-        c: usize,
-        p: &crate::node::PendingRef,
-        fp: &FamProbe,
-        pp: &ShardParams,
-    ) {
-        let _prof = profile::span(PhaseId::ShardFam);
-        let vpage = p.mem.vaddr.vpage();
-        let line = fp.phys_byte / 64;
-        let kind = if p.mem.is_write {
-            MemOpKind::Write
-        } else {
-            MemOpKind::Read
-        };
-        let req = p.req;
-        let (start, tlb_latency) = {
-            let core = &mut self.node.cores[c];
-            core.pending = None;
-            let start = core.window.admit(p.start_req);
-            core.issue_clock = start;
-            let (_, tlb_latency, hit) = core.tlb.lookup(vpage);
-            debug_assert_eq!(hit.map(|h| h.target_page), Some(fp.pte.target_page));
-            (start, tlb_latency)
-        };
-        let t = start + tlb_latency;
-        if self.tracer.is_enabled() {
-            self.tracer.record(TraceEvent {
-                req,
-                stage: Stage::TlbLookup,
-                track: Track::Node(self.n as u16),
-                start,
-                end: t,
-            });
-        }
-        let window_before = if self.tracer.wants_windows() {
-            Some((self.traffic.at_total(), self.traffic.total()))
-        } else {
-            None
-        };
-        let lookup = self.node.hierarchy.access(c, line, p.mem.is_write);
-        debug_assert!(lookup.level.is_none(), "admitted FAM refs are LLC misses");
-        let completion = t + lookup.latency;
-        let completion = match pp.scheme {
-            Scheme::EFam => {
-                if p.mem.is_write {
-                    self.traffic.data_writes += 1;
-                } else {
-                    self.traffic.data_reads += 1;
-                }
-                self.fam_round_trip(completion, fp.fam_byte, kind, req, pp)
-            }
-            Scheme::IFam => self.ifam_access(broker, completion, fp, kind, req, pp),
-            Scheme::DeactW | Scheme::DeactN => {
-                self.deact_access(broker, completion, fp, kind, req, pp)
-            }
-        };
-        if let Some(wb_line) = lookup.writeback {
-            self.writeback(wb_line, completion, fp, pp);
-        }
-        let core = &mut self.node.cores[c];
-        core.window.record_completion(completion);
-        core.last_mem_completion = completion;
-        core.refs_done += 1;
-        core.finish = core.finish.max(completion);
-        if let Some((at_before, total_before)) = window_before {
-            self.tracer.sample(
-                completion,
-                WindowSample {
-                    instructions: u64::from(p.mem.gap_instrs) + 1,
-                    fam_at: self.traffic.at_total() - at_before,
-                    fam_total: self.traffic.total() - total_before,
-                    retries: 0,
-                    recovered: 0,
-                },
-            );
-        }
-    }
-}
-
-/// One shard's share of a parallel epoch: retire front references below
-/// the horizon in the node's greedy `(ready, core)` order — locally
-/// when [`probe_local`] admits, over the shard's granted FAM modules
-/// when [`probe_fam`] admits and the reference's key clears the
-/// cross-node barrier — blocking at the first reference that can do
-/// neither. Every admission decision is re-probed here at execution
-/// time, so the epoch plan can only under-promise, never corrupt.
-fn shard_phase(shard: &mut Shard, broker: &MemoryBroker, pp: &ShardParams) {
-    while let Some((ready, c)) = front_of(shard.node) {
-        if ready >= pp.horizon {
-            break;
-        }
-        let p = shard.node.cores[c]
-            .pending
-            .expect("front reference is staged");
-        if let Some((pte, phys_byte, llc_hit)) = probe_local(shard.node, c, &p) {
-            retire_local_ref(
-                shard.n,
-                shard.node,
-                shard.tracer,
-                c,
-                &p,
-                pte,
-                phys_byte,
-                llc_hit,
-            );
-            shard.local_retired += 1;
-        } else if shard.fam {
-            let key = (ready, shard.n * pp.cores_per_node + c);
-            if shard.barrier.is_some_and(|b| key >= b) {
-                break;
-            }
-            let fp = probe_fam(
-                shard.node,
-                shard.stu.as_deref(),
-                broker,
-                pp.scheme,
-                pp.skip_read_checks,
-                pp.modules,
-                c,
-                &p,
-            );
-            let Some(fp) = fp else { break };
-            if !shard.footprint_owned(&fp) {
-                break;
-            }
-            shard.retire_fam(broker, c, &p, &fp, pp);
-            shard.fam_retired += 1;
-        } else {
-            break;
-        }
-        let core = &mut shard.node.cores[c];
-        if core.refs_done < pp.refs {
-            let req = shard.tracer.next_request();
-            stage_core(core, pp.issue_width, req);
-        }
-    }
-}
-
 /// Runs one benchmark under one configuration and returns the report —
 /// the workhorse of the experiment harness.
 ///
@@ -3142,12 +1799,6 @@ pub fn run_benchmark(name: &str, config: SystemConfig) -> RunReport {
 /// Fallible twin of [`run_benchmark`]: returns a typed [`SimError`]
 /// instead of panicking, so binaries can exit with a readable message.
 ///
-/// The intra-run thread count comes from `DEACT_SIM_THREADS`
-/// (default 1, the sequential engine). The parallel engine is
-/// bit-identical at any thread count, so the variable lets a CI lane
-/// run an unmodified test suite on the sharded engine without being
-/// able to change what any test observes.
-///
 /// # Examples
 ///
 /// ```
@@ -3157,28 +1808,10 @@ pub fn run_benchmark(name: &str, config: SystemConfig) -> RunReport {
 /// assert!(matches!(err, SimError::UnknownBenchmark { .. }));
 /// ```
 pub fn try_run_benchmark(name: &str, config: SystemConfig) -> Result<RunReport, SimError> {
-    try_run_benchmark_threads(name, config, fam_sim::sim_threads_from_env())
-}
-
-/// [`try_run_benchmark`] with intra-run parallelism: the run executes
-/// on [`System::try_run_parallel`] with `threads` workers, so the
-/// report is bit-identical at any thread count (`1` is the sequential
-/// engine). Compose with across-run parallelism (a sweep's `--jobs`)
-/// by splitting the host's cores between the two levels.
-///
-/// # Errors
-///
-/// Returns [`SimError::UnknownBenchmark`] for a name outside Table
-/// III, or any error of [`System::try_run_parallel`].
-pub fn try_run_benchmark_threads(
-    name: &str,
-    config: SystemConfig,
-    threads: usize,
-) -> Result<RunReport, SimError> {
     let workload = Workload::by_name(name).ok_or_else(|| SimError::UnknownBenchmark {
         name: name.to_string(),
     })?;
-    System::new(config, &workload).try_run_parallel(threads)
+    System::new(config, &workload).try_run()
 }
 
 #[cfg(test)]
@@ -3298,43 +1931,6 @@ mod tests {
             n.acm_hit_rate.unwrap(),
             w.acm_hit_rate.unwrap()
         );
-    }
-
-    #[test]
-    fn parallel_engine_matches_sequential_reports() {
-        for scheme in Scheme::ALL {
-            let cfg = quick(scheme)
-                .with_nodes(4)
-                .with_fam_modules(4)
-                .with_refs_per_core(800);
-            let w = Workload::by_name("astar").unwrap();
-            let seq = System::new(cfg, &w).try_run().expect("sequential run");
-            let par = System::new(cfg, &w)
-                .try_run_parallel(4)
-                .expect("parallel run");
-            assert_eq!(seq, par, "{scheme}: parallel report diverged");
-        }
-    }
-
-    #[test]
-    fn parallel_engine_is_thread_count_invariant() {
-        let cfg = quick(Scheme::DeactN)
-            .with_nodes(4)
-            .with_fam_modules(4)
-            .with_refs_per_core(600);
-        let w = Workload::by_name("pf").unwrap();
-        let two = System::new(cfg, &w).run_parallel(2);
-        let four = System::new(cfg, &w).run_parallel(4);
-        assert_eq!(two, four);
-    }
-
-    #[test]
-    fn parallel_with_one_thread_is_the_sequential_engine() {
-        let cfg = quick(Scheme::EFam).with_nodes(2).with_refs_per_core(500);
-        let w = Workload::by_name("sssp").unwrap();
-        let seq = System::new(cfg, &w).run();
-        let one = System::new(cfg, &w).run_parallel(1);
-        assert_eq!(seq, one);
     }
 
     #[test]
@@ -3489,13 +2085,13 @@ mod tests {
     }
 
     #[test]
-    fn degraded_runs_are_engine_and_thread_invariant() {
+    fn degraded_runs_are_scheduler_invariant() {
         let cfg = killed(Scheme::DeactN, PersistentFault::NodeDead { module: 0 });
         let w = Workload::by_name("astar").unwrap();
-        let seq = System::new(cfg, &w).try_run().expect("sequential");
-        let par = System::new(cfg, &w).try_run_parallel(4).expect("parallel");
-        assert_eq!(seq, par, "recovery must not break bit-identity");
-        assert!(!seq.degradation.is_zero());
+        let heap = System::new(cfg, &w).try_run().expect("heap scheduler");
+        let scan = System::new(cfg, &w).try_run_scan().expect("reference scan");
+        assert_eq!(heap, scan, "recovery must not break bit-identity");
+        assert!(!heap.degradation.is_zero());
     }
 
     #[test]

@@ -321,15 +321,6 @@ impl FamTranslator {
         hit
     }
 
-    /// Side-effect-free twin of [`FamTranslator::lookup`]: would the
-    /// node-side translation cache hit, without counting the lookup or
-    /// perturbing the hit ratio? The sharded engine's admission scan
-    /// uses this to predict whether a reference's translation is
-    /// decidable node-side before committing to retire it in a shard.
-    pub fn probe(&self, npa_page: u64) -> Option<u64> {
-        self.cache.peek(npa_page).copied()
-    }
-
     /// Installs a mapping delivered by the STU (Fig. 6 ⑤): one random
     /// entry of the fetched set is replaced, costing a DRAM
     /// read-modify-write.

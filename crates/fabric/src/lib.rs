@@ -58,40 +58,6 @@ impl Default for FabricConfig {
     }
 }
 
-/// The per-traversal timing constants, copied out of a [`Fabric`] so
-/// the sharded engine can run traversals against individually borrowed
-/// link/port resources without holding `&mut Fabric`.
-#[derive(Debug, Clone, Copy)]
-pub struct FabricTiming {
-    /// Link occupancy per 64-byte flit.
-    pub link_occupancy: Duration,
-    /// Module-port occupancy per flit.
-    pub port_occupancy: Duration,
-    /// One-way traversal latency.
-    pub latency: Duration,
-}
-
-/// One traversal against an explicitly borrowed link/port pair — the
-/// primitive shared by [`Fabric::node_to_fam`]-style owned calls and
-/// the sharded engine's epoch-parallel traversals.
-///
-/// Does **not** count the traversal: the owned path increments the
-/// fabric counter itself and shards reconcile their local tallies via
-/// [`Fabric::add_traversals`] at merge time.
-pub fn traverse_split(
-    link: &mut Resource,
-    port: &mut Resource,
-    timing: FabricTiming,
-    now: Cycle,
-    flits: u64,
-) -> Cycle {
-    let _prof = fam_sim::profile::span(fam_sim::profile::PhaseId::Fabric);
-    let flits = flits.max(1);
-    let on_link = link.acquire_for(now, timing.link_occupancy.times(flits));
-    let on_port = port.acquire_for(on_link, timing.port_occupancy.times(flits));
-    on_port + timing.latency
-}
-
 /// The system fabric connecting `nodes` compute nodes to a FAM pool of
 /// `modules` NVM modules.
 ///
@@ -136,15 +102,18 @@ impl Fabric {
     fn traverse(&mut self, now: Cycle, node: usize, module: usize, flits: u64) -> Cycle {
         assert!(node < self.links.len(), "unknown node {node}");
         assert!(module < self.ports.len(), "unknown module {module}");
+        let _prof = fam_sim::profile::span(fam_sim::profile::PhaseId::Fabric);
         self.traversals.inc();
-        let timing = self.timing();
-        traverse_split(
-            &mut self.links[node],
-            &mut self.ports[module],
-            timing,
+        let flits = flits.max(1);
+        let on_link = self.links[node].acquire_for(
             now,
-            flits,
-        )
+            Duration(self.config.link_occupancy_cycles).times(flits),
+        );
+        let on_port = self.ports[module].acquire_for(
+            on_link,
+            Duration(self.config.trunk_occupancy_cycles).times(flits),
+        );
+        on_port + self.latency
     }
 
     /// A single-flit request from `node` to FAM module `module`;
@@ -202,27 +171,6 @@ impl Fabric {
     /// The core frequency used for latency conversion.
     pub fn frequency(&self) -> Frequency {
         self.freq
-    }
-
-    /// The timing constants for [`traverse_split`].
-    pub fn timing(&self) -> FabricTiming {
-        FabricTiming {
-            link_occupancy: Duration(self.config.link_occupancy_cycles),
-            port_occupancy: Duration(self.config.trunk_occupancy_cycles),
-            latency: self.latency,
-        }
-    }
-
-    /// Splits the fabric into its node links and module ports so the
-    /// sharded engine can lend each shard exactly the resources it was
-    /// granted for an epoch.
-    pub fn split_mut(&mut self) -> (&mut [Resource], &mut [Resource]) {
-        (&mut self.links, &mut self.ports)
-    }
-
-    /// Folds `n` shard-side traversals into the owned counter.
-    pub fn add_traversals(&mut self, n: u64) {
-        self.traversals.add(n);
     }
 
     /// Resets contention timelines and statistics.
@@ -297,19 +245,6 @@ mod tests {
         assert!(done >= Cycle(2120));
         assert!(done < Cycle(2200));
         assert_eq!(f.traversals(), 2);
-    }
-
-    #[test]
-    fn split_traversal_matches_owned() {
-        let mut owned = fabric(1);
-        let mut split = fabric(1);
-        let want = owned.node_to_fam(Cycle(0), 0, 0);
-        let timing = split.timing();
-        let (links, ports) = split.split_mut();
-        let got = traverse_split(&mut links[0], &mut ports[0], timing, Cycle(0), 1);
-        split.add_traversals(1);
-        assert_eq!(got, want);
-        assert_eq!(split.traversals(), owned.traversals());
     }
 
     #[test]

@@ -176,29 +176,6 @@ impl<V> SetAssocCache<V> {
             .map(|w| start + w)
     }
 
-    /// An empty way in `key`'s set, if any.
-    fn vacancy(&self, key: u64) -> Option<usize> {
-        let start = self.set_start(key);
-        self.keys[start..start + self.config.ways]
-            .iter()
-            .position(|&k| k == EMPTY)
-            .map(|w| start + w)
-    }
-
-    /// The slot a full set would evict under LRU: the minimum recency
-    /// stamp. Shared by [`SetAssocCache::insert`] and
-    /// [`SetAssocCache::peek_victim`], so the prediction and the real
-    /// eviction are one decision procedure.
-    fn lru_victim(&self, key: u64) -> usize {
-        let start = self.set_start(key);
-        self.stamps[start..start + self.config.ways]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &s)| s)
-            .map(|(w, _)| start + w)
-            .expect("at least one way")
-    }
-
     /// Looks up `key`, updating recency and hit/miss statistics, and
     /// returns a reference to its value if present.
     pub fn get(&mut self, key: u64) -> Option<&V> {
@@ -246,23 +223,6 @@ impl<V> SetAssocCache<V> {
         self.find(key).and_then(|i| self.values[i].as_ref())
     }
 
-    /// The key that `insert(key, …)` would evict right now, without
-    /// changing anything: `None` when `key` is already resident or its
-    /// set still has room. Exact only for LRU replacement — predicting
-    /// a `Random` victim would consume RNG state and so perturb the
-    /// very outcome being predicted.
-    pub fn peek_victim(&self, key: u64) -> Option<u64> {
-        debug_assert_eq!(
-            self.config.replacement,
-            Replacement::Lru,
-            "random replacement victims cannot be predicted"
-        );
-        if self.vacancy(key).is_some() || self.find(key).is_some() {
-            return None;
-        }
-        Some(self.keys[self.lru_victim(key)])
-    }
-
     /// Mutable access to `key`'s value without touching recency or
     /// hit/miss statistics — for metadata maintenance (e.g. a dirty
     /// bit propagated by an outer cache level) that is not a real
@@ -281,10 +241,8 @@ impl<V> SetAssocCache<V> {
 
         // One fused scan finds the resident way, the first empty way
         // and the LRU way together; inserts run on every modelled
-        // cache miss, so the set is walked once, not three times. The
-        // outcomes are exactly [`Self::find`] / [`Self::vacancy`] /
-        // [`Self::lru_victim`]: first match, first empty, first
-        // minimum stamp.
+        // cache miss, so the set is walked once, not three times: first
+        // match, first empty, first minimum stamp.
         let start = self.set_start(key);
         let mut found = usize::MAX;
         let mut empty = usize::MAX;
@@ -529,19 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_victim_predicts_lru_eviction() {
-        let mut c = tiny(2, Replacement::Lru);
-        assert_eq!(c.peek_victim(1), None, "room in the set");
-        c.insert(1, 10);
-        c.insert(2, 20);
-        c.get(1); // 2 is now LRU
-        assert_eq!(c.peek_victim(1), None, "resident key never evicts");
-        assert_eq!(c.peek_victim(3), Some(2));
-        assert_eq!(c.stats().total(), 1, "only the get counted");
-        assert_eq!(c.insert(3, 30), Some((2, 20)), "prediction matches");
-    }
-
-    #[test]
     fn peek_reads_without_side_effects() {
         let mut c = tiny(2, Replacement::Lru);
         c.insert(1, 10);
@@ -617,12 +562,10 @@ mod tests {
         let _ = CacheConfig::new(1, 0, Replacement::Lru);
     }
 
-    /// The fast path trusts `probe`/`peek`/`peek_victim` to predict
-    /// what `get`/`insert` will do. Because all of them resolve
-    /// residency through [`SetAssocCache::find`] and evictions through
-    /// [`SetAssocCache::lru_victim`], the prediction and the mutation
-    /// are one decision procedure — this test hammers that agreement
-    /// with a randomized, heavily-aliasing access stream.
+    /// `probe`/`peek` predict what `get`/`insert` will observe: all of
+    /// them resolve residency through [`SetAssocCache::find`], and this
+    /// test hammers that agreement with a randomized, heavily-aliasing
+    /// access stream.
     #[test]
     fn probes_agree_with_accesses_under_random_streams() {
         let mut rng = SimRng::seeded(0xA93E);
@@ -634,10 +577,6 @@ mod tests {
             let key = rng.below(64);
             let predicted_hit = c.probe(key);
             assert_eq!(predicted_hit, c.peek(key).is_some());
-            let predicted_victim = c.peek_victim(key);
-            if predicted_hit {
-                assert_eq!(predicted_victim, None, "resident keys never evict");
-            }
             if rng.chance(0.5) {
                 assert_eq!(
                     c.get(key).is_some(),
@@ -646,11 +585,9 @@ mod tests {
                 );
             } else {
                 let evicted = c.insert(key, step);
-                assert_eq!(
-                    evicted.map(|(k, _)| k),
-                    predicted_victim,
-                    "peek_victim disagreed with a real insert at step {step}"
-                );
+                if predicted_hit {
+                    assert_eq!(evicted, None, "resident keys never evict");
+                }
                 assert!(c.probe(key), "inserted key must be resident");
                 assert_eq!(c.peek(key), Some(&step));
             }

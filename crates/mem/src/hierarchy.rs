@@ -206,30 +206,6 @@ impl CacheHierarchy {
         }
     }
 
-    /// Predicts, without side effects, whether an immediately
-    /// following [`CacheHierarchy::access`] to `line_addr` would hit
-    /// (at some level) rather than miss the LLC.
-    ///
-    /// L3 residency is exact for this: the hierarchy is inclusive
-    /// (private caches only ever hold L3-resident lines — fills happen
-    /// together with an L3 fill, and an L3 eviction back-invalidates
-    /// every private copy), so L1/L2 residency implies L3 residency,
-    /// and every hit path of `access` leaves the hierarchy contents
-    /// untouched (`writeback` is always `None` on a hit).
-    pub fn would_hit(&self, line_addr: u64) -> bool {
-        self.l3.probe(line_addr)
-    }
-
-    /// The line a fill of `line_addr` would evict from the LLC (and,
-    /// by inclusion, from the whole hierarchy): `None` when the access
-    /// would hit or the L3 set still has room. The companion of
-    /// [`CacheHierarchy::would_hit`] for callers that must predict
-    /// where a miss's eviction would write back before deciding to
-    /// perform the access.
-    pub fn would_evict(&self, line_addr: u64) -> Option<u64> {
-        self.l3.peek_victim(line_addr)
-    }
-
     /// Probes whether a line is resident anywhere, without side
     /// effects.
     pub fn contains(&self, line_addr: u64) -> bool {
@@ -403,36 +379,6 @@ mod tests {
         h.access(1, 0, false); // L3 hit
         assert_eq!(h.llc_stats().misses(), 1);
         assert_eq!(h.llc_stats().hits(), 1);
-    }
-
-    #[test]
-    fn would_hit_predicts_access_outcome() {
-        let mut h = small();
-        assert!(!h.would_hit(0));
-        h.access(0, 0, false);
-        assert!(h.would_hit(0), "L3-resident after the fill");
-        // L1/L2 residency implies L3 residency (inclusion), so the
-        // prediction holds for a different core too.
-        assert!(h.would_hit(0));
-        let r = h.access(1, 0, false);
-        assert!(r.level.is_some());
-        // After an L3 eviction, prediction flips to miss everywhere.
-        h.access(0, 8, false);
-        h.access(0, 16, false);
-        assert!(!h.would_hit(0));
-        assert_eq!(h.access(0, 0, false).level, None);
-    }
-
-    #[test]
-    fn would_evict_predicts_the_llc_victim() {
-        let mut h = small();
-        h.access(0, 0, false);
-        assert_eq!(h.would_evict(0), None, "would hit, no eviction");
-        h.access(0, 8, false); // L3 set 0 now full (2 ways)
-        assert_eq!(h.would_evict(16), Some(0), "LRU line 0 is the victim");
-        let r = h.access(0, 16, false);
-        assert_eq!(r.level, None);
-        assert!(!h.contains(0), "prediction matched the real eviction");
     }
 
     #[test]

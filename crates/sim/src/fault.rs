@@ -87,9 +87,8 @@ impl PersistentFault {
 
 /// When a [`PersistentFault`] strikes: at the `after_fam_ops`-th FAM
 /// operation (1-based) counted at the injector. Counting operations —
-/// not cycles or references — keeps the strike point identical across
-/// the sequential and parallel engines, whose per-cycle interleavings
-/// legitimately differ.
+/// not cycles or references — pins the strike point to the workload's
+/// FAM traffic rather than to timing details.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PersistentSchedule {
     /// The fault that strikes.

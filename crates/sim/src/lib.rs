@@ -6,8 +6,6 @@
 //! * [`Cycle`] / [`Duration`] — a cycle-granular clock (the whole system
 //!   is simulated in CPU cycles; [`Frequency`] converts nanoseconds to
 //!   cycles at a configurable core frequency).
-//! * [`EventQueue`] — a deterministic priority queue of timestamped
-//!   events with FIFO tie-breaking.
 //! * [`IndexedMinHeap`] — an indexed min-priority queue supporting
 //!   O(log n) re-keying by slot id, the core of the event-driven
 //!   reference scheduler.
@@ -56,7 +54,6 @@
 #![warn(missing_debug_implementations)]
 
 mod clock;
-mod event;
 mod fault;
 pub mod hash;
 mod pool;
@@ -71,14 +68,10 @@ pub mod trace;
 mod window;
 
 pub use clock::{Cycle, Duration, Frequency};
-pub use event::EventQueue;
 pub use fault::{
     FabricFault, FaultConfig, FaultInjector, FaultStats, PersistentFault, PersistentSchedule,
 };
-pub use pool::{
-    cap_sim_threads, default_jobs, scoped_map, scoped_map_mut, sim_threads_from_env, FreeList,
-    ThreadPool,
-};
+pub use pool::{default_jobs, scoped_map, FreeList, ThreadPool};
 pub use profile::{PhaseId, PhaseStat, ProfileReport};
 pub use queue::IndexedMinHeap;
 pub use registry::{Metric, Registry};

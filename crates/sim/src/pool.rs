@@ -153,43 +153,6 @@ pub fn default_jobs() -> usize {
         })
 }
 
-/// Intra-run simulation threads from `DEACT_SIM_THREADS`, defaulting
-/// to 1 (the sequential engine). Like `DEACT_JOBS` this is a harness
-/// knob, not a configuration field: the parallel engine is
-/// bit-identical at any thread count, so the variable can change how
-/// fast a run executes but never what it reports.
-pub fn sim_threads_from_env() -> usize {
-    std::env::var("DEACT_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
-}
-
-/// Caps the intra-run `--sim-threads` level so `jobs × sim_threads`
-/// fits the host's worker budget ([`default_jobs`]): with several runs
-/// already in flight, oversubscribing the intra-run workers only adds
-/// handoff latency, and reports are identical at any thread count.
-///
-/// When the cap actually bites, a note goes to stderr **once per
-/// process** — sweeps apply the cap for every job they launch, and
-/// repeating the identical warning per job buried the real output.
-pub fn cap_sim_threads(jobs: usize, sim_threads: usize) -> usize {
-    let host = default_jobs();
-    let capped = sim_threads.min((host / jobs.max(1)).max(1));
-    if capped < sim_threads {
-        static NOTE: std::sync::Once = std::sync::Once::new();
-        NOTE.call_once(|| {
-            eprintln!(
-                "note: capping --sim-threads {sim_threads} -> {capped} so --jobs {jobs} \
-                 x sim-threads fits the host's {host} available threads (reports are \
-                 identical either way)"
-            );
-        });
-    }
-    capped
-}
-
 /// Runs `f(0..n)` across at most `threads` scoped workers and returns
 /// the results in index order.
 ///
@@ -237,88 +200,6 @@ where
                 // scope() unblocks on closure return, before TLS
                 // destructors run — flush profiler spans explicitly so
                 // the caller's take_report sees this worker's data.
-                if crate::profile::is_enabled() {
-                    crate::profile::flush_thread();
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every index was produced")
-        })
-        .collect()
-}
-
-/// Runs `f(i, &mut items[i])` across at most `threads` scoped workers
-/// and returns the results in index order.
-///
-/// The mutable-borrow counterpart of [`scoped_map`]: each item is
-/// visited exactly once, by exactly one worker, so handing each worker
-/// a disjoint `&mut` is sound — the slice is split up front with
-/// `split_first_mut`-style decomposition into per-item cells. Work is
-/// still handed out by an atomic cursor (dynamic load balancing), and
-/// the output vector is always `[f(0, ..), f(1, ..), …]` regardless of
-/// which thread ran which item.
-///
-/// With `threads <= 1` (or a single item) the map runs serially on the
-/// caller's thread with no synchronisation at all.
-///
-/// # Panics
-///
-/// Propagates the first worker panic.
-///
-/// # Examples
-///
-/// ```
-/// use fam_sim::scoped_map_mut;
-///
-/// let mut counters = vec![10u64, 20, 30];
-/// let before = scoped_map_mut(2, &mut counters, |i, c| {
-///     let b = *c;
-///     *c += i as u64;
-///     b
-/// });
-/// assert_eq!(before, vec![10, 20, 30]);
-/// assert_eq!(counters, vec![10, 21, 32]);
-/// ```
-pub fn scoped_map_mut<A, T, F>(threads: usize, items: &mut [A], f: F) -> Vec<T>
-where
-    A: Send,
-    T: Send,
-    F: Fn(usize, &mut A) -> T + Sync,
-{
-    let n = items.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads == 1 {
-        return items.iter_mut().enumerate().map(|(i, a)| f(i, a)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    // One cell per item: each holds the item's exclusive borrow until
-    // the worker that wins index `i` takes it.
-    let cells: Vec<Mutex<Option<&mut A>>> = items.iter_mut().map(|a| Mutex::new(Some(a))).collect();
-    let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let item = cells[i]
-                        .lock()
-                        .expect("item cell poisoned")
-                        .take()
-                        .expect("each index is claimed once");
-                    let value = f(i, item);
-                    *results[i].lock().expect("result slot poisoned") = Some(value);
-                }
-                // As in scoped_map: publish profiler spans before the
-                // scope's completion signal, not in a TLS destructor.
                 if crate::profile::is_enabled() {
                     crate::profile::flush_thread();
                 }
@@ -502,25 +383,5 @@ mod tests {
     #[test]
     fn default_jobs_is_positive() {
         assert!(default_jobs() >= 1);
-    }
-
-    #[test]
-    fn scoped_map_mut_mutates_each_item_once() {
-        for threads in [1, 2, 8] {
-            let mut items: Vec<u64> = (0..97).collect();
-            let out = scoped_map_mut(threads, &mut items, |i, v| {
-                *v += 1;
-                i as u64 * 2
-            });
-            assert_eq!(out, (0..97).map(|i| i * 2).collect::<Vec<_>>());
-            assert_eq!(items, (1..98).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn scoped_map_mut_empty_input() {
-        let mut items: Vec<u64> = Vec::new();
-        let out: Vec<()> = scoped_map_mut(4, &mut items, |_, _| unreachable!());
-        assert!(out.is_empty());
     }
 }

@@ -20,13 +20,13 @@
 //! records elapsed host time into a per-thread accumulator. Spans nest:
 //! each phase accumulates *total* time (span open to close) and *self*
 //! time (total minus time spent in child spans), and every distinct
-//! call path (e.g. `fastpath-retire;tlb`) keeps its own self-time so
+//! call path (e.g. `sched-dispatch;tlb`) keeps its own self-time so
 //! the report can be exported as a folded stack loadable by
 //! `inferno-flamegraph` or [speedscope](https://speedscope.app).
 //!
 //! Per-thread accumulators flush into a process-global report when a
-//! thread exits (covering the scoped workers of
-//! [`crate::scoped_map_mut`]), periodically while the span stack is
+//! thread exits (covering the scoped workers of [`crate::scoped_map`]),
+//! periodically while the span stack is
 //! empty, and explicitly from [`take_report`]. The global state means
 //! one profiled run at a time: callers should [`take_report`] (or
 //! [`reset`]) between runs, and only after any worker threads joined.
@@ -63,10 +63,6 @@ use std::time::Instant;
 pub enum PhaseId {
     /// Workload batch generation (`RefBatch::refill`).
     BatchGen,
-    /// Fast-path classification probes (is this ref provably node-local?).
-    FastpathClassify,
-    /// Fast-path batched retirement (`node_local_phase` from the fused engine).
-    FastpathRetire,
     /// Event-queue scheduler pop + re-key bookkeeping.
     SchedPop,
     /// Full per-reference dispatch through the exact scheduler (`sim_ref`).
@@ -83,20 +79,10 @@ pub enum PhaseId {
     Fabric,
     /// NVM module accesses.
     Nvm,
-    /// Parallel engine: concurrent node-local phase (worker threads).
-    ParallelLocal,
-    /// Parallel engine: sequential commit phase.
-    ParallelCommit,
     /// Broker quarantine + page evacuation after a permanent fault.
     Evacuation,
     /// System-wide translation shootdown walk.
     Shootdown,
-    /// Sharded engine: sequential per-epoch admission scan (grant and
-    /// barrier computation over staged references).
-    ShardScan,
-    /// Sharded engine: FAM references retired inside a shard against
-    /// granted fabric-port/NVM-module resources.
-    ShardFam,
     /// Streamed trace-replay chunk refill + decode (`TraceReader`).
     ReplayDecode,
 }
@@ -105,8 +91,6 @@ impl PhaseId {
     /// Every phase, in declaration order (index order).
     pub const ALL: [PhaseId; PhaseId::COUNT] = [
         PhaseId::BatchGen,
-        PhaseId::FastpathClassify,
-        PhaseId::FastpathRetire,
         PhaseId::SchedPop,
         PhaseId::SchedDispatch,
         PhaseId::Tlb,
@@ -115,17 +99,13 @@ impl PhaseId {
         PhaseId::PageWalk,
         PhaseId::Fabric,
         PhaseId::Nvm,
-        PhaseId::ParallelLocal,
-        PhaseId::ParallelCommit,
         PhaseId::Evacuation,
         PhaseId::Shootdown,
-        PhaseId::ShardScan,
-        PhaseId::ShardFam,
         PhaseId::ReplayDecode,
     ];
 
     /// Number of phases.
-    pub const COUNT: usize = 18;
+    pub const COUNT: usize = 12;
 
     /// Dense index in `[0, COUNT)`.
     pub fn index(self) -> usize {
@@ -136,8 +116,6 @@ impl PhaseId {
     pub fn name(self) -> &'static str {
         match self {
             PhaseId::BatchGen => "batch-gen",
-            PhaseId::FastpathClassify => "fastpath-classify",
-            PhaseId::FastpathRetire => "fastpath-retire",
             PhaseId::SchedPop => "sched-pop",
             PhaseId::SchedDispatch => "sched-dispatch",
             PhaseId::Tlb => "tlb",
@@ -146,12 +124,8 @@ impl PhaseId {
             PhaseId::PageWalk => "page-walk",
             PhaseId::Fabric => "fabric",
             PhaseId::Nvm => "nvm",
-            PhaseId::ParallelLocal => "parallel-local",
-            PhaseId::ParallelCommit => "parallel-commit",
             PhaseId::Evacuation => "evacuation",
             PhaseId::Shootdown => "shootdown",
-            PhaseId::ShardScan => "shard-scan",
-            PhaseId::ShardFam => "shard-fam",
             PhaseId::ReplayDecode => "replay-decode",
         }
     }
@@ -575,7 +549,7 @@ mod tests {
             for _ in 0..2 {
                 scope.spawn(|| {
                     {
-                        let _s = span(PhaseId::ParallelLocal);
+                        let _s = span(PhaseId::SchedDispatch);
                     }
                     flush_thread();
                 });
@@ -583,7 +557,7 @@ mod tests {
         });
         set_enabled(false);
         let report = take_report();
-        assert_eq!(report.phase(PhaseId::ParallelLocal).calls, 2);
+        assert_eq!(report.phase(PhaseId::SchedDispatch).calls, 2);
     }
 
     #[test]
@@ -591,20 +565,13 @@ mod tests {
         let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         reset();
         set_enabled(true);
-        let mut items = vec![1u64, 2, 3, 4];
-        crate::scoped_map_mut(2, &mut items, |_, item| {
-            let _s = span(PhaseId::ParallelLocal);
-            *item += 1;
-        });
         let squares = crate::scoped_map(2, 3, |i| {
-            let _s = span(PhaseId::ParallelCommit);
+            let _s = span(PhaseId::SchedDispatch);
             (i as u64 + 1) * (i as u64 + 1)
         });
         set_enabled(false);
         let report = take_report();
-        assert_eq!(report.phase(PhaseId::ParallelLocal).calls, 4);
-        assert_eq!(report.phase(PhaseId::ParallelCommit).calls, 3);
-        assert_eq!(items, vec![2, 3, 4, 5]);
+        assert_eq!(report.phase(PhaseId::SchedDispatch).calls, 3);
         assert_eq!(squares, vec![1, 4, 9]);
     }
 

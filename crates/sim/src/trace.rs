@@ -540,16 +540,6 @@ impl Tracer {
         Tracer::new(TraceConfig::disabled(), 0)
     }
 
-    /// Re-bases the request-id counter so independent tracers (the
-    /// per-node shards of the parallel engine) hand out ids from
-    /// disjoint ranges. Ids only label events for correlation — they
-    /// never influence timing — so the base is free to be arbitrary.
-    #[must_use]
-    pub fn with_request_base(mut self, base: u64) -> Tracer {
-        self.next_req = base;
-        self
-    }
-
     /// The single branch every event site pays when tracing is off.
     #[inline]
     pub fn is_enabled(&self) -> bool {
@@ -602,9 +592,7 @@ impl Tracer {
         self.push_ring(ev);
     }
 
-    /// Ring push with overwrite-oldest drop accounting. Breakdown
-    /// folding is the caller's job, so [`Tracer::absorb`] can replay
-    /// already-aggregated events without double counting.
+    /// Ring push with overwrite-oldest drop accounting.
     fn push_ring(&mut self, ev: TraceEvent) {
         if self.config.ring_capacity == 0 {
             return;
@@ -615,35 +603,6 @@ impl Tracer {
             self.ring[self.head] = ev;
             self.head = (self.head + 1) % self.config.ring_capacity;
             self.dropped += 1;
-        }
-    }
-
-    /// Folds another tracer's telemetry into this one — the merge step
-    /// of the parallel engine, where each node shard records into its
-    /// own tracer and the shards are absorbed into the run tracer at
-    /// the end.
-    ///
-    /// Breakdowns and the time series merge additively (order-free, so
-    /// the run-level [`Tracer::breakdown`] is independent of how work
-    /// was sharded); the other tracer's retained events are replayed
-    /// into this ring oldest-first and its drop count carried over, so
-    /// `retained + dropped == recorded` keeps holding. The request-id
-    /// counter is NOT advanced: shard ids come from disjoint
-    /// [`Tracer::with_request_base`] ranges and never collide with this
-    /// tracer's.
-    pub fn absorb(&mut self, other: &Tracer) {
-        if !self.config.enabled {
-            return;
-        }
-        for (mine, theirs) in self.node_breakdowns.iter_mut().zip(&other.node_breakdowns) {
-            mine.merge(theirs);
-        }
-        self.device_breakdown.merge(&other.device_breakdown);
-        self.series.merge(&other.series);
-        self.recorded += other.recorded;
-        self.dropped += other.dropped;
-        for ev in other.events() {
-            self.push_ring(*ev);
         }
     }
 
@@ -1088,15 +1047,6 @@ mod tests {
     }
 
     #[test]
-    fn request_base_gives_disjoint_id_ranges() {
-        let mut main = Tracer::new(TraceConfig::full(), 2);
-        let mut shard = Tracer::new(TraceConfig::full(), 2).with_request_base(1 << 48);
-        assert_eq!(main.next_request(), RequestId(1));
-        assert_eq!(shard.next_request(), RequestId((1 << 48) + 1));
-        assert_eq!(shard.next_request(), RequestId((1 << 48) + 2));
-    }
-
-    #[test]
     fn window_series_merge_is_elementwise() {
         let cfg = TraceConfig::full().with_window_cycles(100);
         let mut a = Tracer::new(cfg, 1);
@@ -1117,50 +1067,6 @@ mod tests {
         // Merging an empty (disabled) series is a no-op.
         a.series.merge(Tracer::disabled().series());
         assert_eq!(a.series().samples().len(), 3);
-    }
-
-    #[test]
-    fn absorb_merges_breakdowns_series_and_ring() {
-        let cfg = TraceConfig::full()
-            .with_ring_capacity(4)
-            .with_window_cycles(100);
-        let mut main = Tracer::new(cfg, 2);
-        let mut shard = Tracer::new(cfg, 2).with_request_base(1 << 48);
-        let mr = main.next_request();
-        main.record(ev(mr.0, Stage::TlbLookup, Track::Node(0), 0, 2));
-        let sr = shard.next_request();
-        shard.record(TraceEvent {
-            req: sr,
-            stage: Stage::TlbLookup,
-            track: Track::Node(1),
-            start: Cycle(5),
-            end: Cycle(9),
-        });
-        shard.sample(
-            Cycle(50),
-            WindowSample {
-                instructions: 3,
-                ..WindowSample::default()
-            },
-        );
-        main.absorb(&shard);
-        assert_eq!(main.recorded(), 2);
-        assert_eq!(main.retained(), 2);
-        assert_eq!(main.dropped(), 0);
-        assert_eq!(main.node_breakdown(0).total_samples(), 1);
-        assert_eq!(main.node_breakdown(1).total_samples(), 1);
-        let run = main.breakdown();
-        assert_eq!(run.stage(Stage::TlbLookup).count(), 2);
-        assert_eq!(run.stage(Stage::TlbLookup).max(), 4);
-        assert_eq!(main.series().samples()[0].instructions, 3);
-        // The shard's event arrived in the ring with its shard-range id.
-        assert!(main.events().any(|e| e.req == sr));
-        // The id counter did not move: the next main id is still 2.
-        assert_eq!(main.next_request(), RequestId(2));
-        // Absorbing into a disabled tracer is inert.
-        let mut off = Tracer::disabled();
-        off.absorb(&shard);
-        assert_eq!(off.recorded(), 0);
     }
 
     #[test]

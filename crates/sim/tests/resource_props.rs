@@ -1,9 +1,8 @@
-//! Randomized property tests for the sharded-resource substrate:
+//! Randomized property tests for the contended-resource substrate:
 //! [`Resource`], [`BankedResource`] and the fixed-capacity interval
 //! ring ([`fam_sim::timeline`]) that backs them.
 //!
-//! The parallel engine's correctness argument leans on three
-//! properties these tests pin with a deterministic LCG-driven stream
+//! Three properties, pinned with a deterministic LCG-driven stream
 //! (no external dependencies, same verdict on every host):
 //!
 //! 1. **Reference-model equivalence through ring wraparound** — a
@@ -15,12 +14,10 @@
 //!    function of the key for power-of-two (mask) and non-power-of-two
 //!    (divide) bank counts alike: a banked device replays exactly as
 //!    independent per-bank resources fed the per-bank subsequences.
-//! 3. **Merge-order invariance of per-shard reservations** — requests
+//! 3. **Merge-order invariance of per-bank reservations** — requests
 //!    to different banks commute: applying per-bank subsequences
 //!    bank-by-bank, in any bank order, yields the same service starts
 //!    and the same final timelines as the fully interleaved stream.
-//!    This is the commutation fact that lets an epoch shard own some
-//!    module timelines while the commit phase drives the rest.
 
 use fam_sim::timeline::MAX_INTERVALS;
 use fam_sim::{BankedResource, Cycle, Duration, Resource, SimRng};

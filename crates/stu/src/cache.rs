@@ -159,22 +159,6 @@ impl StuCache {
         hit
     }
 
-    /// Side-effect-free twin of [`StuCache::ifam_lookup`]: would the
-    /// coupled entry hit, without touching recency or the hit ratio?
-    /// The sharded engine's admission scan uses this to predict a
-    /// verify outcome it will only later commit to.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a DeACT organisation.
-    pub fn ifam_probe(&self, npa_page: u64) -> Option<u64> {
-        self.translation
-            .as_ref()
-            .expect("ifam_probe requires the I-FAM organisation")
-            .peek(npa_page)
-            .copied()
-    }
-
     /// I-FAM: installs a walked translation.
     ///
     /// # Panics
@@ -212,21 +196,6 @@ impl StuCache {
             .is_some();
         self.acm_stats.record(hit);
         hit
-    }
-
-    /// Side-effect-free twin of [`StuCache::acm_lookup`]: would the
-    /// ACM entry hit, without touching recency or the hit ratio?
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on the I-FAM organisation.
-    pub fn acm_probe(&self, fam_page: u64) -> bool {
-        let key = self.acm_key(fam_page);
-        self.acm
-            .as_ref()
-            .expect("acm_probe requires a DeACT organisation")
-            .peek(key)
-            .is_some()
     }
 
     /// DeACT: installs ACM after a metadata fetch. For DeACT-W this

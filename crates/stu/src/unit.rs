@@ -145,12 +145,6 @@ impl Stu {
         self.cache.config()
     }
 
-    /// Read-only access to the organisation-specific cache (admission
-    /// probes).
-    pub fn cache(&self) -> &StuCache {
-        &self.cache
-    }
-
     /// Direct access to the organisation-specific cache.
     pub fn cache_mut(&mut self) -> &mut StuCache {
         &mut self.cache

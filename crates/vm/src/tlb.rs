@@ -114,15 +114,6 @@ impl TlbHierarchy {
         (TlbHit::Miss, latency, None)
     }
 
-    /// Checks whether `vpage` is resident at either level, without
-    /// updating recency, promotion, or statistics. `probe(v).is_some()`
-    /// exactly predicts whether an immediately following
-    /// [`TlbHierarchy::lookup`] of the same `v` would hit, and the
-    /// returned PTE is the one that lookup would observe.
-    pub fn probe(&self, vpage: u64) -> Option<Pte> {
-        self.l1.peek(vpage).or_else(|| self.l2.peek(vpage)).copied()
-    }
-
     /// Installs a translation after a walk (fills both levels).
     pub fn fill(&mut self, vpage: u64, pte: Pte) {
         self.l2.insert(vpage, pte);
@@ -229,32 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_predicts_lookup_without_side_effects() {
-        let mut t = TlbHierarchy::new(TlbConfig::default());
-        assert_eq!(t.probe(1), None);
-        assert_eq!(t.stats().total(), 0, "probe records no statistics");
-        t.fill(1, pte(10));
-        assert_eq!(t.probe(1).unwrap().target_page, 10);
-        assert_eq!(t.stats().total(), 0);
-        // Exercise the L2-only path: evict 1 from a tiny L1.
-        let cfg = TlbConfig {
-            l1_entries: 2,
-            l1_ways: 2,
-            l2_entries: 8,
-            l2_ways: 8,
-            ..TlbConfig::default()
-        };
-        let mut t = TlbHierarchy::new(cfg);
-        t.fill(1, pte(1));
-        t.fill(2, pte(2));
-        t.fill(3, pte(3)); // 1 falls out of L1, stays in L2
-        let probed = t.probe(1);
-        let (hit, _, looked) = t.lookup(1);
-        assert_eq!(hit, TlbHit::L2);
-        assert_eq!(probed, looked, "probe returns what lookup observes");
-    }
-
-    #[test]
     fn invalidate_stale_matches_on_ptes_at_both_levels() {
         // Tiny L1 so entry 1 lives only in L2 — the shootdown must
         // reach both levels.
@@ -271,9 +236,9 @@ mod tests {
         t.fill(3, pte(3)); // survivor
         let removed = t.invalidate_stale(|p| p.target_page == 100);
         assert!(removed >= 2, "both doomed vpages leave ({removed} ways)");
-        assert_eq!(t.probe(1), None);
-        assert_eq!(t.probe(2), None);
-        assert_eq!(t.probe(3).unwrap().target_page, 3, "survivor untouched");
+        assert_eq!(t.lookup(1).0, TlbHit::Miss);
+        assert_eq!(t.lookup(2).0, TlbHit::Miss);
+        assert_eq!(t.lookup(3).2.unwrap().target_page, 3, "survivor untouched");
     }
 
     #[test]

@@ -166,59 +166,6 @@ impl Iterator for TraceGenerator {
     }
 }
 
-/// Phase-rotating bursty reference source for one rank: cycles
-/// through the three [`crate::burst_phases`] generators (scan →
-/// chase → dwell) every [`crate::trace::BurstConfig::phase_refs`]
-/// references, starting at phase `rank % 3` so concurrent ranks are
-/// never in lockstep. Used by [`crate::trace::synthesize_bursty`].
-#[derive(Debug, Clone)]
-pub struct BurstSynth {
-    gens: [TraceGenerator; 3],
-    phase: usize,
-    left: u64,
-    phase_refs: u64,
-    emitted: u64,
-}
-
-impl BurstSynth {
-    /// Creates the source for one rank, with per-rank per-phase
-    /// derived seeds.
-    #[must_use]
-    pub fn new(cfg: &crate::trace::BurstConfig, rank: u16, va_base: u64) -> BurstSynth {
-        let rank_seed = cfg
-            .seed
-            .wrapping_add(u64::from(rank).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let phases = crate::burst_phases();
-        let gens = std::array::from_fn(|i| {
-            TraceGenerator::new(phases[i], va_base, rank_seed ^ (i as u64 + 1))
-        });
-        BurstSynth {
-            gens,
-            phase: usize::from(rank) % 3,
-            left: cfg.phase_refs,
-            phase_refs: cfg.phase_refs,
-            emitted: 0,
-        }
-    }
-
-    /// The next reference, rotating phases on schedule.
-    pub fn next_ref(&mut self) -> MemRef {
-        if self.left == 0 {
-            self.phase = (self.phase + 1) % 3;
-            self.left = self.phase_refs;
-        }
-        self.left -= 1;
-        self.emitted += 1;
-        self.gens[self.phase].next_ref()
-    }
-
-    /// References emitted so far.
-    #[must_use]
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

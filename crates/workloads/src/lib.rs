@@ -32,8 +32,8 @@ mod profiles;
 pub mod trace;
 
 pub use batch::RefBatch;
-pub use generator::{BurstSynth, MemRef, TraceGenerator};
-pub use profiles::{burst_phases, table3, Suite, Workload};
+pub use generator::{MemRef, TraceGenerator};
+pub use profiles::{table3, Suite, Workload};
 pub use trace::{RefStream, StreamedReplay, TraceReader, TraceReplay, TraceWriter};
 
 /// Base virtual address of the synthetic heap every generator walks.

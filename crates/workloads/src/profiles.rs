@@ -346,71 +346,6 @@ pub fn table3() -> Vec<Workload> {
     ]
 }
 
-/// The three phase profiles the bursty trace synthesizer rotates
-/// through ([`crate::BurstSynth`]): a streaming scan (long sequential
-/// runs sweeping a large footprint), a pointer-chase burst (dependent
-/// single-line visits over a flat huge footprint — translation-hostile
-/// and FAM-latency-bound), and a hot-set dwell (almost every reference
-/// lands in a few dozen pages — TLB- and LLC-resident, node-local).
-/// These are not Table III benchmarks ([`Workload::by_name`] does not
-/// find them); they model the *intra-benchmark* phase behavior real
-/// GAP/SPEC streams show and lockstep synthetics do not.
-pub fn burst_phases() -> [Workload; 3] {
-    [
-        Workload {
-            name: "burst-scan",
-            suite: Suite::Gap,
-            paper_mpki: 0,
-            footprint_pages: 16384,
-            hot_fraction: 0.02,
-            hot_pages: 32,
-            warm_fraction: 0.03,
-            warm_pages: 64,
-            shared_fraction: 0.0,
-            shared_pages: 0,
-            seq_run: 48,
-            stride_pages: 1,
-            dep_fraction: 0.02,
-            write_fraction: 0.30,
-            refs_per_kilo_instr: 120,
-        },
-        Workload {
-            name: "burst-chase",
-            suite: Suite::Gap,
-            paper_mpki: 0,
-            footprint_pages: 32768,
-            hot_fraction: 0.05,
-            hot_pages: 64,
-            warm_fraction: 0.10,
-            warm_pages: 512,
-            shared_fraction: 0.0,
-            shared_pages: 0,
-            seq_run: 1,
-            stride_pages: 1,
-            dep_fraction: 0.85,
-            write_fraction: 0.05,
-            refs_per_kilo_instr: 200,
-        },
-        Workload {
-            name: "burst-dwell",
-            suite: Suite::Gap,
-            paper_mpki: 0,
-            footprint_pages: 4096,
-            hot_fraction: 0.92,
-            hot_pages: 48,
-            warm_fraction: 0.05,
-            warm_pages: 128,
-            shared_fraction: 0.0,
-            shared_pages: 0,
-            seq_run: 8,
-            stride_pages: 1,
-            dep_fraction: 0.10,
-            write_fraction: 0.25,
-            refs_per_kilo_instr: 150,
-        },
-    ]
-}
-
 impl Workload {
     /// Finds a Table III workload by its figure name.
     pub fn by_name(name: &str) -> Option<Workload> {

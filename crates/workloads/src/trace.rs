@@ -20,9 +20,8 @@
 //! (`node * cores_per_node + core`), so one file drives an N-node
 //! system: each core replays exactly the records carrying its rank,
 //! in file order. Records for different ranks may be interleaved
-//! arbitrarily; [`record_streams`] and [`synthesize_bursty`] write
-//! them round-robin so every per-rank subsequence is in program
-//! order.
+//! arbitrarily; [`record_streams`] writes them round-robin so every
+//! per-rank subsequence is in program order.
 //!
 //! # Readers
 //!
@@ -38,7 +37,7 @@ use std::path::{Path, PathBuf};
 
 use fam_vm::VirtAddr;
 
-use crate::{BurstSynth, MemRef, TraceGenerator, VA_BASE};
+use crate::{MemRef, TraceGenerator};
 
 /// File magic.
 const MAGIC: &[u8; 4] = b"FAMT";
@@ -875,86 +874,10 @@ pub fn replay_streams(
         .collect()
 }
 
-/// Knobs for the bursty phase-structured trace synthesizer.
-///
-/// Real GAP/SPEC address streams are not stationary: they alternate
-/// streaming scans, pointer-chase bursts, and dwell periods in a hot
-/// working set. [`BurstSynth`] rotates through the three
-/// [`crate::burst_phases`] profiles every `phase_refs` references,
-/// with each rank's rotation offset by `rank % 3` — so at any instant
-/// some ranks are FAM-latency-bound (chase) while others run
-/// cache-local (dwell), the asymmetry that lets the sharded engine's
-/// epoch leader hold the front for many consecutive FAM references.
-#[derive(Debug, Clone, Copy)]
-pub struct BurstConfig {
-    /// References per phase before rotating to the next.
-    pub phase_refs: u64,
-    /// Base RNG seed; each rank and phase derives its own.
-    pub seed: u64,
-}
-
-impl BurstConfig {
-    /// Default knobs (512-ref phases) with the given seed.
-    #[must_use]
-    pub fn new(seed: u64) -> BurstConfig {
-        BurstConfig {
-            phase_refs: 512,
-            seed,
-        }
-    }
-
-    /// Overrides the phase length.
-    #[must_use]
-    pub fn with_phase_refs(mut self, phase_refs: u64) -> BurstConfig {
-        self.phase_refs = phase_refs.max(1);
-        self
-    }
-}
-
-/// Synthesizes a bursty phase-structured v2 trace for a
-/// `nodes × cores_per_node` topology: `refs_per_rank` references per
-/// rank, interleaved round-robin. Returns the total record count.
-///
-/// # Errors
-///
-/// `InvalidInput` for a degenerate topology (zero or >65536 ranks);
-/// writer errors otherwise.
-pub fn synthesize_bursty<W: Write>(
-    w: W,
-    cfg: &BurstConfig,
-    nodes: usize,
-    cores_per_node: usize,
-    refs_per_rank: u64,
-) -> io::Result<u64> {
-    let ranks = nodes * cores_per_node;
-    if ranks == 0 || ranks > usize::from(u16::MAX) + 1 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("rank count {ranks} not in 1..=65536"),
-        ));
-    }
-    let mut synths: Vec<BurstSynth> = (0..ranks)
-        .map(|r| {
-            let va_base = VA_BASE + (((r % cores_per_node) as u64) << 40);
-            BurstSynth::new(cfg, r as u16, va_base)
-        })
-        .collect();
-    let mut tw = TraceWriter::v2(w, ranks as u16, refs_per_rank * ranks as u64)?;
-    for _ in 0..refs_per_rank {
-        for (r, s) in synths.iter_mut().enumerate() {
-            tw.push(&TraceRecord {
-                rank: r as u16,
-                mem: s.next_ref(),
-            })?;
-        }
-    }
-    tw.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Workload;
+    use crate::{Workload, VA_BASE};
 
     fn sample_refs(n: usize) -> Vec<MemRef> {
         Workload::by_name("mcf").unwrap().generator(3).take_refs(n)
@@ -1168,21 +1091,6 @@ mod tests {
             }
         }
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn bursty_synthesizer_is_deterministic_and_staggered() {
-        let cfg = BurstConfig::new(9).with_phase_refs(16);
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        synthesize_bursty(&mut a, &cfg, 2, 2, 64).unwrap();
-        synthesize_bursty(&mut b, &cfg, 2, 2, 64).unwrap();
-        assert_eq!(a, b);
-        let records = read_records(a.as_slice()).unwrap();
-        assert_eq!(records.len(), 256);
-        // Ranks staggered by rank % 3 start in different phases, so
-        // their first references differ.
-        assert_ne!(records[0].mem, records[1].mem);
     }
 
     #[test]

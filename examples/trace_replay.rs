@@ -39,13 +39,13 @@ fn main() {
     // 2. Replay from disk through the full DeACT-N system. The file is
     //    streamed through a bounded chunk buffer — memory use does not
     //    grow with trace length — and the report is bit-identical to
-    //    the live synthetic run on every engine and thread count.
+    //    the live synthetic run.
     let replayed = System::with_streams(
         cfg,
         "dc",
         trace::replay_streams(&path, cfg.nodes, cfg.cores_per_node).expect("open trace"),
     )
-    .try_run_parallel(2)
+    .try_run()
     .expect("replayed run completes");
     let synthetic = System::new(cfg, &workload).run();
     println!(

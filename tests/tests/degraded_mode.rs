@@ -18,9 +18,11 @@
 //!    untouched — recovery changes timing, never the work performed.
 //! 4. Arming a persistent fault that never strikes is free: the report
 //!    is bit-identical to one without it.
+//! 5. Recovery is deterministic: the heap scheduler and the reference
+//!    scan produce the same degraded report, traced or not.
 
 use deact::{run_benchmark, try_run_benchmark, Scheme, SimError, System, SystemConfig};
-use fam_sim::{FaultConfig, PersistentFault};
+use fam_sim::{FaultConfig, PersistentFault, TraceConfig};
 use fam_workloads::Workload;
 
 /// Two nodes over two FAM modules: killing module 1 leaves a survivor
@@ -134,8 +136,7 @@ fn replayed_trace_survives_node_death_like_the_synthetic_run() {
     // stream only (faults strike at FAM-op ordinals, orthogonal to
     // where the refs come from), so a replayed trace under
     // `--kill-node` must reproduce the synthetic chaos run bit for
-    // bit — DegradationReport included — on the sequential and
-    // sharded engines alike.
+    // bit — DegradationReport included.
     let cfg = chaos(Scheme::DeactN).with_fault_injection(FaultConfig::persistent_only(
         11,
         PersistentFault::NodeDead { module: 1 },
@@ -151,17 +152,15 @@ fn replayed_trace_survives_node_death_like_the_synthetic_run() {
     )
     .unwrap();
     let synthetic = run_benchmark("sssp", cfg);
-    for threads in [1usize, 2] {
-        let streams =
-            fam_workloads::trace::replay_streams(&path, cfg.nodes, cfg.cores_per_node).unwrap();
-        let replayed = System::with_streams(cfg, "sssp", streams)
-            .try_run_parallel(threads)
-            .expect("replayed chaos run completes degraded");
-        assert_eq!(
-            replayed, synthetic,
-            "{threads}t: replayed chaos run diverged from synthetic"
-        );
-    }
+    let streams =
+        fam_workloads::trace::replay_streams(&path, cfg.nodes, cfg.cores_per_node).unwrap();
+    let replayed = System::with_streams(cfg, "sssp", streams)
+        .try_run()
+        .expect("replayed chaos run completes degraded");
+    assert_eq!(
+        replayed, synthetic,
+        "replayed chaos run diverged from synthetic"
+    );
     let d = &synthetic.degradation;
     assert!(!d.is_zero() && d.pages_quarantined > 0 && d.pages_lost > 0);
     std::fs::remove_file(&path).ok();
@@ -186,5 +185,46 @@ fn armed_but_unstruck_persistent_fault_is_free() {
             baseline, armed,
             "{scheme}: an armed-but-unstruck fault must cost nothing"
         );
+    }
+}
+
+#[test]
+fn persistent_faults_are_scheduler_and_tracing_invariant() {
+    // A permanent failure mid-run — retry-budget burn, broker
+    // evacuation, table rewrites, broadcast shootdown, degraded-mode
+    // poisoning — on top of transient faults yields the same report,
+    // bit for bit, from the heap scheduler and the reference scan, and
+    // the same DegradationReport whether or not the tracer watched.
+    for fault in [
+        PersistentFault::NodeDead { module: 1 },
+        PersistentFault::LinkSevered { module: 1 },
+        PersistentFault::MediaFailed {
+            first_page: 0,
+            pages: 256,
+        },
+    ] {
+        for scheme in [Scheme::EFam, Scheme::DeactN] {
+            let cfg = chaos(scheme)
+                .with_refs_per_core(2_000)
+                .with_seed(31)
+                .with_fault_injection(FaultConfig::transient(7).with_persistent(fault, 400));
+            let w = Workload::by_name("sssp").unwrap();
+            let heap = System::new(cfg, &w).try_run().expect("heap scheduler run");
+            assert!(
+                !heap.degradation.is_zero(),
+                "{fault:?}/{scheme}: the persistent fault never struck"
+            );
+            let scan = System::new(cfg, &w)
+                .try_run_scan()
+                .expect("reference scan run");
+            assert_eq!(heap, scan, "{fault:?}/{scheme}: schedulers diverge");
+            let traced = System::new(cfg.with_trace(TraceConfig::full()), &w)
+                .try_run()
+                .expect("traced run");
+            assert_eq!(
+                heap.degradation, traced.degradation,
+                "{fault:?}/{scheme}: tracing changed the degradation report"
+            );
+        }
     }
 }

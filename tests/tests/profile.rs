@@ -5,8 +5,8 @@
 //! a stronger mechanism: it reads only the host clock
 //! (`std::time::Instant`), never the simulated one, so a profiled run
 //! is bit-identical to an unprofiled run *by construction*, not by
-//! care. These tests prove that across every engine, with tracing and
-//! fault injection layered on, and also exercise the end-of-run
+//! care. These tests prove that with tracing and fault injection
+//! layered on, and also exercise the end-of-run
 //! conservation audit and metrics registry on real runs.
 //!
 //! The profiler's enable switch is process-global and `report()`
@@ -37,26 +37,18 @@ fn base(scheme: Scheme) -> SystemConfig {
         .with_seed(0x9F0F)
 }
 
-/// Runs `cfg` under the named engine.
-fn run_engine(cfg: SystemConfig, engine: &str) -> RunReport {
+fn run(cfg: SystemConfig) -> RunReport {
     let w = Workload::by_name("astar").expect("table3 benchmark");
-    let mut sys = System::new(cfg, &w);
-    match engine {
-        "fast" => sys.try_run(),
-        "exact" => sys.try_run_exact(),
-        "parallel" => sys.try_run_parallel(2),
-        _ => unreachable!(),
-    }
-    .expect("run completes")
+    System::new(cfg, &w).try_run().expect("run completes")
 }
 
-/// The whole differential matrix in one test: engines × tracing ×
-/// fault injection, profiler off vs. on. The *only* permitted
+/// The whole differential matrix in one test: tracing × fault
+/// injection × scheme, profiler off vs. on. The *only* permitted
 /// difference is the profile block itself (excluded from
 /// `RunReport`'s `PartialEq`, like the latency block) — and the
 /// equality assertion below would catch any simulated-time drift.
 #[test]
-fn profiled_runs_are_bit_identical_across_engines_tracing_and_faults() {
+fn profiled_runs_are_bit_identical_across_tracing_and_faults() {
     let _guard = serialized();
     let variants: Vec<(&str, SystemConfig)> = vec![
         ("plain", base(Scheme::DeactN)),
@@ -70,29 +62,24 @@ fn profiled_runs_are_bit_identical_across_engines_tracing_and_faults() {
         ),
         ("efam", base(Scheme::EFam)),
     ];
-    for engine in ["fast", "exact", "parallel"] {
-        for (name, cfg) in &variants {
-            let off = run_engine(*cfg, engine);
-            assert!(
-                off.profile.is_empty(),
-                "{engine}/{name}: disabled profiler must leave the report empty"
-            );
-            profile::set_enabled(true);
-            let on = run_engine(*cfg, engine);
-            profile::set_enabled(false);
-            assert!(
-                !on.profile.is_empty(),
-                "{engine}/{name}: enabled profiler must capture spans"
-            );
-            assert!(
-                on.profile.total_self_ns() > 0,
-                "{engine}/{name}: captured spans must carry host time"
-            );
-            assert_eq!(
-                off, on,
-                "{engine}/{name}: profiling must not perturb the simulation"
-            );
-        }
+    for (name, cfg) in &variants {
+        let off = run(*cfg);
+        assert!(
+            off.profile.is_empty(),
+            "{name}: disabled profiler must leave the report empty"
+        );
+        profile::set_enabled(true);
+        let on = run(*cfg);
+        profile::set_enabled(false);
+        assert!(
+            !on.profile.is_empty(),
+            "{name}: enabled profiler must capture spans"
+        );
+        assert!(
+            on.profile.total_self_ns() > 0,
+            "{name}: captured spans must carry host time"
+        );
+        assert_eq!(off, on, "{name}: profiling must not perturb the simulation");
     }
     // Leftover spans from the final enabled run must not leak into a
     // later take: the report is attached at `report()` time.
@@ -129,7 +116,7 @@ fn folded_stack_lines_are_well_formed() {
 }
 
 /// The conservation audit holds on a multi-node, multi-module,
-/// multi-scheme smoke of the figure-suite shape, on both engines.
+/// multi-scheme smoke of the figure-suite shape.
 #[test]
 fn conservation_audit_passes_on_figure_suite_smoke() {
     let _guard = serialized();
@@ -142,7 +129,7 @@ fn conservation_audit_passes_on_figure_suite_smoke() {
             .with_seed(0xF16);
         let w = Workload::by_name("sssp").expect("table3 benchmark");
         let mut sys = System::new(cfg, &w);
-        sys.try_run_parallel(2).expect("run completes");
+        sys.try_run().expect("run completes");
         let audit = sys.audit();
         assert!(audit.passed(), "{scheme}: {audit}");
         assert_eq!(

@@ -1,10 +1,9 @@
-//! Trace replay is a first-class citizen of every engine.
+//! Trace replay is a first-class reference source.
 //!
-//! The differential matrix pins the tentpole contract: `record` →
-//! `replay` through a FAMT v2 file on disk produces a [`RunReport`]
-//! bit-identical to the live synthetic run, on the fast-path, exact,
-//! and sharded-parallel engines, at 1/2/4 threads, tracing on and
-//! off, for every Table III workload. The property and corpus tests
+//! The differential tests pin the core contract: `record` → `replay`
+//! through a FAMT v2 file on disk produces a [`RunReport`]
+//! bit-identical to the live synthetic run, tracing on and off, for
+//! every Table III workload. The property and corpus tests
 //! pin the streamed [`fam_workloads::TraceReader`] against the
 //! one-shot decoder through randomized chunk sizes and a malformed-
 //! input corpus.
@@ -17,8 +16,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use deact::{RunReport, Scheme, System, SystemConfig};
 use fam_sim::{SimRng, TraceConfig};
 use fam_workloads::trace::{
-    read_records, read_trace, record_streams, replay_streams, synthesize_bursty, write_trace,
-    write_trace_v2, BurstConfig, TraceRecord,
+    read_records, read_trace, record_streams, replay_streams, write_trace, write_trace_v2,
+    TraceRecord,
 };
 use fam_workloads::{table3, MemRef, StreamedReplay, TraceReader, Workload};
 
@@ -57,27 +56,18 @@ fn replayed_system(cfg: SystemConfig, label: &str, path: &PathBuf) -> System {
     System::with_streams(cfg, label, streams)
 }
 
-/// Every engine × thread count on the replayed trace must reproduce
-/// the live exact run bit for bit.
-fn assert_replay_matrix(cfg: SystemConfig, w: &Workload, path: &PathBuf, label: &str) -> RunReport {
-    let live = System::new(cfg, w).try_run_exact().expect("live exact run");
-    let exact = replayed_system(cfg, w.name, path)
-        .try_run_exact()
-        .expect("replayed exact run");
-    assert_eq!(exact, live, "{label}: replayed exact diverged from live");
-    let fast = replayed_system(cfg, w.name, path)
+/// The replayed trace must reproduce the live run bit for bit.
+fn assert_replay_matches_live(
+    cfg: SystemConfig,
+    w: &Workload,
+    path: &PathBuf,
+    label: &str,
+) -> RunReport {
+    let live = System::new(cfg, w).try_run().expect("live run");
+    let replayed = replayed_system(cfg, w.name, path)
         .try_run()
-        .expect("replayed fast-path run");
-    assert_eq!(fast, live, "{label}: replayed fast path diverged from live");
-    for threads in [1usize, 2, 4] {
-        let par = replayed_system(cfg, w.name, path)
-            .try_run_parallel(threads)
-            .expect("replayed parallel run");
-        assert_eq!(
-            par, live,
-            "{label}/{threads}t: replayed parallel diverged from live"
-        );
-    }
+        .expect("replayed run");
+    assert_eq!(replayed, live, "{label}: replayed run diverged from live");
     live
 }
 
@@ -87,8 +77,8 @@ fn record_then_replay_is_bit_identical_for_every_workload() {
     let total_refs = cfg.refs_per_core * (cfg.nodes * cfg.cores_per_node) as u64;
     for w in table3() {
         let path = record_to_file(&cfg, &w, w.name);
-        let report = assert_replay_matrix(cfg, &w, &path, w.name);
-        // Non-vacuity: the matrix must compare real runs, not empty
+        let report = assert_replay_matches_live(cfg, &w, &path, w.name);
+        // Non-vacuity: the test must compare real runs, not empty
         // ones.
         assert_eq!(report.refs_per_core, cfg.refs_per_core, "{}", w.name);
         assert!(report.instructions >= total_refs, "{}", w.name);
@@ -107,7 +97,7 @@ fn record_then_replay_is_bit_identical_with_tracing() {
         Workload::by_name("mcf").unwrap(),
     ] {
         let path = record_to_file(&cfg, &w, &format!("traced-{}", w.name));
-        let report = assert_replay_matrix(cfg, &w, &path, &format!("traced {}", w.name));
+        let report = assert_replay_matches_live(cfg, &w, &path, &format!("traced {}", w.name));
         assert!(
             !report.latency.is_empty(),
             "{}: tracing was supposed to be on",
@@ -126,7 +116,7 @@ fn replay_matches_across_schemes() {
     for scheme in Scheme::ALL {
         let cfg = base_cfg().with_scheme(scheme);
         let path = record_to_file(&cfg, &w, &format!("scheme-{scheme}"));
-        assert_replay_matrix(cfg, &w, &path, &format!("astar {scheme}"));
+        assert_replay_matches_live(cfg, &w, &path, &format!("astar {scheme}"));
         std::fs::remove_file(&path).ok();
     }
 }
@@ -134,21 +124,17 @@ fn replay_matches_across_schemes() {
 #[test]
 fn replay_runs_longer_than_the_trace_by_wrapping() {
     // Record 100 refs/core, replay 400: the file wraps like looping a
-    // kernel, deterministically across engines.
+    // kernel, deterministically under both schedulers.
     let w = Workload::by_name("sssp").unwrap();
     let record_cfg = base_cfg().with_refs_per_core(100);
     let path = record_to_file(&record_cfg, &w, "wrap");
     let long_cfg = base_cfg().with_refs_per_core(400);
-    let exact = replayed_system(long_cfg, "sssp", &path)
-        .try_run_exact()
-        .expect("wrapped exact run");
-    let fast = replayed_system(long_cfg, "sssp", &path)
-        .try_run()
-        .expect("wrapped fast run");
-    assert_eq!(fast, exact);
+    let scan = replayed_system(long_cfg, "sssp", &path)
+        .try_run_scan()
+        .expect("wrapped reference-scan run");
     let mut system = replayed_system(long_cfg, "sssp", &path);
-    let par = system.try_run_parallel(2).expect("wrapped parallel run");
-    assert_eq!(par, exact);
+    let heap = system.try_run().expect("wrapped run");
+    assert_eq!(heap, scan);
     // Each core consumed its 100-record rank slice at least 4 times.
     let metrics = system.metrics();
     let wraps: u64 = (0..long_cfg.nodes)
@@ -162,39 +148,6 @@ fn replay_runs_longer_than_the_trace_by_wrapping() {
         wraps >= 3 * (long_cfg.nodes * long_cfg.cores_per_node) as u64,
         "expected every core to wrap, saw {wraps} wraps"
     );
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn bursty_synthesized_trace_replays_bit_identically() {
-    // The bursty synthesizer's output is a normal v2 trace: the full
-    // engine matrix must agree on it too (here live == replayed is
-    // vacuous, so compare engines against the replayed exact run).
-    let cfg = base_cfg().with_refs_per_core(300);
-    let path = temp_trace("bursty");
-    let burst = BurstConfig::new(31).with_phase_refs(64);
-    synthesize_bursty(
-        BufWriter::new(File::create(&path).expect("temp trace file")),
-        &burst,
-        cfg.nodes,
-        cfg.cores_per_node,
-        cfg.refs_per_core,
-    )
-    .expect("synthesize bursty trace");
-    let exact = replayed_system(cfg, "bursty", &path)
-        .try_run_exact()
-        .expect("bursty exact run");
-    let fast = replayed_system(cfg, "bursty", &path)
-        .try_run()
-        .expect("bursty fast run");
-    assert_eq!(fast, exact);
-    for threads in [2usize, 4] {
-        let par = replayed_system(cfg, "bursty", &path)
-            .try_run_parallel(threads)
-            .expect("bursty parallel run");
-        assert_eq!(par, exact, "bursty/{threads}t");
-    }
-    assert!(exact.cycles > 0);
     std::fs::remove_file(&path).ok();
 }
 
