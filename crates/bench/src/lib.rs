@@ -17,15 +17,14 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
-use std::sync::{mpsc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 use deact::{RunReport, Scheme, SystemConfig};
-use fam_sim::{default_jobs, Stage, ThreadPool, TraceConfig};
+use fam_sim::{default_jobs, scoped_map, Stage, TraceConfig};
 use fam_workloads::{table3, Workload};
 
 pub mod diff;
 pub mod figs;
-pub mod json;
 pub mod paper;
 
 /// The benchmark roster in the paper's figure order.
@@ -33,11 +32,13 @@ pub fn benchmarks() -> Vec<&'static str> {
     table3().iter().map(|w| w.name).collect()
 }
 
-/// References per core from `DEACT_REFS`, defaulting to `default`.
+/// References per core from `DEACT_REFS`, defaulting to `default` when
+/// unset, unparsable or `0` (as `DEACT_JOBS=0` is for the worker count).
 pub fn refs_from_env(default: u64) -> u64 {
     std::env::var("DEACT_REFS")
         .ok()
         .and_then(|v| v.parse().ok())
+        .filter(|&n| n > 0)
         .unwrap_or(default)
 }
 
@@ -88,8 +89,8 @@ fn matrix_cache() -> &'static Mutex<HashMap<CacheKey, RunReport>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Runs every `(benchmark, scheme)` pair of the matrix across the
-/// bounded worker pool and collects the reports. Worker count comes
+/// Runs every `(benchmark, scheme)` pair of the matrix on
+/// [`scoped_map`] workers and collects the reports. Worker count comes
 /// from [`fam_sim::default_jobs`] (`DEACT_JOBS`, else available
 /// parallelism); repeated runs of the same configuration in one
 /// process are served from the memoized cache.
@@ -135,31 +136,10 @@ pub fn run_matrix_opts(
     if todo.is_empty() {
         return matrix;
     }
-    let concurrent = if jobs <= 1 || todo.len() == 1 {
-        1
-    } else {
-        jobs.min(todo.len())
-    };
-    let results: Vec<((String, Scheme), RunReport)> = if concurrent <= 1 {
-        todo.iter()
-            .map(|(b, s)| ((b.clone(), *s), run_one(b, *s, cfg)))
-            .collect()
-    } else {
-        let pool = ThreadPool::new(concurrent);
-        let (tx, rx) = mpsc::channel();
-        for (b, s) in &todo {
-            let tx = tx.clone();
-            let (b, s) = (b.clone(), *s);
-            pool.execute(move || {
-                let report = run_one(&b, s, cfg);
-                let _ = tx.send(((b, s), report));
-            });
-        }
-        drop(tx);
-        let collected: Vec<_> = rx.iter().collect();
-        assert_eq!(collected.len(), todo.len(), "benchmark worker panicked");
-        collected
-    };
+    let results = scoped_map(jobs, todo.len(), |i| {
+        let (b, s) = &todo[i];
+        ((b.clone(), *s), run_one(b, *s, cfg))
+    });
     if use_cache {
         let mut cache = matrix_cache().lock().expect("run cache poisoned");
         for ((b, s), report) in &results {
@@ -404,6 +384,9 @@ mod tests {
     fn refs_env_fallback() {
         std::env::remove_var("DEACT_REFS");
         assert_eq!(refs_from_env(123), 123);
+        std::env::set_var("DEACT_REFS", "0");
+        assert_eq!(refs_from_env(123), 123, "0 refs must read as unset");
+        std::env::remove_var("DEACT_REFS");
     }
 
     #[test]

@@ -249,9 +249,17 @@ fn apply_flags(mut cfg: SystemConfig, args: &[String]) -> Option<SystemConfig> {
             _ => return None,
         };
     }
-    // Catch an out-of-range `--kill-node` here, where both flags are
-    // known, so the user gets a one-line error instead of the config
-    // validator's panic.
+    // Catch a `--stu-entries` that does not fill whole STU sets and an
+    // out-of-range `--kill-node` here, where every flag is known, so
+    // the user gets a one-line error instead of the config validator's
+    // panic.
+    if !cfg.stu_entries.is_multiple_of(cfg.stu_ways) {
+        eprintln!(
+            "deact-sim: --stu-entries {} must be a multiple of the {} STU ways",
+            cfg.stu_entries, cfg.stu_ways
+        );
+        return None;
+    }
     if let Some(schedule) = cfg.fault_injection.persistent {
         if let Some(module) = schedule.fault.module() {
             if module >= cfg.fam_modules {
@@ -713,8 +721,17 @@ mod tests {
         for flag in ["--refs", "--nodes", "--fam-modules", "--stu-entries"] {
             let cfg = apply_flags(SystemConfig::paper_default(), &flags(&[flag, "0"]));
             assert!(cfg.is_none(), "{flag} 0 must be rejected");
-            let cfg = apply_flags(SystemConfig::paper_default(), &flags(&[flag, "1"]));
-            assert!(cfg.is_some(), "{flag} 1 is a valid count");
+            let cfg = apply_flags(SystemConfig::paper_default(), &flags(&[flag, "8"]));
+            assert!(cfg.is_some(), "{flag} 8 is a valid count");
         }
+    }
+
+    #[test]
+    fn stu_entries_must_fill_whole_sets() {
+        // The paper's STU is 8-way: 12 entries leave a partial set.
+        let cfg =
+            |n: &str| apply_flags(SystemConfig::paper_default(), &flags(&["--stu-entries", n]));
+        assert!(cfg("12").is_none());
+        assert!(cfg("16").is_some());
     }
 }

@@ -48,17 +48,6 @@ impl FamTraffic {
             self.at_total() as f64 * 100.0 / self.total() as f64
         }
     }
-
-    /// Accumulates another traffic record.
-    pub fn merge(&mut self, other: &FamTraffic) {
-        self.data_reads += other.data_reads;
-        self.data_writes += other.data_writes;
-        self.writebacks += other.writebacks;
-        self.at_pte_reads += other.at_pte_reads;
-        self.at_walk_reads += other.at_walk_reads;
-        self.at_acm_reads += other.at_acm_reads;
-        self.at_bitmap_reads += other.at_bitmap_reads;
-    }
 }
 
 /// Graceful-degradation accounting: what the fault injector threw at
@@ -129,24 +118,6 @@ impl FaultRecovery {
     /// injector invariant).
     pub fn is_zero(&self) -> bool {
         *self == FaultRecovery::default()
-    }
-
-    /// Accumulates another recovery record.
-    pub fn merge(&mut self, other: &FaultRecovery) {
-        self.injected_drops += other.injected_drops;
-        self.injected_corruptions += other.injected_corruptions;
-        self.injected_stale += other.injected_stale;
-        self.injected_stu_stalls += other.injected_stu_stalls;
-        self.timeouts += other.timeouts;
-        self.nacks_corrupt += other.nacks_corrupt;
-        self.nacks_stale += other.nacks_stale;
-        self.nacks_unreachable += other.nacks_unreachable;
-        self.retries += other.retries;
-        self.backoff_cycles += other.backoff_cycles;
-        self.link_down_wait_cycles += other.link_down_wait_cycles;
-        self.stu_stall_cycles += other.stu_stall_cycles;
-        self.recovered += other.recovered;
-        self.fatal += other.fatal;
     }
 }
 
@@ -422,14 +393,6 @@ mod tests {
         assert_eq!(FamTraffic::default().at_percent(), 0.0);
     }
 
-    #[test]
-    fn merge_accumulates() {
-        let mut a = traffic();
-        a.merge(&traffic());
-        assert_eq!(a.total(), 200);
-        assert_eq!(a.at_walk_reads, 6);
-    }
-
     fn report(ipc: f64) -> RunReport {
         RunReport {
             scheme: Scheme::EFam,
@@ -510,8 +473,8 @@ mod tests {
     }
 
     #[test]
-    fn recovery_rate_and_merge() {
-        let mut a = FaultRecovery {
+    fn recovery_rate_and_totals() {
+        let a = FaultRecovery {
             injected_drops: 3,
             injected_corruptions: 2,
             retries: 5,
@@ -523,9 +486,5 @@ mod tests {
         assert_eq!(a.injected_total(), 5);
         assert!((a.recovery_rate() - 0.8).abs() < 1e-12);
         assert!(!a.is_zero());
-        a.merge(&a.clone());
-        assert_eq!(a.retries, 10);
-        assert_eq!(a.backoff_cycles, 1800);
-        assert_eq!(a.recovered, 8);
     }
 }

@@ -1,6 +1,7 @@
 //! The full-system model and simulation driver.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use fam_broker::{AccessKind, BrokerConfig, MemoryBroker, PageRelocation, Quarantine};
 use fam_fabric::packet::{Packet, PacketKind, RESPONSE_BYTES};
@@ -8,8 +9,8 @@ use fam_fabric::Fabric;
 use fam_mem::{MemOpKind, NvmModel};
 use fam_sim::profile::{self, PhaseId};
 use fam_sim::{
-    Cycle, Duration, FabricFault, FaultInjector, FreeList, IndexedMinHeap, PersistentFault,
-    RequestId, Stage, TraceEvent, Tracer, Track, WindowSample,
+    Cycle, Duration, FabricFault, FaultInjector, FreeList, PersistentFault, RequestId, Stage,
+    Tracer, Track, WindowSample,
 };
 use fam_stu::Stu;
 use fam_vm::{NodeId, Pte, VirtAddr, WalkAccess, PAGE_BYTES};
@@ -240,11 +241,6 @@ impl System {
         &self.config
     }
 
-    /// The memory broker (for inspection and shared-segment setup).
-    pub fn broker_mut(&mut self) -> &mut MemoryBroker {
-        &mut self.broker
-    }
-
     /// The per-node STUs (empty for E-FAM).
     pub fn stus(&self) -> &[Stu] {
         &self.stus
@@ -253,22 +249,6 @@ impl System {
     /// The tracer (events, latency breakdowns, windowed time series).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// One-line summary of contention internals, for diagnostics.
-    pub fn contention_summary(&self) -> String {
-        format!(
-            "nvm_stalls={} nvm_reads={} nvm_writes={} fabric_traversals={} core_stalls={:?}",
-            self.nvm.iter().map(NvmModel::admission_stalls).sum::<u64>(),
-            self.nvm.iter().map(NvmModel::reads).sum::<u64>(),
-            self.nvm.iter().map(NvmModel::writes).sum::<u64>(),
-            self.fabric.traversals(),
-            self.nodes[0]
-                .cores
-                .iter()
-                .map(|c| c.window.stalls())
-                .collect::<Vec<_>>()
-        )
     }
 
     /// Runs every core to `refs_per_core` references and reports.
@@ -284,9 +264,9 @@ impl System {
     /// Runs every core to `refs_per_core` references and reports,
     /// surfacing failures as a typed [`SimError`] instead of a panic.
     ///
-    /// The engine is an event-driven scheduler: an indexed min-heap
-    /// keyed on `(ready_cycle, slot)` (`slot = node * cores_per_node +
-    /// core`), one pop plus one re-insert per reference. Executing in
+    /// The engine is an event-driven scheduler: a binary min-heap of
+    /// `(ready_cycle, slot)` keys (`slot = node * cores_per_node +
+    /// core`), one pop plus one push per reference. Executing in
     /// ready order keeps every shared-resource timeline advancing in
     /// time order (out-of-order processing would let a far-future
     /// request push a resource's timeline past everyone else's
@@ -296,7 +276,8 @@ impl System {
     /// window, so only the core that just executed needs re-keying:
     /// this engine and [`System::try_run_scan`] execute the same
     /// references in the same order and their reports are
-    /// bit-identical.
+    /// bit-identical. Keys are unique (one entry per slot), so the pop
+    /// order is fully determined by the keys alone.
     ///
     /// # Errors
     ///
@@ -305,14 +286,13 @@ impl System {
     pub fn try_run(&mut self) -> Result<RunReport, SimError> {
         let refs = self.config.refs_per_core;
         let cores_per_node = self.config.cores_per_node;
-        let mut ready_queue: IndexedMinHeap<(Cycle, usize)> =
-            IndexedMinHeap::new(self.nodes.len() * cores_per_node);
+        let mut ready_queue = BinaryHeap::with_capacity(self.nodes.len() * cores_per_node);
         for n in 0..self.nodes.len() {
             for c in 0..self.nodes[n].cores.len() {
                 if self.nodes[n].cores[c].refs_done < refs {
                     self.stage_ref(n, c);
                     let slot = n * cores_per_node + c;
-                    ready_queue.insert(slot, (self.staged_ready(n, c), slot));
+                    ready_queue.push(Reverse((self.staged_ready(n, c), slot)));
                 }
             }
         }
@@ -321,12 +301,14 @@ impl System {
                 let _prof = profile::span(PhaseId::SchedPop);
                 ready_queue.pop()
             };
-            let Some((slot, _)) = popped else { break };
+            let Some(Reverse((_, slot))) = popped else {
+                break;
+            };
             let (n, c) = (slot / cores_per_node, slot % cores_per_node);
             self.sim_ref(n, c)?;
             if self.nodes[n].cores[c].refs_done < refs {
                 self.stage_ref(n, c);
-                ready_queue.insert(slot, (self.staged_ready(n, c), slot));
+                ready_queue.push(Reverse((self.staged_ready(n, c), slot)));
             }
         }
         Ok(self.report())
@@ -522,15 +504,8 @@ impl System {
         let (_, tlb_latency, hit) = self.nodes[n].cores[c].tlb.lookup(vpage);
         let start = t;
         let mut t = t + tlb_latency;
-        if self.tracer.is_enabled() {
-            self.tracer.record(TraceEvent {
-                req,
-                stage: Stage::TlbLookup,
-                track: Track::Node(n as u16),
-                start,
-                end: t,
-            });
-        }
+        self.tracer
+            .span(req, Stage::TlbLookup, Track::Node(n as u16), start, t);
         if let Some(pte) = hit {
             return Ok((pte, t));
         }
@@ -552,15 +527,13 @@ impl System {
             match mapping {
                 None => {
                     // Node-level page fault: the OS installs a mapping.
-                    if self.tracer.is_enabled() {
-                        self.tracer.record(TraceEvent {
-                            req,
-                            stage: Stage::Fault,
-                            track: Track::Node(n as u16),
-                            start: t,
-                            end: t + self.fault_latency,
-                        });
-                    }
+                    self.tracer.span(
+                        req,
+                        Stage::Fault,
+                        Track::Node(n as u16),
+                        t,
+                        t + self.fault_latency,
+                    );
                     t += self.fault_latency;
                     let node = &mut self.nodes[n];
                     node.map_page(vaddr, &mut self.broker)
@@ -571,14 +544,9 @@ impl System {
                     for acc in &walk_buf {
                         t = self.pt_step_access(n, c, acc.entry_addr, t, req)?;
                     }
-                    if self.tracer.is_enabled() && !walk_buf.is_empty() {
-                        self.tracer.record(TraceEvent {
-                            req,
-                            stage: Stage::PtWalk,
-                            track: Track::Node(n as u16),
-                            start: walk_start,
-                            end: t,
-                        });
+                    if !walk_buf.is_empty() {
+                        self.tracer
+                            .span(req, Stage::PtWalk, Track::Node(n as u16), walk_start, t);
                     }
                     // E-FAM lazy PTE heal: a walk surfacing a PTE that
                     // names a quarantined FAM key repairs it in place
@@ -710,14 +678,9 @@ impl System {
             // serializer until the link returns.
             let up = self.injector.link_up_at(t);
             self.recovery.link_down_wait_cycles += (up - t).0;
-            if self.tracer.is_enabled() && up > t {
-                self.tracer.record(TraceEvent {
-                    req,
-                    stage: Stage::Fault,
-                    track: Track::Fabric(n as u16),
-                    start: t,
-                    end: up,
-                });
+            if up > t {
+                self.tracer
+                    .span(req, Stage::Fault, Track::Fabric(n as u16), t, up);
             }
             t = up;
             match self.injector.fabric_fault() {
@@ -735,15 +698,8 @@ impl System {
                     self.fabric.node_to_fam(t, n, module);
                     self.recovery.timeouts += 1;
                     let expiry = t + Duration(self.config.retry.timeout_cycles);
-                    if self.tracer.is_enabled() {
-                        self.tracer.record(TraceEvent {
-                            req,
-                            stage: Stage::Retry,
-                            track: Track::Fabric(n as u16),
-                            start: t,
-                            end: expiry,
-                        });
-                    }
+                    self.tracer
+                        .span(req, Stage::Retry, Track::Fabric(n as u16), t, expiry);
                     t = expiry;
                 }
                 Some(FabricFault::Corrupt) => {
@@ -763,15 +719,8 @@ impl System {
                                 module,
                                 fam_fabric::packet::RESPONSE_BYTES as u64,
                             );
-                            if self.tracer.is_enabled() {
-                                self.tracer.record(TraceEvent {
-                                    req,
-                                    stage: Stage::Retry,
-                                    track: Track::Fabric(n as u16),
-                                    start: t,
-                                    end: back,
-                                });
-                            }
+                            self.tracer
+                                .span(req, Stage::Retry, Track::Fabric(n as u16), t, back);
                             t = back;
                         }
                         Ok(_) => {
@@ -784,20 +733,7 @@ impl System {
                 }
             }
             match state.on_fault(&self.config.retry) {
-                RetryOutcome::Retry { backoff } => {
-                    self.recovery.retries += 1;
-                    self.recovery.backoff_cycles += backoff.0;
-                    if self.tracer.is_enabled() {
-                        self.tracer.record(TraceEvent {
-                            req,
-                            stage: Stage::Backoff,
-                            track: Track::Fabric(n as u16),
-                            start: t,
-                            end: t + backoff,
-                        });
-                    }
-                    t += backoff;
-                }
+                RetryOutcome::Retry { backoff } => t = self.back_off(n, t, backoff, req),
                 RetryOutcome::GiveUp => {
                     // Graceful degradation: the access is counted as
                     // fatal (a real system would raise a poison/MCE)
@@ -810,6 +746,16 @@ impl System {
         }
     }
 
+    /// The retry arm after a fabric fault: counts the retry, charges
+    /// the backoff and traces it; returns when the requester reissues.
+    fn back_off(&mut self, n: usize, t: Cycle, backoff: Duration, req: RequestId) -> Cycle {
+        self.recovery.retries += 1;
+        self.recovery.backoff_cycles += backoff.0;
+        self.tracer
+            .span(req, Stage::Backoff, Track::Fabric(n as u16), t, t + backoff);
+        t + backoff
+    }
+
     /// One fabric round trip ending in an unreachable-NACK from the
     /// failed endpoint's management plane (the data path is gone, the
     /// enclosure still answers).
@@ -819,15 +765,8 @@ impl System {
             .fabric
             .fam_to_node(arrival, n, module, RESPONSE_BYTES as u64);
         self.recovery.nacks_unreachable += 1;
-        if self.tracer.is_enabled() {
-            self.tracer.record(TraceEvent {
-                req,
-                stage: Stage::Retry,
-                track: Track::Fabric(n as u16),
-                start: t,
-                end: back,
-            });
-        }
+        self.tracer
+            .span(req, Stage::Retry, Track::Fabric(n as u16), t, back);
         back
     }
 
@@ -859,20 +798,7 @@ impl System {
             loop {
                 t = self.unreachable_nack(n, t, module, req);
                 match state.on_fault(&self.config.retry) {
-                    RetryOutcome::Retry { backoff } => {
-                        self.recovery.retries += 1;
-                        self.recovery.backoff_cycles += backoff.0;
-                        if self.tracer.is_enabled() {
-                            self.tracer.record(TraceEvent {
-                                req,
-                                stage: Stage::Backoff,
-                                track: Track::Fabric(n as u16),
-                                start: t,
-                                end: t + backoff,
-                            });
-                        }
-                        t += backoff;
-                    }
+                    RetryOutcome::Retry { backoff } => t = self.back_off(n, t, backoff, req),
                     RetryOutcome::GiveUp => break,
                 }
             }
@@ -956,15 +882,8 @@ impl System {
         }
         let shootdown_start = t;
         t += self.shootdown_all_nodes(&relocations);
-        if self.tracer.is_enabled() {
-            self.tracer.record(TraceEvent {
-                req,
-                stage: Stage::Fault,
-                track: Track::Fabric(n as u16),
-                start: started,
-                end: t,
-            });
-        }
+        self.tracer
+            .span(req, Stage::Fault, Track::Fabric(n as u16), started, t);
 
         let d = &mut self.degradation;
         d.pages_quarantined = evac.capacity_pages_lost;
@@ -1084,29 +1003,17 @@ impl System {
         let arrival = self.fabric.node_to_fam(t, n, module);
         let done = self.nvm[module].access(arrival, fam_byte, kind);
         let ret = self.fabric.fam_to_node(done, n, module, 64);
-        if self.tracer.is_enabled() {
-            self.tracer.record(TraceEvent {
-                req,
-                stage: Stage::FabricSend,
-                track: Track::Fabric(n as u16),
-                start: t,
-                end: arrival,
-            });
-            self.tracer.record(TraceEvent {
-                req,
-                stage: Stage::NvmAccess,
-                track: Track::Nvm(module as u16),
-                start: arrival,
-                end: done,
-            });
-            self.tracer.record(TraceEvent {
-                req,
-                stage: Stage::FabricRecv,
-                track: Track::Fabric(n as u16),
-                start: done,
-                end: ret,
-            });
-        }
+        self.tracer
+            .span(req, Stage::FabricSend, Track::Fabric(n as u16), t, arrival);
+        self.tracer.span(
+            req,
+            Stage::NvmAccess,
+            Track::Nvm(module as u16),
+            arrival,
+            done,
+        );
+        self.tracer
+            .span(req, Stage::FabricRecv, Track::Fabric(n as u16), done, ret);
         ret
     }
 
@@ -1127,15 +1034,8 @@ impl System {
         if self.injector.is_enabled() {
             if let Some(stall) = self.injector.stu_stall() {
                 self.recovery.stu_stall_cycles += stall.0;
-                if self.tracer.is_enabled() {
-                    self.tracer.record(TraceEvent {
-                        req,
-                        stage: Stage::Fault,
-                        track: Track::Stu(n as u16),
-                        start: t,
-                        end: t + stall,
-                    });
-                }
+                self.tracer
+                    .span(req, Stage::Fault, Track::Stu(n as u16), t, t + stall);
                 t += stall;
             }
         }
@@ -1148,14 +1048,9 @@ impl System {
                         self.traffic.at_walk_reads += 1;
                         tw = self.fam_round_trip(n, tw, acc.entry_addr, MemOpKind::Read, req)?;
                     }
-                    if self.tracer.is_enabled() && tw > start {
-                        self.tracer.record(TraceEvent {
-                            req,
-                            stage: Stage::StuWalk,
-                            track: Track::Stu(n as u16),
-                            start,
-                            end: tw,
-                        });
+                    if tw > start {
+                        self.tracer
+                            .span(req, Stage::StuWalk, Track::Stu(n as u16), start, tw);
                     }
                     // A walk whose entry reads escalated into recovery
                     // planned against the pre-recovery table; its
@@ -1187,15 +1082,13 @@ impl System {
                     }
                     // System-level fault: the STU asks the broker for
                     // a page (§II-C) and retries.
-                    if self.tracer.is_enabled() {
-                        self.tracer.record(TraceEvent {
-                            req,
-                            stage: Stage::Fault,
-                            track: Track::Stu(n as u16),
-                            start: t,
-                            end: t + self.fault_latency,
-                        });
-                    }
+                    self.tracer.span(
+                        req,
+                        Stage::Fault,
+                        Track::Stu(n as u16),
+                        t,
+                        t + self.fault_latency,
+                    );
                     t += self.fault_latency;
                     self.nodes[n]
                         .system_fault(npa_page, &mut self.broker)
@@ -1219,15 +1112,8 @@ impl System {
         let node_id = self.nodes[n].id;
         let acc_kind = access_kind(kind);
         let lookup_done = t + self.router + self.stu_lookup; // node → STU lookup
-        if self.tracer.is_enabled() {
-            self.tracer.record(TraceEvent {
-                req,
-                stage: Stage::StuLookup,
-                track: Track::Stu(n as u16),
-                start: t,
-                end: lookup_done,
-            });
-        }
+        self.tracer
+            .span(req, Stage::StuLookup, Track::Stu(n as u16), t, lookup_done);
         let mut t = lookup_done;
         let fam_page = match self.stus[n].cache_mut().ifam_lookup(npa_page) {
             Some(fam_page) => fam_page,
@@ -1275,15 +1161,8 @@ impl System {
             .expect("DeACT nodes have a translator")
             .dram_addr_of(npa_page);
         let mut t = self.nodes[n].dram.access(t, set_addr) + Duration(1);
-        if self.tracer.is_enabled() {
-            self.tracer.record(TraceEvent {
-                req,
-                stage: Stage::TranslationCache,
-                track: Track::Node(n as u16),
-                start: t_in,
-                end: t,
-            });
-        }
+        self.tracer
+            .span(req, Stage::TranslationCache, Track::Node(n as u16), t_in, t);
 
         let mut cached = self.nodes[n]
             .translator
@@ -1306,15 +1185,13 @@ impl System {
         if cached.is_some() && self.injector.is_enabled() && self.injector.stale_translation() {
             // The doomed pre-translated request travels node → STU and
             // the NACK travels back before the node can react.
-            if self.tracer.is_enabled() {
-                self.tracer.record(TraceEvent {
-                    req,
-                    stage: Stage::Fault,
-                    track: Track::Stu(n as u16),
-                    start: t,
-                    end: t + self.router + self.stu_lookup + self.router,
-                });
-            }
+            self.tracer.span(
+                req,
+                Stage::Fault,
+                Track::Stu(n as u16),
+                t,
+                t + self.router + self.stu_lookup + self.router,
+            );
             t += self.router + self.stu_lookup + self.router;
             self.recovery.nacks_stale += 1;
             self.nodes[n]
@@ -1367,15 +1244,13 @@ impl System {
         // (a foreign node's ciphertext is useless without its key).
         if !(self.config.skip_read_checks && kind == MemOpKind::Read) {
             let v = self.stus[n].verify(&self.broker, node_id, fam_page, acc_kind, req);
-            if self.tracer.is_enabled() {
-                self.tracer.record(TraceEvent {
-                    req,
-                    stage: Stage::StuLookup,
-                    track: Track::Stu(n as u16),
-                    start: t,
-                    end: t + self.stu_lookup,
-                });
-            }
+            self.tracer.span(
+                req,
+                Stage::StuLookup,
+                Track::Stu(n as u16),
+                t,
+                t + self.stu_lookup,
+            );
             t += self.stu_lookup;
             if let Some(acm_addr) = v.acm_fetch_addr {
                 let fetch_start = t;
@@ -1385,15 +1260,8 @@ impl System {
                     self.traffic.at_bitmap_reads += 1;
                     t = self.fam_round_trip(n, t, bitmap_addr, MemOpKind::Read, req)?;
                 }
-                if self.tracer.is_enabled() {
-                    self.tracer.record(TraceEvent {
-                        req,
-                        stage: Stage::AcmFetch,
-                        track: Track::Stu(n as u16),
-                        start: fetch_start,
-                        end: t,
-                    });
-                }
+                self.tracer
+                    .span(req, Stage::AcmFetch, Track::Stu(n as u16), fetch_start, t);
             }
             assert!(v.allowed, "benign workloads never trip access control");
         }

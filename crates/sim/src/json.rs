@@ -1,11 +1,13 @@
-//! A minimal JSON reader for the benchmark artifacts.
+//! A minimal JSON reader for the workspace's own artifacts.
 //!
 //! The workspace builds hermetically (no external crates), and the
-//! only JSON this harness ever reads is the `deact-microbench-v1`
-//! schema its own `microbench --out` writer produces: flat objects,
-//! one array of records, ASCII strings, finite numbers. This parser
-//! covers full JSON anyway — escapes, nesting, scientific notation —
-//! so a hand-edited baseline cannot silently mis-parse.
+//! only JSON it ever reads is what its own writers produce: the
+//! `deact-microbench-v1` schema of `microbench --out` (read back by
+//! `bench-diff`) and the Chrome trace-event files of
+//! [`write_chrome_trace`](crate::trace::write_chrome_trace) (checked
+//! by [`validate_chrome_json`](crate::trace::validate_chrome_json)).
+//! This parser covers full JSON anyway — escapes, nesting, scientific
+//! notation — so a hand-edited baseline cannot silently mis-parse.
 
 use std::collections::BTreeMap;
 
@@ -31,6 +33,7 @@ impl Json {
     /// Parses `text` as one JSON document (trailing whitespace only).
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -77,6 +80,7 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -217,11 +221,13 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let ch = s.chars().next().ok_or_else(|| self.fail("bad utf-8"))?;
+                    // Consume one UTF-8 scalar. Every other step
+                    // advances over ASCII only, so `pos` is always on a
+                    // char boundary of `text`.
+                    let ch = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .ok_or_else(|| self.fail("bad utf-8"))?;
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -304,6 +310,7 @@ mod tests {
         assert_eq!(a[3], Json::Bool(true));
         assert_eq!(a[4], Json::Null);
         assert_eq!(a[5], Json::Obj(Default::default()));
+        assert_eq!(Json::parse("\"é→\"").unwrap(), Json::Str("é→".into()));
     }
 
     #[test]

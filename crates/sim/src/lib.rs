@@ -6,12 +6,9 @@
 //! * [`Cycle`] / [`Duration`] — a cycle-granular clock (the whole system
 //!   is simulated in CPU cycles; [`Frequency`] converts nanoseconds to
 //!   cycles at a configurable core frequency).
-//! * [`IndexedMinHeap`] — an indexed min-priority queue supporting
-//!   O(log n) re-keying by slot id, the core of the event-driven
-//!   reference scheduler.
-//! * [`ThreadPool`] / [`scoped_map`] — a bounded work-queue thread pool
-//!   and a scoped bounded parallel map, the substrate of the experiment
-//!   harness's sweep engine.
+//! * [`scoped_map`] — a scoped bounded parallel map returning results
+//!   in index order, the one fan-out behind the experiment harness's
+//!   sweeps and `deact-sim compare`.
 //! * [`Resource`] / [`BankedResource`] / [`Window`] — contention
 //!   primitives: a serially-occupied unit (a DRAM channel, a fabric
 //!   link), a set of independently occupied banks (NVM banks), and a
@@ -28,6 +25,8 @@
 //!   bounded ring buffer with drop accounting, per-stage latency
 //!   histograms, a Chrome trace-event exporter and a windowed time
 //!   series; like the fault injector, a zero-cost no-op when disabled.
+//! * [`json`] — a small dependency-free JSON reader, shared by the
+//!   trace validator and the benchmark-diff tooling.
 //! * [`profile`] — a scoped *host-time* profiler: RAII [`PhaseId`]
 //!   spans accumulate per-thread into a hierarchical [`ProfileReport`]
 //!   (self vs. children time, folded-stack export); one relaxed atomic
@@ -56,9 +55,9 @@
 mod clock;
 mod fault;
 pub mod hash;
+pub mod json;
 mod pool;
 pub mod profile;
-mod queue;
 pub mod registry;
 mod resource;
 mod rng;
@@ -71,9 +70,8 @@ pub use clock::{Cycle, Duration, Frequency};
 pub use fault::{
     FabricFault, FaultConfig, FaultInjector, FaultStats, PersistentFault, PersistentSchedule,
 };
-pub use pool::{default_jobs, scoped_map, FreeList, ThreadPool};
+pub use pool::{default_jobs, scoped_map, FreeList};
 pub use profile::{PhaseId, PhaseStat, ProfileReport};
-pub use queue::IndexedMinHeap;
 pub use registry::{Metric, Registry};
 pub use resource::{BankedResource, Resource};
 pub use rng::SimRng;

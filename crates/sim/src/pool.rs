@@ -1,143 +1,20 @@
-//! A bounded work-queue thread pool for the sweep engines.
+//! Bounded fan-out for the sweep engines.
 //!
 //! The experiment harness fans a benchmark × scheme matrix out across
 //! worker threads. Spawning one OS thread per job (the seed behaviour)
 //! oversubscribes the host as soon as a sweep has more points than the
 //! machine has cores — a 14-benchmark × 4-scheme matrix spawned 56
-//! threads at once. This module provides the two std-only primitives
-//! the harness uses instead:
-//!
-//! * [`ThreadPool`] — a fixed set of workers draining a shared job
-//!   queue; jobs are `'static` closures and results travel back through
-//!   whatever channel the submitter provides.
-//! * [`scoped_map`] — a bounded parallel map over `0..n` for borrowed
-//!   data, built on `std::thread::scope`, returning results in index
-//!   order regardless of completion order (determinism is preserved by
-//!   construction).
+//! threads at once. [`scoped_map`] is the one std-only primitive both
+//! the harness and `deact-sim compare` use instead: a bounded parallel
+//! map over `0..n` for borrowed data, built on `std::thread::scope`,
+//! returning results in index order regardless of completion order
+//! (determinism is preserved by construction).
 //!
 //! Worker-count policy lives in [`default_jobs`]: the `DEACT_JOBS`
 //! environment variable wins, otherwise `available_parallelism`.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct PoolState {
-    jobs: VecDeque<Job>,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    state: Mutex<PoolState>,
-    work_ready: Condvar,
-}
-
-/// A fixed-size pool of worker threads draining a shared job queue.
-///
-/// Dropping the pool signals shutdown and joins every worker; jobs
-/// already queued still run to completion first, so a submitter that
-/// drops the pool after its result channel closes never loses work.
-///
-/// # Examples
-///
-/// ```
-/// use fam_sim::ThreadPool;
-/// use std::sync::mpsc;
-///
-/// let pool = ThreadPool::new(2);
-/// let (tx, rx) = mpsc::channel();
-/// for i in 0..8u64 {
-///     let tx = tx.clone();
-///     pool.execute(move || tx.send(i * i).unwrap());
-/// }
-/// drop(tx);
-/// let mut squares: Vec<u64> = rx.iter().collect();
-/// squares.sort_unstable();
-/// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-/// ```
-pub struct ThreadPool {
-    shared: Arc<PoolShared>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for ThreadPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadPool")
-            .field("threads", &self.workers.len())
-            .finish()
-    }
-}
-
-impl ThreadPool {
-    /// Creates a pool with `threads` workers (at least one).
-    pub fn new(threads: usize) -> ThreadPool {
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            work_ready: Condvar::new(),
-        });
-        let workers = (0..threads.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || loop {
-                    let job = {
-                        let mut state = shared.state.lock().expect("pool state poisoned");
-                        loop {
-                            if let Some(job) = state.jobs.pop_front() {
-                                break job;
-                            }
-                            if state.shutdown {
-                                return;
-                            }
-                            state = shared.work_ready.wait(state).expect("pool state poisoned");
-                        }
-                    };
-                    job();
-                    // Long-lived workers publish any profiler spans the
-                    // job recorded as soon as it completes.
-                    if crate::profile::is_enabled() {
-                        crate::profile::flush_thread();
-                    }
-                })
-            })
-            .collect();
-        ThreadPool { shared, workers }
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Enqueues a job; some worker will run it.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        let mut state = self.shared.state.lock().expect("pool state poisoned");
-        state.jobs.push_back(Box::new(job));
-        drop(state);
-        self.shared.work_ready.notify_one();
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        self.shared
-            .state
-            .lock()
-            .expect("pool state poisoned")
-            .shutdown = true;
-        self.shared.work_ready.notify_all();
-        for worker in self.workers.drain(..) {
-            // A panicked job already unwound its worker; joining the
-            // remains must not hide the submitter's own error handling.
-            let _ = worker.join();
-        }
-    }
-}
+use std::sync::Mutex;
 
 /// Worker count: `DEACT_JOBS` if set and positive, otherwise the host's
 /// available parallelism.
@@ -156,10 +33,9 @@ pub fn default_jobs() -> usize {
 /// Runs `f(0..n)` across at most `threads` scoped workers and returns
 /// the results in index order.
 ///
-/// Unlike [`ThreadPool`], `f` may borrow from the caller's stack: the
-/// workers live inside a `std::thread::scope`. Work is handed out by an
-/// atomic cursor, so the mapping of items to threads is dynamic but the
-/// returned vector is always `[f(0), f(1), …, f(n-1)]` — parallelism
+/// `f` may borrow from the caller's stack: the workers live inside a
+/// `std::thread::scope`. Work is handed out by an atomic cursor, so the
+/// mapping of items to threads is dynamic but the returned vector is always `[f(0), f(1), …, f(n-1)]` — parallelism
 /// never changes the output.
 ///
 /// # Panics
@@ -283,7 +159,6 @@ impl<T: Default> Default for FreeList<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
 
     #[test]
     fn free_list_recycles_capacity() {
@@ -304,59 +179,6 @@ mod tests {
             pool.put(Vec::new());
         }
         assert_eq!(pool.held(), FREE_LIST_CAP);
-    }
-
-    #[test]
-    fn pool_runs_all_jobs() {
-        let pool = ThreadPool::new(3);
-        assert_eq!(pool.threads(), 3);
-        let (tx, rx) = mpsc::channel();
-        for i in 0..50u64 {
-            let tx = tx.clone();
-            pool.execute(move || tx.send(i).unwrap());
-        }
-        drop(tx);
-        let mut got: Vec<u64> = rx.iter().collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pool_drop_drains_queued_jobs() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        {
-            let pool = ThreadPool::new(1);
-            for _ in 0..20 {
-                let counter = Arc::clone(&counter);
-                pool.execute(move || {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        } // drop joins
-        assert_eq!(counter.load(Ordering::Relaxed), 20);
-    }
-
-    #[test]
-    fn pool_survives_a_panicking_job() {
-        let pool = ThreadPool::new(2);
-        let (tx, rx) = mpsc::channel();
-        pool.execute(|| panic!("job panic"));
-        for i in 0..10u64 {
-            let tx = tx.clone();
-            pool.execute(move || tx.send(i).unwrap());
-        }
-        drop(tx);
-        // The panicked worker is gone, but the surviving worker drains
-        // the queue; the submitter sees a short result set only if jobs
-        // were lost — which they must not be here.
-        let got: Vec<u64> = rx.iter().collect();
-        assert_eq!(got.len(), 10);
-    }
-
-    #[test]
-    fn pool_zero_threads_clamps_to_one() {
-        let pool = ThreadPool::new(0);
-        assert_eq!(pool.threads(), 1);
     }
 
     #[test]

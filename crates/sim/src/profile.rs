@@ -175,7 +175,7 @@ const MAX_DEPTH: usize = 12;
 
 /// Span drops between opportunistic flushes of an empty-stack thread
 /// accumulator into the global report (bounds staleness of long-lived
-/// pool threads without taking a lock per span).
+/// worker threads without taking a lock per span).
 const FLUSH_EVERY: u32 = 4096;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -264,8 +264,9 @@ pub fn flush_thread() {
 /// Takes the accumulated report, resetting the profiler to empty.
 ///
 /// Flushes the calling thread's accumulator first; call this only
-/// after any profiled worker threads have finished (the pool helpers
-/// flush workers deterministically via [`flush_thread`]).
+/// after any profiled worker threads have finished
+/// ([`scoped_map`](crate::scoped_map) flushes its workers
+/// deterministically via [`flush_thread`]).
 pub fn take_report() -> ProfileReport {
     flush_thread();
     let mut global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -543,7 +544,7 @@ mod tests {
         let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         reset();
         set_enabled(true);
-        // Raw threads flush explicitly, as the pool helpers do: scope()
+        // Raw threads flush explicitly, as scoped_map does: scope()
         // unblocks on closure return, before TLS destructors run.
         std::thread::scope(|scope| {
             for _ in 0..2 {

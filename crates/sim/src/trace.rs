@@ -23,10 +23,10 @@
 //! # The zero-overhead-off contract
 //!
 //! Like [`FaultInjector`](crate::FaultInjector), a disabled tracer is
-//! a zero-cost no-op: every event site in the timing code is guarded
-//! by one [`Tracer::is_enabled`] branch, a disabled tracer allocates
-//! no ring storage and consumes nothing, and a fixed-seed run with
-//! tracing off is bit-identical to the same run with the trace layer
+//! a zero-cost no-op: every event site in the timing code calls
+//! [`Tracer::span`], which costs one branch when off; a disabled
+//! tracer allocates no ring storage and consumes nothing; and a
+//! fixed-seed run with tracing off is bit-identical to the same run with the trace layer
 //! compiled in — the integration tests pin this down the same way
 //! `tests/tests/scheduler.rs` pins scheduler equivalence. Tracing is
 //! pure observation: enabling it never changes a report's timing or
@@ -35,6 +35,7 @@
 use std::fmt;
 use std::io::{self, Write};
 
+use crate::json::Json;
 use crate::stats::Histogram;
 use crate::Cycle;
 
@@ -434,28 +435,6 @@ impl WindowSeries {
         self.samples[idx].accumulate(sample);
     }
 
-    /// Merges another series into this one, window by window (the
-    /// samples are additive counters, so merging is order-free). An
-    /// empty `other` is a no-op; otherwise both series must use the
-    /// same window length.
-    pub fn merge(&mut self, other: &WindowSeries) {
-        if other.samples.is_empty() && other.clipped == 0 {
-            return;
-        }
-        debug_assert_eq!(
-            self.window_cycles, other.window_cycles,
-            "window series merge needs a common window length"
-        );
-        if other.samples.len() > self.samples.len() {
-            self.samples
-                .resize(other.samples.len(), WindowSample::default());
-        }
-        for (mine, theirs) in self.samples.iter_mut().zip(&other.samples) {
-            mine.accumulate(*theirs);
-        }
-        self.clipped += other.clipped;
-    }
-
     /// The window length in cycles.
     pub fn window_cycles(&self) -> u64 {
         self.window_cycles
@@ -467,8 +446,8 @@ impl WindowSeries {
         &self.samples
     }
 
-    /// References that completed past the [`MAX_WINDOWS`] cap and were
-    /// folded into the last window.
+    /// References that completed past the window cap (2^16 windows)
+    /// and were folded into the last window.
     pub fn clipped(&self) -> u64 {
         self.clipped
     }
@@ -577,8 +556,8 @@ impl Tracer {
     /// pushes it onto the ring (overwriting the oldest event, with
     /// drop accounting, once the ring is full).
     ///
-    /// Callers guard with [`Tracer::is_enabled`]; recording on a
-    /// disabled tracer is a no-op.
+    /// Recording on a disabled tracer is a no-op; event sites call
+    /// [`Tracer::span`], which skips building the event too.
     pub fn record(&mut self, ev: TraceEvent) {
         if !self.config.enabled {
             return;
@@ -590,6 +569,22 @@ impl Tracer {
             None => self.device_breakdown.record(ev.stage, ev.cycles()),
         }
         self.push_ring(ev);
+    }
+
+    /// Records the span `start..end` of `stage` on `track` for `req` —
+    /// the call every event site in the timing code makes. A disabled
+    /// tracer returns after one branch without building the event.
+    #[inline]
+    pub fn span(&mut self, req: RequestId, stage: Stage, track: Track, start: Cycle, end: Cycle) {
+        if self.config.enabled {
+            self.record(TraceEvent {
+                req,
+                stage,
+                track,
+                start,
+                end,
+            });
+        }
     }
 
     /// Ring push with overwrite-oldest drop accounting.
@@ -632,16 +627,6 @@ impl Tracer {
     /// The retained events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.ring[self.head..].iter().chain(&self.ring[..self.head])
-    }
-
-    /// One node's latency breakdown (node + STU + fabric tracks).
-    pub fn node_breakdown(&self, node: usize) -> &LatencyBreakdown {
-        &self.node_breakdowns[node]
-    }
-
-    /// The device-side (NVM-track) breakdown.
-    pub fn device_breakdown(&self) -> &LatencyBreakdown {
-        &self.device_breakdown
     }
 
     /// The run-level breakdown: every per-node breakdown and the
@@ -759,178 +744,22 @@ pub fn write_chrome_trace<W: Write>(
 /// Validates that `text` is well-formed JSON whose top-level object
 /// has a `traceEvents` array, returning the number of events in that
 /// array — the workspace is dependency-free, so CI and the tests
-/// validate the exporter with this hand-rolled recursive-descent
-/// parser instead of a JSON crate.
+/// validate the exporter with the workspace's own [`Json`] parser
+/// instead of a JSON crate.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first syntax problem,
-/// or of a missing `traceEvents` array.
+/// a non-object top level, or a missing `traceEvents` array.
 pub fn validate_chrome_json(text: &str) -> Result<usize, String> {
-    let mut p = JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        trace_events: None,
-    };
-    p.skip_ws();
-    if p.peek() != Some(b'{') {
+    let doc = Json::parse(text)?;
+    if !matches!(doc, Json::Obj(_)) {
         return Err("top level must be an object".into());
     }
-    p.object(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    p.trace_events
+    doc.get("traceEvents")
+        .and_then(Json::as_array)
+        .map(<[Json]>::len)
         .ok_or_else(|| "no traceEvents array at the top level".into())
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    trace_events: Option<usize>,
-}
-
-impl JsonParser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek();
-        self.pos += b.map_or(0, |_| 1);
-        b
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bump() == Some(b) {
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}",
-                b as char,
-                self.pos.saturating_sub(1)
-            ))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<(), String> {
-        if depth > 64 {
-            return Err("nesting too deep".into());
-        }
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => {
-                self.array(depth)?;
-                Ok(())
-            }
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            let key_start = self.pos;
-            self.string()?;
-            let key = &self.bytes[key_start + 1..self.pos - 1];
-            self.expect(b':')?;
-            if depth == 0 && key == b"traceEvents" {
-                let n = self.array(depth + 1)?;
-                self.trace_events = Some(n);
-            } else {
-                self.value(depth + 1)?;
-            }
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(()),
-                _ => return Err(format!("unterminated object at byte {}", self.pos)),
-            }
-        }
-    }
-
-    /// Parses an array, returning its element count.
-    fn array(&mut self, depth: usize) -> Result<usize, String> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(0);
-        }
-        let mut n = 0;
-        loop {
-            self.value(depth + 1)?;
-            n += 1;
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(n),
-                _ => return Err(format!("unterminated array at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        if self.bump() != Some(b'"') {
-            return Err(format!("expected string at byte {}", self.pos));
-        }
-        while let Some(b) = self.bump() {
-            match b {
-                b'"' => return Ok(()),
-                b'\\' => {
-                    self.bump();
-                }
-                _ => {}
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("bad number at byte {start}"));
-        }
-        Ok(())
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -955,8 +784,16 @@ mod tests {
         assert_eq!(t.next_request(), RequestId::UNTRACED);
         assert_eq!(t.next_request(), RequestId::UNTRACED, "no counter consumed");
         t.record(ev(1, Stage::TlbLookup, Track::Node(0), 0, 5));
+        t.span(
+            RequestId(1),
+            Stage::StuWalk,
+            Track::Stu(0),
+            Cycle(5),
+            Cycle(9),
+        );
         t.sample(Cycle(10), WindowSample::default());
         assert_eq!(t.recorded(), 0);
+        assert_eq!(t.dropped(), 0);
         assert_eq!(t.retained(), 0);
         assert!(t.breakdown().is_empty());
         assert!(t.series().samples().is_empty());
@@ -1003,21 +840,26 @@ mod tests {
         assert_eq!(t.retained(), 0);
         assert_eq!(t.dropped(), 0, "no ring means no overflow to account");
         assert_eq!(t.recorded(), 1);
-        assert_eq!(t.node_breakdown(1).stage(Stage::FabricSend).count(), 1);
+        assert_eq!(t.breakdown().stage(Stage::FabricSend).count(), 1);
     }
 
     #[test]
     fn breakdowns_aggregate_per_node_and_device() {
         let mut t = Tracer::new(TraceConfig::breakdown_only(), 2);
         t.record(ev(1, Stage::TlbLookup, Track::Node(0), 0, 2));
-        t.record(ev(1, Stage::StuWalk, Track::Stu(0), 2, 12));
+        t.span(
+            RequestId(1),
+            Stage::StuWalk,
+            Track::Stu(0),
+            Cycle(2),
+            Cycle(12),
+        );
         t.record(ev(2, Stage::TlbLookup, Track::Node(1), 0, 4));
         t.record(ev(1, Stage::NvmAccess, Track::Nvm(0), 12, 42));
-        assert_eq!(t.node_breakdown(0).total_samples(), 2);
-        assert_eq!(t.node_breakdown(1).total_samples(), 1);
-        assert_eq!(t.device_breakdown().total_samples(), 1);
+        assert_eq!(t.recorded(), 4);
         let run = t.breakdown();
         assert_eq!(run.total_samples(), 4);
+        assert_eq!(run.stage(Stage::StuWalk).sum(), 10);
         assert_eq!(run.stage(Stage::TlbLookup).count(), 2);
         assert_eq!(run.stage(Stage::TlbLookup).max(), 4);
         assert_eq!(run.stage(Stage::NvmAccess).sum(), 30);
@@ -1044,29 +886,6 @@ mod tests {
         assert!((windows[0].at_percent() - 50.0).abs() < 1e-12);
         assert!((windows[0].ipc(100) - 0.12).abs() < 1e-12);
         assert_eq!(t.series().clipped(), 0);
-    }
-
-    #[test]
-    fn window_series_merge_is_elementwise() {
-        let cfg = TraceConfig::full().with_window_cycles(100);
-        let mut a = Tracer::new(cfg, 1);
-        let mut b = Tracer::new(cfg, 1);
-        let s = |i: u64| WindowSample {
-            instructions: i,
-            ..WindowSample::default()
-        };
-        a.sample(Cycle(10), s(5));
-        b.sample(Cycle(50), s(2));
-        b.sample(Cycle(250), s(9));
-        a.series.merge(b.series());
-        let windows = a.series().samples();
-        assert_eq!(windows.len(), 3, "merge grows to the longer series");
-        assert_eq!(windows[0].instructions, 7);
-        assert_eq!(windows[1].instructions, 0);
-        assert_eq!(windows[2].instructions, 9);
-        // Merging an empty (disabled) series is a no-op.
-        a.series.merge(Tracer::disabled().series());
-        assert_eq!(a.series().samples().len(), 3);
     }
 
     #[test]

@@ -241,80 +241,6 @@ fn hierarchy_inclusion_holds() {
     }
 }
 
-/// The indexed min-heap agrees with `std::collections::BinaryHeap`
-/// under randomized insert/pop/update churn: every pop returns the
-/// globally smallest live `(key, slot)` pair.
-///
-/// The reference model pairs a max-heap of `Reverse`d entries with a
-/// live-key map and lazy deletion (a `BinaryHeap` cannot re-key, so an
-/// `update` pushes a fresh entry and the stale one is skipped at pop
-/// time) — the classic workaround whose O(log n)-per-re-key cost the
-/// indexed heap exists to avoid.
-#[test]
-fn indexed_heap_matches_binary_heap_model() {
-    use fam_sim::IndexedMinHeap;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let mut rng = SimRng::seeded(0x4EA9);
-    for _ in 0..TRIALS {
-        let cap = 1 + rng.index(96);
-        let mut q: IndexedMinHeap<(u64, usize)> = IndexedMinHeap::new(cap);
-        let mut model: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        let mut live: Vec<Option<(u64, usize)>> = vec![None; cap];
-        let ops = 200 + rng.below(2_000);
-        for step in 0..ops {
-            let slot = rng.index(cap);
-            let key = (rng.below(1_000), slot);
-            match rng.below(3) {
-                0 => {
-                    // Insert if absent, else treat as an update — the
-                    // same two paths the simulation driver exercises.
-                    if live[slot].is_none() {
-                        q.insert(slot, key);
-                    } else {
-                        q.update(slot, key);
-                    }
-                    live[slot] = Some(key);
-                    model.push(Reverse(key));
-                }
-                1 => {
-                    if live[slot].is_some() {
-                        q.update(slot, key);
-                        live[slot] = Some(key);
-                        model.push(Reverse(key));
-                    }
-                }
-                _ => {
-                    // Drain stale model entries (lazy deletion), then
-                    // both heaps must agree on the minimum.
-                    while let Some(Reverse(k)) = model.peek().copied() {
-                        if live[k.1] == Some(k) {
-                            break;
-                        }
-                        model.pop();
-                    }
-                    match model.pop() {
-                        None => assert_eq!(q.pop(), None, "step {step}"),
-                        Some(Reverse(k)) => {
-                            assert_eq!(q.pop(), Some((k.1, k)), "step {step}");
-                            live[k.1] = None;
-                        }
-                    }
-                }
-            }
-        }
-        // Full drain: the survivors come out in identical order.
-        while let Some(Reverse(k)) = model.pop() {
-            if live[k.1] == Some(k) {
-                assert_eq!(q.pop(), Some((k.1, k)));
-                live[k.1] = None;
-            }
-        }
-        assert!(q.is_empty());
-    }
-}
-
 /// DeACT-W resident groups behave exactly like a model keyed by
 /// `page / coverage`: filling any page makes its whole aligned group
 /// resident and nothing else.

@@ -1,13 +1,12 @@
-//! Scheduler-equivalence and parallel-determinism guarantees.
+//! Scheduler-equivalence guarantees.
 //!
-//! The event-queue scheduler ([`deact::System::try_run`]) replaced the
-//! seed's all-cores rescan ([`deact::System::try_run_scan`]) purely as
-//! a complexity optimisation: O(log n) heap maintenance per reference
-//! instead of O(n) sweeps. These tests pin down that the optimisation
-//! changed *nothing else* — fixed-seed reports are bit-identical
-//! between the two schedulers, across schemes, node counts, and fault
-//! injection — and that the pool-parallel sweep engine returns exactly
-//! what a serial sweep returns.
+//! The event-queue scheduler ([`deact::System::try_run`], a std
+//! `BinaryHeap` of `(ready, slot)` keys) replaced the seed's all-cores
+//! rescan ([`deact::System::try_run_scan`]) purely as a complexity
+//! optimisation: O(log n) heap maintenance per reference instead of
+//! O(n) sweeps. These tests pin down that the optimisation changed
+//! *nothing else* — fixed-seed reports are bit-identical between the
+//! two schedulers, across schemes, node counts, and fault injection.
 
 use deact::{RunReport, Scheme, System, SystemConfig};
 use fam_sim::FaultConfig;
