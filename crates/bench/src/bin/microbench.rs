@@ -38,7 +38,7 @@ use fam_broker::{AcmWidth, FamLayout};
 use fam_mem::{CacheConfig, CacheHierarchy, HierarchyConfig, Replacement, SetAssocCache};
 use fam_stu::{StuCache, StuConfig, StuOrganization};
 use fam_vm::{FamAddr, PageTable, PageWalker, PtFlags, PtwCache, TlbConfig, TlbHierarchy};
-use fam_workloads::{RefBatch, RefStream, Workload};
+use fam_workloads::Workload;
 
 const ITERS: u64 = 2_000_000;
 const REPS: usize = 5;
@@ -350,21 +350,6 @@ fn main() {
     let mut gen = Workload::by_name("sssp").unwrap().generator(3);
     bench(&mut records, "trace_generator_next_ref", |_| {
         black_box(gen.next_ref());
-    });
-
-    // The batched counterpart: identical reference sequence, popped
-    // from a struct-of-arrays refill that resolves the stream variant
-    // once per 64 references. `trace_generator_next_ref` above calls
-    // the concrete generator directly, so the comparison shows the
-    // batch absorbing the enum dispatch the engine would otherwise
-    // pay per reference for roughly the cost of the raw loop.
-    let mut stream = RefStream::from(Workload::by_name("sssp").unwrap().generator(3));
-    let mut batch = RefBatch::new();
-    bench(&mut records, "batch_gen_per_ref", |_| {
-        if batch.is_empty() {
-            batch.refill(&mut stream, RefBatch::DEFAULT_LEN);
-        }
-        black_box(batch.pop());
     });
 
     println!(

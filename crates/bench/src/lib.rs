@@ -197,9 +197,12 @@ pub const SUITE_GROUPS: [&str; 5] = ["SPEC", "PARSEC", "GAP", "pf", "dc"];
 /// off) and one `lat_mean_<stage>` column per trace [`Stage`] — the
 /// mean span length in cycles, blank when the run was not traced.
 ///
+/// The writer is flushed before returning, so a buffered writer's
+/// error surfaces here rather than being dropped with it.
+///
 /// # Errors
 ///
-/// Propagates writer errors.
+/// Propagates writer errors, the final flush's included.
 pub fn write_csv<W: std::io::Write>(mut w: W, matrix: &Matrix) -> std::io::Result<()> {
     write!(
         w,
@@ -256,7 +259,7 @@ pub fn write_csv<W: std::io::Write>(mut w: W, matrix: &Matrix) -> std::io::Resul
         }
         writeln!(w)?;
     }
-    Ok(())
+    w.flush()
 }
 
 /// Geomean of DeACT-N speedup over I-FAM for a suite grouping.
@@ -358,6 +361,25 @@ mod tests {
         assert!(lines[1..].iter().all(|l| l.split(',').count() == cols));
         // Untraced runs leave the latency cells blank.
         assert!(lines[1].ends_with(&",".repeat(Stage::COUNT)));
+    }
+
+    /// A writer that accepts every byte but fails to flush, like a
+    /// buffered writer over a full disk.
+    struct FailingFlush;
+
+    impl std::io::Write for FailingFlush {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(std::io::Error::other("disk full"))
+        }
+    }
+
+    #[test]
+    fn csv_reports_flush_errors() {
+        assert!(write_csv(FailingFlush, &Matrix::new()).is_err());
     }
 
     #[test]

@@ -54,7 +54,7 @@
 
 use std::process::ExitCode;
 
-use deact::{try_run_benchmark, RunReport, Scheme, System, SystemConfig};
+use deact::{try_run_benchmark, RunReport, Scheme, SimError, System, SystemConfig};
 use fam_sim::{trace::write_chrome_trace, FaultConfig, PersistentFault, TraceConfig};
 use fam_workloads::{table3, Workload};
 
@@ -116,82 +116,38 @@ fn parse_kill_node(s: &str) -> Option<(usize, u64)> {
     Some((module.parse().ok()?, after.parse().ok()?))
 }
 
-/// Splits `--jobs N` out of the argument list (it is a harness knob,
-/// not a [`SystemConfig`] field); returns the remaining flags and the
-/// worker count, defaulting to [`fam_sim::default_jobs`]. Returns
-/// `None` on a malformed count.
-fn extract_jobs(args: &[String]) -> Option<(Vec<String>, usize)> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut jobs = fam_sim::default_jobs();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--jobs" {
-            jobs = it.next()?.parse().ok().filter(|&n| n > 0)?;
-        } else {
-            rest.push(flag.clone());
-        }
-    }
-    Some((rest, jobs))
-}
-
-/// Splits the trace-only options (`--out`, `--window`, `--ring`) out of
-/// the argument list; returns the remaining flags, the output path, and
-/// the tracer configuration. Returns `None` on a malformed option.
-fn extract_trace_opts(args: &[String]) -> Option<(Vec<String>, String, TraceConfig)> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut out = String::from("trace.json");
-    let mut trace = TraceConfig::full();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--out" => out = it.next()?.clone(),
-            "--window" => {
-                trace = trace.with_window_cycles(it.next()?.parse().ok().filter(|&n| n > 0)?);
-            }
-            "--ring" => trace = trace.with_ring_capacity(it.next()?.parse().ok()?),
-            _ => rest.push(flag.clone()),
-        }
-    }
-    Some((rest, out, trace))
-}
-
-/// Splits the profile-only options (`--out`, `--top`) out of the
-/// argument list; returns the remaining flags, the folded-stack output
-/// path, and the table depth. Returns `None` on a malformed option.
-fn extract_profile_opts(args: &[String]) -> Option<(Vec<String>, String, usize)> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut out = String::from("profile.folded");
-    let mut top = 12usize;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--out" => out = it.next()?.clone(),
-            "--top" => top = it.next()?.parse().ok().filter(|&n| n > 0)?,
-            _ => rest.push(flag.clone()),
-        }
-    }
-    Some((rest, out, top))
-}
-
-/// Splits one `--<name> <value>` string option out of the argument
-/// list; returns the remaining flags and the value (or `default` when
-/// the flag is absent, `None` when its value is missing).
-fn extract_string_opt(
+/// Splits the subcommand's own `--name value` options (`names`) out of
+/// the argument list, leaving the `run` flags for [`apply_flags`];
+/// returns the remaining flags and each option's value (the last one
+/// given, `None` when absent). Returns `None` when an option is missing
+/// its value.
+fn split_opts<const N: usize>(
     args: &[String],
-    name: &str,
-    default: Option<&str>,
-) -> Option<(Vec<String>, Option<String>)> {
+    names: [&str; N],
+) -> Option<(Vec<String>, [Option<String>; N])> {
     let mut rest = Vec::with_capacity(args.len());
-    let mut value = default.map(String::from);
+    let mut values = [const { None }; N];
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        if flag == name {
-            value = Some(it.next()?.clone());
-        } else {
-            rest.push(flag.clone());
+        match names.iter().position(|name| name == flag) {
+            Some(i) => values[i] = Some(it.next()?.clone()),
+            None => rest.push(flag.clone()),
         }
     }
-    Some((rest, value))
+    Some((rest, values))
+}
+
+/// Parses an optional option value, or yields `default` when it is
+/// absent. Returns `None` on a malformed value or one `valid` rejects.
+fn value_or<T: std::str::FromStr>(
+    value: Option<String>,
+    default: T,
+    valid: impl Fn(&T) -> bool,
+) -> Option<T> {
+    match value {
+        None => Some(default),
+        Some(v) => v.parse().ok().filter(valid),
+    }
 }
 
 /// `[<benchmark>] [flags]` with the positional optional: subcommands
@@ -249,10 +205,10 @@ fn apply_flags(mut cfg: SystemConfig, args: &[String]) -> Option<SystemConfig> {
             _ => return None,
         };
     }
-    // Catch a `--stu-entries` that does not fill whole STU sets and an
-    // out-of-range `--kill-node` here, where every flag is known, so
-    // the user gets a one-line error instead of the config validator's
-    // panic.
+    // Catch a `--stu-entries` that does not fill whole STU sets and a
+    // `--kill-node` with a zero ordinal or an out-of-range module here,
+    // where every flag is known, so the user gets a one-line error
+    // instead of the config validator's panic.
     if !cfg.stu_entries.is_multiple_of(cfg.stu_ways) {
         eprintln!(
             "deact-sim: --stu-entries {} must be a multiple of the {} STU ways",
@@ -261,6 +217,10 @@ fn apply_flags(mut cfg: SystemConfig, args: &[String]) -> Option<SystemConfig> {
         return None;
     }
     if let Some(schedule) = cfg.fault_injection.persistent {
+        if schedule.after_fam_ops == 0 {
+            eprintln!("deact-sim: --kill-node M@OP counts FAM operations from 1, not 0");
+            return None;
+        }
         if let Some(module) = schedule.fault.module() {
             if module >= cfg.fam_modules {
                 eprintln!(
@@ -363,11 +323,34 @@ fn print_report(r: &RunReport) {
     }
 }
 
+/// Prints `e` as a one-line error and yields the failure exit code.
+fn fail(e: impl std::fmt::Display) -> ExitCode {
+    eprintln!("deact-sim: {e}");
+    ExitCode::FAILURE
+}
+
 fn run_or_report(bench: &str, cfg: SystemConfig) -> Result<RunReport, ExitCode> {
-    try_run_benchmark(bench, cfg).map_err(|e| {
-        eprintln!("deact-sim: {e}");
-        ExitCode::FAILURE
+    try_run_benchmark(bench, cfg).map_err(fail)
+}
+
+/// Resolves a Table III benchmark by name.
+fn workload(name: &str) -> Result<Workload, ExitCode> {
+    Workload::by_name(name).ok_or_else(|| {
+        fail(SimError::UnknownBenchmark {
+            name: name.to_string(),
+        })
     })
+}
+
+/// Writes the tracer's retained events to `out` as Chrome trace JSON.
+fn write_trace_file(out: &str, system: &System, frequency_mhz: u64) -> Result<(), ExitCode> {
+    let file = std::fs::File::create(out).map_err(|e| fail(format!("cannot create {out}: {e}")))?;
+    write_chrome_trace(
+        std::io::BufWriter::new(file),
+        system.tracer(),
+        frequency_mhz,
+    )
+    .map_err(|e| fail(format!("cannot write {out}: {e}")))
 }
 
 fn main() -> ExitCode {
@@ -399,46 +382,41 @@ fn main() -> ExitCode {
             // `trace [<benchmark>] [flags]` — the benchmark positional
             // is optional so a bare `deact-sim trace` captures the
             // paper-default DeACT-N run the acceptance demo asks for.
-            let (bench, flags) = match args.get(1) {
-                Some(a) if !a.starts_with("--") => (a.clone(), &args[2..]),
-                _ => (String::from("sssp"), &args[1..]),
-            };
-            let Some((rest, out, trace)) = extract_trace_opts(flags) else {
+            let (bench, flags) = optional_bench(&args[1..]);
+            let full = TraceConfig::full();
+            let Some((rest, [out, window, ring])) =
+                split_opts(flags, ["--out", "--window", "--ring"])
+            else {
                 return usage();
             };
+            let (Some(window), Some(ring)) = (
+                value_or(window, full.window_cycles, |&n| n > 0),
+                value_or(ring, full.ring_capacity, |_| true),
+            ) else {
+                return usage();
+            };
+            let out = out.unwrap_or_else(|| String::from("trace.json"));
             let Some(cfg) = apply_flags(
                 SystemConfig::paper_default().with_scheme(Scheme::DeactN),
                 &rest,
             ) else {
                 return usage();
             };
-            let cfg = cfg.with_trace(trace);
-            let Some(workload) = Workload::by_name(&bench) else {
-                eprintln!("deact-sim: unknown benchmark `{bench}` (see `deact-sim list`)");
-                return ExitCode::FAILURE;
+            let cfg = cfg.with_trace(full.with_window_cycles(window).with_ring_capacity(ring));
+            let workload = match workload(&bench) {
+                Ok(w) => w,
+                Err(code) => return code,
             };
             let frequency_mhz = cfg.frequency_mhz;
             let mut system = System::new(cfg, &workload);
             let r = match system.try_run() {
                 Ok(r) => r,
-                Err(e) => {
-                    eprintln!("deact-sim: {e}");
-                    return ExitCode::FAILURE;
-                }
+                Err(e) => return fail(e),
             };
-            let tracer = system.tracer();
-            let file = match std::fs::File::create(&out) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("deact-sim: cannot create {out}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if let Err(e) = write_chrome_trace(std::io::BufWriter::new(file), tracer, frequency_mhz)
-            {
-                eprintln!("deact-sim: cannot write {out}: {e}");
-                return ExitCode::FAILURE;
+            if let Err(code) = write_trace_file(&out, &system, frequency_mhz) {
+                return code;
             }
+            let tracer = system.tracer();
             print_report(&r);
             println!(
                 "trace            {} events recorded, {} retained, {} dropped, {} requests",
@@ -475,9 +453,13 @@ fn main() -> ExitCode {
         }
         Some("profile") => {
             let (bench, flags) = optional_bench(&args[1..]);
-            let Some((rest, out, top)) = extract_profile_opts(flags) else {
+            let Some((rest, [out, top])) = split_opts(flags, ["--out", "--top"]) else {
                 return usage();
             };
+            let Some(top) = value_or(top, 12usize, |&n| n > 0) else {
+                return usage();
+            };
+            let out = out.unwrap_or_else(|| String::from("profile.folded"));
             let Some(cfg) = apply_flags(
                 SystemConfig::paper_default().with_scheme(Scheme::DeactN),
                 &rest,
@@ -495,14 +477,12 @@ fn main() -> ExitCode {
             fam_sim::profile::set_enabled(false);
             print_report(&r);
             if r.profile.is_empty() {
-                eprintln!("deact-sim: profiler captured no spans");
-                return ExitCode::FAILURE;
+                return fail("profiler captured no spans");
             }
             println!();
             print!("{}", r.profile.top_table(top));
             if let Err(e) = std::fs::write(&out, r.profile.to_folded()) {
-                eprintln!("deact-sim: cannot write {out}: {e}");
-                return ExitCode::FAILURE;
+                return fail(format!("cannot write {out}: {e}"));
             }
             println!(
                 "wrote {out} (render: `inferno-flamegraph < {out} > flame.svg`, \
@@ -515,17 +495,14 @@ fn main() -> ExitCode {
             let Some(cfg) = apply_flags(SystemConfig::paper_default(), flags) else {
                 return usage();
             };
-            let Some(workload) = Workload::by_name(&bench) else {
-                eprintln!("deact-sim: unknown benchmark `{bench}` (see `deact-sim list`)");
-                return ExitCode::FAILURE;
+            let workload = match workload(&bench) {
+                Ok(w) => w,
+                Err(code) => return code,
             };
             let mut system = System::new(cfg, &workload);
             let r = match system.try_run() {
                 Ok(r) => r,
-                Err(e) => {
-                    eprintln!("deact-sim: {e}");
-                    return ExitCode::FAILURE;
-                }
+                Err(e) => return fail(e),
             };
             print_report(&r);
             println!();
@@ -537,32 +514,28 @@ fn main() -> ExitCode {
                 println!("audit            all {} checks passed", audit.checks.len());
                 ExitCode::SUCCESS
             } else {
-                eprintln!("deact-sim: conservation audit FAILED");
-                ExitCode::FAILURE
+                fail("conservation audit FAILED")
             }
         }
         Some("record") => {
             let Some(bench) = args.get(1) else {
                 return usage();
             };
-            let Some((rest, out)) = extract_string_opt(&args[2..], "--out", None) else {
+            let Some((rest, [out])) = split_opts(&args[2..], ["--out"]) else {
                 return usage();
             };
             let out = out.unwrap_or_else(|| format!("{bench}.famt"));
             let Some(cfg) = apply_flags(SystemConfig::paper_default(), &rest) else {
                 return usage();
             };
-            let Some(workload) = Workload::by_name(bench) else {
-                eprintln!("deact-sim: unknown benchmark `{bench}` (see `deact-sim list`)");
-                return ExitCode::FAILURE;
+            let workload = match workload(bench) {
+                Ok(w) => w,
+                Err(code) => return code,
             };
             let mut streams = System::synthetic_streams(&cfg, &workload);
             let file = match std::fs::File::create(&out) {
                 Ok(f) => f,
-                Err(e) => {
-                    eprintln!("deact-sim: cannot create {out}: {e}");
-                    return ExitCode::FAILURE;
-                }
+                Err(e) => return fail(format!("cannot create {out}: {e}")),
             };
             let records = match fam_workloads::trace::record_streams(
                 std::io::BufWriter::new(file),
@@ -570,10 +543,7 @@ fn main() -> ExitCode {
                 cfg.refs_per_core,
             ) {
                 Ok(n) => n,
-                Err(e) => {
-                    eprintln!("deact-sim: cannot write {out}: {e}");
-                    return ExitCode::FAILURE;
-                }
+                Err(e) => return fail(format!("cannot write {out}: {e}")),
             };
             println!(
                 "wrote {out}: {records} records across {} ranks ({} nodes x {} cores, \
@@ -589,8 +559,7 @@ fn main() -> ExitCode {
             let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
                 return usage();
             };
-            let Some((rest, trace_out)) = extract_string_opt(&args[2..], "--trace-out", None)
-            else {
+            let Some((rest, [trace_out])) = split_opts(&args[2..], ["--trace-out"]) else {
                 return usage();
             };
             let Some(cfg) = apply_flags(SystemConfig::paper_default(), &rest) else {
@@ -603,20 +572,14 @@ fn main() -> ExitCode {
             let streams =
                 match fam_workloads::trace::replay_streams(path, cfg.nodes, cfg.cores_per_node) {
                     Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("deact-sim: cannot replay {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
+                    Err(e) => return fail(format!("cannot replay {path}: {e}")),
                 };
             let header = match std::fs::File::open(path)
                 .and_then(fam_workloads::TraceReader::new)
                 .map(|rd| rd.header())
             {
                 Ok(h) => h,
-                Err(e) => {
-                    eprintln!("deact-sim: cannot replay {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
+                Err(e) => return fail(format!("cannot replay {path}: {e}")),
             };
             // Label the report with the file stem so a replay of
             // `sssp.famt` prints exactly like `run sssp`.
@@ -628,10 +591,7 @@ fn main() -> ExitCode {
             let mut system = System::with_streams(cfg, &label, streams);
             let r = match system.try_run() {
                 Ok(r) => r,
-                Err(e) => {
-                    eprintln!("deact-sim: {e}");
-                    return ExitCode::FAILURE;
-                }
+                Err(e) => return fail(e),
             };
             print_report(&r);
             let metrics = system.metrics();
@@ -647,20 +607,8 @@ fn main() -> ExitCode {
                 header.version, header.count, header.ranks, wraps
             );
             if let Some(out) = trace_out {
-                let file = match std::fs::File::create(&out) {
-                    Ok(f) => f,
-                    Err(e) => {
-                        eprintln!("deact-sim: cannot create {out}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                if let Err(e) = write_chrome_trace(
-                    std::io::BufWriter::new(file),
-                    system.tracer(),
-                    frequency_mhz,
-                ) {
-                    eprintln!("deact-sim: cannot write {out}: {e}");
-                    return ExitCode::FAILURE;
+                if let Err(code) = write_trace_file(&out, &system, frequency_mhz) {
+                    return code;
                 }
                 println!("wrote {out} (load it at https://ui.perfetto.dev or chrome://tracing)");
             }
@@ -670,7 +618,10 @@ fn main() -> ExitCode {
             let Some(bench) = args.get(1) else {
                 return usage();
             };
-            let Some((rest, jobs)) = extract_jobs(&args[2..]) else {
+            let Some((rest, [jobs])) = split_opts(&args[2..], ["--jobs"]) else {
+                return usage();
+            };
+            let Some(jobs) = value_or(jobs, fam_sim::default_jobs(), |&n| n > 0) else {
                 return usage();
             };
             let Some(cfg) = apply_flags(SystemConfig::paper_default(), &rest) else {
@@ -733,5 +684,31 @@ mod tests {
             |n: &str| apply_flags(SystemConfig::paper_default(), &flags(&["--stu-entries", n]));
         assert!(cfg("12").is_none());
         assert!(cfg("16").is_some());
+    }
+
+    #[test]
+    fn kill_node_ordinal_starts_at_one() {
+        let cfg = |v: &str| {
+            apply_flags(
+                SystemConfig::paper_default(),
+                &flags(&["--fam-modules", "2", "--kill-node", v]),
+            )
+        };
+        assert!(cfg("1@0").is_none());
+        assert!(cfg("1@1").is_some());
+    }
+
+    #[test]
+    fn split_opts_takes_named_pairs_and_keeps_the_rest() {
+        let args = flags(&["--refs", "9", "--out", "a", "--top", "3", "--out", "b"]);
+        let (rest, [out, top, ring]) = split_opts(&args, ["--out", "--top", "--ring"]).unwrap();
+        assert_eq!(rest, flags(&["--refs", "9"]));
+        assert_eq!(out.as_deref(), Some("b"), "the last value wins");
+        assert_eq!(top.as_deref(), Some("3"));
+        assert_eq!(ring, None);
+        assert!(split_opts(&flags(&["--out"]), ["--out"]).is_none());
+        assert_eq!(value_or(top, 12usize, |&n| n > 0), Some(3));
+        assert_eq!(value_or(Some("0".into()), 12usize, |&n| n > 0), None);
+        assert_eq!(value_or(None, 12usize, |&n| n > 0), Some(12));
     }
 }

@@ -5,7 +5,7 @@ use fam_broker::{BrokerError, MemoryBroker};
 use fam_mem::{CacheHierarchy, DramModel};
 use fam_sim::{Cycle, RequestId, SimRng, Window};
 use fam_vm::{NodeId, PageTable, PtFlags, PtwCache, TlbHierarchy, VirtAddr};
-use fam_workloads::{RefBatch, RefStream};
+use fam_workloads::RefStream;
 
 use crate::translator::FamTranslator;
 use crate::{Scheme, SystemConfig};
@@ -50,15 +50,10 @@ pub struct PendingRef {
 pub struct CoreState {
     /// The staged next reference, if any.
     pub pending: Option<PendingRef>,
-    /// This rank's reference source (synthetic generator or trace
-    /// replay).
+    /// This rank's reference source (synthetic generator or streamed
+    /// trace replay). Staging draws exactly one reference per
+    /// executed reference, so `gen.emitted()` counts what the core ran.
     pub gen: RefStream,
-    /// Struct-of-arrays prefetch of upcoming references, refilled from
-    /// `gen` in [`RefBatch::DEFAULT_LEN`] chunks so the per-reference
-    /// staging cost is an indexed pop instead of an enum-dispatched
-    /// generator call. The batch runs ahead of execution but preserves
-    /// generation order exactly, so timing is unaffected.
-    pub batch: RefBatch,
     /// Private two-level TLB.
     pub tlb: TlbHierarchy,
     /// Private node-level PTW cache.
@@ -149,7 +144,6 @@ impl Node {
             .map(|gen| CoreState {
                 pending: None,
                 gen,
-                batch: RefBatch::new(),
                 tlb: TlbHierarchy::new(config.tlb),
                 ptw: PtwCache::new(config.ptw_cache_entries),
                 window: Window::new(config.core_outstanding),

@@ -9,12 +9,12 @@ use fam_fabric::Fabric;
 use fam_mem::{MemOpKind, NvmModel};
 use fam_sim::profile::{self, PhaseId};
 use fam_sim::{
-    Cycle, Duration, FabricFault, FaultInjector, FreeList, PersistentFault, RequestId, Stage,
-    Tracer, Track, WindowSample,
+    Cycle, Duration, FabricFault, FaultInjector, PersistentFault, RequestId, Stage, Tracer, Track,
+    WindowSample,
 };
 use fam_stu::Stu;
 use fam_vm::{NodeId, Pte, VirtAddr, WalkAccess, PAGE_BYTES};
-use fam_workloads::{MemRef, RefStream, TraceGenerator, Workload};
+use fam_workloads::{RefStream, TraceGenerator, Workload};
 
 use crate::error::SimError;
 use crate::metrics::{
@@ -91,9 +91,10 @@ pub struct System {
     /// re-walk of one of these is a poisoned access, not an ordinary
     /// first touch.
     lost: BTreeMap<(NodeId, u64), u64>,
-    /// Recycled page-walk access buffers: a node-level walk plans into
-    /// one of these instead of allocating a fresh vector per walk.
-    walk_bufs: FreeList<Vec<WalkAccess>>,
+    /// The page-walk access buffer: a node-level walk plans into it
+    /// instead of allocating a fresh vector per walk. At most one walk
+    /// is in flight, so one buffer suffices.
+    walk_buf: Vec<WalkAccess>,
 }
 
 impl System {
@@ -132,28 +133,6 @@ impl System {
                     .collect()
             })
             .collect()
-    }
-
-    /// Builds a system whose cores replay recorded traces instead of
-    /// running the synthetic generators — one trace per core, one
-    /// inner vector per node (see [`fam_workloads::trace`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace matrix does not match `nodes ×
-    /// cores_per_node`, or on degenerate configurations.
-    pub fn from_traces(config: SystemConfig, label: &str, traces: Vec<Vec<Vec<MemRef>>>) -> System {
-        assert_eq!(traces.len(), config.nodes, "one trace set per node");
-        let streams = traces
-            .into_iter()
-            .map(|node_traces| {
-                node_traces
-                    .into_iter()
-                    .map(|t| RefStream::from(fam_workloads::TraceReplay::new(t)))
-                    .collect()
-            })
-            .collect();
-        System::with_streams(config, label, streams)
     }
 
     /// Builds a system from explicit per-core reference streams.
@@ -213,7 +192,7 @@ impl System {
             injector: FaultInjector::new(config.fault_injection),
             recovery: FaultRecovery::default(),
             frame_scratch: Vec::with_capacity(fam_fabric::packet::PACKET_BYTES),
-            tracer: Tracer::new(config.trace, config.nodes),
+            tracer: Tracer::new(config.trace),
             pending_quarantine: match config.fault_injection.persistent {
                 None => Quarantine::None,
                 Some(schedule) => match schedule.fault {
@@ -231,7 +210,7 @@ impl System {
             degradation: DegradationReport::default(),
             moved: BTreeMap::new(),
             lost: BTreeMap::new(),
-            walk_bufs: FreeList::new(),
+            walk_buf: Vec::new(),
             config,
         }
     }
@@ -365,17 +344,9 @@ impl System {
         let req = self.tracer.next_request();
         let core = &mut self.nodes[n].cores[c];
         core.staged += 1;
-        // Struct-of-arrays batching: the enum-dispatched generator call
-        // is paid once per `RefBatch::DEFAULT_LEN` references; the
-        // steady state is an indexed pop. Order is exactly the
-        // unbatched stream's.
-        let r = match core.batch.pop() {
-            Some(r) => r,
-            None => {
-                core.batch
-                    .refill(&mut core.gen, fam_workloads::RefBatch::DEFAULT_LEN);
-                core.batch.pop().expect("a refill yields references")
-            }
+        let r = {
+            let _prof = profile::span(PhaseId::RefGen);
+            core.gen.next_ref()
         };
         core.instructions += u64::from(r.gap_instrs) + 1;
         core.next_issue += Duration(u64::from(r.gap_instrs).div_ceil(issue_width) + 1);
@@ -509,11 +480,10 @@ impl System {
         if let Some(pte) = hit {
             return Ok((pte, t));
         }
-        // Recycled walk buffer: plans land in a pooled vector instead
-        // of a fresh allocation per walk. On early `?` returns the
-        // buffer is dropped rather than recycled — harmless, the pool
-        // refills on demand.
-        let mut walk_buf = self.walk_bufs.get();
+        // Reused walk buffer: plans land in it instead of a fresh
+        // allocation per walk. On early `?` returns it is dropped
+        // rather than stored back — harmless, the next walk allocates.
+        let mut walk_buf = std::mem::take(&mut self.walk_buf);
         loop {
             let mapping = {
                 let node = &mut self.nodes[n];
@@ -585,7 +555,7 @@ impl System {
                         }
                     }
                     self.nodes[n].cores[c].tlb.fill(vpage, pte);
-                    self.walk_bufs.put(walk_buf);
+                    self.walk_buf = walk_buf;
                     return Ok((pte, t));
                 }
             }
@@ -1400,7 +1370,7 @@ impl System {
             recovery: self.recovery_report(),
             degradation: self.degradation,
             refs_per_core: self.config.refs_per_core,
-            latency: self.tracer.breakdown(),
+            latency: self.tracer.breakdown().clone(),
             fast_path_coverage: 0.0,
             profile: if profile::is_enabled() {
                 profile::take_report()
@@ -1702,6 +1672,22 @@ mod tests {
             assert_eq!(r.refs_per_core, 2_000);
             assert!(r.instructions > 8_000, "{scheme}");
             assert!(r.cycles > 0, "{scheme}");
+        }
+    }
+
+    #[test]
+    fn cores_draw_exactly_the_references_they_execute() {
+        let w = Workload::by_name("sssp").unwrap();
+        let cfg = quick(Scheme::DeactN).with_refs_per_core(1_000);
+        let mut heap = System::new(cfg, &w);
+        heap.try_run().unwrap();
+        let mut scan = System::new(cfg, &w);
+        scan.try_run_scan().unwrap();
+        for sys in [&heap, &scan] {
+            for core in sys.nodes.iter().flat_map(|n| &n.cores) {
+                assert_eq!(core.refs_done, 1_000);
+                assert_eq!(core.gen.emitted(), core.refs_done);
+            }
         }
     }
 

@@ -70,7 +70,7 @@ pub use clock::{Cycle, Duration, Frequency};
 pub use fault::{
     FabricFault, FaultConfig, FaultInjector, FaultStats, PersistentFault, PersistentSchedule,
 };
-pub use pool::{default_jobs, scoped_map, FreeList};
+pub use pool::{default_jobs, scoped_map};
 pub use profile::{PhaseId, PhaseStat, ProfileReport};
 pub use registry::{Metric, Registry};
 pub use resource::{BankedResource, Resource};

@@ -92,94 +92,9 @@ where
         .collect()
 }
 
-/// A bounded free list recycling heap-backed scratch values (walk-plan
-/// buffers, packet frames) across uses, so steady-state simulation
-/// performs no per-operation allocation.
-///
-/// `get` hands out a recycled value or a fresh [`Default`] one; `put`
-/// returns a value for reuse. The list is deliberately dumb: values are
-/// returned as-is (callers reset them — e.g. `Vec::clear` — at the use
-/// site, where the invariant is visible), and a value not `put` back is
-/// simply dropped, so early returns and error paths need no cleanup.
-///
-/// # Examples
-///
-/// ```
-/// use fam_sim::FreeList;
-///
-/// let mut pool: FreeList<Vec<u64>> = FreeList::new();
-/// let mut buf = pool.get();
-/// buf.extend([1, 2, 3]);
-/// let cap = buf.capacity();
-/// pool.put(buf);
-/// let reused = pool.get();
-/// assert_eq!(reused.capacity(), cap); // allocation recycled
-/// ```
-#[derive(Debug)]
-pub struct FreeList<T> {
-    items: Vec<T>,
-}
-
-/// Retention cap: beyond this the list drops returned values instead
-/// of hoarding them (a burst of concurrent scratch buffers should not
-/// pin memory forever).
-const FREE_LIST_CAP: usize = 64;
-
-impl<T: Default> FreeList<T> {
-    /// Creates an empty free list.
-    pub fn new() -> FreeList<T> {
-        FreeList { items: Vec::new() }
-    }
-
-    /// A recycled value, or `T::default()` when the list is empty.
-    pub fn get(&mut self) -> T {
-        self.items.pop().unwrap_or_default()
-    }
-
-    /// Returns a value to the list for reuse (dropped if the list is
-    /// at capacity).
-    pub fn put(&mut self, item: T) {
-        if self.items.len() < FREE_LIST_CAP {
-            self.items.push(item);
-        }
-    }
-
-    /// Values currently held for reuse.
-    pub fn held(&self) -> usize {
-        self.items.len()
-    }
-}
-
-impl<T: Default> Default for FreeList<T> {
-    fn default() -> FreeList<T> {
-        FreeList::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn free_list_recycles_capacity() {
-        let mut pool: FreeList<Vec<u8>> = FreeList::new();
-        let mut v = pool.get();
-        v.reserve(1024);
-        let cap = v.capacity();
-        pool.put(v);
-        assert_eq!(pool.held(), 1);
-        assert!(pool.get().capacity() >= cap);
-        assert_eq!(pool.held(), 0);
-    }
-
-    #[test]
-    fn free_list_bounds_retention() {
-        let mut pool: FreeList<Vec<u8>> = FreeList::new();
-        for _ in 0..(FREE_LIST_CAP + 10) {
-            pool.put(Vec::new());
-        }
-        assert_eq!(pool.held(), FREE_LIST_CAP);
-    }
 
     #[test]
     fn scoped_map_orders_results_by_index() {

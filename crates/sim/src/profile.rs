@@ -61,8 +61,9 @@ use std::time::Instant;
 /// folded-stack export.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PhaseId {
-    /// Workload batch generation (`RefBatch::refill`).
-    BatchGen,
+    /// Workload reference generation (one `RefStream::next_ref` per
+    /// staged reference).
+    RefGen,
     /// Event-queue scheduler pop + re-key bookkeeping.
     SchedPop,
     /// Full per-reference dispatch through the exact scheduler (`sim_ref`).
@@ -90,7 +91,7 @@ pub enum PhaseId {
 impl PhaseId {
     /// Every phase, in declaration order (index order).
     pub const ALL: [PhaseId; PhaseId::COUNT] = [
-        PhaseId::BatchGen,
+        PhaseId::RefGen,
         PhaseId::SchedPop,
         PhaseId::SchedDispatch,
         PhaseId::Tlb,
@@ -115,7 +116,7 @@ impl PhaseId {
     /// Stable kebab-case name used in reports and folded stacks.
     pub fn name(self) -> &'static str {
         match self {
-            PhaseId::BatchGen => "batch-gen",
+            PhaseId::RefGen => "ref-gen",
             PhaseId::SchedPop => "sched-pop",
             PhaseId::SchedDispatch => "sched-dispatch",
             PhaseId::Tlb => "tlb",

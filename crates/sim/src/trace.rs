@@ -179,16 +179,6 @@ impl Track {
             Track::Nvm(m) => format!("nvm{m}"),
         }
     }
-
-    /// The per-node breakdown this track's events aggregate into:
-    /// node-side tracks fold into their node's histograms, device
-    /// tracks into the shared device-side slot.
-    fn node_index(self) -> Option<usize> {
-        match self {
-            Track::Node(n) | Track::Stu(n) | Track::Fabric(n) => Some(n as usize),
-            Track::Nvm(_) => None,
-        }
-    }
 }
 
 impl fmt::Display for Track {
@@ -297,11 +287,8 @@ impl Default for TraceConfig {
 }
 
 /// Per-stage latency histograms — the run-level decomposition of where
-/// a reference's cycles went.
-///
-/// Aggregation is hierarchical: the tracer keeps one breakdown per
-/// node (plus one for the device side) and [`Histogram::merge`]s them
-/// into the run-level breakdown at report time.
+/// a reference's cycles went. The tracer records every event, on every
+/// track, into one breakdown.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyBreakdown {
     stages: [Histogram; Stage::COUNT],
@@ -323,13 +310,6 @@ impl LatencyBreakdown {
     /// The histogram of one stage.
     pub fn stage(&self, stage: Stage) -> &Histogram {
         &self.stages[stage.index()]
-    }
-
-    /// Merges another breakdown into this one, stage by stage.
-    pub fn merge(&mut self, other: &LatencyBreakdown) {
-        for (mine, theirs) in self.stages.iter_mut().zip(&other.stages) {
-            mine.merge(theirs);
-        }
     }
 
     /// Total spans recorded across all stages.
@@ -453,8 +433,8 @@ impl WindowSeries {
     }
 }
 
-/// The telemetry hub: a bounded event ring with drop accounting,
-/// per-node latency breakdowns, and the windowed time series.
+/// The telemetry hub: a bounded event ring with drop accounting, the
+/// run's latency breakdown, and the windowed time series.
 ///
 /// # Examples
 ///
@@ -462,7 +442,7 @@ impl WindowSeries {
 /// use fam_sim::trace::{Stage, TraceConfig, TraceEvent, Tracer, Track};
 /// use fam_sim::Cycle;
 ///
-/// let mut t = Tracer::new(TraceConfig::full(), 1);
+/// let mut t = Tracer::new(TraceConfig::full());
 /// let req = t.next_request();
 /// t.record(TraceEvent {
 ///     req,
@@ -487,15 +467,13 @@ pub struct Tracer {
     recorded: u64,
     dropped: u64,
     next_req: u64,
-    node_breakdowns: Vec<LatencyBreakdown>,
-    device_breakdown: LatencyBreakdown,
+    breakdown: LatencyBreakdown,
     series: WindowSeries,
 }
 
 impl Tracer {
-    /// Creates a tracer for a system of `nodes` nodes. A disabled
-    /// configuration allocates nothing.
-    pub fn new(config: TraceConfig, nodes: usize) -> Tracer {
+    /// Creates a tracer. A disabled configuration allocates nothing.
+    pub fn new(config: TraceConfig) -> Tracer {
         let enabled = config.enabled;
         Tracer {
             ring: Vec::with_capacity(if enabled { config.ring_capacity } else { 0 }),
@@ -503,12 +481,7 @@ impl Tracer {
             recorded: 0,
             dropped: 0,
             next_req: 0,
-            node_breakdowns: if enabled {
-                vec![LatencyBreakdown::new(); nodes]
-            } else {
-                Vec::new()
-            },
-            device_breakdown: LatencyBreakdown::new(),
+            breakdown: LatencyBreakdown::new(),
             series: WindowSeries::new(if enabled { config.window_cycles } else { 0 }),
             config,
         }
@@ -516,7 +489,7 @@ impl Tracer {
 
     /// A disabled tracer (the default for every system).
     pub fn disabled() -> Tracer {
-        Tracer::new(TraceConfig::disabled(), 0)
+        Tracer::new(TraceConfig::disabled())
     }
 
     /// The single branch every event site pays when tracing is off.
@@ -552,7 +525,7 @@ impl Tracer {
         self.next_req
     }
 
-    /// Records one event: folds it into the owning breakdown and
+    /// Records one event: folds it into the breakdown and
     /// pushes it onto the ring (overwriting the oldest event, with
     /// drop accounting, once the ring is full).
     ///
@@ -564,10 +537,7 @@ impl Tracer {
         }
         debug_assert!(ev.end >= ev.start, "trace span must not run backwards");
         self.recorded += 1;
-        match ev.track.node_index() {
-            Some(n) => self.node_breakdowns[n].record(ev.stage, ev.cycles()),
-            None => self.device_breakdown.record(ev.stage, ev.cycles()),
-        }
+        self.breakdown.record(ev.stage, ev.cycles());
         self.push_ring(ev);
     }
 
@@ -629,15 +599,9 @@ impl Tracer {
         self.ring[self.head..].iter().chain(&self.ring[..self.head])
     }
 
-    /// The run-level breakdown: every per-node breakdown and the
-    /// device-side breakdown merged ([`Histogram::merge`] per stage).
-    pub fn breakdown(&self) -> LatencyBreakdown {
-        let mut total = LatencyBreakdown::new();
-        for b in &self.node_breakdowns {
-            total.merge(b);
-        }
-        total.merge(&self.device_breakdown);
-        total
+    /// The run-level breakdown: every recorded event, on every track.
+    pub fn breakdown(&self) -> &LatencyBreakdown {
+        &self.breakdown
     }
 
     /// The windowed time series.
@@ -675,9 +639,12 @@ fn push_event(out: &mut String, first: &mut bool, ph: char, tid: usize, name: &s
 /// the request id in `args.req`. Drop accounting and the request count
 /// ride along in `otherData`.
 ///
+/// The writer is flushed before returning, so a buffered writer's
+/// error surfaces here rather than being dropped with it.
+///
 /// # Errors
 ///
-/// Propagates writer errors.
+/// Propagates writer errors, the final flush's included.
 pub fn write_chrome_trace<W: Write>(
     mut w: W,
     tracer: &Tracer,
@@ -738,7 +705,8 @@ pub fn write_chrome_trace<W: Write>(
         );
     }
     out.push_str("\n  ]\n}\n");
-    w.write_all(out.as_bytes())
+    w.write_all(out.as_bytes())?;
+    w.flush()
 }
 
 /// Validates that `text` is well-formed JSON whose top-level object
@@ -801,7 +769,7 @@ mod tests {
 
     #[test]
     fn request_ids_are_sequential_and_tagged() {
-        let mut t = Tracer::new(TraceConfig::full(), 1);
+        let mut t = Tracer::new(TraceConfig::full());
         let a = t.next_request();
         let b = t.next_request();
         assert_eq!(a, RequestId(1));
@@ -814,7 +782,7 @@ mod tests {
     #[test]
     fn ring_overflow_drops_oldest_and_accounts() {
         let cfg = TraceConfig::full().with_ring_capacity(3);
-        let mut t = Tracer::new(cfg, 1);
+        let mut t = Tracer::new(cfg);
         for i in 0..5u64 {
             t.record(ev(
                 i + 1,
@@ -835,7 +803,7 @@ mod tests {
 
     #[test]
     fn breakdown_only_mode_retains_nothing() {
-        let mut t = Tracer::new(TraceConfig::breakdown_only(), 2);
+        let mut t = Tracer::new(TraceConfig::breakdown_only());
         t.record(ev(1, Stage::FabricSend, Track::Fabric(1), 0, 100));
         assert_eq!(t.retained(), 0);
         assert_eq!(t.dropped(), 0, "no ring means no overflow to account");
@@ -845,7 +813,7 @@ mod tests {
 
     #[test]
     fn breakdowns_aggregate_per_node_and_device() {
-        let mut t = Tracer::new(TraceConfig::breakdown_only(), 2);
+        let mut t = Tracer::new(TraceConfig::breakdown_only());
         t.record(ev(1, Stage::TlbLookup, Track::Node(0), 0, 2));
         t.span(
             RequestId(1),
@@ -868,7 +836,7 @@ mod tests {
     #[test]
     fn window_series_buckets_by_completion() {
         let cfg = TraceConfig::full().with_window_cycles(100);
-        let mut t = Tracer::new(cfg, 1);
+        let mut t = Tracer::new(cfg);
         let s = |i: u64| WindowSample {
             instructions: i,
             fam_at: 1,
@@ -900,7 +868,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_valid_and_counts_events() {
-        let mut t = Tracer::new(TraceConfig::full(), 1);
+        let mut t = Tracer::new(TraceConfig::full());
         t.record(ev(1, Stage::FabricSend, Track::Fabric(0), 0, 1000));
         t.record(ev(1, Stage::NvmAccess, Track::Nvm(0), 1000, 1120));
         t.record(ev(1, Stage::FabricRecv, Track::Fabric(0), 1120, 2120));
@@ -913,6 +881,27 @@ mod tests {
         assert!(text.contains("\"name\": \"nvm0\""));
         // 1000 cycles at 2 GHz = 0.5 us.
         assert!(text.contains("\"ts\": 0.0000, \"dur\": 0.5000"));
+    }
+
+    /// A writer that accepts every byte but fails to flush, like a
+    /// buffered writer over a full disk.
+    struct FailingFlush;
+
+    impl Write for FailingFlush {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Err(io::Error::other("disk full"))
+        }
+    }
+
+    #[test]
+    fn chrome_trace_reports_flush_errors() {
+        let mut t = Tracer::new(TraceConfig::full());
+        t.record(ev(1, Stage::NvmAccess, Track::Nvm(0), 0, 10));
+        assert!(write_chrome_trace(FailingFlush, &t, 2000).is_err());
     }
 
     #[test]

@@ -228,23 +228,6 @@ fn lru_translation_cache_hits_at_least_as_often_but_writes_more() {
 }
 
 #[test]
-fn trace_replay_drives_the_full_system() {
-    let c = cfg(Scheme::DeactN).with_refs_per_core(2_000);
-    let w = fam_workloads::Workload::by_name("pf").unwrap();
-    let traces: Vec<Vec<Vec<fam_workloads::MemRef>>> = (0..c.nodes)
-        .map(|_| {
-            (0..c.cores_per_node)
-                .map(|core| w.generator(core as u64).take_refs(2_000))
-                .collect()
-        })
-        .collect();
-    let r = deact::System::from_traces(c, "pf-trace", traces).run();
-    assert_eq!(r.workload, "pf-trace");
-    assert!(r.ipc > 0.0);
-    assert!(r.fam.data_reads > 0);
-}
-
-#[test]
 fn shared_segment_traffic_shows_bitmap_fetches() {
     // §VI "Shared Pages": two nodes touch a common segment; DeACT's
     // verification fetches the 1 GB-region bitmap for shared pages.

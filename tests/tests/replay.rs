@@ -121,6 +121,18 @@ fn replay_matches_across_schemes() {
     }
 }
 
+/// Σ `node{n}/replay_wraps` over the system's nodes.
+fn total_wraps(system: &System) -> u64 {
+    let metrics = system.metrics();
+    (0..system.config().nodes)
+        .map(|n| {
+            metrics
+                .counter_value(&format!("node{n}/replay_wraps"))
+                .unwrap_or(0)
+        })
+        .sum()
+}
+
 #[test]
 fn replay_runs_longer_than_the_trace_by_wrapping() {
     // Record 100 refs/core, replay 400: the file wraps like looping a
@@ -135,19 +147,22 @@ fn replay_runs_longer_than_the_trace_by_wrapping() {
     let mut system = replayed_system(long_cfg, "sssp", &path);
     let heap = system.try_run().expect("wrapped run");
     assert_eq!(heap, scan);
-    // Each core consumed its 100-record rank slice at least 4 times.
-    let metrics = system.metrics();
-    let wraps: u64 = (0..long_cfg.nodes)
-        .map(|n| {
-            metrics
-                .counter_value(&format!("node{n}/replay_wraps"))
-                .unwrap_or(0)
-        })
-        .sum();
-    assert!(
-        wraps >= 3 * (long_cfg.nodes * long_cfg.cores_per_node) as u64,
-        "expected every core to wrap, saw {wraps} wraps"
-    );
+    // Each core consumed its 100-record rank slice exactly 4 times.
+    let cores = (long_cfg.nodes * long_cfg.cores_per_node) as u64;
+    assert_eq!(total_wraps(&system), 4 * cores);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn replay_short_of_a_whole_pass_counts_no_wraps() {
+    // Cores draw exactly the references they execute, so a run one
+    // reference short of the recorded slice never reaches its end.
+    let w = Workload::by_name("sssp").unwrap();
+    let record_cfg = base_cfg().with_refs_per_core(100);
+    let path = record_to_file(&record_cfg, &w, "short");
+    let mut system = replayed_system(base_cfg().with_refs_per_core(99), "sssp", &path);
+    system.try_run().expect("short run");
+    assert_eq!(total_wraps(&system), 0);
     std::fs::remove_file(&path).ok();
 }
 
