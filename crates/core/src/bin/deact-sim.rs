@@ -16,18 +16,17 @@
 //! deact-sim record <benchmark> [--out t.famt] [plus any `run` flag]
 //!                                # capture the synthetic stream to disk
 //! deact-sim replay <t.famt> [--trace-out trace.json] [plus any `run` flag]
-//!                                # run a recorded/synthesized trace
+//!                                # run a recorded trace
 //! deact-sim list                                       # Table III roster
 //! ```
 //!
 //! `record` draws exactly the per-core reference streams a live run of
 //! the benchmark would execute (same seeds, same order) and writes
-//! them as a rank-tagged FAMT v2 trace; `replay` streams such a file —
-//! or any externally produced FAMT trace — back through the full
-//! system model, so `record` → `replay` reproduces the live run's
-//! report bit for bit. Replay honors every `run` flag (`--scheme`,
-//! `--kill-node`, ...); `--trace-out` additionally captures a Perfetto
-//! trace of the replayed run.
+//! them as a rank-tagged FAMT v2 trace; `replay` streams such a file
+//! back through the full system model, so `record` → `replay`
+//! reproduces the live run's report bit for bit. Replay honors every
+//! `run` flag (`--scheme`, `--kill-node`, ...); `--trace-out`
+//! additionally captures a Perfetto trace of the replayed run.
 //!
 //! Parallelism is across runs only: `--jobs N` sets how many worker
 //! threads `compare` uses to run the four schemes concurrently
@@ -603,8 +602,8 @@ fn main() -> ExitCode {
                 })
                 .sum();
             println!(
-                "replay           {path}: FAMT v{}, {} records, {} ranks, {} wrap-arounds",
-                header.version, header.count, header.ranks, wraps
+                "replay           {path}: FAMT v2, {} records, {} ranks, {} wrap-arounds",
+                header.count, header.ranks, wraps
             );
             if let Some(out) = trace_out {
                 if let Err(code) = write_trace_file(&out, &system, frequency_mhz) {

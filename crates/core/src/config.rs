@@ -7,7 +7,6 @@ use fam_sim::{FaultConfig, Frequency, TraceConfig};
 use fam_stu::StuConfig;
 use fam_vm::TlbConfig;
 
-use crate::translator::RetryConfig;
 use crate::Scheme;
 
 /// Configuration of one simulated FAM system, defaulting to the
@@ -92,9 +91,6 @@ pub struct SystemConfig {
     /// Kernel page-fault service time in nanoseconds (charged once per
     /// first touch; identical across schemes).
     pub fault_ns: u64,
-    /// Fraction of application pages placed in local DRAM (§IV
-    /// footnote: 20% local / 80% FAM).
-    pub local_fraction: f64,
     /// Pages in a cross-node shared segment (§VI "Shared Pages"),
     /// mapped RW into every node at [`fam_workloads::SHARED_VA_BASE`]
     /// during construction. 0 (the default) disables sharing; pair a
@@ -116,13 +112,6 @@ pub struct SystemConfig {
     /// `fault_injection` to stay clearly apart from `fault_ns`, the
     /// page-fault service latency.
     pub fault_injection: FaultConfig,
-    /// Retry/timeout/backoff policy the nodes use to recover from
-    /// injected faults.
-    pub retry: RetryConfig,
-    /// Management-path copy bandwidth, in bytes per core cycle, charged
-    /// on the simulated clock while the broker evacuates still-reachable
-    /// pages off quarantined FAM (a persistent [`fam_sim::PersistentFault`]).
-    pub evacuation_bytes_per_cycle: u64,
     /// When `true`, the first access that reads data a permanent
     /// failure destroyed surfaces as [`crate::SimError::DataLoss`]
     /// instead of a counted poisoned access; the run stops rather than
@@ -166,14 +155,11 @@ impl SystemConfig {
             router_ns: 10,
             stu_lookup_cycles: 4,
             fault_ns: 1500,
-            local_fraction: 0.20,
             shared_segment_pages: 0,
             skip_read_checks: false,
             refs_per_core: 100_000,
             seed: 0xDEAC7,
             fault_injection: FaultConfig::disabled(),
-            retry: RetryConfig::default(),
-            evacuation_bytes_per_cycle: 64,
             halt_on_data_loss: false,
             trace: TraceConfig::disabled(),
         }
@@ -300,21 +286,6 @@ impl SystemConfig {
         self
     }
 
-    /// Sets the retry/timeout/backoff policy (see [`RetryConfig`]).
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryConfig) -> SystemConfig {
-        self.retry = retry;
-        self
-    }
-
-    /// Sets the evacuation bandwidth in bytes per core cycle (see
-    /// [`SystemConfig::evacuation_bytes_per_cycle`]).
-    #[must_use]
-    pub fn with_evacuation_bandwidth(mut self, bytes_per_cycle: u64) -> SystemConfig {
-        self.evacuation_bytes_per_cycle = bytes_per_cycle;
-        self
-    }
-
     /// Makes data loss fatal (see
     /// [`SystemConfig::halt_on_data_loss`]).
     #[must_use]
@@ -371,21 +342,13 @@ impl SystemConfig {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate configurations (zero nodes/cores/refs, a
-    /// local fraction outside `[0, 1]`).
+    /// Panics on degenerate configurations (zero nodes/cores/refs or
+    /// issue width, a fault profile naming a missing FAM module).
     pub fn validate(&self) {
         assert!(self.nodes > 0, "need at least one node");
         assert!(self.cores_per_node > 0, "need at least one core");
         assert!(self.refs_per_core > 0, "need at least one reference");
-        assert!(
-            (0.0..=1.0).contains(&self.local_fraction),
-            "local fraction must be a probability"
-        );
         assert!(self.issue_width > 0, "issue width must be non-zero");
-        assert!(
-            self.evacuation_bytes_per_cycle > 0,
-            "evacuation bandwidth must be non-zero"
-        );
         if let Some(schedule) = self.fault_injection.persistent {
             if let Some(module) = schedule.fault.module() {
                 assert!(
@@ -396,7 +359,6 @@ impl SystemConfig {
             }
         }
         self.fault_injection.validate();
-        self.retry.validate();
     }
 }
 
@@ -483,7 +445,6 @@ mod tests {
     fn fault_injection_defaults_off() {
         let c = SystemConfig::paper_default();
         assert!(!c.fault_injection.enabled);
-        assert_eq!(c.retry, RetryConfig::default());
         assert!(!c.trace.enabled, "tracing defaults off like faults");
         assert!(c.with_trace(TraceConfig::full()).trace.enabled);
         let faulty = c.with_fault_injection(FaultConfig::transient(9));
@@ -501,16 +462,6 @@ mod tests {
                 ..FaultConfig::disabled()
             })
             .validate();
-    }
-
-    #[test]
-    fn evacuation_and_data_loss_knobs_compose() {
-        let c = SystemConfig::paper_default()
-            .with_evacuation_bandwidth(128)
-            .with_halt_on_data_loss(true);
-        assert_eq!(c.evacuation_bytes_per_cycle, 128);
-        assert!(c.halt_on_data_loss);
-        c.validate();
     }
 
     #[test]

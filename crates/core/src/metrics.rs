@@ -327,11 +327,6 @@ impl AuditReport {
     pub fn passed(&self) -> bool {
         self.checks.iter().all(|c| c.passed)
     }
-
-    /// The checks that failed.
-    pub fn failures(&self) -> impl Iterator<Item = &AuditCheck> {
-        self.checks.iter().filter(|c| !c.passed)
-    }
 }
 
 impl std::fmt::Display for AuditReport {

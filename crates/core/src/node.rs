@@ -28,6 +28,10 @@ pub const DATA_REGION_PAGES: u64 = (512 << 20) / 4096;
 /// DRAM byte address of the FAM translation cache (§IV: 1 MB).
 pub const TRANSLATION_CACHE_BASE: u64 = 768 << 20;
 
+/// Fraction of application pages placed in local DRAM (§IV footnote:
+/// 20% local / 80% FAM).
+const LOCAL_FRACTION: f64 = 0.20;
+
 /// A reference drawn ahead of execution so the driver can order cores
 /// by true start time (processing resources out of time order would
 /// let a far-future request poison the contention timelines for
@@ -105,7 +109,6 @@ pub struct Node {
     pub faults: u64,
 
     scheme: Scheme,
-    local_fraction: f64,
     next_local_data_page: u64,
     next_kernel_dram_page: u64,
     next_fam_npa_page: u64,
@@ -181,7 +184,6 @@ impl Node {
             translator,
             faults: 0,
             scheme: config.scheme,
-            local_fraction: config.local_fraction,
             next_local_data_page: 1,
             next_kernel_dram_page: root_page - 1,
             // The first `shared_segment_pages` of the FAM zone are the
@@ -208,13 +210,6 @@ impl Node {
         phys_page - FAM_KEY_PAGE
     }
 
-    /// Converts an I-FAM/DeACT node-physical FAM-zone page to its zone
-    /// offset (used only for diagnostics; the real FAM page comes from
-    /// the system level).
-    pub fn fam_zone_offset(npa_page: u64) -> u64 {
-        npa_page - FAM_ZONE_PAGE
-    }
-
     /// Handles a node-level page fault for `vaddr`: the OS picks a
     /// zone (≈20% local DRAM, 80% FAM, §IV) and installs the mapping.
     /// For E-FAM the kernel asks the broker for the real FAM page
@@ -236,7 +231,7 @@ impl Node {
         let _prof = fam_sim::profile::span(fam_sim::profile::PhaseId::PageWalk);
         let vpage = vaddr.vpage();
         self.faults += 1;
-        let go_local = self.placement_rng.chance(self.local_fraction)
+        let go_local = self.placement_rng.chance(LOCAL_FRACTION)
             && self.next_local_data_page < DATA_REGION_PAGES;
         let target_page = if go_local {
             let p = self.next_local_data_page;

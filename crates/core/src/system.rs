@@ -21,8 +21,13 @@ use crate::metrics::{
     AuditCheck, AuditReport, DegradationReport, FamTraffic, FaultRecovery, RunReport,
 };
 use crate::node::{Node, FAM_KEY_PAGE};
-use crate::translator::{RetryOutcome, RetryState};
+use crate::translator::{RetryConfig, RetryOutcome, RetryState};
 use crate::{Scheme, SystemConfig};
+
+/// Management-path copy bandwidth, in bytes per core cycle, charged on
+/// the simulated clock while the broker evacuates still-reachable pages
+/// off quarantined FAM (a persistent [`fam_sim::PersistentFault`]).
+const EVACUATION_BYTES_PER_CYCLE: u64 = 64;
 
 /// A complete FAM system under one scheme: nodes, fabric, STUs, the
 /// FAM device and the memory broker (Fig. 6 writ large).
@@ -358,7 +363,7 @@ impl System {
             mem: r,
             req,
             start_req,
-            ready: core.window.would_start_mut(start_req),
+            ready: core.window.would_start(start_req),
         });
     }
 
@@ -667,7 +672,7 @@ impl System {
                     let module = self.module_of(fam_byte);
                     self.fabric.node_to_fam(t, n, module);
                     self.recovery.timeouts += 1;
-                    let expiry = t + Duration(self.config.retry.timeout_cycles);
+                    let expiry = t + Duration(RetryConfig::default().timeout_cycles);
                     self.tracer
                         .span(req, Stage::Retry, Track::Fabric(n as u16), t, expiry);
                     t = expiry;
@@ -702,7 +707,7 @@ impl System {
                     }
                 }
             }
-            match state.on_fault(&self.config.retry) {
+            match state.on_fault(&RetryConfig::default()) {
                 RetryOutcome::Retry { backoff } => t = self.back_off(n, t, backoff, req),
                 RetryOutcome::GiveUp => {
                     // Graceful degradation: the access is counted as
@@ -767,7 +772,7 @@ impl System {
             let mut state = RetryState::for_request(req);
             loop {
                 t = self.unreachable_nack(n, t, module, req);
-                match state.on_fault(&self.config.retry) {
+                match state.on_fault(&RetryConfig::default()) {
                     RetryOutcome::Retry { backoff } => t = self.back_off(n, t, backoff, req),
                     RetryOutcome::GiveUp => break,
                 }
@@ -807,8 +812,7 @@ impl System {
     /// 1. Quarantine the blast zone in the broker's [`FamLayout`] and
     ///    evacuate still-reachable pages (link-severed modules keep a
     ///    management path; dead nodes and failed media lose their
-    ///    data), charging the copy at the configured evacuation
-    ///    bandwidth.
+    ///    data), charging the copy at [`EVACUATION_BYTES_PER_CYCLE`].
     /// 2. Broadcast a translation shootdown to every surviving node:
     ///    stale TLB entries (E-FAM), STU and FAM-PTW cache entries, and
     ///    in-DRAM translation-cache entries naming quarantined pages
@@ -836,12 +840,10 @@ impl System {
             .quarantine_and_evacuate(self.pending_quarantine, fault.evacuable())
             .map_err(|source| SimError::FamExhausted { node: n, source })?;
 
-        // Evacuation rides the management path at a configured
-        // bandwidth; the protocol is stop-the-world on the simulated
-        // clock (every node waits for the broker's all-clear).
-        let evacuation_cycles = evac
-            .bytes_copied
-            .div_ceil(self.config.evacuation_bytes_per_cycle.max(1));
+        // Evacuation rides the management path at a fixed bandwidth;
+        // the protocol is stop-the-world on the simulated clock (every
+        // node waits for the broker's all-clear).
+        let evacuation_cycles = evac.bytes_copied.div_ceil(EVACUATION_BYTES_PER_CYCLE);
         let mut t = t + Duration(evacuation_cycles);
 
         for r in &relocations {

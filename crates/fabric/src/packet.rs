@@ -8,8 +8,10 @@
 //!
 //! Every frame carries a CRC-16 trailer so in-flight corruption is
 //! *detected*, not assumed away: a corrupted request decodes to
-//! [`DecodePacketError::ChecksumMismatch`] and the FAM side answers
-//! with a [`Nack`], driving the node-side retry machinery.
+//! [`DecodePacketError::ChecksumMismatch`], and the simulator charges
+//! the FAM side's negative acknowledgement (NACK) as a
+//! [`RESPONSE_BYTES`] return trip that drives the node-side retry
+//! machinery.
 
 use fam_sim::RequestId;
 use fam_vm::NodeId;
@@ -48,68 +50,6 @@ impl PacketKind {
     }
 }
 
-/// Why the FAM side rejected a request (the negative-acknowledgement
-/// variants a real Gen-Z/CXL-style fabric distinguishes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Nack {
-    /// The pre-translated (`V = 1`) address no longer maps to a page
-    /// the node may use: the cached translation is stale and must be
-    /// invalidated, then re-resolved through the STU walk path.
-    Stale,
-    /// The request frame failed its CRC at the receiver.
-    Corrupt,
-    /// The request (or its response) never arrived inside the timeout
-    /// window — congestion or a dropped flit.
-    Timeout,
-    /// The addressed FAM page is permanently unreachable (dead module,
-    /// failed media, severed link). Unlike every other NACK this one
-    /// never clears on retry: the fabric switch answers on the
-    /// module's behalf and the node must escalate to the memory
-    /// broker's recovery protocol instead of retrying.
-    Unreachable,
-}
-
-impl Nack {
-    /// All NACK variants, for exhaustive tests and sweeps.
-    pub const ALL: [Nack; 4] = [Nack::Stale, Nack::Corrupt, Nack::Timeout, Nack::Unreachable];
-
-    fn code(self) -> u8 {
-        match self {
-            Nack::Stale => 0,
-            Nack::Corrupt => 1,
-            Nack::Timeout => 2,
-            Nack::Unreachable => 3,
-        }
-    }
-
-    fn from_code(c: u8) -> Option<Nack> {
-        Some(match c {
-            0 => Nack::Stale,
-            1 => Nack::Corrupt,
-            2 => Nack::Timeout,
-            3 => Nack::Unreachable,
-            _ => return None,
-        })
-    }
-
-    /// Whether retrying the same request can ever succeed. The retry
-    /// state machine gives up immediately on non-retryable NACKs.
-    pub fn retryable(self) -> bool {
-        !matches!(self, Nack::Unreachable)
-    }
-}
-
-impl std::fmt::Display for Nack {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Nack::Stale => "stale-translation",
-            Nack::Corrupt => "corrupt-frame",
-            Nack::Timeout => "timeout",
-            Nack::Unreachable => "unreachable-permanent",
-        })
-    }
-}
-
 /// CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF), computed bitwise.
 /// Any burst error of 16 bits or fewer — in particular any single
 /// corrupted byte — is guaranteed to change the checksum.
@@ -144,23 +84,6 @@ fn get_u64(wire: &[u8], at: usize) -> u64 {
     let mut b = [0u8; 8];
     b.copy_from_slice(&wire[at..at + 8]);
     u64::from_be_bytes(b)
-}
-
-/// Appends the CRC trailer over everything already in `buf`.
-fn seal(buf: &mut Vec<u8>) {
-    let crc = crc16(buf);
-    put_u16(buf, crc);
-}
-
-/// Verifies the CRC trailer of `wire` (last two bytes).
-fn check_crc(wire: &[u8]) -> Result<(), DecodePacketError> {
-    let body = wire.len() - 2;
-    let expected = crc16(&wire[..body]);
-    let found = get_u16(wire, body);
-    if expected != found {
-        return Err(DecodePacketError::ChecksumMismatch { expected, found });
-    }
-    Ok(())
 }
 
 /// A memory-semantic request packet as it crosses the fabric.
@@ -298,7 +221,8 @@ impl Packet {
         put_u16(buf, self.source.raw());
         put_u16(buf, self.tag);
         put_u64(buf, self.addr);
-        seal(buf);
+        let crc = crc16(buf);
+        put_u16(buf, crc);
     }
 
     /// Parses a packet from its wire form, verifying the CRC trailer
@@ -313,7 +237,11 @@ impl Packet {
         if wire.len() < PACKET_BYTES {
             return Err(DecodePacketError::Truncated);
         }
-        check_crc(&wire[..PACKET_BYTES])?;
+        let expected = crc16(&wire[..PACKET_BYTES - 2]);
+        let found = get_u16(wire, PACKET_BYTES - 2);
+        if expected != found {
+            return Err(DecodePacketError::ChecksumMismatch { expected, found });
+        }
         let kind_code = wire[0];
         let kind =
             PacketKind::from_code(kind_code).ok_or(DecodePacketError::UnknownKind(kind_code))?;
@@ -335,97 +263,10 @@ impl Packet {
     }
 }
 
-/// Encoded response size in bytes: status(1) + nack(1) + tag(2) +
-/// addr(8) + crc(2).
+/// Bytes of a FAM-side response frame: status(1) + NACK code(1) +
+/// tag(2) + addr(8) + crc(2). The simulator never encodes a response;
+/// it charges each NACK as a fabric return trip of this size.
 pub const RESPONSE_BYTES: usize = 14;
-
-/// A FAM-side response frame: either an acknowledgement carrying the
-/// (FAM) address the data belongs to, or a [`Nack`] telling the node
-/// why the request was rejected and must be retried or re-resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Response {
-    /// The request was served; `addr` tags the data block, `tag`
-    /// matches the outstanding-mapping list entry.
-    Ack {
-        /// Request tag being answered.
-        tag: u16,
-        /// FAM address of the data returned.
-        addr: u64,
-    },
-    /// The request was rejected; the node must recover.
-    Nack {
-        /// Why the request bounced.
-        nack: Nack,
-        /// Request tag being answered.
-        tag: u16,
-        /// Address the rejected request named.
-        addr: u64,
-    },
-}
-
-impl Response {
-    /// The tag this response answers.
-    pub fn tag(&self) -> u16 {
-        match *self {
-            Response::Ack { tag, .. } | Response::Nack { tag, .. } => tag,
-        }
-    }
-
-    /// Serializes the response, CRC trailer included.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(RESPONSE_BYTES);
-        self.encode_into(&mut buf);
-        buf
-    }
-
-    /// Serializes into a caller-owned buffer (cleared first); see
-    /// [`Packet::encode_into`].
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.clear();
-        buf.reserve(RESPONSE_BYTES);
-        match *self {
-            Response::Ack { tag, addr } => {
-                buf.push(0);
-                buf.push(0);
-                put_u16(buf, tag);
-                put_u64(buf, addr);
-            }
-            Response::Nack { nack, tag, addr } => {
-                buf.push(1);
-                buf.push(nack.code());
-                put_u16(buf, tag);
-                put_u64(buf, addr);
-            }
-        }
-        seal(buf);
-    }
-
-    /// Parses a response from its wire form, verifying the CRC first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodePacketError`] on truncation, checksum failure,
-    /// or an unknown status/NACK code (reported as [`UnknownKind`]).
-    ///
-    /// [`UnknownKind`]: DecodePacketError::UnknownKind
-    pub fn decode(wire: &[u8]) -> Result<Response, DecodePacketError> {
-        if wire.len() < RESPONSE_BYTES {
-            return Err(DecodePacketError::Truncated);
-        }
-        check_crc(&wire[..RESPONSE_BYTES])?;
-        let tag = get_u16(wire, 2);
-        let addr = get_u64(wire, 4);
-        match wire[0] {
-            0 => Ok(Response::Ack { tag, addr }),
-            1 => {
-                let nack =
-                    Nack::from_code(wire[1]).ok_or(DecodePacketError::UnknownKind(wire[1]))?;
-                Ok(Response::Nack { nack, tag, addr })
-            }
-            other => Err(DecodePacketError::UnknownKind(other)),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -491,14 +332,6 @@ mod tests {
             p.encode_into(&mut buf);
             assert_eq!(buf, p.encode(), "tag {tag}");
         }
-        let r = Response::Nack {
-            nack: Nack::Timeout,
-            tag: 3,
-            addr: 0x77,
-        };
-        r.encode_into(&mut buf);
-        assert_eq!(buf, r.encode());
-        assert_eq!(Response::decode(&buf).unwrap(), r);
     }
 
     #[test]
@@ -569,47 +402,6 @@ mod tests {
     fn crc16_known_vector() {
         // CRC-16/CCITT-FALSE of "123456789" is 0x29B1.
         assert_eq!(crc16(b"123456789"), 0x29B1);
-    }
-
-    #[test]
-    fn response_roundtrip_ack_and_all_nacks() {
-        let ack = Response::Ack {
-            tag: 7,
-            addr: 0x1234_5678,
-        };
-        assert_eq!(Response::decode(&ack.encode()).unwrap(), ack);
-        assert_eq!(ack.tag(), 7);
-        for nack in Nack::ALL {
-            let r = Response::Nack {
-                nack,
-                tag: 9,
-                addr: 0xAAAA,
-            };
-            assert_eq!(Response::decode(&r.encode()).unwrap(), r);
-            assert_eq!(r.tag(), 9);
-            assert!(!nack.to_string().is_empty());
-        }
-    }
-
-    #[test]
-    fn response_corruption_detected() {
-        let wire = Response::Nack {
-            nack: Nack::Stale,
-            tag: 1,
-            addr: 2,
-        }
-        .encode();
-        for pos in 0..RESPONSE_BYTES {
-            let mut bad = wire.clone();
-            bad[pos] ^= 0x40;
-            assert!(
-                matches!(
-                    Response::decode(&bad),
-                    Err(DecodePacketError::ChecksumMismatch { .. })
-                ),
-                "byte {pos} slipped through"
-            );
-        }
     }
 
     #[test]

@@ -161,11 +161,6 @@ impl Frequency {
         Frequency::mhz(ghz * 1000)
     }
 
-    /// The frequency in megahertz.
-    pub fn as_mhz(self) -> u64 {
-        self.mhz
-    }
-
     /// Converts a nanosecond latency to cycles, rounding up so that a
     /// non-zero latency is never lost to truncation.
     pub fn ns_to_cycles(self, ns: u64) -> Duration {
@@ -175,11 +170,6 @@ impl Frequency {
     /// Converts a picosecond latency to cycles, rounding up.
     pub fn ps_to_cycles(self, ps: u64) -> Duration {
         Duration((ps * self.mhz).div_ceil(1_000_000))
-    }
-
-    /// Converts a cycle count back to nanoseconds (rounded down).
-    pub fn cycles_to_ns(self, d: Duration) -> u64 {
-        d.0 * 1000 / self.mhz
     }
 }
 
@@ -238,7 +228,6 @@ mod tests {
         let f = Frequency::ghz(2);
         assert_eq!(f.ns_to_cycles(500), Duration(1000));
         assert_eq!(f.ns_to_cycles(1), Duration(2));
-        assert_eq!(f.cycles_to_ns(Duration(1000)), 500);
         // A 0.3 ns event at 1 GHz still costs one cycle.
         let g = Frequency::ghz(1);
         assert_eq!(g.ps_to_cycles(300), Duration(1));

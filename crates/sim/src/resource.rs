@@ -236,11 +236,6 @@ impl BankedResource {
         }
     }
 
-    /// Number of banks.
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
-    }
-
     /// Total requests across all banks.
     pub fn requests(&self) -> u64 {
         self.banks.iter().map(Resource::requests).sum()

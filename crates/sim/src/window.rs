@@ -85,42 +85,18 @@ impl Window {
         self.peak = self.peak.max(self.completions.len());
     }
 
-    /// Earliest completion time among in-flight operations, if any.
-    pub fn earliest_completion(&self) -> Option<Cycle> {
-        self.completions.peek().map(|&Reverse(c)| c)
-    }
-
-    /// Predicts, without mutating, when an operation wanting to start
-    /// at `now` would be admitted — `now` itself if a slot is free,
-    /// otherwise the earliest in-flight completion. Lets a scheduler
-    /// order work by true start time before committing to
-    /// [`Window::admit`].
-    pub fn would_start(&self, now: Cycle) -> Cycle {
-        let mut live = 0usize;
-        let mut earliest = Cycle(u64::MAX);
-        for &Reverse(c) in self.completions.iter() {
-            if c > now {
-                live += 1;
-                earliest = earliest.min(c);
-            }
-        }
-        if live < self.capacity {
-            now
-        } else {
-            earliest.max(now)
-        }
-    }
-
-    /// As [`Window::would_start`], but drains operations that already
-    /// completed at or before `now` so the prediction is an O(1) heap
-    /// peek instead of a full scan. The only mutation is forgetting
-    /// completed operations, which any later [`Window::admit`] at
-    /// `now` or after would forget anyway; statistics are untouched,
-    /// so the prediction and all observable behaviour match
-    /// [`Window::would_start`] exactly. Callers must only use this
-    /// when `now` never decreases between calls on the same window,
-    /// which holds for a core's issue clock.
-    pub fn would_start_mut(&mut self, now: Cycle) -> Cycle {
+    /// Predicts when an operation wanting to start at `now` would be
+    /// admitted — `now` itself if a slot is free, otherwise the
+    /// earliest in-flight completion. Lets a scheduler order work by
+    /// true start time before committing to [`Window::admit`].
+    ///
+    /// The only mutation is forgetting operations that completed at or
+    /// before `now`, which any later [`Window::admit`] at `now` or
+    /// after would forget anyway, so the prediction is an O(1) heap
+    /// peek; statistics are untouched. Callers must only use this when
+    /// `now` never decreases between calls on the same window, which
+    /// holds for a core's issue clock.
+    pub fn would_start(&mut self, now: Cycle) -> Cycle {
         while let Some(&Reverse(c)) = self.completions.peek() {
             if c <= now {
                 self.completions.pop();
@@ -137,11 +113,6 @@ impl Window {
                 .expect("window full implies non-empty");
             earliest.max(now)
         }
-    }
-
-    /// Latest completion time among in-flight operations, if any.
-    pub fn drain_time(&self) -> Option<Cycle> {
-        self.completions.iter().map(|&Reverse(c)| c).max()
     }
 
     /// Number of operations currently tracked as in flight.

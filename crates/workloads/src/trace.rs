@@ -1,33 +1,27 @@
-//! On-disk trace format, streamed readers, and replay sources.
+//! On-disk trace format, a streamed reader, and replay sources.
 //!
-//! The synthetic generators stand in for the paper's benchmark
-//! binaries (DESIGN.md §1), but a user with real application traces —
-//! from a PIN tool, from SST's Ariel, from perf — should be able to
-//! feed them through the same system model. This module defines a
-//! compact binary trace format (`FAMT`), one-shot and streamed
-//! decoders, and a replaying reference source that plugs into the
-//! system through [`RefStream`].
+//! `deact-sim record` captures the per-core reference streams a live
+//! run executes and `deact-sim replay` feeds them back through the
+//! same system model. This module defines that compact binary trace
+//! format (`FAMT`), its streamed decoder, and a replaying reference
+//! source that plugs into the system through [`RefStream`].
 //!
 //! # Format (little-endian)
 //!
-//! Version 1 (single-stream): magic `FAMT`, version `u16 = 1`, record
-//! count `u64`; then per 13-byte record: virtual address `u64`, flags
-//! `u8` (bit 0 = write, bit 1 = dependent), instruction gap `u32`.
+//! Magic `FAMT`, version `u16 = 2`, record count `u64`, rank count
+//! `u16`; then per 15-byte record: virtual address `u64`, flags `u8`
+//! (bit 0 = write, bit 1 = dependent), instruction gap `u32`, rank
+//! `u16`. A *rank* is a global core index (`node * cores_per_node +
+//! core`), so one file drives an N-node system: each core replays
+//! exactly the records carrying its rank, in file order. Records for
+//! different ranks may be interleaved arbitrarily; [`record_streams`]
+//! writes them round-robin so every per-rank subsequence is in program
+//! order. Any other version is rejected.
 //!
-//! Version 2 (multi-rank): magic `FAMT`, version `u16 = 2`, record
-//! count `u64`, rank count `u16`; then per 15-byte record the v1
-//! fields plus a trailing rank `u16`. A *rank* is a global core index
-//! (`node * cores_per_node + core`), so one file drives an N-node
-//! system: each core replays exactly the records carrying its rank,
-//! in file order. Records for different ranks may be interleaved
-//! arbitrarily; [`record_streams`] writes them round-robin so every
-//! per-rank subsequence is in program order.
+//! # Reading
 //!
-//! # Readers
-//!
-//! [`read_trace`] / [`read_records`] are one-shot (whole body in
-//! memory). [`TraceReader`] streams records through a bounded chunk
-//! buffer, so arbitrarily long traces replay in constant memory —
+//! [`TraceReader`] streams records through a bounded chunk buffer, so
+//! arbitrarily long traces replay in constant memory;
 //! [`StreamedReplay`] wraps it into a wrapping per-rank [`RefStream`]
 //! source backed by a file on disk.
 
@@ -41,53 +35,31 @@ use crate::{MemRef, TraceGenerator};
 
 /// File magic.
 const MAGIC: &[u8; 4] = b"FAMT";
-/// Single-stream format version.
-const VERSION: u16 = 1;
-/// Multi-rank format version.
-const VERSION_V2: u16 = 2;
-/// Bytes per encoded v1 record.
-const RECORD_BYTES: usize = 13;
-/// Bytes per encoded v2 record (v1 plus a trailing rank `u16`).
-const RECORD_BYTES_V2: usize = 15;
-/// Bytes in a v1 header (magic + version + count).
-const HEADER_V1: usize = 14;
-/// Bytes in a v2 header (v1 plus a rank count `u16`).
-const HEADER_V2: usize = 16;
+/// The format version.
+const VERSION: u16 = 2;
+/// Bytes per encoded record.
+const RECORD_BYTES: usize = 15;
+/// Bytes in a header (magic + version + count + rank count).
+const HEADER_BYTES: usize = 16;
 /// Default streaming chunk: large enough to amortize syscalls, small
 /// enough that a few thousand concurrent readers stay cache-friendly.
 const DEFAULT_CHUNK: usize = 64 * 1024;
-/// One-shot decode preallocates at most this many records before
-/// letting `Vec` grow naturally — a forged header's count cannot force
-/// a huge up-front allocation.
-const PREALLOC_CAP: u64 = 1 << 20;
 
 fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Bytes per record for a given format version.
-fn record_bytes(version: u16) -> usize {
-    if version == VERSION_V2 {
-        RECORD_BYTES_V2
-    } else {
-        RECORD_BYTES
-    }
-}
-
 /// A decoded trace header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceHeader {
-    /// Format version (1 or 2).
-    pub version: u16,
     /// Records in the body.
     pub count: u64,
-    /// Ranks the trace addresses (always 1 for v1 files).
+    /// Ranks the trace addresses.
     pub ranks: u16,
 }
 
 /// One trace record: a memory reference tagged with the rank (global
-/// core index) that issued it. V1 files carry no ranks; their records
-/// decode with rank 0.
+/// core index) that issued it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Global core index `node * cores_per_node + core`.
@@ -96,70 +68,33 @@ pub struct TraceRecord {
     pub mem: MemRef,
 }
 
-fn decode_mem(chunk: &[u8]) -> MemRef {
+fn decode_record(chunk: &[u8]) -> TraceRecord {
     let vaddr = u64::from_le_bytes(chunk[0..8].try_into().expect("8 bytes"));
     let flags = chunk[8];
     let gap = u32::from_le_bytes(chunk[9..13].try_into().expect("4 bytes"));
-    MemRef {
-        vaddr: VirtAddr(vaddr),
-        is_write: flags & 1 != 0,
-        dependent: flags & 2 != 0,
-        gap_instrs: gap,
-    }
-}
-
-fn decode_record(version: u16, chunk: &[u8]) -> TraceRecord {
-    let rank = if version == VERSION_V2 {
-        u16::from_le_bytes([chunk[13], chunk[14]])
-    } else {
-        0
-    };
     TraceRecord {
-        rank,
-        mem: decode_mem(chunk),
+        rank: u16::from_le_bytes([chunk[13], chunk[14]]),
+        mem: MemRef {
+            vaddr: VirtAddr(vaddr),
+            is_write: flags & 1 != 0,
+            dependent: flags & 2 != 0,
+            gap_instrs: gap,
+        },
     }
 }
 
-fn encode_mem(r: &MemRef, out: &mut [u8; RECORD_BYTES]) {
-    out[0..8].copy_from_slice(&r.vaddr.0.to_le_bytes());
-    out[8] = (r.is_write as u8) | ((r.dependent as u8) << 1);
-    out[9..13].copy_from_slice(&r.gap_instrs.to_le_bytes());
+fn encode_record(rec: &TraceRecord) -> [u8; RECORD_BYTES] {
+    let mut out = [0u8; RECORD_BYTES];
+    out[0..8].copy_from_slice(&rec.mem.vaddr.0.to_le_bytes());
+    out[8] = (rec.mem.is_write as u8) | ((rec.mem.dependent as u8) << 1);
+    out[9..13].copy_from_slice(&rec.mem.gap_instrs.to_le_bytes());
+    out[13..15].copy_from_slice(&rec.rank.to_le_bytes());
+    out
 }
 
-/// Serialises a single reference stream to a writer (format v1).
-///
-/// Returns the number of records written.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-///
-/// # Examples
-///
-/// ```
-/// use fam_workloads::{trace, Workload};
-///
-/// let refs = Workload::by_name("pf").unwrap().generator(1).take_refs(100);
-/// let mut buf = Vec::new();
-/// trace::write_trace(&mut buf, &refs).unwrap();
-/// let back = trace::read_trace(&mut buf.as_slice()).unwrap();
-/// assert_eq!(back, refs);
-/// ```
-pub fn write_trace<W: Write>(mut w: W, refs: &[MemRef]) -> io::Result<u64> {
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&(refs.len() as u64).to_le_bytes())?;
-    let mut rec = [0u8; RECORD_BYTES];
-    for r in refs {
-        encode_mem(r, &mut rec);
-        w.write_all(&rec)?;
-    }
-    Ok(refs.len() as u64)
-}
-
-/// Streams a v2 (multi-rank) trace to a writer without buffering the
-/// records, for record paths whose traces may not fit in memory. The
-/// record count is declared up front (it lives in the header) and
+/// Streams a trace to a writer without buffering the records, for
+/// record paths whose traces may not fit in memory. The record count
+/// is declared up front (it lives in the header) and
 /// [`TraceWriter::finish`] verifies the promise was kept.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write> {
@@ -170,7 +105,7 @@ pub struct TraceWriter<W: Write> {
 }
 
 impl<W: Write> TraceWriter<W> {
-    /// Writes a v2 header declaring `count` records across `ranks`
+    /// Writes a header declaring `count` records across `ranks`
     /// ranks and returns the open writer.
     ///
     /// # Errors
@@ -185,7 +120,7 @@ impl<W: Write> TraceWriter<W> {
             ));
         }
         w.write_all(MAGIC)?;
-        w.write_all(&VERSION_V2.to_le_bytes())?;
+        w.write_all(&VERSION.to_le_bytes())?;
         w.write_all(&count.to_le_bytes())?;
         w.write_all(&ranks.to_le_bytes())?;
         Ok(TraceWriter {
@@ -218,13 +153,7 @@ impl<W: Write> TraceWriter<W> {
                 "more records pushed than the header declares",
             ));
         }
-        let mut buf = [0u8; RECORD_BYTES_V2];
-        encode_mem(
-            &rec.mem,
-            (&mut buf[..RECORD_BYTES]).try_into().expect("13 bytes"),
-        );
-        buf[13..15].copy_from_slice(&rec.rank.to_le_bytes());
-        self.w.write_all(&buf)?;
+        self.w.write_all(&encode_record(rec))?;
         self.written += 1;
         Ok(())
     }
@@ -250,7 +179,7 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
-/// Serialises tagged records to a writer in format v2.
+/// Serialises tagged records to a writer.
 ///
 /// Returns the number of records written.
 ///
@@ -266,98 +195,27 @@ pub fn write_trace_v2<W: Write>(w: W, ranks: u16, records: &[TraceRecord]) -> io
     tw.finish()
 }
 
-/// One-shot decode of a v1 or v2 trace into untagged references
-/// (ranks, if present, are dropped — see [`read_records`] to keep
-/// them).
-///
-/// # Errors
-///
-/// Returns `InvalidData` for a truncated or bad header, an
-/// unsupported version, an overflowing record count, or a body whose
-/// length does not match the header count; propagates reader errors.
-pub fn read_trace<R: Read>(r: R) -> io::Result<Vec<MemRef>> {
-    Ok(read_records(r)?.into_iter().map(|t| t.mem).collect())
-}
-
-/// One-shot decode of a v1 or v2 trace into rank-tagged records (v1
-/// records decode with rank 0).
-///
-/// # Errors
-///
-/// Same contract as [`read_trace`].
-pub fn read_records<R: Read>(mut r: R) -> io::Result<Vec<TraceRecord>> {
-    let mut header = [0u8; HEADER_V1];
-    r.read_exact(&mut header).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            invalid("truncated trace header")
-        } else {
-            e
-        }
-    })?;
-    if &header[0..4] != MAGIC {
-        return Err(invalid("not a FAMT trace"));
-    }
-    let version = u16::from_le_bytes([header[4], header[5]]);
-    if version != VERSION && version != VERSION_V2 {
-        return Err(invalid(format!("unsupported trace version {version}")));
-    }
-    let count = u64::from_le_bytes(header[6..14].try_into().expect("8 bytes"));
-    let mut ranks = 1u16;
-    if version == VERSION_V2 {
-        let mut ext = [0u8; 2];
-        r.read_exact(&mut ext).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                invalid("truncated trace header")
-            } else {
-                e
-            }
-        })?;
-        ranks = u16::from_le_bytes(ext);
-    }
-    let rb = record_bytes(version);
-    // A forged header must not be able to wrap this multiplication
-    // (and sneak a bogus small body past the length check) or force a
-    // count-sized preallocation.
-    let body_len = count
-        .checked_mul(rb as u64)
-        .ok_or_else(|| invalid("trace record count overflows the body length"))?;
-    let mut body = Vec::new();
-    r.read_to_end(&mut body)?;
-    if body.len() as u64 != body_len {
-        return Err(invalid("trace body length does not match record count"));
-    }
-    let mut records = Vec::with_capacity(count.min(PREALLOC_CAP) as usize);
-    for chunk in body.chunks_exact(rb) {
-        let rec = decode_record(version, chunk);
-        if rec.rank >= ranks {
-            return Err(invalid(format!(
-                "record rank {} out of range (ranks {ranks})",
-                rec.rank
-            )));
-        }
-        records.push(rec);
-    }
-    Ok(records)
-}
-
-/// Streamed chunked decoder for v1 and v2 traces.
+/// Streamed chunked trace decoder.
 ///
 /// Holds at most one chunk (plus a partial record) in memory, so
-/// traces far larger than RAM replay fine. Agrees byte-for-byte with
-/// the one-shot [`read_records`] on every well-formed and malformed
-/// input (pinned by a randomized property test).
+/// traces far larger than RAM replay fine.
 ///
 /// # Examples
 ///
 /// ```
-/// use fam_workloads::{trace, Workload};
+/// use fam_workloads::trace::{self, TraceRecord};
+/// use fam_workloads::Workload;
 ///
 /// let refs = Workload::by_name("pf").unwrap().generator(1).take_refs(10);
+/// let records: Vec<TraceRecord> = refs
+///     .iter()
+///     .map(|&mem| TraceRecord { rank: 0, mem })
+///     .collect();
 /// let mut buf = Vec::new();
-/// trace::write_trace(&mut buf, &refs).unwrap();
+/// trace::write_trace_v2(&mut buf, 1, &records).unwrap();
 /// let mut rd = trace::TraceReader::new(buf.as_slice()).unwrap();
 /// assert_eq!(rd.header().count, 10);
-/// assert_eq!(rd.next_record().unwrap().unwrap().mem, refs[0]);
+/// assert_eq!(rd.next_record().unwrap(), Some(records[0]));
 /// ```
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
@@ -393,18 +251,14 @@ impl<R: Read> TraceReader<R> {
     /// Same contract as [`TraceReader::new`].
     pub fn with_chunk_size(src: R, chunk: usize) -> io::Result<TraceReader<R>> {
         let chunk = chunk.max(1);
-        let cap = chunk.max(HEADER_V2);
+        let cap = chunk.max(HEADER_BYTES);
         let mut rd = TraceReader {
             src,
             chunk,
             buf: vec![0u8; cap].into_boxed_slice(),
             start: 0,
             end: 0,
-            header: TraceHeader {
-                version: 0,
-                count: 0,
-                ranks: 0,
-            },
+            header: TraceHeader { count: 0, ranks: 0 },
             delivered: 0,
             done: false,
         };
@@ -413,39 +267,36 @@ impl<R: Read> TraceReader<R> {
     }
 
     fn read_header(&mut self) -> io::Result<()> {
-        if !self.fill(HEADER_V1)? {
+        // Check the magic and version before the rest of the header, so
+        // a file of another version is named as such even when its
+        // header is shorter.
+        if !self.fill(6)? {
             return Err(invalid("truncated trace header"));
         }
-        let h = &self.buf[self.start..self.start + HEADER_V1];
+        let h = &self.buf[self.start..];
         if &h[0..4] != MAGIC {
             return Err(invalid("not a FAMT trace"));
         }
         let version = u16::from_le_bytes([h[4], h[5]]);
-        if version != VERSION && version != VERSION_V2 {
+        if version != VERSION {
             return Err(invalid(format!("unsupported trace version {version}")));
         }
-        let count = u64::from_le_bytes(h[6..14].try_into().expect("8 bytes"));
-        // Reject counts whose body length cannot be represented, like
-        // the one-shot reader does — a stream never trips this while
-        // delivering records, but the contract should not depend on
-        // which decoder the caller picked.
-        count
-            .checked_mul(record_bytes(version) as u64)
-            .ok_or_else(|| invalid("trace record count overflows the body length"))?;
-        let mut ranks = 1u16;
-        self.start += HEADER_V1;
-        if version == VERSION_V2 {
-            if !self.fill(2)? {
-                return Err(invalid("truncated trace header"));
-            }
-            ranks = u16::from_le_bytes([self.buf[self.start], self.buf[self.start + 1]]);
-            self.start += 2;
+        if !self.fill(HEADER_BYTES)? {
+            return Err(invalid("truncated trace header"));
         }
+        let h = &self.buf[self.start..self.start + HEADER_BYTES];
+        let count = u64::from_le_bytes(h[6..14].try_into().expect("8 bytes"));
+        // Reject counts whose body length cannot be represented: a
+        // stream never trips this while delivering records, but a
+        // forged header should fail at open, not mid-replay.
+        count
+            .checked_mul(RECORD_BYTES as u64)
+            .ok_or_else(|| invalid("trace record count overflows the body length"))?;
         self.header = TraceHeader {
-            version,
             count,
-            ranks,
+            ranks: u16::from_le_bytes([h[14], h[15]]),
         };
+        self.start += HEADER_BYTES;
         Ok(())
     }
 
@@ -491,8 +342,8 @@ impl<R: Read> TraceReader<R> {
     /// # Errors
     ///
     /// `InvalidData` when the body is truncated, carries trailing
-    /// bytes beyond the declared count, or a v2 record's rank is out
-    /// of range; reader errors otherwise.
+    /// bytes beyond the declared count, or a record's rank is out of
+    /// range; reader errors otherwise.
     pub fn next_record(&mut self) -> io::Result<Option<TraceRecord>> {
         if self.done {
             return Ok(None);
@@ -504,18 +355,17 @@ impl<R: Read> TraceReader<R> {
             self.done = true;
             return Ok(None);
         }
-        let rb = record_bytes(self.header.version);
-        if !self.fill(rb)? {
+        if !self.fill(RECORD_BYTES)? {
             return Err(invalid("trace body length does not match record count"));
         }
-        let rec = decode_record(self.header.version, &self.buf[self.start..self.start + rb]);
+        let rec = decode_record(&self.buf[self.start..self.start + RECORD_BYTES]);
         if rec.rank >= self.header.ranks {
             return Err(invalid(format!(
                 "record rank {} out of range (ranks {})",
                 rec.rank, self.header.ranks
             )));
         }
-        self.start += rb;
+        self.start += RECORD_BYTES;
         self.delivered += 1;
         Ok(Some(rec))
     }
@@ -534,26 +384,25 @@ impl<R: Read> TraceReader<R> {
 #[derive(Debug)]
 pub struct StreamedReplay {
     path: PathBuf,
-    /// `Some(r)` replays only rank `r`'s records; `None` replays every
-    /// record (how v1 single-stream files drive each core).
-    rank: Option<u16>,
+    /// The rank whose records this source replays.
+    rank: u16,
     chunk: usize,
     reader: TraceReader<File>,
     header: TraceHeader,
-    /// Records per pass that match `rank`.
+    /// Records per pass that carry `rank`.
     matching: u64,
     emitted: u64,
 }
 
 impl StreamedReplay {
-    /// Opens a replay source over `path` with the default chunk size.
+    /// Opens a source over `path` that replays `rank`'s records, with
+    /// the default chunk size.
     ///
     /// # Errors
     ///
     /// `InvalidData` for malformed traces, a rank not addressed by the
-    /// file (v2), a rank filter on a v1 file, or a filter matching
-    /// zero records; I/O errors otherwise.
-    pub fn open(path: impl AsRef<Path>, rank: Option<u16>) -> io::Result<StreamedReplay> {
+    /// file, or a rank with zero records; I/O errors otherwise.
+    pub fn open(path: impl AsRef<Path>, rank: u16) -> io::Result<StreamedReplay> {
         StreamedReplay::open_with_chunk(path, rank, DEFAULT_CHUNK)
     }
 
@@ -564,7 +413,7 @@ impl StreamedReplay {
     /// Same contract as [`StreamedReplay::open`].
     pub fn open_with_chunk(
         path: impl AsRef<Path>,
-        rank: Option<u16>,
+        rank: u16,
         chunk: usize,
     ) -> io::Result<StreamedReplay> {
         let path = path.as_ref().to_path_buf();
@@ -572,28 +421,20 @@ impl StreamedReplay {
         // errors can only come from the file changing under us.
         let mut scan = TraceReader::with_chunk_size(File::open(&path)?, chunk)?;
         let header = scan.header();
-        if let Some(r) = rank {
-            if header.version == VERSION {
-                return Err(invalid("v1 traces carry no ranks to filter on"));
-            }
-            if r >= header.ranks {
-                return Err(invalid(format!(
-                    "rank {r} not addressed by the trace (ranks {})",
-                    header.ranks
-                )));
-            }
+        if rank >= header.ranks {
+            return Err(invalid(format!(
+                "rank {rank} not addressed by the trace (ranks {})",
+                header.ranks
+            )));
         }
         let mut matching = 0u64;
         while let Some(rec) = scan.next_record()? {
-            if rank.is_none_or(|r| rec.rank == r) {
+            if rec.rank == rank {
                 matching += 1;
             }
         }
         if matching == 0 {
-            return Err(invalid(match rank {
-                Some(r) => format!("trace has no records for rank {r}"),
-                None => "cannot replay an empty trace".to_string(),
-            }));
+            return Err(invalid(format!("trace has no records for rank {rank}")));
         }
         let reader = TraceReader::with_chunk_size(File::open(&path)?, chunk)?;
         Ok(StreamedReplay {
@@ -613,8 +454,7 @@ impl StreamedReplay {
         self.header
     }
 
-    /// Records matching this source's rank filter per pass over the
-    /// file.
+    /// Records carrying this source's rank per pass over the file.
     #[must_use]
     pub fn len(&self) -> u64 {
         self.matching
@@ -649,7 +489,7 @@ impl StreamedReplay {
         loop {
             match self.reader.next_record() {
                 Ok(Some(rec)) => {
-                    if self.rank.is_none_or(|r| rec.rank == r) {
+                    if rec.rank == self.rank {
                         self.emitted += 1;
                         return rec.mem;
                     }
@@ -743,7 +583,7 @@ impl From<StreamedReplay> for RefStream {
 ///
 /// # Errors
 ///
-/// `InvalidInput` for an empty or >65536-stream matrix; writer errors
+/// `InvalidInput` for an empty or >65535-stream matrix; writer errors
 /// otherwise.
 pub fn record_streams<W: Write>(
     w: W,
@@ -751,13 +591,15 @@ pub fn record_streams<W: Write>(
     refs_per_stream: u64,
 ) -> io::Result<u64> {
     let mut flat: Vec<&mut RefStream> = streams.iter_mut().flatten().collect();
-    if flat.is_empty() || flat.len() > usize::from(u16::MAX) + 1 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("rank count {} not in 1..=65536", flat.len()),
-        ));
-    }
-    let ranks = flat.len() as u16;
+    let ranks = u16::try_from(flat.len())
+        .ok()
+        .filter(|&r| r > 0)
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("rank count {} not in 1..=65535", flat.len()),
+            )
+        })?;
     let mut tw = TraceWriter::v2(w, ranks, refs_per_stream * u64::from(ranks))?;
     for _ in 0..refs_per_stream {
         for (rank, s) in flat.iter_mut().enumerate() {
@@ -770,40 +612,33 @@ pub fn record_streams<W: Write>(
     tw.finish()
 }
 
-/// Builds a `nodes × cores_per_node` stream matrix replaying `path`:
-/// a v2 trace must address exactly `nodes * cores_per_node` ranks and
-/// each core replays its own rank's records; a v1 trace has a single
-/// stream, which every core replays in full (identical address
-/// streams per core, like looping one kernel everywhere).
+/// Builds a `nodes × cores_per_node` stream matrix replaying `path`.
+/// The trace must address exactly `nodes * cores_per_node` ranks, and
+/// each core replays its own rank's records.
 ///
 /// # Errors
 ///
-/// `InvalidData` for malformed traces or a v2 rank count that does
-/// not match the topology; I/O errors otherwise.
+/// `InvalidData` for malformed traces or a rank count that does not
+/// match the topology; I/O errors otherwise.
 pub fn replay_streams(
     path: impl AsRef<Path>,
     nodes: usize,
     cores_per_node: usize,
 ) -> io::Result<Vec<Vec<RefStream>>> {
     let path = path.as_ref();
-    let header = TraceReader::new(File::open(path)?)?.header();
+    let ranks = TraceReader::new(File::open(path)?)?.header().ranks;
+    let want = nodes * cores_per_node;
+    if usize::from(ranks) != want {
+        return Err(invalid(format!(
+            "trace addresses {ranks} ranks but the topology has {want} \
+             ({nodes} nodes x {cores_per_node} cores)"
+        )));
+    }
     (0..nodes)
         .map(|n| {
             (0..cores_per_node)
                 .map(|c| {
-                    let rank = if header.version == VERSION_V2 {
-                        let want = nodes * cores_per_node;
-                        if usize::from(header.ranks) != want {
-                            return Err(invalid(format!(
-                                "trace addresses {} ranks but the topology has {want} \
-                                 ({nodes} nodes x {cores_per_node} cores)",
-                                header.ranks
-                            )));
-                        }
-                        Some((n * cores_per_node + c) as u16)
-                    } else {
-                        None
-                    };
+                    let rank = (n * cores_per_node + c) as u16;
                     Ok(RefStream::from(StreamedReplay::open(path, rank)?))
                 })
                 .collect()
@@ -816,12 +651,11 @@ mod tests {
     use super::*;
     use crate::{Workload, VA_BASE};
 
-    fn sample_refs(n: usize) -> Vec<MemRef> {
-        Workload::by_name("mcf").unwrap().generator(3).take_refs(n)
-    }
-
     fn sample_records(n: usize, ranks: u16) -> Vec<TraceRecord> {
-        sample_refs(n)
+        Workload::by_name("mcf")
+            .unwrap()
+            .generator(3)
+            .take_refs(n)
             .into_iter()
             .enumerate()
             .map(|(i, mem)| TraceRecord {
@@ -831,69 +665,44 @@ mod tests {
             .collect()
     }
 
+    fn encode(records: &[TraceRecord], ranks: u16) -> Vec<u8> {
+        let mut buf = Vec::new();
+        assert_eq!(
+            write_trace_v2(&mut buf, ranks, records).unwrap(),
+            records.len() as u64
+        );
+        buf
+    }
+
+    /// Decodes every record, or returns the first error.
+    fn read_all(buf: &[u8], chunk: usize) -> io::Result<Vec<TraceRecord>> {
+        let mut rd = TraceReader::with_chunk_size(buf, chunk)?;
+        let mut out = Vec::new();
+        while let Some(rec) = rd.next_record()? {
+            out.push(rec);
+        }
+        Ok(out)
+    }
+
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("famt-unit-{}-{tag}.famt", std::process::id()))
     }
 
     #[test]
     fn roundtrip_preserves_every_field() {
-        let refs = sample_refs(500);
-        let mut buf = Vec::new();
-        assert_eq!(write_trace(&mut buf, &refs).unwrap(), 500);
-        let back = read_trace(buf.as_slice()).unwrap();
-        assert_eq!(back, refs);
+        let records = sample_records(500, 1);
+        let buf = encode(&records, 1);
+        assert_eq!(read_all(&buf, DEFAULT_CHUNK).unwrap(), records);
     }
 
     #[test]
     fn v2_roundtrip_preserves_ranks() {
-        let records = sample_records(120, 4);
-        let mut buf = Vec::new();
-        assert_eq!(write_trace_v2(&mut buf, 4, &records).unwrap(), 120);
-        assert_eq!(read_records(buf.as_slice()).unwrap(), records);
-        // Untagged read drops ranks but keeps every mem field.
-        let mems: Vec<MemRef> = records.iter().map(|r| r.mem).collect();
-        assert_eq!(read_trace(buf.as_slice()).unwrap(), mems);
-    }
-
-    #[test]
-    fn empty_trace_roundtrips() {
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &[]).unwrap();
-        assert!(read_trace(buf.as_slice()).unwrap().is_empty());
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let err = read_trace(&b"NOPE\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn bad_version_rejected() {
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &sample_refs(1)).unwrap();
-        buf[4] = 99;
-        assert!(read_trace(buf.as_slice()).is_err());
-    }
-
-    #[test]
-    fn truncated_body_rejected() {
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &sample_refs(10)).unwrap();
-        buf.pop();
-        assert!(read_trace(buf.as_slice()).is_err());
-    }
-
-    #[test]
-    fn streamed_reader_matches_one_shot() {
         let records = sample_records(300, 3);
-        let mut buf = Vec::new();
-        write_trace_v2(&mut buf, 3, &records).unwrap();
+        let buf = encode(&records, 3);
         let mut rd = TraceReader::with_chunk_size(buf.as_slice(), 7).unwrap();
         assert_eq!(
             rd.header(),
             TraceHeader {
-                version: 2,
                 count: 300,
                 ranks: 3
             }
@@ -908,16 +717,48 @@ mod tests {
     }
 
     #[test]
+    fn empty_trace_roundtrips() {
+        assert!(read_all(&encode(&[], 1), 64).unwrap().is_empty());
+    }
+
+    #[test]
+    fn bad_magic_rejected() {
+        let mut buf = encode(&sample_records(1, 1), 1);
+        buf[..4].copy_from_slice(b"NOPE");
+        let err = read_all(&buf, 64).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn bad_version_rejected() {
+        let mut buf = encode(&sample_records(1, 1), 1);
+        for version in [1u16, 3, 99] {
+            buf[4..6].copy_from_slice(&version.to_le_bytes());
+            let err = read_all(&buf, 64).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(
+                err.to_string(),
+                format!("unsupported trace version {version}")
+            );
+        }
+    }
+
+    #[test]
+    fn truncated_body_rejected() {
+        let mut buf = encode(&sample_records(10, 1), 1);
+        buf.pop();
+        assert!(read_all(&buf, 64).is_err());
+    }
+
+    #[test]
     fn streamed_reader_rejects_trailing_bytes() {
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &sample_refs(4)).unwrap();
+        let mut buf = encode(&sample_records(4, 1), 1);
         buf.push(0xAB);
         let mut rd = TraceReader::new(buf.as_slice()).unwrap();
         for _ in 0..4 {
             rd.next_record().unwrap().unwrap();
         }
         assert!(rd.next_record().is_err());
-        assert!(read_trace(buf.as_slice()).is_err());
     }
 
     #[test]
@@ -942,7 +783,7 @@ mod tests {
         let records = sample_records(30, 3);
         let path = temp_path("filter");
         write_trace_v2(File::create(&path).unwrap(), 3, &records).unwrap();
-        let mut replay = StreamedReplay::open(&path, Some(1)).unwrap();
+        let mut replay = StreamedReplay::open(&path, 1).unwrap();
         assert_eq!(replay.len(), 10);
         let rank1: Vec<MemRef> = records
             .iter()
@@ -967,7 +808,7 @@ mod tests {
         let records = sample_records(10, 2);
         let path = temp_path("missing-rank");
         write_trace_v2(File::create(&path).unwrap(), 2, &records).unwrap();
-        assert!(StreamedReplay::open(&path, Some(2)).is_err());
+        assert!(StreamedReplay::open(&path, 2).is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -996,6 +837,19 @@ mod tests {
     }
 
     #[test]
+    fn record_streams_bounds_the_rank_count() {
+        // 65,536 streams do not fit the u16 rank count; 65,535 do.
+        let w = Workload::by_name("pf").unwrap();
+        let mut streams = vec![vec![RefStream::from(w.generator(1)); 65_536]];
+        let err = record_streams(io::sink(), &mut streams, 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(err.to_string(), "rank count 65536 not in 1..=65535");
+        streams[0].pop();
+        assert_eq!(record_streams(io::sink(), &mut streams, 1).unwrap(), 65_535);
+        assert!(record_streams(io::sink(), &mut Vec::new(), 1).is_err());
+    }
+
+    #[test]
     fn replay_streams_checks_topology() {
         let records = sample_records(12, 4);
         let path = temp_path("topology");
@@ -1006,24 +860,10 @@ mod tests {
     }
 
     #[test]
-    fn v1_trace_drives_every_core_with_the_whole_file() {
-        let refs = sample_refs(6);
-        let path = temp_path("v1-all");
-        write_trace(File::create(&path).unwrap(), &refs).unwrap();
-        let mut streams = replay_streams(&path, 1, 2).unwrap();
-        for core in &mut streams[0] {
-            for r in &refs {
-                assert_eq!(core.next_ref(), *r);
-            }
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn empty_replay_rejected() {
         let path = temp_path("empty");
-        write_trace(File::create(&path).unwrap(), &[]).unwrap();
-        assert!(StreamedReplay::open(&path, None).is_err());
+        write_trace_v2(File::create(&path).unwrap(), 1, &[]).unwrap();
+        assert!(StreamedReplay::open(&path, 0).is_err());
         std::fs::remove_file(&path).ok();
     }
 

@@ -3,10 +3,10 @@
 //! The differential tests pin the core contract: `record` → `replay`
 //! through a FAMT v2 file on disk produces a [`RunReport`]
 //! bit-identical to the live synthetic run, tracing on and off, for
-//! every Table III workload. The property and corpus tests
-//! pin the streamed [`fam_workloads::TraceReader`] against the
-//! one-shot decoder through randomized chunk sizes and a malformed-
-//! input corpus.
+//! every Table III workload. The property and corpus tests pin the
+//! streamed [`fam_workloads::TraceReader`] against the records written,
+//! through randomized chunk sizes, and against a malformed-input
+//! corpus.
 
 use std::fs::File;
 use std::io::{self, BufWriter};
@@ -15,11 +15,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use deact::{RunReport, Scheme, System, SystemConfig};
 use fam_sim::{SimRng, TraceConfig};
-use fam_workloads::trace::{
-    read_records, read_trace, record_streams, replay_streams, write_trace, write_trace_v2,
-    TraceRecord,
-};
-use fam_workloads::{table3, MemRef, StreamedReplay, TraceReader, Workload};
+use fam_workloads::trace::{record_streams, replay_streams, write_trace_v2, TraceRecord};
+use fam_workloads::{table3, StreamedReplay, TraceReader, Workload};
 
 static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -177,84 +174,89 @@ fn stream_all(buf: &[u8], chunk: usize) -> io::Result<Vec<TraceRecord>> {
     Ok(out)
 }
 
-#[test]
-fn streamed_reader_agrees_with_one_shot_at_random_chunk_sizes() {
-    let mut rng = SimRng::seeded(0xC4A2);
-    let refs: Vec<MemRef> = Workload::by_name("mcf")
+/// `n` references of `bench` (seed `seed`), all tagged rank 0.
+fn rank0_records(bench: &str, seed: u64, n: usize) -> Vec<TraceRecord> {
+    Workload::by_name(bench)
         .unwrap()
-        .generator(7)
-        .take_refs(257);
-    let records: Vec<TraceRecord> = refs
-        .iter()
+        .generator(seed)
+        .take_refs(n)
+        .into_iter()
+        .map(|mem| TraceRecord { rank: 0, mem })
+        .collect()
+}
+
+#[test]
+fn streamed_reader_returns_the_written_records_at_random_chunk_sizes() {
+    let mut rng = SimRng::seeded(0xC4A2);
+    let records: Vec<TraceRecord> = rank0_records("mcf", 7, 257)
+        .into_iter()
         .enumerate()
-        .map(|(i, &mem)| TraceRecord {
+        .map(|(i, rec)| TraceRecord {
             rank: (i % 5) as u16,
-            mem,
+            ..rec
         })
         .collect();
-    let mut v1 = Vec::new();
-    write_trace(&mut v1, &refs).unwrap();
-    let mut v2 = Vec::new();
-    write_trace_v2(&mut v2, 5, &records).unwrap();
+    let mut buf = Vec::new();
+    write_trace_v2(&mut buf, 5, &records).unwrap();
     // Deliberate boundary chunk sizes: header splitting (1..16) and
-    // RECORD_BYTES±1 for both record widths (12..16), plus random
-    // sizes up to past the whole-file length.
+    // the record width ±1 (14..16), plus random sizes up to past the
+    // whole-file length.
     let mut chunks: Vec<usize> = (1..=17).collect();
     for _ in 0..40 {
-        chunks.push(rng.below(v2.len() as u64 + 64) as usize + 1);
+        chunks.push(rng.below(buf.len() as u64 + 64) as usize + 1);
     }
     for &chunk in &chunks {
-        let oneshot_v1 = read_records(v1.as_slice()).unwrap();
         assert_eq!(
-            stream_all(&v1, chunk).unwrap(),
-            oneshot_v1,
-            "v1 diverged at chunk {chunk}"
-        );
-        let oneshot_v2 = read_records(v2.as_slice()).unwrap();
-        assert_eq!(
-            stream_all(&v2, chunk).unwrap(),
-            oneshot_v2,
-            "v2 diverged at chunk {chunk}"
+            stream_all(&buf, chunk).unwrap(),
+            records,
+            "diverged at chunk {chunk}"
         );
     }
-    // v1 records carry rank 0 and the untagged view matches.
-    assert_eq!(read_trace(v1.as_slice()).unwrap(), refs);
-    assert!(read_records(v1.as_slice())
-        .unwrap()
-        .iter()
-        .all(|r| r.rank == 0));
 }
 
 #[test]
 fn streamed_replay_wraps_identically_at_any_chunk_size() {
-    let refs: Vec<MemRef> = Workload::by_name("pf").unwrap().generator(9).take_refs(33);
+    let records = rank0_records("pf", 9, 33);
     let path = temp_trace("chunk-wrap");
-    write_trace(File::create(&path).expect("temp trace file"), &refs).unwrap();
+    write_trace_v2(File::create(&path).expect("temp trace file"), 1, &records).unwrap();
     let mut rng = SimRng::seeded(0x11);
     for _ in 0..12 {
         let chunk = rng.below(600) as usize + 1;
         let mut replay =
-            StreamedReplay::open_with_chunk(&path, None, chunk).expect("open replay source");
+            StreamedReplay::open_with_chunk(&path, 0, chunk).expect("open replay source");
         for i in 0..100usize {
-            assert_eq!(replay.next_ref(), refs[i % 33], "chunk {chunk}, ref {i}");
+            assert_eq!(
+                replay.next_ref(),
+                records[i % 33].mem,
+                "chunk {chunk}, ref {i}"
+            );
         }
         assert_eq!(replay.wraps(), 100 / 33, "chunk {chunk}");
     }
     std::fs::remove_file(&path).ok();
 }
 
+/// A header declaring `count` records, followed by `body` zero bytes.
+fn forged(good: &[u8], count: u64, body: usize) -> Vec<u8> {
+    let mut b = good[..16].to_vec();
+    b[6..14].copy_from_slice(&count.to_le_bytes());
+    b.extend(std::iter::repeat_n(0u8, body));
+    b
+}
+
 #[test]
 fn truncated_and_corrupt_traces_return_invalid_data_everywhere() {
-    let refs: Vec<MemRef> = Workload::by_name("mcf").unwrap().generator(3).take_refs(20);
+    let records = rank0_records("mcf", 3, 20);
     let mut good = Vec::new();
-    write_trace(&mut good, &refs).unwrap();
+    write_trace_v2(&mut good, 1, &records).unwrap();
 
     // The corpus: every malformed shape the format can take. Each
     // entry must surface as InvalidData — never a panic, never an
-    // unbounded allocation — from the one-shot reader, and (where the
-    // header parses differently) the same from the streamed reader.
+    // unbounded allocation — from the streamed reader, a file-backed
+    // replay source and the stream-matrix builder.
     let mut corpus: Vec<(String, Vec<u8>)> = Vec::new();
-    for cut in [0usize, 3, 7, 13] {
+    // 14 and 15 cut inside the rank-count field.
+    for cut in [0usize, 3, 7, 13, 14, 15] {
         corpus.push((format!("truncated header at {cut}"), good[..cut].to_vec()));
     }
     corpus.push(("bad magic".into(), {
@@ -262,11 +264,13 @@ fn truncated_and_corrupt_traces_return_invalid_data_everywhere() {
         b[..4].copy_from_slice(b"NOPE");
         b
     }));
-    corpus.push(("unsupported version 99".into(), {
-        let mut b = good.clone();
-        b[4] = 99;
-        b
-    }));
+    for version in [1u16, 99] {
+        corpus.push((format!("unsupported version {version}"), {
+            let mut b = good.clone();
+            b[4..6].copy_from_slice(&version.to_le_bytes());
+            b
+        }));
+    }
     corpus.push(("body one byte short".into(), {
         let mut b = good.clone();
         b.pop();
@@ -282,38 +286,27 @@ fn truncated_and_corrupt_traces_return_invalid_data_everywhere() {
         b[6..14].copy_from_slice(&1_000u64.to_le_bytes());
         b
     }));
-    // count * RECORD_BYTES wraps u64: without checked_mul the product
-    // is small enough to pass a naive length check while
-    // count-as-usize would demand an absurd preallocation.
-    let overflow_count = (u64::MAX / 13) + 2;
-    corpus.push(("overflowing record count".into(), {
-        let mut b = good[..14].to_vec();
-        b[6..14].copy_from_slice(&overflow_count.to_le_bytes());
-        let body = (overflow_count.wrapping_mul(13)) as usize;
-        b.extend(std::iter::repeat_n(0u8, body));
-        b
-    }));
-    corpus.push(("huge count, empty body".into(), {
-        let mut b = good[..14].to_vec();
-        b[6..14].copy_from_slice(&u64::MAX.to_le_bytes());
-        b
-    }));
-    // v2 with a record rank beyond the declared rank count.
+    // count * width wraps u64: without checked_mul the product is
+    // small enough to pass a naive length check while count-as-usize
+    // would demand an absurd preallocation. A count sized for 13-byte
+    // records wraps too.
+    for width in [13u64, 15] {
+        let count = (u64::MAX / width) + 2;
+        corpus.push((
+            format!("overflowing record count sized for {width}-byte records"),
+            forged(&good, count, count.wrapping_mul(width) as usize),
+        ));
+    }
+    corpus.push(("huge count, empty body".into(), forged(&good, u64::MAX, 0)));
+    // A record rank beyond the declared rank count.
     corpus.push(("rank out of range".into(), {
-        let records: Vec<TraceRecord> = refs
-            .iter()
-            .map(|&mem| TraceRecord { rank: 0, mem })
-            .collect();
-        let mut b = Vec::new();
-        write_trace_v2(&mut b, 1, &records).unwrap();
+        let mut b = good.clone();
         let last = b.len() - 2;
         b[last..].copy_from_slice(&7u16.to_le_bytes());
         b
     }));
 
     for (name, bytes) in &corpus {
-        let err = read_trace(bytes.as_slice()).expect_err(name);
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}");
         let streamed = stream_all(bytes, 5).expect_err(name);
         assert_eq!(
             streamed.kind(),
@@ -323,31 +316,29 @@ fn truncated_and_corrupt_traces_return_invalid_data_everywhere() {
         // A file-backed replay source must reject it at open.
         let path = temp_trace("corpus");
         std::fs::write(&path, bytes).unwrap();
-        let opened = StreamedReplay::open(&path, None).expect_err(name);
+        let opened = StreamedReplay::open(&path, 0).expect_err(name);
         assert_eq!(opened.kind(), io::ErrorKind::InvalidData, "replay {name}");
+        let matrix = replay_streams(&path, 1, 1).expect_err(name);
+        assert_eq!(matrix.kind(), io::ErrorKind::InvalidData, "matrix {name}");
         std::fs::remove_file(&path).ok();
     }
 }
 
 #[test]
 fn streamed_reader_memory_is_bounded_by_the_chunk_size() {
-    // A trace of 200k records (~2.9 MB) streams through a 4 KiB
-    // buffer: the reader's entire state is its fixed chunk buffer, so
-    // decoding never allocates proportional to trace length.
+    // A trace of 200k records (3 MB) streams through a 4 KiB buffer:
+    // the reader's entire state is its fixed chunk buffer, so decoding
+    // never allocates proportional to trace length.
     let path = temp_trace("bounded");
-    let w = Workload::by_name("sssp").unwrap();
-    let refs = w.generator(1).take_refs(200_000);
-    write_trace(
-        BufWriter::new(File::create(&path).expect("temp trace file")),
-        &refs,
-    )
-    .unwrap();
+    let records = rank0_records("sssp", 1, 200_000);
+    let file = BufWriter::new(File::create(&path).expect("temp trace file"));
+    write_trace_v2(file, 1, &records).unwrap();
     let mut rd =
         TraceReader::with_chunk_size(File::open(&path).unwrap(), 4096).expect("open reader");
     assert_eq!(rd.buffer_bytes(), 4096);
-    let mut n = 0u64;
+    let mut n = 0usize;
     while let Some(rec) = rd.next_record().expect("well-formed trace") {
-        assert_eq!(rec.mem, refs[n as usize]);
+        assert_eq!(rec, records[n]);
         n += 1;
     }
     assert_eq!(n, 200_000);
