@@ -15,7 +15,7 @@ use std::hash::{BuildHasher, Hasher};
 use std::io::BufWriter;
 use std::path::Path;
 
-use deact::{RunReport, Scheme, System, SystemConfig};
+use deact::{Scheme, System, SystemConfig};
 use fam_sim::hash::FastHash;
 use fam_sim::{FaultConfig, PersistentFault};
 use fam_workloads::trace::{record_streams, replay_streams};
@@ -24,8 +24,9 @@ use fam_workloads::Workload;
 const REFS: u64 = 2_000;
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/reports.txt");
 
-/// The values of one golden line, after the cell name.
-fn digest_line(report: &RunReport, system: &System) -> String {
+/// Runs `system` and returns its golden line after the cell name.
+fn digest(mut system: System) -> String {
+    let report = system.try_run().expect("golden cell runs");
     let mut h = FastHash.build_hasher();
     h.write(format!("{report:?}").as_bytes());
     h.write(system.metrics().to_string().as_bytes());
@@ -40,9 +41,10 @@ fn digest_line(report: &RunReport, system: &System) -> String {
 }
 
 fn run(cfg: SystemConfig, bench: &str) -> String {
-    let mut system = System::new(cfg, &Workload::by_name(bench).expect("Table III workload"));
-    let report = system.try_run().expect("golden cell runs");
-    digest_line(&report, &system)
+    digest(System::new(
+        cfg,
+        &Workload::by_name(bench).expect("Table III workload"),
+    ))
 }
 
 /// Records `bench`'s live streams to a FAMT file and replays them. One
@@ -58,9 +60,7 @@ fn replay(cfg: SystemConfig, bench: &str) -> String {
         .expect("record trace");
     let streams = replay_streams(&path, cfg.nodes, cfg.cores_per_node).expect("replay streams");
     std::fs::remove_file(&path).ok();
-    let mut system = System::with_streams(cfg, bench, streams);
-    let report = system.try_run().expect("replayed golden cell runs");
-    digest_line(&report, &system)
+    digest(System::with_streams(cfg, bench, streams))
 }
 
 fn regenerate() -> String {
