@@ -11,8 +11,6 @@
 //!                 [--ring N] [plus any `run` flag]    # Perfetto trace
 //! deact-sim profile [<benchmark>] [--out profile.folded] [--top N]
 //!                   [plus any `run` flag]   # host-time phase profile
-//! deact-sim audit [<benchmark>] [plus any `run` flag]
-//!                                # metrics registry + conservation audit
 //! deact-sim record <benchmark> [--out t.famt] [plus any `run` flag]
 //!                                # capture the synthetic stream to disk
 //! deact-sim replay <t.famt> [--trace-out trace.json] [plus any `run` flag]
@@ -46,10 +44,9 @@
 //! phases by self time, and writes a folded-stack file that
 //! `inferno-flamegraph` or <https://speedscope.app> can render.
 //!
-//! `audit` runs one benchmark, prints every component counter from the
-//! unified metrics registry, then cross-checks the conservation
-//! invariants ([`deact::System::audit`]) and exits nonzero if any
-//! fail.
+//! Every run checks its own books: a report whose counters break a
+//! conservation invariant ([`deact::System::audit`]) is not printed,
+//! and the command exits 1 naming each failing check.
 
 use std::process::ExitCode;
 
@@ -67,7 +64,6 @@ fn usage() -> ExitCode {
          [plus any `run` flag]\n  \
          deact-sim profile [<benchmark>] [--out profile.folded] [--top N] \
          [plus any `run` flag]\n  \
-         deact-sim audit [<benchmark>] [plus any `run` flag]\n  \
          deact-sim record <benchmark> [--out t.famt] [plus any `run` flag]\n  \
          deact-sim replay <t.famt> [--trace-out trace.json] [plus any `run` flag]\n  \
          deact-sim list\n\n\
@@ -150,8 +146,8 @@ fn value_or<T: std::str::FromStr>(
 }
 
 /// `[<benchmark>] [flags]` with the positional optional: subcommands
-/// that demo well on a default run (`trace`, `profile`, `audit`) fall
-/// back to `sssp`.
+/// that demo well on a default run (`trace`, `profile`) fall back to
+/// `sssp`.
 fn optional_bench(args: &[String]) -> (String, &[String]) {
     match args.first() {
         Some(a) if !a.starts_with("--") => (a.clone(), &args[1..]),
@@ -488,33 +484,6 @@ fn main() -> ExitCode {
                  or load at https://speedscope.app)"
             );
             ExitCode::SUCCESS
-        }
-        Some("audit") => {
-            let (bench, flags) = optional_bench(&args[1..]);
-            let Some(cfg) = apply_flags(SystemConfig::paper_default(), flags) else {
-                return usage();
-            };
-            let workload = match workload(&bench) {
-                Ok(w) => w,
-                Err(code) => return code,
-            };
-            let mut system = System::new(cfg, &workload);
-            let r = match system.try_run() {
-                Ok(r) => r,
-                Err(e) => return fail(e),
-            };
-            print_report(&r);
-            println!();
-            print!("{}", system.metrics());
-            println!();
-            let audit = system.audit();
-            print!("{audit}");
-            if audit.passed() {
-                println!("audit            all {} checks passed", audit.checks.len());
-                ExitCode::SUCCESS
-            } else {
-                fail("conservation audit FAILED")
-            }
         }
         Some("record") => {
             let Some(bench) = args.get(1) else {

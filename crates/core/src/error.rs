@@ -6,6 +6,8 @@
 
 use fam_broker::BrokerError;
 
+use crate::metrics::AuditReport;
+
 /// Why a simulation could not run to completion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
@@ -30,6 +32,13 @@ pub enum SimError {
         node: usize,
         /// The quarantined FAM page that held the data.
         fam_page: u64,
+    },
+    /// The run finished, but its counters break a conservation
+    /// invariant ([`crate::System::audit`]), so its report cannot be
+    /// trusted.
+    AuditFailed {
+        /// Every check, passed and failed.
+        audit: AuditReport,
     },
 }
 
@@ -57,6 +66,14 @@ impl std::fmt::Display for SimError {
                      continue degraded"
                 )
             }
+            SimError::AuditFailed { audit } => {
+                write!(f, "conservation audit failed:")?;
+                for (i, c) in audit.checks.iter().filter(|c| !c.passed).enumerate() {
+                    let sep = if i == 0 { "" } else { ";" };
+                    write!(f, "{sep} {} ({})", c.name, c.detail)?;
+                }
+                Ok(())
+            }
         }
     }
 }
@@ -65,7 +82,9 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::FamExhausted { source, .. } => Some(source),
-            SimError::UnknownBenchmark { .. } | SimError::DataLoss { .. } => None,
+            SimError::UnknownBenchmark { .. }
+            | SimError::DataLoss { .. }
+            | SimError::AuditFailed { .. } => None,
         }
     }
 }
@@ -94,6 +113,30 @@ mod tests {
         assert!(msg.contains("node 1"), "{msg}");
         assert!(msg.contains("0x2a"), "{msg}");
         assert!(msg.contains("permanent failure"), "{msg}");
+    }
+
+    #[test]
+    fn audit_failure_names_each_failing_check() {
+        use crate::metrics::AuditCheck;
+        let check = |name, passed, detail: &str| AuditCheck {
+            name,
+            passed,
+            detail: detail.into(),
+        };
+        let e = SimError::AuditFailed {
+            audit: AuditReport {
+                checks: vec![
+                    check("refs-conservation", false, "staged = 5 vs refs_done = 4"),
+                    check("tlb-conservation", true, "tlb lookups = 4 vs refs_done = 4"),
+                    check("fabric-parity", false, "fabric traversals = 9 vs x = 8"),
+                ],
+            },
+        };
+        assert_eq!(
+            e.to_string(),
+            "conservation audit failed: refs-conservation (staged = 5 vs refs_done = 4); \
+             fabric-parity (fabric traversals = 9 vs x = 8)"
+        );
     }
 
     #[test]

@@ -298,7 +298,7 @@ impl PartialEq for RunReport {
 
 /// One conservation-audit check: an invariant the system's counters
 /// must satisfy at end of run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditCheck {
     /// Stable check name (e.g. `refs-conservation`).
     pub name: &'static str,
@@ -316,7 +316,7 @@ pub struct AuditCheck {
 /// parity) or on no permanent failure being scheduled (NVM/traffic
 /// balance, drop accounting) are *skipped* — reported passing with a
 /// "skipped" detail — rather than misapplied.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AuditReport {
     /// Every check performed, in a stable order.
     pub checks: Vec<AuditCheck>,

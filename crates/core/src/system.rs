@@ -266,7 +266,9 @@ impl System {
     /// # Errors
     ///
     /// Returns [`SimError::FamExhausted`] when the broker cannot
-    /// demand-map another FAM page for the workload.
+    /// demand-map another FAM page for the workload, and
+    /// [`SimError::AuditFailed`] when the finished run's counters break
+    /// a conservation invariant.
     pub fn try_run(&mut self) -> Result<RunReport, SimError> {
         let refs = self.config.refs_per_core;
         let cores_per_node = self.config.cores_per_node;
@@ -295,7 +297,7 @@ impl System {
                 ready_queue.push(Reverse((self.staged_ready(n, c), slot)));
             }
         }
-        Ok(self.report())
+        self.report()
     }
 
     /// The reference scheduler the seed shipped: stages every idle
@@ -307,7 +309,9 @@ impl System {
     /// # Errors
     ///
     /// Returns [`SimError::FamExhausted`] when the broker cannot
-    /// demand-map another FAM page for the workload.
+    /// demand-map another FAM page for the workload, and
+    /// [`SimError::AuditFailed`] when the finished run's counters break
+    /// a conservation invariant.
     pub fn try_run_scan(&mut self) -> Result<RunReport, SimError> {
         let refs = self.config.refs_per_core;
         loop {
@@ -332,7 +336,7 @@ impl System {
             let Some((n, c, _)) = best else { break };
             self.sim_ref(n, c)?;
         }
-        Ok(self.report())
+        self.report()
     }
 
     /// Predicted start of the reference just staged on `(n, c)`.
@@ -1300,16 +1304,17 @@ impl System {
         }
     }
 
-    /// Assembles the run report.
+    /// Assembles the run report once the end-of-run conservation
+    /// audit passes, so every run in every build checks its own books.
     ///
-    /// In debug builds every successful run also passes the
-    /// end-of-run conservation audit, so the whole test suite doubles
-    /// as an invariant checker.
-    fn report(&self) -> RunReport {
-        #[cfg(debug_assertions)]
-        {
-            let audit = self.audit();
-            debug_assert!(audit.passed(), "conservation audit failed:\n{audit}");
+    /// # Errors
+    ///
+    /// Returns [`SimError::AuditFailed`] when a counter invariant does
+    /// not hold.
+    fn report(&self) -> Result<RunReport, SimError> {
+        let audit = self.audit();
+        if !audit.passed() {
+            return Err(SimError::AuditFailed { audit });
         }
         let instructions: u64 = self.nodes.iter().map(Node::instructions).sum();
         let cycles = self
@@ -1353,7 +1358,7 @@ impl System {
                 (Some(tr.rate()), Some(acm.rate()))
             }
         };
-        RunReport {
+        Ok(RunReport {
             scheme: self.config.scheme,
             workload: self.workload_name.clone(),
             nodes: self.config.nodes,
@@ -1379,7 +1384,7 @@ impl System {
             } else {
                 fam_sim::ProfileReport::default()
             },
-        }
+        })
     }
 
     /// Combines the injector's view (what was thrown) with the
@@ -1400,8 +1405,7 @@ impl System {
     /// Names are hierarchical and stable: `node{n}/…` for per-node
     /// state, `nvm{m}/…` per FAM module, `traffic/…` for the
     /// cross-fabric request mix, and `recovery/…` for the fault
-    /// ledger. [`System::audit`] consumes this snapshot, and the
-    /// `deact-sim audit` subcommand prints it.
+    /// ledger. [`System::audit`] consumes this snapshot.
     pub fn metrics(&self) -> fam_sim::Registry {
         let mut reg = fam_sim::Registry::new();
         for (n, node) in self.nodes.iter().enumerate() {
@@ -1691,6 +1695,26 @@ mod tests {
                 assert_eq!(core.gen.emitted(), core.refs_done);
             }
         }
+    }
+
+    #[test]
+    fn report_rejects_a_run_whose_books_do_not_balance() {
+        let w = Workload::by_name("pf").unwrap();
+        let mut sys = System::new(quick(Scheme::DeactN).with_refs_per_core(500), &w);
+        sys.try_run().unwrap();
+        sys.nodes[0].cores[0].staged += 1;
+        let err = sys.report().unwrap_err();
+        let SimError::AuditFailed { audit } = &err else {
+            panic!("expected an audit failure, got {err}");
+        };
+        let failed: Vec<_> = audit.checks.iter().filter(|c| !c.passed).collect();
+        assert_eq!(failed.len(), 1, "{audit}");
+        assert_eq!(failed[0].name, "refs-conservation");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("refs-conservation (staged = 2001 vs refs_done = 2000)"),
+            "{msg}"
+        );
     }
 
     #[test]
