@@ -217,48 +217,16 @@ fn write_json(path: &str, records: &[Record], throughput: &Throughput) -> std::i
     f.write_all(out.as_bytes())
 }
 
-/// `--profile <path>`: after the timed suite finishes (the profiler
-/// stays off while anything is being measured), re-runs the
-/// `sched_per_ref/16_cores` configuration once with the host-time
-/// profiler enabled and writes the folded-stack file — ready for
-/// `inferno-flamegraph` or <https://speedscope.app>.
-fn write_profile(path: &str) -> std::io::Result<()> {
-    let cfg = SystemConfig::paper_default()
-        .with_scheme(Scheme::DeactN)
-        .with_nodes(4)
-        .with_fam_modules(4)
-        .with_refs_per_core(SCHED_REFS)
-        .with_seed(0xBE9C)
-        .with_trace(fam_bench::trace_from_env(fam_sim::TraceConfig::disabled()));
-    let w = Workload::by_name("sssp").expect("table3 benchmark");
-    fam_sim::profile::set_enabled(true);
-    let report = deact::System::new(cfg, &w).run();
-    fam_sim::profile::set_enabled(false);
-    std::fs::write(path, report.profile.to_folded())?;
-    println!(
-        "wrote {path} ({} profiled phases)",
-        fam_sim::profile::PhaseId::ALL
-            .iter()
-            .filter(|p| report.profile.phase(**p).calls > 0)
-            .count()
-    );
-    Ok(())
-}
-
 fn main() {
-    // `--out <path>` redirects the JSON artifact; `--profile <path>`
-    // additionally writes a folded-stack host-time profile of one
-    // instrumented run after the timed suite.
+    // `--out <path>` redirects the JSON artifact.
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = String::from("BENCH_sim.json");
-    let mut profile_path = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match (flag.as_str(), it.next()) {
             ("--out", Some(path)) => out_path = path.clone(),
-            ("--profile", Some(path)) => profile_path = Some(path.clone()),
             _ => {
-                eprintln!("usage: microbench [--out <path>] [--profile <path>]");
+                eprintln!("usage: microbench [--out <path>]");
                 std::process::exit(2);
             }
         }
@@ -363,10 +331,5 @@ fn main() {
     match write_json(&out_path, &records, &throughput) {
         Ok(()) => println!("\nwrote {out_path} ({} entries)", records.len()),
         Err(e) => eprintln!("microbench: could not write {out_path}: {e}"),
-    }
-    if let Some(path) = profile_path {
-        if let Err(e) = write_profile(&path) {
-            eprintln!("microbench: could not write {path}: {e}");
-        }
     }
 }

@@ -465,18 +465,20 @@ fn main() -> ExitCode {
             // clock, so the report below is bit-identical to an
             // unprofiled run.
             fam_sim::profile::set_enabled(true);
-            let r = match run_or_report(&bench, cfg) {
+            let r = run_or_report(&bench, cfg);
+            fam_sim::profile::set_enabled(false);
+            let profile = fam_sim::profile::take_report();
+            let r = match r {
                 Ok(r) => r,
                 Err(code) => return code,
             };
-            fam_sim::profile::set_enabled(false);
             print_report(&r);
-            if r.profile.is_empty() {
+            if profile.is_empty() {
                 return fail("profiler captured no spans");
             }
             println!();
-            print!("{}", r.profile.top_table(top));
-            if let Err(e) = std::fs::write(&out, r.profile.to_folded()) {
+            print!("{}", profile.top_table(top));
+            if let Err(e) = std::fs::write(&out, profile.to_folded()) {
                 return fail(format!("cannot write {out}: {e}"));
             }
             println!(

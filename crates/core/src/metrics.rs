@@ -173,14 +173,11 @@ impl DegradationReport {
 /// The result of one simulation run: one benchmark under one scheme
 /// and configuration.
 ///
-/// `PartialEq` compares every field (including the `f64` rates), which
-/// is exactly what the scheduler-equivalence and determinism tests
-/// need: two runs are "the same" only if they are bit-identical. The
-/// exceptions are [`RunReport::fast_path_coverage`] — a retired
-/// diagnostic, always zero — and [`RunReport::profile`] — host time,
-/// nondeterministic by nature; both are deliberately excluded from
-/// equality so reports stay host-independent.
-#[derive(Debug, Clone)]
+/// It holds simulated state only, so `PartialEq` compares every field
+/// (including the `f64` rates), which is exactly what the
+/// scheduler-equivalence and determinism tests need: two runs are "the
+/// same" only if they are bit-identical.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Scheme simulated.
     pub scheme: Scheme,
@@ -234,66 +231,8 @@ pub struct RunReport {
     /// path retired without the scheduler heap; that fast path was
     /// removed (the plain heap scheduler measured faster), and the
     /// field remains only because downstream benchmark tooling still
-    /// reads it. Excluded from `PartialEq`.
+    /// reads it.
     pub fast_path_coverage: f64,
-    /// Host-time profile of the run (empty unless
-    /// `fam_sim::profile::set_enabled(true)` was in effect). Host
-    /// nanoseconds are nondeterministic by nature, so like
-    /// `fast_path_coverage` this is a diagnostic excluded from
-    /// `PartialEq` — profiled and unprofiled runs compare equal, and a
-    /// differential test pins that the *included* fields really are
-    /// bit-identical either way.
-    pub profile: fam_sim::ProfileReport,
-}
-
-impl PartialEq for RunReport {
-    fn eq(&self, other: &RunReport) -> bool {
-        // Every field except `fast_path_coverage` (a retired
-        // diagnostic) and `profile` (host time, not simulated state). Destructure so adding a field without
-        // deciding its equality role fails to compile.
-        let RunReport {
-            scheme,
-            workload,
-            nodes,
-            cores_per_node,
-            instructions,
-            cycles,
-            ipc,
-            fam,
-            translation_hit_rate,
-            acm_hit_rate,
-            tlb_hit_rate,
-            mpki,
-            dram_reads,
-            dram_writes,
-            faults,
-            recovery,
-            degradation,
-            refs_per_core,
-            latency,
-            fast_path_coverage: _,
-            profile: _,
-        } = self;
-        *scheme == other.scheme
-            && *workload == other.workload
-            && *nodes == other.nodes
-            && *cores_per_node == other.cores_per_node
-            && *instructions == other.instructions
-            && *cycles == other.cycles
-            && *ipc == other.ipc
-            && *fam == other.fam
-            && *translation_hit_rate == other.translation_hit_rate
-            && *acm_hit_rate == other.acm_hit_rate
-            && *tlb_hit_rate == other.tlb_hit_rate
-            && *mpki == other.mpki
-            && *dram_reads == other.dram_reads
-            && *dram_writes == other.dram_writes
-            && *faults == other.faults
-            && *recovery == other.recovery
-            && *degradation == other.degradation
-            && *refs_per_core == other.refs_per_core
-            && *latency == other.latency
-    }
 }
 
 /// One conservation-audit check: an invariant the system's counters
@@ -410,34 +349,7 @@ mod tests {
             refs_per_core: 10,
             latency: LatencyBreakdown::default(),
             fast_path_coverage: 0.0,
-            profile: fam_sim::ProfileReport::default(),
         }
-    }
-
-    #[test]
-    fn reports_differing_only_in_coverage_are_equal() {
-        let a = report(1.0);
-        let mut b = report(1.0);
-        b.fast_path_coverage = 0.75;
-        assert_eq!(a, b, "coverage is a diagnostic, not a result");
-        b.cycles += 1;
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn reports_differing_only_in_profile_are_equal() {
-        let a = report(1.0);
-        let mut b = report(1.0);
-        fam_sim::profile::set_enabled(true);
-        {
-            let _s = fam_sim::profile::span(fam_sim::PhaseId::Tlb);
-        }
-        fam_sim::profile::set_enabled(false);
-        b.profile = fam_sim::profile::take_report();
-        assert!(!b.profile.is_empty(), "the span above must have recorded");
-        assert_eq!(a, b, "host-time profile is a diagnostic, not a result");
-        b.instructions += 1;
-        assert_ne!(a, b);
     }
 
     #[test]

@@ -1379,11 +1379,6 @@ impl System {
             refs_per_core: self.config.refs_per_core,
             latency: self.tracer.breakdown().clone(),
             fast_path_coverage: 0.0,
-            profile: if profile::is_enabled() {
-                profile::take_report()
-            } else {
-                fam_sim::ProfileReport::default()
-            },
         })
     }
 

@@ -9,13 +9,14 @@
 //! layered on, and also exercise the end-of-run
 //! conservation audit and metrics registry on real runs.
 //!
-//! The profiler's enable switch is process-global and `report()`
-//! drains the global accumulator whenever the switch is on, so every
-//! test in this file — even the audit/registry ones, whose runs would
-//! otherwise steal a concurrently-profiled run's spans — serializes
-//! on [`LOCK`]. (The harness runs `#[test]` fns of one binary
-//! concurrently; files are separate processes, so the lock's scope is
-//! exactly right.)
+//! `RunReport` holds simulated state only: a caller takes a run's
+//! profile with `profile::take_report()` once the run returns. The
+//! enable switch and the accumulator are process-global, and the
+//! harness runs the `#[test]` fns of one binary concurrently, so every
+//! test in this file serializes on [`LOCK`] — even the audit/registry
+//! ones, whose runs would otherwise record spans while a profiled test
+//! has the switch on and leak them into its next take. (Files are
+//! separate processes, so the lock's scope is exactly right.)
 
 use std::sync::Mutex;
 
@@ -43,13 +44,13 @@ fn run(cfg: SystemConfig) -> RunReport {
 }
 
 /// The whole differential matrix in one test: tracing × fault
-/// injection × scheme, profiler off vs. on. The *only* permitted
-/// difference is the profile block itself (excluded from
-/// `RunReport`'s `PartialEq`, like the latency block) — and the
-/// equality assertion below would catch any simulated-time drift.
+/// injection × scheme, profiler off vs. on. The reports must be
+/// equal — any simulated-time drift fails the assertion below — and
+/// each profiled run must leave a non-empty profile behind.
 #[test]
 fn profiled_runs_are_bit_identical_across_tracing_and_faults() {
     let _guard = serialized();
+    profile::reset();
     let variants: Vec<(&str, SystemConfig)> = vec![
         ("plain", base(Scheme::DeactN)),
         (
@@ -65,24 +66,25 @@ fn profiled_runs_are_bit_identical_across_tracing_and_faults() {
     for (name, cfg) in &variants {
         let off = run(*cfg);
         assert!(
-            off.profile.is_empty(),
-            "{name}: disabled profiler must leave the report empty"
+            profile::take_report().is_empty(),
+            "{name}: a disabled profiler must record nothing"
         );
         profile::set_enabled(true);
         let on = run(*cfg);
         profile::set_enabled(false);
+        let taken = profile::take_report();
         assert!(
-            !on.profile.is_empty(),
+            !taken.is_empty(),
             "{name}: enabled profiler must capture spans"
         );
         assert!(
-            on.profile.total_self_ns() > 0,
+            taken.total_self_ns() > 0,
             "{name}: captured spans must carry host time"
         );
         assert_eq!(off, on, "{name}: profiling must not perturb the simulation");
     }
-    // Leftover spans from the final enabled run must not leak into a
-    // later take: the report is attached at `report()` time.
+    // The take after each run drained it: nothing leaks into a later
+    // take.
     assert!(profile::take_report().is_empty());
 }
 
