@@ -550,13 +550,7 @@ impl System {
                                 self.degradation.pte_rewrites += 1;
                             }
                             Some(None) => {
-                                self.degradation.poisoned_accesses += 1;
-                                if self.config.halt_on_data_loss {
-                                    return Err(SimError::DataLoss {
-                                        node: n,
-                                        fam_page: pte.target_page - FAM_KEY_PAGE,
-                                    });
-                                }
+                                self.poison(n, pte.target_page - FAM_KEY_PAGE)?;
                                 self.nodes[n].page_table.unmap(vpage);
                                 continue;
                             }
@@ -691,16 +685,7 @@ impl System {
                         Err(_) => {
                             self.recovery.nacks_corrupt += 1;
                             let module = self.module_of(fam_byte);
-                            let arrival = self.fabric.node_to_fam(t, n, module);
-                            let back = self.fabric.fam_to_node(
-                                arrival,
-                                n,
-                                module,
-                                fam_fabric::packet::RESPONSE_BYTES as u64,
-                            );
-                            self.tracer
-                                .span(req, Stage::Retry, Track::Fabric(n as u16), t, back);
-                            t = back;
+                            t = self.nack_round_trip(n, t, module, req);
                         }
                         Ok(_) => {
                             // Unreachable with CRC-16 and a single-byte
@@ -735,18 +720,34 @@ impl System {
         t + backoff
     }
 
-    /// One fabric round trip ending in an unreachable-NACK from the
-    /// failed endpoint's management plane (the data path is gone, the
-    /// enclosure still answers).
-    fn unreachable_nack(&mut self, n: usize, t: Cycle, module: usize, req: RequestId) -> Cycle {
+    /// One fabric round trip ending in a NACK instead of data: the
+    /// request crosses to `module` and a `RESPONSE_BYTES` NACK comes
+    /// back with no device service. Both the corrupt-NACK and the
+    /// unreachable-NACK (from a failed endpoint's management plane —
+    /// the data path is gone, the enclosure still answers) take it.
+    fn nack_round_trip(&mut self, n: usize, t: Cycle, module: usize, req: RequestId) -> Cycle {
         let arrival = self.fabric.node_to_fam(t, n, module);
         let back = self
             .fabric
             .fam_to_node(arrival, n, module, RESPONSE_BYTES as u64);
-        self.recovery.nacks_unreachable += 1;
         self.tracer
             .span(req, Stage::Retry, Track::Fabric(n as u16), t, back);
         back
+    }
+
+    /// Counts a poisoned access: one that reached data a permanent
+    /// failure destroyed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::DataLoss`] when the config sets
+    /// `halt_on_data_loss`.
+    fn poison(&mut self, n: usize, fam_page: u64) -> Result<(), SimError> {
+        self.degradation.poisoned_accesses += 1;
+        if self.config.halt_on_data_loss {
+            return Err(SimError::DataLoss { node: n, fam_page });
+        }
+        Ok(())
     }
 
     /// The persistent-fault arm of [`System::fam_round_trip`]: the
@@ -775,7 +776,8 @@ impl System {
         if !self.persistent_handled {
             let mut state = RetryState::for_request(req);
             loop {
-                t = self.unreachable_nack(n, t, module, req);
+                self.recovery.nacks_unreachable += 1;
+                t = self.nack_round_trip(n, t, module, req);
                 match state.on_fault(&RetryConfig::default()) {
                     RetryOutcome::Retry { backoff } => t = self.back_off(n, t, backoff, req),
                     RetryOutcome::GiveUp => break,
@@ -800,11 +802,9 @@ impl System {
                 // Destroyed data (or a mapping recovery never knew
                 // about): fast-fail with one NACK and poison the
                 // access instead of panicking.
-                let back = self.unreachable_nack(n, t, module, req);
-                self.degradation.poisoned_accesses += 1;
-                if self.config.halt_on_data_loss {
-                    return Err(SimError::DataLoss { node: n, fam_page });
-                }
+                self.recovery.nacks_unreachable += 1;
+                let back = self.nack_round_trip(n, t, module, req);
+                self.poison(n, fam_page)?;
                 Ok(back)
             }
         }
@@ -1047,13 +1047,7 @@ impl System {
                     // fresh page, not the lost bytes).
                     if self.persistent_handled {
                         if let Some(old_fam) = self.lost.remove(&(node_id, npa_page)) {
-                            self.degradation.poisoned_accesses += 1;
-                            if self.config.halt_on_data_loss {
-                                return Err(SimError::DataLoss {
-                                    node: n,
-                                    fam_page: old_fam,
-                                });
-                            }
+                            self.poison(n, old_fam)?;
                         }
                     }
                     // System-level fault: the STU asks the broker for
