@@ -201,9 +201,10 @@ fn apply_flags(mut cfg: SystemConfig, args: &[String]) -> Option<SystemConfig> {
         };
     }
     // Catch a `--stu-entries` that does not fill whole STU sets and a
-    // `--kill-node` with a zero ordinal or an out-of-range module here,
-    // where every flag is known, so the user gets a one-line error
-    // instead of the config validator's panic.
+    // `--kill-node` with a zero ordinal, an out-of-range module or no
+    // module left to survive on here, where every flag is known, so the
+    // user gets a one-line error instead of the config validator's
+    // panic or a mid-run FAM exhaustion.
     if !cfg.stu_entries.is_multiple_of(cfg.stu_ways) {
         eprintln!(
             "deact-sim: --stu-entries {} must be a multiple of the {} STU ways",
@@ -222,6 +223,13 @@ fn apply_flags(mut cfg: SystemConfig, args: &[String]) -> Option<SystemConfig> {
                     "deact-sim: --kill-node names FAM module {module}, but only {} exist \
                      (raise --fam-modules)",
                     cfg.fam_modules
+                );
+                return None;
+            }
+            if cfg.fam_modules == 1 {
+                eprintln!(
+                    "deact-sim: --kill-node names the only FAM module, leaving no FAM \
+                     to survive on (raise --fam-modules)"
                 );
                 return None;
             }
@@ -666,6 +674,14 @@ mod tests {
         };
         assert!(cfg("1@0").is_none());
         assert!(cfg("1@1").is_some());
+    }
+
+    #[test]
+    fn kill_node_needs_a_surviving_module() {
+        let cfg = |args: &[&str]| apply_flags(SystemConfig::paper_default(), &flags(args));
+        assert!(cfg(&["--kill-node", "0@1"]).is_none());
+        assert!(cfg(&["--kill-node", "0@2000", "--fam-modules", "1"]).is_none());
+        assert!(cfg(&["--fam-modules", "2", "--kill-node", "0@1"]).is_some());
     }
 
     #[test]
