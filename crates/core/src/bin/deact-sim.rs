@@ -473,13 +473,12 @@ fn main() -> ExitCode {
             // clock, so the report below is bit-identical to an
             // unprofiled run.
             fam_sim::profile::set_enabled(true);
-            let r = run_or_report(&bench, cfg);
-            fam_sim::profile::set_enabled(false);
-            let profile = fam_sim::profile::take_report();
-            let r = match r {
+            let r = match run_or_report(&bench, cfg) {
                 Ok(r) => r,
                 Err(code) => return code,
             };
+            fam_sim::profile::set_enabled(false);
+            let profile = fam_sim::profile::take_report();
             print_report(&r);
             if profile.is_empty() {
                 return fail("profiler captured no spans");

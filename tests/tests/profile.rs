@@ -50,7 +50,6 @@ fn run(cfg: SystemConfig) -> RunReport {
 #[test]
 fn profiled_runs_are_bit_identical_across_tracing_and_faults() {
     let _guard = serialized();
-    profile::reset();
     let variants: Vec<(&str, SystemConfig)> = vec![
         ("plain", base(Scheme::DeactN)),
         (
