@@ -673,11 +673,6 @@ impl MemoryBroker {
         Ok((report, relocations))
     }
 
-    /// Number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Pages currently owned (demand-mapped) by `node`.
     pub fn owned_pages(&self, node: NodeId) -> usize {
         self.node_ref(node)

@@ -52,11 +52,6 @@ impl Quarantine {
             }
         }
     }
-
-    /// Whether any page at all is quarantined.
-    pub fn is_active(&self) -> bool {
-        *self != Quarantine::None
-    }
 }
 
 /// The carve-up of a FAM module's physical space (Fig. 5): a usable
@@ -346,8 +341,6 @@ mod tests {
         assert!(range.contains(14));
         assert!(!range.contains(15));
         assert!(!Quarantine::None.contains(0));
-        assert!(!Quarantine::None.is_active());
-        assert!(module.is_active() && range.is_active());
     }
 
     #[test]

@@ -132,16 +132,15 @@ fn split_opts<const N: usize>(
     Some((rest, values))
 }
 
-/// Parses an optional option value, or yields `default` when it is
-/// absent. Returns `None` on a malformed value or one `valid` rejects.
-fn value_or<T: std::str::FromStr>(
+/// Parses an optional count, or yields `default` when it is absent.
+/// Returns `None` on a malformed value or a zero.
+fn positive_or<T: std::str::FromStr + PartialOrd + Default>(
     value: Option<String>,
     default: T,
-    valid: impl Fn(&T) -> bool,
 ) -> Option<T> {
     match value {
         None => Some(default),
-        Some(v) => v.parse().ok().filter(valid),
+        Some(v) => v.parse().ok().filter(|n| *n > T::default()),
     }
 }
 
@@ -393,8 +392,8 @@ fn main() -> ExitCode {
                 return usage();
             };
             let (Some(window), Some(ring)) = (
-                value_or(window, full.window_cycles, |&n| n > 0),
-                value_or(ring, full.ring_capacity, |_| true),
+                positive_or(window, full.window_cycles),
+                positive_or(ring, full.ring_capacity),
             ) else {
                 return usage();
             };
@@ -459,7 +458,7 @@ fn main() -> ExitCode {
             let Some((rest, [out, top])) = split_opts(flags, ["--out", "--top"]) else {
                 return usage();
             };
-            let Some(top) = value_or(top, 12usize, |&n| n > 0) else {
+            let Some(top) = positive_or(top, 12usize) else {
                 return usage();
             };
             let out = out.unwrap_or_else(|| String::from("profile.folded"));
@@ -598,7 +597,7 @@ fn main() -> ExitCode {
             let Some((rest, [jobs])) = split_opts(&args[2..], ["--jobs"]) else {
                 return usage();
             };
-            let Some(jobs) = value_or(jobs, fam_sim::default_jobs(), |&n| n > 0) else {
+            let Some(jobs) = positive_or(jobs, fam_sim::default_jobs()) else {
                 return usage();
             };
             let Some(cfg) = apply_flags(SystemConfig::paper_default(), &rest) else {
@@ -692,8 +691,8 @@ mod tests {
         assert_eq!(top.as_deref(), Some("3"));
         assert_eq!(ring, None);
         assert!(split_opts(&flags(&["--out"]), ["--out"]).is_none());
-        assert_eq!(value_or(top, 12usize, |&n| n > 0), Some(3));
-        assert_eq!(value_or(Some("0".into()), 12usize, |&n| n > 0), None);
-        assert_eq!(value_or(None, 12usize, |&n| n > 0), Some(12));
+        assert_eq!(positive_or(top, 12usize), Some(3));
+        assert_eq!(positive_or(Some("0".into()), 12usize), None);
+        assert_eq!(positive_or(None, 12usize), Some(12));
     }
 }

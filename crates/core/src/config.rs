@@ -332,12 +332,6 @@ impl SystemConfig {
         }
     }
 
-    /// Number of entries in the in-DRAM translation cache: each 64-
-    /// byte set holds four 104-bit entries (§III-C).
-    pub fn translation_cache_entries(&self) -> u64 {
-        self.translation_cache_bytes / 64 * 4
-    }
-
     /// Validates cross-field invariants.
     ///
     /// # Panics
@@ -409,15 +403,6 @@ mod tests {
         assert_eq!(c.nodes, 8);
         assert_eq!(c.stu_config().sets, 32);
         assert_eq!(c.fabric.latency_ns, 6000);
-    }
-
-    #[test]
-    fn translation_cache_entry_math() {
-        // 1 MB / 64 B per set * 4 entries per set = 65536 entries.
-        assert_eq!(
-            SystemConfig::paper_default().translation_cache_entries(),
-            65536
-        );
     }
 
     #[test]

@@ -67,5 +67,5 @@ pub use metrics::{
 pub use scheme::Scheme;
 pub use system::{run_benchmark, try_run_benchmark, System};
 pub use translator::{
-    FamTranslator, OutstandingMappingList, RetryConfig, RetryOutcome, RetryState, TranslatorStats,
+    FamTranslator, OutstandingMappingList, RetryConfig, RetryOutcome, RetryState,
 };

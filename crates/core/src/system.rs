@@ -645,7 +645,7 @@ impl System {
             return self.persistent_path(n, t, fam_byte, kind, req);
         }
         let mut t = t;
-        let mut state = RetryState::for_request(req);
+        let mut state = RetryState::new();
         loop {
             // Scheduled link-down window: the requester sits at the
             // serializer until the link returns.
@@ -774,7 +774,7 @@ impl System {
         let mut t = t;
         let module = self.module_of(fam_byte);
         if !self.persistent_handled {
-            let mut state = RetryState::for_request(req);
+            let mut state = RetryState::new();
             loop {
                 self.recovery.nacks_unreachable += 1;
                 t = self.nack_round_trip(n, t, module, req);

@@ -4,7 +4,7 @@
 
 use fam_mem::{CacheConfig, Replacement, SetAssocCache};
 use fam_sim::stats::{Counter, Ratio};
-use fam_sim::{Duration, RequestId};
+use fam_sim::Duration;
 
 /// Retry policy for FAM requests that bounce (timeout on a dropped
 /// frame, corrupt-NACK, stale-NACK). Exponential backoff, capped:
@@ -97,26 +97,12 @@ pub enum RetryOutcome {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RetryState {
     attempts: u32,
-    req: RequestId,
 }
 
 impl RetryState {
     /// Fresh state: no faults seen yet.
     pub fn new() -> RetryState {
         RetryState::default()
-    }
-
-    /// Fresh state bound to a traced request, so reissued frames carry
-    /// the request's wire tag and retries land on the right trace
-    /// track.
-    pub fn for_request(req: RequestId) -> RetryState {
-        RetryState { attempts: 0, req }
-    }
-
-    /// The traced request this state belongs to
-    /// ([`RequestId::UNTRACED`] when built with [`RetryState::new`]).
-    pub fn request(&self) -> RequestId {
-        self.req
     }
 
     /// Retries consumed so far.
@@ -210,20 +196,6 @@ impl OutstandingMappingList {
     }
 }
 
-/// Statistics the translator reports.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TranslatorStats {
-    /// Translation-cache lookups (one DRAM read each).
-    pub lookups: Counter,
-    /// Cache updates (one DRAM read-modify-write each, §III-C).
-    pub updates: Counter,
-    /// Mapping responses received from the STU.
-    pub mapping_responses: Counter,
-    /// Cached entries invalidated on a stale-translation NACK — the
-    /// DeACT `V`-flag verification story actually firing.
-    pub stale_invalidations: Counter,
-}
-
 /// The FAM translator in the node's memory controller (Fig. 7).
 ///
 /// Holds the *model* of the in-DRAM FAM translation cache: a four-way
@@ -245,7 +217,7 @@ pub struct TranslatorStats {
 /// assert_eq!(t.lookup(42), None);
 /// t.install(42, 999);
 /// assert_eq!(t.lookup(42), Some(999));
-/// assert!(t.stats().lookups.value() >= 2);
+/// assert_eq!(t.hit_ratio().total(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FamTranslator {
@@ -253,7 +225,6 @@ pub struct FamTranslator {
     dram_base: u64,
     sets: u64,
     oml: OutstandingMappingList,
-    stats: TranslatorStats,
     hit_ratio: Ratio,
 }
 
@@ -300,7 +271,6 @@ impl FamTranslator {
             dram_base,
             sets,
             oml: OutstandingMappingList::new(oml_capacity),
-            stats: TranslatorStats::default(),
             hit_ratio: Ratio::new(),
         }
     }
@@ -315,7 +285,6 @@ impl FamTranslator {
     /// fetch plus the parallel tag match; records Fig. 10's
     /// DeACT address-translation hit rate.
     pub fn lookup(&mut self, npa_page: u64) -> Option<u64> {
-        self.stats.lookups.inc();
         let hit = self.cache.get(npa_page).copied();
         self.hit_ratio.record(hit.is_some());
         hit
@@ -325,8 +294,6 @@ impl FamTranslator {
     /// entry of the fetched set is replaced, costing a DRAM
     /// read-modify-write.
     pub fn install(&mut self, npa_page: u64, fam_page: u64) {
-        self.stats.updates.inc();
-        self.stats.mapping_responses.inc();
         self.cache.insert(npa_page, fam_page);
     }
 
@@ -334,7 +301,6 @@ impl FamTranslator {
     /// "excess DRAM writes to invalidate system-level mappings").
     /// Returns whether an entry was present.
     pub fn invalidate(&mut self, npa_page: u64) -> bool {
-        self.stats.updates.inc();
         self.cache.invalidate(npa_page).is_some()
     }
 
@@ -344,7 +310,6 @@ impl FamTranslator {
     /// STU walk (§III-C — exactly the recovery the `V` flag exists
     /// for). Returns whether an entry was actually evicted.
     pub fn handle_stale_nack(&mut self, npa_page: u64) -> bool {
-        self.stats.stale_invalidations.inc();
         self.invalidate(npa_page)
     }
 
@@ -356,18 +321,6 @@ impl FamTranslator {
     /// Translation hit rate (the DeACT series of Fig. 10).
     pub fn hit_ratio(&self) -> Ratio {
         self.hit_ratio
-    }
-
-    /// DRAM-traffic statistics.
-    pub fn stats(&self) -> TranslatorStats {
-        self.stats
-    }
-
-    /// Resets statistics, keeping cached mappings.
-    pub fn reset_stats(&mut self) {
-        self.stats = TranslatorStats::default();
-        self.hit_ratio.reset();
-        self.cache.reset_stats();
     }
 
     /// Number of cached mappings.
@@ -422,15 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn updates_are_counted_for_dram_accounting() {
-        let mut t = translator();
-        t.install(1, 10);
-        t.install(2, 20);
-        assert_eq!(t.stats().updates.value(), 2);
-        assert_eq!(t.stats().mapping_responses.value(), 2);
-    }
-
-    #[test]
     fn invalidate_for_migration() {
         let mut t = translator();
         t.install(7, 70);
@@ -471,7 +415,6 @@ mod tests {
         assert!(t.handle_stale_nack(7));
         assert_eq!(t.lookup(7), None, "stale entry must be gone");
         assert!(!t.handle_stale_nack(7), "second NACK finds nothing");
-        assert_eq!(t.stats().stale_invalidations.value(), 2);
     }
 
     #[test]
@@ -502,14 +445,6 @@ mod tests {
         assert_eq!(s.attempts(), 2);
         assert_eq!(s.on_fault(&cfg), RetryOutcome::GiveUp);
         assert_eq!(s.attempts(), 2, "give-up consumes no attempt");
-    }
-
-    #[test]
-    fn retry_state_carries_request_identity() {
-        assert_eq!(RetryState::new().request(), RequestId::UNTRACED);
-        let s = RetryState::for_request(RequestId(42));
-        assert_eq!(s.request(), RequestId(42));
-        assert_eq!(s.attempts(), 0);
     }
 
     #[test]

@@ -172,17 +172,6 @@ impl Fabric {
     pub fn frequency(&self) -> Frequency {
         self.freq
     }
-
-    /// Resets contention timelines and statistics.
-    pub fn reset(&mut self) {
-        for l in &mut self.links {
-            l.reset();
-        }
-        for p in &mut self.ports {
-            p.reset();
-        }
-        self.traversals.reset();
-    }
 }
 
 #[cfg(test)]
@@ -267,14 +256,5 @@ mod tests {
     #[should_panic(expected = "unknown module")]
     fn out_of_range_module_rejected() {
         fabric(1).node_to_fam(Cycle(0), 0, 3);
-    }
-
-    #[test]
-    fn reset_clears_contention() {
-        let mut f = fabric(1);
-        f.node_to_fam(Cycle(0), 0, 0);
-        f.reset();
-        assert_eq!(f.traversals(), 0);
-        assert_eq!(f.node_to_fam(Cycle(0), 0, 0), Cycle(1000));
     }
 }

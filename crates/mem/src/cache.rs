@@ -290,25 +290,10 @@ impl<V> SetAssocCache<V> {
         self.values[i].take()
     }
 
-    /// Removes every entry whose key satisfies `pred`, returning how
-    /// many were removed. Used for shootdowns (page migration, §VI).
-    pub fn invalidate_matching(&mut self, mut pred: impl FnMut(u64) -> bool) -> usize {
-        let mut removed = 0;
-        for (i, k) in self.keys.iter_mut().enumerate() {
-            if *k != EMPTY && pred(*k) {
-                *k = EMPTY;
-                self.values[i] = None;
-                removed += 1;
-            }
-        }
-        removed
-    }
-
     /// Keeps only entries whose `(key, &value)` pair satisfies `pred`,
-    /// returning how many were removed. The value-aware twin of
-    /// [`SetAssocCache::invalidate_matching`], for shootdowns that
-    /// must match on cached payloads (e.g. PTEs naming quarantined
-    /// FAM frames rather than the virtual keys that index them).
+    /// returning how many were removed. Used for shootdowns that must
+    /// match on cached payloads (e.g. PTEs naming quarantined FAM
+    /// frames rather than the virtual keys that index them).
     pub fn retain(&mut self, mut pred: impl FnMut(u64, &V) -> bool) -> usize {
         let mut removed = 0;
         for (i, k) in self.keys.iter_mut().enumerate() {
@@ -341,11 +326,6 @@ impl<V> SetAssocCache<V> {
     /// Hit/miss statistics accumulated by `get`/`get_mut`/`access`.
     pub fn stats(&self) -> Ratio {
         self.stats
-    }
-
-    /// Resets statistics (contents are preserved).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
     }
 
     /// Drops all entries and statistics.
@@ -505,19 +485,6 @@ mod tests {
         assert_eq!(c.invalidate(1), Some(10));
         assert_eq!(c.invalidate(1), None);
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn invalidate_matching_sweeps() {
-        let mut c: SetAssocCache<u32> =
-            SetAssocCache::new(CacheConfig::new(8, 2, Replacement::Lru));
-        for k in 0..16 {
-            c.insert(k, 0);
-        }
-        let removed = c.invalidate_matching(|k| k % 2 == 0);
-        assert_eq!(removed, 8);
-        assert_eq!(c.len(), 8);
-        assert!(c.iter().all(|(k, _)| k % 2 == 1));
     }
 
     #[test]

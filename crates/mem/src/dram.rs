@@ -73,13 +73,6 @@ impl DramModel {
     pub fn writes(&self) -> u64 {
         self.writes.value()
     }
-
-    /// Resets the channel timeline and statistics.
-    pub fn reset(&mut self) {
-        self.channel.reset();
-        self.reads.reset();
-        self.writes.reset();
-    }
 }
 
 #[cfg(test)]
@@ -119,7 +112,5 @@ mod tests {
         d.write(Cycle(0), 0);
         assert_eq!(d.reads(), 1);
         assert_eq!(d.writes(), 2);
-        d.reset();
-        assert_eq!(d.reads(), 0);
     }
 }

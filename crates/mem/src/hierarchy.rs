@@ -220,11 +220,6 @@ impl CacheHierarchy {
         self.llc
     }
 
-    /// Lookup latency to the point of an LLC miss (all three levels).
-    pub fn miss_path_latency(&self) -> Duration {
-        Duration(self.config.l1_latency + self.config.l2_latency + self.config.l3_latency)
-    }
-
     /// The configured geometry.
     pub fn config(&self) -> HierarchyConfig {
         self.config
@@ -233,18 +228,6 @@ impl CacheHierarchy {
     /// Number of cores served.
     pub fn cores(&self) -> usize {
         self.l1.len()
-    }
-
-    /// Drops all cached lines and statistics.
-    pub fn clear(&mut self) {
-        for c in &mut self.l1 {
-            c.clear();
-        }
-        for c in &mut self.l2 {
-            c.clear();
-        }
-        self.l3.clear();
-        self.llc.reset();
     }
 }
 
@@ -383,17 +366,9 @@ mod tests {
 
     #[test]
     fn paper_default_geometry() {
-        let h = CacheHierarchy::new(4, HierarchyConfig::default());
+        let mut h = CacheHierarchy::new(4, HierarchyConfig::default());
         assert_eq!(h.cores(), 4);
-        assert_eq!(h.miss_path_latency(), Duration(54));
-    }
-
-    #[test]
-    fn clear_empties_everything() {
-        let mut h = small();
-        h.access(0, 0, false);
-        h.clear();
-        assert!(!h.contains(0));
-        assert_eq!(h.llc_stats().total(), 0);
+        // A cold miss pays the full L1 + L2 + L3 lookup path.
+        assert_eq!(h.access(0, 0, false).latency, Duration(54));
     }
 }

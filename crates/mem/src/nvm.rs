@@ -131,14 +131,6 @@ impl NvmModel {
     pub fn admission_stalls(&self) -> u64 {
         self.window.stalls()
     }
-
-    /// Resets timelines and statistics.
-    pub fn reset(&mut self) {
-        self.banks.reset();
-        self.window.reset();
-        self.reads.reset();
-        self.writes.reset();
-    }
 }
 
 #[cfg(test)]
@@ -197,7 +189,5 @@ mod tests {
         n.access(Cycle(0), 0, MemOpKind::Write);
         assert_eq!(n.reads(), 1);
         assert_eq!(n.writes(), 1);
-        n.reset();
-        assert_eq!(n.reads() + n.writes(), 0);
     }
 }

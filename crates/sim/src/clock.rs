@@ -41,13 +41,6 @@ impl Cycle {
     pub fn min(self, other: Cycle) -> Cycle {
         Cycle(self.0.min(other.0))
     }
-
-    /// The span from `earlier` to `self`, saturating to zero if
-    /// `earlier` is actually later.
-    #[must_use]
-    pub fn saturating_since(self, earlier: Cycle) -> Duration {
-        Duration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl Duration {
@@ -166,11 +159,6 @@ impl Frequency {
     pub fn ns_to_cycles(self, ns: u64) -> Duration {
         Duration((ns * self.mhz).div_ceil(1000))
     }
-
-    /// Converts a picosecond latency to cycles, rounding up.
-    pub fn ps_to_cycles(self, ps: u64) -> Duration {
-        Duration((ps * self.mhz).div_ceil(1_000_000))
-    }
 }
 
 impl Default for Frequency {
@@ -211,12 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn saturating_since_clamps() {
-        assert_eq!(Cycle(5).saturating_since(Cycle(9)), Duration::ZERO);
-        assert_eq!(Cycle(9).saturating_since(Cycle(5)), Duration(4));
-    }
-
-    #[test]
     fn duration_sum_and_times() {
         let total: Duration = [Duration(1), Duration(2), Duration(3)].into_iter().sum();
         assert_eq!(total, Duration(6));
@@ -228,10 +210,10 @@ mod tests {
         let f = Frequency::ghz(2);
         assert_eq!(f.ns_to_cycles(500), Duration(1000));
         assert_eq!(f.ns_to_cycles(1), Duration(2));
-        // A 0.3 ns event at 1 GHz still costs one cycle.
-        let g = Frequency::ghz(1);
-        assert_eq!(g.ps_to_cycles(300), Duration(1));
-        assert_eq!(g.ps_to_cycles(0), Duration(0));
+        // A 1 ns event at 1.5 GHz is 1.5 cycles: it costs two.
+        let g = Frequency::mhz(1500);
+        assert_eq!(g.ns_to_cycles(1), Duration(2));
+        assert_eq!(g.ns_to_cycles(0), Duration(0));
     }
 
     #[test]

@@ -257,8 +257,6 @@ pub struct FaultStats {
     pub stale_marks: Counter,
     /// STU stalls injected.
     pub stu_stalls: Counter,
-    /// Traversals that arrived during a link-down window and waited.
-    pub link_down_waits: Counter,
 }
 
 /// The substrate fault injector. See the module docs for the
@@ -361,8 +359,8 @@ impl FaultInjector {
 
     /// When the link is next usable at `now`: `now` itself if the link
     /// is up, otherwise the end of the scheduled down-window covering
-    /// `now` (counted as a wait).
-    pub fn link_up_at(&mut self, now: Cycle) -> Cycle {
+    /// `now`.
+    pub fn link_up_at(&self, now: Cycle) -> Cycle {
         if !self.config.enabled || self.config.link_down_period == 0 {
             return now;
         }
@@ -372,7 +370,6 @@ impl FaultInjector {
         }
         let start = self.window_start(k);
         if now.0 >= start && now.0 < start + self.config.link_down_cycles {
-            self.stats.link_down_waits.inc();
             Cycle(start + self.config.link_down_cycles)
         } else {
             now
@@ -512,7 +509,7 @@ mod tests {
             link_down_cycles: 100,
             ..FaultConfig::disabled()
         };
-        let mut i = FaultInjector::new(cfg);
+        let i = FaultInjector::new(cfg);
         // Inside window 1 the caller is pushed to the window end.
         let start = i.window_start(1);
         let up = i.link_up_at(Cycle(start + 10));
@@ -520,7 +517,6 @@ mod tests {
         // Clear of any window, time passes through.
         let free = Cycle(start + 500);
         assert_eq!(i.link_up_at(free), free);
-        assert_eq!(i.stats().link_down_waits.value(), 1);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //!   (self vs. children time, folded-stack export); one relaxed atomic
 //!   load when disabled.
 //! * [`registry`] — a unified named metrics [`Registry`] with
-//!   snapshot/diff/merge, the substrate of end-of-run conservation
+//!   snapshot/diff, the substrate of end-of-run conservation
 //!   audits.
 //!
 //! # Examples

@@ -160,13 +160,6 @@ impl Resource {
     pub fn occupancy(&self) -> Duration {
         self.occupancy
     }
-
-    /// Resets the timeline and statistics, keeping the occupancy.
-    pub fn reset(&mut self) {
-        self.intervals.clear();
-        self.busy = Duration::ZERO;
-        self.requests = 0;
-    }
 }
 
 /// A set of independently-occupied banks addressed by an interleaving
@@ -245,13 +238,6 @@ impl BankedResource {
     pub fn busy_cycles(&self) -> Duration {
         self.banks.iter().map(Resource::busy_cycles).sum()
     }
-
-    /// Resets every bank's timeline and statistics.
-    pub fn reset(&mut self) {
-        for b in &mut self.banks {
-            b.reset();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -323,16 +309,6 @@ mod tests {
         }
         assert_eq!(r.requests(), 10_000);
         assert!(r.next_free() > Cycle(99_000));
-    }
-
-    #[test]
-    fn reset_clears_timeline() {
-        let mut r = Resource::new(10);
-        r.acquire(Cycle(0));
-        r.reset();
-        assert_eq!(r.next_free(), Cycle::ZERO);
-        assert_eq!(r.requests(), 0);
-        assert_eq!(r.occupancy(), Duration(10));
     }
 
     #[test]

@@ -43,11 +43,6 @@ impl Counter {
     pub fn value(self) -> u64 {
         self.0
     }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.0 = 0;
-    }
 }
 
 impl From<u64> for Counter {
@@ -297,28 +292,6 @@ impl Histogram {
         self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
     }
-
-    /// Bucket-wise saturating difference `self - base`, for diffing a
-    /// later snapshot against an earlier one of the same histogram.
-    ///
-    /// `max` is carried over from `self`: buckets and sums are
-    /// monotonic under `record` so subtraction recovers the interval
-    /// exactly, but the interval's true maximum is not recoverable —
-    /// the carried value is an upper bound.
-    pub fn saturating_diff(&self, base: &Histogram) -> Histogram {
-        let mut out = self.clone();
-        for (mine, theirs) in out.buckets.iter_mut().zip(&base.buckets) {
-            *mine = mine.saturating_sub(*theirs);
-        }
-        out.count = self.count.saturating_sub(base.count);
-        out.sum = self.sum.saturating_sub(base.sum);
-        out
-    }
-
-    /// Resets all buckets.
-    pub fn reset(&mut self) {
-        *self = Histogram::new();
-    }
 }
 
 impl Default for Histogram {
@@ -369,8 +342,6 @@ mod tests {
         c.inc();
         c.add(9);
         assert_eq!(c.value(), 10);
-        c.reset();
-        assert_eq!(c.value(), 0);
         assert_eq!(Counter::new().to_string(), "0");
     }
 
@@ -552,24 +523,5 @@ mod tests {
         h.merge(&other);
         assert_eq!(h.sum(), u64::MAX);
         assert_eq!(h.count(), 3);
-    }
-
-    #[test]
-    fn histogram_saturating_diff_recovers_interval() {
-        let mut base = Histogram::new();
-        for v in [1, 2, 3] {
-            base.record(v);
-        }
-        let mut later = base.clone();
-        for v in [10, 2000] {
-            later.record(v);
-        }
-        let diff = later.saturating_diff(&base);
-        assert_eq!(diff.count(), 2);
-        assert_eq!(diff.sum(), 2010);
-        let mut interval = Histogram::new();
-        interval.record(10);
-        interval.record(2000);
-        assert_eq!(diff.quantile(0.5), interval.quantile(0.5));
     }
 }

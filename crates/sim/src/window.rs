@@ -30,8 +30,6 @@ use crate::Cycle;
 pub struct Window {
     capacity: usize,
     completions: BinaryHeap<Reverse<Cycle>>,
-    peak: usize,
-    admitted: u64,
     stalled: u64,
 }
 
@@ -46,8 +44,6 @@ impl Window {
         Window {
             capacity,
             completions: BinaryHeap::new(),
-            peak: 0,
-            admitted: 0,
             stalled: 0,
         }
     }
@@ -65,7 +61,6 @@ impl Window {
                 break;
             }
         }
-        self.admitted += 1;
         if self.completions.len() < self.capacity {
             return now;
         }
@@ -82,7 +77,6 @@ impl Window {
     /// `completes_at`.
     pub fn record_completion(&mut self, completes_at: Cycle) {
         self.completions.push(Reverse(completes_at));
-        self.peak = self.peak.max(self.completions.len());
     }
 
     /// Predicts when an operation wanting to start at `now` would be
@@ -115,37 +109,9 @@ impl Window {
         }
     }
 
-    /// Number of operations currently tracked as in flight.
-    pub fn in_flight(&self) -> usize {
-        self.completions.len()
-    }
-
-    /// The maximum concurrency observed.
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-
-    /// Total operations admitted.
-    pub fn admitted(&self) -> u64 {
-        self.admitted
-    }
-
     /// Operations that had to wait because the window was full.
     pub fn stalls(&self) -> u64 {
         self.stalled
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Clears in-flight state and statistics, keeping the capacity.
-    pub fn reset(&mut self) {
-        self.completions.clear();
-        self.peak = 0;
-        self.admitted = 0;
-        self.stalled = 0;
     }
 }
 
@@ -160,8 +126,9 @@ mod tests {
             assert_eq!(w.admit(Cycle(0)), Cycle(0));
             w.record_completion(Cycle(1000));
         }
-        assert_eq!(w.in_flight(), 3);
         assert_eq!(w.stalls(), 0);
+        // All three are still in flight: a fourth waits for them.
+        assert_eq!(w.would_start(Cycle(0)), Cycle(1000));
     }
 
     #[test]
@@ -183,16 +150,6 @@ mod tests {
         // At cycle 50 the previous op has long completed.
         assert_eq!(w.admit(Cycle(50)), Cycle(50));
         assert_eq!(w.stalls(), 0);
-    }
-
-    #[test]
-    fn peak_tracks_max_concurrency() {
-        let mut w = Window::new(4);
-        for i in 0..4 {
-            w.admit(Cycle(0));
-            w.record_completion(Cycle(100 + i));
-        }
-        assert_eq!(w.peak(), 4);
     }
 
     #[test]
@@ -220,17 +177,6 @@ mod tests {
         w2.admit(Cycle(0));
         w2.record_completion(Cycle(10));
         assert_eq!(w2.would_start(Cycle(50)), Cycle(50));
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut w = Window::new(2);
-        w.admit(Cycle(0));
-        w.record_completion(Cycle(5));
-        w.reset();
-        assert_eq!(w.in_flight(), 0);
-        assert_eq!(w.admitted(), 0);
-        assert_eq!(w.capacity(), 2);
     }
 
     #[test]

@@ -227,32 +227,11 @@ impl StuCache {
         }
     }
 
-    /// Flushes the whole cache.
-    pub fn flush(&mut self) {
-        if let Some(c) = self.translation.as_mut() {
-            c.clear();
-        }
-        if let Some(c) = self.acm.as_mut() {
-            c.clear();
-        }
-    }
-
     /// ACM hit/miss statistics — the series plotted in Fig. 9. (For
     /// I-FAM this equals the translation hit rate, since the entry is
     /// coupled.)
     pub fn acm_stats(&self) -> Ratio {
         self.acm_stats
-    }
-
-    /// Resets statistics, keeping contents.
-    pub fn reset_stats(&mut self) {
-        self.acm_stats.reset();
-        if let Some(c) = self.translation.as_mut() {
-            c.reset_stats();
-        }
-        if let Some(c) = self.acm.as_mut() {
-            c.reset_stats();
-        }
     }
 }
 
@@ -374,17 +353,6 @@ mod tests {
         i.ifam_fill(9, 1);
         i.invalidate(9);
         assert_eq!(i.ifam_lookup(9), None);
-    }
-
-    #[test]
-    fn flush_and_reset_stats() {
-        let mut s = StuCache::new(cfg(StuOrganization::DeactW));
-        s.acm_fill(0);
-        s.acm_lookup(0);
-        s.flush();
-        assert!(!s.acm_lookup(0));
-        s.reset_stats();
-        assert_eq!(s.acm_stats().total(), 0);
     }
 
     #[test]

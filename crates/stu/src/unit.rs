@@ -1,28 +1,10 @@
 //! The STU proper: verification and FAM page-table walking.
 
 use fam_broker::{AccessKind, MemoryBroker};
-use fam_sim::stats::Counter;
 use fam_sim::RequestId;
 use fam_vm::{NodeId, PageWalker, PtwCache, WalkPlan};
 
 use crate::{StuCache, StuConfig};
-
-/// Counters the STU accumulates, beyond the cache's own hit ratio.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StuStats {
-    /// FAM page-table walks performed.
-    pub walks: Counter,
-    /// Entry reads issued by those walks (each is a FAM access).
-    pub walk_reads: Counter,
-    /// ACM metadata blocks fetched from FAM (DeACT miss path).
-    pub acm_fetches: Counter,
-    /// Sharing-bitmap fetches from FAM (shared pages only).
-    pub bitmap_fetches: Counter,
-    /// Accesses vetted.
-    pub verifications: Counter,
-    /// Accesses denied.
-    pub denials: Counter,
-}
 
 /// Outcome of an I-FAM STU access: coupled translation + verification.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,7 +67,7 @@ impl std::error::Error for UnmappedFault {}
 ///
 /// Holds the organisation-specific [`StuCache`], a 32-entry PTW cache
 /// for FAM page-table walks (the Bhargava-et-al. optimisation granted to all
-/// schemes, §IV), and verification counters. Ground truth (system page
+/// schemes, §IV). Ground truth (system page
 /// tables and ACM) lives in the [`MemoryBroker`]; the STU's caches
 /// only determine how often that truth must be re-fetched from FAM.
 ///
@@ -112,7 +94,6 @@ impl std::error::Error for UnmappedFault {}
 pub struct Stu {
     cache: StuCache,
     ptw_cache: PtwCache,
-    stats: StuStats,
 }
 
 impl Stu {
@@ -136,7 +117,6 @@ impl Stu {
         Stu {
             cache: StuCache::new(config),
             ptw_cache: PtwCache::new(ptw_entries),
-            stats: StuStats::default(),
         }
     }
 
@@ -184,32 +164,23 @@ impl Stu {
         req: RequestId,
     ) -> Result<IFamTranslation, UnmappedFault> {
         let _prof = fam_sim::profile::span(fam_sim::profile::PhaseId::Stu);
-        self.stats.verifications.inc();
         if let Some(fam_page) = self.cache.ifam_lookup(npa_page) {
-            let allowed = broker.check_access(node, fam_page, kind);
-            if !allowed {
-                self.stats.denials.inc();
-            }
             return Ok(IFamTranslation {
                 req,
                 fam_page,
                 cache_hit: true,
                 walk: None,
-                allowed,
+                allowed: broker.check_access(node, fam_page, kind),
             });
         }
         let (fam_page, walk) = self.walk_system_table(broker, node, npa_page, req)?;
         self.cache.ifam_fill(npa_page, fam_page);
-        let allowed = broker.check_access(node, fam_page, kind);
-        if !allowed {
-            self.stats.denials.inc();
-        }
         Ok(IFamTranslation {
             req,
             fam_page,
             cache_hit: false,
             walk: Some(walk),
-            allowed,
+            allowed: broker.check_access(node, fam_page, kind),
         })
     }
 
@@ -230,7 +201,6 @@ impl Stu {
         req: RequestId,
     ) -> DeactVerification {
         let _prof = fam_sim::profile::span(fam_sim::profile::PhaseId::Stu);
-        self.stats.verifications.inc();
         let layout = broker.layout();
         let fam_addr = fam_vm::FamAddr(fam_page * fam_vm::PAGE_BYTES);
         let acm_hit = self.cache.acm_lookup(fam_page);
@@ -238,25 +208,19 @@ impl Stu {
         let mut bitmap_fetch_addr = None;
         if !acm_hit {
             acm_fetch_addr = Some(layout.acm_addr(fam_addr));
-            self.stats.acm_fetches.inc();
             self.cache.acm_fill(fam_page);
             // If the freshly read entry marks the page shared, the
             // relevant bitmap words are fetched immediately (§III-A).
             if broker.acm().entry(fam_page).is_some_and(|e| e.is_shared()) {
                 bitmap_fetch_addr = Some(layout.bitmap_addr(fam_addr));
-                self.stats.bitmap_fetches.inc();
             }
-        }
-        let allowed = broker.check_access(node, fam_page, kind);
-        if !allowed {
-            self.stats.denials.inc();
         }
         DeactVerification {
             req,
             acm_hit,
             acm_fetch_addr,
             bitmap_fetch_addr,
-            allowed,
+            allowed: broker.check_access(node, fam_page, kind),
         }
     }
 
@@ -281,9 +245,7 @@ impl Stu {
         let table = broker
             .system_table(node)
             .expect("node must be registered before issuing requests");
-        self.stats.walks.inc();
         let plan = PageWalker::plan(table, Some(&mut self.ptw_cache), npa_page);
-        self.stats.walk_reads.add(plan.reads() as u64);
         match plan.mapping {
             Some(pte) => Ok((pte.target_page, plan)),
             None => Err(UnmappedFault {
@@ -298,12 +260,6 @@ impl Stu {
     /// the node page for I-FAM, the FAM page for DeACT.
     pub fn invalidate_page(&mut self, key_page: u64) {
         self.cache.invalidate(key_page);
-    }
-
-    /// Flushes all cached state (including the PTW cache).
-    pub fn flush(&mut self) {
-        self.cache.flush();
-        self.ptw_cache.flush();
     }
 
     /// Applies a permanent-failure shootdown: invalidates the cached
@@ -326,17 +282,6 @@ impl Stu {
     /// ACM hit/miss ratio (Fig. 9 series).
     pub fn acm_stats(&self) -> fam_sim::stats::Ratio {
         self.cache.acm_stats()
-    }
-
-    /// Walk/fetch/verification counters.
-    pub fn stats(&self) -> StuStats {
-        self.stats
-    }
-
-    /// Resets statistics, keeping cached state.
-    pub fn reset_stats(&mut self) {
-        self.stats = StuStats::default();
-        self.cache.reset_stats();
     }
 }
 
@@ -379,8 +324,6 @@ mod tests {
             .unwrap();
         assert!(t2.cache_hit);
         assert!(t2.walk.is_none());
-        assert_eq!(stu.stats().walks.value(), 1);
-        assert_eq!(stu.stats().walk_reads.value(), 4);
     }
 
     #[test]
@@ -423,7 +366,6 @@ mod tests {
         let v2 = stu.verify(&broker, node, fam_page, AccessKind::Read, REQ);
         assert!(v2.acm_hit);
         assert_eq!(v2.acm_fetch_addr, None);
-        assert_eq!(stu.stats().acm_fetches.value(), 1);
     }
 
     #[test]
@@ -433,7 +375,6 @@ mod tests {
         let fam_page = broker.demand_map(node, 0x10).unwrap();
         let v = stu.verify(&broker, intruder, fam_page, AccessKind::Read, REQ);
         assert!(!v.allowed, "decoupling must not bypass access control");
-        assert_eq!(stu.stats().denials.value(), 1);
     }
 
     #[test]
@@ -460,7 +401,6 @@ mod tests {
         let v = stu.verify(&broker, node, seg.first_page, AccessKind::Write, REQ);
         assert!(v.allowed);
         assert!(v.bitmap_fetch_addr.is_some());
-        assert_eq!(stu.stats().bitmap_fetches.value(), 1);
         // Once cached, no more fetches.
         let v2 = stu.verify(&broker, node, seg.first_page, AccessKind::Write, REQ);
         assert!(v2.acm_hit);
@@ -515,12 +455,32 @@ mod tests {
     }
 
     #[test]
-    fn flush_clears_ptw_cache_too() {
-        let (mut broker, node, mut stu) = setup(StuOrganization::DeactN);
-        broker.demand_map(node, 0x40).unwrap();
-        stu.walk_system_table(&broker, node, 0x40, REQ).unwrap();
-        stu.flush();
-        let (_, plan) = stu.walk_system_table(&broker, node, 0x40, REQ).unwrap();
-        assert_eq!(plan.reads(), 4, "cold walk after flush");
+    fn every_access_counts_one_acm_lookup() {
+        // The Fig. 9 rate and the per-reference STU call count both
+        // read `acm_stats().total()` as "accesses vetted": every
+        // `verify`/`ifam_access` call must add exactly one, hit or
+        // miss, allowed or denied, mapped or not.
+        for org in [
+            StuOrganization::IFam,
+            StuOrganization::DeactW,
+            StuOrganization::DeactN,
+        ] {
+            let (mut broker, node, mut stu) = setup(org);
+            let intruder = broker.register_node().unwrap();
+            let fam_page = broker.demand_map(node, 0x10).unwrap();
+            let mut calls = 0u64;
+            for who in [node, node, intruder] {
+                if org == StuOrganization::IFam {
+                    let _ = stu.ifam_access(&broker, who, 0x10, AccessKind::Read, REQ);
+                } else {
+                    stu.verify(&broker, who, fam_page, AccessKind::Read, REQ);
+                }
+                calls += 1;
+                assert_eq!(stu.acm_stats().total(), calls, "{org:?}");
+            }
+            // Walks alone are not verifications.
+            stu.walk_system_table(&broker, node, 0x10, REQ).unwrap();
+            assert_eq!(stu.acm_stats().total(), calls, "{org:?}");
+        }
     }
 }

@@ -1,6 +1,4 @@
-//! A 4-level x86-64-style radix page table.
-
-use crate::addr::PAGE_BYTES;
+//! A 4-level x86-64-style radix page table with 4 KB leaves.
 
 /// Number of radix levels (PGD, PUD, PMD, PTE — §II-B).
 pub const LEVELS: usize = 4;
@@ -200,9 +198,7 @@ impl PageTable {
             let idx = Self::index_at(vpage, level);
             let next = match self.nodes[node].get(idx) {
                 Some(Slot::Table(n)) => *n,
-                Some(Slot::Leaf(_)) => {
-                    panic!("region is huge-mapped; splitting is not supported")
-                }
+                Some(Slot::Leaf(_)) => unreachable!("leaves live at the PTE level only"),
                 None => {
                     let base_addr = alloc_page(level + 1);
                     let n = self.nodes.len();
@@ -223,99 +219,6 @@ impl PageTable {
                 None
             }
         }
-    }
-
-    /// Maps a *huge* page: a leaf installed at an interior level —
-    /// `leaf_level` 2 is a 2 MB PMD mapping (covers 512 pages),
-    /// `leaf_level` 1 is a 1 GB PUD mapping (covers 512² pages). The
-    /// paper discusses (and rejects for non-shared data) large pages in
-    /// §VI; this entry point supports that exploration.
-    ///
-    /// Returns the previous mapping at that slot, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leaf_level` is 0 or ≥ [`LEVELS`], if `vpage` is not
-    /// aligned to the huge-page size, or if a smaller mapping already
-    /// occupies the region (no splitting support — real kernels split
-    /// lazily, the simulator forbids it).
-    pub fn map_huge(
-        &mut self,
-        vpage: u64,
-        target_page: u64,
-        flags: PtFlags,
-        leaf_level: usize,
-        alloc_page: &mut dyn FnMut(usize) -> u64,
-    ) -> Option<Pte> {
-        assert!(
-            (1..LEVELS).contains(&leaf_level),
-            "huge leaves live at levels 1 (1 GB) or 2 (2 MB); level 3 is map()"
-        );
-        let span = 1u64 << (INDEX_BITS as usize * (LEVELS - 1 - leaf_level));
-        assert_eq!(vpage % span, 0, "huge mapping must be size-aligned");
-        let mut node = 0usize;
-        for level in 0..leaf_level {
-            let idx = Self::index_at(vpage, level);
-            let next = match self.nodes[node].get(idx) {
-                Some(Slot::Table(n)) => *n,
-                Some(Slot::Leaf(_)) => panic!("region already huge-mapped at a higher level"),
-                None => {
-                    let base_addr = alloc_page(level + 1);
-                    let n = self.nodes.len();
-                    self.nodes.push(Node::new(base_addr));
-                    self.nodes[node].set(idx, Slot::Table(n));
-                    n
-                }
-            };
-            node = next;
-        }
-        let idx = Self::index_at(vpage, leaf_level);
-        match self.nodes[node].set(idx, Slot::Leaf(Pte { target_page, flags })) {
-            Some(Slot::Leaf(pte)) => Some(pte),
-            Some(Slot::Table(_)) => {
-                panic!("region already holds smaller mappings; splitting is not supported")
-            }
-            None => {
-                self.mapped += 1;
-                None
-            }
-        }
-    }
-
-    /// Removes a huge mapping installed by [`PageTable::map_huge`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leaf_level` is out of range (see `map_huge`).
-    pub fn unmap_huge(&mut self, vpage: u64, leaf_level: usize) -> Option<Pte> {
-        assert!((1..LEVELS).contains(&leaf_level));
-        let mut node = 0usize;
-        for level in 0..leaf_level {
-            let idx = Self::index_at(vpage, level);
-            match self.nodes[node].get(idx) {
-                Some(Slot::Table(n)) => node = *n,
-                _ => return None,
-            }
-        }
-        let idx = Self::index_at(vpage, leaf_level);
-        match self.nodes[node].take(idx) {
-            Some(Slot::Leaf(pte)) => {
-                self.mapped -= 1;
-                Some(pte)
-            }
-            Some(slot) => {
-                self.nodes[node].set(idx, slot);
-                None
-            }
-            None => None,
-        }
-    }
-
-    /// Translates `vpage`, also reporting the level the leaf was found
-    /// at (3 for a 4 KB page, 2 for 2 MB, 1 for 1 GB).
-    pub fn translate_with_level(&self, vpage: u64) -> Option<(Pte, usize)> {
-        let walk = self.walk(vpage);
-        walk.mapping.map(|pte| (pte, walk.steps.len() - 1))
     }
 
     /// Walks the table for `vpage`, recording the entry address read at
@@ -346,25 +249,6 @@ impl PageTable {
         None
     }
 
-    /// Entry address that a walk would read at `level` for `vpage`,
-    /// if the walk reaches that level. Level 0 always resolves (the
-    /// root is always present).
-    pub fn entry_addr_at(&self, vpage: u64, level: usize) -> Option<u64> {
-        let mut node = 0usize;
-        for l in 0..=level {
-            let idx = Self::index_at(vpage, l);
-            let addr = self.nodes[node].base_addr + idx as u64 * ENTRY_BYTES;
-            if l == level {
-                return Some(addr);
-            }
-            match self.nodes[node].get(idx) {
-                Some(Slot::Table(n)) => node = *n,
-                _ => return None,
-            }
-        }
-        None
-    }
-
     /// Looks up a mapping without recording walk steps.
     pub fn translate(&self, vpage: u64) -> Option<Pte> {
         self.walk(vpage).mapping
@@ -374,47 +258,41 @@ impl PageTable {
     /// Interior nodes are not reclaimed (as in real kernels, table
     /// pages are freed lazily if at all).
     pub fn unmap(&mut self, vpage: u64) -> Option<Pte> {
-        let mut node = 0usize;
-        for level in 0..LEVELS - 1 {
-            let idx = Self::index_at(vpage, level);
-            match self.nodes[node].get(idx) {
-                Some(Slot::Table(n)) => node = *n,
-                _ => return None,
-            }
-        }
-        let idx = Self::index_at(vpage, LEVELS - 1);
-        match self.nodes[node].take(idx) {
-            Some(Slot::Leaf(pte)) => {
+        let node = self.pte_node(vpage)?;
+        match self.nodes[node].take(Self::index_at(vpage, LEVELS - 1))? {
+            Slot::Leaf(pte) => {
                 self.mapped -= 1;
                 Some(pte)
             }
-            Some(slot) => {
-                self.nodes[node].set(idx, slot);
-                None
-            }
-            None => None,
+            Slot::Table(_) => unreachable!("leaf level never holds tables"),
         }
     }
 
     /// Updates the permissions of an existing mapping in place; returns
     /// `false` if the page is not mapped.
     pub fn protect(&mut self, vpage: u64, flags: PtFlags) -> bool {
-        let mut node = 0usize;
-        for level in 0..LEVELS - 1 {
-            let idx = Self::index_at(vpage, level);
-            match self.nodes[node].get(idx) {
-                Some(Slot::Table(n)) => node = *n,
-                _ => return false,
-            }
-        }
-        let idx = Self::index_at(vpage, LEVELS - 1);
-        match self.nodes[node].get_mut(idx) {
+        let Some(node) = self.pte_node(vpage) else {
+            return false;
+        };
+        match self.nodes[node].get_mut(Self::index_at(vpage, LEVELS - 1)) {
             Some(Slot::Leaf(pte)) => {
                 pte.flags = flags;
                 true
             }
             _ => false,
         }
+    }
+
+    /// The PTE-level table page covering `vpage`, if its subtree exists.
+    fn pte_node(&self, vpage: u64) -> Option<usize> {
+        let mut node = 0usize;
+        for level in 0..LEVELS - 1 {
+            match self.nodes[node].get(Self::index_at(vpage, level))? {
+                Slot::Table(n) => node = *n,
+                Slot::Leaf(_) => unreachable!("leaves live at the PTE level only"),
+            }
+        }
+        Some(node)
     }
 
     /// Physical base addresses of every table page (root first), in
@@ -455,16 +333,12 @@ impl PageTable {
     pub fn root_addr(&self) -> u64 {
         self.nodes[0].base_addr
     }
-
-    /// Total bytes of physical memory consumed by table pages.
-    pub fn table_bytes(&self) -> u64 {
-        self.nodes.len() as u64 * PAGE_BYTES
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::PAGE_BYTES;
 
     fn bump_alloc(start: u64) -> impl FnMut(usize) -> u64 {
         let mut next = start;
@@ -556,18 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn entry_addr_at_matches_walk() {
-        let mut pt = PageTable::new(0);
-        let mut alloc = bump_alloc(0x10000);
-        pt.map(0x777, 1, PtFlags::ro(), &mut alloc);
-        let walk = pt.walk(0x777);
-        for step in &walk.steps {
-            assert_eq!(pt.entry_addr_at(0x777, step.level), Some(step.entry_addr));
-        }
-        assert_eq!(pt.entry_addr_at(0x888 << 18, 3), None, "subtree absent");
-    }
-
-    #[test]
     fn relocate_table_page_repoints_walk_addresses() {
         let mut pt = PageTable::new(0);
         let mut alloc = bump_alloc(0x10000);
@@ -595,14 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn table_bytes_counts_nodes() {
-        let mut pt = PageTable::new(0);
-        let mut alloc = bump_alloc(0x10000);
-        pt.map(0, 1, PtFlags::ro(), &mut alloc);
-        assert_eq!(pt.table_bytes(), 4 * PAGE_BYTES); // root + 3 interior
-    }
-
-    #[test]
     fn index_extraction_covers_36_bits() {
         // vpage with distinct 9-bit groups: 0b000000001_000000010_000000011_000000100
         let vpage = (1u64 << 27) | (2 << 18) | (3 << 9) | 4;
@@ -610,68 +464,5 @@ mod tests {
         assert_eq!(PageTable::index_at(vpage, 1), 2);
         assert_eq!(PageTable::index_at(vpage, 2), 3);
         assert_eq!(PageTable::index_at(vpage, 3), 4);
-    }
-
-    #[test]
-    fn huge_2mb_mapping_covers_512_pages() {
-        let mut pt = PageTable::new(0);
-        let mut alloc = bump_alloc(0x10000);
-        // 2 MB leaf at level 2: vpage must be 512-aligned.
-        pt.map_huge(512, 0x9000, PtFlags::rw(), 2, &mut alloc);
-        let (pte, level) = pt.translate_with_level(512 + 300).unwrap();
-        assert_eq!(pte.target_page, 0x9000);
-        assert_eq!(level, 2);
-        // The walk is one step shorter than a 4 KB walk.
-        assert_eq!(pt.walk(512 + 300).steps.len(), 3);
-        // Outside the region: unmapped.
-        assert_eq!(pt.translate(1024), None);
-    }
-
-    #[test]
-    fn huge_1gb_mapping_at_pud_level() {
-        let mut pt = PageTable::new(0);
-        let mut alloc = bump_alloc(0x10000);
-        let gb_pages = 512 * 512;
-        pt.map_huge(gb_pages, 0x4_0000, PtFlags::ro(), 1, &mut alloc);
-        let (_, level) = pt.translate_with_level(gb_pages + 98_765).unwrap();
-        assert_eq!(level, 1);
-        assert_eq!(pt.walk(gb_pages).steps.len(), 2);
-    }
-
-    #[test]
-    fn unmap_huge_roundtrip() {
-        let mut pt = PageTable::new(0);
-        let mut alloc = bump_alloc(0x10000);
-        pt.map_huge(512, 7, PtFlags::rw(), 2, &mut alloc);
-        assert_eq!(pt.mapped_pages(), 1);
-        assert_eq!(pt.unmap_huge(512, 2).unwrap().target_page, 7);
-        assert_eq!(pt.translate(512 + 5), None);
-        assert_eq!(pt.unmap_huge(512, 2), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "size-aligned")]
-    fn unaligned_huge_mapping_rejected() {
-        let mut pt = PageTable::new(0);
-        let mut alloc = bump_alloc(0x10000);
-        pt.map_huge(513, 7, PtFlags::rw(), 2, &mut alloc);
-    }
-
-    #[test]
-    #[should_panic(expected = "splitting is not supported")]
-    fn small_mapping_under_huge_rejected() {
-        let mut pt = PageTable::new(0);
-        let mut alloc = bump_alloc(0x10000);
-        pt.map_huge(512, 7, PtFlags::rw(), 2, &mut alloc);
-        pt.map(512 + 3, 9, PtFlags::rw(), &mut alloc);
-    }
-
-    #[test]
-    #[should_panic(expected = "smaller mappings")]
-    fn huge_over_small_rejected() {
-        let mut pt = PageTable::new(0);
-        let mut alloc = bump_alloc(0x10000);
-        pt.map(512 + 3, 9, PtFlags::rw(), &mut alloc);
-        pt.map_huge(512, 7, PtFlags::rw(), 2, &mut alloc);
     }
 }

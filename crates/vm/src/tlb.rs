@@ -136,12 +136,6 @@ impl TlbHierarchy {
         self.l1.retain(|_, pte| !pred(pte)) + self.l2.retain(|_, pte| !pred(pte))
     }
 
-    /// Flushes everything (full shootdown / context switch).
-    pub fn flush(&mut self) {
-        self.l1.clear();
-        self.l2.clear();
-    }
-
     /// Combined hit/miss statistics (a hit at either level counts).
     pub fn stats(&self) -> Ratio {
         self.overall
@@ -198,15 +192,13 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_and_flush() {
+    fn invalidate_drops_only_that_page() {
         let mut t = TlbHierarchy::new(TlbConfig::default());
         t.fill(1, pte(1));
         t.fill(2, pte(2));
         t.invalidate(1);
         assert_eq!(t.lookup(1).0, TlbHit::Miss);
         assert_eq!(t.lookup(2).0, TlbHit::L1);
-        t.flush();
-        assert_eq!(t.lookup(2).0, TlbHit::Miss);
     }
 
     #[test]

@@ -198,12 +198,4 @@ fn registry_snapshot_diff_isolates_a_run() {
         .expect("named counter");
     assert_eq!(refs, 1_500 * 4, "refs_per_core x cores_per_node");
     assert!(delta.counter_value("fabric/traversals").unwrap_or(0) > 0);
-    // Merging the delta back onto the baseline reproduces the final
-    // snapshot for every counter.
-    let mut rebuilt = before.snapshot();
-    rebuilt.merge(&delta);
-    assert_eq!(
-        rebuilt.counter_value("node0/refs_done"),
-        after.counter_value("node0/refs_done")
-    );
 }
