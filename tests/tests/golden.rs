@@ -104,6 +104,52 @@ fn regenerate() -> String {
     );
     lines.push(format!("sssp/DeACT-N/replay {replayed}"));
 
+    let stale = base
+        .with_scheme(Scheme::DeactN)
+        .with_fault_injection(FaultConfig::transient(0xFA));
+    lines.push(format!("sssp/DeACT-N/transient {}", run(stale, "sssp")));
+    for (scheme, name, fault) in [
+        (
+            Scheme::IFam,
+            "kill-node",
+            PersistentFault::NodeDead { module: 1 },
+        ),
+        (
+            Scheme::EFam,
+            "link-severed",
+            PersistentFault::LinkSevered { module: 1 },
+        ),
+    ] {
+        let degraded = base
+            .with_scheme(scheme)
+            .with_nodes(2)
+            .with_fam_modules(2)
+            .with_fault_injection(FaultConfig::disabled().with_persistent(fault, 2_000));
+        lines.push(format!(
+            "sssp/{scheme}/{name}-1@2000 {}",
+            run(degraded, "sssp")
+        ));
+    }
+    let mut pf = Workload::by_name("pf").expect("Table III workload");
+    pf.shared_fraction = 0.3;
+    pf.shared_pages = 16;
+    let shared = base
+        .with_scheme(Scheme::DeactN)
+        .with_nodes(2)
+        .with_shared_segment_pages(16);
+    lines.push(format!(
+        "pf/DeACT-N/shared-16 {}",
+        digest(System::new(shared, &pf))
+    ));
+    let ablated = base
+        .with_scheme(Scheme::DeactN)
+        .with_translation_cache_lru(true)
+        .with_skip_read_checks(true);
+    lines.push(format!(
+        "sssp/DeACT-N/lru-skip-reads {}",
+        run(ablated, "sssp")
+    ));
+
     let mut text = lines.join("\n");
     text.push('\n');
     text
