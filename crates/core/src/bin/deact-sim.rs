@@ -132,18 +132,6 @@ fn split_opts<const N: usize>(
     Some((rest, values))
 }
 
-/// Parses an optional count, or yields `default` when it is absent.
-/// Returns `None` on a malformed value or a zero.
-fn positive_or<T: std::str::FromStr + PartialOrd + Default>(
-    value: Option<String>,
-    default: T,
-) -> Option<T> {
-    match value {
-        None => Some(default),
-        Some(v) => v.parse().ok().filter(|n| *n > T::default()),
-    }
-}
-
 /// `[<benchmark>] [flags]` with the positional optional: subcommands
 /// that demo well on a default run (`trace`, `profile`) fall back to
 /// `sssp`.
@@ -392,8 +380,8 @@ fn main() -> ExitCode {
                 return usage();
             };
             let (Some(window), Some(ring)) = (
-                positive_or(window, full.window_cycles),
-                positive_or(ring, full.ring_capacity),
+                window.map_or(Some(full.window_cycles), |v| positive("--window", &v)),
+                ring.map_or(Some(full.ring_capacity), |v| positive("--ring", &v)),
             ) else {
                 return usage();
             };
@@ -458,7 +446,7 @@ fn main() -> ExitCode {
             let Some((rest, [out, top])) = split_opts(flags, ["--out", "--top"]) else {
                 return usage();
             };
-            let Some(top) = positive_or(top, 12usize) else {
+            let Some(top) = top.map_or(Some(12), |v| positive("--top", &v)) else {
                 return usage();
             };
             let out = out.unwrap_or_else(|| String::from("profile.folded"));
@@ -597,7 +585,8 @@ fn main() -> ExitCode {
             let Some((rest, [jobs])) = split_opts(&args[2..], ["--jobs"]) else {
                 return usage();
             };
-            let Some(jobs) = positive_or(jobs, fam_sim::default_jobs()) else {
+            let Some(jobs) = jobs.map_or(Some(fam_sim::default_jobs()), |v| positive("--jobs", &v))
+            else {
                 return usage();
             };
             let Some(cfg) = apply_flags(SystemConfig::paper_default(), &rest) else {
@@ -651,6 +640,20 @@ mod tests {
             let cfg = apply_flags(SystemConfig::paper_default(), &flags(&[flag, "8"]));
             assert!(cfg.is_some(), "{flag} 8 is a valid count");
         }
+        // The trace, profile and compare options go through the same
+        // check, so a zero names its flag there too.
+        for flag in ["--window", "--ring", "--top", "--jobs"] {
+            assert_eq!(
+                positive::<usize>(flag, "0"),
+                None,
+                "{flag} 0 must be rejected"
+            );
+            assert_eq!(
+                positive::<usize>(flag, "8"),
+                Some(8),
+                "{flag} 8 is a valid count"
+            );
+        }
     }
 
     #[test]
@@ -691,8 +694,5 @@ mod tests {
         assert_eq!(top.as_deref(), Some("3"));
         assert_eq!(ring, None);
         assert!(split_opts(&flags(&["--out"]), ["--out"]).is_none());
-        assert_eq!(positive_or(top, 12usize), Some(3));
-        assert_eq!(positive_or(Some("0".into()), 12usize), None);
-        assert_eq!(positive_or(None, 12usize), Some(12));
     }
 }

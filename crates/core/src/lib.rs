@@ -66,6 +66,4 @@ pub use metrics::{
 };
 pub use scheme::Scheme;
 pub use system::{run_benchmark, try_run_benchmark, System};
-pub use translator::{
-    FamTranslator, OutstandingMappingList, RetryConfig, RetryOutcome, RetryState,
-};
+pub use translator::{FamTranslator, OutstandingMappingList, RetryState};

@@ -119,6 +119,18 @@ pub struct Node {
     placement_rng: SimRng,
 }
 
+/// Takes the next page-table page from kernel DRAM, which grows down
+/// from the top toward the translation cache; returns its byte address.
+fn kernel_table_page(next: &mut u64) -> u64 {
+    let p = *next;
+    *next -= 1;
+    assert!(
+        p * 4096 > TRANSLATION_CACHE_BASE,
+        "kernel page-table region exhausted"
+    );
+    p * 4096
+}
+
 impl Node {
     /// Builds a node, registering it with the broker.
     ///
@@ -257,29 +269,21 @@ impl Node {
         let scheme = self.scheme;
         let id = self.id;
         let efam_fam_pte = scheme == Scheme::EFam && target_page >= FAM_KEY_PAGE;
-        let kernel_next = &mut self.next_kernel_dram_page;
-        let kernel_cookie = &mut self.next_efam_kernel_cookie;
         // The page-table mapper takes an infallible allocator, so the
         // closure parks any broker failure here and falls back to
         // kernel DRAM; the error is surfaced after the map call.
         let mut alloc_err: Option<BrokerError> = None;
         let mut alloc = |level: usize| -> u64 {
             if level == 3 && efam_fam_pte {
-                match broker.demand_map(id, *kernel_cookie) {
+                match broker.demand_map(id, self.next_efam_kernel_cookie) {
                     Ok(fam_page) => {
-                        *kernel_cookie += 1;
+                        self.next_efam_kernel_cookie += 1;
                         return (FAM_KEY_PAGE + fam_page) * 4096;
                     }
                     Err(e) => alloc_err = Some(e),
                 }
             }
-            let p = *kernel_next;
-            *kernel_next -= 1;
-            assert!(
-                p * 4096 > TRANSLATION_CACHE_BASE,
-                "kernel page-table region exhausted"
-            );
-            p * 4096
+            kernel_table_page(&mut self.next_kernel_dram_page)
         };
         self.page_table
             .map(vpage, target_page, PtFlags::rw(), &mut alloc);
@@ -310,16 +314,7 @@ impl Node {
     /// directly.
     pub fn map_shared_segment(&mut self, first_fam_page: u64, pages: u64) {
         let scheme = self.scheme;
-        let kernel_next = &mut self.next_kernel_dram_page;
-        let mut alloc = |_level: usize| -> u64 {
-            let p = *kernel_next;
-            *kernel_next -= 1;
-            assert!(
-                p * 4096 > TRANSLATION_CACHE_BASE,
-                "kernel page-table region exhausted"
-            );
-            p * 4096
-        };
+        let mut alloc = |_level: usize| kernel_table_page(&mut self.next_kernel_dram_page);
         let shared_vpage = fam_workloads::SHARED_VA_BASE / 4096;
         for i in 0..pages {
             let target = match scheme {

@@ -3,80 +3,37 @@
 //! from fabric faults and stale-translation NACKs.
 
 use fam_mem::{CacheConfig, Replacement, SetAssocCache};
-use fam_sim::stats::{Counter, Ratio};
+use fam_sim::stats::Ratio;
 use fam_sim::Duration;
 
-/// Retry policy for FAM requests that bounce (timeout on a dropped
-/// frame, corrupt-NACK, stale-NACK). Exponential backoff, capped:
-/// attempt `k` waits `min(base << k, cap)` cycles before reissuing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryConfig {
-    /// Retries before a request is declared fatal (the original
-    /// attempt is not counted).
-    pub max_retries: u32,
-    /// Cycles a requester waits for a response before presuming the
-    /// frame dropped (covers the fabric round trip plus device
-    /// service with margin at Table II latencies).
-    pub timeout_cycles: u64,
-    /// First backoff step in cycles.
-    pub backoff_base_cycles: u64,
-    /// Backoff ceiling in cycles.
-    pub backoff_cap_cycles: u64,
-}
+/// Retries before a FAM request that bounces (timeout on a dropped
+/// frame, corrupt-NACK, unreachable-NACK) is declared fatal; the
+/// original attempt is not counted.
+pub(crate) const MAX_RETRIES: u32 = 4;
+/// Cycles a requester waits for a response before presuming the frame
+/// dropped (covers the fabric round trip plus device service with
+/// margin at Table II latencies).
+pub(crate) const TIMEOUT_CYCLES: u64 = 10_000;
+/// First backoff step in cycles: retry `k` waits
+/// `min(BACKOFF_BASE_CYCLES << (k - 1), BACKOFF_CAP_CYCLES)`.
+pub(crate) const BACKOFF_BASE_CYCLES: u64 = 500;
+/// Backoff ceiling in cycles.
+pub(crate) const BACKOFF_CAP_CYCLES: u64 = 8_000;
 
-impl RetryConfig {
-    /// Checks knob sanity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the backoff base is zero or exceeds the cap.
-    pub fn validate(&self) {
-        assert!(
-            self.backoff_base_cycles > 0,
-            "backoff base must be non-zero"
-        );
-        assert!(
-            self.backoff_base_cycles <= self.backoff_cap_cycles,
-            "backoff base must not exceed the cap"
-        );
-    }
+const _: () = assert!(BACKOFF_BASE_CYCLES > 0 && BACKOFF_BASE_CYCLES <= BACKOFF_CAP_CYCLES);
 
-    /// Backoff before retry number `attempt` (1-based): exponential,
-    /// capped, saturating.
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        // Saturate on *value* overflow, not just shift-amount overflow:
-        // `checked_shl` happily wraps bits off the top.
-        let shift = attempt.saturating_sub(1);
-        let shifted = if shift >= self.backoff_base_cycles.leading_zeros() {
-            u64::MAX
-        } else {
-            self.backoff_base_cycles << shift
-        };
-        Duration(shifted.min(self.backoff_cap_cycles))
-    }
-}
-
-impl Default for RetryConfig {
-    fn default() -> RetryConfig {
-        RetryConfig {
-            max_retries: 4,
-            timeout_cycles: 10_000,
-            backoff_base_cycles: 500,
-            backoff_cap_cycles: 8_000,
-        }
-    }
-}
-
-/// What the retry state machine decided after a fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryOutcome {
-    /// Reissue after waiting out the backoff.
-    Retry {
-        /// Backoff to charge before the reissue.
-        backoff: Duration,
-    },
-    /// The retry budget is exhausted; the caller degrades gracefully.
-    GiveUp,
+/// Backoff before retry number `attempt` (1-based): exponential,
+/// capped, saturating.
+fn backoff(attempt: u32) -> Duration {
+    // Saturate on *value* overflow, not just shift-amount overflow:
+    // `checked_shl` happily wraps bits off the top.
+    let shift = attempt.saturating_sub(1);
+    let shifted = if shift >= BACKOFF_BASE_CYCLES.leading_zeros() {
+        u64::MAX
+    } else {
+        BACKOFF_BASE_CYCLES << shift
+    };
+    Duration(shifted.min(BACKOFF_CAP_CYCLES))
 }
 
 /// Per-request retry state: counts attempts and hands out backoffs
@@ -85,14 +42,12 @@ pub enum RetryOutcome {
 /// # Examples
 ///
 /// ```
-/// use deact::{RetryConfig, RetryOutcome, RetryState};
+/// use deact::RetryState;
 ///
-/// let cfg = RetryConfig::default();
 /// let mut s = RetryState::new();
-/// let RetryOutcome::Retry { backoff } = s.on_fault(&cfg) else {
-///     panic!("first fault retries");
-/// };
-/// assert_eq!(backoff.0, cfg.backoff_base_cycles);
+/// let first = s.on_fault().expect("first fault retries");
+/// let second = s.on_fault().expect("the budget allows a second retry");
+/// assert_eq!(second.0, 2 * first.0, "backoff doubles");
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RetryState {
@@ -110,16 +65,15 @@ impl RetryState {
         self.attempts
     }
 
-    /// Advances the machine on one fault: either grants a retry with
-    /// its backoff, or reports the budget exhausted.
-    pub fn on_fault(&mut self, config: &RetryConfig) -> RetryOutcome {
-        if self.attempts >= config.max_retries {
-            return RetryOutcome::GiveUp;
+    /// Advances the machine on one fault: the backoff to wait before
+    /// the reissue, or `None` once the budget is exhausted and the
+    /// caller must give up.
+    pub fn on_fault(&mut self) -> Option<Duration> {
+        if self.attempts >= MAX_RETRIES {
+            return None;
         }
         self.attempts += 1;
-        RetryOutcome::Retry {
-            backoff: config.backoff(self.attempts),
-        }
+        Some(backoff(self.attempts))
     }
 }
 
@@ -138,7 +92,6 @@ pub const ENTRIES_PER_SET: usize = 4;
 pub struct OutstandingMappingList {
     capacity: usize,
     entries: Vec<(u64, u64)>, // (fam_page, npa_page)
-    full_stalls: Counter,
 }
 
 impl OutstandingMappingList {
@@ -152,16 +105,13 @@ impl OutstandingMappingList {
         OutstandingMappingList {
             capacity,
             entries: Vec::with_capacity(capacity),
-            full_stalls: Counter::new(),
         }
     }
 
-    /// Registers a response-expecting request. Returns `false` (and
-    /// counts a stall) when the list is full — the caller must retire
-    /// an entry first.
+    /// Registers a response-expecting request. Returns `false` when
+    /// the list is full — the caller must retire an entry first.
     pub fn register(&mut self, fam_page: u64, npa_page: u64) -> bool {
         if self.entries.len() >= self.capacity {
-            self.full_stalls.inc();
             return false;
         }
         self.entries.push((fam_page, npa_page));
@@ -188,11 +138,6 @@ impl OutstandingMappingList {
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Times a register attempt found the list full.
-    pub fn full_stalls(&self) -> u64 {
-        self.full_stalls.value()
     }
 }
 
@@ -389,7 +334,7 @@ mod tests {
         assert!(oml.register(100, 1));
         assert!(oml.register(200, 2));
         assert!(!oml.register(300, 3), "full list rejects");
-        assert_eq!(oml.full_stalls(), 1);
+        assert_eq!(oml.len(), 2, "a rejected register adds nothing");
         assert_eq!(oml.complete(100), Some(1));
         assert!(oml.register(300, 3), "slot freed");
         assert_eq!(oml.complete(999), None);
@@ -419,42 +364,26 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_and_capped() {
-        let cfg = RetryConfig {
-            max_retries: 10,
-            backoff_base_cycles: 100,
-            backoff_cap_cycles: 1_000,
-            ..RetryConfig::default()
-        };
-        assert_eq!(cfg.backoff(1).0, 100);
-        assert_eq!(cfg.backoff(2).0, 200);
-        assert_eq!(cfg.backoff(3).0, 400);
-        assert_eq!(cfg.backoff(4).0, 800);
-        assert_eq!(cfg.backoff(5).0, 1_000, "cap binds");
-        assert_eq!(cfg.backoff(63).0, 1_000, "shift overflow saturates");
+        assert_eq!(backoff(1).0, BACKOFF_BASE_CYCLES);
+        assert_eq!(backoff(2).0, 2 * BACKOFF_BASE_CYCLES);
+        assert_eq!(backoff(3).0, 4 * BACKOFF_BASE_CYCLES);
+        assert_eq!(backoff(4).0, 8 * BACKOFF_BASE_CYCLES);
+        assert_eq!(backoff(5).0, BACKOFF_CAP_CYCLES, "cap binds");
+        assert_eq!(
+            backoff(63).0,
+            BACKOFF_CAP_CYCLES,
+            "shift overflow saturates"
+        );
     }
 
     #[test]
     fn retry_state_machine_exhausts_budget() {
-        let cfg = RetryConfig {
-            max_retries: 2,
-            ..RetryConfig::default()
-        };
         let mut s = RetryState::new();
-        assert!(matches!(s.on_fault(&cfg), RetryOutcome::Retry { .. }));
-        assert!(matches!(s.on_fault(&cfg), RetryOutcome::Retry { .. }));
-        assert_eq!(s.attempts(), 2);
-        assert_eq!(s.on_fault(&cfg), RetryOutcome::GiveUp);
-        assert_eq!(s.attempts(), 2, "give-up consumes no attempt");
-    }
-
-    #[test]
-    #[should_panic(expected = "must not exceed the cap")]
-    fn inverted_backoff_rejected() {
-        RetryConfig {
-            backoff_base_cycles: 100,
-            backoff_cap_cycles: 10,
-            ..RetryConfig::default()
+        for attempt in 1..=MAX_RETRIES {
+            assert_eq!(s.on_fault(), Some(backoff(attempt)));
         }
-        .validate();
+        assert_eq!(s.attempts(), MAX_RETRIES);
+        assert_eq!(s.on_fault(), None);
+        assert_eq!(s.attempts(), MAX_RETRIES, "give-up consumes no attempt");
     }
 }

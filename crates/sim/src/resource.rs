@@ -155,11 +155,6 @@ impl Resource {
     pub fn requests(&self) -> u64 {
         self.requests
     }
-
-    /// The configured default occupancy per request.
-    pub fn occupancy(&self) -> Duration {
-        self.occupancy
-    }
 }
 
 /// A set of independently-occupied banks addressed by an interleaving

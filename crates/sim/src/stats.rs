@@ -265,33 +265,6 @@ impl Histogram {
         }
         self.max
     }
-
-    /// Merges another histogram into this one, bucket by bucket —
-    /// the aggregation step that folds per-core and per-node stage
-    /// histograms into a run-level latency breakdown.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use fam_sim::stats::Histogram;
-    ///
-    /// let mut a = Histogram::new();
-    /// a.record(4);
-    /// let mut b = Histogram::new();
-    /// b.record(100);
-    /// a.merge(&b);
-    /// assert_eq!(a.count(), 2);
-    /// assert_eq!(a.sum(), 104);
-    /// assert_eq!(a.max(), 100);
-    /// ```
-    pub fn merge(&mut self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine = mine.saturating_add(*theirs);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl Default for Histogram {
@@ -418,28 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_accumulates() {
-        let mut a = Histogram::new();
-        for v in [0, 3, 700] {
-            a.record(v);
-        }
-        let mut b = Histogram::new();
-        for v in [5, 5000] {
-            b.record(v);
-        }
-        let mut whole = Histogram::new();
-        for v in [0, 3, 700, 5, 5000] {
-            whole.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, whole, "merge equals recording everything in one");
-        let empty = Histogram::new();
-        let before = a.clone();
-        a.merge(&empty);
-        assert_eq!(a, before, "merging an empty histogram is a no-op");
-    }
-
-    #[test]
     fn histogram_empty() {
         let h = Histogram::new();
         assert_eq!(h.mean(), 0.0);
@@ -471,40 +422,6 @@ mod tests {
         assert!(g <= geomean(&[1.0, 4.0, 16.0]));
     }
 
-    /// Property: merging shard histograms then asking for a quantile
-    /// gives exactly the same answer as recording every sample into
-    /// one histogram — merge must be lossless for every derived stat.
-    #[test]
-    fn histogram_merge_then_quantile_matches_record_all() {
-        let mut rng = crate::SimRng::seeded(0xC0FFEE);
-        for round in 0..50 {
-            let shards = 1 + (round % 4);
-            let mut merged = Histogram::new();
-            let mut whole = Histogram::new();
-            for _ in 0..shards {
-                let mut shard = Histogram::new();
-                let n = rng.below(200);
-                for _ in 0..n {
-                    // Spread samples across many buckets, including 0.
-                    let sample = rng.next_u64() >> (rng.below(64) as u32);
-                    shard.record(sample);
-                    whole.record(sample);
-                }
-                merged.merge(&shard);
-            }
-            assert_eq!(merged, whole, "round {round}: merge must be lossless");
-            for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
-                assert_eq!(
-                    merged.quantile(q),
-                    whole.quantile(q),
-                    "round {round}, q={q}"
-                );
-            }
-            assert_eq!(merged.mean(), whole.mean(), "round {round}");
-            assert_eq!(merged.max(), whole.max(), "round {round}");
-        }
-    }
-
     #[test]
     fn saturating_arithmetic_pins_instead_of_wrapping() {
         let mut c = Counter::from(u64::MAX - 1);
@@ -518,10 +435,5 @@ mod tests {
         h.record(u64::MAX);
         assert_eq!(h.sum(), u64::MAX, "sum pins at the ceiling");
         assert_eq!(h.count(), 2);
-        let mut other = Histogram::new();
-        other.record(u64::MAX);
-        h.merge(&other);
-        assert_eq!(h.sum(), u64::MAX);
-        assert_eq!(h.count(), 3);
     }
 }

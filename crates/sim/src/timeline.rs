@@ -172,12 +172,6 @@ impl Timeline {
         }
         lo
     }
-
-    /// Forgets every interval.
-    pub fn clear(&mut self) {
-        self.head = 0;
-        self.len = 0;
-    }
 }
 
 #[cfg(test)]
@@ -273,14 +267,5 @@ mod tests {
         assert_eq!(t.first_ending_after(oldest.0), 0);
         let mid = t.get(MAX_INTERVALS / 2);
         assert_eq!(t.first_ending_after(mid.1), MAX_INTERVALS / 2 + 1);
-    }
-
-    #[test]
-    fn clear_forgets_everything() {
-        let mut t = Timeline::new();
-        t.push_back((0, 1));
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.back(), None);
     }
 }
