@@ -18,16 +18,10 @@
 //! <path>` redirects the JSON (the default path is unchanged so
 //! existing invocations keep working). CI diffs the JSON against the
 //! committed `BENCH_baseline.json` and fails on a >15% throughput
-//! regression.
-//!
-//! The end-to-end runs honour `DEACT_TRACE` (`off` (default) |
-//! `breakdown` | `full`), which is how the tracer's own overhead is
-//! measured: run once with `off` and once with `breakdown`/`full` and
-//! compare `sched_per_ref`/`system_throughput`.
+//! regression. The end-to-end runs keep tracing off.
 //!
 //! ```sh
 //! cargo run --release -p fam-bench --bin microbench
-//! DEACT_TRACE=breakdown cargo run --release -p fam-bench --bin microbench
 //! ```
 
 use std::hint::black_box;
@@ -108,8 +102,7 @@ fn bench_scheduler_scaling(records: &mut Vec<Record>) {
             .with_nodes(nodes)
             .with_fam_modules(nodes)
             .with_refs_per_core(SCHED_REFS)
-            .with_seed(0xBE9C)
-            .with_trace(fam_bench::trace_from_env(fam_sim::TraceConfig::disabled()));
+            .with_seed(0xBE9C);
         let cores = nodes * cfg.cores_per_node;
         let samples: Vec<f64> = (0..SCHED_REPS).map(|_| time_system_run(cfg)).collect();
         let ns = median(samples);
@@ -127,13 +120,12 @@ fn bench_scheduler_scaling(records: &mut Vec<Record>) {
 /// `sched_per_ref/4_cores` configuration's stream to a FAMT v2 file
 /// once, then times replay runs streaming it back from disk. The
 /// delta against `sched_per_ref/4_cores` is the whole price of
-/// chunked file decode on the hot path.
+/// buffered file decode on the hot path.
 fn bench_replay(records: &mut Vec<Record>) {
     let cfg = SystemConfig::paper_default()
         .with_scheme(Scheme::DeactN)
         .with_refs_per_core(SCHED_REFS)
-        .with_seed(0xBE9C)
-        .with_trace(fam_bench::trace_from_env(fam_sim::TraceConfig::disabled()));
+        .with_seed(0xBE9C);
     let w = Workload::by_name("sssp").expect("table3 benchmark");
     let path = std::env::temp_dir().join(format!("deact-microbench-{}.famt", std::process::id()));
     let mut streams = deact::System::synthetic_streams(&cfg, &w);
@@ -172,8 +164,7 @@ fn bench_replay(records: &mut Vec<Record>) {
 fn bench_throughput() -> Throughput {
     let cfg = SystemConfig::paper_default()
         .with_refs_per_core(20_000)
-        .with_seed(0xBE9C)
-        .with_trace(fam_bench::trace_from_env(fam_sim::TraceConfig::disabled()));
+        .with_seed(0xBE9C);
     let w = Workload::by_name("sssp").expect("table3 benchmark");
     let total_refs = cfg.refs_per_core * (cfg.nodes * cfg.cores_per_node) as u64;
     let start = Instant::now();

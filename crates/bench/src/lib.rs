@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 use deact::{RunReport, Scheme, SystemConfig};
-use fam_sim::{default_jobs, scoped_map, Stage, TraceConfig};
+use fam_sim::{default_jobs, scoped_map, Stage};
 use fam_workloads::{table3, Workload};
 
 pub mod diff;
@@ -39,29 +39,6 @@ pub fn refs_from_env(default: u64) -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-/// Parses one `DEACT_TRACE` value: `off`/`0`/`none` disables tracing,
-/// `breakdown` keeps only the per-stage histograms (no event ring),
-/// `on`/`1`/`full` keeps the bounded event ring too. Unrecognised
-/// values return `None`.
-pub fn parse_trace_mode(value: &str) -> Option<TraceConfig> {
-    match value.to_ascii_lowercase().as_str() {
-        "off" | "0" | "none" => Some(TraceConfig::disabled()),
-        "breakdown" => Some(TraceConfig::breakdown_only()),
-        "on" | "1" | "full" => Some(TraceConfig::full()),
-        _ => None,
-    }
-}
-
-/// Tracer configuration from the `DEACT_TRACE` environment variable
-/// (see [`parse_trace_mode`]), defaulting to `default` when unset or
-/// unrecognised — the same contract as [`refs_from_env`].
-pub fn trace_from_env(default: TraceConfig) -> TraceConfig {
-    std::env::var("DEACT_TRACE")
-        .ok()
-        .and_then(|v| parse_trace_mode(&v))
         .unwrap_or(default)
 }
 
@@ -409,18 +386,5 @@ mod tests {
         std::env::set_var("DEACT_REFS", "0");
         assert_eq!(refs_from_env(123), 123, "0 refs must read as unset");
         std::env::remove_var("DEACT_REFS");
-    }
-
-    #[test]
-    fn trace_mode_parses_the_documented_spellings() {
-        assert_eq!(parse_trace_mode("off"), Some(TraceConfig::disabled()));
-        assert_eq!(parse_trace_mode("0"), Some(TraceConfig::disabled()));
-        assert_eq!(
-            parse_trace_mode("breakdown"),
-            Some(TraceConfig::breakdown_only())
-        );
-        assert_eq!(parse_trace_mode("FULL"), Some(TraceConfig::full()));
-        assert_eq!(parse_trace_mode("1"), Some(TraceConfig::full()));
-        assert_eq!(parse_trace_mode("sideways"), None);
     }
 }

@@ -490,15 +490,12 @@ mod tests {
 
     #[test]
     fn core_va_bases_are_disjoint() {
-        let (node, _) = build(Scheme::DeactN);
-        // Each rank has a private VA slice; peek at the streams.
+        let (mut node, _) = build(Scheme::DeactN);
+        // Each rank has a private VA slice; draw one reference each.
         let mut bases: Vec<u64> = node
             .cores
-            .iter()
-            .map(|c| {
-                let mut g = c.gen.clone();
-                g.next_ref().vaddr.0 >> 40
-            })
+            .iter_mut()
+            .map(|c| c.gen.next_ref().vaddr.0 >> 40)
             .collect();
         bases.dedup();
         assert_eq!(bases.len(), 4, "four distinct VA slices");

@@ -64,21 +64,13 @@ where
     let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| {
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let value = f(i);
-                    *results[i].lock().expect("result slot poisoned") = Some(value);
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
                 }
-                // scope() unblocks on closure return, before TLS
-                // destructors run — flush profiler spans explicitly so
-                // the caller's take_report sees this worker's data.
-                if crate::profile::is_enabled() {
-                    crate::profile::flush_thread();
-                }
+                let value = f(i);
+                *results[i].lock().expect("result slot poisoned") = Some(value);
             });
         }
     });

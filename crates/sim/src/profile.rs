@@ -24,12 +24,9 @@
 //! the report can be exported as a folded stack loadable by
 //! `inferno-flamegraph` or [speedscope](https://speedscope.app).
 //!
-//! Per-thread accumulators flush into a process-global report when a
-//! thread exits (covering the scoped workers of [`crate::scoped_map`]),
-//! periodically while the span stack is
-//! empty, and explicitly from [`take_report`]. The global state means
-//! one profiled run at a time: callers should [`take_report`] (or
-//! [`reset`]) between runs, and only after any worker threads joined.
+//! Each thread keeps its own ledger, and [`take_report`] drains the
+//! calling thread's: a run profiles the thread it runs on. Only the
+//! on/off switch is process-wide.
 //!
 //! # Examples
 //!
@@ -51,7 +48,6 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// The fixed set of simulator phases host time is attributed to.
@@ -84,7 +80,7 @@ pub enum PhaseId {
     Evacuation,
     /// System-wide translation shootdown walk.
     Shootdown,
-    /// Streamed trace-replay chunk refill + decode (`TraceReader`).
+    /// Streamed trace-replay read + decode (`TraceReader::next_record`).
     ReplayDecode,
 }
 
@@ -149,12 +145,6 @@ impl PhaseStat {
         total_ns: 0,
         self_ns: 0,
     };
-
-    fn merge(&mut self, other: &PhaseStat) {
-        self.calls = self.calls.saturating_add(other.calls);
-        self.total_ns = self.total_ns.saturating_add(other.total_ns);
-        self.self_ns = self.self_ns.saturating_add(other.self_ns);
-    }
 }
 
 /// Self-time for one distinct call path (encoded as a string of 5-bit
@@ -174,14 +164,7 @@ const PATH_MASK: u64 = (1 << PATH_BITS) - 1;
 /// 12-phase prefix; real span nesting in the engine is ≤ 4 deep.
 const MAX_DEPTH: usize = 12;
 
-/// Span drops between opportunistic flushes of an empty-stack thread
-/// accumulator into the global report (bounds staleness of long-lived
-/// worker threads without taking a lock per span).
-const FLUSH_EVERY: u32 = 4096;
-
 static ENABLED: AtomicBool = AtomicBool::new(false);
-
-static GLOBAL: Mutex<ProfileReport> = Mutex::new(ProfileReport::new());
 
 /// Is the profiler currently enabled?
 #[inline(always)]
@@ -251,32 +234,11 @@ fn exit(phase: PhaseId, start: Instant) {
     let _ = TLS.try_with(|t| t.borrow_mut().exit(phase, elapsed));
 }
 
-/// Flushes the calling thread's accumulator into the global report.
-///
-/// The scoped-map helpers in this crate call this at the end of every
-/// worker closure — `std::thread::scope` unblocks when closures
-/// return, *before* thread-local destructors run, so the destructor
-/// flush alone would race [`take_report`]. Custom worker threads that
-/// record spans should do the same before signalling completion.
-pub fn flush_thread() {
-    let _ = TLS.try_with(|t| t.borrow_mut().flush());
-}
-
-/// Takes the accumulated report, resetting the profiler to empty.
-///
-/// Flushes the calling thread's accumulator first; call this only
-/// after any profiled worker threads have finished
-/// ([`scoped_map`](crate::scoped_map) flushes its workers
-/// deterministically via [`flush_thread`]).
+/// Takes the calling thread's ledger, leaving it empty. Spans other
+/// threads recorded stay in their own ledgers.
 pub fn take_report() -> ProfileReport {
-    flush_thread();
-    let mut global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    std::mem::take(&mut *global)
-}
-
-/// Discards any accumulated profile data.
-pub fn reset() {
-    let _ = take_report();
+    TLS.try_with(|t| std::mem::take(&mut t.borrow_mut().report))
+        .unwrap_or_default()
 }
 
 struct Frame {
@@ -287,9 +249,7 @@ struct Frame {
 
 struct ThreadProfile {
     stack: Vec<Frame>,
-    phases: [PhaseStat; PhaseId::COUNT],
-    paths: BTreeMap<u64, PathStat>,
-    drops_since_flush: u32,
+    report: ProfileReport,
 }
 
 thread_local! {
@@ -300,9 +260,7 @@ impl ThreadProfile {
     fn new() -> ThreadProfile {
         ThreadProfile {
             stack: Vec::with_capacity(MAX_DEPTH),
-            phases: [PhaseStat::ZERO; PhaseId::COUNT],
-            paths: BTreeMap::new(),
-            drops_since_flush: 0,
+            report: ProfileReport::new(),
         }
     }
 
@@ -332,45 +290,19 @@ impl ThreadProfile {
         if let Some(parent) = self.stack.last_mut() {
             parent.child_ns = parent.child_ns.saturating_add(elapsed_ns);
         }
-        let stat = &mut self.phases[phase.index()];
+        let stat = &mut self.report.phases[phase.index()];
         stat.calls += 1;
         stat.total_ns = stat.total_ns.saturating_add(elapsed_ns);
         stat.self_ns = stat.self_ns.saturating_add(self_ns);
-        let path = self.paths.entry(frame.path).or_default();
+        let path = self.report.paths.entry(frame.path).or_default();
         path.calls += 1;
         path.self_ns = path.self_ns.saturating_add(self_ns);
-        self.drops_since_flush += 1;
-        if self.stack.is_empty() && self.drops_since_flush >= FLUSH_EVERY {
-            self.flush();
-        }
-    }
-
-    fn flush(&mut self) {
-        self.drops_since_flush = 0;
-        if self.phases.iter().all(|s| s.calls == 0) {
-            return;
-        }
-        let shard = ProfileReport {
-            phases: std::mem::replace(&mut self.phases, [PhaseStat::ZERO; PhaseId::COUNT]),
-            paths: std::mem::take(&mut self.paths),
-        };
-        let mut global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        global.merge(&shard);
     }
 }
 
-impl Drop for ThreadProfile {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-/// A merged host-time profile: per-phase totals plus per-call-path
-/// self-times.
-///
-/// Attached to the run report as a diagnostic excluded from equality
-/// (host time is nondeterministic by nature) and exportable as a
-/// folded stack ([`ProfileReport::to_folded`]) or a plain-text table
+/// One thread's host-time profile: per-phase totals plus per-call-path
+/// self-times, exportable as a folded stack
+/// ([`ProfileReport::to_folded`]) or a plain-text table
 /// ([`ProfileReport::top_table`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfileReport {
@@ -404,18 +336,6 @@ impl ProfileReport {
         self.phases
             .iter()
             .fold(0u64, |acc, s| acc.saturating_add(s.self_ns))
-    }
-
-    /// Merges another report into this one.
-    pub fn merge(&mut self, other: &ProfileReport) {
-        for (mine, theirs) in self.phases.iter_mut().zip(&other.phases) {
-            mine.merge(theirs);
-        }
-        for (&path, stat) in &other.paths {
-            let entry = self.paths.entry(path).or_default();
-            entry.calls = entry.calls.saturating_add(stat.calls);
-            entry.self_ns = entry.self_ns.saturating_add(stat.self_ns);
-        }
     }
 
     fn decode_path(mut key: u64) -> Vec<PhaseId> {
@@ -487,13 +407,13 @@ impl Default for ProfileReport {
 mod tests {
     use super::*;
 
-    // The profiler is process-global; serialize tests that enable it.
-    static LOCK: Mutex<()> = Mutex::new(());
+    // The on/off switch is process-global; serialize tests that flip it.
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn disabled_spans_record_nothing() {
         let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
+        let _ = take_report();
         {
             let _s = span(PhaseId::Tlb);
             let _t = span(PhaseId::Nvm);
@@ -506,7 +426,7 @@ mod tests {
     #[test]
     fn nesting_attributes_self_and_total() {
         let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
+        let _ = take_report();
         set_enabled(true);
         {
             let _outer = span(PhaseId::SchedDispatch);
@@ -541,63 +461,22 @@ mod tests {
     }
 
     #[test]
-    fn worker_threads_flush_before_completion() {
+    fn spans_on_other_threads_stay_in_their_own_ledger() {
         let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
+        let _ = take_report();
         set_enabled(true);
-        // Raw threads flush explicitly, as scoped_map does: scope()
-        // unblocks on closure return, before TLS destructors run.
         std::thread::scope(|scope| {
-            for _ in 0..2 {
-                scope.spawn(|| {
-                    {
-                        let _s = span(PhaseId::SchedDispatch);
-                    }
-                    flush_thread();
-                });
-            }
+            scope.spawn(|| {
+                let _s = span(PhaseId::SchedDispatch);
+            });
         });
+        {
+            let _s = span(PhaseId::Tlb);
+        }
         set_enabled(false);
         let report = take_report();
-        assert_eq!(report.phase(PhaseId::SchedDispatch).calls, 2);
-    }
-
-    #[test]
-    fn scoped_map_workers_flush_automatically() {
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        set_enabled(true);
-        let squares = crate::scoped_map(2, 3, |i| {
-            let _s = span(PhaseId::SchedDispatch);
-            (i as u64 + 1) * (i as u64 + 1)
-        });
-        set_enabled(false);
-        let report = take_report();
-        assert_eq!(report.phase(PhaseId::SchedDispatch).calls, 3);
-        assert_eq!(squares, vec![1, 4, 9]);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = ProfileReport::new();
-        let mut shard = ProfileReport::new();
-        shard.phases[PhaseId::Fabric.index()] = PhaseStat {
-            calls: 2,
-            total_ns: 10,
-            self_ns: 10,
-        };
-        shard.paths.insert(
-            PhaseId::Fabric.index() as u64 + 1,
-            PathStat {
-                calls: 2,
-                self_ns: 10,
-            },
-        );
-        a.merge(&shard);
-        a.merge(&shard);
-        assert_eq!(a.phase(PhaseId::Fabric).calls, 4);
-        assert_eq!(a.total_self_ns(), 20);
-        assert!(a.to_folded().starts_with("fabric 20"));
+        assert_eq!(report.phase(PhaseId::SchedDispatch).calls, 0);
+        assert_eq!(report.phase(PhaseId::Tlb).calls, 1);
     }
 
     #[test]

@@ -20,13 +20,13 @@
 //!
 //! # Reading
 //!
-//! [`TraceReader`] streams records through a bounded chunk buffer, so
-//! arbitrarily long traces replay in constant memory;
-//! [`StreamedReplay`] wraps it into a wrapping per-rank [`RefStream`]
-//! source backed by a file on disk.
+//! [`TraceReader`] streams records through a fixed-size [`BufReader`],
+//! so arbitrarily long traces replay in constant memory;
+//! [`replay_streams`] validates a file in one pass and wraps one reader
+//! per rank into a wrapping [`StreamedReplay`] source.
 
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
 use fam_vm::VirtAddr;
@@ -41,9 +41,9 @@ const VERSION: u16 = 2;
 const RECORD_BYTES: usize = 15;
 /// Bytes in a header (magic + version + count + rank count).
 const HEADER_BYTES: usize = 16;
-/// Default streaming chunk: large enough to amortize syscalls, small
+/// Read buffer per reader: large enough to amortize syscalls, small
 /// enough that a few thousand concurrent readers stay cache-friendly.
-const DEFAULT_CHUNK: usize = 64 * 1024;
+const BUFFER_BYTES: usize = 64 * 1024;
 
 fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -195,10 +195,10 @@ pub fn write_trace_v2<W: Write>(w: W, ranks: u16, records: &[TraceRecord]) -> io
     tw.finish()
 }
 
-/// Streamed chunked trace decoder.
+/// Streamed trace decoder.
 ///
-/// Holds at most one chunk (plus a partial record) in memory, so
-/// traces far larger than RAM replay fine.
+/// Reads through one fixed 64 KiB [`BufReader`], so traces far larger
+/// than RAM replay fine.
 ///
 /// # Examples
 ///
@@ -219,61 +219,34 @@ pub fn write_trace_v2<W: Write>(w: W, ranks: u16, records: &[TraceRecord]) -> io
 /// ```
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
-    src: R,
-    /// Read granularity: at most this many bytes per `read` call.
-    chunk: usize,
-    buf: Box<[u8]>,
-    start: usize,
-    end: usize,
+    src: BufReader<R>,
     header: TraceHeader,
     delivered: u64,
-    done: bool,
+}
+
+/// Fills `buf` from `src`, naming a short read `InvalidData` with
+/// `msg`.
+fn read_or_invalid(src: &mut impl Read, buf: &mut [u8], msg: &str) -> io::Result<()> {
+    src.read_exact(buf).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => invalid(msg),
+        _ => e,
+    })
 }
 
 impl<R: Read> TraceReader<R> {
-    /// Opens a reader with the default chunk size, decoding the
-    /// header.
+    /// Opens a reader, decoding the header.
     ///
     /// # Errors
     ///
     /// `InvalidData` for a truncated/bad header or unsupported
     /// version; reader errors otherwise.
     pub fn new(src: R) -> io::Result<TraceReader<R>> {
-        TraceReader::with_chunk_size(src, DEFAULT_CHUNK)
-    }
-
-    /// Opens a reader that reads at most `chunk` bytes at a time
-    /// (clamped to at least 1). The internal buffer is
-    /// `max(chunk, 16)` bytes — the bounded-memory guarantee.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`TraceReader::new`].
-    pub fn with_chunk_size(src: R, chunk: usize) -> io::Result<TraceReader<R>> {
-        let chunk = chunk.max(1);
-        let cap = chunk.max(HEADER_BYTES);
-        let mut rd = TraceReader {
-            src,
-            chunk,
-            buf: vec![0u8; cap].into_boxed_slice(),
-            start: 0,
-            end: 0,
-            header: TraceHeader { count: 0, ranks: 0 },
-            delivered: 0,
-            done: false,
-        };
-        rd.read_header()?;
-        Ok(rd)
-    }
-
-    fn read_header(&mut self) -> io::Result<()> {
+        let mut src = BufReader::with_capacity(BUFFER_BYTES, src);
+        let mut h = [0u8; HEADER_BYTES];
         // Check the magic and version before the rest of the header, so
         // a file of another version is named as such even when its
         // header is shorter.
-        if !self.fill(6)? {
-            return Err(invalid("truncated trace header"));
-        }
-        let h = &self.buf[self.start..];
+        read_or_invalid(&mut src, &mut h[..6], "truncated trace header")?;
         if &h[0..4] != MAGIC {
             return Err(invalid("not a FAMT trace"));
         }
@@ -281,10 +254,7 @@ impl<R: Read> TraceReader<R> {
         if version != VERSION {
             return Err(invalid(format!("unsupported trace version {version}")));
         }
-        if !self.fill(HEADER_BYTES)? {
-            return Err(invalid("truncated trace header"));
-        }
-        let h = &self.buf[self.start..self.start + HEADER_BYTES];
+        read_or_invalid(&mut src, &mut h[6..], "truncated trace header")?;
         let count = u64::from_le_bytes(h[6..14].try_into().expect("8 bytes"));
         // Reject counts whose body length cannot be represented: a
         // stream never trips this while delivering records, but a
@@ -292,48 +262,20 @@ impl<R: Read> TraceReader<R> {
         count
             .checked_mul(RECORD_BYTES as u64)
             .ok_or_else(|| invalid("trace record count overflows the body length"))?;
-        self.header = TraceHeader {
-            count,
-            ranks: u16::from_le_bytes([h[14], h[15]]),
-        };
-        self.start += HEADER_BYTES;
-        Ok(())
+        Ok(TraceReader {
+            src,
+            header: TraceHeader {
+                count,
+                ranks: u16::from_le_bytes([h[14], h[15]]),
+            },
+            delivered: 0,
+        })
     }
 
     /// The decoded header.
     #[must_use]
     pub fn header(&self) -> TraceHeader {
         self.header
-    }
-
-    /// Bytes of buffer this reader holds — constant for its lifetime,
-    /// independent of trace length.
-    #[must_use]
-    pub fn buffer_bytes(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Ensures at least `need` bytes are buffered. Returns `Ok(false)`
-    /// on end-of-input with fewer than `need` bytes left.
-    fn fill(&mut self, need: usize) -> io::Result<bool> {
-        if self.end - self.start >= need {
-            return Ok(true);
-        }
-        let _prof = fam_sim::profile::span(fam_sim::profile::PhaseId::ReplayDecode);
-        // Compact the partial tail to the front, then top up in
-        // chunk-sized reads.
-        self.buf.copy_within(self.start..self.end, 0);
-        self.end -= self.start;
-        self.start = 0;
-        while self.end < need {
-            let upper = self.buf.len().min(self.end + self.chunk);
-            let n = self.src.read(&mut self.buf[self.end..upper])?;
-            if n == 0 {
-                return Ok(false);
-            }
-            self.end += n;
-        }
-        Ok(true)
     }
 
     /// Decodes the next record, or `Ok(None)` at a clean end of
@@ -345,128 +287,53 @@ impl<R: Read> TraceReader<R> {
     /// bytes beyond the declared count, or a record's rank is out of
     /// range; reader errors otherwise.
     pub fn next_record(&mut self) -> io::Result<Option<TraceRecord>> {
-        if self.done {
-            return Ok(None);
-        }
+        const BODY_MISMATCH: &str = "trace body length does not match record count";
+        let _prof = fam_sim::profile::span(fam_sim::profile::PhaseId::ReplayDecode);
         if self.delivered == self.header.count {
-            if self.end - self.start > 0 || self.fill(1)? {
-                return Err(invalid("trace body length does not match record count"));
+            if !self.src.fill_buf()?.is_empty() {
+                return Err(invalid(BODY_MISMATCH));
             }
-            self.done = true;
             return Ok(None);
         }
-        if !self.fill(RECORD_BYTES)? {
-            return Err(invalid("trace body length does not match record count"));
-        }
-        let rec = decode_record(&self.buf[self.start..self.start + RECORD_BYTES]);
+        let mut bytes = [0u8; RECORD_BYTES];
+        read_or_invalid(&mut self.src, &mut bytes, BODY_MISMATCH)?;
+        let rec = decode_record(&bytes);
         if rec.rank >= self.header.ranks {
             return Err(invalid(format!(
                 "record rank {} out of range (ranks {})",
                 rec.rank, self.header.ranks
             )));
         }
-        self.start += RECORD_BYTES;
         self.delivered += 1;
         Ok(Some(rec))
     }
 }
 
+fn open_reader(path: &Path) -> io::Result<TraceReader<File>> {
+    TraceReader::new(File::open(path)?)
+}
+
 /// Replays one rank's records from a trace file through a streamed
 /// [`TraceReader`], wrapping around at the end of the file. Memory
-/// held is one chunk buffer regardless of trace length.
+/// held is one read buffer regardless of trace length.
 ///
-/// Construction makes one validation pass over the file (header,
-/// rank-in-range, at least one matching record); after that the
-/// source is infallible like every [`RefStream`] — a file that turns
-/// unreadable *mid-replay* (deleted, truncated under us) panics with
-/// the offending path, since the simulation cannot continue and has
-/// no per-ref error channel.
+/// Built by [`replay_streams`], which validates the whole file first;
+/// after that the source is infallible like every [`RefStream`] — a
+/// file that turns unreadable *mid-replay* (deleted, truncated under
+/// us) panics with the offending path, since the simulation cannot
+/// continue and has no per-ref error channel.
 #[derive(Debug)]
 pub struct StreamedReplay {
     path: PathBuf,
     /// The rank whose records this source replays.
     rank: u16,
-    chunk: usize,
     reader: TraceReader<File>,
-    header: TraceHeader,
     /// Records per pass that carry `rank`.
     matching: u64,
     emitted: u64,
 }
 
 impl StreamedReplay {
-    /// Opens a source over `path` that replays `rank`'s records, with
-    /// the default chunk size.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` for malformed traces, a rank not addressed by the
-    /// file, or a rank with zero records; I/O errors otherwise.
-    pub fn open(path: impl AsRef<Path>, rank: u16) -> io::Result<StreamedReplay> {
-        StreamedReplay::open_with_chunk(path, rank, DEFAULT_CHUNK)
-    }
-
-    /// Opens a replay source reading `chunk` bytes at a time.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`StreamedReplay::open`].
-    pub fn open_with_chunk(
-        path: impl AsRef<Path>,
-        rank: u16,
-        chunk: usize,
-    ) -> io::Result<StreamedReplay> {
-        let path = path.as_ref().to_path_buf();
-        // Validation pass: walk the whole file once so replay-time
-        // errors can only come from the file changing under us.
-        let mut scan = TraceReader::with_chunk_size(File::open(&path)?, chunk)?;
-        let header = scan.header();
-        if rank >= header.ranks {
-            return Err(invalid(format!(
-                "rank {rank} not addressed by the trace (ranks {})",
-                header.ranks
-            )));
-        }
-        let mut matching = 0u64;
-        while let Some(rec) = scan.next_record()? {
-            if rec.rank == rank {
-                matching += 1;
-            }
-        }
-        if matching == 0 {
-            return Err(invalid(format!("trace has no records for rank {rank}")));
-        }
-        let reader = TraceReader::with_chunk_size(File::open(&path)?, chunk)?;
-        Ok(StreamedReplay {
-            path,
-            rank,
-            chunk,
-            reader,
-            header,
-            matching,
-            emitted: 0,
-        })
-    }
-
-    /// The trace file's header.
-    #[must_use]
-    pub fn header(&self) -> TraceHeader {
-        self.header
-    }
-
-    /// Records carrying this source's rank per pass over the file.
-    #[must_use]
-    pub fn len(&self) -> u64 {
-        self.matching
-    }
-
-    /// Whether a pass yields no records (never true for a constructed
-    /// value).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.matching == 0
-    }
-
     /// References emitted so far (counting wrap-arounds).
     #[must_use]
     pub fn emitted(&self) -> u64 {
@@ -494,39 +361,20 @@ impl StreamedReplay {
                         return rec.mem;
                     }
                 }
-                Ok(None) => self.rewind(),
+                Ok(None) => {
+                    self.reader = open_reader(&self.path)
+                        .unwrap_or_else(|e| panic!("reopening {}: {e}", self.path.display()));
+                }
                 Err(e) => panic!("replaying {}: {e}", self.path.display()),
             }
         }
-    }
-
-    fn rewind(&mut self) {
-        let file = File::open(&self.path)
-            .unwrap_or_else(|e| panic!("reopening {}: {e}", self.path.display()));
-        self.reader = TraceReader::with_chunk_size(file, self.chunk)
-            .unwrap_or_else(|e| panic!("replaying {}: {e}", self.path.display()));
-    }
-}
-
-impl Clone for StreamedReplay {
-    /// Reopens the file and fast-forwards to the same position within
-    /// the current pass (engines clone stream matrices when probing
-    /// configurations).
-    fn clone(&self) -> StreamedReplay {
-        let mut c = StreamedReplay::open_with_chunk(&self.path, self.rank, self.chunk)
-            .unwrap_or_else(|e| panic!("reopening {}: {e}", self.path.display()));
-        for _ in 0..(self.emitted % self.matching) {
-            c.next_ref();
-        }
-        c.emitted = self.emitted;
-        c
     }
 }
 
 /// A reference source: a synthetic generator or a streamed on-disk
 /// trace replay. Each simulated core draws its references from one,
 /// a single [`RefStream::next_ref`] call per reference.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum RefStream {
     /// Synthetic Table III generator.
     Synthetic(TraceGenerator),
@@ -566,12 +414,6 @@ impl RefStream {
 impl From<TraceGenerator> for RefStream {
     fn from(g: TraceGenerator) -> RefStream {
         RefStream::Synthetic(g)
-    }
-}
-
-impl From<StreamedReplay> for RefStream {
-    fn from(r: StreamedReplay) -> RefStream {
-        RefStream::Streamed(r)
     }
 }
 
@@ -616,17 +458,23 @@ pub fn record_streams<W: Write>(
 /// The trace must address exactly `nodes * cores_per_node` ranks, and
 /// each core replays its own rank's records.
 ///
+/// One validation pass walks the whole file (header, topology, every
+/// record) and counts each rank's records, so replay-time errors can
+/// only come from the file changing under us.
+///
 /// # Errors
 ///
-/// `InvalidData` for malformed traces or a rank count that does not
-/// match the topology; I/O errors otherwise.
+/// `InvalidData` for malformed traces, a rank count that does not
+/// match the topology, or a rank with zero records; I/O errors
+/// otherwise.
 pub fn replay_streams(
     path: impl AsRef<Path>,
     nodes: usize,
     cores_per_node: usize,
 ) -> io::Result<Vec<Vec<RefStream>>> {
     let path = path.as_ref();
-    let ranks = TraceReader::new(File::open(path)?)?.header().ranks;
+    let mut scan = open_reader(path)?;
+    let ranks = scan.header().ranks;
     let want = nodes * cores_per_node;
     if usize::from(ranks) != want {
         return Err(invalid(format!(
@@ -634,15 +482,24 @@ pub fn replay_streams(
              ({nodes} nodes x {cores_per_node} cores)"
         )));
     }
+    let mut matching = vec![0u64; want];
+    while let Some(rec) = scan.next_record()? {
+        matching[usize::from(rec.rank)] += 1;
+    }
+    if let Some(rank) = matching.iter().position(|&n| n == 0) {
+        return Err(invalid(format!("trace has no records for rank {rank}")));
+    }
+    let mut sources = matching.into_iter().enumerate().map(|(rank, matching)| {
+        Ok(RefStream::Streamed(StreamedReplay {
+            path: path.to_path_buf(),
+            rank: rank as u16,
+            reader: open_reader(path)?,
+            matching,
+            emitted: 0,
+        }))
+    });
     (0..nodes)
-        .map(|n| {
-            (0..cores_per_node)
-                .map(|c| {
-                    let rank = (n * cores_per_node + c) as u16;
-                    Ok(RefStream::from(StreamedReplay::open(path, rank)?))
-                })
-                .collect()
-        })
+        .map(|_| sources.by_ref().take(cores_per_node).collect())
         .collect()
 }
 
@@ -675,8 +532,8 @@ mod tests {
     }
 
     /// Decodes every record, or returns the first error.
-    fn read_all(buf: &[u8], chunk: usize) -> io::Result<Vec<TraceRecord>> {
-        let mut rd = TraceReader::with_chunk_size(buf, chunk)?;
+    fn read_all(buf: &[u8]) -> io::Result<Vec<TraceRecord>> {
+        let mut rd = TraceReader::new(buf)?;
         let mut out = Vec::new();
         while let Some(rec) = rd.next_record()? {
             out.push(rec);
@@ -692,14 +549,14 @@ mod tests {
     fn roundtrip_preserves_every_field() {
         let records = sample_records(500, 1);
         let buf = encode(&records, 1);
-        assert_eq!(read_all(&buf, DEFAULT_CHUNK).unwrap(), records);
+        assert_eq!(read_all(&buf).unwrap(), records);
     }
 
     #[test]
     fn v2_roundtrip_preserves_ranks() {
         let records = sample_records(300, 3);
         let buf = encode(&records, 3);
-        let mut rd = TraceReader::with_chunk_size(buf.as_slice(), 7).unwrap();
+        let mut rd = TraceReader::new(buf.as_slice()).unwrap();
         assert_eq!(
             rd.header(),
             TraceHeader {
@@ -712,20 +569,18 @@ mod tests {
             streamed.push(rec);
         }
         assert_eq!(streamed, records);
-        // Buffer stays bounded at max(chunk, header) bytes.
-        assert_eq!(rd.buffer_bytes(), 16);
     }
 
     #[test]
     fn empty_trace_roundtrips() {
-        assert!(read_all(&encode(&[], 1), 64).unwrap().is_empty());
+        assert!(read_all(&encode(&[], 1)).unwrap().is_empty());
     }
 
     #[test]
     fn bad_magic_rejected() {
         let mut buf = encode(&sample_records(1, 1), 1);
         buf[..4].copy_from_slice(b"NOPE");
-        let err = read_all(&buf, 64).unwrap_err();
+        let err = read_all(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -734,7 +589,7 @@ mod tests {
         let mut buf = encode(&sample_records(1, 1), 1);
         for version in [1u16, 3, 99] {
             buf[4..6].copy_from_slice(&version.to_le_bytes());
-            let err = read_all(&buf, 64).unwrap_err();
+            let err = read_all(&buf).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert_eq!(
                 err.to_string(),
@@ -747,7 +602,7 @@ mod tests {
     fn truncated_body_rejected() {
         let mut buf = encode(&sample_records(10, 1), 1);
         buf.pop();
-        assert!(read_all(&buf, 64).is_err());
+        assert!(read_all(&buf).is_err());
     }
 
     #[test]
@@ -783,8 +638,7 @@ mod tests {
         let records = sample_records(30, 3);
         let path = temp_path("filter");
         write_trace_v2(File::create(&path).unwrap(), 3, &records).unwrap();
-        let mut replay = StreamedReplay::open(&path, 1).unwrap();
-        assert_eq!(replay.len(), 10);
+        let mut replay = replay_streams(&path, 1, 3).unwrap().remove(0).remove(1);
         let rank1: Vec<MemRef> = records
             .iter()
             .filter(|r| r.rank == 1)
@@ -795,34 +649,54 @@ mod tests {
         }
         assert_eq!(replay.emitted(), 25);
         assert_eq!(replay.wraps(), 2);
-        // Clone resumes at the same in-pass position.
-        let mut a = replay.clone();
-        for _ in 0..7 {
-            assert_eq!(a.next_ref(), replay.next_ref());
-        }
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn streamed_replay_rejects_missing_rank() {
-        let records = sample_records(10, 2);
+        // Two ranks declared, every record on rank 0.
+        let records = sample_records(10, 1);
         let path = temp_path("missing-rank");
         write_trace_v2(File::create(&path).unwrap(), 2, &records).unwrap();
-        assert!(StreamedReplay::open(&path, 2).is_err());
+        let err = replay_streams(&path, 1, 2).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "trace has no records for rank 1");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn replay_streams_validates_in_one_pass() {
+        // Every `next_record` call is one `replay-decode` span, so a
+        // single pass over 64 records is 65 calls (the last finds the
+        // clean end), however many ranks the file addresses.
+        let records = sample_records(64, 4);
+        let path = temp_path("one-pass");
+        write_trace_v2(File::create(&path).unwrap(), 4, &records).unwrap();
+        let _ = fam_sim::profile::take_report();
+        fam_sim::profile::set_enabled(true);
+        let streams = replay_streams(&path, 2, 2);
+        fam_sim::profile::set_enabled(false);
+        let decode = fam_sim::profile::take_report().phase(fam_sim::profile::PhaseId::ReplayDecode);
+        assert_eq!(streams.unwrap().into_iter().flatten().count(), 4);
+        assert_eq!(decode.calls, 65);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn record_then_replay_streams_are_identical() {
         let w = Workload::by_name("mcf").unwrap();
-        let mut live: Vec<Vec<RefStream>> = (0..2)
-            .map(|n| {
-                (0..2)
-                    .map(|c| RefStream::from(TraceGenerator::new(w, VA_BASE, (n * 2 + c) as u64)))
-                    .collect()
-            })
-            .collect();
-        let mut recorded = live.clone();
+        let streams = || -> Vec<Vec<RefStream>> {
+            (0..2)
+                .map(|n| {
+                    (0..2)
+                        .map(|c| {
+                            RefStream::from(TraceGenerator::new(w, VA_BASE, (n * 2 + c) as u64))
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        let (mut live, mut recorded) = (streams(), streams());
         let path = temp_path("roundtrip");
         record_streams(File::create(&path).unwrap(), &mut recorded, 40).unwrap();
         let mut replayed = replay_streams(&path, 2, 2).unwrap();
@@ -840,7 +714,9 @@ mod tests {
     fn record_streams_bounds_the_rank_count() {
         // 65,536 streams do not fit the u16 rank count; 65,535 do.
         let w = Workload::by_name("pf").unwrap();
-        let mut streams = vec![vec![RefStream::from(w.generator(1)); 65_536]];
+        let mut streams = vec![(0..65_536)
+            .map(|_| RefStream::from(w.generator(1)))
+            .collect::<Vec<_>>()];
         let err = record_streams(io::sink(), &mut streams, 1).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert_eq!(err.to_string(), "rank count 65536 not in 1..=65535");
@@ -863,7 +739,7 @@ mod tests {
     fn empty_replay_rejected() {
         let path = temp_path("empty");
         write_trace_v2(File::create(&path).unwrap(), 1, &[]).unwrap();
-        assert!(StreamedReplay::open(&path, 0).is_err());
+        assert!(replay_streams(&path, 1, 1).is_err());
         std::fs::remove_file(&path).ok();
     }
 

@@ -37,9 +37,10 @@ fn main() {
     );
 
     // 2. Replay from disk through the full DeACT-N system. The file is
-    //    streamed through a bounded chunk buffer — memory use does not
-    //    grow with trace length — and the report is bit-identical to
-    //    the live synthetic run.
+    //    validated in one pass, then each core streams it through a
+    //    fixed 64 KiB read buffer — memory use does not grow with trace
+    //    length — and the report is bit-identical to the live
+    //    synthetic run.
     let replayed = System::with_streams(
         cfg,
         "dc",

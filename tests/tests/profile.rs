@@ -10,18 +10,19 @@
 //! conservation audit and metrics registry on real runs.
 //!
 //! `RunReport` holds simulated state only: a caller takes a run's
-//! profile with `profile::take_report()` once the run returns. The
-//! enable switch and the accumulator are process-global, and the
-//! harness runs the `#[test]` fns of one binary concurrently, so every
-//! test in this file serializes on [`LOCK`] — even the audit/registry
-//! ones, whose runs would otherwise record spans while a profiled test
-//! has the switch on and leak them into its next take. (Files are
-//! separate processes, so the lock's scope is exactly right.)
+//! profile with `profile::take_report()` once the run returns, on the
+//! thread the run ran on. Each thread keeps its own ledger, but the
+//! enable switch is process-global, and the harness runs the `#[test]`
+//! fns of one binary concurrently, so every test in this file
+//! serializes on [`LOCK`] — a test whose run must record nothing
+//! would otherwise record spans while another test has the switch on.
+//! (Files are separate processes, so the lock's scope is exactly
+//! right.)
 
 use std::sync::Mutex;
 
 use deact::{RunReport, Scheme, System, SystemConfig};
-use fam_sim::{profile, FaultConfig, ProfileReport, TraceConfig};
+use fam_sim::{profile, FaultConfig, TraceConfig};
 use fam_workloads::Workload;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -92,17 +93,13 @@ fn profiled_runs_are_bit_identical_across_tracing_and_faults() {
 #[test]
 fn folded_stack_lines_are_well_formed() {
     let _guard = serialized();
-    let mut report = ProfileReport::default();
-    // Build the report from a real (tiny) run rather than hand-rolled
-    // state, serialized against the matrix test via the global switch
-    // being toggled there — keep this run's spans separable by doing
-    // the whole thing while enabled and taking the report directly.
+    // Build the report from real spans rather than hand-rolled state.
     profile::set_enabled(true);
     {
         let _outer = profile::span(profile::PhaseId::SchedDispatch);
         let _inner = profile::span(profile::PhaseId::Tlb);
     }
-    report.merge(&profile::take_report());
+    let report = profile::take_report();
     profile::set_enabled(false);
     let folded = report.to_folded();
     assert!(

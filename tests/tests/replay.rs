@@ -5,18 +5,18 @@
 //! bit-identical to the live synthetic run, tracing on and off, for
 //! every Table III workload. The property and corpus tests pin the
 //! streamed [`fam_workloads::TraceReader`] against the records written,
-//! through randomized chunk sizes, and against a malformed-input
-//! corpus.
+//! through sources that return randomized short reads, and against a
+//! malformed-input corpus.
 
 use std::fs::File;
-use std::io::{self, BufWriter};
+use std::io::{self, BufWriter, Read};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use deact::{RunReport, Scheme, System, SystemConfig};
 use fam_sim::{SimRng, TraceConfig};
 use fam_workloads::trace::{record_streams, replay_streams, write_trace_v2, TraceRecord};
-use fam_workloads::{table3, StreamedReplay, TraceReader, Workload};
+use fam_workloads::{table3, TraceReader, Workload};
 
 static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -163,10 +163,37 @@ fn replay_short_of_a_whole_pass_counts_no_wraps() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Streams a buffer through [`TraceReader`] with the given chunk
-/// size, collecting either all records or the first error.
-fn stream_all(buf: &[u8], chunk: usize) -> io::Result<Vec<TraceRecord>> {
-    let mut rd = TraceReader::with_chunk_size(buf, chunk)?;
+/// A source that returns at most `max` bytes per `read` call, and
+/// remembers the largest read it was asked for.
+struct ShortReads<R> {
+    inner: R,
+    max: usize,
+    largest_request: usize,
+}
+
+impl<R: Read> ShortReads<R> {
+    fn new(inner: R, max: usize) -> ShortReads<R> {
+        ShortReads {
+            inner,
+            max,
+            largest_request: 0,
+        }
+    }
+}
+
+impl<R: Read> Read for ShortReads<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.largest_request = self.largest_request.max(buf.len());
+        let n = buf.len().min(self.max);
+        self.inner.read(&mut buf[..n])
+    }
+}
+
+/// Streams a buffer through [`TraceReader`] from a source that returns
+/// at most `max_read` bytes per call, collecting either all records or
+/// the first error.
+fn stream_all(buf: &[u8], max_read: usize) -> io::Result<Vec<TraceRecord>> {
+    let mut rd = TraceReader::new(ShortReads::new(buf, max_read))?;
     let mut out = Vec::new();
     while let Some(rec) = rd.next_record()? {
         out.push(rec);
@@ -198,40 +225,46 @@ fn streamed_reader_returns_the_written_records_at_random_chunk_sizes() {
         .collect();
     let mut buf = Vec::new();
     write_trace_v2(&mut buf, 5, &records).unwrap();
-    // Deliberate boundary chunk sizes: header splitting (1..16) and
+    // Deliberate boundary read sizes: header splitting (1..16) and
     // the record width ±1 (14..16), plus random sizes up to past the
     // whole-file length.
-    let mut chunks: Vec<usize> = (1..=17).collect();
+    let mut sizes: Vec<usize> = (1..=17).collect();
     for _ in 0..40 {
-        chunks.push(rng.below(buf.len() as u64 + 64) as usize + 1);
+        sizes.push(rng.below(buf.len() as u64 + 64) as usize + 1);
     }
-    for &chunk in &chunks {
+    for &size in &sizes {
         assert_eq!(
-            stream_all(&buf, chunk).unwrap(),
+            stream_all(&buf, size).unwrap(),
             records,
-            "diverged at chunk {chunk}"
+            "diverged at read size {size}"
         );
     }
 }
 
 #[test]
-fn streamed_replay_wraps_identically_at_any_chunk_size() {
-    let records = rank0_records("pf", 9, 33);
-    let path = temp_trace("chunk-wrap");
-    write_trace_v2(File::create(&path).expect("temp trace file"), 1, &records).unwrap();
-    let mut rng = SimRng::seeded(0x11);
-    for _ in 0..12 {
-        let chunk = rng.below(600) as usize + 1;
-        let mut replay =
-            StreamedReplay::open_with_chunk(&path, 0, chunk).expect("open replay source");
-        for i in 0..100usize {
-            assert_eq!(
-                replay.next_ref(),
-                records[i % 33].mem,
-                "chunk {chunk}, ref {i}"
-            );
+fn replay_streams_follows_ranks_that_are_not_round_robin() {
+    // All seven rank-1 records come before rank 0's four: each core
+    // still sees its own records in file order and wraps at the end of
+    // its own slice.
+    let refs = rank0_records("pf", 9, 11);
+    let records: Vec<TraceRecord> = refs
+        .iter()
+        .enumerate()
+        .map(|(i, rec)| TraceRecord {
+            rank: u16::from(i < 7),
+            ..*rec
+        })
+        .collect();
+    let path = temp_trace("blocked-ranks");
+    write_trace_v2(File::create(&path).expect("temp trace file"), 2, &records).unwrap();
+    let mut cores = replay_streams(&path, 1, 2)
+        .expect("replay streams")
+        .remove(0);
+    for (core, slice) in cores.iter_mut().zip([&records[7..], &records[..7]]) {
+        for i in 0..30 {
+            assert_eq!(core.next_ref(), slice[i % slice.len()].mem, "ref {i}");
         }
-        assert_eq!(replay.wraps(), 100 / 33, "chunk {chunk}");
+        assert_eq!(core.wraps(), 30 / slice.len() as u64);
     }
     std::fs::remove_file(&path).ok();
 }
@@ -252,8 +285,8 @@ fn truncated_and_corrupt_traces_return_invalid_data_everywhere() {
 
     // The corpus: every malformed shape the format can take. Each
     // entry must surface as InvalidData — never a panic, never an
-    // unbounded allocation — from the streamed reader, a file-backed
-    // replay source and the stream-matrix builder.
+    // unbounded allocation — from the streamed reader and the
+    // stream-matrix builder.
     let mut corpus: Vec<(String, Vec<u8>)> = Vec::new();
     // 14 and 15 cut inside the rank-count field.
     for cut in [0usize, 3, 7, 13, 14, 15] {
@@ -313,11 +346,8 @@ fn truncated_and_corrupt_traces_return_invalid_data_everywhere() {
             io::ErrorKind::InvalidData,
             "streamed {name}"
         );
-        // A file-backed replay source must reject it at open.
         let path = temp_trace("corpus");
         std::fs::write(&path, bytes).unwrap();
-        let opened = StreamedReplay::open(&path, 0).expect_err(name);
-        assert_eq!(opened.kind(), io::ErrorKind::InvalidData, "replay {name}");
         let matrix = replay_streams(&path, 1, 1).expect_err(name);
         assert_eq!(matrix.kind(), io::ErrorKind::InvalidData, "matrix {name}");
         std::fs::remove_file(&path).ok();
@@ -326,23 +356,23 @@ fn truncated_and_corrupt_traces_return_invalid_data_everywhere() {
 
 #[test]
 fn streamed_reader_memory_is_bounded_by_the_chunk_size() {
-    // A trace of 200k records (3 MB) streams through a 4 KiB buffer:
-    // the reader's entire state is its fixed chunk buffer, so decoding
-    // never allocates proportional to trace length.
+    // A trace of 200k records (3 MB) streams through the reader's
+    // 64 KiB buffer: it never asks its source for more than that at
+    // once, so decoding never buffers in proportion to trace length.
     let path = temp_trace("bounded");
     let records = rank0_records("sssp", 1, 200_000);
     let file = BufWriter::new(File::create(&path).expect("temp trace file"));
     write_trace_v2(file, 1, &records).unwrap();
-    let mut rd =
-        TraceReader::with_chunk_size(File::open(&path).unwrap(), 4096).expect("open reader");
-    assert_eq!(rd.buffer_bytes(), 4096);
+    let mut src = ShortReads::new(File::open(&path).unwrap(), usize::MAX);
+    let mut rd = TraceReader::new(&mut src).expect("open reader");
     let mut n = 0usize;
     while let Some(rec) = rd.next_record().expect("well-formed trace") {
         assert_eq!(rec, records[n]);
         n += 1;
     }
     assert_eq!(n, 200_000);
-    assert_eq!(rd.buffer_bytes(), 4096);
+    drop(rd);
+    assert!(src.largest_request <= 64 * 1024, "{}", src.largest_request);
     std::fs::remove_file(&path).ok();
 }
 
