@@ -72,13 +72,41 @@ impl Default for HierarchyConfig {
     }
 }
 
+/// Bits in an L3 line's sharer mask; core `c` owns bit
+/// `c % SHARER_BITS`.
+const SHARER_BITS: usize = u8::BITS as usize;
+
+/// State of one L3 line.
+#[derive(Debug, Clone, Copy)]
+struct LlcLine {
+    /// Written since it was filled, here or in a private copy whose
+    /// dirty bit has since been folded in.
+    dirty: bool,
+    /// One bit per core (modulo [`SHARER_BITS`]) that may hold the
+    /// line in its private L1 or L2.
+    sharers: u8,
+}
+
+/// The sharer-mask bit of `core`.
+fn sharer_bit(core: usize) -> u8 {
+    1 << (core % SHARER_BITS)
+}
+
 /// Private L1/L2 caches per core plus a shared, inclusive L3.
 ///
 /// Keys are cache-line addresses ([`crate::line_of`]). Lines track a
 /// dirty bit; dirty LLC evictions are surfaced to the caller as
 /// writebacks so the NVM write asymmetry is exercised. Inclusivity is
-/// enforced: an L3 eviction back-invalidates the line from every
-/// private cache, as in the paper's inclusive configuration.
+/// enforced: an L3 eviction back-invalidates the line from the private
+/// caches, as in the paper's inclusive configuration.
+///
+/// Like the core-valid bits of a real inclusive LLC, each L3 line
+/// carries a sharer mask: every access that fills a core's private
+/// caches from L3 sets that core's bit, and an eviction probes only
+/// the L1/L2 of cores whose bit is set. Cores that alias onto one bit
+/// (core `c` uses bit `c % 8`) are all probed, so the mask is a
+/// superset of the true sharers for any core count and the outcome is
+/// exactly that of probing every core.
 ///
 /// # Examples
 ///
@@ -95,7 +123,7 @@ impl Default for HierarchyConfig {
 pub struct CacheHierarchy {
     l1: Vec<SetAssocCache<bool>>,
     l2: Vec<SetAssocCache<bool>>,
-    l3: SetAssocCache<bool>,
+    l3: SetAssocCache<LlcLine>,
     config: HierarchyConfig,
     llc: Ratio,
 }
@@ -150,8 +178,12 @@ impl CacheHierarchy {
             };
         }
         latency += Duration(self.config.l3_latency);
-        if let Some(dirty) = self.l3.get_mut(line_addr) {
-            *dirty |= is_write;
+        // An L2 hit needs no sharer update: inclusion means the line
+        // entered this core's L2 through one of the two paths below,
+        // which set its bit, and the bit stays set until L3 evicts it.
+        if let Some(line) = self.l3.get_mut(line_addr) {
+            line.dirty |= is_write;
+            line.sharers |= sharer_bit(core);
             self.llc.hit();
             self.fill_l2(core, line_addr, is_write);
             self.fill_l1(core, line_addr, is_write);
@@ -165,10 +197,20 @@ impl CacheHierarchy {
         // LLC miss: fill all levels, enforce inclusion on L3 eviction.
         self.llc.miss();
         let mut writeback = None;
-        if let Some((victim_line, mut victim_dirty)) = self.l3.insert(line_addr, is_write) {
-            for (l1, l2) in self.l1.iter_mut().zip(&mut self.l2) {
-                victim_dirty |= l1.invalidate(victim_line).unwrap_or(false);
-                victim_dirty |= l2.invalidate(victim_line).unwrap_or(false);
+        let fill = LlcLine {
+            dirty: is_write,
+            sharers: sharer_bit(core),
+        };
+        if let Some((victim_line, victim)) = self.l3.insert(line_addr, fill) {
+            let mut victim_dirty = victim.dirty;
+            let mut sharers = victim.sharers;
+            while sharers != 0 {
+                let bit = sharers.trailing_zeros() as usize;
+                sharers &= sharers - 1;
+                for c in (bit..self.l1.len()).step_by(SHARER_BITS) {
+                    victim_dirty |= self.l1[c].invalidate(victim_line).unwrap_or(false);
+                    victim_dirty |= self.l2[c].invalidate(victim_line).unwrap_or(false);
+                }
             }
             if victim_dirty {
                 writeback = Some(victim_line);
@@ -190,8 +232,8 @@ impl CacheHierarchy {
         if let Some((victim, true)) = self.l1[core].insert(line_addr, is_write) {
             if let Some(dirty) = self.l2[core].peek_mut(victim) {
                 *dirty = true;
-            } else if let Some(dirty) = self.l3.peek_mut(victim) {
-                *dirty = true;
+            } else if let Some(line) = self.l3.peek_mut(victim) {
+                line.dirty = true;
             }
         }
     }
@@ -200,8 +242,8 @@ impl CacheHierarchy {
     /// into L3.
     fn fill_l2(&mut self, core: usize, line_addr: u64, is_write: bool) {
         if let Some((victim, true)) = self.l2[core].insert(line_addr, is_write) {
-            if let Some(dirty) = self.l3.peek_mut(victim) {
-                *dirty = true;
+            if let Some(line) = self.l3.peek_mut(victim) {
+                line.dirty = true;
             }
         }
     }
@@ -362,6 +404,58 @@ mod tests {
         h.access(1, 0, false); // L3 hit
         assert_eq!(h.llc_stats().misses(), 1);
         assert_eq!(h.llc_stats().hits(), 1);
+    }
+
+    #[test]
+    fn llc_eviction_invalidates_every_sharer_and_keeps_either_dirty_bit() {
+        for writer in [0, 1] {
+            let mut h = small();
+            h.access(0, 0, false);
+            h.access(1, 0, false); // L3 hit: core 1 joins the sharers
+            h.access(writer, 0, true); // L1 hit: only that copy is dirty
+            assert!(h.l1[0].probe(0) && h.l1[1].probe(0), "both cores hold it");
+            h.access(0, 8, false);
+            let r = h.access(0, 16, false); // evicts line 0 from L3
+            assert_eq!(r.writeback, Some(0), "core {writer}'s dirty bit lost");
+            assert!(!h.contains(0), "a private copy survived the eviction");
+        }
+    }
+
+    #[test]
+    fn inclusion_holds_with_more_cores_than_sharer_bits() {
+        // 11 cores alias onto 8 bits; a tiny L3 shared by all of them
+        // evicts constantly.
+        let cores = SHARER_BITS + 3;
+        let mut h = CacheHierarchy::new(
+            cores,
+            HierarchyConfig {
+                l1_bytes: 4 * 64,
+                l1_ways: 2,
+                l1_latency: 4,
+                l2_bytes: 8 * 64,
+                l2_ways: 2,
+                l2_latency: 12,
+                l3_bytes: 32 * 64,
+                l3_ways: 4,
+                l3_latency: 38,
+            },
+        );
+        let mut rng = fam_sim::SimRng::seeded(0x5A2E);
+        for step in 0..20_000 {
+            let core = rng.index(cores);
+            h.access(core, rng.below(96), rng.chance(0.3));
+            for c in 0..cores {
+                for (line, _) in h.l1[c].iter().chain(h.l2[c].iter()) {
+                    let llc = h.l3.peek(line);
+                    assert!(llc.is_some(), "step {step}: core {c} holds {line}, L3 not");
+                    assert_ne!(
+                        llc.unwrap().sharers & sharer_bit(c),
+                        0,
+                        "step {step}: core {c} holds {line} without its sharer bit"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -34,8 +34,6 @@ pub struct Resource {
     /// the oldest intervals are forgotten (treated as free) past
     /// [`crate::timeline::MAX_INTERVALS`], bounding memory for long runs.
     intervals: Timeline,
-    busy: Duration,
-    requests: u64,
 }
 
 impl Resource {
@@ -44,8 +42,6 @@ impl Resource {
         Resource {
             occupancy: Duration(occupancy),
             intervals: Timeline::new(),
-            busy: Duration::ZERO,
-            requests: 0,
         }
     }
 
@@ -58,17 +54,15 @@ impl Resource {
     /// Claims the resource for a request with a non-default occupancy
     /// (e.g. a larger packet on a link).
     pub fn acquire_for(&mut self, now: Cycle, occupancy: Duration) -> Cycle {
-        self.requests += 1;
-        self.busy += occupancy;
         if occupancy.0 == 0 {
             return now;
         }
         let mut start = now.0;
         // Fast path: an arrival at or after the busy frontier appends a
-        // fresh interval — no search, no mid-ring insertion. Back-to-back
-        // service extends the frontier interval in place: the busy-set
-        // is identical and the timeline stays short, which keeps every
-        // later search and insertion cheap.
+        // fresh interval — no search, no mid-window insertion.
+        // Back-to-back service extends the frontier interval in place:
+        // the busy-set is identical and the timeline stays short, which
+        // keeps every later search and insertion cheap.
         match self.intervals.back() {
             Some((s, end)) if end == start => {
                 self.intervals.set_back((s, start + occupancy.0));
@@ -87,55 +81,41 @@ impl Resource {
         // Backfill: find the first interval that ends after our
         // candidate start (ends are strictly increasing across the
         // sorted timeline), then walk forward to the first gap that
-        // fits. Backfills cluster a few intervals behind the frontier
-        // (an outbound request slotting in under the return-leg
-        // reservations), so a short contiguous walk back from the
-        // newest interval beats a binary search's scattered probes;
-        // the search is the fallback for the rare deep backfill.
-        let mut idx = self.intervals.len();
-        let floor = idx.saturating_sub(64);
-        while idx > floor && self.intervals.get(idx - 1).1 > start {
-            idx -= 1;
-        }
-        if idx == floor && idx > 0 && self.intervals.get(idx - 1).1 > start {
-            idx = self.intervals.first_ending_after(start);
-        }
-        loop {
-            let next_busy_start = if idx < self.intervals.len() {
-                self.intervals.get(idx).0
-            } else {
-                u64::MAX
-            };
+        // fits.
+        let iv = self.intervals.as_slice();
+        let mut idx = self.intervals.first_ending_after(start);
+        let (end, next_busy_start) = loop {
+            let next_busy_start = iv.get(idx).map_or(u64::MAX, |&(s, _)| s);
             let end = start.saturating_add(occupancy.0);
             if end <= next_busy_start {
-                // Coalesce with whichever neighbours this interval
-                // abuts — the busy-set is unchanged, but runs of
-                // back-to-back service collapse into single intervals
-                // instead of fragmenting the timeline.
-                let abuts_prev = idx > 0 && self.intervals.get(idx - 1).1 == start;
-                let abuts_next = idx < self.intervals.len() && end == next_busy_start;
-                match (abuts_prev, abuts_next) {
-                    (true, true) => {
-                        let merged = (self.intervals.get(idx - 1).0, self.intervals.get(idx).1);
-                        self.intervals.set(idx - 1, merged);
-                        self.intervals.remove(idx);
-                    }
-                    (true, false) => {
-                        let prev = self.intervals.get(idx - 1);
-                        self.intervals.set(idx - 1, (prev.0, end));
-                    }
-                    (false, true) => {
-                        let next = self.intervals.get(idx);
-                        self.intervals.set(idx, (start, next.1));
-                    }
-                    (false, false) => {
-                        self.intervals.insert(idx, (start, end));
-                    }
-                }
-                break;
+                break (end, next_busy_start);
             }
-            start = self.intervals.get(idx).1;
+            start = iv[idx].1;
             idx += 1;
+        };
+        // Coalesce with whichever neighbours this interval abuts — the
+        // busy-set is unchanged, but runs of back-to-back service
+        // collapse into single intervals instead of fragmenting the
+        // timeline.
+        let abuts_prev = idx > 0 && iv[idx - 1].1 == start;
+        let abuts_next = idx < iv.len() && end == next_busy_start;
+        match (abuts_prev, abuts_next) {
+            (true, true) => {
+                let merged = (iv[idx - 1].0, iv[idx].1);
+                self.intervals.set(idx - 1, merged);
+                self.intervals.remove(idx);
+            }
+            (true, false) => {
+                let prev = iv[idx - 1];
+                self.intervals.set(idx - 1, (prev.0, end));
+            }
+            (false, true) => {
+                let next = iv[idx];
+                self.intervals.set(idx, (start, next.1));
+            }
+            (false, false) => {
+                self.intervals.insert(idx, (start, end));
+            }
         }
         Cycle(start)
     }
@@ -144,16 +124,6 @@ impl Resource {
     /// free after this point).
     pub fn next_free(&self) -> Cycle {
         Cycle(self.intervals.back().map(|(_, e)| e).unwrap_or(0))
-    }
-
-    /// Total cycles this resource has been occupied.
-    pub fn busy_cycles(&self) -> Duration {
-        self.busy
-    }
-
-    /// Total requests serviced.
-    pub fn requests(&self) -> u64 {
-        self.requests
     }
 }
 
@@ -223,16 +193,6 @@ impl BankedResource {
             (interleave_key % self.banks.len() as u64) as usize
         }
     }
-
-    /// Total requests across all banks.
-    pub fn requests(&self) -> u64 {
-        self.banks.iter().map(Resource::requests).sum()
-    }
-
-    /// Total busy cycles across all banks.
-    pub fn busy_cycles(&self) -> Duration {
-        self.banks.iter().map(Resource::busy_cycles).sum()
-    }
 }
 
 #[cfg(test)]
@@ -245,8 +205,7 @@ mod tests {
         assert_eq!(r.acquire(Cycle(0)), Cycle(0));
         assert_eq!(r.acquire(Cycle(0)), Cycle(10));
         assert_eq!(r.acquire(Cycle(5)), Cycle(20));
-        assert_eq!(r.requests(), 3);
-        assert_eq!(r.busy_cycles(), Duration(30));
+        assert_eq!(r.next_free(), Cycle(30));
     }
 
     #[test]
@@ -284,7 +243,7 @@ mod tests {
         let mut r = Resource::new(10);
         assert_eq!(r.acquire_for(Cycle(0), Duration(3)), Cycle(0));
         assert_eq!(r.next_free(), Cycle(3));
-        assert_eq!(r.busy_cycles(), Duration(3));
+        assert_eq!(r.acquire(Cycle(0)), Cycle(3), "queues behind 3 cycles");
     }
 
     #[test]
@@ -292,7 +251,7 @@ mod tests {
         let mut r = Resource::new(0);
         assert_eq!(r.acquire(Cycle(7)), Cycle(7));
         assert_eq!(r.acquire(Cycle(7)), Cycle(7));
-        assert_eq!(r.busy_cycles(), Duration::ZERO);
+        assert_eq!(r.next_free(), Cycle(0), "nothing was reserved");
     }
 
     #[test]
@@ -300,10 +259,10 @@ mod tests {
         let mut r = Resource::new(1);
         for i in 0..10_000u64 {
             // Disjoint intervals so nothing merges.
-            r.acquire(Cycle(i * 10));
+            assert_eq!(r.acquire(Cycle(i * 10)), Cycle(i * 10));
         }
-        assert_eq!(r.requests(), 10_000);
-        assert!(r.next_free() > Cycle(99_000));
+        assert_eq!(r.intervals.as_slice().len(), crate::timeline::MAX_INTERVALS);
+        assert_eq!(r.next_free(), Cycle(99_991));
     }
 
     #[test]
@@ -312,7 +271,7 @@ mod tests {
         assert_eq!(b.acquire(Cycle(0), 0), Cycle(0));
         assert_eq!(b.acquire(Cycle(0), 1), Cycle(0));
         assert_eq!(b.acquire(Cycle(0), 2), Cycle(50)); // bank 0 again
-        assert_eq!(b.requests(), 3);
+        assert_eq!(b.acquire(Cycle(0), 3), Cycle(50)); // bank 1 again
     }
 
     #[test]

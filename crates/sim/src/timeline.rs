@@ -1,21 +1,24 @@
-//! A fixed-capacity ring of sorted busy intervals.
+//! A bounded, contiguous window of sorted busy intervals.
 //!
 //! [`Resource`](crate::Resource) timelines live on the simulation's
 //! hottest path: every fabric traversal, DRAM access and NVM bank
-//! claim searches and mutates one. A general-purpose `VecDeque` pays
-//! for its flexibility in indexing arithmetic and growth bookkeeping,
-//! so the timeline is a bespoke power-of-two ring: index masking is a
-//! single AND, dropping the oldest interval is O(1), and the binary
-//! search is a tight loop over masked loads.
+//! claim searches and mutates one. The intervals are kept as one
+//! contiguous slice, `buf[head..head + len]`, so the search runs over
+//! plain memory and an insertion or removal is a single `copy_within`.
+//! Dropping the oldest interval only advances `head`; when the window
+//! reaches the end of the buffer it is copied back to the front, which
+//! happens once per 64 drops.
 
-/// Retained interval capacity. Must be a power of two (indexing relies
-/// on masking); older intervals beyond it are forgotten — treated as
-/// free — which bounds memory for arbitrarily long runs.
+/// Retained interval capacity. Older intervals beyond it are
+/// forgotten — treated as free — which bounds memory for arbitrarily
+/// long runs.
 pub const MAX_INTERVALS: usize = 256;
 
-const MASK: usize = MAX_INTERVALS - 1;
+/// Spare slots past [`MAX_INTERVALS`] that the window slides into
+/// before it is compacted back to the front of the buffer.
+const SLACK: usize = 64;
 
-/// Sorted, non-overlapping `(start, end)` busy intervals in a ring.
+/// Sorted, non-overlapping `(start, end)` busy intervals.
 ///
 /// The backing buffer is allocated lazily on first use so idle
 /// resources (of which a system has hundreds) stay pointer-sized.
@@ -29,59 +32,34 @@ pub struct Timeline {
 impl Timeline {
     /// An empty timeline; allocates nothing until the first push.
     pub fn new() -> Timeline {
-        Timeline {
-            buf: Vec::new(),
-            head: 0,
-            len: 0,
-        }
+        Timeline::default()
     }
 
-    /// Number of retained intervals.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no intervals are retained.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    /// The retained intervals, oldest first.
+    #[inline]
+    pub fn as_slice(&self) -> &[(u64, u64)] {
+        &self.buf[self.head..self.head + self.len]
     }
 
     #[inline]
-    fn slot(&self, i: usize) -> usize {
-        (self.head + i) & MASK
-    }
-
-    /// The `i`-th oldest interval.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len`.
-    #[inline]
-    pub fn get(&self, i: usize) -> (u64, u64) {
-        debug_assert!(i < self.len);
-        self.buf[self.slot(i)]
+    fn as_mut_slice(&mut self) -> &mut [(u64, u64)] {
+        &mut self.buf[self.head..self.head + self.len]
     }
 
     /// Overwrites the `i`-th oldest interval.
     ///
     /// # Panics
     ///
-    /// Panics if `i >= len` (debug builds).
+    /// Panics if `i >= len`.
     #[inline]
     pub fn set(&mut self, i: usize, v: (u64, u64)) {
-        debug_assert!(i < self.len);
-        let s = self.slot(i);
-        self.buf[s] = v;
+        self.as_mut_slice()[i] = v;
     }
 
     /// The newest interval, if any.
     #[inline]
     pub fn back(&self) -> Option<(u64, u64)> {
-        if self.len == 0 {
-            None
-        } else {
-            Some(self.get(self.len - 1))
-        }
+        self.as_slice().last().copied()
     }
 
     /// Overwrites the newest interval.
@@ -90,26 +68,48 @@ impl Timeline {
     ///
     /// Panics if the timeline is empty.
     pub fn set_back(&mut self, v: (u64, u64)) {
-        assert!(self.len > 0, "set_back on empty timeline");
-        let i = self.len - 1;
-        self.set(i, v);
+        *self
+            .as_mut_slice()
+            .last_mut()
+            .expect("set_back on empty timeline") = v;
     }
 
-    fn ensure_buf(&mut self) {
+    /// Makes room for one more interval at the end of the window:
+    /// drops the oldest interval when full, and allocates the buffer or
+    /// slides the window back to its front when the window reaches the
+    /// buffer's end. Returns whether the oldest interval was dropped.
+    #[inline]
+    fn reserve_one(&mut self) -> bool {
+        let dropped = self.len == MAX_INTERVALS;
+        if dropped {
+            self.head += 1;
+            self.len -= 1;
+        }
+        if self.head + self.len == self.buf.len() {
+            self.make_room();
+        }
+        dropped
+    }
+
+    /// The rare half of [`Timeline::reserve_one`], out of line so the
+    /// append path stays small enough to inline: allocates the buffer
+    /// on first use, otherwise copies the window back to its front.
+    #[cold]
+    #[inline(never)]
+    fn make_room(&mut self) {
         if self.buf.is_empty() {
-            self.buf = vec![(0, 0); MAX_INTERVALS];
+            self.buf = vec![(0, 0); MAX_INTERVALS + SLACK];
+        } else {
+            self.buf.copy_within(self.head..self.head + self.len, 0);
+            self.head = 0;
         }
     }
 
     /// Appends a newest interval, dropping the oldest when full.
+    #[inline]
     pub fn push_back(&mut self, v: (u64, u64)) {
-        self.ensure_buf();
-        if self.len == MAX_INTERVALS {
-            self.head = (self.head + 1) & MASK;
-            self.len -= 1;
-        }
-        let s = self.slot(self.len);
-        self.buf[s] = v;
+        self.reserve_one();
+        self.buf[self.head + self.len] = v;
         self.len += 1;
     }
 
@@ -119,25 +119,14 @@ impl Timeline {
     /// would itself be the oldest and is forgotten immediately).
     pub fn insert(&mut self, at: usize, v: (u64, u64)) {
         debug_assert!(at <= self.len);
-        self.ensure_buf();
-        let mut at = at;
-        if self.len == MAX_INTERVALS {
-            if at == 0 {
-                return;
-            }
-            self.head = (self.head + 1) & MASK;
-            self.len -= 1;
-            at -= 1;
+        if at == 0 && self.len == MAX_INTERVALS {
+            return;
         }
-        let mut i = self.len;
-        while i > at {
-            let v = self.buf[self.slot(i - 1)];
-            let s = self.slot(i);
-            self.buf[s] = v;
-            i -= 1;
-        }
-        let s = self.slot(at);
-        self.buf[s] = v;
+        let dropped = self.reserve_one();
+        let at = self.head + at - usize::from(dropped);
+        let end = self.head + self.len;
+        self.buf.copy_within(at..end, at + 1);
+        self.buf[at] = v;
         self.len += 1;
     }
 
@@ -148,29 +137,39 @@ impl Timeline {
     /// Panics if `at >= len`.
     pub fn remove(&mut self, at: usize) {
         assert!(at < self.len, "remove out of range");
-        for i in at..self.len - 1 {
-            let v = self.buf[self.slot(i + 1)];
-            let s = self.slot(i);
-            self.buf[s] = v;
-        }
+        let (at, end) = (self.head + at, self.head + self.len);
+        self.buf.copy_within(at + 1..end, at);
         self.len -= 1;
     }
 
     /// Index of the first interval whose end is after `t` — the
-    /// earliest interval that could constrain an arrival at `t`. Ends
-    /// are strictly increasing across the sorted timeline, so this is
-    /// a plain binary search.
+    /// earliest interval that could constrain an arrival at `t`.
+    ///
+    /// Ends are strictly increasing across the sorted timeline, so this
+    /// is a search from the newest interval backwards: probes 1, 2, 4,
+    /// 8, … intervals behind the last one known to end after `t` until
+    /// one ends at or before it, then a `partition_point` over the gap
+    /// between the two. Backfills land a few to a few dozen intervals
+    /// behind the frontier, and the cost grows with that distance
+    /// (twice its logarithm), not with the window's length.
     pub fn first_ending_after(&self, t: u64) -> usize {
-        let (mut lo, mut hi) = (0usize, self.len);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.buf[self.slot(mid)].1 <= t {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
+        let iv = self.as_slice();
+        let n = iv.len();
+        if n == 0 || iv[n - 1].1 <= t {
+            return n;
         }
-        lo
+        // Invariant: `iv[hi]` ends after `t`, so the answer is <= `hi`.
+        let mut hi = n - 1;
+        let mut step = 1;
+        while hi > 0 {
+            let probe = hi.saturating_sub(step);
+            if iv[probe].1 <= t {
+                return probe + 1 + iv[probe + 1..hi].partition_point(|&(_, e)| e <= t);
+            }
+            hi = probe;
+            step *= 2;
+        }
+        0
     }
 }
 
@@ -184,8 +183,8 @@ mod tests {
         for i in 0..10u64 {
             t.push_back((i * 10, i * 10 + 5));
         }
-        assert_eq!(t.len(), 10);
-        assert_eq!(t.get(0), (0, 5));
+        assert_eq!(t.as_slice().len(), 10);
+        assert_eq!(t.as_slice()[0], (0, 5));
         assert_eq!(t.back(), Some((90, 95)));
     }
 
@@ -195,8 +194,8 @@ mod tests {
         for i in 0..(MAX_INTERVALS as u64 + 3) {
             t.push_back((i, i + 1));
         }
-        assert_eq!(t.len(), MAX_INTERVALS);
-        assert_eq!(t.get(0), (3, 4));
+        assert_eq!(t.as_slice().len(), MAX_INTERVALS);
+        assert_eq!(t.as_slice()[0], (3, 4));
     }
 
     #[test]
@@ -205,9 +204,9 @@ mod tests {
         t.push_back((0, 1));
         t.push_back((10, 11));
         t.insert(1, (5, 6));
-        assert_eq!(t.get(0), (0, 1));
-        assert_eq!(t.get(1), (5, 6));
-        assert_eq!(t.get(2), (10, 11));
+        assert_eq!(t.as_slice()[0], (0, 1));
+        assert_eq!(t.as_slice()[1], (5, 6));
+        assert_eq!(t.as_slice()[2], (10, 11));
     }
 
     #[test]
@@ -217,9 +216,13 @@ mod tests {
             t.push_back((i * 10, i * 10 + 1));
         }
         t.insert(5, (44, 45));
-        assert_eq!(t.len(), MAX_INTERVALS);
-        assert_eq!(t.get(0), (10, 11), "oldest was dropped");
-        assert_eq!(t.get(4), (44, 45), "insert index shifted by the drop");
+        assert_eq!(t.as_slice().len(), MAX_INTERVALS);
+        assert_eq!(t.as_slice()[0], (10, 11), "oldest was dropped");
+        assert_eq!(
+            t.as_slice()[4],
+            (44, 45),
+            "insert index shifted by the drop"
+        );
     }
 
     #[test]
@@ -229,8 +232,8 @@ mod tests {
             t.push_back((i * 10, i * 10 + 1));
         }
         t.insert(0, (0, 1));
-        assert_eq!(t.len(), MAX_INTERVALS);
-        assert_eq!(t.get(0), (10, 11));
+        assert_eq!(t.as_slice().len(), MAX_INTERVALS);
+        assert_eq!(t.as_slice()[0], (10, 11));
     }
 
     #[test]
@@ -240,8 +243,8 @@ mod tests {
         t.push_back((2, 3));
         t.push_back((4, 5));
         t.remove(1);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.get(1), (4, 5));
+        assert_eq!(t.as_slice().len(), 2);
+        assert_eq!(t.as_slice()[1], (4, 5));
     }
 
     #[test]
@@ -257,15 +260,45 @@ mod tests {
     }
 
     #[test]
-    fn search_is_correct_across_the_ring_seam() {
+    fn search_matches_a_linear_scan_at_every_depth() {
         let mut t = Timeline::new();
-        // Force wrap-around: overfill, then query.
-        for i in 0..(MAX_INTERVALS as u64 * 2) {
+        for i in 0..MAX_INTERVALS as u64 {
             t.push_back((i * 10, i * 10 + 5));
         }
-        let oldest = t.get(0);
+        for at in 0..MAX_INTERVALS as u64 * 10 + 10 {
+            let want = t.as_slice().iter().filter(|&&(_, e)| e <= at).count();
+            assert_eq!(t.first_ending_after(at), want, "arrival at {at}");
+        }
+    }
+
+    #[test]
+    fn window_survives_compaction() {
+        let mut t = Timeline::new();
+        // A full window, then exactly enough drops to slide it to the
+        // end of the buffer; one more push compacts it to the front.
+        for i in 0..(MAX_INTERVALS + SLACK) as u64 {
+            t.push_back((i * 10, i * 10 + 5));
+        }
+        assert_eq!(t.head + t.len, t.buf.len(), "window at the buffer end");
+        t.push_back((10_000, 10_005));
+        assert_eq!(t.head, 0, "the oldest was dropped, then compacted");
+        let first = (SLACK as u64 + 1) * 10;
+        assert_eq!(t.as_slice()[0], (first, first + 5));
+        assert_eq!(t.back(), Some((10_000, 10_005)));
+        // Fill to the end again and insert mid-window across the
+        // compaction point: order and the search survive the copy.
+        while t.head + t.len < t.buf.len() {
+            let (_, e) = t.back().unwrap();
+            t.push_back((e + 5, e + 10));
+        }
+        let mid = t.as_slice()[MAX_INTERVALS / 2];
+        t.insert(MAX_INTERVALS / 2, (mid.0 - 3, mid.0 - 1));
+        assert_eq!(t.head, 0, "compacted by the insert");
+        assert_eq!(t.as_slice().len(), MAX_INTERVALS);
+        assert!(t.as_slice().windows(2).all(|w| w[0].1 < w[1].0), "sorted");
+        assert_eq!(t.as_slice()[MAX_INTERVALS / 2 - 1], (mid.0 - 3, mid.0 - 1));
+        assert_eq!(t.first_ending_after(mid.0 - 2), MAX_INTERVALS / 2 - 1);
+        let oldest = t.as_slice()[0];
         assert_eq!(t.first_ending_after(oldest.0), 0);
-        let mid = t.get(MAX_INTERVALS / 2);
-        assert_eq!(t.first_ending_after(mid.1), MAX_INTERVALS / 2 + 1);
     }
 }

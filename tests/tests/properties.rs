@@ -79,8 +79,9 @@ fn cache_capacity_and_recency() {
     }
 }
 
-/// Backfilled resource schedules never overlap more than the resource
-/// allows: total busy time is conserved.
+/// Backfilled resource schedules never overlap: every request gets
+/// its own `occ` cycles, so total busy time is conserved, and the
+/// frontier is the end of the latest service.
 #[test]
 fn resource_busy_time_is_conserved() {
     let mut rng = SimRng::seeded(0xB551);
@@ -88,13 +89,20 @@ fn resource_busy_time_is_conserved() {
         let occ = 1 + rng.below(49);
         let mut r = Resource::new(occ);
         let n = 1 + rng.below(200);
-        for _ in 0..n {
-            let a = rng.below(100_000);
-            let start = r.acquire(Cycle(a));
-            assert!(start >= Cycle(a));
-        }
-        assert_eq!(r.busy_cycles().0, occ * n);
-        assert_eq!(r.requests(), n);
+        let mut starts: Vec<u64> = (0..n)
+            .map(|_| {
+                let a = rng.below(100_000);
+                let start = r.acquire(Cycle(a));
+                assert!(start >= Cycle(a));
+                start.0
+            })
+            .collect();
+        starts.sort_unstable();
+        assert!(
+            starts.windows(2).all(|w| w[1] - w[0] >= occ),
+            "two services overlap"
+        );
+        assert_eq!(r.next_free().0, starts[starts.len() - 1] + occ);
     }
 }
 
