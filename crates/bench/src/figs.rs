@@ -1,13 +1,15 @@
-//! One function per table/figure; the `fig*` binaries are thin
-//! wrappers so `--bin all` can regenerate everything in one process.
+//! One function per table and figure, and the `(name, fn)` [`TABLE`]
+//! that the `all` binary runs: `all` alone prints the whole suite in
+//! one process, `all <name>` prints one entry.
 
 use deact::{Scheme, SystemConfig};
 use fam_broker::AcmWidth;
 use fam_sim::stats::geomean;
-use fam_workloads::table3;
+use fam_sim::{FaultConfig, TraceConfig};
 
 use crate::{
-    benchmarks, cell, heading, paper, refs_from_env, row, run_matrix, suite_speedup, SUITE_GROUPS,
+    benchmarks, cell, heading, paper, refs_from_env, refs_override, row, run_matrix, suite_speedup,
+    write_csv, SUITE_GROUPS,
 };
 
 fn base_cfg(default_refs: u64) -> SystemConfig {
@@ -17,10 +19,7 @@ fn base_cfg(default_refs: u64) -> SystemConfig {
 /// Table I: qualitative scheme comparison.
 pub fn table1() {
     heading("Table I", "FAM architectures comparison");
-    row(
-        "scheme",
-        &["perf".into(), "no-OS-mods".into(), "security".into()],
-    );
+    row("scheme", &["perf", "no-OS-mods", "security"]);
     let tick = |b: bool| if b { "yes" } else { "no" }.to_string();
     for s in [Scheme::EFam, Scheme::IFam, Scheme::DeactN] {
         let label = if s == Scheme::DeactN {
@@ -113,18 +112,15 @@ pub fn table2() {
 }
 
 /// Table III: applications with paper vs measured MPKI.
-pub fn table3_bin() {
+pub fn table3() {
     heading(
         "Table III",
         "applications (paper MPKI vs measured on E-FAM)",
     );
     let cfg = base_cfg(40_000).with_scheme(Scheme::EFam);
     let m = run_matrix(&benchmarks(), &[Scheme::EFam], cfg);
-    row(
-        "bench",
-        &["suite".into(), "paper".into(), "measured".into()],
-    );
-    for w in table3() {
+    row("bench", &["suite", "paper", "measured"]);
+    for w in fam_workloads::table3() {
         let r = &m[&(w.name.to_string(), Scheme::EFam)];
         row(
             w.name,
@@ -142,7 +138,7 @@ pub fn fig03() {
     heading("Fig. 3", "slowdown of I-FAM wrt E-FAM");
     let cfg = base_cfg(100_000);
     let m = run_matrix(&benchmarks(), &[Scheme::EFam, Scheme::IFam], cfg);
-    row("bench", &["measured".into(), "paper".into()]);
+    row("bench", &["measured", "paper"]);
     let mut slowdowns = Vec::new();
     for b in benchmarks() {
         let e = &m[&(b.to_string(), Scheme::EFam)];
@@ -165,28 +161,12 @@ pub fn fig04() {
     );
     let cfg = base_cfg(100_000);
     let m = run_matrix(&benchmarks(), &[Scheme::EFam, Scheme::IFam], cfg);
-    row(
-        "bench",
-        &[
-            "E-FAM".into(),
-            "paper".into(),
-            "I-FAM".into(),
-            "paper".into(),
-        ],
-    );
+    row("bench", &["E-FAM", "paper", "I-FAM", "paper"]);
     for b in benchmarks() {
         let e = m[&(b.to_string(), Scheme::EFam)].fam.at_percent();
         let i = m[&(b.to_string(), Scheme::IFam)].fam.at_percent();
         let p = paper::row(b).unwrap();
-        row(
-            b,
-            &[
-                cell(e),
-                cell(p.fig4_efam_at_pct),
-                cell(i),
-                cell(p.fig4_ifam_at_pct),
-            ],
-        );
+        row(b, &[e, p.fig4_efam_at_pct, i, p.fig4_ifam_at_pct].map(cell));
     }
 }
 
@@ -201,29 +181,13 @@ pub fn fig09() {
     );
     row(
         "bench",
-        &[
-            "I-FAM".into(),
-            "paper".into(),
-            "DeACT-W".into(),
-            "paper".into(),
-            "DeACT-N".into(),
-            "paper".into(),
-        ],
+        &["I-FAM", "paper", "DeACT-W", "paper", "DeACT-N", "paper"],
     );
     for b in benchmarks() {
         let get = |s: Scheme| m[&(b.to_string(), s)].acm_hit_rate.unwrap() * 100.0;
         let p = paper::row(b).unwrap();
-        row(
-            b,
-            &[
-                cell(get(Scheme::IFam)),
-                cell(p.fig9_ifam),
-                cell(get(Scheme::DeactW)),
-                cell(p.fig9_w),
-                cell(get(Scheme::DeactN)),
-                cell(p.fig9_n),
-            ],
-        );
+        let (i, w, n) = (get(Scheme::IFam), get(Scheme::DeactW), get(Scheme::DeactN));
+        row(b, &[i, p.fig9_ifam, w, p.fig9_w, n, p.fig9_n].map(cell));
     }
 }
 
@@ -232,15 +196,7 @@ pub fn fig10() {
     heading("Fig. 10", "FAM address-translation hit rate (%)");
     let cfg = base_cfg(100_000);
     let m = run_matrix(&benchmarks(), &[Scheme::IFam, Scheme::DeactN], cfg);
-    row(
-        "bench",
-        &[
-            "I-FAM".into(),
-            "paper".into(),
-            "DeACT".into(),
-            "paper".into(),
-        ],
-    );
+    row("bench", &["I-FAM", "paper", "DeACT", "paper"]);
     for b in benchmarks() {
         let i = m[&(b.to_string(), Scheme::IFam)]
             .translation_hit_rate
@@ -251,10 +207,7 @@ pub fn fig10() {
             .unwrap()
             * 100.0;
         let p = paper::row(b).unwrap();
-        row(
-            b,
-            &[cell(i), cell(p.fig10_ifam), cell(d), cell(p.fig10_deact)],
-        );
+        row(b, &[i, p.fig10_ifam, d, p.fig10_deact].map(cell));
     }
 }
 
@@ -267,10 +220,7 @@ pub fn fig11() {
         &[Scheme::IFam, Scheme::DeactW, Scheme::DeactN],
         cfg,
     );
-    row(
-        "bench",
-        &["I-FAM".into(), "DeACT-W".into(), "DeACT-N".into()],
-    );
+    row("bench", &["I-FAM", "DeACT-W", "DeACT-N"]);
     let mut sums = [0.0f64; 3];
     for b in benchmarks() {
         let vals: Vec<f64> = [Scheme::IFam, Scheme::DeactW, Scheme::DeactN]
@@ -301,14 +251,7 @@ pub fn fig12() {
     let m = run_matrix(&benchmarks(), &Scheme::ALL, cfg);
     row(
         "bench",
-        &[
-            "I-FAM".into(),
-            "paper".into(),
-            "DeACT-W".into(),
-            "paper".into(),
-            "DeACT-N".into(),
-            "paper".into(),
-        ],
+        &["I-FAM", "paper", "DeACT-W", "paper", "DeACT-N", "paper"],
     );
     let mut norms: Vec<(f64, f64, f64)> = Vec::new();
     let mut speedups = Vec::new();
@@ -320,17 +263,7 @@ pub fn fig12() {
         norms.push((i, w, n));
         speedups.push(n / i);
         let p = paper::row(b).unwrap();
-        row(
-            b,
-            &[
-                cell(i),
-                cell(p.fig12_ifam),
-                cell(w),
-                cell(p.fig12_w),
-                cell(n),
-                cell(p.fig12_n),
-            ],
-        );
+        row(b, &[i, p.fig12_ifam, w, p.fig12_w, n, p.fig12_n].map(cell));
     }
     let count = norms.len() as f64;
     let avg_i: f64 = norms.iter().map(|n| n.0).sum::<f64>() / count;
@@ -349,25 +282,35 @@ pub fn fig12() {
     );
 }
 
-/// The sensitivity sweeps print suite geomeans + pf + dc of DeACT-N
+/// The sensitivity sweeps print suite geomeans + pf + dc of `deact`'s
 /// speedup over I-FAM, like Figs. 13–16.
-fn sweep_rows(header: &str, points: &[(String, SystemConfig)], note: &str) {
-    let mut labels: Vec<String> = vec![header.into()];
-    labels.extend(SUITE_GROUPS.iter().map(|s| s.to_string()));
-    row(&labels[0], &labels[1..]);
+fn sweep_rows(header: &str, points: &[(String, SystemConfig)], deact: Scheme) {
+    row(header, &SUITE_GROUPS);
     let benches: Vec<&str> = SUITE_GROUPS
         .iter()
         .flat_map(|s| crate::suite_members(s))
         .collect();
     for (label, cfg) in points {
-        let m = run_matrix(&benches, &[Scheme::IFam, Scheme::DeactN], *cfg);
+        let m = run_matrix(&benches, &[Scheme::IFam, deact], *cfg);
         let cells: Vec<String> = SUITE_GROUPS
             .iter()
-            .map(|s| format!("{:.2}x", suite_speedup(&m, s, Scheme::DeactN)))
+            .map(|s| format!("{:.2}x", suite_speedup(&m, s, deact)))
             .collect();
         row(label, &cells);
     }
-    println!("{note}");
+}
+
+/// One row of DeACT-N's speedup over I-FAM on each of `benches`.
+fn speedup_row(label: &str, benches: &[&str], cfg: SystemConfig) {
+    let m = run_matrix(benches, &[Scheme::IFam, Scheme::DeactN], cfg);
+    let cells: Vec<String> = benches
+        .iter()
+        .map(|b| {
+            let d = &m[&(b.to_string(), Scheme::DeactN)];
+            format!("{:.2}x", d.speedup_over(&m[&(b.to_string(), Scheme::IFam)]))
+        })
+        .collect();
+    row(label, &cells);
 }
 
 /// Fig. 13: speedup over I-FAM vs STU cache size.
@@ -378,7 +321,8 @@ pub fn fig13() {
         .iter()
         .map(|&e| (format!("{e}"), cfg.with_stu_entries(e)))
         .collect();
-    sweep_rows("entries", &points, paper::FIG13_TEXT);
+    sweep_rows("entries", &points, Scheme::DeactN);
+    println!("{}", paper::FIG13_TEXT);
 }
 
 /// §V-D1 (text): speedup over I-FAM vs STU associativity.
@@ -389,7 +333,8 @@ pub fn assoc() {
         .iter()
         .map(|&w| (format!("{w}-way"), cfg.with_stu_ways(w)))
         .collect();
-    sweep_rows("assoc", &points, paper::ASSOC_TEXT);
+    sweep_rows("assoc", &points, Scheme::DeactN);
+    println!("{}", paper::ASSOC_TEXT);
 }
 
 /// Fig. 14: ACM width (8/16/32-bit) and DeACT-N pairs-per-way.
@@ -403,28 +348,9 @@ pub fn fig14() {
         ("32-bit", AcmWidth::W32),
     ]
     .iter()
-    .map(|(l, w)| {
-        (
-            l.to_string(),
-            cfg.with_acm_width(*w).with_scheme(Scheme::DeactW),
-        )
-    })
+    .map(|(l, w)| (l.to_string(), cfg.with_acm_width(*w)))
     .collect();
-    let benches: Vec<&str> = SUITE_GROUPS
-        .iter()
-        .flat_map(|s| crate::suite_members(s))
-        .collect();
-    let mut labels: Vec<String> = vec!["width".into()];
-    labels.extend(SUITE_GROUPS.iter().map(|s| s.to_string()));
-    row(&labels[0], &labels[1..]);
-    for (label, c) in &points {
-        let m = run_matrix(&benches, &[Scheme::IFam, Scheme::DeactW], *c);
-        let cells: Vec<String> = SUITE_GROUPS
-            .iter()
-            .map(|s| format!("{:.2}x", suite_speedup(&m, s, Scheme::DeactW)))
-            .collect();
-        row(label, &cells);
-    }
+    sweep_rows("width", &points, Scheme::DeactW);
     println!("-- DeACT-N, 8-bit ACM, pairs per way --");
     let pair_points: Vec<(String, SystemConfig)> = [1usize, 2, 3]
         .iter()
@@ -435,7 +361,8 @@ pub fn fig14() {
             )
         })
         .collect();
-    sweep_rows("pairs", &pair_points, paper::FIG14_TEXT);
+    sweep_rows("pairs", &pair_points, Scheme::DeactN);
+    println!("{}", paper::FIG14_TEXT);
 }
 
 /// Fig. 15: fabric-latency sweep.
@@ -453,27 +380,19 @@ pub fn fig15() {
             (label, cfg.with_fabric_latency_ns(ns))
         })
         .collect();
-    sweep_rows("latency", &points, paper::FIG15_TEXT);
+    sweep_rows("latency", &points, Scheme::DeactN);
+    println!("{}", paper::FIG15_TEXT);
 }
 
 /// Fig. 16: node-count sweep (pf and dc).
 pub fn fig16() {
     heading("Fig. 16", "DeACT-N speedup wrt I-FAM vs number of nodes");
     let cfg = base_cfg(25_000);
-    row("nodes", &["pf".into(), "dc".into()]);
+    row("nodes", &["pf", "dc"]);
     for nodes in [1usize, 2, 4, 8] {
         // Fig. 16 keeps FAM pools proportional to the node count.
         let point = cfg.with_nodes(nodes).with_fam_modules(nodes);
-        let m = run_matrix(&["pf", "dc"], &[Scheme::IFam, Scheme::DeactN], point);
-        let cells: Vec<String> = ["pf", "dc"]
-            .iter()
-            .map(|b| {
-                let d = &m[&(b.to_string(), Scheme::DeactN)];
-                let i = &m[&(b.to_string(), Scheme::IFam)];
-                format!("{:.2}x", d.speedup_over(i))
-            })
-            .collect();
-        row(&nodes.to_string(), &cells);
+        speedup_row(&nodes.to_string(), &["pf", "dc"], point);
     }
     println!("{}", paper::FIG16_TEXT);
 }
@@ -487,25 +406,16 @@ pub fn ablation() {
     let cfg = base_cfg(40_000);
 
     println!("-- in-DRAM translation-cache capacity (DeACT-N, canl/sssp) --");
-    row("size", &["canl".into(), "sssp".into()]);
+    row("size", &["canl", "sssp"]);
     for kb in [256u64, 512, 1024, 2048, 4096] {
         let mut c = cfg;
         c.translation_cache_bytes = kb << 10;
-        let m = run_matrix(&["canl", "sssp"], &[Scheme::IFam, Scheme::DeactN], c);
-        let cells: Vec<String> = ["canl", "sssp"]
-            .iter()
-            .map(|b| {
-                let d = &m[&(b.to_string(), Scheme::DeactN)];
-                let i = &m[&(b.to_string(), Scheme::IFam)];
-                format!("{:.2}x", d.speedup_over(i))
-            })
-            .collect();
-        row(&format!("{kb}KB"), &cells);
+        speedup_row(&format!("{kb}KB"), &["canl", "sssp"], c);
     }
 
     println!("-- §VI shared pages: bitmap traffic vs shared fraction (DeACT-N, 2 nodes) --");
     {
-        row("shared", &["bitmap rd".into(), "AT %".into(), "ipc".into()]);
+        row("shared", &["bitmap rd", "AT %", "ipc"]);
         for shared in [0.0f64, 0.1, 0.25, 0.5] {
             let mut w = fam_workloads::Workload::by_name("dc").expect("table3 name");
             w.shared_fraction = shared;
@@ -530,10 +440,7 @@ pub fn ablation() {
 
     println!("-- §III-C translation-cache replacement: random vs LRU --");
     {
-        row(
-            "policy",
-            &["canl thit".into(), "canl norm".into(), "dram wr".into()],
-        );
+        row("policy", &["canl thit", "canl norm", "dram wr"]);
         let efam =
             run_matrix(&["canl"], &[Scheme::EFam], cfg)[&("canl".into(), Scheme::EFam)].clone();
         for (label, lru) in [("random", false), ("LRU", true)] {
@@ -555,7 +462,7 @@ pub fn ablation() {
     println!("-- §VI large pages: TLB reach if data were 2 MB-mapped --");
     {
         use fam_vm::{PtFlags, Pte, TlbConfig, TlbHierarchy};
-        row("bench", &["4KB hit%".into(), "2MB hit%".into()]);
+        row("bench", &["4KB hit%", "2MB hit%"]);
         for name in ["canl", "sssp", "mg"] {
             let w = fam_workloads::Workload::by_name(name).expect("table3 name");
             let mut small = TlbHierarchy::new(TlbConfig::default());
@@ -620,7 +527,7 @@ pub fn ablation() {
     }
 
     println!("-- §III-A encrypted-memory read bypass (DeACT-N) --");
-    row("mode", &["canl".into(), "bc".into(), "dc".into()]);
+    row("mode", &["canl", "bc", "dc"]);
     for (label, skip) in [("verify-all", false), ("skip-reads", true)] {
         let c = cfg.with_skip_read_checks(skip);
         let m = run_matrix(&["canl", "bc", "dc"], &[Scheme::EFam, Scheme::DeactN], c);
@@ -637,21 +544,219 @@ pub fn ablation() {
     println!("(normalized performance wrt E-FAM; reads dominate, so skipping read checks narrows the gap)");
 }
 
-/// Runs everything in figure order.
-pub fn all() {
-    table1();
-    table2();
-    table3_bin();
-    fig03();
-    fig04();
-    fig09();
-    fig10();
-    fig11();
-    fig12();
-    fig13();
-    assoc();
-    fig14();
-    fig15();
-    fig16();
-    ablation();
+/// The headline benchmark × scheme matrix as CSV for external
+/// plotting, written to `path` (default `results.csv`).
+///
+/// Runs with breakdown-only tracing, so the `lat_mean_<stage>` columns
+/// are populated (no event ring is kept — only the per-stage
+/// histograms — so memory stays flat across the full matrix). The file
+/// is created before the runs, so an unwritable path fails at once.
+///
+/// # Errors
+///
+/// `path` cannot be created or written.
+pub fn csv(path: Option<&str>) -> Result<(), String> {
+    let path = path.unwrap_or("results.csv");
+    let cannot_write = |e: std::io::Error| format!("cannot write {path}: {e}");
+    let file = std::fs::File::create(path).map_err(cannot_write)?;
+    let cfg = SystemConfig::paper_default()
+        .with_refs_per_core(refs_from_env(50_000))
+        .with_trace(TraceConfig::breakdown_only());
+    let matrix = run_matrix(&benchmarks(), &Scheme::ALL, cfg);
+    write_csv(std::io::BufWriter::new(file), &matrix).map_err(cannot_write)?;
+    println!("wrote {} rows to {path}", matrix.len());
+    Ok(())
+}
+
+/// Calibration probe: per-benchmark scheme comparison at a glance.
+///
+/// Used when tuning the Table III generator profiles (hot/warm tiers,
+/// dependence fractions) against the paper's Fig. 3 slowdowns and
+/// Fig. 9/10 hit rates. Not part of the figure suite.
+///
+/// # Errors
+///
+/// `arg` is given: the probe takes no argument.
+pub fn diag(arg: Option<&str>) -> Result<(), String> {
+    if let Some(arg) = arg {
+        return Err(format!("diag takes no argument, got {arg:?}"));
+    }
+    let cfg = SystemConfig::paper_default()
+        .with_refs_per_core(refs_from_env(60_000))
+        .with_seed(7);
+    let m = run_matrix(
+        &benchmarks(),
+        &[Scheme::EFam, Scheme::IFam, Scheme::DeactN],
+        cfg,
+    );
+    println!(
+        "{:7} {:>9} {:>8} {:>8} {:>7} {:>8} {:>8}",
+        "bench", "slowdown", "thit(I)", "thit(D)", "acmN", "norm(I)", "norm(N)"
+    );
+    for name in benchmarks() {
+        let get = |s: Scheme| &m[&(name.to_string(), s)];
+        let (efam, ifam, n) = (get(Scheme::EFam), get(Scheme::IFam), get(Scheme::DeactN));
+        println!(
+            "{name:7} {:>8.1}x {:>7.1}% {:>7.1}% {:>6.1}% {:>8.2} {:>8.2}",
+            efam.ipc / ifam.ipc,
+            ifam.translation_hit_rate.unwrap() * 100.0,
+            n.translation_hit_rate.unwrap() * 100.0,
+            n.acm_hit_rate.unwrap() * 100.0,
+            ifam.ipc / efam.ipc,
+            n.ipc / efam.ipc,
+        );
+    }
+
+    // Robustness probe: the transient-fault profile against every
+    // scheme on one representative workload — a quick check that the
+    // retry/NACK machinery holds its 100%-recovery contract and what
+    // the faults cost each scheme.
+    let clean = run_matrix(&["mcf"], &Scheme::ALL, cfg);
+    let faulty = run_matrix(
+        &["mcf"],
+        &Scheme::ALL,
+        cfg.with_fault_injection(FaultConfig::transient(7)),
+    );
+    println!();
+    println!(
+        "{:8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9}",
+        "scheme", "injected", "retries", "recov", "fatal", "rate", "ipc-loss"
+    );
+    for scheme in Scheme::ALL {
+        let key = ("mcf".to_string(), scheme);
+        let r = &faulty[&key];
+        let f = &r.recovery;
+        println!(
+            "{:8} {:>8} {:>8} {:>8} {:>8} {:>7.1}% {:>8.1}%",
+            scheme.name(),
+            f.injected_total(),
+            f.retries,
+            f.recovered,
+            f.fatal,
+            f.recovery_rate() * 100.0,
+            (1.0 - r.ipc / clean[&key].ipc) * 100.0,
+        );
+    }
+    Ok(())
+}
+
+/// What `all <name>` runs.
+#[derive(Clone, Copy, Debug)]
+pub enum Entry {
+    /// A paper table, figure or study: part of the suite that `all`
+    /// with no name prints.
+    Suite(fn()),
+    /// A tool that runs only by name and takes at most one argument.
+    ByName(fn(Option<&str>) -> Result<(), String>),
+}
+
+/// Every name `all` accepts, in suite order: the one list of the
+/// figures, which [`select`] walks.
+pub const TABLE: [(&str, Entry); 17] = [
+    ("table1", Entry::Suite(table1)),
+    ("table2", Entry::Suite(table2)),
+    ("table3", Entry::Suite(table3)),
+    ("fig03", Entry::Suite(fig03)),
+    ("fig04", Entry::Suite(fig04)),
+    ("fig09", Entry::Suite(fig09)),
+    ("fig10", Entry::Suite(fig10)),
+    ("fig11", Entry::Suite(fig11)),
+    ("fig12", Entry::Suite(fig12)),
+    ("fig13", Entry::Suite(fig13)),
+    ("assoc", Entry::Suite(assoc)),
+    ("fig14", Entry::Suite(fig14)),
+    ("fig15", Entry::Suite(fig15)),
+    ("fig16", Entry::Suite(fig16)),
+    ("ablation", Entry::Suite(ablation)),
+    ("csv", Entry::ByName(csv)),
+    ("diag", Entry::ByName(diag)),
+];
+
+/// Resolves `all`'s arguments, `[<name> [<arg>]]`, to the entries they
+/// select without running any: no name selects the suite entries of
+/// [`TABLE`] in order, a name selects its one entry.
+///
+/// # Errors
+///
+/// An unknown name (the message lists the valid ones), an argument
+/// given to a suite entry, or more than two arguments.
+pub fn select(args: &[String]) -> Result<Vec<(&'static str, Entry)>, String> {
+    let names = || TABLE.map(|(name, _)| name).join(", ");
+    let Some(name) = args.first() else {
+        let suite = TABLE.iter().filter(|(_, e)| matches!(e, Entry::Suite(_)));
+        return Ok(suite.copied().collect());
+    };
+    let Some(&(name, entry)) = TABLE.iter().find(|(n, _)| n == name) else {
+        return Err(format!("unknown figure {name:?}; valid names: {}", names()));
+    };
+    match (entry, args.len()) {
+        (_, 1) | (Entry::ByName(_), 2) => Ok(vec![(name, entry)]),
+        _ => Err(format!(
+            "usage: all [<name> [<path>]] (only csv takes a path); names: {}",
+            names()
+        )),
+    }
+}
+
+/// The `all` binary: checks its arguments ([`select`]) and
+/// `DEACT_REFS` ([`refs_override`]), then runs what they select.
+///
+/// # Errors
+///
+/// A [`select`] or [`refs_override`] error, before anything runs, or
+/// the failure of a by-name tool.
+pub fn run(args: &[String]) -> Result<(), String> {
+    let entries = select(args)?;
+    refs_override()?;
+    let arg = args.get(1).map(String::as_str);
+    for (_, entry) in entries {
+        match entry {
+            Entry::Suite(f) => f(),
+            Entry::ByName(f) => f(arg)?,
+        }
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn select_strs(args: &[&str]) -> Result<Vec<(&'static str, Entry)>, String> {
+        select(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn table_names_are_unique_and_each_selects_itself() {
+        for (i, (name, _)) in TABLE.iter().enumerate() {
+            assert!(TABLE[..i].iter().all(|(n, _)| n != name), "{name} twice");
+            let one = select_strs(&[name]).unwrap();
+            assert_eq!((one.len(), one[0].0), (1, *name));
+        }
+    }
+
+    #[test]
+    fn no_name_selects_the_suite_in_table_order() {
+        let suite: Vec<&str> = select(&[]).unwrap().iter().map(|(n, _)| *n).collect();
+        let expected = [
+            "table1", "table2", "table3", "fig03", "fig04", "fig09", "fig10", "fig11", "fig12",
+            "fig13", "assoc", "fig14", "fig15", "fig16", "ablation",
+        ];
+        assert_eq!(suite, expected);
+        let by_name: Vec<&str> = TABLE[suite.len()..].iter().map(|(n, _)| *n).collect();
+        assert_eq!(by_name, ["csv", "diag"], "tools run only by name");
+    }
+
+    #[test]
+    fn bad_arguments_are_rejected_with_the_names() {
+        for bad in [&["no-such-fig"][..], &["fig03", "x"], &["csv", "a", "b"]] {
+            let err = select_strs(bad).unwrap_err();
+            assert!(TABLE.iter().all(|(n, _)| err.contains(n)), "{err}");
+        }
+        assert!(select_strs(&["no-such-fig"])
+            .unwrap_err()
+            .starts_with("unknown figure \"no-such-fig\""));
+        assert!(select_strs(&["csv", "out.csv"]).is_ok());
+        assert!(diag(Some("x")).is_err(), "diag takes no argument");
+    }
 }

@@ -1,7 +1,8 @@
 //! The experiment harness: shared machinery for regenerating every
 //! table and figure of the DeACT paper.
 //!
-//! Each `fig*`/`table*` binary builds on this crate: it runs the
+//! Each table and figure is one function in [`figs`], and the `all`
+//! binary runs them by name from [`figs::TABLE`]: each runs the
 //! benchmark × scheme matrix in parallel worker threads, prints the
 //! series the paper plots, and places the paper's reported values
 //! alongside (exact where the text gives numbers, digitized-from-the-
@@ -9,7 +10,8 @@
 //!
 //! Run length is controlled by the `DEACT_REFS` environment variable
 //! (references per core; default 100 000 for headline figures, less
-//! for multi-point sweeps) and worker count by `DEACT_JOBS` (default:
+//! for multi-point sweeps; `all` rejects a value that does not parse)
+//! and worker count by `DEACT_JOBS` (default:
 //! the host's available parallelism). Parallelism is across runs only
 //! — each run executes on [`deact::System::try_run`] — so reports are
 //! bit-identical at any `DEACT_JOBS`.
@@ -32,13 +34,37 @@ pub fn benchmarks() -> Vec<&'static str> {
     table3().iter().map(|w| w.name).collect()
 }
 
-/// References per core from `DEACT_REFS`, defaulting to `default` when
-/// unset, unparsable or `0` (as `DEACT_JOBS=0` is for the worker count).
+/// Parses a `DEACT_REFS` value, references per core; `0` reads as
+/// unset (as `DEACT_JOBS=0` does for the worker count).
+///
+/// # Errors
+///
+/// The value is not a whole number.
+pub fn parse_refs(value: &str) -> Result<Option<u64>, String> {
+    let n: u64 = value.parse().map_err(|_| {
+        format!("DEACT_REFS={value:?} is not a whole number of references per core")
+    })?;
+    Ok((n > 0).then_some(n))
+}
+
+/// The `DEACT_REFS` override: `None` when it is unset or `0`.
+///
+/// # Errors
+///
+/// The value is set but does not parse ([`parse_refs`]).
+pub fn refs_override() -> Result<Option<u64>, String> {
+    std::env::var_os("DEACT_REFS").map_or(Ok(None), |v| parse_refs(&v.to_string_lossy()))
+}
+
+/// References per core: the `DEACT_REFS` override, else `default`.
+///
+/// # Panics
+///
+/// Panics if `DEACT_REFS` does not parse; [`figs::run`] rejects that
+/// value before any run.
 pub fn refs_from_env(default: u64) -> u64 {
-    std::env::var("DEACT_REFS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
+    refs_override()
+        .unwrap_or_else(|e| panic!("{e}"))
         .unwrap_or(default)
 }
 
@@ -56,7 +82,7 @@ fn cache_key(bench: &str, scheme: Scheme, cfg: SystemConfig) -> CacheKey {
     (bench.to_string(), scheme, format!("{keyed:?}"))
 }
 
-/// The process-wide memoized run cache. The `all` binary replays the
+/// The process-wide memoized run cache. The `all` suite replays the
 /// same headline matrix for several figures (Figs. 3 and 4 share one;
 /// Figs. 9–12 overlap pairwise); memoization turns those replays into
 /// lookups. Simulations are deterministic, so a cached report is
@@ -138,7 +164,7 @@ pub fn heading(fig: &str, caption: &str) {
 }
 
 /// Formats a row of `(label, values…)` with fixed-width columns.
-pub fn row(label: &str, values: &[String]) {
+pub fn row<T: std::fmt::Display>(label: &str, values: &[T]) {
     print!("{label:>10}");
     for v in values {
         print!(" {v:>9}");
@@ -381,10 +407,11 @@ mod tests {
 
     #[test]
     fn refs_env_fallback() {
-        std::env::remove_var("DEACT_REFS");
-        assert_eq!(refs_from_env(123), 123);
-        std::env::set_var("DEACT_REFS", "0");
-        assert_eq!(refs_from_env(123), 123, "0 refs must read as unset");
-        std::env::remove_var("DEACT_REFS");
+        assert_eq!(parse_refs("2000"), Ok(Some(2000)));
+        assert_eq!(parse_refs("0"), Ok(None), "0 refs must read as unset");
+        for bad in ["20k", "", "-5", "1e5"] {
+            let err = parse_refs(bad).unwrap_err();
+            assert!(err.starts_with(&format!("DEACT_REFS={bad:?} ")), "{err}");
+        }
     }
 }
