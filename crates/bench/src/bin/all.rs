@@ -6,6 +6,7 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
+    fam_sim::exit_quietly_on_broken_pipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
     match fam_bench::figs::run(&args) {
         Ok(()) => ExitCode::SUCCESS,

@@ -698,16 +698,18 @@ pub fn select(args: &[String]) -> Result<Vec<(&'static str, Entry)>, String> {
     }
 }
 
-/// The `all` binary: checks its arguments ([`select`]) and
-/// `DEACT_REFS` ([`refs_override`]), then runs what they select.
+/// The `all` binary: checks its arguments ([`select`]), `DEACT_REFS`
+/// ([`refs_override`]) and `DEACT_JOBS` ([`fam_sim::jobs_override`]),
+/// then runs what they select.
 ///
 /// # Errors
 ///
-/// A [`select`] or [`refs_override`] error, before anything runs, or
-/// the failure of a by-name tool.
+/// A [`select`], [`refs_override`] or [`fam_sim::jobs_override`]
+/// error, before anything runs, or the failure of a by-name tool.
 pub fn run(args: &[String]) -> Result<(), String> {
     let entries = select(args)?;
     refs_override()?;
+    fam_sim::jobs_override()?;
     let arg = args.get(1).map(String::as_str);
     for (_, entry) in entries {
         match entry {

@@ -12,7 +12,8 @@
 //! (references per core; default 100 000 for headline figures, less
 //! for multi-point sweeps; `all` rejects a value that does not parse)
 //! and worker count by `DEACT_JOBS` (default:
-//! the host's available parallelism). Parallelism is across runs only
+//! the host's available parallelism; `all` rejects a value that does
+//! not parse). Parallelism is across runs only
 //! — each run executes on [`deact::System::try_run`] — so reports are
 //! bit-identical at any `DEACT_JOBS`.
 

@@ -344,6 +344,7 @@ fn write_trace_file(out: &str, system: &System, frequency_mhz: u64) -> Result<()
 }
 
 fn main() -> ExitCode {
+    fam_sim::exit_quietly_on_broken_pipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("list") => {
@@ -585,6 +586,10 @@ fn main() -> ExitCode {
             let Some((rest, [jobs])) = split_opts(&args[2..], ["--jobs"]) else {
                 return usage();
             };
+            if let Err(e) = fam_sim::jobs_override() {
+                eprintln!("deact-sim: {e}");
+                return ExitCode::FAILURE;
+            }
             let Some(jobs) = jobs.map_or(Some(fam_sim::default_jobs()), |v| positive("--jobs", &v))
             else {
                 return usage();

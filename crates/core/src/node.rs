@@ -32,10 +32,12 @@ pub const TRANSLATION_CACHE_BASE: u64 = 768 << 20;
 /// 20% local / 80% FAM).
 const LOCAL_FRACTION: f64 = 0.20;
 
-/// A reference drawn ahead of execution so the driver can order cores
-/// by true start time (processing resources out of time order would
-/// let a far-future request poison the contention timelines for
-/// everyone else).
+/// A reference drawn ahead of execution so the scheduler can order
+/// cores by true start time (processing resources out of time order
+/// would let a far-future request poison the contention timelines for
+/// everyone else). `ready` is the heap key [`crate::System::try_run`]
+/// orders the core by; debug builds check that the reference is then
+/// admitted at exactly that cycle.
 #[derive(Debug, Clone, Copy)]
 pub struct PendingRef {
     /// The reference to execute.
@@ -45,7 +47,10 @@ pub struct PendingRef {
     pub req: RequestId,
     /// Requested start (issue time, after any dependence wait).
     pub start_req: Cycle,
-    /// Predicted true start (after outstanding-window admission).
+    /// Predicted true start (after outstanding-window admission):
+    /// `window.would_start(start_req)` at staging, which equals what
+    /// `window.admit(start_req)` returns at execution because only the
+    /// core itself touches its window in between.
     pub ready: Cycle,
 }
 

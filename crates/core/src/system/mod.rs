@@ -256,14 +256,18 @@ impl System {
     /// ready order keeps every shared-resource timeline advancing in
     /// time order (out-of-order processing would let a far-future
     /// request push a resource's timeline past everyone else's
-    /// present). The slot tie-break reproduces the reference scan's
-    /// first-wins order among equal ready times, and a core's predicted
-    /// ready time depends only on its own front end and outstanding
-    /// window, so only the core that just executed needs re-keying:
-    /// this engine and [`System::try_run_scan`] execute the same
-    /// references in the same order and their reports are
-    /// bit-identical. Keys are unique (one entry per slot), so the pop
-    /// order is fully determined by the keys alone.
+    /// present). Among equal ready times the lower slot runs first.
+    /// Keys are unique (one entry per slot), so the pop order is fully
+    /// determined by the keys alone; the golden report digests
+    /// (`tests/golden/reports.txt`) are its specification.
+    ///
+    /// A core's ready time depends only on its own front end and
+    /// outstanding window, so only the core that just executed needs
+    /// re-keying. Debug builds check that argument on every reference:
+    /// the popped ready times never decrease (the last one is a
+    /// watermark below which no later reference starts), and
+    /// `sim_ref` admits each reference at exactly its staged ready
+    /// time.
     ///
     /// # Errors
     ///
@@ -283,58 +287,25 @@ impl System {
                 }
             }
         }
+        let mut watermark = Cycle::ZERO;
         loop {
             let popped = {
                 let _prof = profile::span(PhaseId::SchedPop);
                 ready_queue.pop()
             };
-            let Some(Reverse((_, slot))) = popped else {
+            let Some(Reverse((ready, slot))) = popped else {
                 break;
             };
+            debug_assert!(
+                ready >= watermark,
+                "slot {slot} popped at {ready}, below the watermark {watermark}"
+            );
+            watermark = ready;
             let (n, c) = (slot / cores_per_node, slot % cores_per_node);
             self.sim_ref(n, c)?;
             if self.nodes[n].cores[c].refs_done < refs {
                 ready_queue.push(Reverse((self.stage_ref(n, c), slot)));
             }
-        }
-        self.report()
-    }
-
-    /// The reference scheduler the seed shipped: stages every idle
-    /// core, then rescans all nodes × cores for the earliest pending
-    /// request — O(total_cores) per reference. Kept as the executable
-    /// specification the heap scheduler is tested against; new callers
-    /// want [`System::try_run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::FamExhausted`] when the broker cannot
-    /// demand-map another FAM page for the workload, and
-    /// [`SimError::AuditFailed`] when the finished run's counters break
-    /// a conservation invariant.
-    pub fn try_run_scan(&mut self) -> Result<RunReport, SimError> {
-        let refs = self.config.refs_per_core;
-        loop {
-            for n in 0..self.nodes.len() {
-                for c in 0..self.nodes[n].cores.len() {
-                    let core = &self.nodes[n].cores[c];
-                    if core.pending.is_none() && core.refs_done < refs {
-                        self.stage_ref(n, c);
-                    }
-                }
-            }
-            let mut best: Option<(usize, usize, Cycle)> = None;
-            for (n, node) in self.nodes.iter().enumerate() {
-                for (c, core) in node.cores.iter().enumerate() {
-                    if let Some(p) = core.pending {
-                        if best.is_none_or(|(_, _, bt)| p.ready < bt) {
-                            best = Some((n, c, p.ready));
-                        }
-                    }
-                }
-            }
-            let Some((n, c, _)) = best else { break };
-            self.sim_ref(n, c)?;
         }
         self.report()
     }
@@ -377,6 +348,11 @@ impl System {
                 .take()
                 .expect("sim_ref runs only on staged cores");
             let start = core.window.admit(p.start_req);
+            debug_assert!(
+                start == p.ready,
+                "core {n}.{c} admitted at {start}, staged ready at {}",
+                p.ready
+            );
             core.issue_clock = start;
             (p.mem, p.req, start)
         };

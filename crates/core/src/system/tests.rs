@@ -26,16 +26,24 @@ fn all_schemes_complete_and_report() {
 fn cores_draw_exactly_the_references_they_execute() {
     let w = Workload::by_name("sssp").unwrap();
     let cfg = quick(Scheme::DeactN).with_refs_per_core(1_000);
-    let mut heap = System::new(cfg, &w);
-    heap.try_run().unwrap();
-    let mut scan = System::new(cfg, &w);
-    scan.try_run_scan().unwrap();
-    for sys in [&heap, &scan] {
-        for core in sys.nodes.iter().flat_map(|n| &n.cores) {
-            assert_eq!(core.refs_done, 1_000);
-            assert_eq!(core.gen.emitted(), core.refs_done);
-        }
+    let mut sys = System::new(cfg, &w);
+    sys.try_run().unwrap();
+    for core in sys.nodes.iter().flat_map(|n| &n.cores) {
+        assert_eq!(core.refs_done, 1_000);
+        assert_eq!(core.gen.emitted(), core.refs_done);
     }
+}
+
+#[test]
+fn heap_scheduler_is_deterministic_across_repeats() {
+    let cfg = quick(Scheme::DeactW)
+        .with_nodes(2)
+        .with_refs_per_core(1_500)
+        .with_seed(3);
+    let w = Workload::by_name("dc").unwrap();
+    let a = System::new(cfg, &w).try_run().unwrap();
+    let b = System::new(cfg, &w).try_run().unwrap();
+    assert_eq!(a, b);
 }
 
 #[test]
@@ -307,12 +315,13 @@ fn halt_on_data_loss_surfaces_typed_error() {
 
 #[test]
 fn degraded_runs_are_scheduler_invariant() {
+    // Recovery stalls and shootdowns must not break the heap's ordering
+    // argument; the engine's debug assertions check it on every
+    // reference of this run.
     let cfg = killed(Scheme::DeactN, PersistentFault::NodeDead { module: 0 });
     let w = Workload::by_name("astar").unwrap();
-    let heap = System::new(cfg, &w).try_run().expect("heap scheduler");
-    let scan = System::new(cfg, &w).try_run_scan().expect("reference scan");
-    assert_eq!(heap, scan, "recovery must not break bit-identity");
-    assert!(!heap.degradation.is_zero());
+    let r = System::new(cfg, &w).try_run().expect("degraded run");
+    assert!(!r.degradation.is_zero());
 }
 
 #[test]

@@ -70,7 +70,7 @@ pub use clock::{Cycle, Duration, Frequency};
 pub use fault::{
     FabricFault, FaultConfig, FaultInjector, FaultStats, PersistentFault, PersistentSchedule,
 };
-pub use pool::{default_jobs, scoped_map};
+pub use pool::{default_jobs, jobs_override, parse_jobs, scoped_map};
 pub use profile::{PhaseId, PhaseStat, ProfileReport};
 pub use registry::{Metric, Registry};
 pub use resource::{BankedResource, Resource};
@@ -80,3 +80,19 @@ pub use trace::{
     WindowSeries,
 };
 pub use window::Window;
+
+/// Makes a closed stdout end a command-line front end quietly. Rust
+/// ignores `SIGPIPE`, so once a reader such as `head -1` exits, the
+/// next `println!` panics with "failed printing to stdout: Broken
+/// pipe". This hook turns that one panic into exit status 0 and hands
+/// every other panic to the default hook.
+pub fn exit_quietly_on_broken_pipe() {
+    let default = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info.payload_as_str().unwrap_or_default();
+        if msg.starts_with("failed printing to stdout") && msg.contains("Broken pipe") {
+            std::process::exit(0);
+        }
+        default(info);
+    }));
+}

@@ -11,18 +11,44 @@
 //! (determinism is preserved by construction).
 //!
 //! Worker-count policy lives in [`default_jobs`]: the `DEACT_JOBS`
-//! environment variable wins, otherwise `available_parallelism`.
+//! environment variable wins, otherwise `available_parallelism`. A
+//! `DEACT_JOBS` that does not parse is an error ([`jobs_override`]),
+//! never a silent fallback.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Worker count: `DEACT_JOBS` if set and positive, otherwise the host's
+/// Parses a `DEACT_JOBS` value, a worker count; `0` reads as unset.
+///
+/// # Errors
+///
+/// The value is not a whole number; the message names it.
+pub fn parse_jobs(value: &str) -> Result<Option<usize>, String> {
+    let n: usize = value
+        .parse()
+        .map_err(|_| format!("DEACT_JOBS={value:?} is not a whole number of worker threads"))?;
+    Ok((n > 0).then_some(n))
+}
+
+/// The `DEACT_JOBS` override: `None` when it is unset or `0`.
+///
+/// # Errors
+///
+/// The value is set but does not parse ([`parse_jobs`]).
+pub fn jobs_override() -> Result<Option<usize>, String> {
+    std::env::var_os("DEACT_JOBS").map_or(Ok(None), |v| parse_jobs(&v.to_string_lossy()))
+}
+
+/// Worker count: the `DEACT_JOBS` override, otherwise the host's
 /// available parallelism.
+///
+/// # Panics
+///
+/// Panics if `DEACT_JOBS` does not parse; front ends reject that value
+/// with [`jobs_override`] before any run.
 pub fn default_jobs() -> usize {
-    std::env::var("DEACT_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
+    jobs_override()
+        .unwrap_or_else(|e| panic!("{e}"))
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -112,5 +138,15 @@ mod tests {
     #[test]
     fn default_jobs_is_positive() {
         assert!(default_jobs() >= 1);
+    }
+
+    #[test]
+    fn jobs_env_parsing() {
+        assert_eq!(parse_jobs("3"), Ok(Some(3)));
+        assert_eq!(parse_jobs("0"), Ok(None), "0 jobs must read as unset");
+        for bad in ["abc", "", "-1", "2.5"] {
+            let err = parse_jobs(bad).unwrap_err();
+            assert!(err.starts_with(&format!("DEACT_JOBS={bad:?} ")), "{err}");
+        }
     }
 }

@@ -27,8 +27,8 @@
 //! [`Tracer::span`], which costs one branch when off; a disabled
 //! tracer allocates no ring storage and consumes nothing; and a
 //! fixed-seed run with tracing off is bit-identical to the same run with the trace layer
-//! compiled in — the integration tests pin this down the same way
-//! `tests/tests/scheduler.rs` pins scheduler equivalence. Tracing is
+//! compiled in — the integration tests pin this down by comparing
+//! fixed-seed reports bit for bit. Tracing is
 //! pure observation: enabling it never changes a report's timing or
 //! traffic fields, only the [`LatencyBreakdown`] it carries.
 

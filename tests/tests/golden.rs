@@ -6,6 +6,12 @@
 //! registry dump, and then the cycles, instructions, FAM requests and
 //! page faults in plain text, so a diff of the file shows what moved.
 //!
+//! The file is also the scheduler's specification: `System::try_run`
+//! has no second engine to be compared with, and the cells pin its
+//! pop order. Keying the heap on `(ready, Reverse(slot))` moves 21 of
+//! the 22 digests; numbering slots core-major moves the 5 multi-node
+//! cells.
+//!
 //! A change that moves a report on purpose re-blesses the file: on a
 //! mismatch the test writes the regenerated file under `target/` and
 //! names the copy command in its failure message.

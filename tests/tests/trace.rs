@@ -2,9 +2,8 @@
 //!
 //! The headline guarantee mirrors the fault injector's: tracing is
 //! *zero-overhead when off*. A disabled tracer costs one branch per
-//! event site and changes nothing — proven here the same way
-//! `scheduler.rs` proves scheduler equivalence, by comparing fixed-seed
-//! [`RunReport`]s bit for bit. The other tests cover the bounded ring's
+//! event site and changes nothing — proven here by comparing
+//! fixed-seed [`RunReport`]s bit for bit. The other tests cover the bounded ring's
 //! drop accounting, the Chrome trace-event exporter's output, and the
 //! windowed time series' books balancing against the run report.
 
