@@ -127,6 +127,20 @@ pub struct PageRelocation {
     pub new_fam_page: Option<u64>,
 }
 
+impl PageRelocation {
+    /// The `npa_page` of a table-rebuild relocation: a rebuilt system-
+    /// table page maps no node page, so its worklist entry carries this
+    /// sentinel, which no real mapping can collide with.
+    pub const TABLE_REBUILD_NPA: u64 = u64::MAX;
+
+    /// Whether this entry announces a rebuilt table page rather than a
+    /// rewritten or removed data mapping. Shootdowns keyed on node
+    /// pages must skip it.
+    pub fn is_table_rebuild(&self) -> bool {
+        self.npa_page == Self::TABLE_REBUILD_NPA
+    }
+}
+
 /// What broker-led permanent-failure recovery accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvacuationReport {
@@ -659,11 +673,11 @@ impl MemoryBroker {
                 // Announce the rebuild as a relocation too, so in-flight
                 // walks that already read the old address can redirect
                 // instead of surfacing rebuildable metadata as loss.
-                // The sentinel NPA can never collide with a real
-                // mapping, so shootdowns keyed on NPAs ignore it.
+                // Shootdowns keyed on NPAs must skip the sentinel
+                // (`PageRelocation::is_table_rebuild`).
                 relocations.push(PageRelocation {
                     node: NodeId::new(node_idx as u16),
-                    npa_page: u64::MAX,
+                    npa_page: PageRelocation::TABLE_REBUILD_NPA,
                     old_fam_page: old_base / PAGE_BYTES,
                     new_fam_page: Some(new_page),
                 });
@@ -875,7 +889,7 @@ mod tests {
         // Data relocations carry the real NPA; rebuilt table pages ride
         // along under the sentinel NPA so in-flight walks can redirect.
         let (table_moves, data_moves): (Vec<&PageRelocation>, Vec<&PageRelocation>) =
-            relocations.iter().partition(|r| r.npa_page == u64::MAX);
+            relocations.iter().partition(|r| r.is_table_rebuild());
         assert_eq!(data_moves.len(), doomed.len());
         assert_eq!(table_moves.len(), report.table_pages_rebuilt as usize);
         for r in table_moves {

@@ -198,10 +198,10 @@ impl System {
                 }
                 Scheme::IFam => {
                     // Coupled STU entries are keyed by the owning node's
-                    // NPA pages.
+                    // NPA pages; a table rebuild names none.
                     let keys = relocations
                         .iter()
-                        .filter(|r| r.node == node_id)
+                        .filter(|r| r.node == node_id && !r.is_table_rebuild())
                         .map(|r| r.npa_page);
                     node_invalidations += self.stus[m].shootdown(keys);
                 }
@@ -213,7 +213,10 @@ impl System {
                     node_invalidations += self.stus[m].shootdown(keys);
                     let tr = self.translator(m);
                     for r in relocations {
-                        if r.node == node_id && tr.handle_stale_nack(r.npa_page) {
+                        if r.node == node_id
+                            && !r.is_table_rebuild()
+                            && tr.handle_stale_nack(r.npa_page)
+                        {
                             node_invalidations += 1;
                         }
                     }
