@@ -77,7 +77,9 @@ pub struct AccessOutcome<V = ()> {
 
 /// Tag value marking an empty way. Keys are addresses or page
 /// numbers, which never reach `u64::MAX` in practice; the constructor
-/// rejects nothing, but inserting this exact key is unsupported.
+/// rejects nothing, but this exact key is unsupported: an insert would
+/// look like an empty way, and a lookup would match one. Debug builds
+/// assert that no caller passes it.
 const EMPTY: u64 = u64::MAX;
 
 /// A set-associative cache mapping `u64` keys to values, with hit/miss
@@ -169,6 +171,7 @@ impl<V> SetAssocCache<V> {
     /// side-effect-free `probe`/`peek` counterparts can never disagree
     /// about what is in the cache.
     fn find(&self, key: u64) -> Option<usize> {
+        debug_assert_ne!(key, EMPTY, "the all-ones key is reserved");
         let start = self.set_start(key);
         self.keys[start..start + self.config.ways]
             .iter()
@@ -397,6 +400,16 @@ mod tests {
         assert_eq!(c.peek(2), Some(&20));
         assert_eq!(c.peek(3), None, "30 was shot down");
         assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "reserved")]
+    fn lookups_reject_the_reserved_key() {
+        // On a cold cache every way holds the empty tag, so a lookup of
+        // it would otherwise report a hit.
+        let c = tiny(2, Replacement::Random);
+        c.probe(EMPTY);
     }
 
     #[test]
