@@ -5,7 +5,9 @@ use std::collections::HashMap;
 
 use fam_sim::hash::FastHash;
 
-use fam_vm::{NodeId, PtFlags};
+use fam_vm::{NodeId, PtFlags, PAGE_BYTES};
+
+use crate::layout::REGION_BYTES;
 
 /// The kind of access being vetted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -236,9 +238,38 @@ impl RegionBitmap {
     }
 }
 
+/// FAM pages per 1 GB region: the span of one dense ACM array.
+const REGION_PAGES: u64 = REGION_BYTES / PAGE_BYTES;
+
+/// One 1 GB region's slice of Fig. 5's flat per-page ACM array: every
+/// page's raw entry, plus a presence bit per page, because a raw 0 is a
+/// valid entry (node 0, read-only) and W32 entries use all 32 bits.
+#[derive(Debug, Clone)]
+struct RegionAcm {
+    raw: Box<[u32]>,
+    present: Box<[u64]>,
+}
+
+impl RegionAcm {
+    fn new() -> RegionAcm {
+        RegionAcm {
+            raw: vec![0; REGION_PAGES as usize].into_boxed_slice(),
+            present: vec![0; REGION_PAGES.div_ceil(64) as usize].into_boxed_slice(),
+        }
+    }
+
+    fn is_present(&self, i: usize) -> bool {
+        self.present[i / 64] >> (i % 64) & 1 != 0
+    }
+}
+
 /// The functional ACM store: what the broker has written into the FAM
 /// metadata region. The STU consults this for ground truth; its own
 /// cache organisations only affect *timing*.
+///
+/// Entries live as the hardware lays them out — a flat per-page array
+/// (Fig. 5) — with one array per 1 GB region, allocated when the broker
+/// first writes a page of that region.
 ///
 /// # Examples
 ///
@@ -254,7 +285,10 @@ impl RegionBitmap {
 #[derive(Debug, Clone)]
 pub struct AcmStore {
     width: AcmWidth,
-    entries: HashMap<u64, AcmEntry, FastHash>,
+    /// Indexed by region; `None` until the region's first write.
+    regions: Vec<Option<RegionAcm>>,
+    /// Pages with an entry.
+    pages: usize,
     bitmaps: HashMap<u64, RegionBitmap, FastHash>,
 }
 
@@ -263,7 +297,8 @@ impl AcmStore {
     pub fn new(width: AcmWidth) -> AcmStore {
         AcmStore {
             width,
-            entries: HashMap::default(),
+            regions: Vec::new(),
+            pages: 0,
             bitmaps: HashMap::default(),
         }
     }
@@ -273,18 +308,32 @@ impl AcmStore {
         self.width
     }
 
+    /// Writes `fam_page`'s entry, allocating its region's array on
+    /// first use.
+    fn set(&mut self, fam_page: u64, entry: AcmEntry) {
+        let region = (fam_page / REGION_PAGES) as usize;
+        if region >= self.regions.len() {
+            self.regions.resize_with(region + 1, || None);
+        }
+        let r = self.regions[region].get_or_insert_with(RegionAcm::new);
+        let i = (fam_page % REGION_PAGES) as usize;
+        if !r.is_present(i) {
+            r.present[i / 64] |= 1 << (i % 64);
+            self.pages += 1;
+        }
+        r.raw[i] = entry.raw;
+    }
+
     /// Marks `fam_page` as owned by `node` with `flags`.
     pub fn set_owner(&mut self, fam_page: u64, node: NodeId, flags: PtFlags) {
-        self.entries
-            .insert(fam_page, AcmEntry::owned(self.width, node, flags));
+        self.set(fam_page, AcmEntry::owned(self.width, node, flags));
     }
 
     /// Marks `fam_page` as shared with `default_flags` for bitmap-
     /// granted nodes; actual per-node rights come from the region
     /// bitmap (use [`AcmStore::grant_shared`]).
     pub fn set_shared(&mut self, fam_page: u64, default_flags: PtFlags) {
-        self.entries
-            .insert(fam_page, AcmEntry::shared(self.width, default_flags));
+        self.set(fam_page, AcmEntry::shared(self.width, default_flags));
     }
 
     /// Grants `node` the given rights on every shared page in `region`.
@@ -301,19 +350,34 @@ impl AcmStore {
 
     /// Clears a page's metadata entirely (page freed).
     pub fn clear(&mut self, fam_page: u64) {
-        self.entries.remove(&fam_page);
+        let region = (fam_page / REGION_PAGES) as usize;
+        if let Some(Some(r)) = self.regions.get_mut(region) {
+            let i = (fam_page % REGION_PAGES) as usize;
+            if r.is_present(i) {
+                r.present[i / 64] &= !(1 << (i % 64));
+                self.pages -= 1;
+            }
+        }
     }
 
     /// The entry for `fam_page`, if the page is allocated.
     pub fn entry(&self, fam_page: u64) -> Option<AcmEntry> {
-        self.entries.get(&fam_page).copied()
+        let r = self
+            .regions
+            .get(usize::try_from(fam_page / REGION_PAGES).ok()?)?
+            .as_ref()?;
+        let i = (fam_page % REGION_PAGES) as usize;
+        r.is_present(i).then(|| AcmEntry {
+            raw: r.raw[i],
+            width: self.width,
+        })
     }
 
     /// Vets an access by `node` of kind `kind` to `fam_page` in
     /// `region` — the STU's verification decision (§III-D): compare
     /// the owner id, or for shared pages consult the region bitmap.
     pub fn check(&self, fam_page: u64, region: u64, node: NodeId, kind: AccessKind) -> bool {
-        let Some(entry) = self.entries.get(&fam_page) else {
+        let Some(entry) = self.entry(fam_page) else {
             return false; // unallocated pages are inaccessible
         };
         if entry.is_shared() {
@@ -328,12 +392,12 @@ impl AcmStore {
 
     /// Number of pages with metadata.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.pages
     }
 
     /// Whether no page has metadata.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.pages == 0
     }
 }
 
@@ -424,6 +488,69 @@ mod tests {
         s.clear(10);
         assert!(!s.check(10, 0, NodeId::new(1), AccessKind::Read));
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn raw_zero_and_all_ones_entries_are_present() {
+        // Node 0 read-only encodes as raw 0, and a W32 shared RWX entry
+        // as u32::MAX: presence cannot hide in the entry bits.
+        let mut s = AcmStore::new(AcmWidth::W32);
+        s.set_owner(7, NodeId::new(0), PtFlags::ro());
+        s.set_shared(8, PtFlags::rwx());
+        assert_eq!(s.entry(7).map(AcmEntry::raw), Some(0));
+        assert_eq!(s.entry(8).map(AcmEntry::raw), Some(u32::MAX));
+        assert_eq!(s.entry(9), None, "a neighbour stays absent");
+        assert!(s.check(7, 0, NodeId::new(0), AccessKind::Read));
+        assert_eq!(s.len(), 2);
+    }
+
+    /// Random owner / shared / clear writes against a `HashMap` model
+    /// at every width, over pages of four regions.
+    #[test]
+    fn dense_regions_match_a_map_model() {
+        let region_pages = REGION_PAGES;
+        let flag_sets = [PtFlags::ro(), PtFlags::rw(), PtFlags::rx(), PtFlags::rwx()];
+        for width in [AcmWidth::W8, AcmWidth::W16, AcmWidth::W32] {
+            let mut s = AcmStore::new(width);
+            let mut model: HashMap<u64, AcmEntry> = HashMap::new();
+            let mut state = 0x9E37_79B9_7F4A_7C15u64;
+            let mut next = || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            for i in 0..20_000 {
+                let r = next();
+                // A few pages at each region's edges and in its middle.
+                let region = [0, 1, 3, 6][(r & 3) as usize];
+                let offset = [0, 1, 63, 64, 4097, region_pages - 1][(r >> 2) as usize % 6];
+                let page = region * region_pages + offset;
+                let flags = flag_sets[(r >> 8) as usize % 4];
+                match (r >> 16) % 4 {
+                    0 => {
+                        let node = NodeId::new((r >> 24) as u16 % 3);
+                        s.set_owner(page, node, flags);
+                        model.insert(page, AcmEntry::owned(width, node, flags));
+                    }
+                    1 => {
+                        s.set_shared(page, flags);
+                        model.insert(page, AcmEntry::shared(width, flags));
+                    }
+                    2 => {
+                        s.clear(page);
+                        model.remove(&page);
+                    }
+                    _ => assert_eq!(s.entry(page), model.get(&page).copied(), "op {i}"),
+                }
+                assert_eq!(s.len(), model.len(), "op {i}");
+            }
+            for (&page, &entry) in &model {
+                assert_eq!(s.entry(page), Some(entry));
+            }
+            assert_eq!(s.entry(2 * region_pages), None, "untouched region");
+            assert_eq!(s.entry(u64::MAX), None, "beyond every region");
+        }
     }
 
     #[test]

@@ -194,8 +194,9 @@ pub struct MemoryBroker {
     /// Regions not yet handed to the page pool or a shared segment.
     /// The pool takes from the front; shared segments from the back.
     unassigned_regions: std::collections::VecDeque<u64>,
-    /// Shuffled free pages of pool regions.
-    free_pages: Vec<u64>,
+    /// Shuffled free pages of pool regions, as `u32` (the constructor
+    /// checks that every usable page number fits).
+    free_pages: Vec<u32>,
     nodes: Vec<NodeState>,
     shared_segments: Vec<SharedSegment>,
     logical: LogicalNodeMap,
@@ -207,6 +208,11 @@ impl MemoryBroker {
     pub fn new(config: BrokerConfig) -> MemoryBroker {
         let layout = FamLayout::new(config.fam_bytes, config.acm_width);
         let regions = layout.usable_bytes().div_ceil(REGION_BYTES);
+        assert!(
+            layout.usable_pages() <= 1 << 32,
+            "{} usable FAM pages overflow the u32 free-page pool",
+            layout.usable_pages()
+        );
         MemoryBroker {
             config,
             layout,
@@ -272,15 +278,47 @@ impl MemoryBroker {
             let first = region * (REGION_BYTES / PAGE_BYTES);
             let last = ((region + 1) * (REGION_BYTES / PAGE_BYTES)).min(self.layout.usable_pages());
             let quarantine = self.layout.quarantine();
-            self.free_pages
-                .extend((first..last).filter(|&p| !quarantine.contains(p)));
+            self.free_pages.extend(
+                (first..last)
+                    .filter(|&p| !quarantine.contains(p))
+                    .map(|p| p as u32),
+            );
             // Fisher-Yates shuffle: random allocation order (§III-D).
             for i in (1..self.free_pages.len()).rev() {
                 let j = self.rng.index(i + 1);
                 self.free_pages.swap(i, j);
             }
         }
-        self.free_pages.pop().ok_or(BrokerError::OutOfMemory)
+        self.free_pages
+            .pop()
+            .map(u64::from)
+            .ok_or(BrokerError::OutOfMemory)
+    }
+
+    /// Installs `npa_page → fam_page` in `node`'s system table. The
+    /// interior table pages a 4-level mapping may need (at most three)
+    /// are taken from the pool up front; the unused ones go back.
+    fn map_in_table(
+        &mut self,
+        node: NodeId,
+        npa_page: u64,
+        fam_page: u64,
+        flags: PtFlags,
+    ) -> Result<(), BrokerError> {
+        let mut spare = [0u32; 3];
+        for page in &mut spare {
+            *page = self.take_page()? as u32;
+        }
+        let mut left = spare.len();
+        let mut alloc = |_level: usize| {
+            left -= 1;
+            u64::from(spare[left]) * PAGE_BYTES
+        };
+        self.nodes[node.index()]
+            .table
+            .map(npa_page, fam_page, flags, &mut alloc);
+        self.free_pages.extend_from_slice(&spare[..left]);
+        Ok(())
     }
 
     /// Maps `npa_page` (a page in the node's FAM zone) to a freshly
@@ -301,24 +339,10 @@ impl MemoryBroker {
             return Ok(pte.target_page);
         }
         let fam_page = self.take_page()?;
-        // Pre-allocate pages for any interior table nodes the mapping
-        // may need (at most LEVELS-1), then return the unused ones.
-        let mut spare: Vec<u64> = Vec::with_capacity(3);
-        for _ in 0..3 {
-            spare.push(self.take_page()?);
-        }
-        let state = &mut self.nodes[node.index()];
-        let mut alloc = |_level: usize| {
-            spare
-                .pop()
-                .expect("three spare pages cover a 4-level mapping")
-                * PAGE_BYTES
-        };
-        state
-            .table
-            .map(npa_page, fam_page, PtFlags::rw(), &mut alloc);
-        state.owned_pages.push((npa_page, fam_page));
-        self.free_pages.extend(spare);
+        self.map_in_table(node, npa_page, fam_page, PtFlags::rw())?;
+        self.nodes[node.index()]
+            .owned_pages
+            .push((npa_page, fam_page));
         self.acm.set_owner(fam_page, node, PtFlags::rw());
         Ok(fam_page)
     }
@@ -390,18 +414,7 @@ impl MemoryBroker {
         for &(node, flags, npa_start) in members {
             self.acm.grant_shared(region, node, flags);
             for (i, fam_page) in segment.fam_pages().enumerate() {
-                let mut spare: Vec<u64> = Vec::with_capacity(3);
-                for _ in 0..3 {
-                    spare.push(self.take_page()?);
-                }
-                let state = &mut self.nodes[node.index()];
-                let mut alloc = |_level: usize| {
-                    spare.pop().expect("three spare pages cover a mapping") * PAGE_BYTES
-                };
-                state
-                    .table
-                    .map(npa_start + i as u64, fam_page, flags, &mut alloc);
-                self.free_pages.extend(spare);
+                self.map_in_table(node, npa_start + i as u64, fam_page, flags)?;
             }
         }
         self.shared_segments.push(segment.clone());
@@ -443,16 +456,7 @@ impl MemoryBroker {
                 });
             self.acm.set_owner(fam_page, to, PtFlags::rw());
             report.acm_writes += 1;
-            let mut spare: Vec<u64> = Vec::with_capacity(3);
-            for _ in 0..3 {
-                spare.push(self.take_page()?);
-            }
-            let state = &mut self.nodes[to.index()];
-            let mut alloc = |_level: usize| {
-                spare.pop().expect("three spare pages cover a mapping") * PAGE_BYTES
-            };
-            state.table.map(npa_page, fam_page, pte.flags, &mut alloc);
-            self.free_pages.extend(spare);
+            self.map_in_table(to, npa_page, fam_page, pte.flags)?;
             report.translation_invalidations += 1;
         }
         self.nodes[to.index()].owned_pages.extend(&moved);
@@ -473,16 +477,7 @@ impl MemoryBroker {
                 for (i, fam_page) in segment.fam_pages().enumerate() {
                     let npa_page = npa_start + i as u64;
                     self.nodes[from.index()].table.unmap(npa_page);
-                    let mut spare: Vec<u64> = Vec::with_capacity(3);
-                    for _ in 0..3 {
-                        spare.push(self.take_page()?);
-                    }
-                    let state = &mut self.nodes[to.index()];
-                    let mut alloc = |_level: usize| {
-                        spare.pop().expect("three spare pages cover a mapping") * PAGE_BYTES
-                    };
-                    state.table.map(npa_page, fam_page, flags, &mut alloc);
-                    self.free_pages.extend(spare);
+                    self.map_in_table(to, npa_page, fam_page, flags)?;
                     report.translation_invalidations += 1;
                 }
                 report.shared_pages_moved += segment.pages;
@@ -532,7 +527,8 @@ impl MemoryBroker {
         };
         let mut relocations = Vec::new();
 
-        self.free_pages.retain(|&p| !quarantine.contains(p));
+        self.free_pages
+            .retain(|&p| !quarantine.contains(u64::from(p)));
 
         // Owned data pages.
         for node_idx in 0..self.nodes.len() {

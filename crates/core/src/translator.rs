@@ -2,9 +2,9 @@
 //! plus the node-side retry/timeout/backoff machinery that recovers
 //! from fabric faults and stale-translation NACKs.
 
-use fam_mem::{CacheConfig, Replacement, SetAssocCache};
+use fam_mem::Replacement;
 use fam_sim::stats::Ratio;
-use fam_sim::Duration;
+use fam_sim::{Duration, SimRng};
 
 /// Retries before a FAM request that bounces (timeout on a dropped
 /// frame, corrupt-NACK, unreachable-NACK) is declared fatal; the
@@ -141,13 +141,59 @@ impl OutstandingMappingList {
     }
 }
 
+/// Tag of an empty way. Node pages never reach it; the broker's
+/// table-rebuild sentinel (`PageRelocation::TABLE_REBUILD_NPA`) is this
+/// value, so lookups and invalidations report it absent.
+const EMPTY: u64 = u64::MAX;
+
+/// One translation-cache set exactly as it sits in DRAM: four
+/// `(tag, value)` pairs in 64 bytes, so the host touches one cache line
+/// per modelled set read (§III-C).
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+struct Set {
+    tags: [u64; ENTRIES_PER_SET],
+    values: [u64; ENTRIES_PER_SET],
+}
+
+impl Set {
+    const EMPTY: Set = Set {
+        tags: [EMPTY; ENTRIES_PER_SET],
+        values: [0; ENTRIES_PER_SET],
+    };
+
+    /// The way holding `npa_page`, if resident.
+    fn find(&self, npa_page: u64) -> Option<usize> {
+        if npa_page == EMPTY {
+            return None;
+        }
+        self.tags.iter().position(|&t| t == npa_page)
+    }
+}
+
+/// Exact-LRU recency state for the §III-C ablation: one stamp per way,
+/// larger is more recent. The paper's random policy keeps none.
+#[derive(Debug, Clone)]
+struct Lru {
+    clock: u64,
+    stamps: Box<[[u64; ENTRIES_PER_SET]]>,
+}
+
+impl Lru {
+    fn touch(&mut self, set: usize, way: usize) {
+        self.clock += 1;
+        self.stamps[set][way] = self.clock;
+    }
+}
+
 /// The FAM translator in the node's memory controller (Fig. 7).
 ///
 /// Holds the *model* of the in-DRAM FAM translation cache: a four-way
 /// set-associative array with random replacement (tracking recency
 /// would cost extra DRAM writes, §III-C). Each lookup corresponds to
 /// one 64-byte DRAM read that fetches a whole set; the four tags are
-/// compared concurrently by the comparator bank of Fig. 7 (ⓑ).
+/// compared concurrently by the comparator bank of Fig. 7 (ⓑ). The
+/// host stores each set as the hardware does, in one 64-byte line.
 ///
 /// The translator never verifies anything: its output is an
 /// *unverified* FAM address forwarded with `V = 1` for the STU to vet
@@ -166,9 +212,15 @@ impl OutstandingMappingList {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FamTranslator {
-    cache: SetAssocCache<u64>,
+    sets: Box<[Set]>,
+    /// `sets - 1` when the set count is a power of two (every paper
+    /// geometry), else 0 and the index falls back to `%`.
+    set_mask: u64,
+    /// Victim choice under random replacement; unused under LRU.
+    rng: SimRng,
+    /// Recency stamps, allocated only under LRU replacement.
+    lru: Option<Lru>,
     dram_base: u64,
-    sets: u64,
     oml: OutstandingMappingList,
     hit_ratio: Ratio,
 }
@@ -206,47 +258,101 @@ impl FamTranslator {
         seed: u64,
         replacement: Replacement,
     ) -> FamTranslator {
-        let sets = cache_bytes / 64;
+        let sets = (cache_bytes / 64) as usize;
         assert!(sets > 0, "translation cache needs at least one set");
+        let lru = (replacement == Replacement::Lru).then(|| Lru {
+            clock: 0,
+            stamps: vec![[0; ENTRIES_PER_SET]; sets].into_boxed_slice(),
+        });
         FamTranslator {
-            cache: SetAssocCache::with_seed(
-                CacheConfig::new(sets as usize, ENTRIES_PER_SET, replacement),
-                seed,
-            ),
+            sets: vec![Set::EMPTY; sets].into_boxed_slice(),
+            set_mask: if sets.is_power_of_two() {
+                sets as u64 - 1
+            } else {
+                0
+            },
+            rng: SimRng::seeded(seed),
+            lru,
             dram_base,
-            sets,
             oml: OutstandingMappingList::new(oml_capacity),
             hit_ratio: Ratio::new(),
+        }
+    }
+
+    /// The set `npa_page` maps to — the modulus of Fig. 6.
+    fn set_of(&self, npa_page: u64) -> usize {
+        if self.set_mask != 0 {
+            (npa_page & self.set_mask) as usize
+        } else {
+            (npa_page % self.sets.len() as u64) as usize
         }
     }
 
     /// The DRAM byte address holding the set for `npa_page` — base
     /// plus the modulus offset of Fig. 6.
     pub fn dram_addr_of(&self, npa_page: u64) -> u64 {
-        self.dram_base + (npa_page % self.sets) * 64
+        self.dram_base + self.set_of(npa_page) as u64 * 64
     }
 
     /// Looks up the FAM page for a node page. Models one DRAM set
     /// fetch plus the parallel tag match; records Fig. 10's
     /// DeACT address-translation hit rate.
     pub fn lookup(&mut self, npa_page: u64) -> Option<u64> {
-        let hit = self.cache.get(npa_page).copied();
+        let set = self.set_of(npa_page);
+        let hit = self.sets[set].find(npa_page).map(|way| {
+            if let Some(lru) = &mut self.lru {
+                lru.touch(set, way);
+            }
+            self.sets[set].values[way]
+        });
         self.hit_ratio.record(hit.is_some());
         hit
     }
 
     /// Installs a mapping delivered by the STU (Fig. 6 ⑤): one random
     /// entry of the fetched set is replaced, costing a DRAM
-    /// read-modify-write.
+    /// read-modify-write. A resident entry is overwritten in place and
+    /// an empty way is used before any victim is chosen.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `npa_page` is `u64::MAX`, the empty-way tag.
     pub fn install(&mut self, npa_page: u64, fam_page: u64) {
-        self.cache.insert(npa_page, fam_page);
+        assert_ne!(npa_page, EMPTY, "the all-ones node page is reserved");
+        let set = self.set_of(npa_page);
+        let s = &mut self.sets[set];
+        let way = match s.find(npa_page) {
+            Some(way) => way,
+            None => match s.tags.iter().position(|&t| t == EMPTY) {
+                Some(way) => way,
+                None => match &self.lru {
+                    // First least-recent way.
+                    Some(lru) => (0..ENTRIES_PER_SET)
+                        .min_by_key(|&w| lru.stamps[set][w])
+                        .expect("sets have ways"),
+                    None => self.rng.index(ENTRIES_PER_SET),
+                },
+            },
+        };
+        s.tags[way] = npa_page;
+        s.values[way] = fam_page;
+        if let Some(lru) = &mut self.lru {
+            lru.touch(set, way);
+        }
     }
 
     /// Invalidates one node page's entry (migration shootdown, §VI —
     /// "excess DRAM writes to invalidate system-level mappings").
     /// Returns whether an entry was present.
     pub fn invalidate(&mut self, npa_page: u64) -> bool {
-        self.cache.invalidate(npa_page).is_some()
+        let set = self.set_of(npa_page);
+        match self.sets[set].find(npa_page) {
+            Some(way) => {
+                self.sets[set].tags[way] = EMPTY;
+                true
+            }
+            None => false,
+        }
     }
 
     /// Handles a stale-translation NACK from the STU: the unverified
@@ -270,7 +376,10 @@ impl FamTranslator {
 
     /// Number of cached mappings.
     pub fn cached_mappings(&self) -> usize {
-        self.cache.len()
+        self.sets
+            .iter()
+            .map(|s| s.tags.iter().filter(|&&t| t != EMPTY).count())
+            .sum()
     }
 }
 
@@ -296,7 +405,7 @@ mod tests {
     fn geometry_matches_paper() {
         let t = translator();
         // 1 MB / 64 B = 16384 sets of 4 entries = 65536 mappings.
-        assert_eq!(t.sets, 16384);
+        assert_eq!(t.sets.len(), 16384);
     }
 
     #[test]
@@ -326,6 +435,163 @@ mod tests {
         assert!(t.invalidate(7));
         assert!(!t.invalidate(7));
         assert_eq!(t.lookup(7), None);
+    }
+
+    #[test]
+    fn one_set_is_one_host_cache_line() {
+        assert_eq!(std::mem::size_of::<Set>(), 64);
+        assert_eq!(std::mem::align_of::<Set>(), 64);
+    }
+
+    /// The naive reading of §III-C: per set, four optional
+    /// `(npa, fam)` ways; a hit returns the way's value, an install
+    /// overwrites a resident key, else fills the first empty way, else
+    /// replaces a uniformly random way drawn from one seeded generator.
+    struct RandomModel {
+        sets: Vec<[Option<(u64, u64)>; ENTRIES_PER_SET]>,
+        rng: SimRng,
+    }
+
+    impl RandomModel {
+        fn new(sets: usize, seed: u64) -> RandomModel {
+            RandomModel {
+                sets: vec![[None; ENTRIES_PER_SET]; sets],
+                rng: SimRng::seeded(seed),
+            }
+        }
+
+        fn set(&mut self, npa: u64) -> &mut [Option<(u64, u64)>; ENTRIES_PER_SET] {
+            let n = self.sets.len() as u64;
+            &mut self.sets[(npa % n) as usize]
+        }
+
+        fn lookup(&mut self, npa: u64) -> Option<u64> {
+            self.set(npa)
+                .iter()
+                .flatten()
+                .find(|e| e.0 == npa)
+                .map(|e| e.1)
+        }
+
+        fn install(&mut self, npa: u64, fam: u64) {
+            let set = (npa % self.sets.len() as u64) as usize;
+            let ways = &self.sets[set];
+            let way = ways
+                .iter()
+                .position(|w| matches!(w, Some((k, _)) if *k == npa))
+                .or_else(|| ways.iter().position(Option::is_none))
+                .unwrap_or_else(|| self.rng.index(ENTRIES_PER_SET));
+            self.sets[set][way] = Some((npa, fam));
+        }
+
+        fn invalidate(&mut self, npa: u64) -> bool {
+            let set = self.set(npa);
+            match set
+                .iter()
+                .position(|w| matches!(w, Some((k, _)) if *k == npa))
+            {
+                Some(way) => {
+                    set[way] = None;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn len(&self) -> usize {
+            self.sets.iter().flatten().flatten().count()
+        }
+    }
+
+    /// A reproducible op stream over a small key space, so a few sets
+    /// see constant eviction: `(op, npa)` with op 0 = lookup,
+    /// 1 = install, 2 = invalidate.
+    fn op_stream(seed: u64, len: usize) -> Vec<(u64, u64)> {
+        let mut rng = SimRng::seeded(seed);
+        (0..len)
+            .map(|_| {
+                let op = match rng.below(20) {
+                    0..=9 => 0,
+                    10..=16 => 1,
+                    _ => 2,
+                };
+                (op, rng.below(64))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn packed_sets_match_the_naive_random_model() {
+        for (sets, seed) in [(8u64, 1u64), (8, 0xDEAC7), (1, 3), (6, 9)] {
+            let mut t = FamTranslator::new(sets * 64, 0, 128, seed);
+            let mut m = RandomModel::new(sets as usize, seed);
+            let mut hits = 0;
+            for (i, (op, npa)) in op_stream(seed ^ 0x5EED, 20_000).into_iter().enumerate() {
+                match op {
+                    0 => {
+                        let got = t.lookup(npa);
+                        assert_eq!(got, m.lookup(npa), "lookup {npa} at op {i}");
+                        hits += got.is_some() as u64;
+                    }
+                    1 => {
+                        t.install(npa, npa * 1000 + i as u64);
+                        m.install(npa, npa * 1000 + i as u64);
+                    }
+                    _ => assert_eq!(t.invalidate(npa), m.invalidate(npa), "op {i}"),
+                }
+                if i % 97 == 0 {
+                    // The table-rebuild sentinel names no node page: it
+                    // is absent from cold and full sets alike.
+                    assert_eq!(t.lookup(u64::MAX), None);
+                    assert!(!t.handle_stale_nack(u64::MAX));
+                }
+            }
+            assert_eq!(t.cached_mappings(), m.len());
+            assert_eq!(t.hit_ratio().hits(), hits);
+        }
+    }
+
+    #[test]
+    fn lru_mode_matches_an_lru_set_associative_cache() {
+        use fam_mem::{CacheConfig, SetAssocCache};
+        let sets = 8;
+        let mut t = FamTranslator::with_replacement(sets * 64, 0, 128, 5, Replacement::Lru);
+        let mut m: SetAssocCache<u64> = SetAssocCache::new(CacheConfig::new(
+            sets as usize,
+            ENTRIES_PER_SET,
+            Replacement::Lru,
+        ));
+        for (i, (op, npa)) in op_stream(11, 20_000).into_iter().enumerate() {
+            match op {
+                0 => assert_eq!(t.lookup(npa), m.get(npa).copied(), "op {i}"),
+                1 => {
+                    m.insert(npa, i as u64);
+                    t.install(npa, i as u64);
+                }
+                _ => assert_eq!(t.invalidate(npa), m.invalidate(npa).is_some(), "op {i}"),
+            }
+        }
+        assert_eq!(t.cached_mappings(), m.len());
+        assert_eq!(t.hit_ratio(), m.stats());
+    }
+
+    #[test]
+    fn lru_evicts_the_least_recent_way() {
+        let mut t = FamTranslator::with_replacement(64, 0, 128, 0, Replacement::Lru);
+        for p in 0..4 {
+            t.install(p, p);
+        }
+        assert_eq!(t.lookup(0), Some(0), "refreshes page 0");
+        t.install(9, 9);
+        assert_eq!(t.lookup(1), None, "page 1 was least recent");
+        assert_eq!(t.lookup(0), Some(0));
+        assert_eq!(t.cached_mappings(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved")]
+    fn installing_the_sentinel_is_rejected() {
+        translator().install(u64::MAX, 1);
     }
 
     #[test]

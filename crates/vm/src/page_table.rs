@@ -94,44 +94,43 @@ pub struct Walk {
     pub mapping: Option<Pte>,
 }
 
-#[derive(Debug, Clone)]
-enum Slot {
-    Table(usize),
-    Leaf(Pte),
-}
+/// Low bits of a leaf entry that hold its [`PtFlags`].
+const FLAG_MASK: u64 = 0b111;
+/// Set in every leaf entry, so a present leaf is never 0.
+const LEAF_PRESENT: u64 = 1 << 7;
+/// Bit position of the target page in a leaf entry.
+const TARGET_SHIFT: u32 = 8;
+/// One past the largest target page a leaf entry can hold.
+const TARGET_LIMIT: u64 = 1 << (64 - TARGET_SHIFT);
 
-/// One table page. A page-table index is 9 bits, so instead of hashing
-/// `u16` keys the node stores its 512 slots directly — a lookup is one
-/// bounds-free array read, exactly the access a real table page does.
+/// One table page: 512 eight-byte entries, as in hardware. The level
+/// decides how an entry reads — 0 is absent at every level; above the
+/// PTE level an entry is the child node's index plus one, and at the
+/// PTE level it is `target_page << 8 | LEAF_PRESENT | flags`.
 #[derive(Debug, Clone)]
 struct Node {
     base_addr: u64,
-    slots: Box<[Option<Slot>]>,
+    entries: Box<[u64; NODE_SLOTS]>,
 }
 
 impl Node {
     fn new(base_addr: u64) -> Node {
         Node {
             base_addr,
-            slots: vec![None; NODE_SLOTS].into_boxed_slice(),
+            entries: Box::new([0; NODE_SLOTS]),
         }
     }
+}
 
-    fn get(&self, idx: u16) -> Option<&Slot> {
-        self.slots[idx as usize].as_ref()
-    }
+fn encode_leaf(pte: Pte) -> u64 {
+    pte.target_page << TARGET_SHIFT | LEAF_PRESENT | pte.flags.0 as u64
+}
 
-    fn get_mut(&mut self, idx: u16) -> Option<&mut Slot> {
-        self.slots[idx as usize].as_mut()
-    }
-
-    fn set(&mut self, idx: u16, slot: Slot) -> Option<Slot> {
-        self.slots[idx as usize].replace(slot)
-    }
-
-    fn take(&mut self, idx: u16) -> Option<Slot> {
-        self.slots[idx as usize].take()
-    }
+fn decode_leaf(entry: u64) -> Option<Pte> {
+    (entry != 0).then_some(Pte {
+        target_page: entry >> TARGET_SHIFT,
+        flags: PtFlags((entry & FLAG_MASK) as u8),
+    })
 }
 
 /// A hierarchical 4-level page table whose interior nodes live at real
@@ -175,9 +174,9 @@ impl PageTable {
         }
     }
 
-    fn index_at(vpage: u64, level: usize) -> u16 {
+    fn index_at(vpage: u64, level: usize) -> usize {
         debug_assert!(level < LEVELS);
-        ((vpage >> (INDEX_BITS as usize * (LEVELS - 1 - level))) & INDEX_MASK) as u16
+        ((vpage >> (INDEX_BITS as usize * (LEVELS - 1 - level))) & INDEX_MASK) as usize
     }
 
     /// Maps `vpage → target_page` with `flags`, allocating interior
@@ -193,32 +192,33 @@ impl PageTable {
         flags: PtFlags,
         alloc_page: &mut dyn FnMut(usize) -> u64,
     ) -> Option<Pte> {
+        assert!(
+            target_page < TARGET_LIMIT,
+            "target page {target_page:#x} does not fit in a leaf entry"
+        );
         let mut node = 0usize;
         for level in 0..LEVELS - 1 {
             let idx = Self::index_at(vpage, level);
-            let next = match self.nodes[node].get(idx) {
-                Some(Slot::Table(n)) => *n,
-                Some(Slot::Leaf(_)) => unreachable!("leaves live at the PTE level only"),
-                None => {
+            node = match self.nodes[node].entries[idx] {
+                0 => {
                     let base_addr = alloc_page(level + 1);
-                    let n = self.nodes.len();
+                    let child = self.nodes.len();
                     self.nodes.push(Node::new(base_addr));
-                    self.nodes[node].set(idx, Slot::Table(n));
-                    n
+                    self.nodes[node].entries[idx] = child as u64 + 1;
+                    child
                 }
+                entry => (entry - 1) as usize,
             };
-            node = next;
         }
-        let idx = Self::index_at(vpage, LEVELS - 1);
-        let old = self.nodes[node].set(idx, Slot::Leaf(Pte { target_page, flags }));
-        match old {
-            Some(Slot::Leaf(pte)) => Some(pte),
-            Some(Slot::Table(_)) => unreachable!("leaf level never holds tables"),
-            None => {
-                self.mapped += 1;
-                None
-            }
+        let slot = &mut self.nodes[node].entries[Self::index_at(vpage, LEVELS - 1)];
+        let old = decode_leaf(std::mem::replace(
+            slot,
+            encode_leaf(Pte { target_page, flags }),
+        ));
+        if old.is_none() {
+            self.mapped += 1;
         }
+        old
     }
 
     /// Walks the table for `vpage`, recording the entry address read at
@@ -236,14 +236,15 @@ impl PageTable {
         let mut node = 0usize;
         for level in 0..LEVELS {
             let idx = Self::index_at(vpage, level);
+            let n = &self.nodes[node];
             visit(WalkStep {
                 level,
-                entry_addr: self.nodes[node].base_addr + idx as u64 * ENTRY_BYTES,
+                entry_addr: n.base_addr + idx as u64 * ENTRY_BYTES,
             });
-            match self.nodes[node].get(idx) {
-                Some(Slot::Table(n)) => node = *n,
-                Some(Slot::Leaf(pte)) => return Some(*pte),
-                None => break,
+            match n.entries[idx] {
+                0 => break,
+                entry if level == LEVELS - 1 => return decode_leaf(entry),
+                entry => node = (entry - 1) as usize,
             }
         }
         None
@@ -251,7 +252,7 @@ impl PageTable {
 
     /// Looks up a mapping without recording walk steps.
     pub fn translate(&self, vpage: u64) -> Option<Pte> {
-        self.walk(vpage).mapping
+        self.walk_with(vpage, |_| {})
     }
 
     /// Removes the mapping for `vpage`, returning it if present.
@@ -259,13 +260,11 @@ impl PageTable {
     /// pages are freed lazily if at all).
     pub fn unmap(&mut self, vpage: u64) -> Option<Pte> {
         let node = self.pte_node(vpage)?;
-        match self.nodes[node].take(Self::index_at(vpage, LEVELS - 1))? {
-            Slot::Leaf(pte) => {
-                self.mapped -= 1;
-                Some(pte)
-            }
-            Slot::Table(_) => unreachable!("leaf level never holds tables"),
-        }
+        let entry =
+            std::mem::take(&mut self.nodes[node].entries[Self::index_at(vpage, LEVELS - 1)]);
+        let pte = decode_leaf(entry)?;
+        self.mapped -= 1;
+        Some(pte)
     }
 
     /// Updates the permissions of an existing mapping in place; returns
@@ -274,22 +273,21 @@ impl PageTable {
         let Some(node) = self.pte_node(vpage) else {
             return false;
         };
-        match self.nodes[node].get_mut(Self::index_at(vpage, LEVELS - 1)) {
-            Some(Slot::Leaf(pte)) => {
-                pte.flags = flags;
-                true
-            }
-            _ => false,
+        let entry = &mut self.nodes[node].entries[Self::index_at(vpage, LEVELS - 1)];
+        if *entry == 0 {
+            return false;
         }
+        *entry = *entry & !FLAG_MASK | flags.0 as u64;
+        true
     }
 
     /// The PTE-level table page covering `vpage`, if its subtree exists.
     fn pte_node(&self, vpage: u64) -> Option<usize> {
         let mut node = 0usize;
         for level in 0..LEVELS - 1 {
-            match self.nodes[node].get(Self::index_at(vpage, level))? {
-                Slot::Table(n) => node = *n,
-                Slot::Leaf(_) => unreachable!("leaves live at the PTE level only"),
+            match self.nodes[node].entries[Self::index_at(vpage, level)] {
+                0 => return None,
+                entry => node = (entry - 1) as usize,
             }
         }
         Some(node)
@@ -445,6 +443,103 @@ mod tests {
             !pt.relocate_table_page(doomed, 0xCD_0000),
             "old address no longer names a table page"
         );
+    }
+
+    #[test]
+    fn one_table_page_is_4_kib() {
+        let pt = PageTable::new(0);
+        assert_eq!(std::mem::size_of_val(&*pt.nodes[0].entries), 4096);
+    }
+
+    #[test]
+    fn leaf_entries_round_trip_every_flag_set_and_the_largest_target() {
+        let mut pt = PageTable::new(0);
+        let mut alloc = bump_alloc(0x10000);
+        let largest = TARGET_LIMIT - 1;
+        for bits in 0..=FLAG_MASK as u8 {
+            let flags = PtFlags(bits);
+            for (vpage, target) in [(bits as u64, 0), (0x100 + bits as u64, largest)] {
+                assert_eq!(pt.map(vpage, target, flags, &mut alloc), None);
+                let pte = pt.translate(vpage).expect("mapped");
+                assert_eq!((pte.target_page, pte.flags), (target, flags));
+                assert_eq!(pt.walk(vpage).mapping, Some(pte));
+            }
+        }
+        assert_eq!(pt.mapped_pages(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn targets_beyond_the_entry_are_rejected() {
+        let mut pt = PageTable::new(0);
+        pt.map(1, TARGET_LIMIT, PtFlags::ro(), &mut bump_alloc(0x10000));
+    }
+
+    /// Random map / unmap / protect / relocate against a `HashMap`
+    /// model: the packed entries must agree on every lookup, count and
+    /// walk address.
+    #[test]
+    fn packed_entries_match_a_map_model() {
+        use std::collections::HashMap;
+        let flag_sets = [PtFlags::ro(), PtFlags::rw(), PtFlags::rx(), PtFlags::rwx()];
+        let mut pt = PageTable::new(0);
+        let mut alloc = bump_alloc(0x10000);
+        let mut model: HashMap<u64, Pte> = HashMap::new();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for i in 0..20_000u64 {
+            let r = next();
+            // Two far-apart clusters exercise sibling subtrees.
+            let vpage = (r >> 8) % 512 + if r & 1 == 0 { 0 } else { 1 << 27 };
+            let flags = flag_sets[(r >> 40) as usize % 4];
+            match (r >> 4) % 8 {
+                0..=3 => {
+                    let target = (r >> 20) % TARGET_LIMIT;
+                    let pte = Pte {
+                        target_page: target,
+                        flags,
+                    };
+                    assert_eq!(
+                        pt.map(vpage, target, flags, &mut alloc),
+                        model.insert(vpage, pte)
+                    );
+                }
+                4 => assert_eq!(pt.unmap(vpage), model.remove(&vpage), "op {i}"),
+                5 => {
+                    let present = match model.get_mut(&vpage) {
+                        Some(pte) => {
+                            pte.flags = flags;
+                            true
+                        }
+                        None => false,
+                    };
+                    assert_eq!(pt.protect(vpage, flags), present, "op {i}");
+                }
+                6 => {
+                    let pages: Vec<u64> = pt.table_page_addrs().collect();
+                    let old = pages[(r >> 32) as usize % pages.len()];
+                    let new = 0x1_0000_0000 + i * PAGE_BYTES;
+                    assert!(pt.relocate_table_page(old, new));
+                    assert!(pt.table_page_addrs().any(|a| a == new));
+                }
+                _ => assert_eq!(pt.translate(vpage), model.get(&vpage).copied(), "op {i}"),
+            }
+        }
+        assert_eq!(pt.mapped_pages(), model.len() as u64);
+        let bases: Vec<u64> = pt.table_page_addrs().collect();
+        for (&vpage, &pte) in &model {
+            let walk = pt.walk(vpage);
+            assert_eq!(walk.mapping, Some(pte));
+            assert_eq!(walk.steps.len(), LEVELS);
+            for step in &walk.steps {
+                assert!(bases.contains(&(step.entry_addr & !(PAGE_BYTES - 1))));
+            }
+        }
     }
 
     #[test]
