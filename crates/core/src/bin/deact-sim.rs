@@ -42,7 +42,10 @@
 //! `profile` runs one benchmark with the *host-time* profiler enabled
 //! (simulated results are bit-identical either way), prints the top
 //! phases by self time, and writes a folded-stack file that
-//! `inferno-flamegraph` or <https://speedscope.app> can render.
+//! `inferno-flamegraph` or <https://speedscope.app> can render. It then
+//! reruns the config unprofiled, checks that the report is the same,
+//! and prints one `profiler overhead` line: the profiled run's extra
+//! host time, which the self-time shares include.
 //!
 //! Every run checks its own books: a report whose counters break a
 //! conservation invariant ([`deact::System::audit`]) is not printed,
@@ -459,20 +462,37 @@ fn main() -> ExitCode {
             };
             // Host-time only: the profiler never reads the simulated
             // clock, so the report below is bit-identical to an
-            // unprofiled run.
+            // unprofiled run. The unprofiled rerun checks that and
+            // prices the profiler's own cost.
             fam_sim::profile::set_enabled(true);
+            let started = std::time::Instant::now();
             let r = match run_or_report(&bench, cfg) {
                 Ok(r) => r,
                 Err(code) => return code,
             };
+            let profiled_s = started.elapsed().as_secs_f64();
             fam_sim::profile::set_enabled(false);
             let profile = fam_sim::profile::take_report();
+            let started = std::time::Instant::now();
+            let unprofiled = match run_or_report(&bench, cfg) {
+                Ok(r) => r,
+                Err(code) => return code,
+            };
+            let unprofiled_s = started.elapsed().as_secs_f64();
+            if unprofiled != r {
+                return fail("the unprofiled rerun's report differs from the profiled run's");
+            }
             print_report(&r);
             if profile.is_empty() {
                 return fail("profiler captured no spans");
             }
             println!();
             print!("{}", profile.top_table(top));
+            println!(
+                "profiler overhead {:+.1}% host time ({profiled_s:.3} s profiled, \
+                 {unprofiled_s:.3} s unprofiled); the shares above include it",
+                (profiled_s / unprofiled_s - 1.0) * 100.0
+            );
             if let Err(e) = std::fs::write(&out, profile.to_folded()) {
                 return fail(format!("cannot write {out}: {e}"));
             }
