@@ -89,9 +89,10 @@ const EMPTY: u64 = u64::MAX;
 /// `key % sets` and the full key is stored as the tag, so there are no
 /// aliasing artifacts regardless of geometry.
 ///
-/// This single structure backs the data caches, TLBs, PTW caches, the
-/// STU cache organisations and the in-DRAM FAM translation cache, each
-/// with its own geometry and value type.
+/// This structure backs the data caches, TLBs, PTW caches and the STU
+/// cache organisations, each with its own geometry and value type. The
+/// in-DRAM FAM translation cache (`deact::FamTranslator`) packs its
+/// four-way sets into 64-byte lines instead.
 ///
 /// # Examples
 ///
