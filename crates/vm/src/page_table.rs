@@ -96,6 +96,7 @@ pub struct Walk {
 
 /// Low bits of a leaf entry that hold its [`PtFlags`].
 const FLAG_MASK: u64 = 0b111;
+const _: () = assert!(PtFlags::READ | PtFlags::WRITE | PtFlags::EXEC == FLAG_MASK as u8);
 /// Set in every leaf entry, so a present leaf is never 0.
 const LEAF_PRESENT: u64 = 1 << 7;
 /// Bit position of the target page in a leaf entry.
