@@ -241,19 +241,67 @@ impl RegionBitmap {
 /// FAM pages per 1 GB region: the span of one dense ACM array.
 const REGION_PAGES: u64 = REGION_BYTES / PAGE_BYTES;
 
+/// A region's raw entries, each stored at the store's entry width.
+#[derive(Debug, Clone)]
+enum RawEntries {
+    W8(Box<[u8]>),
+    W16(Box<[u16]>),
+    W32(Box<[u32]>),
+}
+
+impl RawEntries {
+    fn new(width: AcmWidth) -> RawEntries {
+        let n = REGION_PAGES as usize;
+        match width {
+            AcmWidth::W8 => RawEntries::W8(vec![0; n].into_boxed_slice()),
+            AcmWidth::W16 => RawEntries::W16(vec![0; n].into_boxed_slice()),
+            AcmWidth::W32 => RawEntries::W32(vec![0; n].into_boxed_slice()),
+        }
+    }
+
+    fn get(&self, i: usize) -> u32 {
+        match self {
+            RawEntries::W8(raw) => raw[i].into(),
+            RawEntries::W16(raw) => raw[i].into(),
+            RawEntries::W32(raw) => raw[i],
+        }
+    }
+
+    /// Stores `value`, which [`AcmEntry`] has already masked to the
+    /// width, so the narrowing casts drop only zero bits.
+    fn set(&mut self, i: usize, value: u32) {
+        match self {
+            RawEntries::W8(raw) => raw[i] = value as u8,
+            RawEntries::W16(raw) => raw[i] = value as u16,
+            RawEntries::W32(raw) => raw[i] = value,
+        }
+    }
+
+    /// Bytes of entry storage.
+    #[cfg(test)]
+    fn bytes(&self) -> usize {
+        match self {
+            RawEntries::W8(raw) => std::mem::size_of_val(&**raw),
+            RawEntries::W16(raw) => std::mem::size_of_val(&**raw),
+            RawEntries::W32(raw) => std::mem::size_of_val(&**raw),
+        }
+    }
+}
+
 /// One 1 GB region's slice of Fig. 5's flat per-page ACM array: every
-/// page's raw entry, plus a presence bit per page, because a raw 0 is a
-/// valid entry (node 0, read-only) and W32 entries use all 32 bits.
+/// page's raw entry at the entry width, plus a presence bit per page,
+/// because a raw 0 is a valid entry (node 0, read-only) and the
+/// all-ones pattern is a valid shared entry at every width.
 #[derive(Debug, Clone)]
 struct RegionAcm {
-    raw: Box<[u32]>,
+    raw: RawEntries,
     present: Box<[u64]>,
 }
 
 impl RegionAcm {
-    fn new() -> RegionAcm {
+    fn new(width: AcmWidth) -> RegionAcm {
         RegionAcm {
-            raw: vec![0; REGION_PAGES as usize].into_boxed_slice(),
+            raw: RawEntries::new(width),
             present: vec![0; REGION_PAGES.div_ceil(64) as usize].into_boxed_slice(),
         }
     }
@@ -268,8 +316,9 @@ impl RegionAcm {
 /// cache organisations only affect *timing*.
 ///
 /// Entries live as the hardware lays them out — a flat per-page array
-/// (Fig. 5) — with one array per 1 GB region, allocated when the broker
-/// first writes a page of that region.
+/// (Fig. 5) of 8-, 16- or 32-bit entries — with one array per 1 GB
+/// region, allocated when the broker first writes a page of that
+/// region.
 ///
 /// # Examples
 ///
@@ -315,13 +364,14 @@ impl AcmStore {
         if region >= self.regions.len() {
             self.regions.resize_with(region + 1, || None);
         }
-        let r = self.regions[region].get_or_insert_with(RegionAcm::new);
+        let width = self.width;
+        let r = self.regions[region].get_or_insert_with(|| RegionAcm::new(width));
         let i = (fam_page % REGION_PAGES) as usize;
         if !r.is_present(i) {
             r.present[i / 64] |= 1 << (i % 64);
             self.pages += 1;
         }
-        r.raw[i] = entry.raw;
+        r.raw.set(i, entry.raw);
     }
 
     /// Marks `fam_page` as owned by `node` with `flags`.
@@ -368,7 +418,7 @@ impl AcmStore {
             .as_ref()?;
         let i = (fam_page % REGION_PAGES) as usize;
         r.is_present(i).then(|| AcmEntry {
-            raw: r.raw[i],
+            raw: r.raw.get(i),
             width: self.width,
         })
     }
@@ -502,6 +552,46 @@ mod tests {
         assert_eq!(s.entry(9), None, "a neighbour stays absent");
         assert!(s.check(7, 0, NodeId::new(0), AccessKind::Read));
         assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn region_arrays_are_sized_by_the_entry_width() {
+        for width in [AcmWidth::W8, AcmWidth::W16, AcmWidth::W32] {
+            let mut s = AcmStore::new(width);
+            s.set_owner(REGION_PAGES + 3, NodeId::new(1), PtFlags::rw());
+            assert!(
+                s.regions[0].is_none(),
+                "an untouched region stays unallocated"
+            );
+            let r = s.regions[1].as_ref().expect("written region is allocated");
+            assert_eq!(
+                r.raw.bytes() as u64,
+                REGION_PAGES * width.bytes(),
+                "{width:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn narrow_raw_zero_and_all_ones_entries_are_present() {
+        // At W8 and W16 the shared RWX entry is all ones in the entry's
+        // own width, and node 0 read-only is raw 0 at every width.
+        for (width, ones) in [(AcmWidth::W8, 0xFF), (AcmWidth::W16, 0xFFFF)] {
+            let mut s = AcmStore::new(width);
+            s.set_owner(7, NodeId::new(0), PtFlags::ro());
+            s.set_shared(8, PtFlags::rwx());
+            assert_eq!(
+                s.entry(7),
+                Some(AcmEntry::owned(width, NodeId::new(0), PtFlags::ro()))
+            );
+            assert_eq!(s.entry(8), Some(AcmEntry::shared(width, PtFlags::rwx())));
+            assert_eq!(s.entry(7).map(AcmEntry::raw), Some(0), "{width:?}");
+            assert_eq!(s.entry(8).map(AcmEntry::raw), Some(ones), "{width:?}");
+            assert_eq!(s.entry(9), None, "a neighbour stays absent");
+            assert!(s.check(7, 0, NodeId::new(0), AccessKind::Read));
+            assert!(s.entry(8).is_some_and(AcmEntry::is_shared));
+            assert_eq!(s.len(), 2);
+        }
     }
 
     /// Random owner / shared / clear writes against a `HashMap` model

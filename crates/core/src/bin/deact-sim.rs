@@ -42,10 +42,11 @@
 //! `profile` runs one benchmark with the *host-time* profiler enabled
 //! (simulated results are bit-identical either way), prints the top
 //! phases by self time, and writes a folded-stack file that
-//! `inferno-flamegraph` or <https://speedscope.app> can render. It then
-//! reruns the config unprofiled, checks that the report is the same,
-//! and prints one `profiler overhead` line: the profiled run's extra
-//! host time, which the self-time shares include.
+//! `inferno-flamegraph` or <https://speedscope.app> can render. It runs
+//! the config three times unprofiled and three times profiled,
+//! alternating, checks that every report is the same, and prints one
+//! `profiler overhead` line: the profiled side's extra median host
+//! time, which the self-time shares include.
 //!
 //! Every run checks its own books: a report whose counters break a
 //! conservation invariant ([`deact::System::audit`]) is not printed,
@@ -322,6 +323,15 @@ fn fail(e: impl std::fmt::Display) -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// Unprofiled/profiled run pairs `profile` times to price the profiler.
+const OVERHEAD_PAIRS: usize = 3;
+
+/// The median of an odd number of host times.
+fn median<const N: usize>(mut xs: [f64; N]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[N / 2]
+}
+
 fn run_or_report(bench: &str, cfg: SystemConfig) -> Result<RunReport, ExitCode> {
     try_run_benchmark(bench, cfg).map_err(fail)
 }
@@ -461,36 +471,53 @@ fn main() -> ExitCode {
                 return usage();
             };
             // Host-time only: the profiler never reads the simulated
-            // clock, so the report below is bit-identical to an
-            // unprofiled run. The unprofiled rerun checks that and
-            // prices the profiler's own cost.
-            fam_sim::profile::set_enabled(true);
-            let started = std::time::Instant::now();
-            let r = match run_or_report(&bench, cfg) {
-                Ok(r) => r,
-                Err(code) => return code,
-            };
-            let profiled_s = started.elapsed().as_secs_f64();
-            fam_sim::profile::set_enabled(false);
-            let profile = fam_sim::profile::take_report();
-            let started = std::time::Instant::now();
-            let unprofiled = match run_or_report(&bench, cfg) {
-                Ok(r) => r,
-                Err(code) => return code,
-            };
-            let unprofiled_s = started.elapsed().as_secs_f64();
-            if unprofiled != r {
-                return fail("the unprofiled rerun's report differs from the profiled run's");
+            // clock, so every report below is bit-identical to an
+            // unprofiled run. Unprofiled and profiled runs alternate,
+            // three of each, so neither side always pays the cold
+            // start; each pair's reports must match, and the overhead
+            // compares the two sides' median host times. The table
+            // and the folded file show the first profiled run.
+            let mut report = None;
+            let mut profile = None;
+            let mut secs = [[0.0; 2]; OVERHEAD_PAIRS];
+            for (pair, times) in secs.iter_mut().enumerate() {
+                for (side, profiled) in [false, true].into_iter().enumerate() {
+                    fam_sim::profile::set_enabled(profiled);
+                    let started = std::time::Instant::now();
+                    let run = run_or_report(&bench, cfg);
+                    times[side] = started.elapsed().as_secs_f64();
+                    fam_sim::profile::set_enabled(false);
+                    let r = match run {
+                        Ok(r) => r,
+                        Err(code) => return code,
+                    };
+                    if profiled {
+                        let taken = fam_sim::profile::take_report();
+                        profile.get_or_insert(taken);
+                    }
+                    if report.as_ref().is_some_and(|first| *first != r) {
+                        return fail(format!(
+                            "the {} run of pair {} reports differently from the first run",
+                            if profiled { "profiled" } else { "unprofiled" },
+                            pair + 1
+                        ));
+                    }
+                    report.get_or_insert(r);
+                }
             }
+            let (Some(r), Some(profile)) = (report, profile) else {
+                unreachable!("every pair runs both sides");
+            };
             print_report(&r);
             if profile.is_empty() {
                 return fail("profiler captured no spans");
             }
             println!();
             print!("{}", profile.top_table(top));
+            let [unprofiled_s, profiled_s] = [0, 1].map(|side| median(secs.map(|t| t[side])));
             println!(
-                "profiler overhead {:+.1}% host time ({profiled_s:.3} s profiled, \
-                 {unprofiled_s:.3} s unprofiled); the shares above include it",
+                "profiler overhead {:+.1}% host time (medians of {OVERHEAD_PAIRS} alternating runs: \
+                 {profiled_s:.3} s profiled, {unprofiled_s:.3} s unprofiled); the shares above include it",
                 (profiled_s / unprofiled_s - 1.0) * 100.0
             );
             if let Err(e) = std::fs::write(&out, profile.to_folded()) {

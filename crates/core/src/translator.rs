@@ -141,19 +141,21 @@ impl OutstandingMappingList {
     }
 }
 
-/// Tag of an empty way. Node pages never reach it; the broker's
-/// table-rebuild sentinel (`PageRelocation::TABLE_REBUILD_NPA`) is this
-/// value, so lookups and invalidations report it absent.
-const EMPTY: u64 = u64::MAX;
+/// Tag of an empty way. Tags are 32-bit node pages; a node page at or
+/// above this value (the broker's table-rebuild sentinel
+/// `PageRelocation::TABLE_REBUILD_NPA` among them) cannot be cached, so
+/// lookups and invalidations report it absent.
+const EMPTY: u32 = u32::MAX;
 
-/// One translation-cache set exactly as it sits in DRAM: four
-/// `(tag, value)` pairs in 64 bytes, so the host touches one cache line
-/// per modelled set read (§III-C).
+/// One translation-cache set: four `(tag, value)` pairs of 32-bit node
+/// and FAM page numbers in 32 bytes, aligned so a set never straddles a
+/// host cache line and each modelled set read touches one line
+/// (§III-C).
 #[derive(Debug, Clone, Copy)]
-#[repr(C, align(64))]
+#[repr(C, align(32))]
 struct Set {
-    tags: [u64; ENTRIES_PER_SET],
-    values: [u64; ENTRIES_PER_SET],
+    tags: [u32; ENTRIES_PER_SET],
+    values: [u32; ENTRIES_PER_SET],
 }
 
 impl Set {
@@ -164,10 +166,8 @@ impl Set {
 
     /// The way holding `npa_page`, if resident.
     fn find(&self, npa_page: u64) -> Option<usize> {
-        if npa_page == EMPTY {
-            return None;
-        }
-        self.tags.iter().position(|&t| t == npa_page)
+        let tag = u32::try_from(npa_page).ok().filter(|&t| t != EMPTY)?;
+        self.tags.iter().position(|&t| t == tag)
     }
 }
 
@@ -193,7 +193,9 @@ impl Lru {
 /// would cost extra DRAM writes, §III-C). Each lookup corresponds to
 /// one 64-byte DRAM read that fetches a whole set; the four tags are
 /// compared concurrently by the comparator bank of Fig. 7 (ⓑ). The
-/// host stores each set as the hardware does, in one 64-byte line.
+/// host stores each set in 32 bytes: node and FAM page numbers fit in
+/// 32 bits (the broker asserts its usable pages do), so a set holds
+/// four 32-bit tags and four 32-bit values.
 ///
 /// The translator never verifies anything: its output is an
 /// *unverified* FAM address forwarded with `V = 1` for the STU to vet
@@ -303,7 +305,7 @@ impl FamTranslator {
             if let Some(lru) = &mut self.lru {
                 lru.touch(set, way);
             }
-            self.sets[set].values[way]
+            u64::from(self.sets[set].values[way])
         });
         self.hit_ratio.record(hit.is_some());
         hit
@@ -316,9 +318,17 @@ impl FamTranslator {
     ///
     /// # Panics
     ///
-    /// Panics if `npa_page` is `u64::MAX`, the empty-way tag.
+    /// Panics if `npa_page` is `u32::MAX` or more (the all-ones tag
+    /// marks an empty way) or `fam_page` does not fit in 32 bits.
     pub fn install(&mut self, npa_page: u64, fam_page: u64) {
-        assert_ne!(npa_page, EMPTY, "the all-ones node page is reserved");
+        let tag = u32::try_from(npa_page)
+            .ok()
+            .filter(|&t| t != EMPTY)
+            .unwrap_or_else(|| {
+                panic!("node page {npa_page:#x} does not fit a 32-bit tag (all ones is reserved)")
+            });
+        let value = u32::try_from(fam_page)
+            .unwrap_or_else(|_| panic!("FAM page {fam_page:#x} does not fit a 32-bit value"));
         let set = self.set_of(npa_page);
         let s = &mut self.sets[set];
         let way = match s.find(npa_page) {
@@ -334,8 +344,8 @@ impl FamTranslator {
                 },
             },
         };
-        s.tags[way] = npa_page;
-        s.values[way] = fam_page;
+        s.tags[way] = tag;
+        s.values[way] = value;
         if let Some(lru) = &mut self.lru {
             lru.touch(set, way);
         }
@@ -439,8 +449,65 @@ mod tests {
 
     #[test]
     fn one_set_is_one_host_cache_line() {
-        assert_eq!(std::mem::size_of::<Set>(), 64);
-        assert_eq!(std::mem::align_of::<Set>(), 64);
+        // 32 B aligned to 32 B: two sets share a 64-byte host line and
+        // none straddles one.
+        assert_eq!(std::mem::size_of::<Set>(), 32);
+        assert_eq!(std::mem::align_of::<Set>(), 32);
+        assert_eq!(64 % std::mem::align_of::<Set>(), 0);
+    }
+
+    #[test]
+    fn node_pages_beyond_32_bits_are_absent() {
+        // A cold set holds only empty tags; a full one holds the widest
+        // storable node page and pages whose low 32 bits alias the wide
+        // ones probed below.
+        let cold = FamTranslator::new(64, 0, 128, 1); // one set
+        let mut full = cold.clone();
+        let widest = u64::from(u32::MAX) - 1;
+        for npa in [widest, 0, 1, 5] {
+            full.install(npa, npa & 0xFFFF);
+        }
+        assert_eq!(full.lookup(widest), Some(widest & 0xFFFF));
+        for mut t in [cold, full] {
+            let cached = t.cached_mappings();
+            for wide in [
+                u64::from(u32::MAX),
+                1 << 32,
+                (1 << 32) | 1,
+                (1 << 32) + 5,
+                u64::MAX,
+            ] {
+                assert_eq!(t.lookup(wide), None, "{wide:#x}");
+                assert!(!t.invalidate(wide), "{wide:#x}");
+                assert!(!t.handle_stale_nack(wide), "{wide:#x}");
+            }
+            assert_eq!(t.cached_mappings(), cached, "nothing was invalidated");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a 32-bit tag")]
+    fn installing_a_node_page_of_u32_max_is_rejected() {
+        translator().install(u64::from(u32::MAX), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a 32-bit tag")]
+    fn installing_a_node_page_beyond_32_bits_is_rejected() {
+        translator().install(1 << 32, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a 32-bit value")]
+    fn installing_a_fam_page_beyond_32_bits_is_rejected() {
+        translator().install(7, 1 << 32);
+    }
+
+    #[test]
+    fn the_widest_fam_page_round_trips() {
+        let mut t = translator();
+        t.install(7, u64::from(u32::MAX));
+        assert_eq!(t.lookup(7), Some(u64::from(u32::MAX)));
     }
 
     /// The naive reading of §III-C: per set, four optional

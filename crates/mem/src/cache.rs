@@ -92,7 +92,10 @@ const EMPTY: u64 = u64::MAX;
 /// This structure backs the data caches, TLBs, PTW caches and the STU
 /// cache organisations, each with its own geometry and value type. The
 /// in-DRAM FAM translation cache (`deact::FamTranslator`) packs its
-/// four-way sets into 64-byte lines instead.
+/// four-way sets of 32-bit tags and values into 32-byte blocks instead.
+///
+/// LRU recency is one byte per way (a rank within its set), so a
+/// geometry may have at most 256 ways.
 ///
 /// # Examples
 ///
@@ -110,14 +113,18 @@ pub struct SetAssocCache<V = ()> {
     config: CacheConfig,
     /// Tags of all ways of all sets, contiguous: set `i` occupies
     /// `i * ways .. (i + 1) * ways`, with [`EMPTY`] marking free ways.
-    /// Tags, recency stamps and values are parallel arrays rather than
+    /// Tags, recency ranks and values are parallel arrays rather than
     /// an array of structs: a lookup on the simulation's hottest path
     /// then scans only the densely-packed tags — one or two cache
-    /// lines per set — instead of striding over stamps and values it
+    /// lines per set — instead of striding over ranks and values it
     /// rarely needs.
     keys: Vec<u64>,
-    /// Recency stamps; larger is more recent. Parallel to `keys`.
-    stamps: Vec<u64>,
+    /// Recency ranks, one byte per way, parallel to `keys`: each set's
+    /// ranks are a permutation of `0..ways`, 0 the most recent. Ways
+    /// start ranked by index; every fill touches its way, so in a full
+    /// set the ranks are the exact recency order and the largest rank
+    /// is the least-recently-used way.
+    ranks: Vec<u8>,
     /// Cached values; parallel to `keys`. `None` iff the way is empty.
     values: Vec<Option<V>>,
     /// `sets - 1` when the set count is a power of two, else 0. Set
@@ -126,7 +133,6 @@ pub struct SetAssocCache<V = ()> {
     /// mask here turns the hardware-divide in `key % sets` into an
     /// AND.
     set_mask: u64,
-    clock: u64,
     stats: Ratio,
     rng: SimRng,
 }
@@ -139,7 +145,17 @@ impl<V> SetAssocCache<V> {
 
     /// Creates an empty cache with an explicit RNG seed (relevant only
     /// for [`Replacement::Random`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has more than 256 ways, the most a
+    /// one-byte recency rank can order.
     pub fn with_seed(config: CacheConfig, seed: u64) -> SetAssocCache<V> {
+        assert!(
+            config.ways <= 256,
+            "{} ways exceed the 256 a one-byte recency rank orders",
+            config.ways
+        );
         let entries = config.entries();
         let mut values = Vec::new();
         values.resize_with(entries, || None);
@@ -147,10 +163,12 @@ impl<V> SetAssocCache<V> {
         SetAssocCache {
             config,
             keys: vec![EMPTY; entries],
-            stamps: vec![0; entries],
+            ranks: (0..config.ways)
+                .map(|w| w as u8)
+                .collect::<Vec<_>>()
+                .repeat(config.sets),
             values,
             set_mask: if sets.is_power_of_two() { sets - 1 } else { 0 },
-            clock: 0,
             stats: Ratio::new(),
             rng: SimRng::seeded(seed),
         }
@@ -180,13 +198,28 @@ impl<V> SetAssocCache<V> {
             .map(|w| start + w)
     }
 
+    /// Makes slot `i` of the set starting at `start` its most recent
+    /// way: every way ranked above it (more recent) moves down one rank
+    /// and `i` takes rank 0. A repeated hit on the most recent way costs
+    /// one load and compare.
+    #[inline]
+    fn touch(&mut self, start: usize, i: usize) {
+        let r = self.ranks[i];
+        if r == 0 {
+            return;
+        }
+        for rank in &mut self.ranks[start..start + self.config.ways] {
+            *rank += u8::from(*rank < r);
+        }
+        self.ranks[i] = 0;
+    }
+
     /// Looks up `key`, updating recency and hit/miss statistics, and
     /// returns a reference to its value if present.
     pub fn get(&mut self, key: u64) -> Option<&V> {
-        self.clock += 1;
         match self.find(key) {
             Some(i) => {
-                self.stamps[i] = self.clock;
+                self.touch(self.set_start(key), i);
                 self.stats.hit();
                 self.values[i].as_ref()
             }
@@ -200,10 +233,9 @@ impl<V> SetAssocCache<V> {
     /// Looks up `key` and returns a mutable reference to its value,
     /// updating recency and statistics.
     pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
-        self.clock += 1;
         match self.find(key) {
             Some(i) => {
-                self.stamps[i] = self.clock;
+                self.touch(self.set_start(key), i);
                 self.stats.hit();
                 self.values[i].as_mut()
             }
@@ -240,18 +272,16 @@ impl<V> SetAssocCache<V> {
     /// value and refreshes recency without eviction.
     pub fn insert(&mut self, key: u64, value: V) -> Option<(u64, V)> {
         debug_assert_ne!(key, EMPTY, "the all-ones key is reserved");
-        self.clock += 1;
-        let clock = self.clock;
 
         // One fused scan finds the resident way, the first empty way
         // and the LRU way together; inserts run on every modelled
         // cache miss, so the set is walked once, not three times: first
-        // match, first empty, first minimum stamp.
+        // match, first empty, largest rank.
         let start = self.set_start(key);
         let mut found = usize::MAX;
         let mut empty = usize::MAX;
         let mut lru = start;
-        let mut lru_stamp = u64::MAX;
+        let mut lru_rank = 0;
         for i in start..start + self.config.ways {
             let k = self.keys[i];
             if k == key {
@@ -261,20 +291,20 @@ impl<V> SetAssocCache<V> {
             if k == EMPTY && empty == usize::MAX {
                 empty = i;
             }
-            if self.stamps[i] < lru_stamp {
-                lru_stamp = self.stamps[i];
+            if self.ranks[i] > lru_rank {
+                lru_rank = self.ranks[i];
                 lru = i;
             }
         }
         if found != usize::MAX {
             self.values[found] = Some(value);
-            self.stamps[found] = clock;
+            self.touch(start, found);
             return None;
         }
         if empty != usize::MAX {
             self.keys[empty] = key;
-            self.stamps[empty] = clock;
             self.values[empty] = Some(value);
+            self.touch(start, empty);
             return None;
         }
         let victim = match self.config.replacement {
@@ -283,7 +313,7 @@ impl<V> SetAssocCache<V> {
         };
         let old_key = std::mem::replace(&mut self.keys[victim], key);
         let old_value = self.values[victim].replace(value);
-        self.stamps[victim] = clock;
+        self.touch(start, victim);
         Some((old_key, old_value.expect("full set has no empty ways")))
     }
 
@@ -574,6 +604,189 @@ mod tests {
             }
         }
         assert!(c.stats().total() > 0, "the stream exercised counted paths");
+    }
+
+    /// The recency algorithm the rank LRU replaced: a global clock
+    /// bumped by every `get`, `get_mut` and `insert`, one stamp per way
+    /// written on each touch, and the first way with the smallest stamp
+    /// as the victim of a full set.
+    struct StampModel {
+        ways: usize,
+        slots: Vec<Option<(u64, u64)>>,
+        stamps: Vec<u64>,
+        clock: u64,
+        hits: u64,
+        misses: u64,
+        rng: SimRng,
+        replacement: Replacement,
+    }
+
+    impl StampModel {
+        fn new(sets: usize, ways: usize, replacement: Replacement) -> StampModel {
+            StampModel {
+                ways,
+                slots: vec![None; sets * ways],
+                stamps: vec![0; sets * ways],
+                clock: 0,
+                hits: 0,
+                misses: 0,
+                rng: SimRng::seeded(0xCACE),
+                replacement,
+            }
+        }
+
+        fn set(&self, key: u64) -> std::ops::Range<usize> {
+            let start = (key % (self.slots.len() / self.ways) as u64) as usize * self.ways;
+            start..start + self.ways
+        }
+
+        fn find(&self, key: u64) -> Option<usize> {
+            self.set(key)
+                .find(|&i| matches!(self.slots[i], Some((k, _)) if k == key))
+        }
+
+        fn get_mut(&mut self, key: u64) -> Option<&mut u64> {
+            self.clock += 1;
+            match self.find(key) {
+                Some(i) => {
+                    self.stamps[i] = self.clock;
+                    self.hits += 1;
+                    self.slots[i].as_mut().map(|(_, v)| v)
+                }
+                None => {
+                    self.misses += 1;
+                    None
+                }
+            }
+        }
+
+        fn insert(&mut self, key: u64, value: u64) -> Option<(u64, u64)> {
+            self.clock += 1;
+            let way = match self.find(key) {
+                Some(i) => i,
+                None => match self.set(key).find(|&i| self.slots[i].is_none()) {
+                    Some(i) => i,
+                    None => match self.replacement {
+                        Replacement::Lru => self
+                            .set(key)
+                            .min_by_key(|&i| self.stamps[i])
+                            .expect("sets have ways"),
+                        Replacement::Random => self.set(key).start + self.rng.index(self.ways),
+                    },
+                },
+            };
+            self.stamps[way] = self.clock;
+            self.slots[way]
+                .replace((key, value))
+                .filter(|&(k, _)| k != key)
+        }
+
+        fn invalidate(&mut self, key: u64) -> Option<u64> {
+            let i = self.find(key)?;
+            self.slots[i].take().map(|(_, v)| v)
+        }
+
+        fn retain(&mut self, mut pred: impl FnMut(u64, &u64) -> bool) -> usize {
+            let mut removed = 0;
+            for slot in &mut self.slots {
+                if matches!(slot, Some((k, v)) if !pred(*k, v)) {
+                    *slot = None;
+                    removed += 1;
+                }
+            }
+            removed
+        }
+
+        fn clear(&mut self) {
+            self.slots.fill(None);
+            self.hits = 0;
+            self.misses = 0;
+        }
+
+        fn contents(&self) -> Vec<(u64, u64)> {
+            let mut all: Vec<_> = self.slots.iter().flatten().copied().collect();
+            all.sort_unstable();
+            all
+        }
+    }
+
+    /// Seeded random streams of every recency-relevant operation drive
+    /// the rank LRU and the stamp model side by side; every return value,
+    /// the statistics and the final contents must agree.
+    #[test]
+    fn rank_lru_matches_the_stamp_model() {
+        for replacement in [Replacement::Lru, Replacement::Random] {
+            for ways in [1, 4, 8, 16, 24, 200] {
+                for sets in [4, 3] {
+                    let mut c: SetAssocCache<u64> =
+                        SetAssocCache::new(CacheConfig::new(sets, ways, replacement));
+                    let mut m = StampModel::new(sets, ways, replacement);
+                    let mut rng = SimRng::seeded(0x5EED ^ (ways * 31 + sets) as u64);
+                    // Twice the capacity in keys: constant aliasing, so
+                    // hits, fills of emptied ways and evictions all occur.
+                    let keys = 2 * (sets * ways) as u64;
+                    for step in 0..20_000u64 {
+                        let key = rng.below(keys);
+                        let ctx = format!("{replacement:?} {sets}x{ways} step {step}");
+                        match rng.below(100) {
+                            0..=39 => {
+                                assert_eq!(c.get(key).copied(), m.get_mut(key).copied(), "{ctx}")
+                            }
+                            40..=49 => {
+                                let got = c.get_mut(key).map(|v| {
+                                    *v += 1;
+                                    *v
+                                });
+                                let want = m.get_mut(key).map(|v| {
+                                    *v += 1;
+                                    *v
+                                });
+                                assert_eq!(got, want, "{ctx}");
+                            }
+                            50..=89 => {
+                                assert_eq!(c.insert(key, step), m.insert(key, step), "{ctx}")
+                            }
+                            90..=96 => assert_eq!(c.invalidate(key), m.invalidate(key), "{ctx}"),
+                            97..=98 => {
+                                let cut = rng.below(7);
+                                assert_eq!(
+                                    c.retain(|_, &v| v % 7 != cut),
+                                    m.retain(|_, &v| v % 7 != cut),
+                                    "{ctx}"
+                                );
+                            }
+                            _ => {
+                                c.clear();
+                                m.clear();
+                            }
+                        }
+                        assert_eq!(c.len(), m.contents().len(), "{ctx}");
+                    }
+                    let mut contents: Vec<_> = c.iter().map(|(k, &v)| (k, v)).collect();
+                    contents.sort_unstable();
+                    assert_eq!(contents, m.contents(), "{replacement:?} {sets}x{ways}");
+                    assert_eq!(c.stats().hits(), m.hits);
+                    assert_eq!(c.stats().misses(), m.misses);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_full_256_way_set_evicts_its_least_recent_way() {
+        let mut c = tiny(256, Replacement::Lru);
+        for k in 0..256 {
+            assert_eq!(c.insert(k, k as u32), None);
+        }
+        assert_eq!(c.get(0), Some(&0), "refreshes key 0");
+        assert_eq!(c.insert(999, 999), Some((1, 1)), "key 1 is the oldest");
+        assert_eq!(c.insert(1000, 1000), Some((2, 2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "257 ways exceed")]
+    fn more_than_256_ways_are_rejected() {
+        let _ = tiny(257, Replacement::Lru);
     }
 
     #[test]
