@@ -194,9 +194,12 @@ pub struct MemoryBroker {
     /// Regions not yet handed to the page pool or a shared segment.
     /// The pool takes from the front; shared segments from the back.
     unassigned_regions: std::collections::VecDeque<u64>,
-    /// Shuffled free pages of pool regions, as `u32` (the constructor
-    /// checks that every usable page number fits).
+    /// Free pages of pool regions, as `u32` (the constructor checks
+    /// that every usable page number fits), popped from the back.
     free_pages: Vec<u32>,
+    /// Positions of `free_pages` below this still await their
+    /// Fisher–Yates step; `take_page` performs it as it pops them.
+    unshuffled: usize,
     nodes: Vec<NodeState>,
     shared_segments: Vec<SharedSegment>,
     logical: LogicalNodeMap,
@@ -219,6 +222,7 @@ impl MemoryBroker {
             acm: AcmStore::new(config.acm_width),
             unassigned_regions: (0..regions).collect(),
             free_pages: Vec::new(),
+            unshuffled: 0,
             nodes: Vec::new(),
             shared_segments: Vec::new(),
             logical: LogicalNodeMap::new(),
@@ -268,9 +272,20 @@ impl MemoryBroker {
     }
 
     /// Pops one free page, refilling the pool from the next unassigned
-    /// region (in shuffled order) when empty.
+    /// region that has a surviving page when empty.
+    ///
+    /// Pages leave each region in Fisher–Yates order (random
+    /// allocation, §III-D), one step per take: the step for pool
+    /// position `top` draws `j` in `0..=top` and swaps the two, exactly
+    /// as a shuffle of the whole region would at `i = top`. That
+    /// shuffle runs `i` downward and never touches a position once its
+    /// step is done, and `rng` feeds nothing else, so deferring each
+    /// step to the pop of its position yields the same draws and the
+    /// same pages while a refill costs no draws at all. Pages
+    /// `map_in_table` hands back sit at or above `unshuffled` and pop
+    /// without a step.
     fn take_page(&mut self) -> Result<u64, BrokerError> {
-        if self.free_pages.is_empty() {
+        while self.free_pages.is_empty() {
             let region = self
                 .unassigned_regions
                 .pop_front()
@@ -278,21 +293,34 @@ impl MemoryBroker {
             let first = region * (REGION_BYTES / PAGE_BYTES);
             let last = ((region + 1) * (REGION_BYTES / PAGE_BYTES)).min(self.layout.usable_pages());
             let quarantine = self.layout.quarantine();
-            self.free_pages.extend(
-                (first..last)
-                    .filter(|&p| !quarantine.contains(p))
-                    .map(|p| p as u32),
-            );
-            // Fisher-Yates shuffle: random allocation order (§III-D).
-            for i in (1..self.free_pages.len()).rev() {
-                let j = self.rng.index(i + 1);
-                self.free_pages.swap(i, j);
-            }
+            // Extend, then filter: an exact-size extend writes the
+            // region's 1 MiB several times faster than pushing through
+            // a filter, and the order is the same.
+            self.free_pages.extend((first..last).map(|p| p as u32));
+            self.free_pages
+                .retain(|&p| !quarantine.contains(u64::from(p)));
+            self.unshuffled = self.free_pages.len();
         }
-        self.free_pages
-            .pop()
-            .map(u64::from)
-            .ok_or(BrokerError::OutOfMemory)
+        let top = self.free_pages.len() - 1;
+        if top < self.unshuffled {
+            if top > 0 {
+                let j = self.rng.index(top + 1);
+                self.free_pages.swap(top, j);
+            }
+            self.unshuffled = top;
+        }
+        let page = self.free_pages.pop().expect("the refill leaves a page");
+        Ok(u64::from(page))
+    }
+
+    /// Performs every pending Fisher–Yates step, leaving the pool in
+    /// the order a whole-region shuffle would have.
+    fn finish_shuffle(&mut self) {
+        for i in (1..self.unshuffled).rev() {
+            let j = self.rng.index(i + 1);
+            self.free_pages.swap(i, j);
+        }
+        self.unshuffled = 0;
     }
 
     /// Installs `npa_page → fam_page` in `node`'s system table. The
@@ -527,6 +555,9 @@ impl MemoryBroker {
         };
         let mut relocations = Vec::new();
 
+        // Compaction moves pages across positions, so the pending
+        // steps must be done first.
+        self.finish_shuffle();
         self.free_pages
             .retain(|&p| !quarantine.contains(u64::from(p)));
 
@@ -977,6 +1008,128 @@ mod tests {
         };
         assert_eq!(err, BrokerError::OutOfMemory);
         assert!(npa > 1000, "most pages were allocatable first");
+    }
+
+    #[test]
+    fn refill_skips_regions_a_quarantine_emptied() {
+        let mut b = small_broker();
+        let n = b.register_node().unwrap();
+        let region_pages = REGION_BYTES / PAGE_BYTES;
+        // All but 8 pages of region 0 (the pool's) and all of region 1.
+        let quarantine = Quarantine::Range {
+            first_page: 8,
+            pages: 2 * region_pages - 8,
+        };
+        b.quarantine_and_evacuate(quarantine, false).unwrap();
+        for npa in 0..64 {
+            let page = b.demand_map(n, npa).expect("regions 2 and 3 are untouched");
+            assert!(!quarantine.contains(page));
+        }
+    }
+
+    /// The allocation order a whole-region Fisher–Yates shuffle at each
+    /// refill gives: the reference for the one-step-per-take pool.
+    struct UpFrontPool {
+        rng: SimRng,
+        regions: std::collections::VecDeque<u64>,
+        usable_pages: u64,
+        quarantine: Quarantine,
+        free: Vec<u32>,
+    }
+
+    impl UpFrontPool {
+        fn take(&mut self) -> Option<u64> {
+            let region_pages = REGION_BYTES / PAGE_BYTES;
+            while self.free.is_empty() {
+                let region = self.regions.pop_front()?;
+                let last = ((region + 1) * region_pages).min(self.usable_pages);
+                let quarantine = self.quarantine;
+                self.free.extend(
+                    (region * region_pages..last)
+                        .filter(|&p| !quarantine.contains(p))
+                        .map(|p| p as u32),
+                );
+                for i in (1..self.free.len()).rev() {
+                    let j = self.rng.index(i + 1);
+                    self.free.swap(i, j);
+                }
+            }
+            self.free.pop().map(u64::from)
+        }
+    }
+
+    #[test]
+    fn pool_hands_out_pages_in_whole_region_shuffle_order() {
+        let config = BrokerConfig {
+            fam_bytes: 2 << 30,
+            ..BrokerConfig::default()
+        };
+        let mut b = MemoryBroker::new(config);
+        let mut model = UpFrontPool {
+            rng: SimRng::seeded(config.seed),
+            regions: b.unassigned_regions.clone(),
+            usable_pages: b.layout().usable_pages(),
+            quarantine: Quarantine::None,
+            free: Vec::new(),
+        };
+        assert!(model.regions.len() >= 2, "the run must cross a refill");
+        let region_pages = REGION_BYTES / PAGE_BYTES;
+        // Straddles the end of region 0 (already in the pool when it
+        // lands) and the start of region 1 (filtered at its refill).
+        let quarantine = Quarantine::Range {
+            first_page: region_pages - 5_000,
+            pages: 20_000,
+        };
+        let mut ops = SimRng::seeded(3);
+        let mut handed_out = vec![false; model.usable_pages as usize];
+        let mut record = |pages: &[u32]| {
+            for &p in pages {
+                assert!(!std::mem::replace(&mut handed_out[p as usize], true));
+            }
+        };
+        for step in 0u64.. {
+            if step == 100_000 {
+                b.quarantine_and_evacuate(quarantine, false).unwrap();
+                model.quarantine = quarantine;
+                model.free.retain(|&p| !quarantine.contains(u64::from(p)));
+            }
+            // `map_in_table` takes three and hands the unused back.
+            let want = if ops.chance(0.3) { 3 } else { 1 };
+            let pages: Vec<u32> = (0..want)
+                .map_while(|_| b.take_page().ok())
+                .map(|p| p as u32)
+                .collect();
+            let expected: Vec<u32> = (0..want)
+                .map_while(|_| model.take())
+                .map(|p| p as u32)
+                .collect();
+            assert_eq!(pages, expected, "step {step}");
+            if pages.len() < want {
+                record(&pages);
+                break;
+            }
+            let unused = if want == 3 { ops.index(3) } else { 0 };
+            b.free_pages.extend_from_slice(&pages[..unused]);
+            model.free.extend_from_slice(&pages[..unused]);
+            record(&pages[unused..]);
+        }
+        for (page, &out) in handed_out.iter().enumerate() {
+            assert!(
+                out || quarantine.contains(page as u64),
+                "page {page} was never handed out"
+            );
+        }
+    }
+
+    #[test]
+    fn registering_a_node_takes_one_shuffle_step() {
+        let config = BrokerConfig::default();
+        let mut b = MemoryBroker::new(config);
+        b.register_node().unwrap();
+        // One draw over the whole first region, nothing more.
+        let mut expected = SimRng::seeded(config.seed);
+        expected.index((REGION_BYTES / PAGE_BYTES) as usize);
+        assert_eq!(b.rng.next_u64(), expected.next_u64());
     }
 
     #[test]

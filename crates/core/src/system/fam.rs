@@ -422,12 +422,22 @@ impl System {
                 t += stall;
             }
         }
+        // Reused walk buffer, as for node walks (dropped on early `?`
+        // returns; the next walk allocates).
+        let mut walk_buf = std::mem::take(&mut self.walk_buf);
         loop {
-            match self.stus[n].walk_system_table(&self.broker, node_id, npa_page, req) {
-                Ok((fam_page, plan)) => {
+            match self.stus[n].walk_system_table_into(
+                &self.broker,
+                node_id,
+                npa_page,
+                req,
+                &mut walk_buf,
+            ) {
+                Ok(pte) => {
+                    let fam_page = pte.target_page;
                     let start = t.max(self.walker_free[n]);
                     let mut tw = start;
-                    for acc in &plan.accesses {
+                    for acc in &walk_buf {
                         self.traffic.at_walk_reads += 1;
                         tw = self.fam_round_trip(n, tw, acc.entry_addr, MemOpKind::Read, req)?;
                     }
@@ -445,6 +455,7 @@ impl System {
                         continue;
                     }
                     self.walker_free[n] = tw;
+                    self.walk_buf = walk_buf;
                     return Ok((fam_page, tw));
                 }
                 Err(_) => {

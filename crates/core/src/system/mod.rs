@@ -98,9 +98,10 @@ pub struct System {
     /// re-walk of one of these is a poisoned access, not an ordinary
     /// first touch.
     lost: BTreeMap<(NodeId, u64), u64>,
-    /// The page-walk access buffer: a node-level walk plans into it
-    /// instead of allocating a fresh vector per walk. At most one walk
-    /// is in flight, so one buffer suffices.
+    /// The page-walk access buffer: node-level walks and STU walks
+    /// plan into it instead of allocating a fresh vector per walk.
+    /// Neither kind of walk starts another while its reads are
+    /// charged, so one buffer suffices.
     walk_buf: Vec<WalkAccess>,
 }
 

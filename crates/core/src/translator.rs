@@ -171,18 +171,35 @@ impl Set {
     }
 }
 
-/// Exact-LRU recency state for the §III-C ablation: one stamp per way,
-/// larger is more recent. The paper's random policy keeps none.
+/// Exact-LRU recency state for the §III-C ablation, one byte per way
+/// (the `SetAssocCache` scheme): each set's ranks are a permutation of
+/// `0..ENTRIES_PER_SET`, 0 the most recent, starting ranked by way.
+/// The paper's random policy keeps none.
 #[derive(Debug, Clone)]
 struct Lru {
-    clock: u64,
-    stamps: Box<[[u64; ENTRIES_PER_SET]]>,
+    ranks: Box<[[u8; ENTRIES_PER_SET]]>,
 }
 
 impl Lru {
     fn touch(&mut self, set: usize, way: usize) {
-        self.clock += 1;
-        self.stamps[set][way] = self.clock;
+        let ranks = &mut self.ranks[set];
+        let r = ranks[way];
+        if r == 0 {
+            return;
+        }
+        for rank in ranks.iter_mut() {
+            *rank += u8::from(*rank < r);
+        }
+        ranks[way] = 0;
+    }
+
+    /// The least-recent way of a full set. Every way of a full set was
+    /// touched at its install, so its ranks are the exact recency order.
+    fn victim(&self, set: usize) -> usize {
+        let ranks = &self.ranks[set];
+        (0..ENTRIES_PER_SET)
+            .max_by_key(|&w| ranks[w])
+            .expect("sets have ways")
     }
 }
 
@@ -220,7 +237,7 @@ pub struct FamTranslator {
     set_mask: u64,
     /// Victim choice under random replacement; unused under LRU.
     rng: SimRng,
-    /// Recency stamps, allocated only under LRU replacement.
+    /// Recency ranks, allocated only under LRU replacement.
     lru: Option<Lru>,
     dram_base: u64,
     oml: OutstandingMappingList,
@@ -263,8 +280,7 @@ impl FamTranslator {
         let sets = (cache_bytes / 64) as usize;
         assert!(sets > 0, "translation cache needs at least one set");
         let lru = (replacement == Replacement::Lru).then(|| Lru {
-            clock: 0,
-            stamps: vec![[0; ENTRIES_PER_SET]; sets].into_boxed_slice(),
+            ranks: vec![std::array::from_fn(|w| w as u8); sets].into_boxed_slice(),
         });
         FamTranslator {
             sets: vec![Set::EMPTY; sets].into_boxed_slice(),
@@ -336,10 +352,7 @@ impl FamTranslator {
             None => match s.tags.iter().position(|&t| t == EMPTY) {
                 Some(way) => way,
                 None => match &self.lru {
-                    // First least-recent way.
-                    Some(lru) => (0..ENTRIES_PER_SET)
-                        .min_by_key(|&w| lru.stamps[set][w])
-                        .expect("sets have ways"),
+                    Some(lru) => lru.victim(set),
                     None => self.rng.index(ENTRIES_PER_SET),
                 },
             },

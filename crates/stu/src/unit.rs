@@ -2,7 +2,7 @@
 
 use fam_broker::{AccessKind, MemoryBroker};
 use fam_sim::RequestId;
-use fam_vm::{NodeId, PageWalker, PtwCache, WalkPlan};
+use fam_vm::{NodeId, PageWalker, Pte, PtwCache, WalkAccess, WalkPlan};
 
 use crate::{StuCache, StuConfig};
 
@@ -241,19 +241,47 @@ impl Stu {
         npa_page: u64,
         req: RequestId,
     ) -> Result<(u64, WalkPlan), UnmappedFault> {
+        let mut accesses = Vec::new();
+        let pte = self.walk_system_table_into(broker, node, npa_page, req, &mut accesses)?;
+        Ok((
+            pte.target_page,
+            WalkPlan {
+                accesses,
+                mapping: Some(pte),
+            },
+        ))
+    }
+
+    /// As [`Stu::walk_system_table`], but writes the walk's entry
+    /// reads into a caller-supplied buffer (cleared first) and returns
+    /// the mapping, so a recycled buffer walks without allocating.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnmappedFault`] when no mapping exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not registered with the broker.
+    pub fn walk_system_table_into(
+        &mut self,
+        broker: &MemoryBroker,
+        node: NodeId,
+        npa_page: u64,
+        req: RequestId,
+        out: &mut Vec<WalkAccess>,
+    ) -> Result<Pte, UnmappedFault> {
         let _prof = fam_sim::profile::span(fam_sim::profile::PhaseId::Stu);
         let table = broker
             .system_table(node)
             .expect("node must be registered before issuing requests");
-        let plan = PageWalker::plan(table, Some(&mut self.ptw_cache), npa_page);
-        match plan.mapping {
-            Some(pte) => Ok((pte.target_page, plan)),
-            None => Err(UnmappedFault {
+        PageWalker::plan_into(table, Some(&mut self.ptw_cache), npa_page, out).ok_or(
+            UnmappedFault {
                 req,
                 npa_page,
-                walk_reads: plan.reads(),
-            }),
-        }
+                walk_reads: out.len(),
+            },
+        )
     }
 
     /// Invalidates state for a page (migration shootdown, §VI). Pass
