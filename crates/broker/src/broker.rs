@@ -564,12 +564,15 @@ impl MemoryBroker {
         // Owned data pages.
         for node_idx in 0..self.nodes.len() {
             let node = NodeId::new(node_idx as u16);
-            let doomed: Vec<(u64, u64)> = self.nodes[node_idx]
+            let mut doomed: Vec<(u64, u64)> = self.nodes[node_idx]
                 .owned_pages
                 .iter()
                 .copied()
                 .filter(|&(_, fam)| quarantine.contains(fam))
                 .collect();
+            // Evacuate in NPA order, the order a system-table walk
+            // visits the node's pages.
+            doomed.sort_unstable();
             for (npa_page, old_fam) in doomed {
                 let replacement = if evacuable {
                     self.take_page().ok()
