@@ -160,13 +160,6 @@ pub struct EvacuationReport {
     pub capacity_pages_lost: u64,
 }
 
-#[derive(Debug, Clone)]
-struct NodeState {
-    table: PageTable,
-    /// `(npa_page, fam_page)` pairs installed by demand mapping.
-    owned_pages: Vec<(u64, u64)>,
-}
-
 /// The centralized memory broker (Opal's role in the paper's SST
 /// setup).
 ///
@@ -200,7 +193,10 @@ pub struct MemoryBroker {
     /// Positions of `free_pages` below this still await their
     /// Fisher–Yates step; `take_page` performs it as it pops them.
     unshuffled: usize,
-    nodes: Vec<NodeState>,
+    /// Each registered node's system page table, by node index. A
+    /// leaf holds a mapping's NPA and the ACM names its FAM page's
+    /// owner; `owned_leaves` reads both for recovery and migration.
+    tables: Vec<PageTable>,
     shared_segments: Vec<SharedSegment>,
     logical: LogicalNodeMap,
     rng: SimRng,
@@ -223,7 +219,7 @@ impl MemoryBroker {
             unassigned_regions: (0..regions).collect(),
             free_pages: Vec::new(),
             unshuffled: 0,
-            nodes: Vec::new(),
+            tables: Vec::new(),
             shared_segments: Vec::new(),
             logical: LogicalNodeMap::new(),
             rng: SimRng::seeded(config.seed),
@@ -253,20 +249,17 @@ impl MemoryBroker {
     /// the ACM width's node-id space is exhausted, and propagates
     /// allocation failure for the node's system-page-table root.
     pub fn register_node(&mut self) -> Result<NodeId, BrokerError> {
-        let id = self.nodes.len();
+        let id = self.tables.len();
         if id >= self.config.max_nodes || id as u32 > self.config.acm_width.max_nodes() {
             return Err(BrokerError::TooManyNodes);
         }
         let root_page = self.take_page()?;
-        self.nodes.push(NodeState {
-            table: PageTable::new(root_page * PAGE_BYTES),
-            owned_pages: Vec::new(),
-        });
+        self.tables.push(PageTable::new(root_page * PAGE_BYTES));
         Ok(NodeId::new(id as u16))
     }
 
-    fn node_ref(&self, node: NodeId) -> Result<&NodeState, BrokerError> {
-        self.nodes
+    fn table_ref(&self, node: NodeId) -> Result<&PageTable, BrokerError> {
+        self.tables
             .get(node.index())
             .ok_or(BrokerError::UnknownNode(node))
     }
@@ -342,11 +335,25 @@ impl MemoryBroker {
             left -= 1;
             u64::from(spare[left]) * PAGE_BYTES
         };
-        self.nodes[node.index()]
-            .table
-            .map(npa_page, fam_page, flags, &mut alloc);
+        self.tables[node.index()].map(npa_page, fam_page, flags, &mut alloc);
         self.free_pages.extend_from_slice(&spare[..left]);
         Ok(())
+    }
+
+    /// The mappings `node` owns whose FAM page passes `keep`, as
+    /// `(npa_page, pte)` in ascending NPA order: one pass over the
+    /// leaves of its system table, keeping those whose ACM entry names
+    /// `node` as owner. Shared-segment pages carry the shared marker,
+    /// so they never qualify.
+    fn owned_leaves(&self, node: NodeId, keep: impl Fn(u64) -> bool) -> Vec<(u64, Pte)> {
+        let mut leaves = Vec::new();
+        self.tables[node.index()].for_each_leaf(|npa_page, pte| {
+            let fam_page = pte.target_page;
+            if keep(fam_page) && self.acm.entry(fam_page).and_then(|e| e.owner()) == Some(node) {
+                leaves.push((npa_page, pte));
+            }
+        });
+        leaves
     }
 
     /// Maps `npa_page` (a page in the node's FAM zone) to a freshly
@@ -363,21 +370,18 @@ impl MemoryBroker {
     /// Returns [`BrokerError::UnknownNode`] or
     /// [`BrokerError::OutOfMemory`].
     pub fn demand_map(&mut self, node: NodeId, npa_page: u64) -> Result<u64, BrokerError> {
-        if let Some(pte) = self.node_ref(node)?.table.translate(npa_page) {
+        if let Some(pte) = self.table_ref(node)?.translate(npa_page) {
             return Ok(pte.target_page);
         }
         let fam_page = self.take_page()?;
         self.map_in_table(node, npa_page, fam_page, PtFlags::rw())?;
-        self.nodes[node.index()]
-            .owned_pages
-            .push((npa_page, fam_page));
         self.acm.set_owner(fam_page, node, PtFlags::rw());
         Ok(fam_page)
     }
 
     /// Looks up a node's system-level translation without faulting.
     pub fn translate(&self, node: NodeId, npa_page: u64) -> Option<Pte> {
-        self.node_ref(node).ok()?.table.translate(npa_page)
+        self.table_ref(node).ok()?.translate(npa_page)
     }
 
     /// The node's system page table — what the STU's FAM-PTW walks.
@@ -386,7 +390,7 @@ impl MemoryBroker {
     ///
     /// Returns [`BrokerError::UnknownNode`] for unregistered ids.
     pub fn system_table(&self, node: NodeId) -> Result<&PageTable, BrokerError> {
-        Ok(&self.node_ref(node)?.table)
+        self.table_ref(node)
     }
 
     /// Vets an access: the STU's verification decision, delegated to
@@ -420,7 +424,7 @@ impl MemoryBroker {
             });
         }
         for (node, _, _) in members {
-            self.node_ref(*node)?;
+            self.table_ref(*node)?;
         }
         let region = self
             .unassigned_regions
@@ -455,10 +459,10 @@ impl MemoryBroker {
         self.acm.revoke_shared(region, node);
     }
 
-    /// Migrates every page owned by `from` to `to` (§VI): rewrites ACM
-    /// ownership, moves the system-table mappings — including the
-    /// node's *shared-segment* memberships, whose pages are not in
-    /// `owned_pages` and used to be silently left behind — and reports
+    /// Migrates every page owned by `from` to `to` (§VI), in ascending
+    /// NPA order: rewrites ACM ownership, moves the system-table
+    /// mappings — including the node's *shared-segment* memberships,
+    /// whose pages the ACM marks shared rather than owned — and reports
     /// the shootdown work the caller must apply to node-side caches.
     ///
     /// # Errors
@@ -469,25 +473,18 @@ impl MemoryBroker {
         from: NodeId,
         to: NodeId,
     ) -> Result<MigrationReport, BrokerError> {
-        self.node_ref(from)?;
-        self.node_ref(to)?;
-        let moved = std::mem::take(&mut self.nodes[from.index()].owned_pages);
+        self.table_ref(from)?;
+        self.table_ref(to)?;
+        let moved = self.owned_leaves(from, |_| true);
         let mut report = MigrationReport::default();
 
-        for &(npa_page, fam_page) in &moved {
-            let pte = self.nodes[from.index()]
-                .table
-                .unmap(npa_page)
-                .unwrap_or(Pte {
-                    target_page: fam_page,
-                    flags: PtFlags::rw(),
-                });
-            self.acm.set_owner(fam_page, to, PtFlags::rw());
+        for &(npa_page, pte) in &moved {
+            self.tables[from.index()].unmap(npa_page);
+            self.acm.set_owner(pte.target_page, to, PtFlags::rw());
             report.acm_writes += 1;
-            self.map_in_table(to, npa_page, fam_page, pte.flags)?;
+            self.map_in_table(to, npa_page, pte.target_page, pte.flags)?;
             report.translation_invalidations += 1;
         }
-        self.nodes[to.index()].owned_pages.extend(&moved);
         report.pages_moved = moved.len() as u64;
 
         // Shared-segment memberships travel with the job: revoke the
@@ -504,7 +501,7 @@ impl MemoryBroker {
                 report.acm_writes += 1;
                 for (i, fam_page) in segment.fam_pages().enumerate() {
                     let npa_page = npa_start + i as u64;
-                    self.nodes[from.index()].table.unmap(npa_page);
+                    self.tables[from.index()].unmap(npa_page);
                     self.map_in_table(to, npa_page, fam_page, flags)?;
                     report.translation_invalidations += 1;
                 }
@@ -561,43 +558,27 @@ impl MemoryBroker {
         self.free_pages
             .retain(|&p| !quarantine.contains(u64::from(p)));
 
-        // Owned data pages.
-        for node_idx in 0..self.nodes.len() {
+        // Owned data pages, node by node in NPA order. Each node's
+        // doomed pages are collected before its table is rewritten.
+        for node_idx in 0..self.tables.len() {
             let node = NodeId::new(node_idx as u16);
-            let mut doomed: Vec<(u64, u64)> = self.nodes[node_idx]
-                .owned_pages
-                .iter()
-                .copied()
-                .filter(|&(_, fam)| quarantine.contains(fam))
-                .collect();
-            // Evacuate in NPA order, the order a system-table walk
-            // visits the node's pages.
-            doomed.sort_unstable();
-            for (npa_page, old_fam) in doomed {
+            let doomed = self.owned_leaves(node, |fam| quarantine.contains(fam));
+            for (npa_page, old) in doomed {
+                let old_fam = old.target_page;
                 let replacement = if evacuable {
                     self.take_page().ok()
                 } else {
                     None
                 };
-                let state = &mut self.nodes[node_idx];
+                let table = &mut self.tables[node_idx];
                 match replacement {
                     Some(new_fam) => {
-                        let flags = state
-                            .table
-                            .translate(npa_page)
-                            .map(|pte| pte.flags)
-                            .unwrap_or_else(PtFlags::rw);
                         let mut alloc = |_level: usize| -> u64 {
                             unreachable!("remapping an existing leaf allocates nothing")
                         };
-                        state.table.map(npa_page, new_fam, flags, &mut alloc);
-                        for pair in &mut state.owned_pages {
-                            if *pair == (npa_page, old_fam) {
-                                pair.1 = new_fam;
-                            }
-                        }
+                        table.map(npa_page, new_fam, old.flags, &mut alloc);
                         self.acm.clear(old_fam);
-                        self.acm.set_owner(new_fam, node, flags);
+                        self.acm.set_owner(new_fam, node, old.flags);
                         report.acm_writes += 2;
                         report.pages_evacuated += 1;
                         report.bytes_copied += PAGE_BYTES;
@@ -609,8 +590,7 @@ impl MemoryBroker {
                         });
                     }
                     None => {
-                        state.table.unmap(npa_page);
-                        state.owned_pages.retain(|&p| p != (npa_page, old_fam));
+                        table.unmap(npa_page);
                         self.acm.clear(old_fam);
                         report.acm_writes += 1;
                         report.pages_lost += 1;
@@ -649,11 +629,10 @@ impl MemoryBroker {
                             self.acm.grant_shared(new_region, member, flags);
                             report.acm_writes += 1;
                             let npa_page = npa_start + i as u64;
-                            let state = &mut self.nodes[member.index()];
                             let mut alloc = |_level: usize| -> u64 {
                                 unreachable!("remapping an existing leaf allocates nothing")
                             };
-                            state.table.map(npa_page, new_fam, flags, &mut alloc);
+                            self.tables[member.index()].map(npa_page, new_fam, flags, &mut alloc);
                             relocations.push(PageRelocation {
                                 node: member,
                                 npa_page,
@@ -668,7 +647,7 @@ impl MemoryBroker {
                         report.pages_lost += 1;
                         for &(member, _, npa_start) in &segment.members {
                             let npa_page = npa_start + i as u64;
-                            self.nodes[member.index()].table.unmap(npa_page);
+                            self.tables[member.index()].unmap(npa_page);
                             relocations.push(PageRelocation {
                                 node: member,
                                 npa_page,
@@ -683,9 +662,8 @@ impl MemoryBroker {
 
         // Table pages: always rebuildable, relocated in place so every
         // later walk reads surviving addresses.
-        for node_idx in 0..self.nodes.len() {
-            let doomed: Vec<u64> = self.nodes[node_idx]
-                .table
+        for node_idx in 0..self.tables.len() {
+            let doomed: Vec<u64> = self.tables[node_idx]
                 .table_page_addrs()
                 .filter(|&addr| quarantine.contains(addr / PAGE_BYTES))
                 .collect();
@@ -695,9 +673,7 @@ impl MemoryBroker {
                 // fraction of the pool, and the refill filter already
                 // excludes quarantined pages.
                 let new_page = self.take_page()?;
-                self.nodes[node_idx]
-                    .table
-                    .relocate_table_page(old_base, new_page * PAGE_BYTES);
+                self.tables[node_idx].relocate_table_page(old_base, new_page * PAGE_BYTES);
                 report.table_pages_rebuilt += 1;
                 report.bytes_copied += PAGE_BYTES;
                 // Announce the rebuild as a relocation too, so in-flight
@@ -717,11 +693,31 @@ impl MemoryBroker {
         Ok((report, relocations))
     }
 
-    /// Pages currently owned (demand-mapped) by `node`.
+    /// Pages currently owned (demand-mapped) by `node`: its system
+    /// table's leaves less those in its shared-segment windows that
+    /// still map a shared page. O(1) for a node in no segment.
     pub fn owned_pages(&self, node: NodeId) -> usize {
-        self.node_ref(node)
-            .map(|s| s.owned_pages.len())
-            .unwrap_or(0)
+        let Ok(table) = self.table_ref(node) else {
+            return 0;
+        };
+        let shared = self
+            .shared_segments
+            .iter()
+            .flat_map(|s| {
+                s.members
+                    .iter()
+                    .filter(|&&(member, _, _)| member == node)
+                    .flat_map(move |&(_, _, npa_start)| npa_start..npa_start + s.pages)
+            })
+            .filter(|&npa_page| {
+                table.translate(npa_page).is_some_and(|pte| {
+                    self.acm
+                        .entry(pte.target_page)
+                        .is_some_and(|e| e.is_shared())
+                })
+            })
+            .count();
+        table.mapped_pages() as usize - shared
     }
 
     /// Registered shared segments.
@@ -1158,5 +1154,183 @@ mod tests {
         for step in &walk.steps {
             assert!(b.layout().is_usable(FamAddr(step.entry_addr)));
         }
+    }
+
+    /// A demand-ordered `(npa_page, fam_page)` list per node: the
+    /// reference that evacuation and migration, which read the system
+    /// tables and the ACM, must agree with.
+    struct OwnershipModel {
+        nodes: Vec<NodeId>,
+        owned: Vec<Vec<(u64, u64)>>,
+        segment: SharedSegment,
+    }
+
+    /// Three nodes demand-map E-FAM-style keys, data pages below 2^30
+    /// interleaved with kernel-table pages at and above it, so demand
+    /// order differs from NPA order; nodes 0 and 2 share a segment.
+    fn three_nodes_and_a_segment() -> (MemoryBroker, OwnershipModel) {
+        let mut b = small_broker();
+        let nodes: Vec<NodeId> = (0..3).map(|_| b.register_node().unwrap()).collect();
+        let mut owned = vec![Vec::new(); 3];
+        for i in 0..300u64 {
+            for (n, &node) in nodes.iter().enumerate() {
+                let base = n as u64 * 10_000;
+                let mut keys = vec![base + i];
+                if i % 3 == 0 {
+                    keys.push((1 << 30) + base + i / 3);
+                }
+                for key in keys {
+                    owned[n].push((key, b.demand_map(node, key).unwrap()));
+                }
+                // A repeated demand map installs nothing new.
+                b.demand_map(node, base + i / 2).unwrap();
+            }
+        }
+        let segment = b
+            .share_segment(
+                64,
+                &[
+                    (nodes[0], PtFlags::rw(), 1 << 20),
+                    (nodes[2], PtFlags::ro(), 1 << 21),
+                ],
+            )
+            .unwrap();
+        let model = OwnershipModel {
+            nodes,
+            owned,
+            segment,
+        };
+        model.assert_matches(&b);
+        (b, model)
+    }
+
+    impl OwnershipModel {
+        fn is_segment_page(&self, fam_page: u64) -> bool {
+            self.segment.fam_pages().any(|p| p == fam_page)
+        }
+
+        /// Owned counts agree with the list, and every surviving leaf
+        /// is either a shared-segment page or a page the ACM says its
+        /// node owns — exactly the list's pairs.
+        fn assert_matches(&self, b: &MemoryBroker) {
+            for (n, &node) in self.nodes.iter().enumerate() {
+                assert_eq!(b.owned_pages(node), self.owned[n].len(), "node {n}");
+                let mut owned_leaves = Vec::new();
+                b.system_table(node).unwrap().for_each_leaf(|npa, pte| {
+                    let entry = b
+                        .acm()
+                        .entry(pte.target_page)
+                        .expect("mapped pages have ACM");
+                    if entry.is_shared() {
+                        assert!((1 << 20..1 << 30).contains(&npa), "a shared NPA");
+                    } else {
+                        assert_eq!(entry.owner(), Some(node), "npa {npa:#x}");
+                        owned_leaves.push((npa, pte.target_page));
+                    }
+                });
+                let mut expected = self.owned[n].clone();
+                expected.sort_unstable();
+                assert_eq!(owned_leaves, expected, "node {n}");
+            }
+        }
+
+        /// Quarantines module 1 of 4, which hits owned and shared pages
+        /// alike, and checks the worklist against the list.
+        fn evacuate(&mut self, b: &mut MemoryBroker, evacuable: bool) {
+            let quarantine = Quarantine::Module {
+                index: 1,
+                stride: 4,
+            };
+            let mut expected: Vec<(NodeId, u64, u64)> = Vec::new();
+            for (n, &node) in self.nodes.iter().enumerate() {
+                for &(npa, fam) in &self.owned[n] {
+                    if quarantine.contains(fam) {
+                        expected.push((node, npa, fam));
+                    }
+                }
+            }
+            let shared_hit = self
+                .segment
+                .fam_pages()
+                .filter(|&p| quarantine.contains(p))
+                .count();
+            assert!(!expected.is_empty() && shared_hit > 0);
+
+            let (report, relocations) = b.quarantine_and_evacuate(quarantine, evacuable).unwrap();
+            let data: Vec<PageRelocation> = relocations
+                .into_iter()
+                .filter(|r| !r.is_table_rebuild())
+                .collect();
+            let (owned, shared) = data.split_at(expected.len());
+            // Node by node, each in ascending NPA order.
+            for pair in owned.windows(2) {
+                let (a, c) = (pair[0], pair[1]);
+                assert!((a.node.index(), a.npa_page) < (c.node.index(), c.npa_page));
+            }
+            let mut got: Vec<(NodeId, u64, u64)> = owned
+                .iter()
+                .map(|r| (r.node, r.npa_page, r.old_fam_page))
+                .collect();
+            got.sort_unstable_by_key(|&(node, npa, _)| (node.index(), npa));
+            expected.sort_unstable_by_key(|&(node, npa, _)| (node.index(), npa));
+            assert_eq!(got, expected, "the list's doomed pages, no more");
+            for r in owned {
+                assert!(
+                    !self.is_segment_page(r.old_fam_page),
+                    "shared page as owned"
+                );
+                assert_eq!(r.new_fam_page.is_some(), evacuable);
+            }
+            assert_eq!(shared.len(), shared_hit * self.segment.members.len());
+            assert!(shared.iter().all(|r| self.is_segment_page(r.old_fam_page)));
+            let lost = if evacuable {
+                0
+            } else {
+                expected.len() + shared_hit
+            };
+            assert_eq!(report.pages_lost, lost as u64);
+
+            for r in owned {
+                let list = &mut self.owned[r.node.index()];
+                let at = list
+                    .iter()
+                    .position(|&p| p == (r.npa_page, r.old_fam_page))
+                    .unwrap();
+                match r.new_fam_page {
+                    Some(new_fam) => list[at].1 = new_fam,
+                    None => {
+                        list.remove(at);
+                    }
+                }
+            }
+            self.assert_matches(b);
+        }
+    }
+
+    #[test]
+    fn evacuation_matches_the_demand_ordered_list() {
+        for evacuable in [true, false] {
+            let (mut b, mut model) = three_nodes_and_a_segment();
+            model.evacuate(&mut b, evacuable);
+        }
+    }
+
+    #[test]
+    fn migration_matches_the_demand_ordered_list() {
+        let (mut b, mut model) = three_nodes_and_a_segment();
+        let (from, to) = (model.nodes[0], model.nodes[1]);
+        let report = b.migrate_node(from, to).unwrap();
+        assert_eq!(report.pages_moved, model.owned[0].len() as u64);
+        assert_eq!(report.shared_pages_moved, model.segment.pages);
+        let moved = std::mem::take(&mut model.owned[0]);
+        for &(npa, fam) in &moved {
+            assert_eq!(b.translate(to, npa).unwrap().target_page, fam);
+            assert_eq!(b.translate(from, npa), None);
+        }
+        model.owned[1].extend(moved);
+        model.assert_matches(&b);
+        // Evacuation after a migration finds the moved pages under
+        // their new node.
+        model.evacuate(&mut b, true);
     }
 }

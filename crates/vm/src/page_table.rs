@@ -282,6 +282,30 @@ impl PageTable {
         true
     }
 
+    /// Calls `visit(vpage, pte)` for every mapping, in ascending `vpage`
+    /// order, without allocating: a depth-first pass over the table
+    /// pages that reads each present entry once.
+    pub fn for_each_leaf(&self, mut visit: impl FnMut(u64, Pte)) {
+        self.visit_leaves(0, 0, 0, &mut visit);
+    }
+
+    fn visit_leaves(
+        &self,
+        node: usize,
+        level: usize,
+        prefix: u64,
+        visit: &mut impl FnMut(u64, Pte),
+    ) {
+        for (idx, &entry) in self.nodes[node].entries.iter().enumerate() {
+            let vpage = prefix << INDEX_BITS | idx as u64;
+            match entry {
+                0 => {}
+                _ if level == LEVELS - 1 => visit(vpage, decode_leaf(entry).expect("present")),
+                _ => self.visit_leaves((entry - 1) as usize, level + 1, vpage, visit),
+            }
+        }
+    }
+
     /// The PTE-level table page covering `vpage`, if its subtree exists.
     fn pte_node(&self, vpage: u64) -> Option<usize> {
         let mut node = 0usize;
@@ -541,6 +565,24 @@ mod tests {
                 assert!(bases.contains(&(step.entry_addr & !(PAGE_BYTES - 1))));
             }
         }
+        let mut leaves = Vec::new();
+        pt.for_each_leaf(|vpage, pte| leaves.push((vpage, pte)));
+        let mut expected: Vec<(u64, Pte)> = model.into_iter().collect();
+        expected.sort_unstable_by_key(|&(vpage, _)| vpage);
+        assert_eq!(leaves, expected, "every mapping once, in vpage order");
+    }
+
+    #[test]
+    fn leaf_visitor_spans_all_36_index_bits() {
+        let mut pt = PageTable::new(0);
+        let mut alloc = bump_alloc(0x10000);
+        let vpages = [0, 511, 512, 1 << 18, 1 << 27, (1 << 36) - 1];
+        for (i, &vpage) in vpages.iter().rev().enumerate() {
+            pt.map(vpage, i as u64, PtFlags::rw(), &mut alloc);
+        }
+        let mut seen = Vec::new();
+        pt.for_each_leaf(|vpage, _| seen.push(vpage));
+        assert_eq!(seen, vpages);
     }
 
     #[test]
