@@ -12,6 +12,10 @@
 //! the 22 digests; numbering slots core-major moves the 5 multi-node
 //! cells.
 //!
+//! `tests/golden/bench_shapes.txt` holds the same fields for the
+//! repository benchmark's three workloads at seed 1 and full length; its
+//! test is `#[ignore]`d for its run time, and CI's `bench` job runs it.
+//!
 //! A change that moves a report on purpose re-blesses the file: on a
 //! mismatch the test writes the regenerated file under `target/` and
 //! names the copy command in its failure message.
@@ -29,6 +33,7 @@ use fam_workloads::Workload;
 
 const REFS: u64 = 2_000;
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/reports.txt");
+const BENCH_SHAPES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/bench_shapes.txt");
 
 /// Runs `system` and returns its golden line after the cell name.
 fn digest(mut system: System) -> String {
@@ -161,16 +166,63 @@ fn regenerate() -> String {
     text
 }
 
-#[test]
-fn reports_match_the_golden_file() {
-    let actual = regenerate();
-    let expected = std::fs::read_to_string(GOLDEN).unwrap_or_default();
+/// The repository benchmark's three workloads at seed 1, at their full
+/// lengths: effects that show only at 16 cores or 60k+ refs/core (such
+/// as timeline drops) do not reach the 2k-refs cells above.
+fn bench_shapes() -> String {
+    let base = SystemConfig::paper_default().with_seed(1);
+    let cells = [
+        (
+            "gap-fam sssp/DeACT-N/4x4",
+            base.with_scheme(Scheme::DeactN)
+                .with_nodes(4)
+                .with_fam_modules(4)
+                .with_refs_per_core(60_000),
+            "sssp",
+        ),
+        (
+            "npb-local sp/E-FAM/1x4",
+            base.with_scheme(Scheme::EFam).with_refs_per_core(250_000),
+            "sp",
+        ),
+        (
+            "spec-faults mcf/I-FAM/1x4/transient",
+            base.with_scheme(Scheme::IFam)
+                .with_refs_per_core(250_000)
+                .with_fault_injection(FaultConfig::transient(1)),
+            "mcf",
+        ),
+    ];
+    let mut text = String::new();
+    for (name, cfg, bench) in cells {
+        text.push_str(&format!("{name} {}\n", run(cfg, bench)));
+    }
+    text
+}
+
+/// Compares `actual` with the committed file `golden`; on a mismatch
+/// writes `actual` under `target/` and names the re-bless command.
+fn check(actual: &str, golden: &str, name: &str) {
+    let expected = std::fs::read_to_string(golden).unwrap_or_default();
     if actual != expected {
-        let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("reports.txt");
-        std::fs::write(&out, &actual).expect("write regenerated golden file");
+        let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+        std::fs::write(&out, actual).expect("write regenerated golden file");
         panic!(
-            "reports differ from {GOLDEN}.\nIf the change is intended, re-bless with\n  cp {} {GOLDEN}\nand say why in CHANGES.md.",
+            "reports differ from {golden}.\nIf the change is intended, re-bless with\n  cp {} {golden}\nand say why in CHANGES.md.",
             out.display()
         );
     }
+}
+
+#[test]
+fn reports_match_the_golden_file() {
+    check(&regenerate(), GOLDEN, "reports.txt");
+}
+
+/// Ignored by default for its length; run with
+/// `cargo test --release -p fam-integration-tests --test golden -- --ignored`.
+#[test]
+#[ignore = "long: the benchmark's full-length workloads"]
+fn bench_shapes_match_the_golden_file() {
+    check(&bench_shapes(), BENCH_SHAPES, "bench_shapes.txt");
 }
