@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use deact::{FamTranslator, Scheme, SystemConfig};
 use fam_broker::{AcmWidth, FamLayout};
-use fam_mem::{CacheConfig, CacheHierarchy, HierarchyConfig, Replacement, SetAssocCache};
+use fam_mem::{CacheConfig, CacheHierarchy, HierarchyConfig, SetAssocCache};
 use fam_stu::{StuCache, StuConfig, StuOrganization};
 use fam_vm::{FamAddr, PageTable, PageWalker, PtFlags, PtwCache, TlbConfig, TlbHierarchy};
 use fam_workloads::Workload;
@@ -225,8 +225,7 @@ fn main() {
     let mut records = Vec::new();
     println!("{:28} {:>11}  ({ITERS} iters x {REPS} reps)", "", "median");
 
-    let mut cache: SetAssocCache<u64> =
-        SetAssocCache::new(CacheConfig::new(128, 8, Replacement::Lru));
+    let mut cache: SetAssocCache<u64> = SetAssocCache::new(CacheConfig::new(128, 8));
     for k in 0..1024u64 {
         cache.insert(k, k);
     }

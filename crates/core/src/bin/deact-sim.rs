@@ -191,15 +191,25 @@ fn apply_flags(mut cfg: SystemConfig, args: &[String]) -> Option<SystemConfig> {
             _ => return None,
         };
     }
-    // Catch a `--stu-entries` that does not fill whole STU sets and a
-    // `--kill-node` with a zero ordinal, an out-of-range module or no
-    // module left to survive on here, where every flag is known, so the
-    // user gets a one-line error instead of the config validator's
-    // panic or a mid-run FAM exhaustion.
+    // Catch a `--stu-entries` that does not fill whole STU sets, more
+    // `--nodes` than an ACM entry can name, and a `--kill-node` with a
+    // zero ordinal, an out-of-range module or no module left to survive
+    // on here, where every flag is known, so the user gets a one-line
+    // error instead of the config validator's panic or a mid-run FAM
+    // exhaustion.
     if !cfg.stu_entries.is_multiple_of(cfg.stu_ways) {
         eprintln!(
             "deact-sim: --stu-entries {} must be a multiple of the {} STU ways",
             cfg.stu_entries, cfg.stu_ways
+        );
+        return None;
+    }
+    let node_limit = cfg.acm_width.max_nodes() as usize + 1;
+    if cfg.nodes > node_limit {
+        eprintln!(
+            "deact-sim: --nodes {} exceeds the {node_limit} nodes a {}-bit ACM entry can name",
+            cfg.nodes,
+            cfg.acm_width.bits()
         );
         return None;
     }
@@ -706,6 +716,13 @@ mod tests {
                 "{flag} 8 is a valid count"
             );
         }
+    }
+
+    #[test]
+    fn nodes_beyond_the_acm_width_are_rejected_before_validation() {
+        let at = |n: &str| apply_flags(SystemConfig::paper_default(), &flags(&["--nodes", n]));
+        assert!(at("16383").is_some(), "16-bit ACM entries name 16383 nodes");
+        assert!(at("16384").is_none(), "one node more must be rejected");
     }
 
     #[test]

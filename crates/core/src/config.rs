@@ -343,6 +343,13 @@ impl SystemConfig {
         assert!(self.cores_per_node > 0, "need at least one core");
         assert!(self.refs_per_core > 0, "need at least one reference");
         assert!(self.issue_width > 0, "issue width must be non-zero");
+        let limit = self.acm_width.max_nodes() as usize + 1;
+        assert!(
+            self.nodes <= limit,
+            "{} nodes exceed the {limit} a {}-bit ACM entry can name",
+            self.nodes,
+            self.acm_width.bits()
+        );
         if let Some(schedule) = self.fault_injection.persistent {
             if let Some(module) = schedule.fault.module() {
                 assert!(
@@ -424,6 +431,14 @@ mod tests {
     #[test]
     fn validate_accepts_default() {
         SystemConfig::paper_default().validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "64 nodes exceed the 63 a 8-bit ACM entry can name")]
+    fn validate_rejects_more_nodes_than_the_acm_width_names() {
+        let c = SystemConfig::paper_default().with_acm_width(AcmWidth::W8);
+        c.with_nodes(63).validate();
+        c.with_nodes(64).validate();
     }
 
     #[test]

@@ -32,12 +32,11 @@ pub const TRANSLATION_CACHE_BASE: u64 = 768 << 20;
 /// 20% local / 80% FAM).
 const LOCAL_FRACTION: f64 = 0.20;
 
-/// A reference drawn ahead of execution so the scheduler can order
-/// cores by true start time (processing resources out of time order
-/// would let a far-future request poison the contention timelines for
-/// everyone else). `ready` is the heap key [`crate::System::try_run`]
-/// orders the core by; debug builds check that the reference is then
-/// admitted at exactly that cycle.
+/// A reference drawn and admitted ahead of execution so the scheduler
+/// can order cores by true start time (processing resources out of time
+/// order would let a far-future request poison the contention timelines
+/// for everyone else). `start` is the heap key [`crate::System::try_run`]
+/// orders the core by.
 #[derive(Debug, Clone, Copy)]
 pub struct PendingRef {
     /// The reference to execute.
@@ -45,13 +44,9 @@ pub struct PendingRef {
     /// Trace identity, threaded through every stage of the reference's
     /// lifetime ([`RequestId::UNTRACED`] when tracing is off).
     pub req: RequestId,
-    /// Requested start (issue time, after any dependence wait).
-    pub start_req: Cycle,
-    /// Predicted true start (after outstanding-window admission):
-    /// `window.would_start(start_req)` at staging, which equals what
-    /// `window.admit(start_req)` returns at execution because only the
-    /// core itself touches its window in between.
-    pub ready: Cycle,
+    /// True start: the issue time, after any dependence wait, as
+    /// admitted by the core's outstanding window at staging.
+    pub start: Cycle,
 }
 
 /// Per-core execution state.

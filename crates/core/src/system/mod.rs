@@ -252,23 +252,24 @@ impl System {
     /// surfacing failures as a typed [`SimError`] instead of a panic.
     ///
     /// The engine is an event-driven scheduler: a binary min-heap of
-    /// `(ready_cycle, slot)` keys (`slot = node * cores_per_node +
-    /// core`), one pop plus one push per reference. Executing in
-    /// ready order keeps every shared-resource timeline advancing in
+    /// `(start_cycle, slot)` keys (`slot = node * cores_per_node +
+    /// core`), one pop plus one push per reference. Staging admits a
+    /// core's next reference to its outstanding window, so the key is
+    /// the cycle the reference starts at. Executing in
+    /// start order keeps every shared-resource timeline advancing in
     /// time order (out-of-order processing would let a far-future
     /// request push a resource's timeline past everyone else's
-    /// present). Among equal ready times the lower slot runs first.
+    /// present). Among equal start times the lower slot runs first.
     /// Keys are unique (one entry per slot), so the pop order is fully
     /// determined by the keys alone; the golden report digests
     /// (`tests/golden/reports.txt`) are its specification.
     ///
-    /// A core's ready time depends only on its own front end and
+    /// A core's start time depends only on its own front end and
     /// outstanding window, so only the core that just executed needs
     /// re-keying. Debug builds check that argument on every reference:
-    /// the popped ready times never decrease (the last one is a
-    /// watermark below which no later reference starts), and
-    /// `sim_ref` admits each reference at exactly its staged ready
-    /// time.
+    /// the popped start times never decrease (the last one is a
+    /// watermark below which no later reference starts), and `sim_ref`
+    /// runs each reference at exactly its popped key.
     ///
     /// # Errors
     ///
@@ -294,16 +295,16 @@ impl System {
                 let _prof = profile::span(PhaseId::SchedPop);
                 ready_queue.pop()
             };
-            let Some(Reverse((ready, slot))) = popped else {
+            let Some(Reverse((start, slot))) = popped else {
                 break;
             };
             debug_assert!(
-                ready >= watermark,
-                "slot {slot} popped at {ready}, below the watermark {watermark}"
+                start >= watermark,
+                "slot {slot} popped at {start}, below the watermark {watermark}"
             );
-            watermark = ready;
+            watermark = start;
             let (n, c) = (slot / cores_per_node, slot % cores_per_node);
-            self.sim_ref(n, c)?;
+            self.sim_ref(n, c, start)?;
             if self.nodes[n].cores[c].refs_done < refs {
                 ready_queue.push(Reverse((self.stage_ref(n, c), slot)));
             }
@@ -311,8 +312,8 @@ impl System {
         self.report()
     }
 
-    /// Draws the next reference of core `c` and returns its predicted
-    /// start.
+    /// Draws the next reference of core `c`, admits it to the core's
+    /// outstanding window and returns the cycle it starts at.
     fn stage_ref(&mut self, n: usize, c: usize) -> Cycle {
         let issue_width = u64::from(self.config.issue_width);
         let req = self.tracer.next_request();
@@ -328,34 +329,27 @@ impl System {
         if r.dependent {
             start_req = start_req.max(core.last_mem_completion);
         }
-        let ready = core.window.would_start(start_req);
-        core.pending = Some(crate::node::PendingRef {
-            mem: r,
-            req,
-            start_req,
-            ready,
-        });
-        ready
+        let start = core.window.admit(start_req);
+        core.issue_clock = start;
+        core.pending = Some(crate::node::PendingRef { mem: r, req, start });
+        start
     }
 
     /// Simulates one staged reference of core `c` on node `n` end to
-    /// end.
-    fn sim_ref(&mut self, n: usize, c: usize) -> Result<(), SimError> {
+    /// end; `key` is the start the scheduler popped it at.
+    fn sim_ref(&mut self, n: usize, c: usize, key: Cycle) -> Result<(), SimError> {
         let _prof = profile::span(PhaseId::SchedDispatch);
         let (r, req, t) = {
-            let core = &mut self.nodes[n].cores[c];
-            let p = core
+            let p = self.nodes[n].cores[c]
                 .pending
                 .take()
                 .expect("sim_ref runs only on staged cores");
-            let start = core.window.admit(p.start_req);
             debug_assert!(
-                start == p.ready,
-                "core {n}.{c} admitted at {start}, staged ready at {}",
-                p.ready
+                key == p.start,
+                "core {n}.{c} popped at {key}, staged to start at {}",
+                p.start
             );
-            core.issue_clock = start;
-            (p.mem, p.req, start)
+            (p.mem, p.req, p.start)
         };
         // Time-series snapshot: traffic/recovery counters before the
         // reference, so their deltas can be attributed to its window.

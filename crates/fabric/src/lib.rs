@@ -73,7 +73,6 @@ pub struct Fabric {
     ports: Vec<Resource>,
     traversals: Counter,
     config: FabricConfig,
-    freq: Frequency,
 }
 
 impl Fabric {
@@ -95,7 +94,6 @@ impl Fabric {
                 .collect(),
             traversals: Counter::new(),
             config,
-            freq,
         }
     }
 
@@ -153,24 +151,9 @@ impl Fabric {
         self.traversals.value()
     }
 
-    /// Number of attached nodes.
-    pub fn nodes(&self) -> usize {
-        self.links.len()
-    }
-
-    /// Number of FAM module ports.
-    pub fn modules(&self) -> usize {
-        self.ports.len()
-    }
-
     /// The configuration this fabric was built with.
     pub fn config(&self) -> FabricConfig {
         self.config
-    }
-
-    /// The core frequency used for latency conversion.
-    pub fn frequency(&self) -> Frequency {
-        self.freq
     }
 }
 
@@ -207,7 +190,6 @@ mod tests {
         // Different nodes, different modules: no shared resource at all.
         assert_eq!(a, Cycle(1000));
         assert_eq!(b, Cycle(1000));
-        assert_eq!(f.modules(), 2);
     }
 
     #[test]

@@ -1,30 +1,12 @@
 //! A generic set-associative cache.
 
-use fam_sim::stats::Ratio;
-use fam_sim::SimRng;
-
-/// Replacement policy for a [`SetAssocCache`].
-///
-/// The paper's data caches and TLBs use LRU (Table II); the in-DRAM FAM
-/// translation cache uses random replacement because tracking recency
-/// would require extra DRAM writes (§III-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Replacement {
-    /// Evict the least-recently-used way.
-    Lru,
-    /// Evict a uniformly random way.
-    Random,
-}
-
-/// Geometry and policy of a [`SetAssocCache`].
+/// Geometry of a [`SetAssocCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Number of sets (must be non-zero).
     pub sets: usize,
     /// Ways per set (must be non-zero).
     pub ways: usize,
-    /// Replacement policy.
-    pub replacement: Replacement,
 }
 
 impl CacheConfig {
@@ -33,14 +15,10 @@ impl CacheConfig {
     /// # Panics
     ///
     /// Panics if `sets` or `ways` is zero.
-    pub fn new(sets: usize, ways: usize, replacement: Replacement) -> CacheConfig {
+    pub fn new(sets: usize, ways: usize) -> CacheConfig {
         assert!(sets > 0, "cache needs at least one set");
         assert!(ways > 0, "cache needs at least one way");
-        CacheConfig {
-            sets,
-            ways,
-            replacement,
-        }
+        CacheConfig { sets, ways }
     }
 
     /// Total entry capacity.
@@ -49,7 +27,7 @@ impl CacheConfig {
     }
 
     /// Convenience: geometry for a data cache of `capacity_bytes` with
-    /// 64-byte blocks and the given associativity, LRU replacement.
+    /// 64-byte blocks and the given associativity.
     ///
     /// # Panics
     ///
@@ -62,17 +40,8 @@ impl CacheConfig {
             0,
             "capacity must divide evenly into sets"
         );
-        CacheConfig::new((blocks / ways as u64) as usize, ways, Replacement::Lru)
+        CacheConfig::new((blocks / ways as u64) as usize, ways)
     }
-}
-
-/// Result of a cache access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessOutcome<V = ()> {
-    /// Whether the key was present.
-    pub hit: bool,
-    /// The key (with its value) evicted to make room, if any.
-    pub evicted: Option<(u64, V)>,
 }
 
 /// Tag value marking an empty way. Keys are addresses or page
@@ -82,8 +51,7 @@ pub struct AccessOutcome<V = ()> {
 /// assert that no caller passes it.
 const EMPTY: u64 = u64::MAX;
 
-/// A set-associative cache mapping `u64` keys to values, with hit/miss
-/// statistics.
+/// A set-associative LRU cache mapping `u64` keys to values.
 ///
 /// Keys are full addresses or page numbers; the set index is
 /// `key % sets` and the full key is stored as the tag, so there are no
@@ -94,19 +62,21 @@ const EMPTY: u64 = u64::MAX;
 /// in-DRAM FAM translation cache (`deact::FamTranslator`) packs its
 /// four-way sets of 32-bit tags and values into 32-byte blocks instead.
 ///
-/// LRU recency is one byte per way (a rank within its set), so a
-/// geometry may have at most 256 ways.
+/// The paper's data caches, TLBs and STU caches are all LRU (Table II,
+/// §IV), so LRU is the only policy. Recency is one byte per way (a rank
+/// within its set), so a geometry may have at most 256 ways. The cache
+/// keeps no hit/miss ledger: each owner counts the lookups its report
+/// needs.
 ///
 /// # Examples
 ///
 /// ```
-/// use fam_mem::{CacheConfig, Replacement, SetAssocCache};
+/// use fam_mem::{CacheConfig, SetAssocCache};
 ///
-/// let mut tlb: SetAssocCache<u64> =
-///     SetAssocCache::new(CacheConfig::new(16, 2, Replacement::Lru));
+/// let mut tlb: SetAssocCache<u64> = SetAssocCache::new(CacheConfig::new(16, 2));
 /// tlb.insert(0x42, 0x99);
 /// assert_eq!(tlb.get(0x42), Some(&0x99));
-/// assert_eq!(tlb.stats().hits(), 1);
+/// assert_eq!(tlb.get(0x43), None);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<V = ()> {
@@ -133,24 +103,16 @@ pub struct SetAssocCache<V = ()> {
     /// mask here turns the hardware-divide in `key % sets` into an
     /// AND.
     set_mask: u64,
-    stats: Ratio,
-    rng: SimRng,
 }
 
 impl<V> SetAssocCache<V> {
     /// Creates an empty cache with the given geometry.
-    pub fn new(config: CacheConfig) -> SetAssocCache<V> {
-        SetAssocCache::with_seed(config, 0xCACE)
-    }
-
-    /// Creates an empty cache with an explicit RNG seed (relevant only
-    /// for [`Replacement::Random`]).
     ///
     /// # Panics
     ///
     /// Panics if the geometry has more than 256 ways, the most a
     /// one-byte recency rank can order.
-    pub fn with_seed(config: CacheConfig, seed: u64) -> SetAssocCache<V> {
+    pub fn new(config: CacheConfig) -> SetAssocCache<V> {
         assert!(
             config.ways <= 256,
             "{} ways exceed the 256 a one-byte recency rank orders",
@@ -169,8 +131,6 @@ impl<V> SetAssocCache<V> {
                 .repeat(config.sets),
             values,
             set_mask: if sets.is_power_of_two() { sets - 1 } else { 0 },
-            stats: Ratio::new(),
-            rng: SimRng::seeded(seed),
         }
     }
 
@@ -185,8 +145,8 @@ impl<V> SetAssocCache<V> {
     }
 
     /// The slot holding `key`, if resident. Every lookup flavour —
-    /// counted or not, shared or mutable — resolves residency through
-    /// this one helper, so `access`-style methods and their
+    /// recency-updating or not, shared or mutable — resolves residency
+    /// through this one helper, so `get`/`insert` and their
     /// side-effect-free `probe`/`peek` counterparts can never disagree
     /// about what is in the cache.
     fn find(&self, key: u64) -> Option<usize> {
@@ -214,61 +174,45 @@ impl<V> SetAssocCache<V> {
         self.ranks[i] = 0;
     }
 
-    /// Looks up `key`, updating recency and hit/miss statistics, and
-    /// returns a reference to its value if present.
+    /// Looks up `key`, updating recency, and returns a reference to its
+    /// value if present.
     pub fn get(&mut self, key: u64) -> Option<&V> {
-        match self.find(key) {
-            Some(i) => {
-                self.touch(self.set_start(key), i);
-                self.stats.hit();
-                self.values[i].as_ref()
-            }
-            None => {
-                self.stats.miss();
-                None
-            }
-        }
+        let i = self.find(key)?;
+        self.touch(self.set_start(key), i);
+        self.values[i].as_ref()
     }
 
     /// Looks up `key` and returns a mutable reference to its value,
-    /// updating recency and statistics.
+    /// updating recency.
     pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
-        match self.find(key) {
-            Some(i) => {
-                self.touch(self.set_start(key), i);
-                self.stats.hit();
-                self.values[i].as_mut()
-            }
-            None => {
-                self.stats.miss();
-                None
-            }
-        }
+        let i = self.find(key)?;
+        self.touch(self.set_start(key), i);
+        self.values[i].as_mut()
     }
 
-    /// Checks for `key` without updating recency or statistics.
+    /// Checks for `key` without updating recency.
     pub fn probe(&self, key: u64) -> bool {
         self.find(key).is_some()
     }
 
-    /// Shared access to `key`'s value without touching recency or
-    /// hit/miss statistics — the value-returning counterpart of
+    /// Shared access to `key`'s value without touching recency — the
+    /// value-returning counterpart of
     /// [`SetAssocCache::probe`], for predicting what a later real
     /// access would observe.
     pub fn peek(&self, key: u64) -> Option<&V> {
         self.find(key).and_then(|i| self.values[i].as_ref())
     }
 
-    /// Mutable access to `key`'s value without touching recency or
-    /// hit/miss statistics — for metadata maintenance (e.g. a dirty
+    /// Mutable access to `key`'s value without touching recency — for
+    /// metadata maintenance (e.g. a dirty
     /// bit propagated by an outer cache level) that is not a real
     /// access.
     pub fn peek_mut(&mut self, key: u64) -> Option<&mut V> {
         self.find(key).and_then(|i| self.values[i].as_mut())
     }
 
-    /// Inserts `key → value`, evicting if the set is full. Returns the
-    /// evicted entry, if any. Re-inserting an existing key replaces its
+    /// Inserts `key → value`, evicting the set's least-recently-used
+    /// way if the set is full. Returns the evicted entry, if any. Re-inserting an existing key replaces its
     /// value and refreshes recency without eviction.
     pub fn insert(&mut self, key: u64, value: V) -> Option<(u64, V)> {
         debug_assert_ne!(key, EMPTY, "the all-ones key is reserved");
@@ -307,13 +251,9 @@ impl<V> SetAssocCache<V> {
             self.touch(start, empty);
             return None;
         }
-        let victim = match self.config.replacement {
-            Replacement::Lru => lru,
-            Replacement::Random => start + self.rng.index(self.config.ways),
-        };
-        let old_key = std::mem::replace(&mut self.keys[victim], key);
-        let old_value = self.values[victim].replace(value);
-        self.touch(start, victim);
+        let old_key = std::mem::replace(&mut self.keys[lru], key);
+        let old_value = self.values[lru].replace(value);
+        self.touch(start, lru);
         Some((old_key, old_value.expect("full set has no empty ways")))
     }
 
@@ -357,18 +297,12 @@ impl<V> SetAssocCache<V> {
         self.len() == 0
     }
 
-    /// Hit/miss statistics accumulated by `get`/`get_mut`/`access`.
-    pub fn stats(&self) -> Ratio {
-        self.stats
-    }
-
-    /// Drops all entries and statistics.
+    /// Drops all entries.
     pub fn clear(&mut self) {
         self.keys.fill(EMPTY);
         for v in &mut self.values {
             *v = None;
         }
-        self.stats.reset();
     }
 
     /// The cache geometry.
@@ -385,43 +319,18 @@ impl<V> SetAssocCache<V> {
     }
 }
 
-impl<V: Clone> SetAssocCache<V> {
-    /// Access `key`; on miss, insert the value produced by `fill`.
-    /// Returns the outcome (hit flag plus any eviction).
-    pub fn access_with(&mut self, key: u64, fill: impl FnOnce() -> V) -> AccessOutcome<V> {
-        if self.get(key).is_some() {
-            AccessOutcome {
-                hit: true,
-                evicted: None,
-            }
-        } else {
-            let evicted = self.insert(key, fill());
-            AccessOutcome {
-                hit: false,
-                evicted,
-            }
-        }
-    }
-}
-
-impl SetAssocCache<()> {
-    /// Access `key` in a unit-valued cache, filling on miss.
-    pub fn access(&mut self, key: u64) -> AccessOutcome<()> {
-        self.access_with(key, || ())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fam_sim::SimRng;
 
-    fn tiny(ways: usize, replacement: Replacement) -> SetAssocCache<u32> {
-        SetAssocCache::new(CacheConfig::new(1, ways, replacement))
+    fn tiny(ways: usize) -> SetAssocCache<u32> {
+        SetAssocCache::new(CacheConfig::new(1, ways))
     }
 
     #[test]
     fn retain_filters_on_values_and_counts_removals() {
-        let mut c = tiny(4, Replacement::Lru);
+        let mut c = tiny(4);
         c.insert(1, 10);
         c.insert(2, 20);
         c.insert(3, 30);
@@ -439,23 +348,21 @@ mod tests {
     fn lookups_reject_the_reserved_key() {
         // On a cold cache every way holds the empty tag, so a lookup of
         // it would otherwise report a hit.
-        let c = tiny(2, Replacement::Random);
+        let c = tiny(2);
         c.probe(EMPTY);
     }
 
     #[test]
     fn hit_after_insert() {
-        let mut c = tiny(2, Replacement::Lru);
+        let mut c = tiny(2);
         c.insert(1, 10);
         assert_eq!(c.get(1), Some(&10));
         assert_eq!(c.get(2), None);
-        assert_eq!(c.stats().hits(), 1);
-        assert_eq!(c.stats().misses(), 1);
     }
 
     #[test]
     fn lru_evicts_least_recent() {
-        let mut c = tiny(2, Replacement::Lru);
+        let mut c = tiny(2);
         c.insert(1, 10);
         c.insert(2, 20);
         c.get(1); // 2 is now LRU
@@ -467,7 +374,7 @@ mod tests {
 
     #[test]
     fn reinsert_refreshes_without_eviction() {
-        let mut c = tiny(2, Replacement::Lru);
+        let mut c = tiny(2);
         c.insert(1, 10);
         c.insert(2, 20);
         assert_eq!(c.insert(1, 11), None);
@@ -476,21 +383,8 @@ mod tests {
     }
 
     #[test]
-    fn random_replacement_evicts_someone() {
-        let mut c = tiny(4, Replacement::Random);
-        for k in 0..4 {
-            c.insert(k, k as u32);
-        }
-        let evicted = c.insert(99, 99);
-        assert!(evicted.is_some());
-        assert_eq!(c.len(), 4);
-        assert!(c.probe(99));
-    }
-
-    #[test]
     fn set_indexing_separates_keys() {
-        let mut c: SetAssocCache<u32> =
-            SetAssocCache::new(CacheConfig::new(4, 1, Replacement::Lru));
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheConfig::new(4, 1));
         // Keys 0..4 land in distinct sets; no evictions.
         for k in 0..4 {
             assert_eq!(c.insert(k, 0), None);
@@ -501,51 +395,32 @@ mod tests {
 
     #[test]
     fn probe_does_not_affect_stats_or_recency() {
-        let mut c = tiny(2, Replacement::Lru);
+        let mut c = tiny(2);
         c.insert(1, 10);
         c.insert(2, 20);
         assert!(c.probe(1));
-        assert_eq!(c.stats().total(), 0);
         // Recency untouched: 1 is still LRU, gets evicted.
         assert_eq!(c.insert(3, 30), Some((1, 10)));
     }
 
     #[test]
     fn peek_reads_without_side_effects() {
-        let mut c = tiny(2, Replacement::Lru);
+        let mut c = tiny(2);
         c.insert(1, 10);
         c.insert(2, 20);
         assert_eq!(c.peek(1), Some(&10));
         assert_eq!(c.peek(3), None);
-        assert_eq!(c.stats().total(), 0);
         // Recency untouched: 1 is still LRU, gets evicted.
         assert_eq!(c.insert(3, 30), Some((1, 10)));
     }
 
     #[test]
     fn invalidate_removes_entry() {
-        let mut c = tiny(2, Replacement::Lru);
+        let mut c = tiny(2);
         c.insert(1, 10);
         assert_eq!(c.invalidate(1), Some(10));
         assert_eq!(c.invalidate(1), None);
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn access_with_fills_on_miss() {
-        let mut c = tiny(2, Replacement::Lru);
-        let out = c.access_with(5, || 50);
-        assert!(!out.hit);
-        let out = c.access_with(5, || 99);
-        assert!(out.hit);
-        assert_eq!(c.get(5), Some(&50), "fill only runs on miss");
-    }
-
-    #[test]
-    fn unit_cache_access() {
-        let mut c = SetAssocCache::new(CacheConfig::new(2, 2, Replacement::Lru));
-        assert!(!c.access(7).hit);
-        assert!(c.access(7).hit);
     }
 
     #[test]
@@ -559,18 +434,18 @@ mod tests {
 
     #[test]
     fn clear_resets_everything() {
-        let mut c = tiny(2, Replacement::Lru);
+        let mut c = tiny(2);
         c.insert(1, 10);
         c.get(1);
         c.clear();
         assert!(c.is_empty());
-        assert_eq!(c.stats().total(), 0);
+        assert_eq!(c.get(1), None);
     }
 
     #[test]
     #[should_panic(expected = "at least one way")]
     fn zero_ways_rejected() {
-        let _ = CacheConfig::new(1, 0, Replacement::Lru);
+        let _ = CacheConfig::new(1, 0);
     }
 
     /// `probe`/`peek` predict what `get`/`insert` will observe: all of
@@ -580,8 +455,7 @@ mod tests {
     #[test]
     fn probes_agree_with_accesses_under_random_streams() {
         let mut rng = SimRng::seeded(0xA93E);
-        let mut c: SetAssocCache<u64> =
-            SetAssocCache::new(CacheConfig::new(8, 4, Replacement::Lru));
+        let mut c: SetAssocCache<u64> = SetAssocCache::new(CacheConfig::new(8, 4));
         for step in 0..20_000u64 {
             // 64 keys over 8 sets of 4 ways: constant aliasing, so
             // every branch (hit, vacancy fill, eviction) is exercised.
@@ -592,7 +466,7 @@ mod tests {
                 assert_eq!(
                     c.get(key).is_some(),
                     predicted_hit,
-                    "probe disagreed with a counted lookup at step {step}"
+                    "probe disagreed with a recency-updating lookup at step {step}"
                 );
             } else {
                 let evicted = c.insert(key, step);
@@ -603,7 +477,6 @@ mod tests {
                 assert_eq!(c.peek(key), Some(&step));
             }
         }
-        assert!(c.stats().total() > 0, "the stream exercised counted paths");
     }
 
     /// The recency algorithm the rank LRU replaced: a global clock
@@ -615,23 +488,15 @@ mod tests {
         slots: Vec<Option<(u64, u64)>>,
         stamps: Vec<u64>,
         clock: u64,
-        hits: u64,
-        misses: u64,
-        rng: SimRng,
-        replacement: Replacement,
     }
 
     impl StampModel {
-        fn new(sets: usize, ways: usize, replacement: Replacement) -> StampModel {
+        fn new(sets: usize, ways: usize) -> StampModel {
             StampModel {
                 ways,
                 slots: vec![None; sets * ways],
                 stamps: vec![0; sets * ways],
                 clock: 0,
-                hits: 0,
-                misses: 0,
-                rng: SimRng::seeded(0xCACE),
-                replacement,
             }
         }
 
@@ -647,17 +512,9 @@ mod tests {
 
         fn get_mut(&mut self, key: u64) -> Option<&mut u64> {
             self.clock += 1;
-            match self.find(key) {
-                Some(i) => {
-                    self.stamps[i] = self.clock;
-                    self.hits += 1;
-                    self.slots[i].as_mut().map(|(_, v)| v)
-                }
-                None => {
-                    self.misses += 1;
-                    None
-                }
-            }
+            let i = self.find(key)?;
+            self.stamps[i] = self.clock;
+            self.slots[i].as_mut().map(|(_, v)| v)
         }
 
         fn insert(&mut self, key: u64, value: u64) -> Option<(u64, u64)> {
@@ -666,13 +523,10 @@ mod tests {
                 Some(i) => i,
                 None => match self.set(key).find(|&i| self.slots[i].is_none()) {
                     Some(i) => i,
-                    None => match self.replacement {
-                        Replacement::Lru => self
-                            .set(key)
-                            .min_by_key(|&i| self.stamps[i])
-                            .expect("sets have ways"),
-                        Replacement::Random => self.set(key).start + self.rng.index(self.ways),
-                    },
+                    None => self
+                        .set(key)
+                        .min_by_key(|&i| self.stamps[i])
+                        .expect("sets have ways"),
                 },
             };
             self.stamps[way] = self.clock;
@@ -699,8 +553,6 @@ mod tests {
 
         fn clear(&mut self) {
             self.slots.fill(None);
-            self.hits = 0;
-            self.misses = 0;
         }
 
         fn contents(&self) -> Vec<(u64, u64)> {
@@ -711,70 +563,65 @@ mod tests {
     }
 
     /// Seeded random streams of every recency-relevant operation drive
-    /// the rank LRU and the stamp model side by side; every return value,
-    /// the statistics and the final contents must agree.
+    /// the rank LRU and the stamp model side by side; every return value
+    /// and the final contents must agree.
     #[test]
     fn rank_lru_matches_the_stamp_model() {
-        for replacement in [Replacement::Lru, Replacement::Random] {
-            for ways in [1, 4, 8, 16, 24, 200] {
-                for sets in [4, 3] {
-                    let mut c: SetAssocCache<u64> =
-                        SetAssocCache::new(CacheConfig::new(sets, ways, replacement));
-                    let mut m = StampModel::new(sets, ways, replacement);
-                    let mut rng = SimRng::seeded(0x5EED ^ (ways * 31 + sets) as u64);
-                    // Twice the capacity in keys: constant aliasing, so
-                    // hits, fills of emptied ways and evictions all occur.
-                    let keys = 2 * (sets * ways) as u64;
-                    for step in 0..20_000u64 {
-                        let key = rng.below(keys);
-                        let ctx = format!("{replacement:?} {sets}x{ways} step {step}");
-                        match rng.below(100) {
-                            0..=39 => {
-                                assert_eq!(c.get(key).copied(), m.get_mut(key).copied(), "{ctx}")
-                            }
-                            40..=49 => {
-                                let got = c.get_mut(key).map(|v| {
-                                    *v += 1;
-                                    *v
-                                });
-                                let want = m.get_mut(key).map(|v| {
-                                    *v += 1;
-                                    *v
-                                });
-                                assert_eq!(got, want, "{ctx}");
-                            }
-                            50..=89 => {
-                                assert_eq!(c.insert(key, step), m.insert(key, step), "{ctx}")
-                            }
-                            90..=96 => assert_eq!(c.invalidate(key), m.invalidate(key), "{ctx}"),
-                            97..=98 => {
-                                let cut = rng.below(7);
-                                assert_eq!(
-                                    c.retain(|_, &v| v % 7 != cut),
-                                    m.retain(|_, &v| v % 7 != cut),
-                                    "{ctx}"
-                                );
-                            }
-                            _ => {
-                                c.clear();
-                                m.clear();
-                            }
+        for ways in [1, 4, 8, 16, 24, 200] {
+            for sets in [4, 3] {
+                let mut c: SetAssocCache<u64> = SetAssocCache::new(CacheConfig::new(sets, ways));
+                let mut m = StampModel::new(sets, ways);
+                let mut rng = SimRng::seeded(0x5EED ^ (ways * 31 + sets) as u64);
+                // Twice the capacity in keys: constant aliasing, so
+                // hits, fills of emptied ways and evictions all occur.
+                let keys = 2 * (sets * ways) as u64;
+                for step in 0..20_000u64 {
+                    let key = rng.below(keys);
+                    let ctx = format!("{sets}x{ways} step {step}");
+                    match rng.below(100) {
+                        0..=39 => {
+                            assert_eq!(c.get(key).copied(), m.get_mut(key).copied(), "{ctx}")
                         }
-                        assert_eq!(c.len(), m.contents().len(), "{ctx}");
+                        40..=49 => {
+                            let got = c.get_mut(key).map(|v| {
+                                *v += 1;
+                                *v
+                            });
+                            let want = m.get_mut(key).map(|v| {
+                                *v += 1;
+                                *v
+                            });
+                            assert_eq!(got, want, "{ctx}");
+                        }
+                        50..=89 => {
+                            assert_eq!(c.insert(key, step), m.insert(key, step), "{ctx}")
+                        }
+                        90..=96 => assert_eq!(c.invalidate(key), m.invalidate(key), "{ctx}"),
+                        97..=98 => {
+                            let cut = rng.below(7);
+                            assert_eq!(
+                                c.retain(|_, &v| v % 7 != cut),
+                                m.retain(|_, &v| v % 7 != cut),
+                                "{ctx}"
+                            );
+                        }
+                        _ => {
+                            c.clear();
+                            m.clear();
+                        }
                     }
-                    let mut contents: Vec<_> = c.iter().map(|(k, &v)| (k, v)).collect();
-                    contents.sort_unstable();
-                    assert_eq!(contents, m.contents(), "{replacement:?} {sets}x{ways}");
-                    assert_eq!(c.stats().hits(), m.hits);
-                    assert_eq!(c.stats().misses(), m.misses);
+                    assert_eq!(c.len(), m.contents().len(), "{ctx}");
                 }
+                let mut contents: Vec<_> = c.iter().map(|(k, &v)| (k, v)).collect();
+                contents.sort_unstable();
+                assert_eq!(contents, m.contents(), "{sets}x{ways}");
             }
         }
     }
 
     #[test]
     fn a_full_256_way_set_evicts_its_least_recent_way() {
-        let mut c = tiny(256, Replacement::Lru);
+        let mut c = tiny(256);
         for k in 0..256 {
             assert_eq!(c.insert(k, k as u32), None);
         }
@@ -786,12 +633,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "257 ways exceed")]
     fn more_than_256_ways_are_rejected() {
-        let _ = tiny(257, Replacement::Lru);
+        let _ = tiny(257);
     }
 
     #[test]
     fn get_mut_allows_in_place_update() {
-        let mut c = tiny(2, Replacement::Lru);
+        let mut c = tiny(2);
         c.insert(1, 10);
         if let Some(v) = c.get_mut(1) {
             *v = 42;

@@ -79,36 +79,6 @@ impl Window {
         self.completions.push(Reverse(completes_at));
     }
 
-    /// Predicts when an operation wanting to start at `now` would be
-    /// admitted — `now` itself if a slot is free, otherwise the
-    /// earliest in-flight completion. Lets a scheduler order work by
-    /// true start time before committing to [`Window::admit`].
-    ///
-    /// The only mutation is forgetting operations that completed at or
-    /// before `now`, which any later [`Window::admit`] at `now` or
-    /// after would forget anyway, so the prediction is an O(1) heap
-    /// peek; statistics are untouched. Callers must only use this when
-    /// `now` never decreases between calls on the same window, which
-    /// holds for a core's issue clock.
-    pub fn would_start(&mut self, now: Cycle) -> Cycle {
-        while let Some(&Reverse(c)) = self.completions.peek() {
-            if c <= now {
-                self.completions.pop();
-            } else {
-                break;
-            }
-        }
-        if self.completions.len() < self.capacity {
-            now
-        } else {
-            let &Reverse(earliest) = self
-                .completions
-                .peek()
-                .expect("window full implies non-empty");
-            earliest.max(now)
-        }
-    }
-
     /// Operations that had to wait because the window was full.
     pub fn stalls(&self) -> u64 {
         self.stalled
@@ -128,7 +98,7 @@ mod tests {
         }
         assert_eq!(w.stalls(), 0);
         // All three are still in flight: a fourth waits for them.
-        assert_eq!(w.would_start(Cycle(0)), Cycle(1000));
+        assert_eq!(w.admit(Cycle(0)), Cycle(1000));
     }
 
     #[test]
@@ -159,24 +129,6 @@ mod tests {
         w.record_completion(Cycle(10));
         // Window full until 10, but we only ask at 40.
         assert_eq!(w.admit(Cycle(40)), Cycle(40));
-    }
-
-    #[test]
-    fn would_start_predicts_admit() {
-        let mut w = Window::new(2);
-        assert_eq!(w.would_start(Cycle(5)), Cycle(5));
-        w.admit(Cycle(0));
-        w.record_completion(Cycle(30));
-        w.admit(Cycle(0));
-        w.record_completion(Cycle(20));
-        // Full: prediction matches what admit would return.
-        assert_eq!(w.would_start(Cycle(0)), Cycle(20));
-        assert_eq!(w.admit(Cycle(0)), Cycle(20));
-        // Ops completing before `now` don't count as in flight.
-        let mut w2 = Window::new(1);
-        w2.admit(Cycle(0));
-        w2.record_completion(Cycle(10));
-        assert_eq!(w2.would_start(Cycle(50)), Cycle(50));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The three STU cache-way organisations of Fig. 8.
 
 use fam_broker::AcmWidth;
-use fam_mem::{CacheConfig, Replacement, SetAssocCache};
+use fam_mem::{CacheConfig, SetAssocCache};
 use fam_sim::stats::Ratio;
 
 /// Which Fig. 8 way organisation the STU cache uses.
@@ -106,7 +106,6 @@ impl StuCache {
                 Some(SetAssocCache::new(CacheConfig::new(
                     config.sets,
                     config.ways,
-                    Replacement::Lru,
                 ))),
                 None,
             ),
@@ -115,7 +114,6 @@ impl StuCache {
                 Some(SetAssocCache::new(CacheConfig::new(
                     config.sets,
                     config.ways,
-                    Replacement::Lru,
                 ))),
             ),
             StuOrganization::DeactN => (
@@ -126,7 +124,6 @@ impl StuCache {
                     // (§III-D: "matching the tags of sub-ways is
                     // similar to matching the tags of different ways").
                     config.ways * config.deact_n_pairs(),
-                    Replacement::Lru,
                 ))),
             ),
         };

@@ -1,7 +1,6 @@
 //! Page-table-walker caches (Bhargava et al. [8]).
 
-use fam_mem::{CacheConfig, Replacement, SetAssocCache};
-use fam_sim::stats::Ratio;
+use fam_mem::{CacheConfig, SetAssocCache};
 
 use crate::page_table::LEVELS;
 
@@ -27,7 +26,6 @@ use crate::page_table::LEVELS;
 #[derive(Debug, Clone)]
 pub struct PtwCache {
     cache: SetAssocCache<()>,
-    lookups: Ratio,
 }
 
 impl PtwCache {
@@ -39,12 +37,7 @@ impl PtwCache {
     pub fn new(entries: usize) -> PtwCache {
         let ways = entries.min(4);
         PtwCache {
-            cache: SetAssocCache::new(CacheConfig::new(
-                (entries / ways).max(1),
-                ways,
-                Replacement::Lru,
-            )),
-            lookups: Ratio::new(),
+            cache: SetAssocCache::new(CacheConfig::new((entries / ways).max(1), ways)),
         }
     }
 
@@ -58,7 +51,6 @@ impl PtwCache {
 
     /// The deepest intermediate level (0 = PGD … 2 = PMD) whose entry
     /// for `vpage` is cached, meaning the walk can start *below* it.
-    /// Records one hit (if any level is cached) or miss in the stats.
     pub fn deepest_cached(&mut self, vpage: u64) -> Option<usize> {
         let mut deepest = None;
         for level in (0..LEVELS - 1).rev() {
@@ -67,7 +59,6 @@ impl PtwCache {
                 break;
             }
         }
-        self.lookups.record(deepest.is_some());
         deepest
     }
 
@@ -83,11 +74,6 @@ impl PtwCache {
     pub fn flush(&mut self) {
         self.cache.clear();
     }
-
-    /// Hit/miss statistics of `deepest_cached` queries.
-    pub fn stats(&self) -> Ratio {
-        self.lookups
-    }
 }
 
 #[cfg(test)]
@@ -98,7 +84,6 @@ mod tests {
     fn empty_cache_misses() {
         let mut c = PtwCache::new(32);
         assert_eq!(c.deepest_cached(42), None);
-        assert_eq!(c.stats().misses(), 1);
     }
 
     #[test]
@@ -106,7 +91,6 @@ mod tests {
         let mut c = PtwCache::new(32);
         c.fill(42, 2);
         assert_eq!(c.deepest_cached(42), Some(2));
-        assert_eq!(c.stats().hits(), 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The node's two-level TLB (Table II: 32 + 256 entries).
 
-use fam_mem::{CacheConfig, Replacement, SetAssocCache};
+use fam_mem::{CacheConfig, SetAssocCache};
 use fam_sim::stats::Ratio;
 use fam_sim::Duration;
 
@@ -83,12 +83,10 @@ impl TlbHierarchy {
             l1: SetAssocCache::new(CacheConfig::new(
                 config.l1_entries / config.l1_ways,
                 config.l1_ways,
-                Replacement::Lru,
             )),
             l2: SetAssocCache::new(CacheConfig::new(
                 config.l2_entries / config.l2_ways,
                 config.l2_ways,
-                Replacement::Lru,
             )),
             config,
             overall: Ratio::new(),

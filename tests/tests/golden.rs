@@ -8,7 +8,7 @@
 //!
 //! The file is also the scheduler's specification: `System::try_run`
 //! has no second engine to be compared with, and the cells pin its
-//! pop order. Keying the heap on `(ready, Reverse(slot))` moves 21 of
+//! pop order. Keying the heap on `(start, Reverse(slot))` moves 21 of
 //! the 22 digests; numbering slots core-major moves the 5 multi-node
 //! cells.
 //!

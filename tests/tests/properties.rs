@@ -9,7 +9,7 @@ use std::collections::{HashMap, HashSet};
 
 use fam_broker::{AcmEntry, AcmWidth, FamLayout};
 use fam_fabric::packet::{Packet, PacketKind};
-use fam_mem::{CacheConfig, Replacement, SetAssocCache};
+use fam_mem::{CacheConfig, SetAssocCache};
 use fam_sim::{Cycle, Resource, SimRng, Window};
 use fam_vm::{FamAddr, NodeId, PageTable, PtFlags, VirtAddr, PAGE_BYTES};
 
@@ -67,8 +67,7 @@ fn cache_capacity_and_recency() {
     for _ in 0..TRIALS {
         let sets = 1 + rng.index(31);
         let ways = 1 + rng.index(7);
-        let mut c: SetAssocCache<u64> =
-            SetAssocCache::new(CacheConfig::new(sets, ways, Replacement::Lru));
+        let mut c: SetAssocCache<u64> = SetAssocCache::new(CacheConfig::new(sets, ways));
         let n = 1 + rng.below(500);
         for _ in 0..n {
             let k = rng.below(10_000);
