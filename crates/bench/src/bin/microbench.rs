@@ -115,50 +115,6 @@ fn bench_scheduler_scaling(records: &mut Vec<Record>) {
     }
 }
 
-/// Per-reference cost of running a recorded trace through the full
-/// system instead of the live generator: records the
-/// `sched_per_ref/4_cores` configuration's stream to a FAMT v2 file
-/// once, then times replay runs streaming it back from disk. The
-/// delta against `sched_per_ref/4_cores` is the whole price of
-/// buffered file decode on the hot path.
-fn bench_replay(records: &mut Vec<Record>) {
-    let cfg = SystemConfig::paper_default()
-        .with_scheme(Scheme::DeactN)
-        .with_refs_per_core(SCHED_REFS)
-        .with_seed(0xBE9C);
-    let w = Workload::by_name("sssp").expect("table3 benchmark");
-    let path = std::env::temp_dir().join(format!("deact-microbench-{}.famt", std::process::id()));
-    let mut streams = deact::System::synthetic_streams(&cfg, &w);
-    let file = std::fs::File::create(&path).expect("temp trace file");
-    fam_workloads::trace::record_streams(
-        std::io::BufWriter::new(file),
-        &mut streams,
-        cfg.refs_per_core,
-    )
-    .expect("record trace");
-    let total_refs = cfg.refs_per_core * (cfg.nodes * cfg.cores_per_node) as u64;
-    let samples: Vec<f64> = (0..SCHED_REPS)
-        .map(|_| {
-            let streams =
-                fam_workloads::trace::replay_streams(&path, cfg.nodes, cfg.cores_per_node)
-                    .expect("replay streams");
-            let start = Instant::now();
-            let report = deact::System::with_streams(cfg, "sssp", streams).run();
-            let elapsed = start.elapsed().as_nanos() as f64;
-            black_box(report.cycles);
-            elapsed / total_refs as f64
-        })
-        .collect();
-    let ns = median(samples);
-    let label = "replay_per_ref";
-    println!("{label:28} {ns:>8.1} ns/op");
-    records.push(Record {
-        label: label.to_string(),
-        ns_per_op: ns,
-    });
-    std::fs::remove_file(&path).ok();
-}
-
 /// Whole-system throughput: simulated references per wall-clock second
 /// on the paper-default single-node configuration.
 fn bench_throughput() -> Throughput {
@@ -315,7 +271,6 @@ fn main() {
         "", "median"
     );
     bench_scheduler_scaling(&mut records);
-    bench_replay(&mut records);
     let throughput = bench_throughput();
 
     match write_json(&out_path, &records, &throughput) {

@@ -26,8 +26,8 @@ pub enum AccessKind {
 /// density.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AcmWidth {
-    /// 8-bit entries: 6-bit node id (8191 nodes in the paper's
-    /// accounting), ACM of 64 pages per 64-byte block.
+    /// 8-bit entries: 6-bit node id (63 nodes, ids 0–62 below the
+    /// shared marker 0x3F), ACM of 64 pages per 64-byte block.
     W8,
     /// 16-bit entries: 14-bit node id (16383 nodes), 32 pages/block.
     #[default]
@@ -457,13 +457,14 @@ mod tests {
 
     #[test]
     fn width_bit_accounting_matches_paper() {
-        // §V-D2: 16-bit -> 16383 nodes; 8-bit -> "8191 nodes" counts
-        // the usable ids below a 6-bit marker differently, we expose
-        // the field arithmetic directly.
+        // §V-D2: 16-bit -> 16383 nodes (ids 0..=16382 below the
+        // 0x3FFF marker). The same arithmetic gives 8-bit entries 63
+        // nodes (ids 0..=62 below 0x3F).
         assert_eq!(AcmWidth::W16.node_bits(), 14);
         assert_eq!(AcmWidth::W16.shared_marker(), 0x3FFF);
         assert_eq!(AcmWidth::W16.max_nodes(), 16382);
         assert_eq!(AcmWidth::W8.node_bits(), 6);
+        assert_eq!(AcmWidth::W8.max_nodes(), 62);
         assert_eq!(AcmWidth::W32.node_bits(), 30);
     }
 

@@ -245,17 +245,22 @@ impl MemoryBroker {
     ///
     /// # Errors
     ///
-    /// Returns [`BrokerError::TooManyNodes`] if the configured limit or
-    /// the ACM width's node-id space is exhausted, and propagates
-    /// allocation failure for the node's system-page-table root.
+    /// Returns [`BrokerError::TooManyNodes`] if the configured limit,
+    /// the ACM width's node-id space or [`NodeId`]'s range is
+    /// exhausted, and propagates allocation failure for the node's
+    /// system-page-table root.
     pub fn register_node(&mut self) -> Result<NodeId, BrokerError> {
-        let id = self.tables.len();
-        if id >= self.config.max_nodes || id as u32 > self.config.acm_width.max_nodes() {
-            return Err(BrokerError::TooManyNodes);
-        }
+        let id = u16::try_from(self.tables.len())
+            .ok()
+            .filter(|&id| {
+                id < NodeId::SHARED_MARKER
+                    && usize::from(id) < self.config.max_nodes
+                    && u32::from(id) <= self.config.acm_width.max_nodes()
+            })
+            .ok_or(BrokerError::TooManyNodes)?;
         let root_page = self.take_page()?;
         self.tables.push(PageTable::new(root_page * PAGE_BYTES));
-        Ok(NodeId::new(id as u16))
+        Ok(NodeId::new(id))
     }
 
     fn table_ref(&self, node: NodeId) -> Result<&PageTable, BrokerError> {

@@ -11,20 +11,8 @@
 //!                 [--ring N] [plus any `run` flag]    # Perfetto trace
 //! deact-sim profile [<benchmark>] [--out profile.folded] [--top N]
 //!                   [plus any `run` flag]   # host-time phase profile
-//! deact-sim record <benchmark> [--out t.famt] [plus any `run` flag]
-//!                                # capture the synthetic stream to disk
-//! deact-sim replay <t.famt> [--trace-out trace.json] [plus any `run` flag]
-//!                                # run a recorded trace
 //! deact-sim list                                       # Table III roster
 //! ```
-//!
-//! `record` draws exactly the per-core reference streams a live run of
-//! the benchmark would execute (same seeds, same order) and writes
-//! them as a rank-tagged FAMT v2 trace; `replay` streams such a file
-//! back through the full system model, so `record` → `replay`
-//! reproduces the live run's report bit for bit. Replay honors every
-//! `run` flag (`--scheme`, `--kill-node`, ...); `--trace-out`
-//! additionally captures a Perfetto trace of the replayed run.
 //!
 //! Parallelism is across runs only: `--jobs N` sets how many worker
 //! threads `compare` uses to run the four schemes concurrently
@@ -68,8 +56,6 @@ fn usage() -> ExitCode {
          [plus any `run` flag]\n  \
          deact-sim profile [<benchmark>] [--out profile.folded] [--top N] \
          [plus any `run` flag]\n  \
-         deact-sim record <benchmark> [--out t.famt] [plus any `run` flag]\n  \
-         deact-sim replay <t.famt> [--trace-out trace.json] [plus any `run` flag]\n  \
          deact-sim list\n\n\
          parallelism: --jobs runs schemes concurrently (across-run, default \
          DEACT_JOBS else all cores);\n  reports are bit-identical at any \
@@ -204,11 +190,11 @@ fn apply_flags(mut cfg: SystemConfig, args: &[String]) -> Option<SystemConfig> {
         );
         return None;
     }
-    let node_limit = cfg.acm_width.max_nodes() as usize + 1;
-    if cfg.nodes > node_limit {
+    if cfg.nodes > cfg.max_nodes() {
         eprintln!(
-            "deact-sim: --nodes {} exceeds the {node_limit} nodes a {}-bit ACM entry can name",
+            "deact-sim: --nodes {} exceeds the limit of {} nodes ({}-bit ACM entries)",
             cfg.nodes,
+            cfg.max_nodes(),
             cfg.acm_width.bits()
         );
         return None;
@@ -537,103 +523,6 @@ fn main() -> ExitCode {
                 "wrote {out} (render: `inferno-flamegraph < {out} > flame.svg`, \
                  or load at https://speedscope.app)"
             );
-            ExitCode::SUCCESS
-        }
-        Some("record") => {
-            let Some(bench) = args.get(1) else {
-                return usage();
-            };
-            let Some((rest, [out])) = split_opts(&args[2..], ["--out"]) else {
-                return usage();
-            };
-            let out = out.unwrap_or_else(|| format!("{bench}.famt"));
-            let Some(cfg) = apply_flags(SystemConfig::paper_default(), &rest) else {
-                return usage();
-            };
-            let workload = match workload(bench) {
-                Ok(w) => w,
-                Err(code) => return code,
-            };
-            let mut streams = System::synthetic_streams(&cfg, &workload);
-            let file = match std::fs::File::create(&out) {
-                Ok(f) => f,
-                Err(e) => return fail(format!("cannot create {out}: {e}")),
-            };
-            let records = match fam_workloads::trace::record_streams(
-                std::io::BufWriter::new(file),
-                &mut streams,
-                cfg.refs_per_core,
-            ) {
-                Ok(n) => n,
-                Err(e) => return fail(format!("cannot write {out}: {e}")),
-            };
-            println!(
-                "wrote {out}: {records} records across {} ranks ({} nodes x {} cores, \
-                 {} refs/core) — replay with `deact-sim replay {out}`",
-                cfg.nodes * cfg.cores_per_node,
-                cfg.nodes,
-                cfg.cores_per_node,
-                cfg.refs_per_core
-            );
-            ExitCode::SUCCESS
-        }
-        Some("replay") => {
-            let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
-                return usage();
-            };
-            let Some((rest, [trace_out])) = split_opts(&args[2..], ["--trace-out"]) else {
-                return usage();
-            };
-            let Some(cfg) = apply_flags(SystemConfig::paper_default(), &rest) else {
-                return usage();
-            };
-            let cfg = match &trace_out {
-                Some(_) => cfg.with_trace(TraceConfig::full()),
-                None => cfg,
-            };
-            let streams =
-                match fam_workloads::trace::replay_streams(path, cfg.nodes, cfg.cores_per_node) {
-                    Ok(s) => s,
-                    Err(e) => return fail(format!("cannot replay {path}: {e}")),
-                };
-            let header = match std::fs::File::open(path)
-                .and_then(fam_workloads::TraceReader::new)
-                .map(|rd| rd.header())
-            {
-                Ok(h) => h,
-                Err(e) => return fail(format!("cannot replay {path}: {e}")),
-            };
-            // Label the report with the file stem so a replay of
-            // `sssp.famt` prints exactly like `run sssp`.
-            let label = std::path::Path::new(path)
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_else(|| path.clone());
-            let frequency_mhz = cfg.frequency_mhz;
-            let mut system = System::with_streams(cfg, &label, streams);
-            let r = match system.try_run() {
-                Ok(r) => r,
-                Err(e) => return fail(e),
-            };
-            print_report(&r);
-            let metrics = system.metrics();
-            let wraps: u64 = (0..r.nodes)
-                .map(|n| {
-                    metrics
-                        .counter_value(&format!("node{n}/replay_wraps"))
-                        .unwrap_or(0)
-                })
-                .sum();
-            println!(
-                "replay           {path}: FAMT v2, {} records, {} ranks, {} wrap-arounds",
-                header.count, header.ranks, wraps
-            );
-            if let Some(out) = trace_out {
-                if let Err(code) = write_trace_file(&out, &system, frequency_mhz) {
-                    return code;
-                }
-                println!("wrote {out} (load it at https://ui.perfetto.dev or chrome://tracing)");
-            }
             ExitCode::SUCCESS
         }
         Some("compare") => {

@@ -5,7 +5,7 @@ use fam_fabric::FabricConfig;
 use fam_mem::{HierarchyConfig, NvmConfig};
 use fam_sim::{FaultConfig, Frequency, TraceConfig};
 use fam_stu::StuConfig;
-use fam_vm::TlbConfig;
+use fam_vm::{NodeId, TlbConfig};
 
 use crate::Scheme;
 
@@ -332,23 +332,33 @@ impl SystemConfig {
         }
     }
 
+    /// The most nodes this configuration can run: one per node id an
+    /// ACM entry of [`SystemConfig::acm_width`] can name, and never
+    /// more than the 16,383 ids a [`NodeId`] holds below its shared
+    /// marker (the binding bound at 32-bit entries).
+    pub fn max_nodes(&self) -> usize {
+        (self.acm_width.max_nodes() as usize + 1).min(usize::from(NodeId::SHARED_MARKER))
+    }
+
     /// Validates cross-field invariants.
     ///
     /// # Panics
     ///
     /// Panics on degenerate configurations (zero nodes/cores/refs or
-    /// issue width, a fault profile naming a missing FAM module).
+    /// issue width, more nodes than [`SystemConfig::max_nodes`], a
+    /// fault profile naming a missing FAM module).
     pub fn validate(&self) {
         assert!(self.nodes > 0, "need at least one node");
         assert!(self.cores_per_node > 0, "need at least one core");
         assert!(self.refs_per_core > 0, "need at least one reference");
         assert!(self.issue_width > 0, "issue width must be non-zero");
-        let limit = self.acm_width.max_nodes() as usize + 1;
         assert!(
-            self.nodes <= limit,
-            "{} nodes exceed the {limit} a {}-bit ACM entry can name",
+            self.nodes <= self.max_nodes(),
+            "{} nodes exceed the limit of {} ({}-bit ACM entries, node ids below {:#x})",
             self.nodes,
-            self.acm_width.bits()
+            self.max_nodes(),
+            self.acm_width.bits(),
+            NodeId::SHARED_MARKER
         );
         if let Some(schedule) = self.fault_injection.persistent {
             if let Some(module) = schedule.fault.module() {
@@ -434,11 +444,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "64 nodes exceed the 63 a 8-bit ACM entry can name")]
+    #[should_panic(expected = "64 nodes exceed the limit of 63 (8-bit ACM entries")]
     fn validate_rejects_more_nodes_than_the_acm_width_names() {
         let c = SystemConfig::paper_default().with_acm_width(AcmWidth::W8);
         c.with_nodes(63).validate();
         c.with_nodes(64).validate();
+    }
+
+    /// A 32-bit ACM entry names 2^30 - 2 nodes, but a node id stops
+    /// below 0x3FFF: the id space is the binding bound.
+    #[test]
+    #[should_panic(expected = "16384 nodes exceed the limit of 16383 (32-bit ACM entries")]
+    fn validate_bounds_wide_acm_entries_by_the_node_id_space() {
+        let c = SystemConfig::paper_default().with_acm_width(AcmWidth::W32);
+        c.with_nodes(16_383).validate();
+        c.with_nodes(16_384).validate();
     }
 
     #[test]

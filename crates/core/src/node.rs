@@ -5,7 +5,7 @@ use fam_broker::{BrokerError, MemoryBroker};
 use fam_mem::{CacheHierarchy, DramModel};
 use fam_sim::{Cycle, RequestId, SimRng, Window};
 use fam_vm::{NodeId, PageTable, PtFlags, PtwCache, TlbHierarchy, VirtAddr};
-use fam_workloads::RefStream;
+use fam_workloads::TraceGenerator;
 
 use crate::translator::FamTranslator;
 use crate::{Scheme, SystemConfig};
@@ -54,10 +54,10 @@ pub struct PendingRef {
 pub struct CoreState {
     /// The staged next reference, if any.
     pub pending: Option<PendingRef>,
-    /// This rank's reference source (synthetic generator or streamed
-    /// trace replay). Staging draws exactly one reference per
-    /// executed reference, so `gen.emitted()` counts what the core ran.
-    pub gen: RefStream,
+    /// This rank's reference generator. Staging draws exactly one
+    /// reference per executed reference, so `gen.emitted()` counts
+    /// what the core ran.
+    pub gen: TraceGenerator,
     /// Private two-level TLB.
     pub tlb: TlbHierarchy,
     /// Private node-level PTW cache.
@@ -139,7 +139,7 @@ impl Node {
     /// Panics if the broker rejects the registration.
     pub fn new(
         config: &SystemConfig,
-        streams: Vec<RefStream>,
+        streams: Vec<TraceGenerator>,
         broker: &mut MemoryBroker,
         node_index: usize,
     ) -> Node {
@@ -356,13 +356,13 @@ mod tests {
     fn build(scheme: Scheme) -> (Node, MemoryBroker) {
         let config = small_config(scheme);
         let workload = fam_workloads::Workload::by_name("astar").unwrap();
-        let streams: Vec<RefStream> = (0..config.cores_per_node)
+        let streams: Vec<TraceGenerator> = (0..config.cores_per_node)
             .map(|c| {
-                RefStream::from(fam_workloads::TraceGenerator::new(
+                TraceGenerator::new(
                     workload,
                     fam_workloads::VA_BASE + ((c as u64) << 40),
                     c as u64,
-                ))
+                )
             })
             .collect();
         let mut broker = MemoryBroker::new(BrokerConfig {

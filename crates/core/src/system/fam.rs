@@ -3,7 +3,7 @@
 //! retries, the STU's system-table walk, and dirty-line writebacks.
 
 use fam_broker::AccessKind;
-use fam_fabric::packet::{Packet, PacketKind, RESPONSE_BYTES};
+use fam_fabric::packet::{PACKET_BYTES, RESPONSE_BYTES};
 use fam_mem::MemOpKind;
 use fam_sim::{Cycle, Duration, FabricFault, RequestId, Stage, Track};
 use fam_vm::PAGE_BYTES;
@@ -272,24 +272,16 @@ impl System {
                     t = expiry;
                 }
                 Some(FabricFault::Corrupt) => {
-                    // Corrupt the *real* wire frame and let the CRC
-                    // catch it — detection is earned, not assumed. The
-                    // FAM side answers with a corrupt-NACK, costing a
-                    // full fabric round trip with no device service.
-                    self.fill_corrupted_frame(n, fam_byte, kind, req);
-                    match Packet::decode(&self.frame_scratch) {
-                        Err(_) => {
-                            self.recovery.nacks_corrupt += 1;
-                            let module = self.module_of(fam_byte);
-                            t = self.nack_round_trip(n, t, module, req);
-                        }
-                        Ok(_) => {
-                            // Unreachable with CRC-16 and a single-byte
-                            // flip, but honesty demands the branch: an
-                            // undetected corruption is a delivery.
-                            return Ok(self.fam_round_trip_clean(n, t, fam_byte, kind, req));
-                        }
-                    }
+                    // One corrupted byte in the request frame. The CRC
+                    // trailer catches every such flip (packet.rs's
+                    // exhaustive test), so the FAM side answers with a
+                    // corrupt-NACK: a full fabric round trip with no
+                    // device service. The site is drawn but not applied,
+                    // which keeps the injector's RNG sequence.
+                    let _site = self.injector.corruption_site(PACKET_BYTES);
+                    self.recovery.nacks_corrupt += 1;
+                    let module = self.module_of(fam_byte);
+                    t = self.nack_round_trip(n, t, module, req);
                 }
             }
             match state.on_fault() {
@@ -341,25 +333,6 @@ impl System {
         self.tracer
             .span(req, Stage::Retry, Track::Fabric(n as u16), t, back);
         back
-    }
-
-    /// Encodes the request as its wire packet into the per-`System`
-    /// scratch buffer and applies the injector's chosen corruption to
-    /// it — no allocation per injected frame.
-    fn fill_corrupted_frame(&mut self, n: usize, fam_byte: u64, kind: MemOpKind, req: RequestId) {
-        let packet = Packet::for_request(
-            match kind {
-                MemOpKind::Read => PacketKind::Read,
-                MemOpKind::Write => PacketKind::Write,
-            },
-            self.nodes[n].id,
-            fam_byte,
-            true,
-            req,
-        );
-        packet.encode_into(&mut self.frame_scratch);
-        let (pos, mask) = self.injector.corruption_site(self.frame_scratch.len());
-        self.frame_scratch[pos] ^= mask;
     }
 
     /// The fault-free round trip: fabric there, device service,

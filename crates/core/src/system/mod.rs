@@ -18,7 +18,7 @@ use fam_sim::{
 };
 use fam_stu::Stu;
 use fam_vm::{NodeId, Pte, VirtAddr, WalkAccess, PAGE_BYTES};
-use fam_workloads::{RefStream, TraceGenerator, Workload};
+use fam_workloads::{TraceGenerator, Workload};
 
 use crate::error::SimError;
 use crate::metrics::{DegradationReport, FamTraffic, FaultRecovery, RunReport};
@@ -71,9 +71,6 @@ pub struct System {
     /// Response-side recovery accounting (the injected-fault counters
     /// come from the injector itself at report time).
     recovery: FaultRecovery,
-    /// Reusable wire-frame buffer for the fault injector's corruption
-    /// path, so injected frames don't allocate a fresh `Vec` each.
-    frame_scratch: Vec<u8>,
     /// Request-lifecycle tracing; like the injector, a disabled tracer
     /// costs one branch per event site and nothing else.
     tracer: Tracer,
@@ -119,11 +116,11 @@ impl System {
 
     /// The per-core synthetic reference streams [`System::new`] runs:
     /// one generator per core, seeded from the config seed and the
-    /// core's global rank. Public so `deact-sim record` (and the
-    /// replay tests) can draw *exactly* the stream a live run would
-    /// execute — record-then-replay is bit-identical because both
-    /// paths start from this function.
-    pub fn synthetic_streams(config: &SystemConfig, workload: &Workload) -> Vec<Vec<RefStream>> {
+    /// core's global rank.
+    pub fn synthetic_streams(
+        config: &SystemConfig,
+        workload: &Workload,
+    ) -> Vec<Vec<TraceGenerator>> {
         (0..config.nodes)
             .map(|n| {
                 (0..config.cores_per_node)
@@ -132,11 +129,11 @@ impl System {
                             .seed
                             .wrapping_mul(0x9E37_79B9)
                             .wrapping_add((n * 64 + c) as u64);
-                        RefStream::from(TraceGenerator::new(
+                        TraceGenerator::new(
                             *workload,
                             fam_workloads::VA_BASE + ((c as u64) << 40),
                             seed,
-                        ))
+                        )
                     })
                     .collect()
             })
@@ -149,7 +146,11 @@ impl System {
     ///
     /// Panics on degenerate configurations (see
     /// [`SystemConfig::validate`]) or a mis-shaped stream matrix.
-    pub fn with_streams(config: SystemConfig, label: &str, streams: Vec<Vec<RefStream>>) -> System {
+    pub fn with_streams(
+        config: SystemConfig,
+        label: &str,
+        streams: Vec<Vec<TraceGenerator>>,
+    ) -> System {
         config.validate();
         assert_eq!(streams.len(), config.nodes, "one stream set per node");
         let freq = config.frequency();
@@ -199,7 +200,6 @@ impl System {
             traffic: FamTraffic::default(),
             injector: FaultInjector::new(config.fault_injection),
             recovery: FaultRecovery::default(),
-            frame_scratch: Vec::with_capacity(fam_fabric::packet::PACKET_BYTES),
             tracer: Tracer::new(config.trace),
             pending_quarantine: match config.fault_injection.persistent {
                 None => Quarantine::None,

@@ -217,7 +217,7 @@ fn misshaped_stream_matrix_rejected() {
 fn misshaped_core_streams_rejected() {
     let cfg = quick(Scheme::EFam);
     let w = Workload::by_name("pf").unwrap();
-    let streams = vec![vec![fam_workloads::RefStream::from(w.generator(0))]]; // 1 != 4
+    let streams = vec![vec![w.generator(0)]]; // 1 != 4
     let _ = System::with_streams(cfg, "bad", streams);
 }
 

@@ -7,8 +7,9 @@
 //! flag costs one bit, and lets tests assert the STU dispatches on it.
 //!
 //! Every frame carries a CRC-16 trailer so in-flight corruption is
-//! *detected*, not assumed away: a corrupted request decodes to
-//! [`DecodePacketError::ChecksumMismatch`], and the simulator charges
+//! *detected*, not assumed away: any single corrupted byte decodes to
+//! [`DecodePacketError::ChecksumMismatch`] (this module's tests check
+//! every position and mask exhaustively), and the simulator charges
 //! the FAM side's negative acknowledgement (NACK) as a
 //! [`RESPONSE_BYTES`] return trip that drives the node-side retry
 //! machinery.
@@ -210,9 +211,9 @@ impl Packet {
         buf
     }
 
-    /// Serializes into a caller-owned buffer (cleared first), so hot
-    /// paths that encode one frame per simulated fault can reuse a
-    /// single allocation instead of building a fresh `Vec` each time.
+    /// Serializes into a caller-owned buffer (cleared first), so a
+    /// caller that encodes many frames can reuse a single allocation
+    /// instead of building a fresh `Vec` each time.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.clear();
         buf.reserve(PACKET_BYTES);
@@ -380,20 +381,35 @@ mod tests {
         assert_eq!(clear[1], 0);
     }
 
+    /// Every single-byte corruption of every packet kind, with the `V`
+    /// flag clear and set: each of the 16 positions under each of the
+    /// 255 non-zero masks. This is what guarantees that an injected
+    /// corruption is detected, so the simulator charges it as a
+    /// corrupt-NACK without encoding a frame per fault.
     #[test]
     fn every_single_byte_corruption_fails_the_checksum() {
-        let wire = sample(PacketKind::Write, true).encode();
-        for pos in 0..PACKET_BYTES {
-            for flip in [0x01u8, 0x80, 0xFF] {
+        for kind in [
+            PacketKind::Read,
+            PacketKind::Write,
+            PacketKind::TranslationRequest,
+            PacketKind::TranslationResponse,
+        ] {
+            for verified in [false, true] {
+                let wire = sample(kind, verified).encode();
                 let mut bad = wire.clone();
-                bad[pos] ^= flip;
-                assert!(
-                    matches!(
-                        Packet::decode(&bad),
-                        Err(DecodePacketError::ChecksumMismatch { .. })
-                    ),
-                    "byte {pos} xor {flip:#04x} slipped through"
-                );
+                for pos in 0..PACKET_BYTES {
+                    for mask in 1..=u8::MAX {
+                        bad[pos] = wire[pos] ^ mask;
+                        assert!(
+                            matches!(
+                                Packet::decode(&bad),
+                                Err(DecodePacketError::ChecksumMismatch { .. })
+                            ),
+                            "{kind:?} verified={verified}: byte {pos} xor {mask:#04x} slipped through"
+                        );
+                    }
+                    bad[pos] = wire[pos];
+                }
             }
         }
     }

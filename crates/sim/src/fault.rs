@@ -390,9 +390,12 @@ impl FaultInjector {
     }
 
     /// Draws where to corrupt a frame of `frame_len` bytes: a byte
-    /// position and a non-zero XOR mask. Callers apply it to the real
-    /// encoded frame so corruption is *detected* by the wire checksum,
-    /// not assumed.
+    /// position and a non-zero XOR mask. The system draws one site per
+    /// injected corruption but does not apply it: `fam_fabric::packet`'s
+    /// exhaustive test (`every_single_byte_corruption_fails_the_checksum`)
+    /// guarantees that the CRC detects every such site. The two draws
+    /// still happen, to hold the injector's RNG sequence, and with it
+    /// every later fault draw, fixed.
     pub fn corruption_site(&mut self, frame_len: usize) -> (usize, u8) {
         let pos = self.rng.index(frame_len.max(1));
         let mask = 1 + self.rng.below(255) as u8;

@@ -57,7 +57,7 @@ use std::time::Instant;
 /// folded-stack export.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PhaseId {
-    /// Workload reference generation (one `RefStream::next_ref` per
+    /// Workload reference generation (one `TraceGenerator::next_ref` per
     /// staged reference).
     RefGen,
     /// Event-queue scheduler pop + re-key bookkeeping.
@@ -80,8 +80,6 @@ pub enum PhaseId {
     Evacuation,
     /// System-wide translation shootdown walk.
     Shootdown,
-    /// Streamed trace-replay read + decode (`TraceReader::next_record`).
-    ReplayDecode,
 }
 
 impl PhaseId {
@@ -98,11 +96,10 @@ impl PhaseId {
         PhaseId::Nvm,
         PhaseId::Evacuation,
         PhaseId::Shootdown,
-        PhaseId::ReplayDecode,
     ];
 
     /// Number of phases.
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 11;
 
     /// Dense index in `[0, COUNT)`.
     pub fn index(self) -> usize {
@@ -123,7 +120,6 @@ impl PhaseId {
             PhaseId::Nvm => "nvm",
             PhaseId::Evacuation => "evacuation",
             PhaseId::Shootdown => "shootdown",
-            PhaseId::ReplayDecode => "replay-decode",
         }
     }
 }

@@ -28,11 +28,14 @@
 
 mod generator;
 mod profiles;
-pub mod trace;
 
 pub use generator::{MemRef, TraceGenerator};
 pub use profiles::{table3, Suite, Workload};
-pub use trace::{RefStream, StreamedReplay, TraceReader, TraceWriter};
+
+/// The reference source each simulated core draws from: a
+/// [`TraceGenerator`]. The name stays because the repository benchmark
+/// (`perfbench`) uses it.
+pub type RefStream = TraceGenerator;
 
 /// Base virtual address of the synthetic heap every generator walks.
 pub const VA_BASE: u64 = 0x1000_0000;

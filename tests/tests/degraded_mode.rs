@@ -131,42 +131,6 @@ fn halt_on_data_loss_is_a_typed_error_not_a_panic() {
 }
 
 #[test]
-fn replayed_trace_survives_node_death_like_the_synthetic_run() {
-    // Replay composes with chaos: recording captures the address
-    // stream only (faults strike at FAM-op ordinals, orthogonal to
-    // where the refs come from), so a replayed trace under
-    // `--kill-node` must reproduce the synthetic chaos run bit for
-    // bit — DegradationReport included.
-    let cfg = chaos(Scheme::DeactN).with_fault_injection(FaultConfig::persistent_only(
-        11,
-        PersistentFault::NodeDead { module: 1 },
-        STRIKE_AT,
-    ));
-    let w = Workload::by_name("sssp").unwrap();
-    let path = std::env::temp_dir().join(format!("famt-degraded-{}.famt", std::process::id()));
-    let mut streams = System::synthetic_streams(&cfg, &w);
-    fam_workloads::trace::record_streams(
-        std::io::BufWriter::new(std::fs::File::create(&path).unwrap()),
-        &mut streams,
-        cfg.refs_per_core,
-    )
-    .unwrap();
-    let synthetic = run_benchmark("sssp", cfg);
-    let streams =
-        fam_workloads::trace::replay_streams(&path, cfg.nodes, cfg.cores_per_node).unwrap();
-    let replayed = System::with_streams(cfg, "sssp", streams)
-        .try_run()
-        .expect("replayed chaos run completes degraded");
-    assert_eq!(
-        replayed, synthetic,
-        "replayed chaos run diverged from synthetic"
-    );
-    let d = &synthetic.degradation;
-    assert!(!d.is_zero() && d.pages_quarantined > 0 && d.pages_lost > 0);
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
 fn armed_but_unstruck_persistent_fault_is_free() {
     for scheme in [Scheme::EFam, Scheme::DeactN] {
         let baseline = run_benchmark(

@@ -8,8 +8,8 @@
 //!
 //! The file is also the scheduler's specification: `System::try_run`
 //! has no second engine to be compared with, and the cells pin its
-//! pop order. Keying the heap on `(start, Reverse(slot))` moves 21 of
-//! the 22 digests; numbering slots core-major moves the 5 multi-node
+//! pop order. Keying the heap on `(start, Reverse(slot))` moves 20 of
+//! the 21 digests; numbering slots core-major moves the 5 multi-node
 //! cells.
 //!
 //! `tests/golden/bench_shapes.txt` holds the same fields for the
@@ -20,15 +20,12 @@
 //! mismatch the test writes the regenerated file under `target/` and
 //! names the copy command in its failure message.
 
-use std::fs::File;
 use std::hash::{BuildHasher, Hasher};
-use std::io::BufWriter;
 use std::path::Path;
 
 use deact::{Scheme, System, SystemConfig};
 use fam_sim::hash::FastHash;
 use fam_sim::{FaultConfig, PersistentFault};
-use fam_workloads::trace::{record_streams, replay_streams};
 use fam_workloads::Workload;
 
 const REFS: u64 = 2_000;
@@ -56,22 +53,6 @@ fn run(cfg: SystemConfig, bench: &str) -> String {
         cfg,
         &Workload::by_name(bench).expect("Table III workload"),
     ))
-}
-
-/// Records `bench`'s live streams to a FAMT file and replays them. One
-/// record of headroom per rank keeps every core short of a whole pass,
-/// so `replay_wraps` reads 0 as in the live run.
-fn replay(cfg: SystemConfig, bench: &str) -> String {
-    let w = Workload::by_name(bench).expect("Table III workload");
-    let path = Path::new(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("golden-{}-{bench}.famt", std::process::id()));
-    let mut streams = System::synthetic_streams(&cfg, &w);
-    let file = File::create(&path).expect("temp trace file");
-    record_streams(BufWriter::new(file), &mut streams, cfg.refs_per_core + 1)
-        .expect("record trace");
-    let streams = replay_streams(&path, cfg.nodes, cfg.cores_per_node).expect("replay streams");
-    std::fs::remove_file(&path).ok();
-    digest(System::with_streams(cfg, bench, streams))
 }
 
 fn regenerate() -> String {
@@ -103,17 +84,6 @@ fn regenerate() -> String {
     }
     let four = base.with_scheme(Scheme::DeactN).with_nodes(4);
     lines.push(format!("sssp/DeACT-N/nodes-4 {}", run(four, "sssp")));
-
-    let replayed = replay(base.with_scheme(Scheme::DeactN), "sssp");
-    let live = lines
-        .iter()
-        .find_map(|l| l.strip_prefix("sssp/DeACT-N "))
-        .expect("live sssp DeACT-N cell");
-    assert_eq!(
-        replayed, live,
-        "record -> replay diverged from the live run"
-    );
-    lines.push(format!("sssp/DeACT-N/replay {replayed}"));
 
     let stale = base
         .with_scheme(Scheme::DeactN)
