@@ -5,7 +5,7 @@
 use deact::{Scheme, SystemConfig};
 use fam_broker::AcmWidth;
 use fam_sim::stats::geomean;
-use fam_sim::{FaultConfig, TraceConfig};
+use fam_sim::FaultConfig;
 
 use crate::{
     benchmarks, cell, heading, paper, refs_from_env, refs_override, row, run_matrix, suite_speedup,
@@ -545,12 +545,8 @@ pub fn ablation() {
 }
 
 /// The headline benchmark × scheme matrix as CSV for external
-/// plotting, written to `path` (default `results.csv`).
-///
-/// Runs with breakdown-only tracing, so the `lat_mean_<stage>` columns
-/// are populated (no event ring is kept — only the per-stage
-/// histograms — so memory stays flat across the full matrix). The file
-/// is created before the runs, so an unwritable path fails at once.
+/// plotting, written to `path` (default `results.csv`). The file is
+/// created before the runs, so an unwritable path fails at once.
 ///
 /// # Errors
 ///
@@ -559,9 +555,7 @@ pub fn csv(path: Option<&str>) -> Result<(), String> {
     let path = path.unwrap_or("results.csv");
     let cannot_write = |e: std::io::Error| format!("cannot write {path}: {e}");
     let file = std::fs::File::create(path).map_err(cannot_write)?;
-    let cfg = SystemConfig::paper_default()
-        .with_refs_per_core(refs_from_env(50_000))
-        .with_trace(TraceConfig::breakdown_only());
+    let cfg = SystemConfig::paper_default().with_refs_per_core(refs_from_env(50_000));
     let matrix = run_matrix(&benchmarks(), &Scheme::ALL, cfg);
     write_csv(std::io::BufWriter::new(file), &matrix).map_err(cannot_write)?;
     println!("wrote {} rows to {path}", matrix.len());

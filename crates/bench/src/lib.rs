@@ -199,7 +199,7 @@ pub const SUITE_GROUPS: [&str; 5] = ["SPEC", "PARSEC", "GAP", "pf", "dc"];
 /// external plotting. Alongside the headline metrics, each row carries
 /// the [`deact::FaultRecovery`] counters (all zero when injection is
 /// off) and one `lat_mean_<stage>` column per trace [`Stage`] — the
-/// mean span length in cycles, blank when the run was not traced.
+/// mean span length in cycles, blank when the stage saw no span.
 ///
 /// The writer is flushed before returning, so a buffered writer's
 /// error surfaces here rather than being dropped with it.
@@ -254,11 +254,11 @@ pub fn write_csv<W: std::io::Write>(mut w: W, matrix: &Matrix) -> std::io::Resul
             r.recovery.backoff_cycles,
         )?;
         for stage in Stage::ALL {
-            let h = r.latency.stage(stage);
-            if h.count() == 0 {
+            let s = r.latency.stage(stage);
+            if s.count == 0 {
                 write!(w, ",")?;
             } else {
-                write!(w, ",{:.2}", h.mean())?;
+                write!(w, ",{:.2}", s.mean())?;
             }
         }
         writeln!(w)?;
@@ -363,8 +363,6 @@ mod tests {
         // Every row has one cell per header column.
         let cols = lines[0].split(',').count();
         assert!(lines[1..].iter().all(|l| l.split(',').count() == cols));
-        // Untraced runs leave the latency cells blank.
-        assert!(lines[1].ends_with(&",".repeat(Stage::COUNT)));
     }
 
     /// A writer that accepts every byte but fails to flush, like a
@@ -387,10 +385,8 @@ mod tests {
     }
 
     #[test]
-    fn csv_latency_cells_populate_when_traced() {
-        let cfg = SystemConfig::paper_default()
-            .with_refs_per_core(200)
-            .with_trace(fam_sim::TraceConfig::breakdown_only());
+    fn csv_latency_cells_populate_untraced() {
+        let cfg = SystemConfig::paper_default().with_refs_per_core(200);
         let m = run_matrix(&["astar"], &[Scheme::DeactN], cfg);
         let mut buf = Vec::new();
         write_csv(&mut buf, &m).unwrap();
@@ -402,7 +398,7 @@ mod tests {
             .position(|h| h == "lat_mean_nvm_access")
             .unwrap();
         let cell = row.split(',').nth(nvm_col).unwrap();
-        assert!(!cell.is_empty(), "traced run must fill {row}");
+        assert!(!cell.is_empty(), "every run must fill {row}");
         assert!(cell.parse::<f64>().unwrap() > 0.0);
     }
 

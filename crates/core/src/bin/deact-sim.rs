@@ -21,11 +21,16 @@
 //! ([`deact::System::try_run`]), so reports are bit-identical at any
 //! `--jobs`.
 //!
+//! The reports that `run`, `trace` and `profile` print carry the
+//! per-stage `latency` table: for each pipeline stage that saw a span,
+//! the span count, mean, max and summed cycles. The table is kept on
+//! every run, traced or not.
+//!
 //! `trace` runs one benchmark (default `sssp` under the paper-default
 //! DeACT-N configuration) with the tracer on and writes a Chrome
 //! trace-event JSON file loadable in Perfetto / `chrome://tracing`,
-//! then prints the per-stage latency breakdown, the windowed time
-//! series, and the ring's drop accounting.
+//! then prints the report, the windowed time series, and the ring's
+//! drop accounting.
 //!
 //! `profile` runs one benchmark with the *host-time* profiler enabled
 //! (simulated results are bit-identical either way), prints the top
@@ -259,7 +264,7 @@ fn print_report(r: &RunReport) {
             r.latency.total_samples(),
             fam_sim::Stage::ALL
                 .iter()
-                .filter(|s| r.latency.stage(**s).count() > 0)
+                .filter(|s| r.latency.stage(**s).count > 0)
                 .count()
         );
         print!("{}", r.latency);

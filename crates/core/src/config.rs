@@ -117,11 +117,10 @@ pub struct SystemConfig {
     /// instead of a counted poisoned access; the run stops rather than
     /// continuing degraded.
     pub halt_on_data_loss: bool,
-    /// Request-lifecycle tracing (event ring, latency breakdown,
-    /// windowed time series). Disabled by default — like
-    /// `fault_injection`, a disabled tracer is a zero-cost no-op and
-    /// default runs are bit-identical to a build without the trace
-    /// layer.
+    /// Request-lifecycle tracing (event ring, request ids, windowed
+    /// time series). Disabled by default. Reports are identical with
+    /// it on or off; the per-stage latency breakdown is kept either
+    /// way.
     pub trace: TraceConfig,
 }
 

@@ -221,11 +221,10 @@ pub struct RunReport {
     pub degradation: DegradationReport,
     /// References simulated per core.
     pub refs_per_core: u64,
-    /// Per-stage latency histograms, aggregated across nodes and
-    /// devices. Empty (the [`Default`]) when tracing is disabled — the
-    /// tracer's zero-overhead-off contract is that a default run's
-    /// report differs from a pre-trace-layer run *only* by this empty
-    /// block.
+    /// Per-stage span totals (count, summed cycles, longest span),
+    /// summed across nodes and devices. Filled on every run, traced or
+    /// not. Nested spans count in each of their stages, so the stages
+    /// do not partition the run's cycles.
     pub latency: LatencyBreakdown,
     /// Always `0.0`. This once measured how much of a run a fused fast
     /// path retired without the scheduler heap; that fast path was

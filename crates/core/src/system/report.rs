@@ -76,7 +76,7 @@ impl System {
             recovery: self.recovery_report(),
             degradation: self.degradation,
             refs_per_core: self.config.refs_per_core,
-            latency: self.tracer.breakdown().clone(),
+            latency: *self.tracer.breakdown(),
             fast_path_coverage: 0.0,
         })
     }

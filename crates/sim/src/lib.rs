@@ -14,17 +14,17 @@
 //!   link), a set of independently occupied banks (NVM banks), and a
 //!   bounded window of outstanding operations (a core's outstanding
 //!   request budget or a memory device's outstanding-request cap).
-//! * [`stats`] — counters, ratios and histograms that every component
+//! * [`stats`] — counters and ratios that every component
 //!   uses to report the quantities the paper plots.
 //! * [`SimRng`] — a small, seedable RNG so every simulation is
 //!   reproducible.
 //! * [`FaultInjector`] — deterministic, seed-driven fault injection
 //!   (packet drop/corruption, link-down windows, STU stalls, stale
 //!   translations) that is a zero-cost no-op when disabled.
-//! * [`trace`] — request-lifecycle tracing: typed [`TraceEvent`]s in a
-//!   bounded ring buffer with drop accounting, per-stage latency
-//!   histograms, a Chrome trace-event exporter and a windowed time
-//!   series; like the fault injector, a zero-cost no-op when disabled.
+//! * [`trace`] — per-stage span totals kept on every run, plus
+//!   request-lifecycle tracing: typed [`TraceEvent`]s in a bounded
+//!   ring buffer with drop accounting, a Chrome trace-event exporter
+//!   and a windowed time series, none of which a disabled tracer keeps.
 //! * [`json`] — a small dependency-free JSON reader, shared by the
 //!   trace validator and the benchmark-diff tooling.
 //! * [`profile`] — a scoped *host-time* profiler: RAII [`PhaseId`]
@@ -76,8 +76,8 @@ pub use registry::{Metric, Registry};
 pub use resource::{BankedResource, Resource};
 pub use rng::SimRng;
 pub use trace::{
-    LatencyBreakdown, RequestId, Stage, TraceConfig, TraceEvent, Tracer, Track, WindowSample,
-    WindowSeries,
+    LatencyBreakdown, RequestId, Stage, StageCycles, TraceConfig, TraceEvent, Tracer, Track,
+    WindowSample, WindowSeries,
 };
 pub use window::Window;
 

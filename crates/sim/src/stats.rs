@@ -1,4 +1,4 @@
-//! Counters, ratios and histograms for simulation statistics.
+//! Counters and ratios for simulation statistics.
 //!
 //! Every figure in the paper is a counter ratio (hit rates, request
 //! percentages) or a derived performance number (IPC). Components
@@ -145,145 +145,11 @@ impl Ratio {
         self.hits += other.hits;
         self.misses += other.misses;
     }
-
-    /// Resets both counts.
-    pub fn reset(&mut self) {
-        *self = Ratio::default();
-    }
 }
 
 impl fmt::Display for Ratio {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}/{} ({:.2}%)", self.hits, self.total(), self.percent())
-    }
-}
-
-/// A fixed-bucket histogram of `u64` samples (power-of-two buckets),
-/// used for latency distributions.
-///
-/// # Examples
-///
-/// ```
-/// use fam_sim::stats::Histogram;
-///
-/// let mut h = Histogram::new();
-/// h.record(1);
-/// h.record(100);
-/// h.record(100);
-/// assert_eq!(h.count(), 3);
-/// assert_eq!(h.max(), 100);
-/// assert!((h.mean() - 67.0).abs() < 0.5);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: Vec<u64>, // bucket i counts samples in [2^(i-1), 2^i), bucket 0 = {0}
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Histogram {
-        Histogram {
-            buckets: vec![0; 65],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, sample: u64) {
-        let b = if sample == 0 {
-            0
-        } else {
-            64 - sample.leading_zeros() as usize
-        };
-        self.buckets[b] = self.buckets[b].saturating_add(1);
-        self.count = self.count.saturating_add(1);
-        // Saturating: a billion-ref run summing large latencies must
-        // degrade to a pinned mean, never wrap to a tiny one.
-        self.sum = self.sum.saturating_add(sample);
-        self.max = self.max.max(sample);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of samples.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Largest sample seen (zero if empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean sample (zero if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// An approximate quantile (`q` in `[0,1]`) from the bucket
-    /// boundaries; exact enough for reporting tail latencies.
-    ///
-    /// Returns the *upper* bound of the bucket holding the target
-    /// sample (clamped to the observed maximum), so tails are never
-    /// underestimated: a quantile is a value at least `q` of the
-    /// samples sit at or below, and only the upper bound guarantees
-    /// that for every sample in the bucket.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target.max(1) {
-                // Bucket i covers [2^(i-1), 2^i); its inclusive upper
-                // bound is 2^i - 1 (bucket 0 holds only zero). The
-                // last bucket's nominal bound overflows u64, but the
-                // max clamp keeps the result meaningful there too.
-                let upper = if i == 0 {
-                    0
-                } else if i >= 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << i) - 1
-                };
-                return upper.min(self.max);
-            }
-        }
-        self.max
-    }
-}
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram::new()
-    }
-}
-
-impl fmt::Display for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.1} p50={} p99={} max={}",
-            self.count,
-            self.mean(),
-            self.quantile(0.5),
-            self.quantile(0.99),
-            self.max
-        )
     }
 }
 
@@ -344,61 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_basic_stats() {
-        let mut h = Histogram::new();
-        for v in [0, 1, 2, 4, 8, 1024] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.max(), 1024);
-        assert_eq!(h.sum(), 1039);
-        assert!(h.quantile(0.0) <= h.quantile(1.0));
-    }
-
-    #[test]
-    fn histogram_quantile_monotone() {
-        let mut h = Histogram::new();
-        for v in 0..1000u64 {
-            h.record(v);
-        }
-        let p50 = h.quantile(0.5);
-        let p99 = h.quantile(0.99);
-        assert!(p50 <= p99);
-        assert!(p99 <= h.max());
-    }
-
-    #[test]
-    fn histogram_quantile_is_bucket_upper_bound() {
-        let mut h = Histogram::new();
-        // 100 samples of 1000: every quantile lands in the bucket
-        // [512, 1024), whose inclusive upper bound is 1023 — the old
-        // lower-bound answer of 512 underestimated every sample.
-        for _ in 0..100 {
-            h.record(1000);
-        }
-        assert_eq!(h.quantile(0.5), 1000, "clamped to the observed max");
-        let mut h = Histogram::new();
-        h.record(600);
-        h.record(2000);
-        assert_eq!(h.quantile(0.5), 1023, "upper bound of [512, 1024)");
-        assert!(h.quantile(0.5) >= 600, "never below the covered sample");
-        assert_eq!(h.quantile(1.0), 2000);
-        let mut h = Histogram::new();
-        h.record(0);
-        h.record(u64::MAX);
-        assert_eq!(h.quantile(0.25), 0);
-        assert_eq!(h.quantile(1.0), u64::MAX, "top bucket clamps, not wraps");
-    }
-
-    #[test]
-    fn histogram_empty() {
-        let h = Histogram::new();
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.quantile(0.5), 0);
-        assert_eq!(h.max(), 0);
-    }
-
-    #[test]
     fn geomean_matches_definition() {
         assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
         assert_eq!(geomean(&[]), 1.0);
@@ -429,11 +240,5 @@ mod tests {
         assert_eq!(c.value(), u64::MAX);
         c.inc();
         assert_eq!(c.value(), u64::MAX);
-
-        let mut h = Histogram::new();
-        h.record(u64::MAX);
-        h.record(u64::MAX);
-        assert_eq!(h.sum(), u64::MAX, "sum pins at the ceiling");
-        assert_eq!(h.count(), 2);
     }
 }

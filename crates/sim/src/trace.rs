@@ -5,13 +5,14 @@
 //! cache, the fabric, the STU, the NVM device — and every figure in
 //! the paper is ultimately a claim about where those cycles go. This
 //! module makes the decomposition observable without re-deriving it by
-//! hand: timing layers emit typed [`TraceEvent`]s (a request id, a
-//! pipeline [`Stage`], a hardware [`Track`], start/end cycles) into a
-//! [`Tracer`], which retains them in a bounded ring buffer with
-//! explicit drop accounting and folds every event into a per-stage
-//! [`LatencyBreakdown`] of [`Histogram`]s.
+//! hand: every stage site in the timing code reports its span (a
+//! request id, a pipeline [`Stage`], a hardware [`Track`], start/end
+//! cycles) to the run's [`Tracer`] through [`Tracer::span`], which adds
+//! it to a per-stage [`LatencyBreakdown`] on every run and, when
+//! tracing is on, also keeps it as a [`TraceEvent`] in a bounded ring
+//! buffer with explicit drop accounting.
 //!
-//! Two sinks read the tracer out:
+//! Two sinks read a traced run out:
 //!
 //! * [`write_chrome_trace`] — the Chrome trace-event JSON format, one
 //!   track per node / STU / fabric link / NVM module, loadable in
@@ -20,23 +21,20 @@
 //!   total FAM traffic, retry/recovery counters per N-cycle interval)
 //!   for plotting phase behaviour over a run.
 //!
-//! # The zero-overhead-off contract
+//! # Tracing is observation only
 //!
-//! Like [`FaultInjector`](crate::FaultInjector), a disabled tracer is
-//! a zero-cost no-op: every event site in the timing code calls
-//! [`Tracer::span`], which costs one branch when off; a disabled
-//! tracer allocates no ring storage and consumes nothing; and a
-//! fixed-seed run with tracing off is bit-identical to the same run with the trace layer
-//! compiled in — the integration tests pin this down by comparing
-//! fixed-seed reports bit for bit. Tracing is
-//! pure observation: enabling it never changes a report's timing or
-//! traffic fields, only the [`LatencyBreakdown`] it carries.
+//! The breakdown is kept whether or not tracing is on. Tracing adds
+//! only the event ring, request ids and the time series: a disabled
+//! tracer allocates no ring storage, hands out no request ids and,
+//! past the breakdown, costs one branch per event site.
+//! A fixed-seed run's report is identical with tracing on or off — the
+//! integration tests pin this down by comparing whole fixed-seed
+//! reports.
 
 use std::fmt;
 use std::io::{self, Write};
 
 use crate::json::Json;
-use crate::stats::Histogram;
 use crate::Cycle;
 
 /// Identity of one simulated memory reference, threaded through the
@@ -215,14 +213,13 @@ impl TraceEvent {
 /// same way [`FaultConfig`](crate::FaultConfig) is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Master switch. Off (the default) makes the tracer a zero-cost
-    /// no-op: one branch per event site, nothing recorded, reports
-    /// bit-identical to a run without the trace layer.
+    /// Master switch. Off (the default) keeps no events, request ids
+    /// or time series; the latency breakdown is kept either way.
     pub enabled: bool,
     /// Ring-buffer capacity in events. Once full, the oldest event is
     /// overwritten and counted in [`Tracer::dropped`]. `0` keeps the
-    /// latency breakdown and time series but retains no individual
-    /// events (breakdown-only mode, no drop accounting to do).
+    /// time series but retains no individual events (no drop
+    /// accounting to do).
     pub ring_capacity: usize,
     /// Time-series window length in cycles; `0` disables the series.
     pub window_cycles: u64,
@@ -245,23 +242,12 @@ impl TraceConfig {
         }
     }
 
-    /// Full tracing: event ring, breakdown and time series.
+    /// Full tracing: event ring, request ids and time series.
     pub fn full() -> TraceConfig {
         TraceConfig {
             enabled: true,
             ring_capacity: Self::DEFAULT_RING,
             window_cycles: Self::DEFAULT_WINDOW,
-        }
-    }
-
-    /// Latency breakdown only: no event retention, no time series —
-    /// the cheapest enabled mode, used by batch sweeps that only want
-    /// the per-stage histograms in their reports.
-    pub fn breakdown_only() -> TraceConfig {
-        TraceConfig {
-            enabled: true,
-            ring_capacity: 0,
-            window_cycles: 0,
         }
     }
 
@@ -286,55 +272,78 @@ impl Default for TraceConfig {
     }
 }
 
-/// Per-stage latency histograms — the run-level decomposition of where
-/// a reference's cycles went. The tracer records every event, on every
-/// track, into one breakdown.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One stage's span totals: how many spans, their summed cycles and
+/// the longest one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageCycles {
+    /// Spans recorded.
+    pub count: u64,
+    /// Summed span lengths. Saturating: a billion-ref run must pin the
+    /// mean, never wrap it to a tiny one.
+    pub cycles: u64,
+    /// The longest span (zero if none).
+    pub max: u64,
+}
+
+impl StageCycles {
+    /// Mean span length (zero if none).
+    pub fn mean(self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.cycles as f64 / self.count as f64
+        }
+    }
+}
+
+/// Per-stage span totals for a run, summed across every node and
+/// device. Nested spans count in each stage they belong to (an ACM
+/// fetch encloses its fabric and NVM spans), so the stages do not
+/// partition a reference's cycles.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencyBreakdown {
-    stages: [Histogram; Stage::COUNT],
+    stages: [StageCycles; Stage::COUNT],
 }
 
 impl LatencyBreakdown {
-    /// An empty breakdown.
-    pub fn new() -> LatencyBreakdown {
-        LatencyBreakdown {
-            stages: std::array::from_fn(|_| Histogram::new()),
-        }
+    /// Adds one span's length to its stage.
+    fn record(&mut self, stage: Stage, cycles: u64) {
+        let s = &mut self.stages[stage.index()];
+        s.count += 1;
+        s.cycles = s.cycles.saturating_add(cycles);
+        s.max = s.max.max(cycles);
     }
 
-    /// Records one span's length against its stage.
-    pub fn record(&mut self, stage: Stage, cycles: u64) {
-        self.stages[stage.index()].record(cycles);
-    }
-
-    /// The histogram of one stage.
-    pub fn stage(&self, stage: Stage) -> &Histogram {
-        &self.stages[stage.index()]
+    /// The totals of one stage.
+    pub fn stage(&self, stage: Stage) -> StageCycles {
+        self.stages[stage.index()]
     }
 
     /// Total spans recorded across all stages.
     pub fn total_samples(&self) -> u64 {
-        self.stages.iter().map(Histogram::count).sum()
+        self.stages.iter().map(|s| s.count).sum()
     }
 
-    /// Whether nothing has been recorded (the tracing-off state).
+    /// Whether no span has been recorded.
     pub fn is_empty(&self) -> bool {
         self.total_samples() == 0
-    }
-}
-
-impl Default for LatencyBreakdown {
-    fn default() -> LatencyBreakdown {
-        LatencyBreakdown::new()
     }
 }
 
 impl fmt::Display for LatencyBreakdown {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for stage in Stage::ALL {
-            let h = self.stage(stage);
-            if h.count() > 0 {
-                writeln!(f, "{:>18}  {h}", stage.name())?;
+            let s = self.stage(stage);
+            if s.count > 0 {
+                writeln!(
+                    f,
+                    "{:>18}  n={} mean={:.1} max={} cycles={}",
+                    stage.name(),
+                    s.count,
+                    s.mean(),
+                    s.max,
+                    s.cycles
+                )?;
             }
         }
         Ok(())
@@ -433,31 +442,29 @@ impl WindowSeries {
     }
 }
 
-/// The telemetry hub: a bounded event ring with drop accounting, the
-/// run's latency breakdown, and the windowed time series.
+/// The telemetry hub: the run's latency breakdown, plus, when tracing
+/// is on, a bounded event ring with drop accounting and the windowed
+/// time series.
 ///
 /// # Examples
 ///
 /// ```
-/// use fam_sim::trace::{Stage, TraceConfig, TraceEvent, Tracer, Track};
+/// use fam_sim::trace::{Stage, TraceConfig, Tracer, Track};
 /// use fam_sim::Cycle;
 ///
 /// let mut t = Tracer::new(TraceConfig::full());
 /// let req = t.next_request();
-/// t.record(TraceEvent {
-///     req,
-///     stage: Stage::NvmAccess,
-///     track: Track::Nvm(0),
-///     start: Cycle(100),
-///     end: Cycle(220),
-/// });
+/// t.span(req, Stage::NvmAccess, Track::Nvm(0), Cycle(100), Cycle(220));
 /// assert_eq!(t.recorded(), 1);
-/// assert_eq!(t.breakdown().stage(Stage::NvmAccess).max(), 120);
+/// assert_eq!(t.breakdown().stage(Stage::NvmAccess).max, 120);
 ///
-/// // Disabled: one branch, nothing consumed.
+/// // Disabled: the breakdown still counts, nothing else is kept.
 /// let mut off = Tracer::disabled();
 /// assert!(!off.is_enabled());
 /// assert!(!off.next_request().is_traced());
+/// off.span(req, Stage::NvmAccess, Track::Nvm(0), Cycle(100), Cycle(220));
+/// assert_eq!(off.recorded(), 0);
+/// assert_eq!(off.breakdown(), t.breakdown());
 /// ```
 #[derive(Debug)]
 pub struct Tracer {
@@ -481,7 +488,7 @@ impl Tracer {
             recorded: 0,
             dropped: 0,
             next_req: 0,
-            breakdown: LatencyBreakdown::new(),
+            breakdown: LatencyBreakdown::default(),
             series: WindowSeries::new(if enabled { config.window_cycles } else { 0 }),
             config,
         }
@@ -525,29 +532,18 @@ impl Tracer {
         self.next_req
     }
 
-    /// Records one event: folds it into the breakdown and
-    /// pushes it onto the ring (overwriting the oldest event, with
-    /// drop accounting, once the ring is full).
-    ///
-    /// Recording on a disabled tracer is a no-op; event sites call
-    /// [`Tracer::span`], which skips building the event too.
-    pub fn record(&mut self, ev: TraceEvent) {
-        if !self.config.enabled {
-            return;
-        }
-        debug_assert!(ev.end >= ev.start, "trace span must not run backwards");
-        self.recorded += 1;
-        self.breakdown.record(ev.stage, ev.cycles());
-        self.push_ring(ev);
-    }
-
     /// Records the span `start..end` of `stage` on `track` for `req` —
-    /// the call every event site in the timing code makes. A disabled
-    /// tracer returns after one branch without building the event.
+    /// the call every event site in the timing code makes. The span
+    /// always adds to the breakdown; an enabled tracer also pushes it
+    /// onto the ring (overwriting the oldest event, with drop
+    /// accounting, once the ring is full).
     #[inline]
     pub fn span(&mut self, req: RequestId, stage: Stage, track: Track, start: Cycle, end: Cycle) {
+        debug_assert!(end >= start, "trace span must not run backwards");
+        self.breakdown.record(stage, end.0 - start.0);
         if self.config.enabled {
-            self.record(TraceEvent {
+            self.recorded += 1;
+            self.push_ring(TraceEvent {
                 req,
                 stage,
                 track,
@@ -599,7 +595,8 @@ impl Tracer {
         self.ring[self.head..].iter().chain(&self.ring[..self.head])
     }
 
-    /// The run-level breakdown: every recorded event, on every track.
+    /// The run-level breakdown: every span, on every track, traced or
+    /// not.
     pub fn breakdown(&self) -> &LatencyBreakdown {
         &self.breakdown
     }
@@ -734,14 +731,8 @@ pub fn validate_chrome_json(text: &str) -> Result<usize, String> {
 mod tests {
     use super::*;
 
-    fn ev(req: u64, stage: Stage, track: Track, start: u64, end: u64) -> TraceEvent {
-        TraceEvent {
-            req: RequestId(req),
-            stage,
-            track,
-            start: Cycle(start),
-            end: Cycle(end),
-        }
+    fn span(t: &mut Tracer, req: u64, stage: Stage, track: Track, start: u64, end: u64) {
+        t.span(RequestId(req), stage, track, Cycle(start), Cycle(end));
     }
 
     #[test]
@@ -751,20 +742,16 @@ mod tests {
         assert!(!t.wants_windows());
         assert_eq!(t.next_request(), RequestId::UNTRACED);
         assert_eq!(t.next_request(), RequestId::UNTRACED, "no counter consumed");
-        t.record(ev(1, Stage::TlbLookup, Track::Node(0), 0, 5));
-        t.span(
-            RequestId(1),
-            Stage::StuWalk,
-            Track::Stu(0),
-            Cycle(5),
-            Cycle(9),
-        );
+        span(&mut t, 1, Stage::TlbLookup, Track::Node(0), 0, 5);
+        span(&mut t, 1, Stage::StuWalk, Track::Stu(0), 5, 9);
         t.sample(Cycle(10), WindowSample::default());
         assert_eq!(t.recorded(), 0);
         assert_eq!(t.dropped(), 0);
         assert_eq!(t.retained(), 0);
-        assert!(t.breakdown().is_empty());
         assert!(t.series().samples().is_empty());
+        // The breakdown is kept with tracing off.
+        assert_eq!(t.breakdown().total_samples(), 2);
+        assert_eq!(t.breakdown().stage(Stage::StuWalk).cycles, 4);
     }
 
     #[test]
@@ -784,13 +771,14 @@ mod tests {
         let cfg = TraceConfig::full().with_ring_capacity(3);
         let mut t = Tracer::new(cfg);
         for i in 0..5u64 {
-            t.record(ev(
+            span(
+                &mut t,
                 i + 1,
                 Stage::NvmAccess,
                 Track::Nvm(0),
                 i * 10,
                 i * 10 + 1,
-            ));
+            );
         }
         assert_eq!(t.recorded(), 5);
         assert_eq!(t.dropped(), 2);
@@ -798,39 +786,44 @@ mod tests {
         let kept: Vec<u64> = t.events().map(|e| e.req.0).collect();
         assert_eq!(kept, vec![3, 4, 5], "oldest events are overwritten first");
         // Breakdown still sees every event, dropped or not.
-        assert_eq!(t.breakdown().stage(Stage::NvmAccess).count(), 5);
-    }
-
-    #[test]
-    fn breakdown_only_mode_retains_nothing() {
-        let mut t = Tracer::new(TraceConfig::breakdown_only());
-        t.record(ev(1, Stage::FabricSend, Track::Fabric(1), 0, 100));
-        assert_eq!(t.retained(), 0);
-        assert_eq!(t.dropped(), 0, "no ring means no overflow to account");
-        assert_eq!(t.recorded(), 1);
-        assert_eq!(t.breakdown().stage(Stage::FabricSend).count(), 1);
+        assert_eq!(t.breakdown().stage(Stage::NvmAccess).count, 5);
     }
 
     #[test]
     fn breakdowns_aggregate_per_node_and_device() {
-        let mut t = Tracer::new(TraceConfig::breakdown_only());
-        t.record(ev(1, Stage::TlbLookup, Track::Node(0), 0, 2));
-        t.span(
-            RequestId(1),
-            Stage::StuWalk,
-            Track::Stu(0),
-            Cycle(2),
-            Cycle(12),
-        );
-        t.record(ev(2, Stage::TlbLookup, Track::Node(1), 0, 4));
-        t.record(ev(1, Stage::NvmAccess, Track::Nvm(0), 12, 42));
+        let mut t = Tracer::new(TraceConfig::full());
+        span(&mut t, 1, Stage::TlbLookup, Track::Node(0), 0, 2);
+        span(&mut t, 1, Stage::StuWalk, Track::Stu(0), 2, 12);
+        span(&mut t, 2, Stage::TlbLookup, Track::Node(1), 0, 4);
+        span(&mut t, 1, Stage::NvmAccess, Track::Nvm(0), 12, 42);
         assert_eq!(t.recorded(), 4);
         let run = t.breakdown();
         assert_eq!(run.total_samples(), 4);
-        assert_eq!(run.stage(Stage::StuWalk).sum(), 10);
-        assert_eq!(run.stage(Stage::TlbLookup).count(), 2);
-        assert_eq!(run.stage(Stage::TlbLookup).max(), 4);
-        assert_eq!(run.stage(Stage::NvmAccess).sum(), 30);
+        assert_eq!(run.stage(Stage::StuWalk).cycles, 10);
+        assert_eq!(run.stage(Stage::TlbLookup).count, 2);
+        assert_eq!(run.stage(Stage::TlbLookup).max, 4);
+        assert!((run.stage(Stage::TlbLookup).mean() - 3.0).abs() < 1e-12);
+        assert_eq!(run.stage(Stage::NvmAccess).cycles, 30);
+        assert_eq!(run.stage(Stage::Retry), StageCycles::default());
+        assert_eq!(run.stage(Stage::Retry).mean(), 0.0, "empty stage");
+        assert_eq!(
+            run.to_string().lines().next(),
+            Some("        tlb_lookup  n=2 mean=3.0 max=4 cycles=6"),
+            "one line per stage that saw a span"
+        );
+        assert_eq!(run.to_string().lines().count(), 3);
+    }
+
+    #[test]
+    fn stage_cycles_saturate_instead_of_wrapping() {
+        let mut t = Tracer::disabled();
+        for _ in 0..2 {
+            span(&mut t, 0, Stage::Retry, Track::Fabric(0), 0, u64::MAX);
+        }
+        let s = t.breakdown().stage(Stage::Retry);
+        assert_eq!(s.cycles, u64::MAX, "cycles pin at the ceiling");
+        assert_eq!(s.count, 2);
+        assert_eq!(s.max, u64::MAX);
     }
 
     #[test]
@@ -869,9 +862,9 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_and_counts_events() {
         let mut t = Tracer::new(TraceConfig::full());
-        t.record(ev(1, Stage::FabricSend, Track::Fabric(0), 0, 1000));
-        t.record(ev(1, Stage::NvmAccess, Track::Nvm(0), 1000, 1120));
-        t.record(ev(1, Stage::FabricRecv, Track::Fabric(0), 1120, 2120));
+        span(&mut t, 1, Stage::FabricSend, Track::Fabric(0), 0, 1000);
+        span(&mut t, 1, Stage::NvmAccess, Track::Nvm(0), 1000, 1120);
+        span(&mut t, 1, Stage::FabricRecv, Track::Fabric(0), 1120, 2120);
         let mut buf = Vec::new();
         write_chrome_trace(&mut buf, &t, 2000).unwrap();
         let text = String::from_utf8(buf).unwrap();
@@ -900,7 +893,7 @@ mod tests {
     #[test]
     fn chrome_trace_reports_flush_errors() {
         let mut t = Tracer::new(TraceConfig::full());
-        t.record(ev(1, Stage::NvmAccess, Track::Nvm(0), 0, 10));
+        span(&mut t, 1, Stage::NvmAccess, Track::Nvm(0), 0, 10);
         assert!(write_chrome_trace(FailingFlush, &t, 2000).is_err());
     }
 
@@ -922,7 +915,13 @@ mod tests {
 
     #[test]
     fn event_span_arithmetic() {
-        let e = ev(9, Stage::Backoff, Track::Fabric(3), 40, 100);
+        let e = TraceEvent {
+            req: RequestId(9),
+            stage: Stage::Backoff,
+            track: Track::Fabric(3),
+            start: Cycle(40),
+            end: Cycle(100),
+        };
         assert_eq!(e.cycles(), 60);
         assert_eq!(e.track.to_string(), "fabric3");
         assert_eq!(e.req.to_string(), "req 9");

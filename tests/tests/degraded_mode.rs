@@ -19,7 +19,7 @@
 //! 4. Arming a persistent fault that never strikes is free: the report
 //!    is bit-identical to one without it.
 //! 5. Recovery is tracing-invariant: a traced degraded run reports
-//!    exactly what an untraced one does, bar the latency block.
+//!    exactly what an untraced one does.
 
 use deact::{run_benchmark, try_run_benchmark, Scheme, SimError, System, SystemConfig};
 use fam_sim::{FaultConfig, PersistentFault, TraceConfig};
@@ -157,8 +157,7 @@ fn persistent_faults_are_tracing_invariant() {
     // A permanent failure mid-run — retry-budget burn, broker
     // evacuation, table rewrites, broadcast shootdown, degraded-mode
     // poisoning — on top of transient faults yields the same report,
-    // bit for bit, whether or not the tracer watched (the traced run
-    // only adds its latency block).
+    // bit for bit, whether or not the tracer watched.
     for fault in [
         PersistentFault::NodeDead { module: 1 },
         PersistentFault::LinkSevered { module: 1 },
@@ -178,10 +177,9 @@ fn persistent_faults_are_tracing_invariant() {
                 !plain.degradation.is_zero(),
                 "{fault:?}/{scheme}: the persistent fault never struck"
             );
-            let mut traced = System::new(cfg.with_trace(TraceConfig::full()), &w)
+            let traced = System::new(cfg.with_trace(TraceConfig::full()), &w)
                 .try_run()
                 .expect("traced run");
-            traced.latency = Default::default();
             assert_eq!(
                 plain, traced,
                 "{fault:?}/{scheme}: tracing changed the report"

@@ -1,15 +1,16 @@
 //! The tracing subsystem's cross-crate contracts.
 //!
 //! The headline guarantee mirrors the fault injector's: tracing is
-//! *zero-overhead when off*. A disabled tracer costs one branch per
-//! event site and changes nothing — proven here by comparing
-//! fixed-seed [`RunReport`]s bit for bit. The other tests cover the bounded ring's
-//! drop accounting, the Chrome trace-event exporter's output, and the
+//! observation only. Every run keeps the per-stage latency ledger, and
+//! a traced run's [`RunReport`] equals the untraced one in full —
+//! proven here by comparing fixed-seed reports. The other tests cover
+//! the ledger against the traced events, the bounded ring's drop
+//! accounting, the Chrome trace-event exporter's output, and the
 //! windowed time series' books balancing against the run report.
 
 use deact::{RunReport, Scheme, System, SystemConfig};
 use fam_sim::trace::{validate_chrome_json, write_chrome_trace};
-use fam_sim::{FaultConfig, LatencyBreakdown, TraceConfig, Track};
+use fam_sim::{FaultConfig, Stage, StageCycles, TraceConfig, Track};
 use fam_workloads::Workload;
 
 fn run_with(cfg: SystemConfig) -> RunReport {
@@ -28,13 +29,7 @@ fn base(scheme: Scheme) -> SystemConfig {
 fn traced_runs_are_bit_identical_to_untraced_runs() {
     for scheme in Scheme::ALL {
         let untraced = run_with(base(scheme));
-        let mut traced = run_with(base(scheme).with_trace(TraceConfig::full()));
-        assert!(
-            !traced.latency.is_empty(),
-            "{scheme}: a traced run must measure something"
-        );
-        // The *only* permitted difference is the latency block itself.
-        traced.latency = LatencyBreakdown::default();
+        let traced = run_with(base(scheme).with_trace(TraceConfig::full()));
         assert_eq!(
             untraced, traced,
             "{scheme}: tracing must not perturb the simulation"
@@ -48,17 +43,56 @@ fn traced_runs_are_bit_identical_under_fault_injection() {
     // they are observation-only even when that loop is exercised.
     let cfg = base(Scheme::DeactN).with_fault_injection(FaultConfig::transient(0xFA));
     let untraced = run_with(cfg);
-    let mut traced = run_with(cfg.with_trace(TraceConfig::full()));
+    let traced = run_with(cfg.with_trace(TraceConfig::full()));
     assert!(untraced.recovery.retries > 0, "profile must inject faults");
-    traced.latency = LatencyBreakdown::default();
     assert_eq!(untraced, traced);
 }
 
 #[test]
-fn untraced_reports_carry_an_empty_breakdown() {
-    let r = run_with(base(Scheme::DeactN));
-    assert!(r.latency.is_empty());
-    assert_eq!(r.latency, LatencyBreakdown::default());
+fn untraced_reports_carry_the_ledger_of_the_traced_events() {
+    for cfg in [
+        base(Scheme::DeactN).with_refs_per_core(500),
+        base(Scheme::IFam)
+            .with_refs_per_core(500)
+            .with_fault_injection(FaultConfig::transient(0xFA)),
+    ] {
+        let untraced = run_with(cfg);
+        let spans = untraced.latency.total_samples();
+        assert!(
+            spans > 0,
+            "{}: an untraced run keeps its ledger",
+            cfg.scheme
+        );
+        assert!(untraced.latency.stage(Stage::TlbLookup).count > 0);
+
+        // A ring that holds every span, so the events are the whole run.
+        let w = Workload::by_name("astar").expect("table3 benchmark");
+        let ring = usize::try_from(spans).expect("span count fits a usize");
+        let mut sys = System::new(
+            cfg.with_trace(TraceConfig::full().with_ring_capacity(ring)),
+            &w,
+        );
+        let traced = sys.try_run().expect("run completes");
+        assert_eq!(untraced.latency, traced.latency);
+        let t = sys.tracer();
+        assert_eq!(t.dropped(), 0, "the ring must keep every event");
+
+        let mut folded = [StageCycles::default(); Stage::COUNT];
+        for ev in t.events() {
+            let s = &mut folded[ev.stage.index()];
+            s.count += 1;
+            s.cycles += ev.cycles();
+            s.max = s.max.max(ev.cycles());
+        }
+        for stage in Stage::ALL {
+            assert_eq!(
+                traced.latency.stage(stage),
+                folded[stage.index()],
+                "{}: {stage} ledger differs from its events",
+                cfg.scheme
+            );
+        }
+    }
 }
 
 #[test]
