@@ -137,8 +137,9 @@ fn optional_bench(args: &[String]) -> (String, &[String]) {
     }
 }
 
-/// Parses the value of a count flag that must be at least 1. A zero
-/// gets a one-line error here instead of the config validator's panic.
+/// Parses the value of a non-config count flag that must be at least
+/// 1 (`--jobs`, `--window`, `--ring`, `--top`); a zero gets a one-line
+/// error naming the flag.
 fn positive<T: std::str::FromStr + Default + PartialEq>(flag: &str, value: &str) -> Option<T> {
     let n: T = value.parse().ok()?;
     if n == T::default() {
@@ -149,28 +150,31 @@ fn positive<T: std::str::FromStr + Default + PartialEq>(flag: &str, value: &str)
 }
 
 /// Applies `--key value` pairs onto the config; returns `None` on a
-/// malformed option.
+/// malformed option or, after printing the reason
+/// [`SystemConfig::validate`] gives, on a config that cannot run.
 fn apply_flags(mut cfg: SystemConfig, args: &[String]) -> Option<SystemConfig> {
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let value = it.next()?;
         cfg = match flag.as_str() {
             "--scheme" => cfg.with_scheme(parse_scheme(value)?),
-            "--refs" => cfg.with_refs_per_core(positive(flag, value)?),
-            "--nodes" => cfg.with_nodes(positive(flag, value)?),
-            "--fam-modules" => cfg.with_fam_modules(positive(flag, value)?),
+            "--refs" => cfg.with_refs_per_core(value.parse().ok()?),
+            "--nodes" => cfg.with_nodes(value.parse().ok()?),
+            "--fam-modules" => cfg.with_fam_modules(value.parse().ok()?),
             "--fabric-ns" => cfg.with_fabric_latency_ns(value.parse().ok()?),
-            "--stu-entries" => cfg.with_stu_entries(positive(flag, value)?),
+            "--stu-entries" => cfg.with_stu_entries(value.parse().ok()?),
             "--seed" => cfg.with_seed(value.parse().ok()?),
             "--fault-profile" => {
                 // Layer, don't clobber: an earlier `--kill-node`
                 // survives a later `--fault-profile` (and vice versa —
                 // `--kill-node` builds on the current config).
-                let mut profile = parse_fault_profile(value)?;
-                if let Some(schedule) = cfg.fault_injection.persistent {
-                    profile = profile.with_persistent(schedule.fault, schedule.after_fam_ops);
-                }
-                cfg.with_fault_injection(profile)
+                let profile = parse_fault_profile(value)?;
+                let persistent = cfg.fault_injection.persistent;
+                cfg.with_fault_injection(FaultConfig {
+                    enabled: profile.enabled || persistent.is_some(),
+                    persistent,
+                    ..profile
+                })
             }
             "--kill-node" => {
                 let (module, after) = parse_kill_node(value)?;
@@ -182,50 +186,9 @@ fn apply_flags(mut cfg: SystemConfig, args: &[String]) -> Option<SystemConfig> {
             _ => return None,
         };
     }
-    // Catch a `--stu-entries` that does not fill whole STU sets, more
-    // `--nodes` than an ACM entry can name, and a `--kill-node` with a
-    // zero ordinal, an out-of-range module or no module left to survive
-    // on here, where every flag is known, so the user gets a one-line
-    // error instead of the config validator's panic or a mid-run FAM
-    // exhaustion.
-    if !cfg.stu_entries.is_multiple_of(cfg.stu_ways) {
-        eprintln!(
-            "deact-sim: --stu-entries {} must be a multiple of the {} STU ways",
-            cfg.stu_entries, cfg.stu_ways
-        );
+    if let Err(reason) = cfg.validate() {
+        eprintln!("deact-sim: {reason}");
         return None;
-    }
-    if cfg.nodes > cfg.max_nodes() {
-        eprintln!(
-            "deact-sim: --nodes {} exceeds the limit of {} nodes ({}-bit ACM entries)",
-            cfg.nodes,
-            cfg.max_nodes(),
-            cfg.acm_width.bits()
-        );
-        return None;
-    }
-    if let Some(schedule) = cfg.fault_injection.persistent {
-        if schedule.after_fam_ops == 0 {
-            eprintln!("deact-sim: --kill-node M@OP counts FAM operations from 1, not 0");
-            return None;
-        }
-        if let Some(module) = schedule.fault.module() {
-            if module >= cfg.fam_modules {
-                eprintln!(
-                    "deact-sim: --kill-node names FAM module {module}, but only {} exist \
-                     (raise --fam-modules)",
-                    cfg.fam_modules
-                );
-                return None;
-            }
-            if cfg.fam_modules == 1 {
-                eprintln!(
-                    "deact-sim: --kill-node names the only FAM module, leaving no FAM \
-                     to survive on (raise --fam-modules)"
-                );
-                return None;
-            }
-        }
     }
     Some(cfg)
 }

@@ -112,11 +112,6 @@ pub struct SystemConfig {
     /// `fault_injection` to stay clearly apart from `fault_ns`, the
     /// page-fault service latency.
     pub fault_injection: FaultConfig,
-    /// When `true`, the first access that reads data a permanent
-    /// failure destroyed surfaces as [`crate::SimError::DataLoss`]
-    /// instead of a counted poisoned access; the run stops rather than
-    /// continuing degraded.
-    pub halt_on_data_loss: bool,
     /// Request-lifecycle tracing (event ring, request ids, windowed
     /// time series). Disabled by default. Reports are identical with
     /// it on or off; the per-stage latency breakdown is kept either
@@ -159,7 +154,6 @@ impl SystemConfig {
             refs_per_core: 100_000,
             seed: 0xDEAC7,
             fault_injection: FaultConfig::disabled(),
-            halt_on_data_loss: false,
             trace: TraceConfig::disabled(),
         }
     }
@@ -187,13 +181,8 @@ impl SystemConfig {
 
     /// Sets the FAM module count (Fig. 16 pairs it with the node
     /// count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `modules` is zero.
     #[must_use]
     pub fn with_fam_modules(mut self, modules: usize) -> SystemConfig {
-        assert!(modules > 0, "need at least one FAM module");
         self.fam_modules = modules;
         self
     }
@@ -285,14 +274,6 @@ impl SystemConfig {
         self
     }
 
-    /// Makes data loss fatal (see
-    /// [`SystemConfig::halt_on_data_loss`]).
-    #[must_use]
-    pub fn with_halt_on_data_loss(mut self, on: bool) -> SystemConfig {
-        self.halt_on_data_loss = on;
-        self
-    }
-
     /// Sets the tracing configuration (see [`TraceConfig`]).
     #[must_use]
     pub fn with_trace(mut self, trace: TraceConfig) -> SystemConfig {
@@ -339,36 +320,57 @@ impl SystemConfig {
         (self.acm_width.max_nodes() as usize + 1).min(usize::from(NodeId::SHARED_MARKER))
     }
 
-    /// Validates cross-field invariants.
+    /// Checks that this configuration can run: the one place that
+    /// decides it. [`crate::System::with_streams`] panics with the
+    /// reason; `deact-sim` prints it.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on degenerate configurations (zero nodes/cores/refs or
-    /// issue width, more nodes than [`SystemConfig::max_nodes`], a
-    /// fault profile naming a missing FAM module).
-    pub fn validate(&self) {
-        assert!(self.nodes > 0, "need at least one node");
-        assert!(self.cores_per_node > 0, "need at least one core");
-        assert!(self.refs_per_core > 0, "need at least one reference");
-        assert!(self.issue_width > 0, "issue width must be non-zero");
-        assert!(
-            self.nodes <= self.max_nodes(),
-            "{} nodes exceed the limit of {} ({}-bit ACM entries, node ids below {:#x})",
-            self.nodes,
-            self.max_nodes(),
-            self.acm_width.bits(),
-            NodeId::SHARED_MARKER
-        );
-        if let Some(schedule) = self.fault_injection.persistent {
-            if let Some(module) = schedule.fault.module() {
-                assert!(
-                    module < self.fam_modules,
-                    "persistent fault names FAM module {module}, but only {} exist",
-                    self.fam_modules
-                );
+    /// Names the first rule the configuration breaks.
+    pub fn validate(&self) -> Result<(), String> {
+        let killed = self
+            .fault_injection
+            .persistent
+            .and_then(|s| s.fault.module());
+        for (broken, reason) in [
+            (self.nodes == 0, "need at least one node"),
+            (self.cores_per_node == 0, "need at least one core"),
+            (self.refs_per_core == 0, "need at least one reference"),
+            (self.issue_width == 0, "issue width must be non-zero"),
+            (self.fam_modules == 0, "need at least one FAM module"),
+            (self.stu_entries == 0, "need at least one STU entry"),
+            (self.stu_ways == 0, "need at least one STU way"),
+            (
+                self.fam_modules == 1 && killed == Some(0),
+                "persistent fault kills the only FAM module, leaving none to survive on",
+            ),
+        ] {
+            if broken {
+                return Err(reason.into());
             }
         }
-        self.fault_injection.validate();
+        if !self.stu_entries.is_multiple_of(self.stu_ways) {
+            return Err(format!(
+                "{} STU entries leave a partial set of {} ways",
+                self.stu_entries, self.stu_ways
+            ));
+        }
+        if self.nodes > self.max_nodes() {
+            return Err(format!(
+                "{} nodes exceed the limit of {} ({}-bit ACM entries, node ids below {:#x})",
+                self.nodes,
+                self.max_nodes(),
+                self.acm_width.bits(),
+                NodeId::SHARED_MARKER
+            ));
+        }
+        if let Some(module) = killed.filter(|&m| m >= self.fam_modules) {
+            return Err(format!(
+                "persistent fault names FAM module {module}, but only {} exist",
+                self.fam_modules
+            ));
+        }
+        self.fault_injection.validate()
     }
 }
 
@@ -381,6 +383,7 @@ impl Default for SystemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fam_sim::PersistentFault;
 
     #[test]
     fn paper_default_matches_table2() {
@@ -439,15 +442,21 @@ mod tests {
 
     #[test]
     fn validate_accepts_default() {
-        SystemConfig::paper_default().validate();
+        assert_eq!(SystemConfig::paper_default().validate(), Ok(()));
+    }
+
+    /// Asserts that `c` is refused with a reason containing `phrase`.
+    fn assert_rejected(c: SystemConfig, phrase: &str) {
+        let reason = c.validate().expect_err(phrase);
+        assert!(reason.contains(phrase), "{reason:?} lacks {phrase:?}");
     }
 
     #[test]
     #[should_panic(expected = "64 nodes exceed the limit of 63 (8-bit ACM entries")]
     fn validate_rejects_more_nodes_than_the_acm_width_names() {
         let c = SystemConfig::paper_default().with_acm_width(AcmWidth::W8);
-        c.with_nodes(63).validate();
-        c.with_nodes(64).validate();
+        assert_eq!(c.with_nodes(63).validate(), Ok(()));
+        c.with_nodes(64).validate().unwrap();
     }
 
     /// A 32-bit ACM entry names 2^30 - 2 nodes, but a node id stops
@@ -456,54 +465,79 @@ mod tests {
     #[should_panic(expected = "16384 nodes exceed the limit of 16383 (32-bit ACM entries")]
     fn validate_bounds_wide_acm_entries_by_the_node_id_space() {
         let c = SystemConfig::paper_default().with_acm_width(AcmWidth::W32);
-        c.with_nodes(16_383).validate();
-        c.with_nodes(16_384).validate();
+        assert_eq!(c.with_nodes(16_383).validate(), Ok(()));
+        c.with_nodes(16_384).validate().unwrap();
     }
 
     #[test]
     fn fault_injection_defaults_off() {
         let c = SystemConfig::paper_default();
         assert!(!c.fault_injection.enabled);
-        assert!(!c.trace.enabled, "tracing defaults off like faults");
-        assert!(c.with_trace(TraceConfig::full()).trace.enabled);
+        assert!(!c.trace.is_enabled(), "tracing defaults off like faults");
+        assert!(c.with_trace(TraceConfig::full()).trace.is_enabled());
         let faulty = c.with_fault_injection(FaultConfig::transient(9));
         assert!(faulty.fault_injection.enabled);
-        faulty.validate();
+        assert_eq!(faulty.validate(), Ok(()));
     }
 
     #[test]
     #[should_panic(expected = "must be a probability")]
     fn validate_rejects_bad_fault_profile() {
+        let bad = FaultConfig {
+            drop_prob: 7.0,
+            ..FaultConfig::transient(1)
+        };
+        let c = SystemConfig::paper_default().with_fault_injection(bad);
+        c.validate().unwrap();
+    }
+
+    /// A paper-default config over `modules` FAM modules that `fault`
+    /// strikes at FAM operation `at`.
+    fn killing(modules: usize, fault: PersistentFault, at: u64) -> SystemConfig {
         SystemConfig::paper_default()
-            .with_fault_injection(FaultConfig {
-                enabled: true,
-                drop_prob: 7.0,
-                ..FaultConfig::disabled()
-            })
-            .validate();
+            .with_fam_modules(modules)
+            .with_fault_injection(FaultConfig::persistent_only(1, fault, at))
     }
 
     #[test]
     #[should_panic(expected = "names FAM module")]
     fn validate_rejects_killing_a_nonexistent_module() {
-        use fam_sim::PersistentFault;
-        SystemConfig::paper_default()
-            .with_fam_modules(2)
-            .with_fault_injection(FaultConfig::persistent_only(
-                1,
-                PersistentFault::NodeDead { module: 5 },
-                100,
-            ))
-            .validate();
+        killing(2, PersistentFault::NodeDead { module: 5 }, 100)
+            .validate()
+            .unwrap();
     }
 
     #[test]
     #[should_panic(expected = "at least one node")]
     fn validate_rejects_zero_nodes() {
-        SystemConfig {
-            nodes: 0,
-            ..SystemConfig::paper_default()
+        SystemConfig::paper_default()
+            .with_nodes(0)
+            .validate()
+            .unwrap();
+    }
+
+    /// Each config breaks one rule and is refused with a reason naming
+    /// it.
+    #[test]
+    fn validate_names_each_broken_rule() {
+        use PersistentFault::{LinkSevered, MediaFailed, NodeDead};
+        let c = SystemConfig::paper_default();
+        for (bad, phrase) in [
+            (c.with_stu_entries(12), "12 STU entries leave a partial set"),
+            (c.with_stu_entries(0), "at least one STU entry"),
+            (c.with_stu_ways(0), "at least one STU way"),
+            (c.with_fam_modules(0), "at least one FAM module"),
+            (killing(1, NodeDead { module: 0 }, 9), "only FAM module"),
+            (killing(1, LinkSevered { module: 0 }, 9), "only FAM module"),
+            (killing(2, NodeDead { module: 1 }, 0), "1-based ordinal"),
+        ] {
+            assert_rejected(bad, phrase);
         }
-        .validate();
+        // A media failure leaves its module up, so one module suffices.
+        let media = MediaFailed {
+            first_page: 0,
+            pages: 4,
+        };
+        assert_eq!(killing(1, media, 9).validate(), Ok(()));
     }
 }

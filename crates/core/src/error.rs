@@ -24,15 +24,6 @@ pub enum SimError {
         /// The underlying broker failure.
         source: BrokerError,
     },
-    /// An access touched data a permanent failure destroyed, and the
-    /// configuration asked for the run to halt on data loss instead of
-    /// recording a poisoned outcome and continuing degraded.
-    DataLoss {
-        /// Node index whose access hit the lost page.
-        node: usize,
-        /// The quarantined FAM page that held the data.
-        fam_page: u64,
-    },
     /// The run finished, but its counters break a conservation
     /// invariant ([`crate::System::audit`]), so its report cannot be
     /// trusted.
@@ -58,14 +49,6 @@ impl std::fmt::Display for SimError {
                      grow `fam_bytes` or shrink the workload"
                 )
             }
-            SimError::DataLoss { node, fam_page } => {
-                write!(
-                    f,
-                    "node {node} read FAM page {fam_page:#x}, destroyed by a \
-                     permanent failure; rerun without `halt_on_data_loss` to \
-                     continue degraded"
-                )
-            }
             SimError::AuditFailed { audit } => {
                 write!(f, "conservation audit failed:")?;
                 for (i, c) in audit.checks.iter().filter(|c| !c.passed).enumerate() {
@@ -82,9 +65,7 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::FamExhausted { source, .. } => Some(source),
-            SimError::UnknownBenchmark { .. }
-            | SimError::DataLoss { .. }
-            | SimError::AuditFailed { .. } => None,
+            SimError::UnknownBenchmark { .. } | SimError::AuditFailed { .. } => None,
         }
     }
 }
@@ -101,18 +82,6 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("unknown benchmark doom"), "{msg}");
         assert!(msg.contains("Table III"), "{msg}");
-    }
-
-    #[test]
-    fn data_loss_names_the_page() {
-        let e = SimError::DataLoss {
-            node: 1,
-            fam_page: 0x2A,
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("node 1"), "{msg}");
-        assert!(msg.contains("0x2a"), "{msg}");
-        assert!(msg.contains("permanent failure"), "{msg}");
     }
 
     #[test]

@@ -223,8 +223,8 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::DataLoss`] when the access reads destroyed
-    /// data and the config sets `halt_on_data_loss`.
+    /// Returns [`SimError::FamExhausted`] when the recovery protocol a
+    /// persistent fault escalates into cannot re-home evacuated pages.
     pub(super) fn fam_round_trip(
         &mut self,
         n: usize,
@@ -436,10 +436,8 @@ impl System {
                     // its data died with the hardware: the re-walk is a
                     // poisoned access (the refault below hands back a
                     // fresh page, not the lost bytes).
-                    if self.persistent_handled {
-                        if let Some(old_fam) = self.lost.remove(&(node_id, npa_page)) {
-                            self.poison(n, old_fam)?;
-                        }
+                    if self.persistent_handled && self.lost.remove(&(node_id, npa_page)) {
+                        self.poison();
                     }
                     // System-level fault: the STU asks the broker for
                     // a page (§II-C) and retries.

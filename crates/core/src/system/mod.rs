@@ -7,7 +7,7 @@
 //! protocol, and `report.rs` the run report, metrics and audit.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use fam_broker::{BrokerConfig, MemoryBroker, Quarantine};
 use fam_fabric::Fabric;
@@ -90,11 +90,10 @@ pub struct System {
     /// recovery protocol, consumed by the degraded-mode redirect and
     /// the E-FAM lazy PTE heal.
     moved: BTreeMap<u64, Option<u64>>,
-    /// `(node, npa_page) → old FAM page` for mappings the recovery
-    /// protocol removed because the data was destroyed — the first
-    /// re-walk of one of these is a poisoned access, not an ordinary
-    /// first touch.
-    lost: BTreeMap<(NodeId, u64), u64>,
+    /// `(node, npa_page)` of mappings the recovery protocol removed
+    /// because the data was destroyed — the first re-walk of one of
+    /// these is a poisoned access, not an ordinary first touch.
+    lost: BTreeSet<(NodeId, u64)>,
     /// The page-walk access buffer: node-level walks and STU walks
     /// plan into it instead of allocating a fresh vector per walk.
     /// Neither kind of walk starts another while its reads are
@@ -151,7 +150,9 @@ impl System {
         label: &str,
         streams: Vec<Vec<TraceGenerator>>,
     ) -> System {
-        config.validate();
+        config
+            .validate()
+            .unwrap_or_else(|reason| panic!("{reason}"));
         assert_eq!(streams.len(), config.nodes, "one stream set per node");
         let freq = config.frequency();
         let mut broker = MemoryBroker::new(BrokerConfig {
@@ -217,7 +218,7 @@ impl System {
             persistent_handled: false,
             degradation: DegradationReport::default(),
             moved: BTreeMap::new(),
-            lost: BTreeMap::new(),
+            lost: BTreeSet::new(),
             walk_buf: Vec::new(),
             config,
         }
@@ -491,7 +492,7 @@ impl System {
                                 self.degradation.pte_rewrites += 1;
                             }
                             Some(None) => {
-                                self.poison(n, pte.target_page - FAM_KEY_PAGE)?;
+                                self.poison();
                                 self.nodes[n].page_table.unmap(vpage);
                                 continue;
                             }

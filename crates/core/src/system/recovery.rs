@@ -87,7 +87,7 @@ impl System {
                 // access instead of panicking.
                 self.recovery.nacks_unreachable += 1;
                 let back = self.nack_round_trip(n, t, module, req);
-                self.poison(n, fam_page)?;
+                self.poison();
                 Ok(back)
             }
         }
@@ -136,7 +136,7 @@ impl System {
         for r in &relocations {
             self.moved.entry(r.old_fam_page).or_insert(r.new_fam_page);
             if r.new_fam_page.is_none() {
-                self.lost.insert((r.node, r.npa_page), r.old_fam_page);
+                self.lost.insert((r.node, r.npa_page));
             }
         }
         let shootdown_start = t;
@@ -231,16 +231,7 @@ impl System {
 
     /// Counts a poisoned access: one that reached data a permanent
     /// failure destroyed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::DataLoss`] when the config sets
-    /// `halt_on_data_loss`.
-    pub(super) fn poison(&mut self, n: usize, fam_page: u64) -> Result<(), SimError> {
+    pub(super) fn poison(&mut self) {
         self.degradation.poisoned_accesses += 1;
-        if self.config.halt_on_data_loss {
-            return Err(SimError::DataLoss { node: n, fam_page });
-        }
-        Ok(())
     }
 }

@@ -306,14 +306,6 @@ fn shootdown_invalidates_survivor_translations() {
 }
 
 #[test]
-fn halt_on_data_loss_surfaces_typed_error() {
-    let cfg = killed(Scheme::DeactN, PersistentFault::NodeDead { module: 1 })
-        .with_halt_on_data_loss(true);
-    let err = try_run_benchmark("astar", cfg).unwrap_err();
-    assert!(matches!(err, SimError::DataLoss { .. }), "got {err}");
-}
-
-#[test]
 fn degraded_runs_are_scheduler_invariant() {
     // Recovery stalls and shootdowns must not break the heap's ordering
     // argument; the engine's debug assertions check it on every

@@ -21,6 +21,7 @@
 //!   RNG state advances and no timing changes, so runs with injection
 //!   off are identical to runs built without the injector at all.
 
+use crate::rng::splitmix64;
 use crate::stats::Counter;
 use crate::{Cycle, Duration, SimRng};
 
@@ -102,7 +103,7 @@ pub struct PersistentSchedule {
 /// Probabilities are per *fabric traversal* (or per translator hit for
 /// `stale_prob`); the link-down schedule is periodic with a
 /// seed-derived jitter per window.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultConfig {
     /// Master switch; `false` makes every query a no-op.
     pub enabled: bool,
@@ -200,49 +201,40 @@ impl FaultConfig {
 
     /// Checks knob ranges.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any probability lies outside `[0, 1]`, or if the sum
-    /// of drop and corrupt probabilities exceeds 1 (they are drawn
-    /// from one partitioned uniform sample).
-    pub fn validate(&self) {
+    /// Names the first broken rule, such as a probability outside
+    /// `[0, 1]` or drop and corrupt probabilities summing past 1 (they
+    /// are drawn from one partitioned uniform sample).
+    pub fn validate(&self) -> Result<(), String> {
         for (name, p) in [
             ("drop_prob", self.drop_prob),
             ("corrupt_prob", self.corrupt_prob),
             ("stale_prob", self.stale_prob),
             ("stu_stall_prob", self.stu_stall_prob),
         ] {
-            assert!((0.0..=1.0).contains(&p), "{name} must be a probability");
-        }
-        assert!(
-            self.drop_prob + self.corrupt_prob <= 1.0,
-            "drop_prob + corrupt_prob must not exceed 1"
-        );
-        if self.link_down_period > 0 {
-            assert!(
-                self.link_down_cycles < self.link_down_period,
-                "link-down windows must be shorter than their period"
-            );
-        }
-        if let Some(schedule) = self.persistent {
-            assert!(
-                self.enabled,
-                "a persistent fault requires the injector to be enabled"
-            );
-            assert!(
-                schedule.after_fam_ops >= 1,
-                "after_fam_ops is a 1-based ordinal"
-            );
-            if let PersistentFault::MediaFailed { pages, .. } = schedule.fault {
-                assert!(pages >= 1, "a media failure must cover at least one page");
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("{name} must be a probability"));
             }
         }
-    }
-}
-
-impl Default for FaultConfig {
-    fn default() -> FaultConfig {
-        FaultConfig::disabled()
+        if self.drop_prob + self.corrupt_prob > 1.0 {
+            return Err("drop_prob + corrupt_prob must not exceed 1".into());
+        }
+        if self.link_down_period > 0 && self.link_down_cycles >= self.link_down_period {
+            return Err("link-down windows must be shorter than their period".into());
+        }
+        if let Some(schedule) = self.persistent {
+            if !self.enabled {
+                return Err("a persistent fault requires the injector to be enabled".into());
+            }
+            if schedule.after_fam_ops == 0 {
+                return Err("after_fam_ops is a 1-based ordinal".into());
+            }
+            if let PersistentFault::MediaFailed { pages: 0, .. } = schedule.fault {
+                return Err("a media failure must cover at least one page".into());
+            }
+        }
+        Ok(())
     }
 }
 
@@ -289,22 +281,17 @@ pub struct FaultInjector {
     fam_ops: u64,
 }
 
-/// Stateless 64-bit mix (SplitMix64 finalizer) for per-window jitter.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl FaultInjector {
     /// Creates an injector.
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range knobs (see [`FaultConfig::validate`]).
+    /// Panics on out-of-range knobs, with the reason
+    /// [`FaultConfig::validate`] gives.
     pub fn new(config: FaultConfig) -> FaultInjector {
-        config.validate();
+        config
+            .validate()
+            .unwrap_or_else(|reason| panic!("{reason}"));
         FaultInjector {
             rng: SimRng::seeded(config.seed ^ 0xFA_017),
             config,
@@ -354,7 +341,7 @@ impl FaultInjector {
     /// scheduled, not metronomic, yet fully determined by the seed.
     fn window_start(&self, k: u64) -> u64 {
         let period = self.config.link_down_period;
-        k * period + mix(self.config.seed ^ k) % (period / 4).max(1)
+        k * period + splitmix64(&mut (self.config.seed ^ k)) % (period / 4).max(1)
     }
 
     /// When the link is next usable at `now`: `now` itself if the link

@@ -211,15 +211,13 @@ impl TraceEvent {
 
 /// Tracing configuration, carried inside the system configuration the
 /// same way [`FaultConfig`](crate::FaultConfig) is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Master switch. Off (the default) keeps no events, request ids
-    /// or time series; the latency breakdown is kept either way.
-    pub enabled: bool,
     /// Ring-buffer capacity in events. Once full, the oldest event is
     /// overwritten and counted in [`Tracer::dropped`]. `0` keeps the
     /// time series but retains no individual events (no drop
-    /// accounting to do).
+    /// accounting to do). The ring grows as events arrive; nothing is
+    /// reserved up front.
     pub ring_capacity: usize,
     /// Time-series window length in cycles; `0` disables the series.
     pub window_cycles: u64,
@@ -235,17 +233,12 @@ impl TraceConfig {
 
     /// Tracing off — the configuration default.
     pub fn disabled() -> TraceConfig {
-        TraceConfig {
-            enabled: false,
-            ring_capacity: 0,
-            window_cycles: 0,
-        }
+        TraceConfig::default()
     }
 
     /// Full tracing: event ring, request ids and time series.
     pub fn full() -> TraceConfig {
         TraceConfig {
-            enabled: true,
             ring_capacity: Self::DEFAULT_RING,
             window_cycles: Self::DEFAULT_WINDOW,
         }
@@ -264,11 +257,12 @@ impl TraceConfig {
         self.window_cycles = cycles;
         self
     }
-}
 
-impl Default for TraceConfig {
-    fn default() -> TraceConfig {
-        TraceConfig::disabled()
+    /// Whether tracing is on: a ring or a time series to fill. Off (the
+    /// default) keeps no events, request ids or time series; the
+    /// latency breakdown is kept either way.
+    pub fn is_enabled(&self) -> bool {
+        self.ring_capacity > 0 || self.window_cycles > 0
     }
 }
 
@@ -469,6 +463,9 @@ impl WindowSeries {
 #[derive(Debug)]
 pub struct Tracer {
     config: TraceConfig,
+    /// [`TraceConfig::is_enabled`], cached so [`Tracer::span`] pays one
+    /// branch.
+    enabled: bool,
     ring: Vec<TraceEvent>,
     head: usize,
     recorded: u64,
@@ -479,17 +476,18 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// Creates a tracer. A disabled configuration allocates nothing.
+    /// Creates a tracer. It allocates nothing up front: the ring grows
+    /// as events arrive, up to [`TraceConfig::ring_capacity`].
     pub fn new(config: TraceConfig) -> Tracer {
-        let enabled = config.enabled;
         Tracer {
-            ring: Vec::with_capacity(if enabled { config.ring_capacity } else { 0 }),
+            enabled: config.is_enabled(),
+            ring: Vec::new(),
             head: 0,
             recorded: 0,
             dropped: 0,
             next_req: 0,
             breakdown: LatencyBreakdown::default(),
-            series: WindowSeries::new(if enabled { config.window_cycles } else { 0 }),
+            series: WindowSeries::new(config.window_cycles),
             config,
         }
     }
@@ -502,13 +500,13 @@ impl Tracer {
     /// The single branch every event site pays when tracing is off.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.config.enabled
+        self.enabled
     }
 
     /// Whether the time series is being collected.
     #[inline]
     pub fn wants_windows(&self) -> bool {
-        self.config.enabled && self.config.window_cycles > 0
+        self.config.window_cycles > 0
     }
 
     /// The configuration in force.
@@ -520,7 +518,7 @@ impl Tracer {
     /// [`RequestId::UNTRACED`] without consuming anything, so request
     /// numbering — like RNG state — is untouched by a disabled layer.
     pub fn next_request(&mut self) -> RequestId {
-        if !self.config.enabled {
+        if !self.enabled {
             return RequestId::UNTRACED;
         }
         self.next_req += 1;
@@ -541,7 +539,7 @@ impl Tracer {
     pub fn span(&mut self, req: RequestId, stage: Stage, track: Track, start: Cycle, end: Cycle) {
         debug_assert!(end >= start, "trace span must not run backwards");
         self.breakdown.record(stage, end.0 - start.0);
-        if self.config.enabled {
+        if self.enabled {
             self.recorded += 1;
             self.push_ring(TraceEvent {
                 req,
@@ -787,6 +785,14 @@ mod tests {
         assert_eq!(kept, vec![3, 4, 5], "oldest events are overwritten first");
         // Breakdown still sees every event, dropped or not.
         assert_eq!(t.breakdown().stage(Stage::NvmAccess).count, 5);
+    }
+
+    #[test]
+    fn ring_reserves_nothing_up_front() {
+        let mut t = Tracer::new(TraceConfig::full().with_ring_capacity(usize::MAX));
+        span(&mut t, 1, Stage::NvmAccess, Track::Nvm(0), 0, 1);
+        span(&mut t, 2, Stage::NvmAccess, Track::Nvm(0), 1, 2);
+        assert_eq!((t.recorded(), t.retained(), t.dropped()), (2, 2, 0));
     }
 
     #[test]

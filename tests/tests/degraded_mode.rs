@@ -21,7 +21,7 @@
 //! 5. Recovery is tracing-invariant: a traced degraded run reports
 //!    exactly what an untraced one does.
 
-use deact::{run_benchmark, try_run_benchmark, Scheme, SimError, System, SystemConfig};
+use deact::{run_benchmark, Scheme, System, SystemConfig};
 use fam_sim::{FaultConfig, PersistentFault, TraceConfig};
 use fam_workloads::Workload;
 
@@ -114,20 +114,6 @@ fn severed_links_evacuate_without_data_loss() {
         assert_eq!(d.poisoned_accesses, 0, "{scheme}: no data was lost");
         assert!(d.evacuation_cycles > 0, "{scheme}: evacuation is not free");
     }
-}
-
-#[test]
-fn halt_on_data_loss_is_a_typed_error_not_a_panic() {
-    let cfg = chaos(Scheme::IFam)
-        .with_halt_on_data_loss(true)
-        .with_fault_injection(FaultConfig::persistent_only(
-            11,
-            PersistentFault::NodeDead { module: 1 },
-            STRIKE_AT,
-        ));
-    let err = try_run_benchmark("sssp", cfg).unwrap_err();
-    assert!(matches!(err, SimError::DataLoss { .. }), "{err}");
-    assert!(err.to_string().contains("permanent failure"), "{err}");
 }
 
 #[test]
