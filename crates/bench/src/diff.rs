@@ -7,9 +7,9 @@
 //!
 //! * **Per-entry gate** — an entry fails when its `ns_per_op` exceeds
 //!   `tolerance ×` baseline (default 1.5×). Entries whose baseline is
-//!   under [`DiffConfig::noise_floor_ns`] are nanosecond-scale loops
+//!   under `DiffConfig::noise_floor_ns` are nanosecond-scale loops
 //!   that shared runners cannot time reliably; those only fail past
-//!   the looser [`DiffConfig::noise_tolerance`] (default 3×) and are
+//!   the looser `DiffConfig::noise_tolerance` (default 3×) and are
 //!   otherwise reported as warnings.
 //! * **Throughput gate** — end-to-end `refs_per_sec` must stay at or
 //!   above `throughput_floor ×` baseline (default 0.85×): it
@@ -34,9 +34,9 @@ pub struct DiffConfig {
     /// Entries with baseline `ns_per_op` below this are judged under
     /// [`DiffConfig::noise_tolerance`] instead — single-digit
     /// nanosecond loops jitter far more than the big end-to-end runs.
-    pub noise_floor_ns: f64,
+    pub(crate) noise_floor_ns: f64,
     /// The looser multiple applied below the noise floor.
-    pub noise_tolerance: f64,
+    pub(crate) noise_tolerance: f64,
     /// Fresh `refs_per_sec` must be at least this fraction of
     /// baseline.
     pub throughput_floor: f64,
@@ -55,7 +55,7 @@ impl Default for DiffConfig {
 
 /// The verdict for one comparison row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
+pub(crate) enum Verdict {
     /// Within tolerance.
     Ok,
     /// Beyond the strict tolerance but under the noise floor — worth a
@@ -83,20 +83,20 @@ impl Verdict {
 
 /// One per-entry comparison row.
 #[derive(Debug, Clone)]
-pub struct DiffRow {
+pub(crate) struct DiffRow {
     /// The entry label (e.g. `sched_per_ref/4_cores`).
-    pub label: String,
+    pub(crate) label: String,
     /// Baseline ns/op, when present.
-    pub base_ns: Option<f64>,
+    pub(crate) base_ns: Option<f64>,
     /// Fresh ns/op, when present.
-    pub new_ns: Option<f64>,
+    pub(crate) new_ns: Option<f64>,
     /// The verdict under the configured tolerances.
-    pub verdict: Verdict,
+    pub(crate) verdict: Verdict,
 }
 
 impl DiffRow {
     /// `new / base` when both sides exist.
-    pub fn ratio(&self) -> Option<f64> {
+    pub(crate) fn ratio(&self) -> Option<f64> {
         match (self.base_ns, self.new_ns) {
             (Some(b), Some(n)) if b > 0.0 => Some(n / b),
             _ => None,
@@ -106,22 +106,22 @@ impl DiffRow {
 
 /// One named pass/fail gate over the summary numbers.
 #[derive(Debug, Clone)]
-pub struct Gate {
+pub(crate) struct Gate {
     /// Gate name (`throughput`, `schema`).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Whether the gate held (skipped gates hold by definition).
-    pub passed: bool,
+    pub(crate) passed: bool,
     /// Values on both sides, or why the gate was skipped.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 /// The full comparison: every entry row plus the summary gates.
 #[derive(Debug, Clone, Default)]
 pub struct DiffReport {
     /// Per-entry rows in baseline order, then new-only rows.
-    pub rows: Vec<DiffRow>,
+    pub(crate) rows: Vec<DiffRow>,
     /// Summary gates.
-    pub gates: Vec<Gate>,
+    pub(crate) gates: Vec<Gate>,
 }
 
 impl DiffReport {

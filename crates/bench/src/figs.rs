@@ -1,4 +1,4 @@
-//! One function per table and figure, and the `(name, fn)` [`TABLE`]
+//! One function per table and figure, and the `(name, fn)` `TABLE`
 //! that the `all` binary runs: `all` alone prints the whole suite in
 //! one process, `all <name>` prints one entry.
 
@@ -17,7 +17,7 @@ fn base_cfg(default_refs: u64) -> SystemConfig {
 }
 
 /// Table I: qualitative scheme comparison.
-pub fn table1() {
+pub(crate) fn table1() {
     heading("Table I", "FAM architectures comparison");
     row("scheme", &["perf", "no-OS-mods", "security"]);
     let tick = |b: bool| if b { "yes" } else { "no" }.to_string();
@@ -39,7 +39,7 @@ pub fn table1() {
 }
 
 /// Table II: system configuration in force.
-pub fn table2() {
+pub(crate) fn table2() {
     heading("Table II", "system configuration");
     let c = SystemConfig::paper_default();
     let items: Vec<(&str, String)> = vec![
@@ -112,7 +112,7 @@ pub fn table2() {
 }
 
 /// Table III: applications with paper vs measured MPKI.
-pub fn table3() {
+pub(crate) fn table3() {
     heading(
         "Table III",
         "applications (paper MPKI vs measured on E-FAM)",
@@ -134,7 +134,7 @@ pub fn table3() {
 }
 
 /// Fig. 3: slowdown of I-FAM wrt E-FAM.
-pub fn fig03() {
+pub(crate) fn fig03() {
     heading("Fig. 3", "slowdown of I-FAM wrt E-FAM");
     let cfg = base_cfg(100_000);
     let m = run_matrix(&benchmarks(), &[Scheme::EFam, Scheme::IFam], cfg);
@@ -154,7 +154,7 @@ pub fn fig03() {
 }
 
 /// Fig. 4: breakdown of AT vs non-AT requests at the FAM.
-pub fn fig04() {
+pub(crate) fn fig04() {
     heading(
         "Fig. 4",
         "% address-translation requests at FAM (E-FAM vs I-FAM)",
@@ -171,7 +171,7 @@ pub fn fig04() {
 }
 
 /// Fig. 9: ACM hit rate at the STU across organisations.
-pub fn fig09() {
+pub(crate) fn fig09() {
     heading("Fig. 9", "access-control-metadata hit rate (%)");
     let cfg = base_cfg(100_000);
     let m = run_matrix(
@@ -192,7 +192,7 @@ pub fn fig09() {
 }
 
 /// Fig. 10: FAM address-translation hit rate, I-FAM vs DeACT.
-pub fn fig10() {
+pub(crate) fn fig10() {
     heading("Fig. 10", "FAM address-translation hit rate (%)");
     let cfg = base_cfg(100_000);
     let m = run_matrix(&benchmarks(), &[Scheme::IFam, Scheme::DeactN], cfg);
@@ -212,7 +212,7 @@ pub fn fig10() {
 }
 
 /// Fig. 11: percentage of AT requests at the FAM across schemes.
-pub fn fig11() {
+pub(crate) fn fig11() {
     heading("Fig. 11", "% address-translation requests at FAM");
     let cfg = base_cfg(100_000);
     let m = run_matrix(
@@ -245,7 +245,7 @@ pub fn fig11() {
 }
 
 /// Fig. 12: normalized performance wrt E-FAM, all four schemes.
-pub fn fig12() {
+pub(crate) fn fig12() {
     heading("Fig. 12", "normalized performance wrt E-FAM");
     let cfg = base_cfg(100_000);
     let m = run_matrix(&benchmarks(), &Scheme::ALL, cfg);
@@ -314,7 +314,7 @@ fn speedup_row(label: &str, benches: &[&str], cfg: SystemConfig) {
 }
 
 /// Fig. 13: speedup over I-FAM vs STU cache size.
-pub fn fig13() {
+pub(crate) fn fig13() {
     heading("Fig. 13", "DeACT-N speedup wrt I-FAM vs STU cache entries");
     let cfg = base_cfg(40_000);
     let points: Vec<(String, SystemConfig)> = [256usize, 512, 1024, 2048, 4096]
@@ -326,7 +326,7 @@ pub fn fig13() {
 }
 
 /// §V-D1 (text): speedup over I-FAM vs STU associativity.
-pub fn assoc() {
+pub(crate) fn assoc() {
     heading("§V-D1", "DeACT-N speedup wrt I-FAM vs STU associativity");
     let cfg = base_cfg(40_000);
     let points: Vec<(String, SystemConfig)> = [4usize, 8, 16, 32, 64]
@@ -338,7 +338,7 @@ pub fn assoc() {
 }
 
 /// Fig. 14: ACM width (8/16/32-bit) and DeACT-N pairs-per-way.
-pub fn fig14() {
+pub(crate) fn fig14() {
     heading("Fig. 14", "metadata size effect on DeACT speedup wrt I-FAM");
     let cfg = base_cfg(40_000);
     println!("-- DeACT-W across ACM widths --");
@@ -366,7 +366,7 @@ pub fn fig14() {
 }
 
 /// Fig. 15: fabric-latency sweep.
-pub fn fig15() {
+pub(crate) fn fig15() {
     heading("Fig. 15", "DeACT-N speedup wrt I-FAM vs fabric latency");
     let cfg = base_cfg(40_000);
     let points: Vec<(String, SystemConfig)> = [100u64, 250, 500, 750, 1000, 3000, 6000]
@@ -385,7 +385,7 @@ pub fn fig15() {
 }
 
 /// Fig. 16: node-count sweep (pf and dc).
-pub fn fig16() {
+pub(crate) fn fig16() {
     heading("Fig. 16", "DeACT-N speedup wrt I-FAM vs number of nodes");
     let cfg = base_cfg(25_000);
     row("nodes", &["pf", "dc"]);
@@ -398,7 +398,7 @@ pub fn fig16() {
 }
 
 /// Extension ablations beyond the paper's figures (DESIGN.md §6).
-pub fn ablation() {
+pub(crate) fn ablation() {
     heading(
         "Ablation",
         "design-choice studies beyond the paper's figures",
@@ -551,7 +551,7 @@ pub fn ablation() {
 /// # Errors
 ///
 /// `path` cannot be created or written.
-pub fn csv(path: Option<&str>) -> Result<(), String> {
+pub(crate) fn csv(path: Option<&str>) -> Result<(), String> {
     let path = path.unwrap_or("results.csv");
     let cannot_write = |e: std::io::Error| format!("cannot write {path}: {e}");
     let file = std::fs::File::create(path).map_err(cannot_write)?;
@@ -571,7 +571,7 @@ pub fn csv(path: Option<&str>) -> Result<(), String> {
 /// # Errors
 ///
 /// `arg` is given: the probe takes no argument.
-pub fn diag(arg: Option<&str>) -> Result<(), String> {
+pub(crate) fn diag(arg: Option<&str>) -> Result<(), String> {
     if let Some(arg) = arg {
         return Err(format!("diag takes no argument, got {arg:?}"));
     }
@@ -636,7 +636,7 @@ pub fn diag(arg: Option<&str>) -> Result<(), String> {
 
 /// What `all <name>` runs.
 #[derive(Clone, Copy, Debug)]
-pub enum Entry {
+pub(crate) enum Entry {
     /// A paper table, figure or study: part of the suite that `all`
     /// with no name prints.
     Suite(fn()),
@@ -646,7 +646,7 @@ pub enum Entry {
 
 /// Every name `all` accepts, in suite order: the one list of the
 /// figures, which [`select`] walks.
-pub const TABLE: [(&str, Entry); 17] = [
+pub(crate) const TABLE: [(&str, Entry); 17] = [
     ("table1", Entry::Suite(table1)),
     ("table2", Entry::Suite(table2)),
     ("table3", Entry::Suite(table3)),
@@ -674,7 +674,7 @@ pub const TABLE: [(&str, Entry); 17] = [
 ///
 /// An unknown name (the message lists the valid ones), an argument
 /// given to a suite entry, or more than two arguments.
-pub fn select(args: &[String]) -> Result<Vec<(&'static str, Entry)>, String> {
+pub(crate) fn select(args: &[String]) -> Result<Vec<(&'static str, Entry)>, String> {
     let names = || TABLE.map(|(name, _)| name).join(", ");
     let Some(name) = args.first() else {
         let suite = TABLE.iter().filter(|(_, e)| matches!(e, Entry::Suite(_)));
@@ -692,13 +692,13 @@ pub fn select(args: &[String]) -> Result<Vec<(&'static str, Entry)>, String> {
     }
 }
 
-/// The `all` binary: checks its arguments ([`select`]), `DEACT_REFS`
-/// ([`refs_override`]) and `DEACT_JOBS` ([`fam_sim::jobs_override`]),
+/// The `all` binary: checks its arguments (`select`), `DEACT_REFS`
+/// (`refs_override`) and `DEACT_JOBS` ([`fam_sim::jobs_override`]),
 /// then runs what they select.
 ///
 /// # Errors
 ///
-/// A [`select`], [`refs_override`] or [`fam_sim::jobs_override`]
+/// A `select`, `refs_override` or [`fam_sim::jobs_override`]
 /// error, before anything runs, or the failure of a by-name tool.
 pub fn run(args: &[String]) -> Result<(), String> {
     let entries = select(args)?;

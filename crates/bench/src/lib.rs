@@ -2,11 +2,11 @@
 //! table and figure of the DeACT paper.
 //!
 //! Each table and figure is one function in [`figs`], and the `all`
-//! binary runs them by name from [`figs::TABLE`]: each runs the
+//! binary runs them by name from `figs::TABLE`: each runs the
 //! benchmark × scheme matrix in parallel worker threads, prints the
 //! series the paper plots, and places the paper's reported values
 //! alongside (exact where the text gives numbers, digitized-from-the-
-//! figure approximations elsewhere — see [`paper`]).
+//! figure approximations elsewhere — see `paper`).
 //!
 //! Run length is controlled by the `DEACT_REFS` environment variable
 //! (references per core; default 100 000 for headline figures, less
@@ -28,10 +28,10 @@ use fam_workloads::{table3, Workload};
 
 pub mod diff;
 pub mod figs;
-pub mod paper;
+pub(crate) mod paper;
 
 /// The benchmark roster in the paper's figure order.
-pub fn benchmarks() -> Vec<&'static str> {
+pub(crate) fn benchmarks() -> Vec<&'static str> {
     table3().iter().map(|w| w.name).collect()
 }
 
@@ -41,7 +41,7 @@ pub fn benchmarks() -> Vec<&'static str> {
 /// # Errors
 ///
 /// The value is not a whole number.
-pub fn parse_refs(value: &str) -> Result<Option<u64>, String> {
+pub(crate) fn parse_refs(value: &str) -> Result<Option<u64>, String> {
     let n: u64 = value.parse().map_err(|_| {
         format!("DEACT_REFS={value:?} is not a whole number of references per core")
     })?;
@@ -53,7 +53,7 @@ pub fn parse_refs(value: &str) -> Result<Option<u64>, String> {
 /// # Errors
 ///
 /// The value is set but does not parse ([`parse_refs`]).
-pub fn refs_override() -> Result<Option<u64>, String> {
+pub(crate) fn refs_override() -> Result<Option<u64>, String> {
     std::env::var_os("DEACT_REFS").map_or(Ok(None), |v| parse_refs(&v.to_string_lossy()))
 }
 
@@ -63,14 +63,14 @@ pub fn refs_override() -> Result<Option<u64>, String> {
 ///
 /// Panics if `DEACT_REFS` does not parse; [`figs::run`] rejects that
 /// value before any run.
-pub fn refs_from_env(default: u64) -> u64 {
+pub(crate) fn refs_from_env(default: u64) -> u64 {
     refs_override()
         .unwrap_or_else(|e| panic!("{e}"))
         .unwrap_or(default)
 }
 
 /// A completed benchmark×scheme matrix.
-pub type Matrix = HashMap<(String, Scheme), RunReport>;
+pub(crate) type Matrix = HashMap<(String, Scheme), RunReport>;
 
 /// Cache key for one completed run: benchmark, scheme, and an exact
 /// fingerprint of the full configuration. [`SystemConfig`] carries
@@ -102,7 +102,7 @@ fn matrix_cache() -> &'static Mutex<HashMap<CacheKey, RunReport>> {
 /// # Panics
 ///
 /// Panics if a worker thread panics or a benchmark name is unknown.
-pub fn run_matrix(benches: &[&str], schemes: &[Scheme], cfg: SystemConfig) -> Matrix {
+pub(crate) fn run_matrix(benches: &[&str], schemes: &[Scheme], cfg: SystemConfig) -> Matrix {
     run_matrix_opts(benches, schemes, cfg, default_jobs(), true)
 }
 
@@ -113,7 +113,7 @@ pub fn run_matrix(benches: &[&str], schemes: &[Scheme], cfg: SystemConfig) -> Ma
 /// # Panics
 ///
 /// Panics if a worker thread panics or a benchmark name is unknown.
-pub fn run_matrix_opts(
+pub(crate) fn run_matrix_opts(
     benches: &[&str],
     schemes: &[Scheme],
     cfg: SystemConfig,
@@ -160,12 +160,12 @@ fn run_one(bench: &str, scheme: Scheme, cfg: SystemConfig) -> RunReport {
 }
 
 /// Prints a figure header.
-pub fn heading(fig: &str, caption: &str) {
+pub(crate) fn heading(fig: &str, caption: &str) {
     println!("\n=== {fig} — {caption} ===");
 }
 
 /// Formats a row of `(label, values…)` with fixed-width columns.
-pub fn row<T: std::fmt::Display>(label: &str, values: &[T]) {
+pub(crate) fn row<T: std::fmt::Display>(label: &str, values: &[T]) {
     print!("{label:>10}");
     for v in values {
         print!(" {v:>9}");
@@ -174,14 +174,14 @@ pub fn row<T: std::fmt::Display>(label: &str, values: &[T]) {
 }
 
 /// Formats an `f64` cell.
-pub fn cell(v: f64) -> String {
+pub(crate) fn cell(v: f64) -> String {
     format!("{v:.2}")
 }
 
 /// Geometric mean over the benchmarks of a suite (the grouping the
 /// sensitivity figures use: SPEC, PARSEC, GAP geomeans plus pf and dc
 /// individually, §V-D).
-pub fn suite_members(suite: &str) -> Vec<&'static str> {
+pub(crate) fn suite_members(suite: &str) -> Vec<&'static str> {
     match suite {
         "SPEC" => vec!["mcf", "cactus", "astar"],
         "PARSEC" => vec!["frqm", "canl"],
@@ -193,7 +193,7 @@ pub fn suite_members(suite: &str) -> Vec<&'static str> {
 }
 
 /// The sensitivity-figure groupings in plot order.
-pub const SUITE_GROUPS: [&str; 5] = ["SPEC", "PARSEC", "GAP", "pf", "dc"];
+pub(crate) const SUITE_GROUPS: [&str; 5] = ["SPEC", "PARSEC", "GAP", "pf", "dc"];
 
 /// Serialises a matrix to CSV (one row per benchmark × scheme) for
 /// external plotting. Alongside the headline metrics, each row carries
@@ -207,7 +207,7 @@ pub const SUITE_GROUPS: [&str; 5] = ["SPEC", "PARSEC", "GAP", "pf", "dc"];
 /// # Errors
 ///
 /// Propagates writer errors, the final flush's included.
-pub fn write_csv<W: std::io::Write>(mut w: W, matrix: &Matrix) -> std::io::Result<()> {
+pub(crate) fn write_csv<W: std::io::Write>(mut w: W, matrix: &Matrix) -> std::io::Result<()> {
     write!(
         w,
         "benchmark,scheme,ipc,cycles,instructions,at_percent,translation_hit,acm_hit,\
@@ -267,7 +267,7 @@ pub fn write_csv<W: std::io::Write>(mut w: W, matrix: &Matrix) -> std::io::Resul
 }
 
 /// Geomean of DeACT-N speedup over I-FAM for a suite grouping.
-pub fn suite_speedup(matrix: &Matrix, suite: &str, deact: Scheme) -> f64 {
+pub(crate) fn suite_speedup(matrix: &Matrix, suite: &str, deact: Scheme) -> f64 {
     let members = suite_members(suite);
     let speedups: Vec<f64> = members
         .iter()

@@ -7,39 +7,39 @@
 
 /// Paper values for one benchmark.
 #[derive(Debug, Clone, Copy)]
-pub struct PaperRow {
+pub(crate) struct PaperRow {
     /// Benchmark name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Fig. 3: slowdown of I-FAM wrt E-FAM (text gives 11.6 / 18.7 /
     /// 9.1 / 20.6 for cactus / canl / ccsv / sssp).
-    pub fig3_ifam_slowdown: f64,
+    pub(crate) fig3_ifam_slowdown: f64,
     /// Fig. 4: % AT requests at FAM under E-FAM (text: canl 44.36,
     /// cactus 1.81).
-    pub fig4_efam_at_pct: f64,
+    pub(crate) fig4_efam_at_pct: f64,
     /// Fig. 4: % AT requests at FAM under I-FAM (text: canl 84.13,
     /// cactus 53.69).
-    pub fig4_ifam_at_pct: f64,
+    pub(crate) fig4_ifam_at_pct: f64,
     /// Fig. 9: ACM hit % in I-FAM (≈ digitized).
-    pub fig9_ifam: f64,
+    pub(crate) fig9_ifam: f64,
     /// Fig. 9: ACM hit % in DeACT-W.
-    pub fig9_w: f64,
+    pub(crate) fig9_w: f64,
     /// Fig. 9: ACM hit % in DeACT-N (text: cactus ≈76).
-    pub fig9_n: f64,
+    pub(crate) fig9_n: f64,
     /// Fig. 10: FAM AT hit % in I-FAM (text: canl 46.44).
-    pub fig10_ifam: f64,
+    pub(crate) fig10_ifam: f64,
     /// Fig. 10: FAM AT hit % in DeACT (text: canl 95.88).
-    pub fig10_deact: f64,
+    pub(crate) fig10_deact: f64,
     /// Fig. 12: normalized performance wrt E-FAM (text: mcf I-FAM
     /// 0.39, DeACT-W 0.70, DeACT-N 0.92; canl DeACT-N 0.14).
-    pub fig12_ifam: f64,
+    pub(crate) fig12_ifam: f64,
     /// Fig. 12: DeACT-W normalized performance.
-    pub fig12_w: f64,
+    pub(crate) fig12_w: f64,
     /// Fig. 12: DeACT-N normalized performance.
-    pub fig12_n: f64,
+    pub(crate) fig12_n: f64,
 }
 
 /// Per-benchmark paper values (rows in Table III order).
-pub fn rows() -> Vec<PaperRow> {
+pub(crate) fn rows() -> Vec<PaperRow> {
     vec![
         PaperRow {
             name: "mcf",
@@ -241,43 +241,43 @@ pub fn rows() -> Vec<PaperRow> {
 }
 
 /// Paper value for one benchmark, if listed.
-pub fn row(name: &str) -> Option<PaperRow> {
+pub(crate) fn row(name: &str) -> Option<PaperRow> {
     rows().into_iter().find(|r| r.name == name)
 }
 
 /// Fig. 11 averages quoted in the text: AT requests at FAM fall from
 /// 23.97% (I-FAM) to 11.82% (DeACT-W) to 1.77% (DeACT-N).
-pub const FIG11_AVERAGES: (f64, f64, f64) = (23.97, 11.82, 1.77);
+pub(crate) const FIG11_AVERAGES: (f64, f64, f64) = (23.97, 11.82, 1.77);
 
 /// §V-C text: average performance drop wrt E-FAM is 69.7% for I-FAM
 /// and 35.3% for DeACT (i.e. normalized performance 0.303 vs 0.647),
 /// an 80% improvement; headline speedup up to 4.59x, 1.8x on average.
-pub const FIG12_AVG_IFAM: f64 = 0.303;
+pub(crate) const FIG12_AVG_IFAM: f64 = 0.303;
 /// See [`FIG12_AVG_IFAM`].
-pub const FIG12_AVG_DEACT: f64 = 0.647;
+pub(crate) const FIG12_AVG_DEACT: f64 = 0.647;
 /// Headline: maximum DeACT speedup over I-FAM.
-pub const HEADLINE_MAX_SPEEDUP: f64 = 4.59;
+pub(crate) const HEADLINE_MAX_SPEEDUP: f64 = 4.59;
 /// Headline: average DeACT speedup over I-FAM.
-pub const HEADLINE_AVG_SPEEDUP: f64 = 1.8;
+pub(crate) const HEADLINE_AVG_SPEEDUP: f64 = 1.8;
 
 /// Fig. 13 text points: dc speedup 4.68x at 256 STU entries; PARSEC
 /// geomean falls 3.45x → 1.75x from 256 to 4096 entries.
-pub const FIG13_TEXT: &str = "paper: dc 4.68x @256; PARSEC 3.45x @256 -> 1.75x @4096";
+pub(crate) const FIG13_TEXT: &str = "paper: dc 4.68x @256; PARSEC 3.45x @256 -> 1.75x @4096";
 
 /// §V-D1 associativity text points.
-pub const ASSOC_TEXT: &str =
+pub(crate) const ASSOC_TEXT: &str =
     "paper: dc 3.26x @4-way, 2.66x @32-way, 2.5x @>32; PARSEC 2.18x / 1.83x / 1.81x";
 
 /// §V-D2 text: SPEC improves 2.62x / 2.52x / 1.85x as DeACT-N holds
 /// one / two / three tag+ACM pairs per way (8-bit ACM experiment).
-pub const FIG14_TEXT: &str =
+pub(crate) const FIG14_TEXT: &str =
     "paper: SPEC speedup 2.62x / 2.52x / 1.85x for 1 / 2 / 3 pairs per way; DeACT-W flat across 8/16/32-bit ACM";
 
 /// §V-D3 text points for the fabric-latency sweep.
-pub const FIG15_TEXT: &str = "paper: >=1.79x even at 100 ns; up to 3.3x for pf at 6 us";
+pub(crate) const FIG15_TEXT: &str = "paper: >=1.79x even at 100 ns; up to 3.3x for pf at 6 us";
 
 /// §V-D4 text points for the node-count sweep.
-pub const FIG16_TEXT: &str = "paper: dc 2.92x @1 node -> 3.26x @8 nodes";
+pub(crate) const FIG16_TEXT: &str = "paper: dc 2.92x @1 node -> 3.26x @8 nodes";
 
 #[cfg(test)]
 mod tests {

@@ -38,7 +38,7 @@ pub enum AcmWidth {
 
 impl AcmWidth {
     /// Entry size in bytes.
-    pub fn bytes(self) -> u64 {
+    pub(crate) fn bytes(self) -> u64 {
         match self {
             AcmWidth::W8 => 1,
             AcmWidth::W16 => 2,
@@ -53,13 +53,13 @@ impl AcmWidth {
 
     /// Bits of the entry that hold the node id (the rest hold
     /// permissions).
-    pub fn node_bits(self) -> u32 {
+    pub(crate) fn node_bits(self) -> u32 {
         self.bits() - 2
     }
 
     /// The all-ones node-id pattern marking a shared page at this
     /// width.
-    pub fn shared_marker(self) -> u32 {
+    pub(crate) fn shared_marker(self) -> u32 {
         (1 << self.node_bits()) - 1
     }
 
@@ -131,7 +131,7 @@ impl AcmEntry {
 
     /// A shared-page entry (node field all ones) with the default
     /// permissions granted to nodes not singled out in the bitmap.
-    pub fn shared(width: AcmWidth, flags: PtFlags) -> AcmEntry {
+    pub(crate) fn shared(width: AcmWidth, flags: PtFlags) -> AcmEntry {
         AcmEntry {
             raw: (width.shared_marker() << 2) | perms_encode(flags),
             width,
@@ -157,11 +157,6 @@ impl AcmEntry {
         self.raw
     }
 
-    /// The entry width.
-    pub fn width(self) -> AcmWidth {
-        self.width
-    }
-
     /// Whether the node field holds the shared marker.
     pub fn is_shared(self) -> bool {
         (self.raw >> 2) == self.width.shared_marker()
@@ -182,7 +177,7 @@ impl AcmEntry {
     }
 
     /// Whether `kind` is allowed under these permissions.
-    pub fn permits(self, kind: AccessKind) -> bool {
+    pub(crate) fn permits(self, kind: AccessKind) -> bool {
         let f = self.flags();
         match kind {
             AccessKind::Read => f.readable(),
@@ -323,13 +318,14 @@ impl RegionAcm {
 /// # Examples
 ///
 /// ```
-/// use fam_broker::{AccessKind, AcmStore, AcmWidth};
-/// use fam_vm::{NodeId, PtFlags};
+/// use fam_broker::{BrokerConfig, MemoryBroker};
 ///
-/// let mut store = AcmStore::new(AcmWidth::W16);
-/// store.set_owner(5, NodeId::new(1), PtFlags::rw());
-/// assert!(store.check(5, 0, NodeId::new(1), AccessKind::Write));
-/// assert!(!store.check(5, 0, NodeId::new(2), AccessKind::Read));
+/// let mut broker = MemoryBroker::new(BrokerConfig::default());
+/// let node = broker.register_node().unwrap();
+/// let fam_page = broker.demand_map(node, 0x100).unwrap();
+/// let entry = broker.acm().entry(fam_page).expect("a demand map writes the ACM");
+/// assert_eq!(entry.owner(), Some(node));
+/// assert!(entry.flags().writable());
 /// ```
 #[derive(Debug, Clone)]
 pub struct AcmStore {
@@ -343,18 +339,13 @@ pub struct AcmStore {
 
 impl AcmStore {
     /// Creates an empty store at the given entry width.
-    pub fn new(width: AcmWidth) -> AcmStore {
+    pub(crate) fn new(width: AcmWidth) -> AcmStore {
         AcmStore {
             width,
             regions: Vec::new(),
             pages: 0,
             bitmaps: HashMap::default(),
         }
-    }
-
-    /// The entry width.
-    pub fn width(&self) -> AcmWidth {
-        self.width
     }
 
     /// Writes `fam_page`'s entry, allocating its region's array on
@@ -375,31 +366,31 @@ impl AcmStore {
     }
 
     /// Marks `fam_page` as owned by `node` with `flags`.
-    pub fn set_owner(&mut self, fam_page: u64, node: NodeId, flags: PtFlags) {
+    pub(crate) fn set_owner(&mut self, fam_page: u64, node: NodeId, flags: PtFlags) {
         self.set(fam_page, AcmEntry::owned(self.width, node, flags));
     }
 
     /// Marks `fam_page` as shared with `default_flags` for bitmap-
     /// granted nodes; actual per-node rights come from the region
     /// bitmap (use [`AcmStore::grant_shared`]).
-    pub fn set_shared(&mut self, fam_page: u64, default_flags: PtFlags) {
+    pub(crate) fn set_shared(&mut self, fam_page: u64, default_flags: PtFlags) {
         self.set(fam_page, AcmEntry::shared(self.width, default_flags));
     }
 
     /// Grants `node` the given rights on every shared page in `region`.
-    pub fn grant_shared(&mut self, region: u64, node: NodeId, flags: PtFlags) {
+    pub(crate) fn grant_shared(&mut self, region: u64, node: NodeId, flags: PtFlags) {
         self.bitmaps.entry(region).or_default().grant(node, flags);
     }
 
     /// Revokes `node`'s rights on shared pages in `region`.
-    pub fn revoke_shared(&mut self, region: u64, node: NodeId) {
+    pub(crate) fn revoke_shared(&mut self, region: u64, node: NodeId) {
         if let Some(b) = self.bitmaps.get_mut(&region) {
             b.revoke(node);
         }
     }
 
     /// Clears a page's metadata entirely (page freed).
-    pub fn clear(&mut self, fam_page: u64) {
+    pub(crate) fn clear(&mut self, fam_page: u64) {
         let region = (fam_page / REGION_PAGES) as usize;
         if let Some(Some(r)) = self.regions.get_mut(region) {
             let i = (fam_page % REGION_PAGES) as usize;
@@ -426,7 +417,7 @@ impl AcmStore {
     /// Vets an access by `node` of kind `kind` to `fam_page` in
     /// `region` — the STU's verification decision (§III-D): compare
     /// the owner id, or for shared pages consult the region bitmap.
-    pub fn check(&self, fam_page: u64, region: u64, node: NodeId, kind: AccessKind) -> bool {
+    pub(crate) fn check(&self, fam_page: u64, region: u64, node: NodeId, kind: AccessKind) -> bool {
         let Some(entry) = self.entry(fam_page) else {
             return false; // unallocated pages are inaccessible
         };
@@ -438,16 +429,6 @@ impl AcmStore {
         } else {
             entry.owner() == Some(node) && entry.permits(kind)
         }
-    }
-
-    /// Number of pages with metadata.
-    pub fn len(&self) -> usize {
-        self.pages
-    }
-
-    /// Whether no page has metadata.
-    pub fn is_empty(&self) -> bool {
-        self.pages == 0
     }
 }
 
@@ -538,7 +519,7 @@ mod tests {
         s.set_owner(10, NodeId::new(1), PtFlags::rw());
         s.clear(10);
         assert!(!s.check(10, 0, NodeId::new(1), AccessKind::Read));
-        assert!(s.is_empty());
+        assert_eq!(s.pages, 0);
     }
 
     #[test]
@@ -552,7 +533,7 @@ mod tests {
         assert_eq!(s.entry(8).map(AcmEntry::raw), Some(u32::MAX));
         assert_eq!(s.entry(9), None, "a neighbour stays absent");
         assert!(s.check(7, 0, NodeId::new(0), AccessKind::Read));
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.pages, 2);
     }
 
     #[test]
@@ -591,7 +572,7 @@ mod tests {
             assert_eq!(s.entry(9), None, "a neighbour stays absent");
             assert!(s.check(7, 0, NodeId::new(0), AccessKind::Read));
             assert!(s.entry(8).is_some_and(AcmEntry::is_shared));
-            assert_eq!(s.len(), 2);
+            assert_eq!(s.pages, 2);
         }
     }
 
@@ -634,7 +615,7 @@ mod tests {
                     }
                     _ => assert_eq!(s.entry(page), model.get(&page).copied(), "op {i}"),
                 }
-                assert_eq!(s.len(), model.len(), "op {i}");
+                assert_eq!(s.pages, model.len(), "op {i}");
             }
             for (&page, &entry) in &model {
                 assert_eq!(s.entry(page), Some(entry));

@@ -86,7 +86,7 @@ pub struct SharedSegment {
     /// The members the segment is mapped into: `(node, flags,
     /// npa_start)`. Migration and evacuation need this to find and
     /// rewrite every member's system-table mappings.
-    pub members: Vec<(NodeId, PtFlags, u64)>,
+    pub(crate) members: Vec<(NodeId, PtFlags, u64)>,
 }
 
 impl SharedSegment {
@@ -103,7 +103,7 @@ pub struct MigrationReport {
     pub pages_moved: u64,
     /// Shared-segment pages whose membership moved with the node
     /// (counted once per segment membership transferred).
-    pub shared_pages_moved: u64,
+    pub(crate) shared_pages_moved: u64,
     /// ACM entries rewritten in FAM.
     pub acm_writes: u64,
     /// System-level translations that must be invalidated (node-side
@@ -131,7 +131,7 @@ impl PageRelocation {
     /// The `npa_page` of a table-rebuild relocation: a rebuilt system-
     /// table page maps no node page, so its worklist entry carries this
     /// sentinel, which no real mapping can collide with.
-    pub const TABLE_REBUILD_NPA: u64 = u64::MAX;
+    pub(crate) const TABLE_REBUILD_NPA: u64 = u64::MAX;
 
     /// Whether this entry announces a rebuilt table page rather than a
     /// rewritten or removed data mapping. Shootdowns keyed on node
@@ -152,7 +152,7 @@ pub struct EvacuationReport {
     /// broker authored every entry, so tables are always rebuildable).
     pub table_pages_rebuilt: u64,
     /// ACM entries rewritten.
-    pub acm_writes: u64,
+    pub(crate) acm_writes: u64,
     /// Bytes copied over the management path (drives the simulated
     /// evacuation-bandwidth cost).
     pub bytes_copied: u64,
@@ -724,16 +724,6 @@ impl MemoryBroker {
             .count();
         table.mapped_pages() as usize - shared
     }
-
-    /// Registered shared segments.
-    pub fn shared_segments(&self) -> &[SharedSegment] {
-        &self.shared_segments
-    }
-
-    /// The broker configuration.
-    pub fn config(&self) -> BrokerConfig {
-        self.config
-    }
 }
 
 #[cfg(test)]
@@ -896,7 +886,7 @@ mod tests {
             seg.first_page
         );
         // The member record now names the new node.
-        let members = &b.shared_segments()[0].members;
+        let members = &b.shared_segments[0].members;
         assert!(members.iter().any(|&(n, _, _)| n == to));
         assert!(!members.iter().any(|&(n, _, _)| n == from));
     }

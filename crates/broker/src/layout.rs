@@ -5,11 +5,11 @@ use fam_vm::{FamAddr, PAGE_BYTES};
 use crate::AcmWidth;
 
 /// Bytes per 1 GB sharing region.
-pub const REGION_BYTES: u64 = 1 << 30;
+pub(crate) const REGION_BYTES: u64 = 1 << 30;
 /// Bits in each region's sharing bitmap (Fig. 5: 64 K bits = 8 KB).
-pub const BITMAP_BITS: u64 = 64 * 1024;
+pub(crate) const BITMAP_BITS: u64 = 64 * 1024;
 /// Bytes per region bitmap.
-pub const BITMAP_BYTES: u64 = BITMAP_BITS / 8;
+pub(crate) const BITMAP_BYTES: u64 = BITMAP_BITS / 8;
 
 /// Which usable FAM pages are permanently off-limits after a failure.
 ///
@@ -121,11 +121,6 @@ impl FamLayout {
         }
     }
 
-    /// Total module capacity in bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
     /// Bytes available for data pages (everything below
     /// [`FamLayout::acm_base`]).
     pub fn usable_bytes(&self) -> u64 {
@@ -135,11 +130,6 @@ impl FamLayout {
     /// Number of usable data pages.
     pub fn usable_pages(&self) -> u64 {
         self.usable_bytes / PAGE_BYTES
-    }
-
-    /// The ACM width this layout was built for.
-    pub fn acm_width(&self) -> AcmWidth {
-        self.acm_width
     }
 
     /// Start of the ACM region (the paper's `MTAdd`).
@@ -153,7 +143,7 @@ impl FamLayout {
     }
 
     /// Whether `addr` falls in the usable (data) region.
-    pub fn is_usable(&self, addr: FamAddr) -> bool {
+    pub(crate) fn is_usable(&self, addr: FamAddr) -> bool {
         addr.0 < self.usable_bytes
     }
 
@@ -172,12 +162,13 @@ impl FamLayout {
     /// Number of pages whose ACM shares one 64-byte block with the
     /// given page — the spatial-locality constant the paper leans on
     /// (32 pages for 16-bit ACM, so one block covers a 128 KB region).
-    pub fn acm_pages_per_block(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn acm_pages_per_block(&self) -> u64 {
         64 / self.acm_width.bytes()
     }
 
     /// The 1 GB region index of a usable address.
-    pub fn region_of(&self, addr: FamAddr) -> u64 {
+    pub(crate) fn region_of(&self, addr: FamAddr) -> u64 {
         addr.0 / REGION_BYTES
     }
 
@@ -192,28 +183,30 @@ impl FamLayout {
     }
 
     /// Metadata overhead as a fraction of total capacity.
-    pub fn metadata_overhead(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn metadata_overhead(&self) -> f64 {
         (self.total_bytes - self.usable_bytes) as f64 / self.total_bytes as f64
     }
 
     /// The quarantine in force.
-    pub fn quarantine(&self) -> Quarantine {
+    pub(crate) fn quarantine(&self) -> Quarantine {
         self.quarantine
     }
 
     /// Installs a quarantine. Recovery installs exactly one per run;
     /// installing `Quarantine::None` lifts it (tests only).
-    pub fn set_quarantine(&mut self, quarantine: Quarantine) {
+    pub(crate) fn set_quarantine(&mut self, quarantine: Quarantine) {
         self.quarantine = quarantine;
     }
 
     /// Whether the page containing `addr` is permanently off-limits.
-    pub fn is_quarantined(&self, addr: FamAddr) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_quarantined(&self, addr: FamAddr) -> bool {
         self.quarantine.contains(addr.page())
     }
 
     /// Number of *usable* pages the quarantine removes from service.
-    pub fn quarantined_pages(&self) -> u64 {
+    pub(crate) fn quarantined_pages(&self) -> u64 {
         let usable = self.usable_pages();
         match self.quarantine {
             Quarantine::None => 0,
@@ -246,10 +239,10 @@ mod tests {
         let l = layout16();
         assert!(l.usable_bytes() < l.acm_base() + 1);
         assert!(l.acm_base() < l.bitmap_base());
-        assert!(l.bitmap_base() < l.total_bytes());
+        assert!(l.bitmap_base() < l.total_bytes);
         // Bitmaps fit inside the module.
         let regions = l.usable_bytes().div_ceil(REGION_BYTES);
-        assert!(l.bitmap_base() + regions * BITMAP_BYTES <= l.total_bytes());
+        assert!(l.bitmap_base() + regions * BITMAP_BYTES <= l.total_bytes);
     }
 
     #[test]
@@ -315,7 +308,7 @@ mod tests {
     fn small_module_still_lays_out() {
         let l = FamLayout::new(8 << 20, AcmWidth::W16);
         assert!(l.usable_pages() > 0);
-        assert!(l.usable_bytes() < l.total_bytes());
+        assert!(l.usable_bytes() < l.total_bytes);
     }
 
     #[test]

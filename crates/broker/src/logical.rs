@@ -30,7 +30,7 @@ impl fmt::Display for JobId {
 /// use fam_broker::{JobId, LogicalNodeMap};
 /// use fam_vm::NodeId;
 ///
-/// let mut map = LogicalNodeMap::new();
+/// let mut map = LogicalNodeMap::default();
 /// let logical = map.assign(JobId(1), NodeId::new(0));
 /// map.migrate(JobId(1), NodeId::new(3)).unwrap();
 /// assert_eq!(map.physical(logical), Some(NodeId::new(3)));
@@ -45,7 +45,7 @@ pub struct LogicalNodeMap {
 
 impl LogicalNodeMap {
     /// Creates an empty map.
-    pub fn new() -> LogicalNodeMap {
+    pub(crate) fn new() -> LogicalNodeMap {
         LogicalNodeMap::default()
     }
 
@@ -77,7 +77,8 @@ impl LogicalNodeMap {
     }
 
     /// The logical id assigned to `job`.
-    pub fn logical(&self, job: JobId) -> Option<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn logical(&self, job: JobId) -> Option<NodeId> {
         self.logical_of_job.get(&job).copied()
     }
 
@@ -88,20 +89,11 @@ impl LogicalNodeMap {
 
     /// Removes a finished job, freeing nothing (logical ids are not
     /// recycled, matching resource-manager practice).
-    pub fn retire(&mut self, job: JobId) -> Option<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn retire(&mut self, job: JobId) -> Option<NodeId> {
         let logical = self.logical_of_job.remove(&job)?;
         self.by_job.remove(&job);
         self.physical.remove(&logical.raw())
-    }
-
-    /// Number of active jobs.
-    pub fn len(&self) -> usize {
-        self.by_job.len()
-    }
-
-    /// Whether no jobs are active.
-    pub fn is_empty(&self) -> bool {
-        self.by_job.is_empty()
     }
 }
 
@@ -146,6 +138,6 @@ mod tests {
         let l = m.assign(JobId(1), NodeId::new(0));
         assert_eq!(m.retire(JobId(1)), Some(NodeId::new(0)));
         assert_eq!(m.physical(l), None);
-        assert!(m.is_empty());
+        assert!(m.by_job.is_empty());
     }
 }

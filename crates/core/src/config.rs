@@ -75,7 +75,7 @@ pub struct SystemConfig {
     pub acm_width: AcmWidth,
     /// DeACT-N tag/ACM pairs per way override (§V-D2; `None` =
     /// natural packing).
-    pub deact_n_pairs: Option<usize>,
+    pub(crate) deact_n_pairs: Option<usize>,
     /// In-DRAM FAM translation cache size in bytes (§IV: 1 MB).
     pub translation_cache_bytes: u64,
     /// §III-C ablation: track recency (LRU) in the translation cache
@@ -95,7 +95,7 @@ pub struct SystemConfig {
     /// mapped RW into every node at [`fam_workloads::SHARED_VA_BASE`]
     /// during construction. 0 (the default) disables sharing; pair a
     /// non-zero value with a workload whose `shared_fraction` is set.
-    pub shared_segment_pages: u64,
+    pub(crate) shared_segment_pages: u64,
     /// §III-A extension: with per-node memory-encryption keys, read
     /// requests need no access-control check (stolen ciphertext is
     /// useless), so DeACT may skip verification for reads. Off by
@@ -116,7 +116,7 @@ pub struct SystemConfig {
     /// time series). Disabled by default. Reports are identical with
     /// it on or off; the per-stage latency breakdown is kept either
     /// way.
-    pub trace: TraceConfig,
+    pub(crate) trace: TraceConfig,
 }
 
 impl SystemConfig {
@@ -174,7 +174,8 @@ impl SystemConfig {
 
     /// Sets the core count per node.
     #[must_use]
-    pub fn with_cores_per_node(mut self, cores: usize) -> SystemConfig {
+    #[cfg(test)]
+    pub(crate) fn with_cores_per_node(mut self, cores: usize) -> SystemConfig {
         self.cores_per_node = cores;
         self
     }
@@ -316,7 +317,7 @@ impl SystemConfig {
     /// ACM entry of [`SystemConfig::acm_width`] can name, and never
     /// more than the 16,383 ids a [`NodeId`] holds below its shared
     /// marker (the binding bound at 32-bit entries).
-    pub fn max_nodes(&self) -> usize {
+    pub(crate) fn max_nodes(&self) -> usize {
         (self.acm_width.max_nodes() as usize + 1).min(usize::from(NodeId::SHARED_MARKER))
     }
 

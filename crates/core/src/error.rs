@@ -11,6 +11,11 @@ use crate::metrics::AuditReport;
 /// Why a simulation could not run to completion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
+    /// [`crate::SystemConfig::validate`] refused the configuration.
+    InvalidConfig {
+        /// The first broken rule, as the validator names it.
+        reason: String,
+    },
     /// The requested benchmark is not in the Table III roster.
     UnknownBenchmark {
         /// The name that failed to resolve.
@@ -36,6 +41,7 @@ pub enum SimError {
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            SimError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
             SimError::UnknownBenchmark { name } => {
                 write!(
                     f,
@@ -65,7 +71,9 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::FamExhausted { source, .. } => Some(source),
-            SimError::UnknownBenchmark { .. } | SimError::AuditFailed { .. } => None,
+            SimError::InvalidConfig { .. }
+            | SimError::UnknownBenchmark { .. }
+            | SimError::AuditFailed { .. } => None,
         }
     }
 }

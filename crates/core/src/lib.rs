@@ -66,4 +66,4 @@ pub use metrics::{
 };
 pub use scheme::Scheme;
 pub use system::{run_benchmark, try_run_benchmark, System};
-pub use translator::{FamTranslator, OutstandingMappingList, RetryState};
+pub use translator::FamTranslator;

@@ -31,7 +31,7 @@ impl FamTraffic {
     }
 
     /// Non-AT requests.
-    pub fn non_at_total(&self) -> u64 {
+    pub(crate) fn non_at_total(&self) -> u64 {
         self.data_reads + self.data_writes + self.writebacks
     }
 
@@ -75,7 +75,7 @@ pub struct FaultRecovery {
     /// Unreachable-permanent NACKs received (persistent faults: dead
     /// module, failed media, severed link). These never clear on
     /// retry; the requester escalates to broker recovery instead.
-    pub nacks_unreachable: u64,
+    pub(crate) nacks_unreachable: u64,
     /// Reissues performed by the retry state machine.
     pub retries: u64,
     /// Cycles spent waiting out exponential backoff.
@@ -220,7 +220,7 @@ pub struct RunReport {
     /// persistent fault was scheduled).
     pub degradation: DegradationReport,
     /// References simulated per core.
-    pub refs_per_core: u64,
+    pub(crate) refs_per_core: u64,
     /// Per-stage span totals (count, summed cycles, longest span),
     /// summed across nodes and devices. Filled on every run, traced or
     /// not. Nested spans count in each of their stages, so the stages
@@ -241,7 +241,7 @@ pub struct AuditCheck {
     /// Stable check name (e.g. `refs-conservation`).
     pub name: &'static str,
     /// Whether the invariant held.
-    pub passed: bool,
+    pub(crate) passed: bool,
     /// Human-readable statement of the invariant with both sides'
     /// values, or the reason the check was skipped.
     pub detail: String,

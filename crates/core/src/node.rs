@@ -13,7 +13,7 @@ use crate::{Scheme, SystemConfig};
 /// First node-physical page of the FAM zone in I-FAM/DeACT: the node
 /// OS sees local DRAM at low addresses and a large FAM zone starting
 /// at 4 GB (two NUMA-like zones, §III-A).
-pub const FAM_ZONE_PAGE: u64 = 1 << 20;
+pub(crate) const FAM_ZONE_PAGE: u64 = 1 << 20;
 
 /// First physical-key page used for direct FAM addresses in E-FAM
 /// (the node maps virtual pages straight to FAM addresses; we offset
@@ -24,7 +24,7 @@ pub const FAM_KEY_PAGE: u64 = 1 << 28;
 /// Local DRAM layout: application data occupies the bottom, the FAM
 /// translation cache sits at 768 MB, kernel page-table pages grow down
 /// from the top.
-pub const DATA_REGION_PAGES: u64 = (512 << 20) / 4096;
+pub(crate) const DATA_REGION_PAGES: u64 = (512 << 20) / 4096;
 /// DRAM byte address of the FAM translation cache (§IV: 1 MB).
 pub const TRANSLATION_CACHE_BASE: u64 = 768 << 20;
 
@@ -38,22 +38,22 @@ const LOCAL_FRACTION: f64 = 0.20;
 /// for everyone else). `start` is the heap key [`crate::System::try_run`]
 /// orders the core by.
 #[derive(Debug, Clone, Copy)]
-pub struct PendingRef {
+pub(crate) struct PendingRef {
     /// The reference to execute.
-    pub mem: fam_workloads::MemRef,
+    pub(crate) mem: fam_workloads::MemRef,
     /// Trace identity, threaded through every stage of the reference's
     /// lifetime ([`RequestId::UNTRACED`] when tracing is off).
-    pub req: RequestId,
+    pub(crate) req: RequestId,
     /// True start: the issue time, after any dependence wait, as
     /// admitted by the core's outstanding window at staging.
-    pub start: Cycle,
+    pub(crate) start: Cycle,
 }
 
 /// Per-core execution state.
 #[derive(Debug)]
 pub struct CoreState {
     /// The staged next reference, if any.
-    pub pending: Option<PendingRef>,
+    pub(crate) pending: Option<PendingRef>,
     /// This rank's reference generator. Staging draws exactly one
     /// reference per executed reference, so `gen.emitted()` counts
     /// what the core ran.
@@ -63,29 +63,29 @@ pub struct CoreState {
     /// Private node-level PTW cache.
     pub ptw: PtwCache,
     /// Outstanding-request window (Table II: 32).
-    pub window: Window,
+    pub(crate) window: Window,
     /// When the core can issue its next instruction (front-end
     /// bandwidth cursor).
-    pub next_issue: Cycle,
+    pub(crate) next_issue: Cycle,
     /// Monotone in-order issue clock: a 2-wide OoO core issues in
     /// program order, so no reference issues before its predecessor.
     /// Keeping this monotone is also what makes the outstanding-window
     /// accounting sound.
-    pub issue_clock: Cycle,
+    pub(crate) issue_clock: Cycle,
     /// Completion time of the most recent memory reference (dependent
     /// references wait on this).
-    pub last_mem_completion: Cycle,
+    pub(crate) last_mem_completion: Cycle,
     /// Instructions retired.
-    pub instructions: u64,
+    pub(crate) instructions: u64,
     /// References completed.
-    pub refs_done: u64,
+    pub(crate) refs_done: u64,
     /// References drawn from the stream and staged for execution.
     /// Pure bookkeeping for the end-of-run conservation audit
     /// (`staged == refs_done` once every staged reference retired);
     /// never read by any timing path, so it cannot affect reports.
-    pub staged: u64,
+    pub(crate) staged: u64,
     /// Completion time of the core's last reference.
-    pub finish: Cycle,
+    pub(crate) finish: Cycle,
 }
 
 /// One compute node: cores plus the node-local memory system of
@@ -106,7 +106,7 @@ pub struct Node {
     /// The FAM translator (DeACT only).
     pub translator: Option<FamTranslator>,
     /// Page faults serviced.
-    pub faults: u64,
+    pub(crate) faults: u64,
 
     scheme: Scheme,
     next_local_data_page: u64,
@@ -294,12 +294,12 @@ impl Node {
     }
 
     /// Total instructions retired across cores.
-    pub fn instructions(&self) -> u64 {
+    pub(crate) fn instructions(&self) -> u64 {
         self.cores.iter().map(|c| c.instructions).sum()
     }
 
     /// Latest completion time across cores.
-    pub fn finish(&self) -> Cycle {
+    pub(crate) fn finish(&self) -> Cycle {
         self.cores
             .iter()
             .map(|c| c.finish)
@@ -312,7 +312,7 @@ impl Node {
     /// I-FAM/DeACT the targets are the reserved NPA window at the base
     /// of the FAM zone; for E-FAM they are the segment's FAM keys
     /// directly.
-    pub fn map_shared_segment(&mut self, first_fam_page: u64, pages: u64) {
+    pub(crate) fn map_shared_segment(&mut self, first_fam_page: u64, pages: u64) {
         let scheme = self.scheme;
         let mut alloc = |_level: usize| kernel_table_page(&mut self.next_kernel_dram_page);
         let shared_vpage = fam_workloads::SHARED_VA_BASE / 4096;

@@ -34,7 +34,7 @@ impl Scheme {
     }
 
     /// Whether the scheme is one of the two DeACT variants.
-    pub fn is_deact(self) -> bool {
+    pub(crate) fn is_deact(self) -> bool {
         matches!(self, Scheme::DeactW | Scheme::DeactN)
     }
 
@@ -57,7 +57,7 @@ impl Scheme {
 
     /// The STU cache organisation the scheme uses. `None` for E-FAM,
     /// which has no STU at all.
-    pub fn stu_organization(self) -> Option<StuOrganization> {
+    pub(crate) fn stu_organization(self) -> Option<StuOrganization> {
         match self {
             Scheme::EFam => None,
             Scheme::IFam => Some(StuOrganization::IFam),

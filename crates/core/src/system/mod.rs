@@ -109,6 +109,10 @@ impl System {
     /// Panics on degenerate configurations (see
     /// [`SystemConfig::validate`]).
     pub fn new(config: SystemConfig, workload: &Workload) -> System {
+        // Refuse before building the per-core generators.
+        config
+            .validate()
+            .unwrap_or_else(|reason| panic!("{reason}"));
         let streams = System::synthetic_streams(&config, workload);
         System::with_streams(config, workload.name, streams)
     }
@@ -222,16 +226,6 @@ impl System {
             walk_buf: Vec::new(),
             config,
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &SystemConfig {
-        &self.config
-    }
-
-    /// The per-node STUs (empty for E-FAM).
-    pub fn stus(&self) -> &[Stu] {
-        &self.stus
     }
 
     /// The tracer (events, latency breakdowns, windowed time series).
@@ -546,7 +540,8 @@ impl System {
 ///
 /// # Panics
 ///
-/// Panics if `name` is not a Table III benchmark.
+/// Panics if `name` is not a Table III benchmark or the configuration
+/// is invalid ([`try_run_benchmark`] names the reason).
 ///
 /// # Examples
 ///
@@ -563,6 +558,8 @@ pub fn run_benchmark(name: &str, config: SystemConfig) -> RunReport {
 
 /// Fallible twin of [`run_benchmark`]: returns a typed [`SimError`]
 /// instead of panicking, so binaries can exit with a readable message.
+/// A configuration [`SystemConfig::validate`] refuses is
+/// [`SimError::InvalidConfig`]; nothing is built for it.
 ///
 /// # Examples
 ///
@@ -573,6 +570,9 @@ pub fn run_benchmark(name: &str, config: SystemConfig) -> RunReport {
 /// assert!(matches!(err, SimError::UnknownBenchmark { .. }));
 /// ```
 pub fn try_run_benchmark(name: &str, config: SystemConfig) -> Result<RunReport, SimError> {
+    config
+        .validate()
+        .map_err(|reason| SimError::InvalidConfig { reason })?;
     let workload = Workload::by_name(name).ok_or_else(|| SimError::UnknownBenchmark {
         name: name.to_string(),
     })?;

@@ -38,37 +38,26 @@ fn backoff(attempt: u32) -> Duration {
 
 /// Per-request retry state: counts attempts and hands out backoffs
 /// until the budget runs dry.
-///
-/// # Examples
-///
-/// ```
-/// use deact::RetryState;
-///
-/// let mut s = RetryState::new();
-/// let first = s.on_fault().expect("first fault retries");
-/// let second = s.on_fault().expect("the budget allows a second retry");
-/// assert_eq!(second.0, 2 * first.0, "backoff doubles");
-/// ```
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RetryState {
+pub(crate) struct RetryState {
     attempts: u32,
 }
 
 impl RetryState {
     /// Fresh state: no faults seen yet.
-    pub fn new() -> RetryState {
+    pub(crate) fn new() -> RetryState {
         RetryState::default()
     }
 
     /// Retries consumed so far.
-    pub fn attempts(&self) -> u32 {
+    pub(crate) fn attempts(&self) -> u32 {
         self.attempts
     }
 
     /// Advances the machine on one fault: the backoff to wait before
     /// the reissue, or `None` once the budget is exhausted and the
     /// caller must give up.
-    pub fn on_fault(&mut self) -> Option<Duration> {
+    pub(crate) fn on_fault(&mut self) -> Option<Duration> {
         if self.attempts >= MAX_RETRIES {
             return None;
         }
@@ -79,7 +68,7 @@ impl RetryState {
 
 /// Entries per 64-byte translation-cache set: four 104-bit entries
 /// (52-bit tag + 52-bit value) fit in one memory access (§III-C).
-pub const ENTRIES_PER_SET: usize = 4;
+pub(crate) const ENTRIES_PER_SET: usize = 4;
 
 /// The outstanding-mapping list of Fig. 7 (ⓒ): FAM-address → node-
 /// address mappings for requests awaiting responses, needed because
@@ -89,7 +78,7 @@ pub const ENTRIES_PER_SET: usize = 4;
 /// moves it into the node because the STU no longer understands node
 /// addresses (§III-C).
 #[derive(Debug, Clone)]
-pub struct OutstandingMappingList {
+pub(crate) struct OutstandingMappingList {
     capacity: usize,
     entries: Vec<(u64, u64)>, // (fam_page, npa_page)
 }
@@ -100,7 +89,7 @@ impl OutstandingMappingList {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> OutstandingMappingList {
+    pub(crate) fn new(capacity: usize) -> OutstandingMappingList {
         assert!(capacity > 0, "list needs capacity");
         OutstandingMappingList {
             capacity,
@@ -110,7 +99,7 @@ impl OutstandingMappingList {
 
     /// Registers a response-expecting request. Returns `false` when
     /// the list is full — the caller must retire an entry first.
-    pub fn register(&mut self, fam_page: u64, npa_page: u64) -> bool {
+    pub(crate) fn register(&mut self, fam_page: u64, npa_page: u64) -> bool {
         if self.entries.len() >= self.capacity {
             return false;
         }
@@ -120,24 +109,9 @@ impl OutstandingMappingList {
 
     /// Converts a response's FAM page back to the node page and
     /// retires the entry (Fig. 7: "handling off-the node responses").
-    pub fn complete(&mut self, fam_page: u64) -> Option<u64> {
+    pub(crate) fn complete(&mut self, fam_page: u64) -> Option<u64> {
         let idx = self.entries.iter().position(|&(f, _)| f == fam_page)?;
         Some(self.entries.swap_remove(idx).1)
-    }
-
-    /// Entries currently outstanding.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no requests are outstanding.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -227,7 +201,6 @@ impl Lru {
 /// assert_eq!(t.lookup(42), None);
 /// t.install(42, 999);
 /// assert_eq!(t.lookup(42), Some(999));
-/// assert_eq!(t.hit_ratio().total(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FamTranslator {
@@ -383,17 +356,17 @@ impl FamTranslator {
     /// the entry is evicted and the caller must fall back to the full
     /// STU walk (§III-C — exactly the recovery the `V` flag exists
     /// for). Returns whether an entry was actually evicted.
-    pub fn handle_stale_nack(&mut self, npa_page: u64) -> bool {
+    pub(crate) fn handle_stale_nack(&mut self, npa_page: u64) -> bool {
         self.invalidate(npa_page)
     }
 
     /// The outstanding-mapping list.
-    pub fn oml_mut(&mut self) -> &mut OutstandingMappingList {
+    pub(crate) fn oml_mut(&mut self) -> &mut OutstandingMappingList {
         &mut self.oml
     }
 
     /// Translation hit rate (the DeACT series of Fig. 10).
-    pub fn hit_ratio(&self) -> Ratio {
+    pub(crate) fn hit_ratio(&self) -> Ratio {
         self.hit_ratio
     }
 
@@ -682,17 +655,17 @@ mod tests {
         assert!(oml.register(100, 1));
         assert!(oml.register(200, 2));
         assert!(!oml.register(300, 3), "full list rejects");
-        assert_eq!(oml.len(), 2, "a rejected register adds nothing");
+        assert_eq!(oml.entries.len(), 2, "a rejected register adds nothing");
         assert_eq!(oml.complete(100), Some(1));
         assert!(oml.register(300, 3), "slot freed");
         assert_eq!(oml.complete(999), None);
-        assert_eq!(oml.len(), 2);
+        assert_eq!(oml.entries.len(), 2);
     }
 
     #[test]
     fn oml_paper_capacity() {
         let t = translator();
-        assert_eq!(t.oml.capacity(), 128);
+        assert_eq!(t.oml.capacity, 128);
     }
 
     #[test]

@@ -39,13 +39,13 @@ pub struct FabricConfig {
     /// 500 ns; Fig. 15 sweeps 100 ns – 6 µs).
     pub latency_ns: u64,
     /// Cycles a node's access link is occupied per 64-byte flit.
-    pub link_occupancy_cycles: u64,
+    pub(crate) link_occupancy_cycles: u64,
     /// Cycles a FAM module's port is occupied per flit; traffic to the
     /// same module contends here in the Fig. 16 sweep, while distinct
     /// modules queue independently. (Historically named for the single
     /// shared trunk the port array replaced; with one module the two
     /// models are identical.)
-    pub trunk_occupancy_cycles: u64,
+    pub(crate) trunk_occupancy_cycles: u64,
 }
 
 impl Default for FabricConfig {
@@ -141,19 +141,9 @@ impl Fabric {
         self.fam_to_node(there + service, node, module, response_bytes)
     }
 
-    /// One-way traversal latency in cycles.
-    pub fn latency(&self) -> Duration {
-        self.latency
-    }
-
     /// Total traversals in both directions.
     pub fn traversals(&self) -> u64 {
         self.traversals.value()
-    }
-
-    /// The configuration this fabric was built with.
-    pub fn config(&self) -> FabricConfig {
-        self.config
     }
 }
 
@@ -169,7 +159,7 @@ mod tests {
     fn one_way_latency_matches_config() {
         let mut f = fabric(2);
         assert_eq!(f.node_to_fam(Cycle(0), 0, 0), Cycle(1000));
-        assert_eq!(f.latency(), Duration(1000));
+        assert_eq!(f.latency, Duration(1000));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Number of sets (must be non-zero).
-    pub sets: usize,
+    pub(crate) sets: usize,
     /// Ways per set (must be non-zero).
-    pub ways: usize,
+    pub(crate) ways: usize,
 }
 
 impl CacheConfig {
@@ -22,7 +22,7 @@ impl CacheConfig {
     }
 
     /// Total entry capacity.
-    pub fn entries(&self) -> usize {
+    pub(crate) fn entries(&self) -> usize {
         self.sets * self.ways
     }
 
@@ -33,7 +33,7 @@ impl CacheConfig {
     ///
     /// Panics if the capacity is not an exact multiple of
     /// `64 * ways`.
-    pub fn data_cache(capacity_bytes: u64, ways: usize) -> CacheConfig {
+    pub(crate) fn data_cache(capacity_bytes: u64, ways: usize) -> CacheConfig {
         let blocks = capacity_bytes / crate::BLOCK_BYTES;
         assert_eq!(
             capacity_bytes % (crate::BLOCK_BYTES * ways as u64),
@@ -184,14 +184,14 @@ impl<V> SetAssocCache<V> {
 
     /// Looks up `key` and returns a mutable reference to its value,
     /// updating recency.
-    pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
+    pub(crate) fn get_mut(&mut self, key: u64) -> Option<&mut V> {
         let i = self.find(key)?;
         self.touch(self.set_start(key), i);
         self.values[i].as_mut()
     }
 
     /// Checks for `key` without updating recency.
-    pub fn probe(&self, key: u64) -> bool {
+    pub(crate) fn probe(&self, key: u64) -> bool {
         self.find(key).is_some()
     }
 
@@ -199,7 +199,8 @@ impl<V> SetAssocCache<V> {
     /// value-returning counterpart of
     /// [`SetAssocCache::probe`], for predicting what a later real
     /// access would observe.
-    pub fn peek(&self, key: u64) -> Option<&V> {
+    #[cfg(test)]
+    pub(crate) fn peek(&self, key: u64) -> Option<&V> {
         self.find(key).and_then(|i| self.values[i].as_ref())
     }
 
@@ -207,7 +208,7 @@ impl<V> SetAssocCache<V> {
     /// metadata maintenance (e.g. a dirty
     /// bit propagated by an outer cache level) that is not a real
     /// access.
-    pub fn peek_mut(&mut self, key: u64) -> Option<&mut V> {
+    pub(crate) fn peek_mut(&mut self, key: u64) -> Option<&mut V> {
         self.find(key).and_then(|i| self.values[i].as_mut())
     }
 
@@ -305,13 +306,9 @@ impl<V> SetAssocCache<V> {
         }
     }
 
-    /// The cache geometry.
-    pub fn config(&self) -> CacheConfig {
-        self.config
-    }
-
     /// Iterates over `(key, &value)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
         self.keys
             .iter()
             .zip(&self.values)

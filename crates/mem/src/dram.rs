@@ -59,11 +59,6 @@ impl DramModel {
         start + self.latency
     }
 
-    /// The configured access latency.
-    pub fn latency(&self) -> Duration {
-        self.latency
-    }
-
     /// Total reads serviced.
     pub fn reads(&self) -> u64 {
         self.reads.value()
@@ -85,7 +80,7 @@ mod tests {
 
     #[test]
     fn latency_is_converted_to_cycles() {
-        assert_eq!(dram().latency(), Duration(120));
+        assert_eq!(dram().latency, Duration(120));
     }
 
     #[test]

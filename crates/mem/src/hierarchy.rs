@@ -261,16 +261,6 @@ impl CacheHierarchy {
     pub fn llc_stats(&self) -> Ratio {
         self.llc
     }
-
-    /// The configured geometry.
-    pub fn config(&self) -> HierarchyConfig {
-        self.config
-    }
-
-    /// Number of cores served.
-    pub fn cores(&self) -> usize {
-        self.l1.len()
-    }
 }
 
 #[cfg(test)]
@@ -461,7 +451,7 @@ mod tests {
     #[test]
     fn paper_default_geometry() {
         let mut h = CacheHierarchy::new(4, HierarchyConfig::default());
-        assert_eq!(h.cores(), 4);
+        assert_eq!(h.l1.len(), 4);
         // A cold miss pays the full L1 + L2 + L3 lookup path.
         assert_eq!(h.access(0, 0, false).latency, Duration(54));
     }

@@ -49,7 +49,7 @@ pub enum Replacement {
 }
 
 /// Cache block (line) size used throughout the paper: 64 bytes.
-pub const BLOCK_BYTES: u64 = 64;
+pub(crate) const BLOCK_BYTES: u64 = 64;
 
 /// Converts a byte address to its cache-line address.
 ///

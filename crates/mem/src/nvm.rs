@@ -12,13 +12,6 @@ pub enum MemOpKind {
     Write,
 }
 
-impl MemOpKind {
-    /// True for [`MemOpKind::Write`].
-    pub fn is_write(self) -> bool {
-        matches!(self, MemOpKind::Write)
-    }
-}
-
 /// Configuration of the FAM NVM device (Table II).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NvmConfig {
@@ -31,7 +24,7 @@ pub struct NvmConfig {
     /// Maximum outstanding requests (paper: 128).
     pub max_outstanding: usize,
     /// Per-request bank occupancy in cycles (command/data bus time).
-    pub bank_occupancy_cycles: u64,
+    pub(crate) bank_occupancy_cycles: u64,
 }
 
 impl Default for NvmConfig {

@@ -32,21 +32,12 @@ impl Cycle {
 
     /// Returns the later of two timestamps.
     #[must_use]
-    pub fn max(self, other: Cycle) -> Cycle {
+    pub(crate) fn max(self, other: Cycle) -> Cycle {
         Cycle(self.0.max(other.0))
-    }
-
-    /// Returns the earlier of two timestamps.
-    #[must_use]
-    pub fn min(self, other: Cycle) -> Cycle {
-        Cycle(self.0.min(other.0))
     }
 }
 
 impl Duration {
-    /// A zero-length span.
-    pub const ZERO: Duration = Duration(0);
-
     /// Multiplies the span by an integer factor.
     #[must_use]
     pub fn times(self, n: u64) -> Duration {

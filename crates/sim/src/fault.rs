@@ -95,7 +95,7 @@ pub struct PersistentSchedule {
     /// The fault that strikes.
     pub fault: PersistentFault,
     /// The 1-based FAM-operation ordinal at which it strikes.
-    pub after_fam_ops: u64,
+    pub(crate) after_fam_ops: u64,
 }
 
 /// Injector knobs. The default is fully disabled and adds no cost.
@@ -265,7 +265,7 @@ pub struct FaultStats {
 ///     assert_eq!(a.fabric_fault(), b.fabric_fault());
 /// }
 ///
-/// let mut off = FaultInjector::disabled();
+/// let mut off = FaultInjector::new(FaultConfig::disabled());
 /// assert!(!off.is_enabled());
 /// assert_eq!(off.fabric_fault(), None);
 /// assert_eq!(off.link_up_at(Cycle(123)), Cycle(123));
@@ -300,20 +300,10 @@ impl FaultInjector {
         }
     }
 
-    /// An injector that never fires.
-    pub fn disabled() -> FaultInjector {
-        FaultInjector::new(FaultConfig::disabled())
-    }
-
     /// Whether any fault can ever fire. Callers on hot paths branch on
     /// this once and skip all other queries when it is `false`.
     pub fn is_enabled(&self) -> bool {
         self.config.enabled
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> FaultConfig {
-        self.config
     }
 
     /// Draws the fate of one fabric traversal. `None` means delivered
@@ -429,7 +419,8 @@ impl FaultInjector {
     }
 
     /// Total faults of all kinds injected so far.
-    pub fn injected_total(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn injected_total(&self) -> u64 {
         let s = self.stats;
         s.drops.value() + s.corruptions.value() + s.stale_marks.value() + s.stu_stalls.value()
     }
@@ -441,7 +432,7 @@ mod tests {
 
     #[test]
     fn disabled_injector_is_inert_and_consumes_no_rng() {
-        let mut i = FaultInjector::disabled();
+        let mut i = FaultInjector::new(FaultConfig::disabled());
         let before = i.rng.clone().next_u64();
         for _ in 0..100 {
             assert_eq!(i.fabric_fault(), None);

@@ -27,11 +27,11 @@
 //!   and a windowed time series, none of which a disabled tracer keeps.
 //! * [`json`] — a small dependency-free JSON reader, shared by the
 //!   trace validator and the benchmark-diff tooling.
-//! * [`profile`] — a scoped *host-time* profiler: RAII [`PhaseId`]
-//!   spans accumulate per-thread into a hierarchical [`ProfileReport`]
+//! * [`profile`] — a scoped *host-time* profiler: RAII [`profile::PhaseId`]
+//!   spans accumulate per-thread into a hierarchical [`profile::ProfileReport`]
 //!   (self vs. children time, folded-stack export); one relaxed atomic
 //!   load when disabled.
-//! * [`registry`] — a unified named metrics [`Registry`] with
+//! * `registry` — a unified named metrics [`Registry`] with
 //!   snapshot/diff, the substrate of end-of-run conservation
 //!   audits.
 //!
@@ -58,7 +58,7 @@ pub mod hash;
 pub mod json;
 mod pool;
 pub mod profile;
-pub mod registry;
+pub(crate) mod registry;
 mod resource;
 mod rng;
 pub mod stats;
@@ -70,8 +70,7 @@ pub use clock::{Cycle, Duration, Frequency};
 pub use fault::{
     FabricFault, FaultConfig, FaultInjector, FaultStats, PersistentFault, PersistentSchedule,
 };
-pub use pool::{default_jobs, jobs_override, parse_jobs, scoped_map};
-pub use profile::{PhaseId, PhaseStat, ProfileReport};
+pub use pool::{default_jobs, jobs_override, scoped_map};
 pub use registry::{Metric, Registry};
 pub use resource::{BankedResource, Resource};
 pub use rng::SimRng;

@@ -23,7 +23,7 @@ use std::sync::Mutex;
 /// # Errors
 ///
 /// The value is not a whole number; the message names it.
-pub fn parse_jobs(value: &str) -> Result<Option<usize>, String> {
+pub(crate) fn parse_jobs(value: &str) -> Result<Option<usize>, String> {
     let n: usize = value
         .parse()
         .map_err(|_| format!("DEACT_JOBS={value:?} is not a whole number of worker threads"))?;
@@ -34,7 +34,7 @@ pub fn parse_jobs(value: &str) -> Result<Option<usize>, String> {
 ///
 /// # Errors
 ///
-/// The value is set but does not parse ([`parse_jobs`]).
+/// The value is set but does not parse (`parse_jobs`).
 pub fn jobs_override() -> Result<Option<usize>, String> {
     std::env::var_os("DEACT_JOBS").map_or(Ok(None), |v| parse_jobs(&v.to_string_lossy()))
 }

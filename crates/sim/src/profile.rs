@@ -40,7 +40,6 @@
 //! }
 //! profile::set_enabled(false);
 //! let report = profile::take_report();
-//! assert_eq!(report.phase(PhaseId::Tlb).calls, 1);
 //! assert!(report.to_folded().contains("sched-dispatch;tlb"));
 //! ```
 
@@ -53,7 +52,7 @@ use std::time::Instant;
 /// The fixed set of simulator phases host time is attributed to.
 ///
 /// One variant per hot region of the engine and per component model;
-/// the names (see [`PhaseId::name`]) are the frame labels in the
+/// the names (see `PhaseId::name`) are the frame labels in the
 /// folded-stack export.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PhaseId {
@@ -84,7 +83,7 @@ pub enum PhaseId {
 
 impl PhaseId {
     /// Every phase, in declaration order (index order).
-    pub const ALL: [PhaseId; PhaseId::COUNT] = [
+    pub(crate) const ALL: [PhaseId; PhaseId::COUNT] = [
         PhaseId::RefGen,
         PhaseId::SchedPop,
         PhaseId::SchedDispatch,
@@ -99,15 +98,15 @@ impl PhaseId {
     ];
 
     /// Number of phases.
-    pub const COUNT: usize = 11;
+    pub(crate) const COUNT: usize = 11;
 
     /// Dense index in `[0, COUNT)`.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 
     /// Stable kebab-case name used in reports and folded stacks.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             PhaseId::RefGen => "ref-gen",
             PhaseId::SchedPop => "sched-pop",
@@ -126,13 +125,13 @@ impl PhaseId {
 
 /// Accumulated host time for one phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseStat {
+pub(crate) struct PhaseStat {
     /// Number of spans closed for this phase.
-    pub calls: u64,
+    pub(crate) calls: u64,
     /// Total host nanoseconds, span open to close (includes children).
-    pub total_ns: u64,
+    pub(crate) total_ns: u64,
     /// Host nanoseconds minus time spent in nested child spans.
-    pub self_ns: u64,
+    pub(crate) self_ns: u64,
 }
 
 impl PhaseStat {
@@ -164,7 +163,7 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Is the profiler currently enabled?
 #[inline(always)]
-pub fn is_enabled() -> bool {
+pub(crate) fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
@@ -308,7 +307,7 @@ pub struct ProfileReport {
 
 impl ProfileReport {
     /// Creates an empty report.
-    pub const fn new() -> ProfileReport {
+    pub(crate) const fn new() -> ProfileReport {
         ProfileReport {
             phases: [PhaseStat::ZERO; PhaseId::COUNT],
             paths: BTreeMap::new(),
@@ -321,7 +320,7 @@ impl ProfileReport {
     }
 
     /// Accumulated stats for one phase.
-    pub fn phase(&self, phase: PhaseId) -> PhaseStat {
+    pub(crate) fn phase(&self, phase: PhaseId) -> PhaseStat {
         self.phases[phase.index()]
     }
 

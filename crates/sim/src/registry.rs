@@ -14,11 +14,11 @@
 //! # Examples
 //!
 //! ```
-//! use fam_sim::registry::Registry;
+//! use fam_sim::Registry;
 //!
 //! let mut before = Registry::new();
 //! before.counter("fabric/traversals").add(10);
-//! let mut after = before.snapshot();
+//! let mut after = before.clone();
 //! after.counter("fabric/traversals").add(5);
 //! let delta = after.diff(&before);
 //! assert_eq!(delta.counter_value("fabric/traversals"), Some(5));
@@ -93,11 +93,6 @@ impl Registry {
         }
     }
 
-    /// Looks up a metric by name.
-    pub fn get(&self, name: &str) -> Option<&Metric> {
-        self.metrics.get(name)
-    }
-
     /// Convenience: the value of a counter, if `name` is a counter.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
         match self.metrics.get(name) {
@@ -112,26 +107,6 @@ impl Registry {
             Some(Metric::Ratio(r)) => Some(*r),
             _ => None,
         }
-    }
-
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// True if nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
-
-    /// Iterates metrics in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Metric)> {
-        self.metrics.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// A point-in-time copy of every metric.
-    pub fn snapshot(&self) -> Registry {
-        self.clone()
     }
 
     /// Saturating difference `self - base`, name by name: the metrics
@@ -185,7 +160,7 @@ mod tests {
         r.counter("a/events").add(3);
         r.counter("a/events").inc();
         r.ratio("a/hits").record(true);
-        assert_eq!(r.len(), 2);
+        assert_eq!(r.metrics.len(), 2);
         assert_eq!(r.counter_value("a/events"), Some(4));
         assert_eq!(r.counter_value("a/hits"), None, "type-checked lookup");
         assert_eq!(r.ratio_value("a/hits").unwrap().hits(), 1);
@@ -204,7 +179,7 @@ mod tests {
         let mut r = Registry::new();
         r.counter("c").add(10);
         r.ratio("r").record(true);
-        let before = r.snapshot();
+        let before = r.clone();
         r.counter("c").add(7);
         r.ratio("r").record(false);
         r.counter("new").add(1);

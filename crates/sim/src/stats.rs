@@ -87,7 +87,7 @@ impl Ratio {
 
     /// Creates a ratio from pre-counted hit/miss totals — used by
     /// registry snapshot/diff arithmetic.
-    pub fn from_parts(hits: u64, misses: u64) -> Ratio {
+    pub(crate) fn from_parts(hits: u64, misses: u64) -> Ratio {
         Ratio { hits, misses }
     }
 

@@ -23,7 +23,7 @@ const SLACK: usize = 64;
 /// The backing buffer is allocated lazily on first use so idle
 /// resources (of which a system has hundreds) stay pointer-sized.
 #[derive(Debug, Clone, Default)]
-pub struct Timeline {
+pub(crate) struct Timeline {
     buf: Vec<(u64, u64)>,
     head: usize,
     len: usize,
@@ -31,13 +31,13 @@ pub struct Timeline {
 
 impl Timeline {
     /// An empty timeline; allocates nothing until the first push.
-    pub fn new() -> Timeline {
+    pub(crate) fn new() -> Timeline {
         Timeline::default()
     }
 
     /// The retained intervals, oldest first.
     #[inline]
-    pub fn as_slice(&self) -> &[(u64, u64)] {
+    pub(crate) fn as_slice(&self) -> &[(u64, u64)] {
         &self.buf[self.head..self.head + self.len]
     }
 
@@ -52,13 +52,13 @@ impl Timeline {
     ///
     /// Panics if `i >= len`.
     #[inline]
-    pub fn set(&mut self, i: usize, v: (u64, u64)) {
+    pub(crate) fn set(&mut self, i: usize, v: (u64, u64)) {
         self.as_mut_slice()[i] = v;
     }
 
     /// The newest interval, if any.
     #[inline]
-    pub fn back(&self) -> Option<(u64, u64)> {
+    pub(crate) fn back(&self) -> Option<(u64, u64)> {
         self.as_slice().last().copied()
     }
 
@@ -67,7 +67,7 @@ impl Timeline {
     /// # Panics
     ///
     /// Panics if the timeline is empty.
-    pub fn set_back(&mut self, v: (u64, u64)) {
+    pub(crate) fn set_back(&mut self, v: (u64, u64)) {
         *self
             .as_mut_slice()
             .last_mut()
@@ -107,7 +107,7 @@ impl Timeline {
 
     /// Appends a newest interval, dropping the oldest when full.
     #[inline]
-    pub fn push_back(&mut self, v: (u64, u64)) {
+    pub(crate) fn push_back(&mut self, v: (u64, u64)) {
         self.reserve_one();
         self.buf[self.head + self.len] = v;
         self.len += 1;
@@ -117,7 +117,7 @@ impl Timeline {
     /// timeline is full the oldest interval is dropped first; inserting
     /// at position 0 of a full timeline is a no-op (the new interval
     /// would itself be the oldest and is forgotten immediately).
-    pub fn insert(&mut self, at: usize, v: (u64, u64)) {
+    pub(crate) fn insert(&mut self, at: usize, v: (u64, u64)) {
         debug_assert!(at <= self.len);
         if at == 0 && self.len == MAX_INTERVALS {
             return;
@@ -135,7 +135,7 @@ impl Timeline {
     /// # Panics
     ///
     /// Panics if `at >= len`.
-    pub fn remove(&mut self, at: usize) {
+    pub(crate) fn remove(&mut self, at: usize) {
         assert!(at < self.len, "remove out of range");
         let (at, end) = (self.head + at, self.head + self.len);
         self.buf.copy_within(at + 1..end, at);
@@ -152,7 +152,7 @@ impl Timeline {
     /// between the two. Backfills land a few to a few dozen intervals
     /// behind the frontier, and the cost grows with that distance
     /// (twice its logarithm), not with the window's length.
-    pub fn first_ending_after(&self, t: u64) -> usize {
+    pub(crate) fn first_ending_after(&self, t: u64) -> usize {
         let iv = self.as_slice();
         let n = iv.len();
         if n == 0 || iv[n - 1].1 <= t {

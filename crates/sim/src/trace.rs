@@ -169,7 +169,7 @@ pub enum Track {
 
 impl Track {
     /// Human-readable track label (the Perfetto thread name).
-    pub fn label(self) -> String {
+    pub(crate) fn label(self) -> String {
         match self {
             Track::Node(n) => format!("node{n}"),
             Track::Stu(n) => format!("stu{n}"),
@@ -197,9 +197,9 @@ pub struct TraceEvent {
     /// The hardware unit.
     pub track: Track,
     /// Start cycle.
-    pub start: Cycle,
+    pub(crate) start: Cycle,
     /// End cycle (`end >= start`).
-    pub end: Cycle,
+    pub(crate) end: Cycle,
 }
 
 impl TraceEvent {
@@ -225,11 +225,11 @@ pub struct TraceConfig {
 
 impl TraceConfig {
     /// Default ring capacity of [`TraceConfig::full`]: 64 Ki events.
-    pub const DEFAULT_RING: usize = 1 << 16;
+    pub(crate) const DEFAULT_RING: usize = 1 << 16;
 
     /// Default window of [`TraceConfig::full`]: 1 M cycles (0.5 ms at
     /// the paper's 2 GHz).
-    pub const DEFAULT_WINDOW: u64 = 1 << 20;
+    pub(crate) const DEFAULT_WINDOW: u64 = 1 << 20;
 
     /// Tracing off — the configuration default.
     pub fn disabled() -> TraceConfig {
@@ -453,8 +453,7 @@ impl WindowSeries {
 /// assert_eq!(t.breakdown().stage(Stage::NvmAccess).max, 120);
 ///
 /// // Disabled: the breakdown still counts, nothing else is kept.
-/// let mut off = Tracer::disabled();
-/// assert!(!off.is_enabled());
+/// let mut off = Tracer::new(TraceConfig::disabled());
 /// assert!(!off.next_request().is_traced());
 /// off.span(req, Stage::NvmAccess, Track::Nvm(0), Cycle(100), Cycle(220));
 /// assert_eq!(off.recorded(), 0);
@@ -493,25 +492,14 @@ impl Tracer {
     }
 
     /// A disabled tracer (the default for every system).
-    pub fn disabled() -> Tracer {
+    pub(crate) fn disabled() -> Tracer {
         Tracer::new(TraceConfig::disabled())
-    }
-
-    /// The single branch every event site pays when tracing is off.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Whether the time series is being collected.
     #[inline]
     pub fn wants_windows(&self) -> bool {
         self.config.window_cycles > 0
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> TraceConfig {
-        self.config
     }
 
     /// Hands out the next request id. Disabled tracers return
@@ -736,7 +724,7 @@ mod tests {
     #[test]
     fn disabled_tracer_is_inert() {
         let mut t = Tracer::disabled();
-        assert!(!t.is_enabled());
+        assert!(!t.enabled);
         assert!(!t.wants_windows());
         assert_eq!(t.next_request(), RequestId::UNTRACED);
         assert_eq!(t.next_request(), RequestId::UNTRACED, "no counter consumed");

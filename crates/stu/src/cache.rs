@@ -50,11 +50,6 @@ impl Default for StuConfig {
 }
 
 impl StuConfig {
-    /// Total ways (`sets × ways`).
-    pub fn entries(&self) -> usize {
-        self.sets * self.ways
-    }
-
     /// How many pages' ACM one DeACT-W way covers (§V-D2: 8 pages at
     /// 8-bit ACM, 4 at 16-bit, 2 at 32-bit).
     pub fn deact_w_coverage(&self) -> u64 {
@@ -68,7 +63,7 @@ impl StuConfig {
     /// Tag/ACM pairs per DeACT-N way (§III-D and §V-D2): the 52+16
     /// bits of freed space fit two 44-bit-tag pairs at 8/16-bit ACM
     /// and one at 32-bit, unless overridden.
-    pub fn deact_n_pairs(&self) -> usize {
+    pub(crate) fn deact_n_pairs(&self) -> usize {
         self.pairs_per_way.unwrap_or(match self.acm_width {
             AcmWidth::W8 | AcmWidth::W16 => 2,
             AcmWidth::W32 => 1,
@@ -133,11 +128,6 @@ impl StuCache {
             acm,
             acm_stats: Ratio::new(),
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> StuConfig {
-        self.config
     }
 
     /// I-FAM: looks up the coupled translation entry for a node page.
@@ -212,7 +202,7 @@ impl StuCache {
     /// Invalidates everything related to `fam_page` (migration
     /// shootdown, §VI). For I-FAM, entries are keyed by node page, so
     /// the caller passes the node page instead.
-    pub fn invalidate(&mut self, key_page: u64) {
+    pub(crate) fn invalidate(&mut self, key_page: u64) {
         if let Some(c) = self.translation.as_mut() {
             c.invalidate(key_page);
         }
@@ -227,7 +217,7 @@ impl StuCache {
     /// ACM hit/miss statistics — the series plotted in Fig. 9. (For
     /// I-FAM this equals the translation hit rate, since the entry is
     /// coupled.)
-    pub fn acm_stats(&self) -> Ratio {
+    pub(crate) fn acm_stats(&self) -> Ratio {
         self.acm_stats
     }
 }
@@ -246,7 +236,7 @@ mod tests {
     #[test]
     fn paper_geometry() {
         let c = StuConfig::default();
-        assert_eq!(c.entries(), 1024);
+        assert_eq!(c.sets * c.ways, 1024);
         assert_eq!(c.sets, 128);
         assert_eq!(c.ways, 8);
     }

@@ -20,15 +20,22 @@
 //! # Examples
 //!
 //! ```
+//! use fam_broker::{AccessKind, BrokerConfig, MemoryBroker};
+//! use fam_sim::RequestId;
 //! use fam_stu::{Stu, StuConfig, StuOrganization};
+//!
+//! let mut broker = MemoryBroker::new(BrokerConfig::default());
+//! let node = broker.register_node().unwrap();
+//! let fam_page = broker.demand_map(node, 0x100).unwrap();
 //!
 //! let mut stu = Stu::new(StuConfig {
 //!     organization: StuOrganization::DeactN,
 //!     ..StuConfig::default()
 //! });
-//! assert!(!stu.acm_lookup(1234));
-//! stu.acm_fill(1234);
-//! assert!(stu.acm_lookup(1234));
+//! let first = stu.verify(&broker, node, fam_page, AccessKind::Read, RequestId::UNTRACED);
+//! assert!(first.acm_fetch_addr.is_some(), "a miss fetches the ACM block");
+//! let again = stu.verify(&broker, node, fam_page, AccessKind::Read, RequestId::UNTRACED);
+//! assert!(again.acm_fetch_addr.is_none(), "the refilled entry hits");
 //! ```
 
 #![warn(missing_docs)]

@@ -12,11 +12,11 @@ pub struct IFamTranslation {
     /// The request whose packet this access served (echoed back so the
     /// caller can attribute the walk/fetch costs to the right trace
     /// span).
-    pub req: RequestId,
+    pub(crate) req: RequestId,
     /// The FAM page backing the node page.
     pub fam_page: u64,
     /// Whether the STU cache held the entry.
-    pub cache_hit: bool,
+    pub(crate) cache_hit: bool,
     /// On a miss, the FAM page-table walk that was performed; each
     /// access is a read the timing layer must charge to the FAM.
     pub walk: Option<WalkPlan>,
@@ -28,9 +28,9 @@ pub struct IFamTranslation {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeactVerification {
     /// The request whose packet this verification served.
-    pub req: RequestId,
+    pub(crate) req: RequestId,
     /// Whether the ACM was resident in the STU cache.
-    pub acm_hit: bool,
+    pub(crate) acm_hit: bool,
     /// FAM byte address of the metadata block fetched on a miss
     /// (§III-A address arithmetic), if any.
     pub acm_fetch_addr: Option<u64>,
@@ -47,12 +47,12 @@ pub struct DeactVerification {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnmappedFault {
     /// The request whose packet hit the hole.
-    pub req: RequestId,
+    pub(crate) req: RequestId,
     /// The faulting node-physical page.
-    pub npa_page: u64,
+    pub(crate) npa_page: u64,
     /// The walk performed before discovering the hole (still costs
     /// FAM reads).
-    pub walk_reads: usize,
+    pub(crate) walk_reads: usize,
 }
 
 impl std::fmt::Display for UnmappedFault {
@@ -88,7 +88,7 @@ impl std::error::Error for UnmappedFault {}
 /// });
 /// let v = stu.verify(&broker, node, fam_page, AccessKind::Read, RequestId::UNTRACED);
 /// assert!(v.allowed);
-/// assert!(!v.acm_hit); // first touch fetches the metadata block
+/// assert!(v.acm_fetch_addr.is_some()); // first touch fetches the metadata block
 /// ```
 #[derive(Debug)]
 pub struct Stu {
@@ -100,7 +100,7 @@ impl Stu {
     /// Default PTW-cache entries granted to the walker (§IV grants 32
     /// at the paper's full memory scale; systems scaled down for
     /// simulation speed should scale this reach too).
-    pub const PTW_CACHE_ENTRIES: usize = 32;
+    pub(crate) const PTW_CACHE_ENTRIES: usize = 32;
 
     /// Creates an STU with the given cache configuration and the
     /// default PTW-cache size.
@@ -120,19 +120,9 @@ impl Stu {
         }
     }
 
-    /// The cache configuration.
-    pub fn config(&self) -> StuConfig {
-        self.cache.config()
-    }
-
     /// Direct access to the organisation-specific cache.
     pub fn cache_mut(&mut self) -> &mut StuCache {
         &mut self.cache
-    }
-
-    /// DeACT ACM lookup without verification (timing-only probes).
-    pub fn acm_lookup(&mut self, fam_page: u64) -> bool {
-        self.cache.acm_lookup(fam_page)
     }
 
     /// DeACT ACM fill (after a modelled metadata fetch).

@@ -2,7 +2,7 @@
 //!
 //! Implements the node-side virtual memory machinery of §II-B:
 //!
-//! * [`addr`] — typed addresses: [`VirtAddr`], [`NodePhysAddr`],
+//! * Typed addresses: [`VirtAddr`], [`NodePhysAddr`],
 //!   [`FamAddr`] and [`NodeId`]. The three address spaces are distinct
 //!   types so a node address can never be handed to the FAM without
 //!   passing through a translation step.
@@ -34,14 +34,14 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod addr;
+pub(crate) mod addr;
 mod page_table;
 mod ptw_cache;
 mod tlb;
 mod walker;
 
 pub use addr::{FamAddr, NodeId, NodePhysAddr, VirtAddr, PAGE_BYTES};
-pub use page_table::{PageTable, PtFlags, Pte, Walk, WalkStep, LEVELS};
+pub use page_table::{PageTable, PtFlags, Pte, Walk, WalkStep};
 pub use ptw_cache::PtwCache;
 pub use tlb::{TlbConfig, TlbHierarchy, TlbHit};
 pub use walker::{PageWalker, TwoDimWalker, WalkAccess, WalkPlan};

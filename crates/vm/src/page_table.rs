@@ -1,7 +1,7 @@
 //! A 4-level x86-64-style radix page table with 4 KB leaves.
 
 /// Number of radix levels (PGD, PUD, PMD, PTE — §II-B).
-pub const LEVELS: usize = 4;
+pub(crate) const LEVELS: usize = 4;
 
 /// Bits of index per level.
 const INDEX_BITS: u32 = 9;
@@ -79,7 +79,7 @@ pub struct Pte {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalkStep {
     /// Level walked, `0` = PGD … `3` = PTE.
-    pub level: usize,
+    pub(crate) level: usize,
     /// Physical byte address of the entry that was read.
     pub entry_addr: u64,
 }
@@ -87,7 +87,7 @@ pub struct WalkStep {
 /// The full result of walking one virtual page.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Walk {
-    /// Every entry read, in order. A complete walk has [`LEVELS`]
+    /// Every entry read, in order. A complete walk has four (`LEVELS`)
     /// steps; a walk that hits a non-present entry stops early.
     pub steps: Vec<WalkStep>,
     /// The final mapping, if the page is mapped.
@@ -233,7 +233,7 @@ impl PageTable {
     /// As [`PageTable::walk`], but reports each entry read through
     /// `visit` instead of collecting a vector — the allocation-free
     /// form the per-reference hot path uses.
-    pub fn walk_with(&self, vpage: u64, mut visit: impl FnMut(WalkStep)) -> Option<Pte> {
+    pub(crate) fn walk_with(&self, vpage: u64, mut visit: impl FnMut(WalkStep)) -> Option<Pte> {
         let mut node = 0usize;
         for level in 0..LEVELS {
             let idx = Self::index_at(vpage, level);
@@ -347,11 +347,6 @@ impl PageTable {
         self.mapped
     }
 
-    /// Number of table (interior + root) pages.
-    pub fn table_pages(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// The simulated CR3: the root page's physical address.
     pub fn root_addr(&self) -> u64 {
         self.nodes[0].base_addr
@@ -413,12 +408,12 @@ mod tests {
         let mut pt = PageTable::new(0);
         let mut alloc = bump_alloc(0x10000);
         pt.map(0, 1, PtFlags::ro(), &mut alloc);
-        let tables_before = pt.table_pages();
+        let tables_before = pt.nodes.len();
         pt.map(1, 2, PtFlags::ro(), &mut alloc);
-        assert_eq!(pt.table_pages(), tables_before, "same PTE page reused");
+        assert_eq!(pt.nodes.len(), tables_before, "same PTE page reused");
         // A far-away page needs a whole new subtree.
         pt.map(1 << 27, 3, PtFlags::ro(), &mut alloc);
-        assert_eq!(pt.table_pages(), tables_before + 3);
+        assert_eq!(pt.nodes.len(), tables_before + 3);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Page-table-walker caches (Bhargava et al. [8]).
+//! Page-table-walker caches (Bhargava et al. \[8\]).
 
 use fam_mem::{CacheConfig, SetAssocCache};
 
@@ -12,17 +12,6 @@ use crate::page_table::LEVELS;
 /// Keys combine the level with the virtual-page prefix that selects the
 /// entry at that level; the PTE level is never cached here (that is the
 /// TLB's job).
-///
-/// # Examples
-///
-/// ```
-/// use fam_vm::PtwCache;
-///
-/// let mut c = PtwCache::new(32);
-/// assert_eq!(c.deepest_cached(0x12345), None);
-/// c.fill(0x12345, 2); // PMD entry now cached
-/// assert_eq!(c.deepest_cached(0x12345), Some(2));
-/// ```
 #[derive(Debug, Clone)]
 pub struct PtwCache {
     cache: SetAssocCache<()>,
@@ -51,7 +40,7 @@ impl PtwCache {
 
     /// The deepest intermediate level (0 = PGD … 2 = PMD) whose entry
     /// for `vpage` is cached, meaning the walk can start *below* it.
-    pub fn deepest_cached(&mut self, vpage: u64) -> Option<usize> {
+    pub(crate) fn deepest_cached(&mut self, vpage: u64) -> Option<usize> {
         let mut deepest = None;
         for level in (0..LEVELS - 1).rev() {
             if self.cache.get(Self::key(vpage, level)).is_some() {
@@ -64,7 +53,7 @@ impl PtwCache {
 
     /// Caches the intermediate entries of a completed walk down to
     /// `deepest_level` (inclusive).
-    pub fn fill(&mut self, vpage: u64, deepest_level: usize) {
+    pub(crate) fn fill(&mut self, vpage: u64, deepest_level: usize) {
         for level in 0..=deepest_level.min(LEVELS - 2) {
             self.cache.insert(Self::key(vpage, level), ());
         }

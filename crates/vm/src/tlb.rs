@@ -23,15 +23,15 @@ pub struct TlbConfig {
     /// L1 TLB entries (paper: 32).
     pub l1_entries: usize,
     /// L1 associativity.
-    pub l1_ways: usize,
+    pub(crate) l1_ways: usize,
     /// L1 lookup latency in cycles.
-    pub l1_latency: u64,
+    pub(crate) l1_latency: u64,
     /// L2 TLB entries (paper: 256).
     pub l2_entries: usize,
     /// L2 associativity.
-    pub l2_ways: usize,
+    pub(crate) l2_ways: usize,
     /// L2 lookup latency in cycles.
-    pub l2_latency: u64,
+    pub(crate) l2_latency: u64,
 }
 
 impl Default for TlbConfig {
@@ -119,7 +119,8 @@ impl TlbHierarchy {
     }
 
     /// Invalidates one page (single-page shootdown).
-    pub fn invalidate(&mut self, vpage: u64) {
+    #[cfg(test)]
+    pub(crate) fn invalidate(&mut self, vpage: u64) {
         self.l1.invalidate(vpage);
         self.l2.invalidate(vpage);
     }
@@ -137,11 +138,6 @@ impl TlbHierarchy {
     /// Combined hit/miss statistics (a hit at either level counts).
     pub fn stats(&self) -> Ratio {
         self.overall
-    }
-
-    /// The configured geometry.
-    pub fn config(&self) -> TlbConfig {
-        self.config
     }
 }
 
@@ -234,7 +230,7 @@ mod tests {
     #[test]
     fn paper_default_capacity() {
         let t = TlbHierarchy::new(TlbConfig::default());
-        assert_eq!(t.config().l1_entries, 32);
-        assert_eq!(t.config().l2_entries, 256);
+        assert_eq!(t.config.l1_entries, 32);
+        assert_eq!(t.config.l2_entries, 256);
     }
 }

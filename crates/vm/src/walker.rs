@@ -7,10 +7,10 @@ use crate::PtwCache;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalkAccess {
     /// The page-table level being read (0 = PGD … 3 = PTE).
-    pub level: usize,
+    pub(crate) level: usize,
     /// Whether this read belongs to the nested (second-dimension)
     /// table of a 2-D walk.
-    pub nested: bool,
+    pub(crate) nested: bool,
     /// Physical byte address of the entry.
     pub entry_addr: u64,
 }

@@ -77,11 +77,6 @@ impl TraceGenerator {
         }
     }
 
-    /// The workload this generator models.
-    pub fn profile(&self) -> &Workload {
-        &self.profile
-    }
-
     /// References emitted so far.
     pub fn emitted(&self) -> u64 {
         self.emitted
@@ -153,7 +148,8 @@ impl TraceGenerator {
     }
 
     /// Emits the next `n` references into a vector.
-    pub fn take_refs(&mut self, n: usize) -> Vec<MemRef> {
+    #[cfg(test)]
+    pub(crate) fn take_refs(&mut self, n: usize) -> Vec<MemRef> {
         (0..n).map(|_| self.next_ref()).collect()
     }
 }

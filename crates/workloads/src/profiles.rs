@@ -358,7 +358,8 @@ impl Workload {
     }
 
     /// Footprint in bytes.
-    pub fn footprint_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn footprint_bytes(&self) -> u64 {
         self.footprint_pages * fam_vm::PAGE_BYTES
     }
 

@@ -161,3 +161,24 @@ fn fam_exhaustion_is_a_typed_error_not_a_panic() {
     assert!(matches!(err, SimError::FamExhausted { .. }), "{err}");
     assert!(err.to_string().contains("fam_bytes"), "{err}");
 }
+
+#[test]
+fn refused_config_is_a_typed_error_not_a_panic() {
+    let cfg = SystemConfig::paper_default().with_fam_modules(0);
+    let err = try_run_benchmark("sssp", cfg).unwrap_err();
+    assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
+    let msg = err.to_string();
+    assert!(msg.starts_with("invalid configuration: "), "{msg}");
+    assert!(msg.contains("need at least one FAM module"), "{msg}");
+}
+
+#[test]
+fn too_many_nodes_is_refused_before_anything_is_built() {
+    // W32 entries name 2^30 - 1 nodes, but node ids stop below 0x3FFF.
+    let cfg = SystemConfig::paper_default()
+        .with_acm_width(fam_broker::AcmWidth::W32)
+        .with_nodes(16_384);
+    let err = try_run_benchmark("sssp", cfg).unwrap_err();
+    assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
+    assert!(err.to_string().contains("limit of 16383"), "{err}");
+}
