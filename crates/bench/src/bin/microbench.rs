@@ -85,7 +85,9 @@ fn time_system_run(cfg: SystemConfig) -> f64 {
     let w = Workload::by_name("sssp").expect("table3 benchmark");
     let total_refs = cfg.refs_per_core * (cfg.nodes * cfg.cores_per_node) as u64;
     let start = Instant::now();
-    let report = deact::System::new(cfg, &w).run();
+    let report = deact::System::new(cfg, &w)
+        .try_run()
+        .expect("the sssp run completes");
     let elapsed = start.elapsed().as_nanos() as f64;
     black_box(report.cycles);
     elapsed / total_refs as f64
@@ -124,7 +126,9 @@ fn bench_throughput() -> Throughput {
     let w = Workload::by_name("sssp").expect("table3 benchmark");
     let total_refs = cfg.refs_per_core * (cfg.nodes * cfg.cores_per_node) as u64;
     let start = Instant::now();
-    let report = deact::System::new(cfg, &w).run();
+    let report = deact::System::new(cfg, &w)
+        .try_run()
+        .expect("the sssp run completes");
     let elapsed_ns = start.elapsed().as_nanos() as u64;
     black_box(report.cycles);
     let refs_per_sec = total_refs as f64 * 1e9 / elapsed_ns as f64;

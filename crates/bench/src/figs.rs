@@ -425,7 +425,9 @@ pub(crate) fn ablation() {
                 .with_nodes(2)
                 .with_refs_per_core(refs_from_env(15_000))
                 .with_shared_segment_pages(128);
-            let r = deact::System::new(c, &w).run();
+            let r = deact::System::new(c, &w)
+                .try_run()
+                .expect("the shared-pages run completes");
             row(
                 &format!("{:.0}%", shared * 100.0),
                 &[

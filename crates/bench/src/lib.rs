@@ -24,7 +24,7 @@ use std::sync::{Mutex, OnceLock};
 
 use deact::{RunReport, Scheme, SystemConfig};
 use fam_sim::{default_jobs, scoped_map, Stage};
-use fam_workloads::{table3, Workload};
+use fam_workloads::table3;
 
 pub mod diff;
 pub mod figs;
@@ -155,8 +155,7 @@ pub(crate) fn run_matrix_opts(
 }
 
 fn run_one(bench: &str, scheme: Scheme, cfg: SystemConfig) -> RunReport {
-    let w = Workload::by_name(bench).unwrap_or_else(|| panic!("unknown benchmark {bench}"));
-    deact::System::new(cfg.with_scheme(scheme), &w).run()
+    deact::try_run_benchmark(bench, cfg.with_scheme(scheme)).expect("a figure-suite run completes")
 }
 
 /// Prints a figure header.

@@ -6,7 +6,8 @@
 //!                           [--fabric-ns N] [--stu-entries N] [--seed N]
 //!                           [--fault-profile transient[:seed]]
 //!                           [--kill-node <module>@<nth-fam-op>]
-//! deact-sim compare <benchmark> [--refs N] [--jobs N]  # all four schemes
+//! deact-sim compare <benchmark> [--jobs N]
+//!                   [plus any `run` flag]          # all four schemes
 //! deact-sim trace [<benchmark>] [--out trace.json] [--window N]
 //!                 [--ring N] [plus any `run` flag]    # Perfetto trace
 //! deact-sim profile [<benchmark>] [--out profile.folded] [--top N]
@@ -56,7 +57,7 @@ fn usage() -> ExitCode {
         "usage:\n  deact-sim run <benchmark> [--scheme S] [--refs N] [--nodes N] \
          [--fam-modules N] [--fabric-ns N] [--stu-entries N] [--seed N] \
          [--fault-profile transient[:seed]] [--kill-node M@OP]\n  \
-         deact-sim compare <benchmark> [--refs N] [--jobs N]\n  \
+         deact-sim compare <benchmark> [--jobs N] [plus any `run` flag]\n  \
          deact-sim trace [<benchmark>] [--out trace.json] [--window N] [--ring N] \
          [plus any `run` flag]\n  \
          deact-sim profile [<benchmark>] [--out profile.folded] [--top N] \

@@ -27,21 +27,22 @@
 //! * [`Scheme`] — E-FAM, I-FAM, DeACT-W, DeACT-N (Table I);
 //! * [`SystemConfig`] — Table II's configuration, with builders for
 //!   every sensitivity axis the paper sweeps;
-//! * [`System`] / [`run_benchmark`] — the simulation driver;
+//! * [`System`] / [`try_run_benchmark`] — the simulation driver;
 //! * [`RunReport`] / [`FamTraffic`] — every quantity Figs. 3–16 plot.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use deact::{run_benchmark, Scheme, SystemConfig};
+//! use deact::{try_run_benchmark, Scheme, SimError, SystemConfig};
 //!
 //! let cfg = SystemConfig::paper_default().with_refs_per_core(500);
-//! let efam = run_benchmark("mcf", cfg.with_scheme(Scheme::EFam));
-//! let ifam = run_benchmark("mcf", cfg.with_scheme(Scheme::IFam));
-//! let deact = run_benchmark("mcf", cfg.with_scheme(Scheme::DeactN));
+//! let efam = try_run_benchmark("mcf", cfg.with_scheme(Scheme::EFam))?;
+//! let ifam = try_run_benchmark("mcf", cfg.with_scheme(Scheme::IFam))?;
+//! let deact = try_run_benchmark("mcf", cfg.with_scheme(Scheme::DeactN))?;
 //! // The paper's headline: DeACT recovers most of I-FAM's loss.
 //! assert!(deact.ipc >= ifam.ipc * 0.9);
 //! assert!(efam.ipc > 0.0);
+//! # Ok::<(), SimError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -65,5 +66,5 @@ pub use metrics::{
     AuditCheck, AuditReport, DegradationReport, FamTraffic, FaultRecovery, RunReport,
 };
 pub use scheme::Scheme;
-pub use system::{run_benchmark, try_run_benchmark, System};
+pub use system::{try_run_benchmark, System};
 pub use translator::FamTranslator;

@@ -3,6 +3,7 @@
 
 use fam_broker::{BrokerError, MemoryBroker};
 use fam_mem::{CacheHierarchy, DramModel};
+use fam_sim::profile::{self, PhaseId};
 use fam_sim::{Cycle, RequestId, SimRng, Window};
 use fam_vm::{NodeId, PageTable, PtFlags, PtwCache, TlbHierarchy, VirtAddr};
 use fam_workloads::TraceGenerator;
@@ -41,8 +42,8 @@ const LOCAL_FRACTION: f64 = 0.20;
 pub(crate) struct PendingRef {
     /// The reference to execute.
     pub(crate) mem: fam_workloads::MemRef,
-    /// Trace identity, threaded through every stage of the reference's
-    /// lifetime ([`RequestId::UNTRACED`] when tracing is off).
+    /// Trace identity, handed to the tracer when the reference runs
+    /// ([`RequestId::UNTRACED`] when tracing is off).
     pub(crate) req: RequestId,
     /// True start: the issue time, after any dependence wait, as
     /// admitted by the core's outstanding window at staging.
@@ -235,7 +236,7 @@ impl Node {
         vaddr: VirtAddr,
         broker: &mut MemoryBroker,
     ) -> Result<(), BrokerError> {
-        let _prof = fam_sim::profile::span(fam_sim::profile::PhaseId::PageWalk);
+        let _prof = profile::span(PhaseId::Fault);
         let vpage = vaddr.vpage();
         self.faults += 1;
         let go_local = self.placement_rng.chance(LOCAL_FRACTION)
@@ -337,6 +338,7 @@ impl Node {
         npa_page: u64,
         broker: &mut MemoryBroker,
     ) -> Result<u64, BrokerError> {
+        let _prof = profile::span(PhaseId::Fault);
         self.faults += 1;
         broker.demand_map(self.id, npa_page)
     }

@@ -5,7 +5,7 @@
 use fam_broker::AccessKind;
 use fam_fabric::packet::{PACKET_BYTES, RESPONSE_BYTES};
 use fam_mem::MemOpKind;
-use fam_sim::{Cycle, Duration, FabricFault, RequestId, Stage, Track};
+use fam_sim::{Cycle, Duration, FabricFault, Stage, Track};
 use fam_vm::PAGE_BYTES;
 
 use super::System;
@@ -27,18 +27,17 @@ impl System {
         page: u64,
         offset: u64,
         kind: MemOpKind,
-        req: RequestId,
     ) -> Result<Cycle, SimError> {
         let (fam_page, t) = match self.config.scheme {
             Scheme::EFam => (page - FAM_KEY_PAGE, t),
-            Scheme::IFam => self.ifam_translate(n, t, page, kind, req)?,
-            Scheme::DeactW | Scheme::DeactN => self.deact_translate(n, t, page, kind, req)?,
+            Scheme::IFam => self.ifam_translate(n, t, page, kind)?,
+            Scheme::DeactW | Scheme::DeactN => self.deact_translate(n, t, page, kind)?,
         };
         match kind {
             MemOpKind::Read => self.traffic.data_reads += 1,
             MemOpKind::Write => self.traffic.data_writes += 1,
         }
-        let done = self.fam_round_trip(n, t, fam_page * PAGE_BYTES + offset, kind, req)?;
+        let done = self.fam_round_trip(n, t, fam_page * PAGE_BYTES + offset, kind)?;
         if kind == MemOpKind::Read {
             // The response carries its FAM address; the outstanding-
             // mapping list hands back the node page (Fig. 7).
@@ -70,13 +69,12 @@ impl System {
         t: Cycle,
         npa_page: u64,
         kind: MemOpKind,
-        req: RequestId,
     ) -> Result<(u64, Cycle), SimError> {
         let node_id = self.nodes[n].id;
         let acc_kind = access_kind(kind);
         let lookup_done = t + self.router + self.stu_lookup; // node → STU lookup
         self.tracer
-            .span(req, Stage::StuLookup, Track::Stu(n as u16), t, lookup_done);
+            .span(Stage::StuLookup, Track::Stu(n as u16), t, lookup_done);
         let mut t = lookup_done;
         let fam_page = match self.stus[n].cache_mut().ifam_lookup(npa_page) {
             Some(fam_page) => fam_page,
@@ -84,7 +82,7 @@ impl System {
                 // Coupled-entry miss: walk serialized at the FAM-PTW
                 // (`stu_walk` handles system faults internally), then
                 // fill the coupled entry.
-                let (fam_page, tw) = self.stu_walk(n, t, npa_page, req)?;
+                let (fam_page, tw) = self.stu_walk(n, t, npa_page)?;
                 t = tw;
                 self.stus[n].cache_mut().ifam_fill(npa_page, fam_page);
                 fam_page
@@ -107,7 +105,6 @@ impl System {
         t: Cycle,
         npa_page: u64,
         kind: MemOpKind,
-        req: RequestId,
     ) -> Result<(u64, Cycle), SimError> {
         let node_id = self.nodes[n].id;
         let acc_kind = access_kind(kind);
@@ -117,7 +114,7 @@ impl System {
         let set_addr = self.translator(n).dram_addr_of(npa_page);
         let mut t = self.nodes[n].dram.access(t, set_addr) + Duration(1);
         self.tracer
-            .span(req, Stage::TranslationCache, Track::Node(n as u16), t_in, t);
+            .span(Stage::TranslationCache, Track::Node(n as u16), t_in, t);
 
         let mut cached = self.translator(n).lookup(npa_page);
         if self.config.translation_cache_lru {
@@ -137,7 +134,6 @@ impl System {
             // The doomed pre-translated request travels node → STU and
             // the NACK travels back before the node can react.
             self.tracer.span(
-                req,
                 Stage::Fault,
                 Track::Stu(n as u16),
                 t,
@@ -160,7 +156,7 @@ impl System {
             None => {
                 // ④ V = 0: the STU walks on our behalf...
                 t += self.router;
-                let (fam_page, tw) = self.stu_walk(n, t, npa_page, req)?;
+                let (fam_page, tw) = self.stu_walk(n, t, npa_page)?;
                 t = tw;
                 if stale_nacked {
                     // The reissue-as-unverified walk *is* the retry, and
@@ -188,9 +184,9 @@ impl System {
         // encrypted-memory extension, reads skip verification entirely
         // (a foreign node's ciphertext is useless without its key).
         if !(self.config.skip_read_checks && kind == MemOpKind::Read) {
+            let req = self.tracer.current();
             let v = self.stus[n].verify(&self.broker, node_id, fam_page, acc_kind, req);
             self.tracer.span(
-                req,
                 Stage::StuLookup,
                 Track::Stu(n as u16),
                 t,
@@ -200,13 +196,13 @@ impl System {
             if let Some(acm_addr) = v.acm_fetch_addr {
                 let fetch_start = t;
                 self.traffic.at_acm_reads += 1;
-                t = self.fam_round_trip(n, t, acm_addr, MemOpKind::Read, req)?;
+                t = self.fam_round_trip(n, t, acm_addr, MemOpKind::Read)?;
                 if let Some(bitmap_addr) = v.bitmap_fetch_addr {
                     self.traffic.at_bitmap_reads += 1;
-                    t = self.fam_round_trip(n, t, bitmap_addr, MemOpKind::Read, req)?;
+                    t = self.fam_round_trip(n, t, bitmap_addr, MemOpKind::Read)?;
                 }
                 self.tracer
-                    .span(req, Stage::AcmFetch, Track::Stu(n as u16), fetch_start, t);
+                    .span(Stage::AcmFetch, Track::Stu(n as u16), fetch_start, t);
             }
             assert!(v.allowed, "benign workloads never trip access control");
         }
@@ -231,14 +227,13 @@ impl System {
         t: Cycle,
         fam_byte: u64,
         kind: MemOpKind,
-        req: RequestId,
     ) -> Result<Cycle, SimError> {
         if !self.injector.is_enabled() {
-            return Ok(self.fam_round_trip_clean(n, t, fam_byte, kind, req));
+            return Ok(self.fam_round_trip_clean(n, t, fam_byte, kind));
         }
         self.injector.note_fam_op();
         if self.persistent_strikes(fam_byte) {
-            return self.persistent_path(n, t, fam_byte, kind, req);
+            return self.persistent_path(n, t, fam_byte, kind);
         }
         let mut t = t;
         let mut state = RetryState::new();
@@ -249,12 +244,12 @@ impl System {
             self.recovery.link_down_wait_cycles += (up - t).0;
             if up > t {
                 self.tracer
-                    .span(req, Stage::Fault, Track::Fabric(n as u16), t, up);
+                    .span(Stage::Fault, Track::Fabric(n as u16), t, up);
             }
             t = up;
             match self.injector.fabric_fault() {
                 None => {
-                    let done = self.fam_round_trip_clean(n, t, fam_byte, kind, req);
+                    let done = self.fam_round_trip_clean(n, t, fam_byte, kind);
                     if state.attempts() > 0 {
                         self.recovery.recovered += 1;
                     }
@@ -268,7 +263,7 @@ impl System {
                     self.recovery.timeouts += 1;
                     let expiry = t + Duration(TIMEOUT_CYCLES);
                     self.tracer
-                        .span(req, Stage::Retry, Track::Fabric(n as u16), t, expiry);
+                        .span(Stage::Retry, Track::Fabric(n as u16), t, expiry);
                     t = expiry;
                 }
                 Some(FabricFault::Corrupt) => {
@@ -281,18 +276,18 @@ impl System {
                     let _site = self.injector.corruption_site(PACKET_BYTES);
                     self.recovery.nacks_corrupt += 1;
                     let module = self.module_of(fam_byte);
-                    t = self.nack_round_trip(n, t, module, req);
+                    t = self.nack_round_trip(n, t, module);
                 }
             }
             match state.on_fault() {
-                Some(backoff) => t = self.back_off(n, t, backoff, req),
+                Some(backoff) => t = self.back_off(n, t, backoff),
                 None => {
                     // Graceful degradation: the access is counted as
                     // fatal (a real system would raise a poison/MCE)
                     // but still completes so the run finishes and the
                     // damage is measurable instead of a crash.
                     self.recovery.fatal += 1;
-                    return Ok(self.fam_round_trip_clean(n, t, fam_byte, kind, req));
+                    return Ok(self.fam_round_trip_clean(n, t, fam_byte, kind));
                 }
             }
         }
@@ -300,17 +295,11 @@ impl System {
 
     /// The retry arm after a fabric fault: counts the retry, charges
     /// the backoff and traces it; returns when the requester reissues.
-    pub(super) fn back_off(
-        &mut self,
-        n: usize,
-        t: Cycle,
-        backoff: Duration,
-        req: RequestId,
-    ) -> Cycle {
+    pub(super) fn back_off(&mut self, n: usize, t: Cycle, backoff: Duration) -> Cycle {
         self.recovery.retries += 1;
         self.recovery.backoff_cycles += backoff.0;
         self.tracer
-            .span(req, Stage::Backoff, Track::Fabric(n as u16), t, t + backoff);
+            .span(Stage::Backoff, Track::Fabric(n as u16), t, t + backoff);
         t + backoff
     }
 
@@ -319,19 +308,13 @@ impl System {
     /// back with no device service. Both the corrupt-NACK and the
     /// unreachable-NACK (from a failed endpoint's management plane —
     /// the data path is gone, the enclosure still answers) take it.
-    pub(super) fn nack_round_trip(
-        &mut self,
-        n: usize,
-        t: Cycle,
-        module: usize,
-        req: RequestId,
-    ) -> Cycle {
+    pub(super) fn nack_round_trip(&mut self, n: usize, t: Cycle, module: usize) -> Cycle {
         let arrival = self.fabric.node_to_fam(t, n, module);
         let back = self
             .fabric
             .fam_to_node(arrival, n, module, RESPONSE_BYTES as u64);
         self.tracer
-            .span(req, Stage::Retry, Track::Fabric(n as u16), t, back);
+            .span(Stage::Retry, Track::Fabric(n as u16), t, back);
         back
     }
 
@@ -343,23 +326,17 @@ impl System {
         t: Cycle,
         fam_byte: u64,
         kind: MemOpKind,
-        req: RequestId,
     ) -> Cycle {
         let module = self.module_of(fam_byte);
         let arrival = self.fabric.node_to_fam(t, n, module);
         let done = self.nvm[module].access(arrival, fam_byte, kind);
         let ret = self.fabric.fam_to_node(done, n, module, 64);
         self.tracer
-            .span(req, Stage::FabricSend, Track::Fabric(n as u16), t, arrival);
-        self.tracer.span(
-            req,
-            Stage::NvmAccess,
-            Track::Nvm(module as u16),
-            arrival,
-            done,
-        );
+            .span(Stage::FabricSend, Track::Fabric(n as u16), t, arrival);
         self.tracer
-            .span(req, Stage::FabricRecv, Track::Fabric(n as u16), done, ret);
+            .span(Stage::NvmAccess, Track::Nvm(module as u16), arrival, done);
+        self.tracer
+            .span(Stage::FabricRecv, Track::Fabric(n as u16), done, ret);
         ret
     }
 
@@ -376,13 +353,7 @@ impl System {
     /// Walks the system page table at the STU, serialized on the
     /// node's single FAM-PTW unit; every entry read is a FAM round
     /// trip counted as AT traffic.
-    fn stu_walk(
-        &mut self,
-        n: usize,
-        t: Cycle,
-        npa_page: u64,
-        req: RequestId,
-    ) -> Result<(u64, Cycle), SimError> {
+    fn stu_walk(&mut self, n: usize, t: Cycle, npa_page: u64) -> Result<(u64, Cycle), SimError> {
         let node_id = self.nodes[n].id;
         let mut t = t;
         // Injected STU stall: the unit is briefly unresponsive (queue
@@ -391,7 +362,7 @@ impl System {
             if let Some(stall) = self.injector.stu_stall() {
                 self.recovery.stu_stall_cycles += stall.0;
                 self.tracer
-                    .span(req, Stage::Fault, Track::Stu(n as u16), t, t + stall);
+                    .span(Stage::Fault, Track::Stu(n as u16), t, t + stall);
                 t += stall;
             }
         }
@@ -403,7 +374,7 @@ impl System {
                 &self.broker,
                 node_id,
                 npa_page,
-                req,
+                self.tracer.current(),
                 &mut walk_buf,
             ) {
                 Ok(pte) => {
@@ -412,11 +383,11 @@ impl System {
                     let mut tw = start;
                     for acc in &walk_buf {
                         self.traffic.at_walk_reads += 1;
-                        tw = self.fam_round_trip(n, tw, acc.entry_addr, MemOpKind::Read, req)?;
+                        tw = self.fam_round_trip(n, tw, acc.entry_addr, MemOpKind::Read)?;
                     }
                     if tw > start {
                         self.tracer
-                            .span(req, Stage::StuWalk, Track::Stu(n as u16), start, tw);
+                            .span(Stage::StuWalk, Track::Stu(n as u16), start, tw);
                     }
                     // A walk whose entry reads escalated into recovery
                     // planned against the pre-recovery table; its
@@ -442,7 +413,6 @@ impl System {
                     // System-level fault: the STU asks the broker for
                     // a page (§II-C) and retries.
                     self.tracer.span(
-                        req,
                         Stage::Fault,
                         Track::Stu(n as u16),
                         t,

@@ -14,7 +14,7 @@ use fam_fabric::Fabric;
 use fam_mem::{MemOpKind, NvmModel};
 use fam_sim::profile::{self, PhaseId};
 use fam_sim::{
-    Cycle, Duration, FaultInjector, PersistentFault, RequestId, Stage, Tracer, Track, WindowSample,
+    Cycle, Duration, FaultInjector, PersistentFault, Stage, Tracer, Track, WindowSample,
 };
 use fam_stu::Stu;
 use fam_vm::{NodeId, Pte, VirtAddr, WalkAccess, PAGE_BYTES};
@@ -44,8 +44,9 @@ mod tests;
 ///     .with_scheme(Scheme::DeactN)
 ///     .with_refs_per_core(200);
 /// let mut sys = System::new(cfg, &Workload::by_name("astar").unwrap());
-/// let report = sys.run();
+/// let report = sys.try_run()?;
 /// assert!(report.ipc > 0.0);
+/// # Ok::<(), deact::SimError>(())
 /// ```
 #[derive(Debug)]
 pub struct System {
@@ -233,16 +234,6 @@ impl System {
         &self.tracer
     }
 
-    /// Runs every core to `refs_per_core` references and reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run cannot complete (see [`System::try_run`] for
-    /// the non-panicking form).
-    pub fn run(&mut self) -> RunReport {
-        self.try_run().unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Runs every core to `refs_per_core` references and reports,
     /// surfacing failures as a typed [`SimError`] instead of a panic.
     ///
@@ -346,6 +337,7 @@ impl System {
             );
             (p.mem, p.req, p.start)
         };
+        self.tracer.begin(req);
         // Time-series snapshot: traffic/recovery counters before the
         // reference, so their deltas can be attributed to its window.
         let window_before = if self.tracer.wants_windows() {
@@ -360,7 +352,7 @@ impl System {
         };
 
         // Node-level translation (TLB → node page-table walk).
-        let (pte, t) = self.translate(n, c, r.vaddr, t, req)?;
+        let (pte, t) = self.translate(n, c, r.vaddr, t)?;
         let phys_byte = pte.target_page * PAGE_BYTES + r.vaddr.offset();
         let line = phys_byte / 64;
 
@@ -375,7 +367,7 @@ impl System {
             };
             completion = if self.nodes[n].is_fam_page(pte.target_page) {
                 let offset = r.vaddr.offset();
-                self.fam_access(n, completion, pte.target_page, offset, kind, req)?
+                self.fam_access(n, completion, pte.target_page, offset, kind)?
             } else if r.is_write {
                 self.nodes[n].dram.write(completion, phys_byte)
             } else {
@@ -414,14 +406,13 @@ impl System {
         c: usize,
         vaddr: VirtAddr,
         t: Cycle,
-        req: RequestId,
     ) -> Result<(Pte, Cycle), SimError> {
         let vpage = vaddr.vpage();
         let (_, tlb_latency, hit) = self.nodes[n].cores[c].tlb.lookup(vpage);
         let start = t;
         let mut t = t + tlb_latency;
         self.tracer
-            .span(req, Stage::TlbLookup, Track::Node(n as u16), start, t);
+            .span(Stage::TlbLookup, Track::Node(n as u16), start, t);
         if let Some(pte) = hit {
             return Ok((pte, t));
         }
@@ -443,7 +434,6 @@ impl System {
                 None => {
                     // Node-level page fault: the OS installs a mapping.
                     self.tracer.span(
-                        req,
                         Stage::Fault,
                         Track::Node(n as u16),
                         t,
@@ -457,11 +447,11 @@ impl System {
                 Some(mut pte) => {
                     let walk_start = t;
                     for acc in &walk_buf {
-                        t = self.pt_step_access(n, c, acc.entry_addr, t, req)?;
+                        t = self.pt_step_access(n, c, acc.entry_addr, t)?;
                     }
                     if !walk_buf.is_empty() {
                         self.tracer
-                            .span(req, Stage::PtWalk, Track::Node(n as u16), walk_start, t);
+                            .span(Stage::PtWalk, Track::Node(n as u16), walk_start, t);
                     }
                     // E-FAM lazy PTE heal: a walk surfacing a PTE that
                     // names a quarantined FAM key repairs it in place
@@ -509,7 +499,6 @@ impl System {
         c: usize,
         entry_addr: u64,
         t: Cycle,
-        req: RequestId,
     ) -> Result<Cycle, SimError> {
         let lookup = self.nodes[n].hierarchy.access(c, entry_addr / 64, false);
         let mut t = t + lookup.latency;
@@ -523,7 +512,7 @@ impl System {
                 );
                 self.traffic.at_pte_reads += 1;
                 let fam_byte = entry_addr - FAM_KEY_PAGE * PAGE_BYTES;
-                self.fam_round_trip(n, t, fam_byte, MemOpKind::Read, req)?
+                self.fam_round_trip(n, t, fam_byte, MemOpKind::Read)?
             } else {
                 self.nodes[n].dram.access(t, entry_addr)
             };
@@ -535,39 +524,25 @@ impl System {
     }
 }
 
-/// Runs one benchmark under one configuration and returns the report —
-/// the workhorse of the experiment harness.
-///
-/// # Panics
-///
-/// Panics if `name` is not a Table III benchmark or the configuration
-/// is invalid ([`try_run_benchmark`] names the reason).
+/// Runs one Table III benchmark under one configuration and returns
+/// the report — the workhorse of the experiment harness. Failures are a
+/// typed [`SimError`], so binaries can exit with a readable message: a
+/// configuration [`SystemConfig::validate`] refuses is
+/// [`SimError::InvalidConfig`] (nothing is built for it), and a name
+/// outside Table III is [`SimError::UnknownBenchmark`].
 ///
 /// # Examples
 ///
 /// ```
-/// use deact::{run_benchmark, Scheme, SystemConfig};
+/// use deact::{try_run_benchmark, Scheme, SimError, SystemConfig};
 ///
 /// let cfg = SystemConfig::paper_default().with_refs_per_core(100);
-/// let r = run_benchmark("pf", cfg.with_scheme(Scheme::EFam));
+/// let r = try_run_benchmark("pf", cfg.with_scheme(Scheme::EFam))?;
 /// assert_eq!(r.workload, "pf");
-/// ```
-pub fn run_benchmark(name: &str, config: SystemConfig) -> RunReport {
-    try_run_benchmark(name, config).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`run_benchmark`]: returns a typed [`SimError`]
-/// instead of panicking, so binaries can exit with a readable message.
-/// A configuration [`SystemConfig::validate`] refuses is
-/// [`SimError::InvalidConfig`]; nothing is built for it.
 ///
-/// # Examples
-///
-/// ```
-/// use deact::{try_run_benchmark, SimError, SystemConfig};
-///
-/// let err = try_run_benchmark("doom", SystemConfig::paper_default()).unwrap_err();
+/// let err = try_run_benchmark("doom", cfg).unwrap_err();
 /// assert!(matches!(err, SimError::UnknownBenchmark { .. }));
+/// # Ok::<(), SimError>(())
 /// ```
 pub fn try_run_benchmark(name: &str, config: SystemConfig) -> Result<RunReport, SimError> {
     config

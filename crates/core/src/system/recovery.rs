@@ -6,7 +6,7 @@
 use fam_broker::PageRelocation;
 use fam_mem::MemOpKind;
 use fam_sim::profile::{self, PhaseId};
-use fam_sim::{Cycle, Duration, RequestId, Stage, Track};
+use fam_sim::{Cycle, Duration, Stage, Track};
 use fam_vm::PAGE_BYTES;
 
 use super::System;
@@ -52,7 +52,6 @@ impl System {
         t: Cycle,
         fam_byte: u64,
         kind: MemOpKind,
-        req: RequestId,
     ) -> Result<Cycle, SimError> {
         let mut t = t;
         let module = self.module_of(fam_byte);
@@ -60,13 +59,13 @@ impl System {
             let mut state = RetryState::new();
             loop {
                 self.recovery.nacks_unreachable += 1;
-                t = self.nack_round_trip(n, t, module, req);
+                t = self.nack_round_trip(n, t, module);
                 let Some(backoff) = state.on_fault() else {
                     break;
                 };
-                t = self.back_off(n, t, backoff, req);
+                t = self.back_off(n, t, backoff);
             }
-            t = self.recover_from_persistent(n, t, req)?;
+            t = self.recover_from_persistent(n, t)?;
         }
         let fam_page = fam_byte / PAGE_BYTES;
         match self.moved.get(&fam_page).copied().flatten() {
@@ -78,7 +77,6 @@ impl System {
                     t,
                     new_fam * PAGE_BYTES + fam_byte % PAGE_BYTES,
                     kind,
-                    req,
                 ))
             }
             None => {
@@ -86,7 +84,7 @@ impl System {
                 // about): fast-fail with one NACK and poison the
                 // access instead of panicking.
                 self.recovery.nacks_unreachable += 1;
-                let back = self.nack_round_trip(n, t, module, req);
+                let back = self.nack_round_trip(n, t, module);
                 self.poison();
                 Ok(back)
             }
@@ -109,12 +107,7 @@ impl System {
     ///    rebuildable).
     ///
     /// [`FamLayout`]: fam_broker::FamLayout
-    fn recover_from_persistent(
-        &mut self,
-        n: usize,
-        t: Cycle,
-        req: RequestId,
-    ) -> Result<Cycle, SimError> {
+    fn recover_from_persistent(&mut self, n: usize, t: Cycle) -> Result<Cycle, SimError> {
         self.persistent_handled = true;
         let started = t;
         self.degradation.recovery_started_cycle = t.0;
@@ -142,7 +135,7 @@ impl System {
         let shootdown_start = t;
         t += self.shootdown_all_nodes(&relocations);
         self.tracer
-            .span(req, Stage::Fault, Track::Fabric(n as u16), started, t);
+            .span(Stage::Fault, Track::Fabric(n as u16), started, t);
 
         let d = &mut self.degradation;
         d.pages_quarantined = evac.capacity_pages_lost;

@@ -11,15 +11,16 @@ fn quick(scheme: Scheme) -> SystemConfig {
 }
 
 #[test]
-fn all_schemes_complete_and_report() {
+fn all_schemes_complete_and_report() -> Result<(), SimError> {
     for scheme in Scheme::ALL {
-        let r = run_benchmark("astar", quick(scheme));
+        let r = try_run_benchmark("astar", quick(scheme))?;
         assert_eq!(r.scheme, scheme);
         assert!(r.ipc > 0.0, "{scheme}: ipc {}", r.ipc);
         assert_eq!(r.refs_per_core, 2_000);
         assert!(r.instructions > 8_000, "{scheme}");
         assert!(r.cycles > 0, "{scheme}");
     }
+    Ok(())
 }
 
 #[test]
@@ -67,27 +68,30 @@ fn report_rejects_a_run_whose_books_do_not_balance() {
 }
 
 #[test]
-fn efam_has_no_system_translation_stats() {
-    let r = run_benchmark("pf", quick(Scheme::EFam));
+fn efam_has_no_system_translation_stats() -> Result<(), SimError> {
+    let r = try_run_benchmark("pf", quick(Scheme::EFam))?;
     assert_eq!(r.translation_hit_rate, None);
     assert_eq!(r.acm_hit_rate, None);
     assert_eq!(r.fam.at_walk_reads, 0);
     assert_eq!(r.fam.at_acm_reads, 0);
+    Ok(())
 }
 
 #[test]
-fn efam_at_traffic_is_pte_reads() {
-    let r = run_benchmark("sssp", quick(Scheme::EFam));
+fn efam_at_traffic_is_pte_reads() -> Result<(), SimError> {
+    let r = try_run_benchmark("sssp", quick(Scheme::EFam))?;
     assert!(r.fam.at_pte_reads > 0, "E-FAM PTE pages live in FAM");
+    Ok(())
 }
 
 #[test]
-fn ifam_translates_at_stu() {
-    let r = run_benchmark("sssp", quick(Scheme::IFam));
+fn ifam_translates_at_stu() -> Result<(), SimError> {
+    let r = try_run_benchmark("sssp", quick(Scheme::IFam))?;
     assert!(r.fam.at_walk_reads > 0);
     assert_eq!(r.fam.at_pte_reads, 0, "node PT pages stay in DRAM");
     assert_eq!(r.fam.at_acm_reads, 0, "ACM rides in the coupled entry");
     assert!(r.translation_hit_rate.is_some());
+    Ok(())
 }
 
 /// A reuse-heavy workload sized between the STU's 4 MB reach and
@@ -110,12 +114,12 @@ fn reuse_workload() -> Workload {
 }
 
 #[test]
-fn deact_fetches_acm_and_uses_dram_cache() {
+fn deact_fetches_acm_and_uses_dram_cache() -> Result<(), SimError> {
     let mut sys = System::new(
         quick(Scheme::DeactN).with_refs_per_core(20_000),
         &reuse_workload(),
     );
-    let r = sys.run();
+    let r = sys.try_run()?;
     assert!(r.fam.at_acm_reads > 0);
     assert!(
         r.translation_hit_rate.unwrap() > 0.5,
@@ -123,69 +127,69 @@ fn deact_fetches_acm_and_uses_dram_cache() {
         r.translation_hit_rate.unwrap()
     );
     assert!(r.dram_reads > 0, "translation-cache reads hit DRAM");
+    Ok(())
 }
 
 #[test]
-fn ifam_is_slower_than_efam_on_translation_hostile_workloads() {
-    let efam = run_benchmark("sssp", quick(Scheme::EFam));
-    let ifam = run_benchmark("sssp", quick(Scheme::IFam));
+fn ifam_is_slower_than_efam_on_translation_hostile_workloads() -> Result<(), SimError> {
+    let efam = try_run_benchmark("sssp", quick(Scheme::EFam))?;
+    let ifam = try_run_benchmark("sssp", quick(Scheme::IFam))?;
     assert!(
         ifam.ipc < efam.ipc,
         "I-FAM {} !< E-FAM {}",
         ifam.ipc,
         efam.ipc
     );
+    Ok(())
 }
 
 #[test]
-fn deact_n_recovers_performance_over_ifam() {
+fn deact_n_recovers_performance_over_ifam() -> Result<(), SimError> {
     let cfg = quick(Scheme::IFam).with_refs_per_core(20_000);
-    let ifam = System::new(cfg, &reuse_workload()).run();
-    let deact = System::new(cfg.with_scheme(Scheme::DeactN), &reuse_workload()).run();
+    let ifam = System::new(cfg, &reuse_workload()).try_run()?;
+    let deact = System::new(cfg.with_scheme(Scheme::DeactN), &reuse_workload()).try_run()?;
     assert!(
         deact.ipc > ifam.ipc,
         "DeACT-N {} !> I-FAM {}",
         deact.ipc,
         ifam.ipc
     );
+    Ok(())
 }
 
 #[test]
-fn deact_n_acm_hits_beat_deact_w_on_random_workloads() {
-    let w = run_benchmark("canl", quick(Scheme::DeactW));
-    let n = run_benchmark("canl", quick(Scheme::DeactN));
+fn deact_n_acm_hits_beat_deact_w_on_random_workloads() -> Result<(), SimError> {
+    let w = try_run_benchmark("canl", quick(Scheme::DeactW))?;
+    let n = try_run_benchmark("canl", quick(Scheme::DeactN))?;
     assert!(
         n.acm_hit_rate.unwrap() >= w.acm_hit_rate.unwrap(),
         "N {} !>= W {}",
         n.acm_hit_rate.unwrap(),
         w.acm_hit_rate.unwrap()
     );
+    Ok(())
 }
 
 #[test]
-fn runs_are_deterministic() {
-    let a = run_benchmark("pf", quick(Scheme::DeactN));
-    let b = run_benchmark("pf", quick(Scheme::DeactN));
+fn runs_are_deterministic() -> Result<(), SimError> {
+    let a = try_run_benchmark("pf", quick(Scheme::DeactN))?;
+    let b = try_run_benchmark("pf", quick(Scheme::DeactN))?;
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.fam, b.fam);
+    Ok(())
 }
 
 #[test]
-fn multi_node_runs_share_the_fam() {
+fn multi_node_runs_share_the_fam() -> Result<(), SimError> {
     let cfg = quick(Scheme::DeactN).with_nodes(2).with_refs_per_core(500);
-    let r = run_benchmark("pf", cfg);
+    let r = try_run_benchmark("pf", cfg)?;
     assert_eq!(r.nodes, 2);
     assert!(r.instructions > 4_000, "both nodes executed");
+    Ok(())
 }
 
 #[test]
-#[should_panic(expected = "unknown benchmark")]
-fn unknown_benchmark_panics() {
-    run_benchmark("doom", quick(Scheme::EFam));
-}
-
-#[test]
-fn multi_module_fam_distributes_traffic() {
+fn multi_module_fam_distributes_traffic() -> Result<(), SimError> {
     // Single core: the reference stream's execution order is then
     // timing-independent, so module count (which only changes
     // contention) must leave functional traffic bit-identical.
@@ -193,16 +197,17 @@ fn multi_module_fam_distributes_traffic() {
         .with_cores_per_node(1)
         .with_fam_modules(4)
         .with_refs_per_core(1_000);
-    let r = run_benchmark("pf", cfg);
+    let r = try_run_benchmark("pf", cfg)?;
     assert!(r.fam.data_reads > 0);
     // Same run, one module: identical functional traffic.
-    let single = run_benchmark(
+    let single = try_run_benchmark(
         "pf",
         quick(Scheme::EFam)
             .with_cores_per_node(1)
             .with_refs_per_core(1_000),
-    );
+    )?;
     assert_eq!(r.fam.data_reads, single.fam.data_reads);
+    Ok(())
 }
 
 #[test]
@@ -230,12 +235,12 @@ fn killed(scheme: Scheme, fault: PersistentFault) -> SystemConfig {
 }
 
 #[test]
-fn node_death_survives_and_reports_degradation() {
+fn node_death_survives_and_reports_degradation() -> Result<(), SimError> {
     for scheme in Scheme::ALL {
-        let r = run_benchmark(
+        let r = try_run_benchmark(
             "astar",
             killed(scheme, PersistentFault::NodeDead { module: 1 }),
-        );
+        )?;
         let d = r.degradation;
         assert!(!d.is_zero(), "{scheme}: a killed module must register");
         assert!(d.pages_quarantined > 0, "{scheme}");
@@ -249,24 +254,26 @@ fn node_death_survives_and_reports_degradation() {
         assert!(r.recovery.nacks_unreachable > 0, "{scheme}");
         assert!(r.ipc > 0.0, "{scheme}: the run completed degraded");
     }
+    Ok(())
 }
 
 #[test]
-fn severed_link_evacuates_instead_of_losing() {
-    let r = run_benchmark(
+fn severed_link_evacuates_instead_of_losing() -> Result<(), SimError> {
+    let r = try_run_benchmark(
         "astar",
         killed(Scheme::DeactN, PersistentFault::LinkSevered { module: 1 }),
-    );
+    )?;
     let d = r.degradation;
     assert!(d.pages_evacuated > 0, "the management path survives");
     assert_eq!(d.pages_lost, 0, "a severed link loses no data");
     assert_eq!(d.poisoned_accesses, 0, "nothing to poison");
     assert!(d.evacuation_cycles > 0, "the copy is charged");
+    Ok(())
 }
 
 #[test]
-fn failed_media_range_quarantines_exactly() {
-    let r = run_benchmark(
+fn failed_media_range_quarantines_exactly() -> Result<(), SimError> {
+    let r = try_run_benchmark(
         "astar",
         killed(
             Scheme::IFam,
@@ -275,34 +282,37 @@ fn failed_media_range_quarantines_exactly() {
                 pages: 64,
             },
         ),
-    );
+    )?;
     assert_eq!(r.degradation.pages_quarantined, 64);
+    Ok(())
 }
 
 #[test]
-fn efam_heals_evacuated_ptes_lazily() {
-    let r = run_benchmark(
+fn efam_heals_evacuated_ptes_lazily() -> Result<(), SimError> {
+    let r = try_run_benchmark(
         "astar",
         killed(Scheme::EFam, PersistentFault::LinkSevered { module: 1 }),
-    );
+    )?;
     assert!(
         r.degradation.pte_rewrites > 0,
         "walks repair FAM-key PTEs in place"
     );
     assert_eq!(r.degradation.pages_lost, 0);
+    Ok(())
 }
 
 #[test]
-fn shootdown_invalidates_survivor_translations() {
-    let r = run_benchmark(
+fn shootdown_invalidates_survivor_translations() -> Result<(), SimError> {
+    let r = try_run_benchmark(
         "astar",
         killed(Scheme::DeactN, PersistentFault::NodeDead { module: 1 }),
-    );
+    )?;
     assert!(
         r.degradation.shootdown_invalidations > 0,
         "warm STU/translator state covered the dead module"
     );
     assert!(r.degradation.shootdown_cycles > 0);
+    Ok(())
 }
 
 #[test]
@@ -317,7 +327,7 @@ fn degraded_runs_are_scheduler_invariant() {
 }
 
 #[test]
-fn shared_segment_reserves_npa_window() {
+fn shared_segment_reserves_npa_window() -> Result<(), SimError> {
     let mut w = Workload::by_name("pf").unwrap();
     w.shared_fraction = 0.3;
     w.shared_pages = 16;
@@ -325,7 +335,7 @@ fn shared_segment_reserves_npa_window() {
         .with_refs_per_core(1_500)
         .with_shared_segment_pages(16);
     let mut sys = System::new(cfg, &w);
-    let r = sys.run();
+    let r = sys.try_run()?;
     assert!(r.ipc > 0.0);
     // Every node's shared VA window resolves to the same FAM pages.
     let shared_vpage = fam_workloads::SHARED_VA_BASE / PAGE_BYTES;
@@ -335,4 +345,5 @@ fn shared_segment_reserves_npa_window() {
         .expect("shared page mapped")
         .target_page;
     assert_eq!(npa, crate::node::FAM_ZONE_PAGE, "reserved window base");
+    Ok(())
 }

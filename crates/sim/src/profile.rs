@@ -71,6 +71,9 @@ pub enum PhaseId {
     Stu,
     /// Page-table walks (walker planning + replay).
     PageWalk,
+    /// Page-fault service: node first-touch mappings and the broker
+    /// demand maps of system-level faults.
+    Fault,
     /// Fabric traversals.
     Fabric,
     /// NVM module accesses.
@@ -91,6 +94,7 @@ impl PhaseId {
         PhaseId::CacheHierarchy,
         PhaseId::Stu,
         PhaseId::PageWalk,
+        PhaseId::Fault,
         PhaseId::Fabric,
         PhaseId::Nvm,
         PhaseId::Evacuation,
@@ -98,7 +102,7 @@ impl PhaseId {
     ];
 
     /// Number of phases.
-    pub(crate) const COUNT: usize = 11;
+    pub(crate) const COUNT: usize = 12;
 
     /// Dense index in `[0, COUNT)`.
     pub(crate) fn index(self) -> usize {
@@ -115,6 +119,7 @@ impl PhaseId {
             PhaseId::CacheHierarchy => "cache-hierarchy",
             PhaseId::Stu => "stu",
             PhaseId::PageWalk => "page-walk",
+            PhaseId::Fault => "fault",
             PhaseId::Fabric => "fabric",
             PhaseId::Nvm => "nvm",
             PhaseId::Evacuation => "evacuation",

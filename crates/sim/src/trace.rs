@@ -6,11 +6,13 @@
 //! the paper is ultimately a claim about where those cycles go. This
 //! module makes the decomposition observable without re-deriving it by
 //! hand: every stage site in the timing code reports its span (a
-//! request id, a pipeline [`Stage`], a hardware [`Track`], start/end
-//! cycles) to the run's [`Tracer`] through [`Tracer::span`], which adds
-//! it to a per-stage [`LatencyBreakdown`] on every run and, when
-//! tracing is on, also keeps it as a [`TraceEvent`] in a bounded ring
-//! buffer with explicit drop accounting.
+//! pipeline [`Stage`], a hardware [`Track`], start/end cycles) to the
+//! run's [`Tracer`] through [`Tracer::span`], which adds it to a
+//! per-stage [`LatencyBreakdown`] on every run and, when tracing is
+//! on, also keeps it as a [`TraceEvent`] in a bounded ring buffer with
+//! explicit drop accounting. The engine simulates one reference at a
+//! time, so the tracer itself holds the id of the reference in flight
+//! ([`Tracer::begin`]) and tags each event with it.
 //!
 //! Two sinks read a traced run out:
 //!
@@ -37,9 +39,9 @@ use std::io::{self, Write};
 use crate::json::Json;
 use crate::Cycle;
 
-/// Identity of one simulated memory reference, threaded through the
-/// hot path (node → translator → fabric packet tag → STU → NVM) so
-/// every event of one reference's lifetime can be correlated.
+/// Identity of one simulated memory reference, so every event of one
+/// reference's lifetime (node → translator → fabric → STU → NVM) can
+/// be correlated.
 ///
 /// Id `0` is reserved: [`RequestId::UNTRACED`] marks requests issued
 /// while tracing is off (the disabled tracer hands it out without
@@ -448,14 +450,16 @@ impl WindowSeries {
 ///
 /// let mut t = Tracer::new(TraceConfig::full());
 /// let req = t.next_request();
-/// t.span(req, Stage::NvmAccess, Track::Nvm(0), Cycle(100), Cycle(220));
+/// t.begin(req);
+/// t.span(Stage::NvmAccess, Track::Nvm(0), Cycle(100), Cycle(220));
 /// assert_eq!(t.recorded(), 1);
+/// assert_eq!(t.events().next().unwrap().req, req);
 /// assert_eq!(t.breakdown().stage(Stage::NvmAccess).max, 120);
 ///
 /// // Disabled: the breakdown still counts, nothing else is kept.
 /// let mut off = Tracer::new(TraceConfig::disabled());
 /// assert!(!off.next_request().is_traced());
-/// off.span(req, Stage::NvmAccess, Track::Nvm(0), Cycle(100), Cycle(220));
+/// off.span(Stage::NvmAccess, Track::Nvm(0), Cycle(100), Cycle(220));
 /// assert_eq!(off.recorded(), 0);
 /// assert_eq!(off.breakdown(), t.breakdown());
 /// ```
@@ -470,6 +474,8 @@ pub struct Tracer {
     recorded: u64,
     dropped: u64,
     next_req: u64,
+    /// The reference being simulated, which every span is tagged with.
+    current: RequestId,
     breakdown: LatencyBreakdown,
     series: WindowSeries,
 }
@@ -485,6 +491,7 @@ impl Tracer {
             recorded: 0,
             dropped: 0,
             next_req: 0,
+            current: RequestId::UNTRACED,
             breakdown: LatencyBreakdown::default(),
             series: WindowSeries::new(config.window_cycles),
             config,
@@ -518,19 +525,32 @@ impl Tracer {
         self.next_req
     }
 
-    /// Records the span `start..end` of `stage` on `track` for `req` —
-    /// the call every event site in the timing code makes. The span
-    /// always adds to the breakdown; an enabled tracer also pushes it
-    /// onto the ring (overwriting the oldest event, with drop
-    /// accounting, once the ring is full).
+    /// Starts recording reference `req`: every span from here until the
+    /// next `begin` is tagged with it.
     #[inline]
-    pub fn span(&mut self, req: RequestId, stage: Stage, track: Track, start: Cycle, end: Cycle) {
+    pub fn begin(&mut self, req: RequestId) {
+        self.current = req;
+    }
+
+    /// The reference being recorded (the last [`Tracer::begin`]).
+    #[inline]
+    pub fn current(&self) -> RequestId {
+        self.current
+    }
+
+    /// Records the span `start..end` of `stage` on `track` for the
+    /// current reference — the call every event site in the timing code
+    /// makes. The span always adds to the breakdown; an enabled tracer
+    /// also pushes it onto the ring (overwriting the oldest event, with
+    /// drop accounting, once the ring is full).
+    #[inline]
+    pub fn span(&mut self, stage: Stage, track: Track, start: Cycle, end: Cycle) {
         debug_assert!(end >= start, "trace span must not run backwards");
         self.breakdown.record(stage, end.0 - start.0);
         if self.enabled {
             self.recorded += 1;
             self.push_ring(TraceEvent {
-                req,
+                req: self.current,
                 stage,
                 track,
                 start,
@@ -718,7 +738,8 @@ mod tests {
     use super::*;
 
     fn span(t: &mut Tracer, req: u64, stage: Stage, track: Track, start: u64, end: u64) {
-        t.span(RequestId(req), stage, track, Cycle(start), Cycle(end));
+        t.begin(RequestId(req));
+        t.span(stage, track, Cycle(start), Cycle(end));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! cargo run --release -p fam-examples --bin fault_sweep
 //! ```
 
-use deact::{run_benchmark, Scheme, SystemConfig};
+use deact::{try_run_benchmark, Scheme, SimError, SystemConfig};
 use fam_sim::{FaultConfig, PersistentFault};
 
 /// The transient profile with every probability scaled by `x`.
@@ -38,7 +38,7 @@ fn scaled_profile(seed: u64, x: f64) -> FaultConfig {
     }
 }
 
-fn transient_sweep() {
+fn transient_sweep() -> Result<(), SimError> {
     let cfg = SystemConfig::paper_default()
         .with_refs_per_core(20_000)
         .with_seed(7);
@@ -53,14 +53,14 @@ fn transient_sweep() {
 
     for scale in [0.0, 1.0, 2.0, 4.0] {
         for scheme in Scheme::ALL {
-            let clean = run_benchmark(bench, cfg.with_scheme(scheme));
+            let clean = try_run_benchmark(bench, cfg.with_scheme(scheme))?;
             let faulty = if scale == 0.0 {
                 cfg.with_scheme(scheme)
             } else {
                 cfg.with_scheme(scheme)
                     .with_fault_injection(scaled_profile(7, scale))
             };
-            let r = run_benchmark(bench, faulty);
+            let r = try_run_benchmark(bench, faulty)?;
             let f = &r.recovery;
             println!(
                 "{:>4}x {:8} {:>8} {:>8} {:>8} {:>8} {:>5.1}% {:>8} {:>8.1}%",
@@ -81,6 +81,7 @@ fn transient_sweep() {
     println!("at 0x the recovery block is all-zero: injection off is free.");
     println!("fatal > 0 means the retry budget (4) was exhausted; the run");
     println!("still completes — degradation, not collapse.");
+    Ok(())
 }
 
 /// The persistent-failure roster: one of each class, all striking at
@@ -99,7 +100,7 @@ fn persistent_roster() -> [(&'static str, PersistentFault); 3] {
     ]
 }
 
-fn chaos_matrix() {
+fn chaos_matrix() -> Result<(), SimError> {
     // Two nodes over two FAM modules: killing module 1 leaves a
     // survivor to evacuate to and keeps the sweep fast.
     let cfg = SystemConfig::paper_default()
@@ -136,9 +137,10 @@ fn chaos_matrix() {
                 } else {
                     FaultConfig::persistent_only(7, fault, STRIKE_AT)
                 };
-                // `run_benchmark` would panic on a `SimError`;
-                // completing every cell *is* the survival claim.
-                let r = run_benchmark(bench, cfg.with_scheme(scheme).with_fault_injection(faults));
+                // A `SimError` ends the sweep; completing every cell
+                // *is* the survival claim.
+                let r =
+                    try_run_benchmark(bench, cfg.with_scheme(scheme).with_fault_injection(faults))?;
                 let d = &r.degradation;
                 assert!(
                     !d.is_zero(),
@@ -166,9 +168,10 @@ fn chaos_matrix() {
     println!("every cell completed: quarantine + evacuation + shootdown, never");
     println!("a panic. link-sever evacuates (lost = 0, poison = 0); node-dead");
     println!("and media-fail lose the struck pages and poison later touches.");
+    Ok(())
 }
 
-fn main() {
-    transient_sweep();
-    chaos_matrix();
+fn main() -> Result<(), SimError> {
+    transient_sweep()?;
+    chaos_matrix()
 }

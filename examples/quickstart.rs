@@ -5,9 +5,9 @@
 //! cargo run --release -p fam-examples --bin quickstart [benchmark] [refs]
 //! ```
 
-use deact::{run_benchmark, Scheme, SystemConfig};
+use deact::{try_run_benchmark, Scheme, SimError, SystemConfig};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let mut args = std::env::args().skip(1);
     let bench = args.next().unwrap_or_else(|| "mcf".to_string());
     let refs: u64 = args.next().and_then(|v| v.parse().ok()).unwrap_or(50_000);
@@ -17,7 +17,7 @@ fn main() {
 
     let mut reports = Vec::new();
     for scheme in Scheme::ALL {
-        let r = run_benchmark(&bench, cfg.with_scheme(scheme));
+        let r = try_run_benchmark(&bench, cfg.with_scheme(scheme))?;
         println!(
             "{:8}  IPC {:6.3}   AT-at-FAM {:5.1}%   translation-hit {}   secure: {}",
             scheme.name(),
@@ -45,4 +45,5 @@ fn main() {
         (deact_n.normalized_to(efam) * 100.0).round(),
     );
     println!("without giving up system-level access control.");
+    Ok(())
 }

@@ -21,7 +21,7 @@
 //! 5. Recovery is tracing-invariant: a traced degraded run reports
 //!    exactly what an untraced one does.
 
-use deact::{run_benchmark, Scheme, System, SystemConfig};
+use deact::{try_run_benchmark, Scheme, SimError, System, SystemConfig};
 use fam_sim::{FaultConfig, PersistentFault, TraceConfig};
 use fam_workloads::Workload;
 
@@ -39,7 +39,7 @@ fn chaos(scheme: Scheme) -> SystemConfig {
 const STRIKE_AT: u64 = 500;
 
 #[test]
-fn every_scheme_survives_every_persistent_fault_class() {
+fn every_scheme_survives_every_persistent_fault_class() -> Result<(), SimError> {
     for fault in [
         PersistentFault::NodeDead { module: 1 },
         PersistentFault::LinkSevered { module: 1 },
@@ -51,7 +51,7 @@ fn every_scheme_survives_every_persistent_fault_class() {
         for scheme in Scheme::ALL {
             let cfg =
                 chaos(scheme).with_fault_injection(FaultConfig::persistent_only(11, fault, 500));
-            let r = run_benchmark("sssp", cfg);
+            let r = try_run_benchmark("sssp", cfg)?;
             let d = &r.degradation;
             assert!(!d.is_zero(), "{fault:?}/{scheme}: fault never struck");
             assert!(d.pages_quarantined > 0, "{fault:?}/{scheme}");
@@ -60,20 +60,21 @@ fn every_scheme_survives_every_persistent_fault_class() {
             assert!(r.ipc > 0.0, "{fault:?}/{scheme}: the run completes");
         }
     }
+    Ok(())
 }
 
 #[test]
-fn shootdown_forces_rewalks_instead_of_stale_hits() {
+fn shootdown_forces_rewalks_instead_of_stale_hits() -> Result<(), SimError> {
     for scheme in Scheme::ALL {
-        let clean = run_benchmark("sssp", chaos(scheme));
-        let killed = run_benchmark(
+        let clean = try_run_benchmark("sssp", chaos(scheme))?;
+        let killed = try_run_benchmark(
             "sssp",
             chaos(scheme).with_fault_injection(FaultConfig::persistent_only(
                 11,
                 PersistentFault::NodeDead { module: 1 },
                 STRIKE_AT,
             )),
-        );
+        )?;
         let d = &killed.degradation;
         // The broadcast walk visits every surviving node and pays the
         // management round trips even when a node had nothing cached.
@@ -95,47 +96,50 @@ fn shootdown_forces_rewalks_instead_of_stale_hits() {
             "{scheme}: degradation changes timing, never the work performed"
         );
     }
+    Ok(())
 }
 
 #[test]
-fn severed_links_evacuate_without_data_loss() {
+fn severed_links_evacuate_without_data_loss() -> Result<(), SimError> {
     for scheme in Scheme::ALL {
-        let r = run_benchmark(
+        let r = try_run_benchmark(
             "sssp",
             chaos(scheme).with_fault_injection(FaultConfig::persistent_only(
                 11,
                 PersistentFault::LinkSevered { module: 1 },
                 STRIKE_AT,
             )),
-        );
+        )?;
         let d = &r.degradation;
         assert!(d.pages_evacuated > 0, "{scheme}: nothing evacuated");
         assert_eq!(d.pages_lost, 0, "{scheme}: the media was intact");
         assert_eq!(d.poisoned_accesses, 0, "{scheme}: no data was lost");
         assert!(d.evacuation_cycles > 0, "{scheme}: evacuation is not free");
     }
+    Ok(())
 }
 
 #[test]
-fn armed_but_unstruck_persistent_fault_is_free() {
+fn armed_but_unstruck_persistent_fault_is_free() -> Result<(), SimError> {
     for scheme in [Scheme::EFam, Scheme::DeactN] {
-        let baseline = run_benchmark(
+        let baseline = try_run_benchmark(
             "sssp",
             chaos(scheme).with_fault_injection(FaultConfig::transient(11)),
-        );
-        let armed = run_benchmark(
+        )?;
+        let armed = try_run_benchmark(
             "sssp",
             chaos(scheme).with_fault_injection(
                 FaultConfig::transient(11)
                     .with_persistent(PersistentFault::NodeDead { module: 1 }, u64::MAX),
             ),
-        );
+        )?;
         assert!(armed.degradation.is_zero(), "{scheme}");
         assert_eq!(
             baseline, armed,
             "{scheme}: an armed-but-unstruck fault must cost nothing"
         );
     }
+    Ok(())
 }
 
 #[test]

@@ -11,8 +11,8 @@
 //!    retry/NACK machinery recovers every injected fault within
 //!    budget, and the run always completes.
 
-use deact::{run_benchmark, try_run_benchmark, Scheme, SimError, SystemConfig};
-use fam_sim::{FaultConfig, FaultInjector};
+use deact::{try_run_benchmark, Scheme, SimError, Stage, SystemConfig};
+use fam_sim::{FaultConfig, FaultInjector, PersistentFault};
 
 fn quick() -> SystemConfig {
     SystemConfig::paper_default()
@@ -54,11 +54,11 @@ fn same_seed_means_identical_fault_schedule() {
 }
 
 #[test]
-fn same_seed_means_identical_end_to_end_reports() {
+fn same_seed_means_identical_end_to_end_reports() -> Result<(), SimError> {
     let cfg = quick().with_fault_injection(FaultConfig::transient(9));
     for scheme in [Scheme::IFam, Scheme::DeactN] {
-        let a = run_benchmark("mcf", cfg.with_scheme(scheme));
-        let b = run_benchmark("mcf", cfg.with_scheme(scheme));
+        let a = try_run_benchmark("mcf", cfg.with_scheme(scheme))?;
+        let b = try_run_benchmark("mcf", cfg.with_scheme(scheme))?;
         assert_eq!(a.cycles, b.cycles, "{scheme}");
         assert_eq!(a.instructions, b.instructions, "{scheme}");
         assert_eq!(a.fam, b.fam, "{scheme}");
@@ -68,18 +68,19 @@ fn same_seed_means_identical_end_to_end_reports() {
             "{scheme}: the transient profile must actually inject"
         );
     }
+    Ok(())
 }
 
 #[test]
-fn disabled_injection_is_zero_overhead() {
+fn disabled_injection_is_zero_overhead() -> Result<(), SimError> {
     for scheme in Scheme::ALL {
-        let default_run = run_benchmark("astar", quick().with_scheme(scheme));
-        let explicit = run_benchmark(
+        let default_run = try_run_benchmark("astar", quick().with_scheme(scheme))?;
+        let explicit = try_run_benchmark(
             "astar",
             quick()
                 .with_scheme(scheme)
                 .with_fault_injection(FaultConfig::disabled()),
-        );
+        )?;
         assert_eq!(default_run.cycles, explicit.cycles, "{scheme}");
         assert_eq!(default_run.fam, explicit.fam, "{scheme}");
         assert!(
@@ -88,16 +89,17 @@ fn disabled_injection_is_zero_overhead() {
         );
         assert_eq!(default_run.recovery, explicit.recovery, "{scheme}");
     }
+    Ok(())
 }
 
 #[test]
-fn transient_profile_recovers_every_fault() {
+fn transient_profile_recovers_every_fault() -> Result<(), SimError> {
     // The transient profile's fault rates sit well inside the retry
     // budget (4 attempts, ~2% per-attempt fault rate), so recovery
     // must be total: faults happened, every one was absorbed.
     let cfg = quick().with_fault_injection(FaultConfig::transient(3));
     for scheme in Scheme::ALL {
-        let r = run_benchmark("mcf", cfg.with_scheme(scheme));
+        let r = try_run_benchmark("mcf", cfg.with_scheme(scheme))?;
         let f = &r.recovery;
         assert!(f.injected_total() > 0, "{scheme}: profile must inject");
         assert!(f.recovered > 0, "{scheme}: recoveries must be observed");
@@ -105,17 +107,18 @@ fn transient_profile_recovers_every_fault() {
         assert_eq!(f.recovery_rate(), 1.0, "{scheme}");
         assert!(r.ipc > 0.0, "{scheme}: the run completes");
     }
+    Ok(())
 }
 
 #[test]
-fn faults_cost_cycles_but_not_correctness() {
-    let clean = run_benchmark("mcf", quick().with_scheme(Scheme::DeactN));
-    let faulty = run_benchmark(
+fn faults_cost_cycles_but_not_correctness() -> Result<(), SimError> {
+    let clean = try_run_benchmark("mcf", quick().with_scheme(Scheme::DeactN))?;
+    let faulty = try_run_benchmark(
         "mcf",
         quick()
             .with_scheme(Scheme::DeactN)
             .with_fault_injection(FaultConfig::transient(3)),
-    );
+    )?;
     assert!(
         faulty.cycles > clean.cycles,
         "injected faults must cost time ({} vs {})",
@@ -126,21 +129,55 @@ fn faults_cost_cycles_but_not_correctness() {
         clean.instructions, faulty.instructions,
         "faults change timing, never the work performed"
     );
+    Ok(())
 }
 
 #[test]
-fn stale_nacks_force_walks_on_deact_only() {
+fn stale_nacks_force_walks_on_deact_only() -> Result<(), SimError> {
     let cfg = quick().with_fault_injection(FaultConfig::transient(5));
-    let deact = run_benchmark("mcf", cfg.with_scheme(Scheme::DeactN));
+    let deact = try_run_benchmark("mcf", cfg.with_scheme(Scheme::DeactN))?;
     assert!(
         deact.recovery.nacks_stale > 0,
         "DeACT caches unverified translations, so stale NACKs must fire"
     );
-    let ifam = run_benchmark("mcf", cfg.with_scheme(Scheme::IFam));
+    let ifam = try_run_benchmark("mcf", cfg.with_scheme(Scheme::IFam))?;
     assert_eq!(
         ifam.recovery.nacks_stale, 0,
         "I-FAM translations are verified at the STU; staleness cannot occur"
     );
+    Ok(())
+}
+
+/// The per-stage cycle ledger and the recovery counters book the same
+/// backoff. Every retry waits one traced backoff span, except the
+/// reissue after a stale-NACK, which goes straight to the STU walk.
+#[test]
+fn backoff_stage_agrees_with_recovery_counters() -> Result<(), SimError> {
+    let transient = quick().with_fault_injection(FaultConfig::transient(3));
+    let mut runs: Vec<SystemConfig> = Scheme::ALL
+        .iter()
+        .map(|&s| transient.with_scheme(s))
+        .collect();
+    runs.push(
+        quick()
+            .with_scheme(Scheme::DeactN)
+            .with_nodes(2)
+            .with_fam_modules(2)
+            .with_fault_injection(FaultConfig::persistent_only(
+                11,
+                PersistentFault::NodeDead { module: 1 },
+                500,
+            )),
+    );
+    for cfg in runs {
+        let r = try_run_benchmark("mcf", cfg)?;
+        let (backoff, f) = (r.latency.stage(Stage::Backoff), &r.recovery);
+        let what = format!("{} {:?}", r.scheme, cfg.fault_injection.persistent);
+        assert!(f.retries > 0, "{what}: the run must retry");
+        assert_eq!(backoff.cycles, f.backoff_cycles, "{what}");
+        assert_eq!(backoff.count + f.nacks_stale, f.retries, "{what}");
+    }
+    Ok(())
 }
 
 #[test]

@@ -88,6 +88,30 @@ fn profiled_runs_are_bit_identical_across_tracing_and_faults() {
     assert!(profile::take_report().is_empty());
 }
 
+/// Both page-fault sites (node first touch and the system-level demand
+/// map) open one `fault` span per fault they count, so the profile's
+/// `fault` row agrees with the report's fault count.
+#[test]
+fn fault_phase_counts_every_page_fault() {
+    let _guard = serialized();
+    for scheme in Scheme::ALL {
+        let _ = profile::take_report();
+        profile::set_enabled(true);
+        let r = run(base(scheme));
+        profile::set_enabled(false);
+        let table = profile::take_report().top_table(usize::MAX);
+        let calls: u64 = table
+            .lines()
+            .find_map(|l| {
+                let mut cols = l.split_whitespace();
+                (cols.next() == Some("fault")).then(|| cols.next().unwrap().parse().unwrap())
+            })
+            .unwrap_or_else(|| panic!("{scheme}: no fault row in\n{table}"));
+        assert!(r.faults > 0, "{scheme}");
+        assert_eq!(calls, r.faults, "{scheme}");
+    }
+}
+
 /// The folded-stack exporter emits one line per observed path, each
 /// `phase(;phase)* <self_ns>` — the format inferno/speedscope ingest.
 #[test]
