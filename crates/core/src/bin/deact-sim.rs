@@ -7,7 +7,7 @@
 //!                           [--fault-profile transient[:seed]]
 //!                           [--kill-node <module>@<nth-fam-op>]
 //! deact-sim compare <benchmark> [--jobs N]
-//!                   [plus any `run` flag]          # all four schemes
+//!                   [plus any `run` flag but --scheme]  # all four schemes
 //! deact-sim trace [<benchmark>] [--out trace.json] [--window N]
 //!                 [--ring N] [plus any `run` flag]    # Perfetto trace
 //! deact-sim profile [<benchmark>] [--out profile.folded] [--top N]
@@ -57,7 +57,7 @@ fn usage() -> ExitCode {
         "usage:\n  deact-sim run <benchmark> [--scheme S] [--refs N] [--nodes N] \
          [--fam-modules N] [--fabric-ns N] [--stu-entries N] [--seed N] \
          [--fault-profile transient[:seed]] [--kill-node M@OP]\n  \
-         deact-sim compare <benchmark> [--jobs N] [plus any `run` flag]\n  \
+         deact-sim compare <benchmark> [--jobs N] [plus any `run` flag but --scheme]\n  \
          deact-sim trace [<benchmark>] [--out trace.json] [--window N] [--ring N] \
          [plus any `run` flag]\n  \
          deact-sim profile [<benchmark>] [--out profile.folded] [--top N] \
@@ -498,9 +498,13 @@ fn main() -> ExitCode {
             let Some(bench) = args.get(1) else {
                 return usage();
             };
-            let Some((rest, [jobs])) = split_opts(&args[2..], ["--jobs"]) else {
+            let Some((rest, [jobs, scheme])) = split_opts(&args[2..], ["--jobs", "--scheme"])
+            else {
                 return usage();
             };
+            if scheme.is_some() {
+                return fail("compare runs all four schemes; --scheme does not apply");
+            }
             if let Err(e) = fam_sim::jobs_override() {
                 eprintln!("deact-sim: {e}");
                 return ExitCode::FAILURE;

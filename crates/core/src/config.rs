@@ -482,10 +482,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must be a probability")]
+    #[should_panic(expected = "rate_scale must lie in [0, 50]")]
     fn validate_rejects_bad_fault_profile() {
         let bad = FaultConfig {
-            drop_prob: 7.0,
+            rate_scale: 70.0,
             ..FaultConfig::transient(1)
         };
         let c = SystemConfig::paper_default().with_fault_injection(bad);
@@ -497,7 +497,7 @@ mod tests {
     fn killing(modules: usize, fault: PersistentFault, at: u64) -> SystemConfig {
         SystemConfig::paper_default()
             .with_fam_modules(modules)
-            .with_fault_injection(FaultConfig::persistent_only(1, fault, at))
+            .with_fault_injection(FaultConfig::disabled().with_persistent(fault, at))
     }
 
     #[test]

@@ -204,7 +204,8 @@ impl System {
             stu_lookup: Duration(config.stu_lookup_cycles),
             fault_latency: freq.ns_to_cycles(config.fault_ns),
             traffic: FamTraffic::default(),
-            injector: FaultInjector::new(config.fault_injection),
+            injector: FaultInjector::new(config.fault_injection)
+                .expect("the fault profile passed SystemConfig::validate above"),
             recovery: FaultRecovery::default(),
             tracer: Tracer::new(config.trace),
             pending_quarantine: match config.fault_injection.persistent {

@@ -86,10 +86,10 @@ impl System {
     fn recovery_report(&self) -> FaultRecovery {
         let mut r = self.recovery;
         let injected = self.injector.stats();
-        r.injected_drops = injected.drops.value();
-        r.injected_corruptions = injected.corruptions.value();
-        r.injected_stale = injected.stale_marks.value();
-        r.injected_stu_stalls = injected.stu_stalls.value();
+        r.injected_drops = injected.drops;
+        r.injected_corruptions = injected.corruptions;
+        r.injected_stale = injected.stale_marks;
+        r.injected_stu_stalls = injected.stu_stalls;
         r
     }
 
@@ -112,47 +112,40 @@ impl System {
                 refs_done = refs_done.saturating_add(core.refs_done);
             }
             *reg.ratio(&format!("node{n}/tlb")) = tlb;
-            reg.counter(&format!("node{n}/staged")).add(staged);
-            reg.counter(&format!("node{n}/refs_done")).add(refs_done);
-            reg.counter(&format!("node{n}/faults")).add(node.faults);
-            reg.counter(&format!("node{n}/dram_reads"))
-                .add(node.dram.reads());
-            reg.counter(&format!("node{n}/dram_writes"))
-                .add(node.dram.writes());
+            *reg.counter(&format!("node{n}/staged")) += staged;
+            *reg.counter(&format!("node{n}/refs_done")) += refs_done;
+            *reg.counter(&format!("node{n}/faults")) += node.faults;
+            *reg.counter(&format!("node{n}/dram_reads")) += node.dram.reads();
+            *reg.counter(&format!("node{n}/dram_writes")) += node.dram.writes();
             *reg.ratio(&format!("node{n}/llc")) = node.hierarchy.llc_stats();
         }
         for (m, nvm) in self.nvm.iter().enumerate() {
-            reg.counter(&format!("nvm{m}/reads")).add(nvm.reads());
-            reg.counter(&format!("nvm{m}/writes")).add(nvm.writes());
-            reg.counter(&format!("nvm{m}/admission_stalls"))
-                .add(nvm.admission_stalls());
+            *reg.counter(&format!("nvm{m}/reads")) += nvm.reads();
+            *reg.counter(&format!("nvm{m}/writes")) += nvm.writes();
+            *reg.counter(&format!("nvm{m}/admission_stalls")) += nvm.admission_stalls();
         }
         for (s, stu) in self.stus.iter().enumerate() {
             *reg.ratio(&format!("stu{s}/acm")) = stu.acm_stats();
         }
-        reg.counter("fabric/traversals")
-            .add(self.fabric.traversals());
+        *reg.counter("fabric/traversals") += self.fabric.traversals();
         let t = &self.traffic;
-        reg.counter("traffic/data_reads").add(t.data_reads);
-        reg.counter("traffic/data_writes").add(t.data_writes);
-        reg.counter("traffic/writebacks").add(t.writebacks);
-        reg.counter("traffic/at_pte_reads").add(t.at_pte_reads);
-        reg.counter("traffic/at_walk_reads").add(t.at_walk_reads);
-        reg.counter("traffic/at_acm_reads").add(t.at_acm_reads);
-        reg.counter("traffic/at_bitmap_reads")
-            .add(t.at_bitmap_reads);
+        *reg.counter("traffic/data_reads") += t.data_reads;
+        *reg.counter("traffic/data_writes") += t.data_writes;
+        *reg.counter("traffic/writebacks") += t.writebacks;
+        *reg.counter("traffic/at_pte_reads") += t.at_pte_reads;
+        *reg.counter("traffic/at_walk_reads") += t.at_walk_reads;
+        *reg.counter("traffic/at_acm_reads") += t.at_acm_reads;
+        *reg.counter("traffic/at_bitmap_reads") += t.at_bitmap_reads;
         let r = self.recovery_report();
-        reg.counter("recovery/timeouts").add(r.timeouts);
-        reg.counter("recovery/retries").add(r.retries);
-        reg.counter("recovery/nacks_corrupt").add(r.nacks_corrupt);
-        reg.counter("recovery/nacks_stale").add(r.nacks_stale);
-        reg.counter("recovery/nacks_unreachable")
-            .add(r.nacks_unreachable);
-        reg.counter("recovery/recovered").add(r.recovered);
-        reg.counter("recovery/fatal").add(r.fatal);
-        reg.counter("recovery/injected_drops").add(r.injected_drops);
-        reg.counter("recovery/injected_corruptions")
-            .add(r.injected_corruptions);
+        *reg.counter("recovery/timeouts") += r.timeouts;
+        *reg.counter("recovery/retries") += r.retries;
+        *reg.counter("recovery/nacks_corrupt") += r.nacks_corrupt;
+        *reg.counter("recovery/nacks_stale") += r.nacks_stale;
+        *reg.counter("recovery/nacks_unreachable") += r.nacks_unreachable;
+        *reg.counter("recovery/recovered") += r.recovered;
+        *reg.counter("recovery/fatal") += r.fatal;
+        *reg.counter("recovery/injected_drops") += r.injected_drops;
+        *reg.counter("recovery/injected_corruptions") += r.injected_corruptions;
         reg
     }
 

@@ -231,7 +231,7 @@ fn killed(scheme: Scheme, fault: PersistentFault) -> SystemConfig {
         .with_nodes(2)
         .with_fam_modules(2)
         .with_refs_per_core(3_000)
-        .with_fault_injection(fam_sim::FaultConfig::persistent_only(11, fault, 500))
+        .with_fault_injection(fam_sim::FaultConfig::disabled().with_persistent(fault, 500))
 }
 
 #[test]

@@ -29,7 +29,6 @@
 
 pub mod packet;
 
-use fam_sim::stats::Counter;
 use fam_sim::{Cycle, Duration, Frequency, Resource};
 
 /// Fabric timing parameters.
@@ -71,7 +70,7 @@ pub struct Fabric {
     latency: Duration,
     links: Vec<Resource>,
     ports: Vec<Resource>,
-    traversals: Counter,
+    traversals: u64,
     config: FabricConfig,
 }
 
@@ -92,7 +91,7 @@ impl Fabric {
             ports: (0..modules)
                 .map(|_| Resource::new(config.trunk_occupancy_cycles))
                 .collect(),
-            traversals: Counter::new(),
+            traversals: 0,
             config,
         }
     }
@@ -101,7 +100,7 @@ impl Fabric {
         assert!(node < self.links.len(), "unknown node {node}");
         assert!(module < self.ports.len(), "unknown module {module}");
         let _prof = fam_sim::profile::span(fam_sim::profile::PhaseId::Fabric);
-        self.traversals.inc();
+        self.traversals += 1;
         let flits = flits.max(1);
         let on_link = self.links[node].acquire_for(
             now,
@@ -143,7 +142,7 @@ impl Fabric {
 
     /// Total traversals in both directions.
     pub fn traversals(&self) -> u64 {
-        self.traversals.value()
+        self.traversals
     }
 }
 

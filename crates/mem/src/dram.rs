@@ -1,6 +1,5 @@
 //! Local DRAM timing model.
 
-use fam_sim::stats::Counter;
 use fam_sim::{Cycle, Duration, Frequency, Resource};
 
 /// The node-local DRAM (1 GB in Table II).
@@ -24,8 +23,8 @@ use fam_sim::{Cycle, Duration, Frequency, Resource};
 pub struct DramModel {
     latency: Duration,
     channel: Resource,
-    reads: Counter,
-    writes: Counter,
+    reads: u64,
+    writes: u64,
 }
 
 impl DramModel {
@@ -35,8 +34,8 @@ impl DramModel {
         DramModel {
             latency: freq.ns_to_cycles(access_ns),
             channel: Resource::new(occupancy_cycles),
-            reads: Counter::new(),
-            writes: Counter::new(),
+            reads: 0,
+            writes: 0,
         }
     }
 
@@ -44,7 +43,7 @@ impl DramModel {
     /// returns the completion time.
     pub fn access(&mut self, now: Cycle, byte_addr: u64) -> Cycle {
         let _ = byte_addr; // single channel: address does not matter
-        self.reads.inc();
+        self.reads += 1;
         let start = self.channel.acquire(now);
         start + self.latency
     }
@@ -54,19 +53,19 @@ impl DramModel {
     /// reads in DRAM.
     pub fn write(&mut self, now: Cycle, byte_addr: u64) -> Cycle {
         let _ = byte_addr;
-        self.writes.inc();
+        self.writes += 1;
         let start = self.channel.acquire(now);
         start + self.latency
     }
 
     /// Total reads serviced.
     pub fn reads(&self) -> u64 {
-        self.reads.value()
+        self.reads
     }
 
     /// Total writes serviced.
     pub fn writes(&self) -> u64 {
-        self.writes.value()
+        self.writes
     }
 }
 

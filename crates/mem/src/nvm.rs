@@ -1,6 +1,5 @@
 //! Fabric-attached NVM timing model.
 
-use fam_sim::stats::Counter;
 use fam_sim::{BankedResource, Cycle, Duration, Frequency, Window};
 
 /// Whether a memory operation reads or writes.
@@ -63,8 +62,8 @@ pub struct NvmModel {
     write_latency: Duration,
     banks: BankedResource,
     window: Window,
-    reads: Counter,
-    writes: Counter,
+    reads: u64,
+    writes: u64,
 }
 
 impl NvmModel {
@@ -75,8 +74,8 @@ impl NvmModel {
             write_latency: freq.ns_to_cycles(config.write_ns),
             banks: BankedResource::new(config.banks, config.bank_occupancy_cycles),
             window: Window::new(config.max_outstanding),
-            reads: Counter::new(),
-            writes: Counter::new(),
+            reads: 0,
+            writes: 0,
         }
     }
 
@@ -85,8 +84,8 @@ impl NvmModel {
     pub fn access(&mut self, now: Cycle, byte_addr: u64, kind: MemOpKind) -> Cycle {
         let _prof = fam_sim::profile::span(fam_sim::profile::PhaseId::Nvm);
         match kind {
-            MemOpKind::Read => self.reads.inc(),
-            MemOpKind::Write => self.writes.inc(),
+            MemOpKind::Read => self.reads += 1,
+            MemOpKind::Write => self.writes += 1,
         }
         let admitted = self.window.admit(now);
         let line = crate::line_of(byte_addr);
@@ -102,12 +101,12 @@ impl NvmModel {
 
     /// Total reads serviced.
     pub fn reads(&self) -> u64 {
-        self.reads.value()
+        self.reads
     }
 
     /// Total writes serviced.
     pub fn writes(&self) -> u64 {
-        self.writes.value()
+        self.writes
     }
 
     /// Requests delayed by the outstanding-request cap.

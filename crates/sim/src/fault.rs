@@ -22,7 +22,6 @@
 //!   off are identical to runs built without the injector at all.
 
 use crate::rng::splitmix64;
-use crate::stats::Counter;
 use crate::{Cycle, Duration, SimRng};
 
 /// What happened to one fabric traversal.
@@ -98,11 +97,37 @@ pub struct PersistentSchedule {
     pub(crate) after_fam_ops: u64,
 }
 
-/// Injector knobs. The default is fully disabled and adds no cost.
+/// Per-traversal drop probability at `rate_scale` 1 (recovered by
+/// timeout + retry).
+const DROP_PROB: f64 = 0.01;
+/// Per-traversal corruption probability at `rate_scale` 1 (recovered
+/// by CRC-detect + NACK + retry).
+const CORRUPT_PROB: f64 = 0.01;
+/// Probability, at `rate_scale` 1, that a node-cached FAM translation
+/// is stale when used (recovered by invalidate + full STU walk —
+/// DeACT's `V`-flag verification story).
+const STALE_PROB: f64 = 0.005;
+/// Probability, at `rate_scale` 1, that the STU stalls on a
+/// verification or walk request.
+const STU_STALL_PROB: f64 = 0.01;
+/// Cycles one STU stall lasts.
+const STU_STALL_CYCLES: u64 = 200;
+/// Cycles between scheduled transient link-down windows.
+const LINK_DOWN_PERIOD: u64 = 2_000_000;
+/// Cycles each link-down window lasts.
+const LINK_DOWN_CYCLES: u64 = 10_000;
+const _: () = assert!(LINK_DOWN_CYCLES < LINK_DOWN_PERIOD);
+/// The largest `rate_scale` whose drop and corrupt probabilities, drawn
+/// from one partitioned uniform sample, still sum to at most 1.
+const MAX_RATE_SCALE: f64 = 1.0 / (DROP_PROB + CORRUPT_PROB);
+
+/// Injector settings. The default is fully disabled and adds no cost.
 ///
-/// Probabilities are per *fabric traversal* (or per translator hit for
-/// `stale_prob`); the link-down schedule is periodic with a
-/// seed-derived jitter per window.
+/// The transient fault mix is fixed: drops, corruptions, stale
+/// translations and STU stalls each fire with a constant probability
+/// (per fabric traversal, per translator hit for staleness) that
+/// `rate_scale` multiplies, and while `rate_scale > 0` the link goes
+/// down on a periodic schedule with a seed-derived jitter per window.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultConfig {
     /// Master switch; `false` makes every query a no-op.
@@ -110,27 +135,11 @@ pub struct FaultConfig {
     /// Seed of the injector's private RNG (independent of the
     /// workload seed so fault schedules can be varied in isolation).
     pub seed: u64,
-    /// Probability a traversal is silently dropped (recovered by
-    /// timeout + retry).
-    pub drop_prob: f64,
-    /// Probability a traversal arrives corrupted (recovered by
-    /// CRC-detect + NACK + retry).
-    pub corrupt_prob: f64,
-    /// Probability a node-cached FAM translation is stale when used
-    /// (recovered by invalidate + full STU walk — DeACT's `V`-flag
-    /// verification story).
-    pub stale_prob: f64,
-    /// Probability the STU stalls on a verification or walk request.
-    pub stu_stall_prob: f64,
-    /// Cycles one STU stall lasts.
-    pub stu_stall_cycles: u64,
-    /// Cycles between scheduled transient link-down windows
-    /// (`0` = no windows).
-    pub link_down_period: u64,
-    /// Cycles each link-down window lasts.
-    pub link_down_cycles: u64,
-    /// An optional scheduled permanent failure. Unlike every other
-    /// knob it is not probabilistic: it strikes exactly once, at a
+    /// Multiplies every transient fault probability; `0` injects no
+    /// transient fault and opens no link-down window.
+    pub rate_scale: f64,
+    /// An optional scheduled permanent failure. Unlike the transient
+    /// mix it is not probabilistic: it strikes exactly once, at a
     /// fixed FAM-operation ordinal, and never heals.
     pub persistent: Option<PersistentSchedule>,
 }
@@ -141,13 +150,7 @@ impl FaultConfig {
         FaultConfig {
             enabled: false,
             seed: 0,
-            drop_prob: 0.0,
-            corrupt_prob: 0.0,
-            stale_prob: 0.0,
-            stu_stall_prob: 0.0,
-            stu_stall_cycles: 0,
-            link_down_period: 0,
-            link_down_cycles: 0,
+            rate_scale: 0.0,
             persistent: None,
         }
     }
@@ -160,34 +163,15 @@ impl FaultConfig {
         FaultConfig {
             enabled: true,
             seed,
-            drop_prob: 0.01,
-            corrupt_prob: 0.01,
-            stale_prob: 0.005,
-            stu_stall_prob: 0.01,
-            stu_stall_cycles: 200,
-            link_down_period: 2_000_000,
-            link_down_cycles: 10_000,
+            rate_scale: 1.0,
             persistent: None,
         }
     }
 
-    /// A persistent-fault-only profile: no transient noise, just
-    /// `fault` striking at the `after_fam_ops`-th FAM operation. Used
-    /// by the `--kill-node` CLI knob and the chaos sweep.
-    pub fn persistent_only(seed: u64, fault: PersistentFault, after_fam_ops: u64) -> FaultConfig {
-        FaultConfig {
-            enabled: true,
-            seed,
-            persistent: Some(PersistentSchedule {
-                fault,
-                after_fam_ops,
-            }),
-            ..FaultConfig::disabled()
-        }
-    }
-
     /// Adds a scheduled persistent fault to this profile (enabling the
-    /// injector if it was off).
+    /// injector if it was off). On [`FaultConfig::disabled`] it gives a
+    /// persistent-fault-only profile: no transient noise, just `fault`
+    /// striking at the `after_fam_ops`-th FAM operation.
     pub fn with_persistent(self, fault: PersistentFault, after_fam_ops: u64) -> FaultConfig {
         FaultConfig {
             enabled: true,
@@ -199,29 +183,16 @@ impl FaultConfig {
         }
     }
 
-    /// Checks knob ranges.
+    /// Checks the settings.
     ///
     /// # Errors
     ///
-    /// Names the first broken rule, such as a probability outside
-    /// `[0, 1]` or drop and corrupt probabilities summing past 1 (they
-    /// are drawn from one partitioned uniform sample).
+    /// Names the first broken rule, such as a `rate_scale` outside
+    /// `[0, 50]` (past 50 the drop and corrupt probabilities, drawn
+    /// from one partitioned uniform sample, sum past 1).
     pub fn validate(&self) -> Result<(), String> {
-        for (name, p) in [
-            ("drop_prob", self.drop_prob),
-            ("corrupt_prob", self.corrupt_prob),
-            ("stale_prob", self.stale_prob),
-            ("stu_stall_prob", self.stu_stall_prob),
-        ] {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("{name} must be a probability"));
-            }
-        }
-        if self.drop_prob + self.corrupt_prob > 1.0 {
-            return Err("drop_prob + corrupt_prob must not exceed 1".into());
-        }
-        if self.link_down_period > 0 && self.link_down_cycles >= self.link_down_period {
-            return Err("link-down windows must be shorter than their period".into());
+        if !(0.0..=MAX_RATE_SCALE).contains(&self.rate_scale) {
+            return Err(format!("rate_scale must lie in [0, {MAX_RATE_SCALE}]"));
         }
         if let Some(schedule) = self.persistent {
             if !self.enabled {
@@ -242,13 +213,13 @@ impl FaultConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Traversals dropped.
-    pub drops: Counter,
+    pub drops: u64,
     /// Traversals corrupted.
-    pub corruptions: Counter,
+    pub corruptions: u64,
     /// Translator entries declared stale.
-    pub stale_marks: Counter,
+    pub stale_marks: u64,
     /// STU stalls injected.
-    pub stu_stalls: Counter,
+    pub stu_stalls: u64,
 }
 
 /// The substrate fault injector. See the module docs for the
@@ -259,20 +230,24 @@ pub struct FaultStats {
 /// ```
 /// use fam_sim::{Cycle, FaultConfig, FaultInjector};
 ///
-/// let mut a = FaultInjector::new(FaultConfig::transient(7));
-/// let mut b = FaultInjector::new(FaultConfig::transient(7));
+/// let mut a = FaultInjector::new(FaultConfig::transient(7))?;
+/// let mut b = FaultInjector::new(FaultConfig::transient(7))?;
 /// for _ in 0..1000 {
 ///     assert_eq!(a.fabric_fault(), b.fabric_fault());
 /// }
 ///
-/// let mut off = FaultInjector::new(FaultConfig::disabled());
+/// let mut off = FaultInjector::new(FaultConfig::disabled())?;
 /// assert!(!off.is_enabled());
 /// assert_eq!(off.fabric_fault(), None);
 /// assert_eq!(off.link_up_at(Cycle(123)), Cycle(123));
+/// # Ok::<(), String>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     config: FaultConfig,
+    /// `config.rate_scale` if the injector is enabled, else `0`: the
+    /// one value every transient query branches on.
+    scale: f64,
     rng: SimRng,
     stats: FaultStats,
     /// 1-based ordinal of FAM operations seen so far; drives the
@@ -284,20 +259,23 @@ pub struct FaultInjector {
 impl FaultInjector {
     /// Creates an injector.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on out-of-range knobs, with the reason
-    /// [`FaultConfig::validate`] gives.
-    pub fn new(config: FaultConfig) -> FaultInjector {
-        config
-            .validate()
-            .unwrap_or_else(|reason| panic!("{reason}"));
-        FaultInjector {
+    /// Refuses a config [`FaultConfig::validate`] refuses, with its
+    /// reason.
+    pub fn new(config: FaultConfig) -> Result<FaultInjector, String> {
+        config.validate()?;
+        Ok(FaultInjector {
+            scale: if config.enabled {
+                config.rate_scale
+            } else {
+                0.0
+            },
             rng: SimRng::seeded(config.seed ^ 0xFA_017),
             config,
             stats: FaultStats::default(),
             fam_ops: 0,
-        }
+        })
     }
 
     /// Whether any fault can ever fire. Callers on hot paths branch on
@@ -310,16 +288,16 @@ impl FaultInjector {
     /// intact. Disabled injectors always deliver and consume no RNG
     /// state.
     pub fn fabric_fault(&mut self) -> Option<FabricFault> {
-        if !self.config.enabled || (self.config.drop_prob == 0.0 && self.config.corrupt_prob == 0.0)
-        {
+        if self.scale == 0.0 {
             return None;
         }
         let u = self.rng.unit();
-        if u < self.config.drop_prob {
-            self.stats.drops.inc();
+        let drop = DROP_PROB * self.scale;
+        if u < drop {
+            self.stats.drops += 1;
             Some(FabricFault::Drop)
-        } else if u < self.config.drop_prob + self.config.corrupt_prob {
-            self.stats.corruptions.inc();
+        } else if u < drop + CORRUPT_PROB * self.scale {
+            self.stats.corruptions += 1;
             Some(FabricFault::Corrupt)
         } else {
             None
@@ -330,24 +308,20 @@ impl FaultInjector {
     /// seed-derived jitter of up to a quarter period, so windows are
     /// scheduled, not metronomic, yet fully determined by the seed.
     fn window_start(&self, k: u64) -> u64 {
-        let period = self.config.link_down_period;
-        k * period + splitmix64(&mut (self.config.seed ^ k)) % (period / 4).max(1)
+        k * LINK_DOWN_PERIOD + splitmix64(&mut (self.config.seed ^ k)) % (LINK_DOWN_PERIOD / 4)
     }
 
     /// When the link is next usable at `now`: `now` itself if the link
     /// is up, otherwise the end of the scheduled down-window covering
     /// `now`.
     pub fn link_up_at(&self, now: Cycle) -> Cycle {
-        if !self.config.enabled || self.config.link_down_period == 0 {
-            return now;
-        }
-        let k = now.0 / self.config.link_down_period;
-        if k == 0 {
+        let k = now.0 / LINK_DOWN_PERIOD;
+        if self.scale == 0.0 || k == 0 {
             return now;
         }
         let start = self.window_start(k);
-        if now.0 >= start && now.0 < start + self.config.link_down_cycles {
-            Cycle(start + self.config.link_down_cycles)
+        if now.0 >= start && now.0 < start + LINK_DOWN_CYCLES {
+            Cycle(start + LINK_DOWN_CYCLES)
         } else {
             now
         }
@@ -355,12 +329,12 @@ impl FaultInjector {
 
     /// Draws whether the STU stalls on this request, and for how long.
     pub fn stu_stall(&mut self) -> Option<Duration> {
-        if !self.config.enabled || self.config.stu_stall_prob == 0.0 {
+        if self.scale == 0.0 {
             return None;
         }
-        if self.rng.chance(self.config.stu_stall_prob) {
-            self.stats.stu_stalls.inc();
-            Some(Duration(self.config.stu_stall_cycles))
+        if self.rng.chance(STU_STALL_PROB * self.scale) {
+            self.stats.stu_stalls += 1;
+            Some(Duration(STU_STALL_CYCLES))
         } else {
             None
         }
@@ -382,12 +356,12 @@ impl FaultInjector {
     /// Draws whether a node-cached translation is stale when consumed
     /// (triggering the NACK-stale → invalidate → re-walk recovery).
     pub fn stale_translation(&mut self) -> bool {
-        if !self.config.enabled || self.config.stale_prob == 0.0 {
+        if self.scale == 0.0 {
             return false;
         }
-        let stale = self.rng.chance(self.config.stale_prob);
+        let stale = self.rng.chance(STALE_PROB * self.scale);
         if stale {
-            self.stats.stale_marks.inc();
+            self.stats.stale_marks += 1;
         }
         stale
     }
@@ -417,22 +391,25 @@ impl FaultInjector {
     pub fn stats(&self) -> FaultStats {
         self.stats
     }
-
-    /// Total faults of all kinds injected so far.
-    #[cfg(test)]
-    pub(crate) fn injected_total(&self) -> u64 {
-        let s = self.stats;
-        s.drops.value() + s.corruptions.value() + s.stale_marks.value() + s.stu_stalls.value()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn injector(config: FaultConfig) -> FaultInjector {
+        FaultInjector::new(config).unwrap()
+    }
+
+    #[test]
+    fn default_config_is_disabled() {
+        assert_eq!(FaultConfig::default(), FaultConfig::disabled());
+        assert!(!injector(FaultConfig::default()).is_enabled());
+    }
+
     #[test]
     fn disabled_injector_is_inert_and_consumes_no_rng() {
-        let mut i = FaultInjector::new(FaultConfig::disabled());
+        let mut i = injector(FaultConfig::disabled());
         let before = i.rng.clone().next_u64();
         for _ in 0..100 {
             assert_eq!(i.fabric_fault(), None);
@@ -441,13 +418,13 @@ mod tests {
             assert_eq!(i.link_up_at(Cycle(1_000_000)), Cycle(1_000_000));
         }
         assert_eq!(i.rng.next_u64(), before, "no RNG state consumed");
-        assert_eq!(i.injected_total(), 0);
+        assert_eq!(i.stats(), FaultStats::default());
     }
 
     #[test]
     fn same_seed_same_schedule() {
-        let mut a = FaultInjector::new(FaultConfig::transient(42));
-        let mut b = FaultInjector::new(FaultConfig::transient(42));
+        let mut a = injector(FaultConfig::transient(42));
+        let mut b = injector(FaultConfig::transient(42));
         for t in 0..5000u64 {
             assert_eq!(a.fabric_fault(), b.fabric_fault());
             assert_eq!(a.stale_translation(), b.stale_translation());
@@ -458,63 +435,65 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let mut a = FaultInjector::new(FaultConfig::transient(1));
-        let mut b = FaultInjector::new(FaultConfig::transient(2));
+        let mut a = injector(FaultConfig::transient(1));
+        let mut b = injector(FaultConfig::transient(2));
         let diverged = (0..2000).any(|_| a.fabric_fault() != b.fabric_fault());
         assert!(diverged);
     }
 
     #[test]
     fn fault_mix_tracks_probabilities() {
-        let cfg = FaultConfig {
-            drop_prob: 0.2,
-            corrupt_prob: 0.1,
+        // At 10x the drop and corrupt probabilities are 0.1 each.
+        let mut i = injector(FaultConfig {
+            rate_scale: 10.0,
             ..FaultConfig::transient(3)
-        };
-        let mut i = FaultInjector::new(cfg);
+        });
         let n = 20_000;
         for _ in 0..n {
             i.fabric_fault();
         }
-        let drops = i.stats().drops.value() as f64 / n as f64;
-        let corr = i.stats().corruptions.value() as f64 / n as f64;
-        assert!((drops - 0.2).abs() < 0.02, "drop rate {drops}");
+        let drops = i.stats().drops as f64 / n as f64;
+        let corr = i.stats().corruptions as f64 / n as f64;
+        assert!((drops - 0.1).abs() < 0.02, "drop rate {drops}");
         assert!((corr - 0.1).abs() < 0.02, "corrupt rate {corr}");
     }
 
     #[test]
     fn link_down_windows_cover_the_schedule() {
-        let cfg = FaultConfig {
-            enabled: true,
-            link_down_period: 1000,
-            link_down_cycles: 100,
-            ..FaultConfig::disabled()
-        };
-        let i = FaultInjector::new(cfg);
-        // Inside window 1 the caller is pushed to the window end.
-        let start = i.window_start(1);
-        let up = i.link_up_at(Cycle(start + 10));
-        assert_eq!(up, Cycle(start + 100));
-        // Clear of any window, time passes through.
-        let free = Cycle(start + 500);
-        assert_eq!(i.link_up_at(free), free);
+        let i = injector(FaultConfig::transient(6));
+        // Before the first period the link is always up.
+        let early = Cycle(LINK_DOWN_PERIOD - 1);
+        assert_eq!(i.link_up_at(early), early);
+        for k in 1..4 {
+            // Inside window k the caller is pushed to the window end.
+            let start = i.window_start(k);
+            assert!(
+                start < (k + 1) * LINK_DOWN_PERIOD,
+                "jitter stays in the period"
+            );
+            let up = i.link_up_at(Cycle(start + 10));
+            assert_eq!(up, Cycle(start + LINK_DOWN_CYCLES));
+            // Clear of any window, time passes through.
+            let free = Cycle(start + LINK_DOWN_CYCLES);
+            assert_eq!(i.link_up_at(free), free);
+        }
     }
 
     #[test]
     fn stall_duration_matches_config() {
-        let cfg = FaultConfig {
-            stu_stall_prob: 1.0,
-            stu_stall_cycles: 77,
+        // At 50x a stall fires on half the draws.
+        let mut i = injector(FaultConfig {
+            rate_scale: 50.0,
             ..FaultConfig::transient(5)
-        };
-        let mut i = FaultInjector::new(cfg);
-        assert_eq!(i.stu_stall(), Some(Duration(77)));
+        });
+        let stall = (0..64).find_map(|_| i.stu_stall());
+        assert_eq!(stall, Some(Duration(STU_STALL_CYCLES)));
     }
 
     #[test]
     fn persistent_schedule_is_ordinal_driven_and_rng_free() {
         let fault = PersistentFault::NodeDead { module: 2 };
-        let mut i = FaultInjector::new(FaultConfig::persistent_only(9, fault, 3));
+        let mut i = injector(FaultConfig::disabled().with_persistent(fault, 3));
         let before = i.rng.clone().next_u64();
         assert_eq!(i.persistent_active(), None, "armed but not yet struck");
         i.note_fam_op();
@@ -531,8 +510,31 @@ mod tests {
     }
 
     #[test]
+    fn persistent_only_profile_injects_no_transient_fault() {
+        let fault = PersistentFault::LinkSevered { module: 1 };
+        let mut i = injector(FaultConfig::disabled().with_persistent(fault, 1));
+        assert!(i.is_enabled());
+        let before = i.rng.clone().next_u64();
+        // No draw consumes RNG state, and no link-down window opens,
+        // not even where a transient profile's windows would be.
+        let transient = injector(FaultConfig::transient(0));
+        for k in 1..64 {
+            assert_eq!(i.fabric_fault(), None);
+            assert!(!i.stale_translation());
+            assert_eq!(i.stu_stall(), None);
+            let start = transient.window_start(k);
+            for t in [k * LINK_DOWN_PERIOD, start, start + LINK_DOWN_CYCLES / 2] {
+                assert_eq!(i.link_up_at(Cycle(t)), Cycle(t));
+            }
+            assert!(transient.link_up_at(Cycle(start)) > Cycle(start));
+        }
+        assert_eq!(i.rng.next_u64(), before, "no RNG state consumed");
+        assert_eq!(i.stats(), FaultStats::default());
+    }
+
+    #[test]
     fn persistent_ordinal_never_advances_when_unarmed() {
-        let mut i = FaultInjector::new(FaultConfig::transient(4));
+        let mut i = injector(FaultConfig::transient(4));
         for _ in 0..100 {
             i.note_fam_op();
         }
@@ -559,17 +561,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "1-based ordinal")]
     fn zero_strike_ordinal_rejected() {
-        FaultInjector::new(FaultConfig::persistent_only(
-            0,
-            PersistentFault::NodeDead { module: 0 },
-            0,
-        ));
+        injector(
+            FaultConfig::disabled().with_persistent(PersistentFault::NodeDead { module: 0 }, 0),
+        );
     }
 
     #[test]
     #[should_panic(expected = "injector to be enabled")]
     fn disabled_injector_with_persistent_fault_rejected() {
-        FaultInjector::new(FaultConfig {
+        injector(FaultConfig {
             enabled: false,
             persistent: Some(PersistentSchedule {
                 fault: PersistentFault::LinkSevered { module: 0 },
@@ -579,24 +579,29 @@ mod tests {
         });
     }
 
+    /// `rate_scale` is the one transient setting `validate` checks:
+    /// `new` refuses NaN, negatives and scales past 50 with one
+    /// reason, and accepts both ends of `[0, 50]`.
     #[test]
-    #[should_panic(expected = "must be a probability")]
+    #[should_panic(expected = "rate_scale must lie in [0, 50]")]
     fn out_of_range_probability_rejected() {
-        FaultInjector::new(FaultConfig {
-            enabled: true,
-            drop_prob: 1.5,
-            ..FaultConfig::disabled()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "shorter than their period")]
-    fn degenerate_link_window_rejected() {
-        FaultInjector::new(FaultConfig {
-            enabled: true,
-            link_down_period: 100,
-            link_down_cycles: 100,
-            ..FaultConfig::disabled()
-        });
+        let at = |rate_scale| FaultConfig {
+            rate_scale,
+            ..FaultConfig::transient(1)
+        };
+        // The messages below must not contain the expected text, or a
+        // failed check would pass for the expected panic.
+        let refused = |rate_scale| FaultInjector::new(at(rate_scale)).err();
+        assert!(
+            refused(0.0).is_none() && refused(50.0).is_none(),
+            "both ends accepted"
+        );
+        for bad in [f64::NAN, -1.0] {
+            assert!(
+                refused(bad).is_some() && refused(bad) == refused(51.0),
+                "{bad} refused"
+            );
+        }
+        injector(at(51.0));
     }
 }

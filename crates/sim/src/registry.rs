@@ -1,7 +1,7 @@
 //! A unified, named metrics registry.
 //!
-//! Components accumulate into [`crate::stats`] types scattered across
-//! the system model; this module gives them one flat, **named**
+//! Components keep `u64` counts and [`crate::stats::Ratio`]s scattered
+//! across the system model; this module gives them one flat, **named**
 //! namespace (`node0/tlb`, `nvm2/reads`, `fabric/traversals`, …) so
 //! tooling can snapshot a run's metrics, diff two snapshots, and —
 //! crucially — run cross-metric *conservation audits*
@@ -17,14 +17,14 @@
 //! use fam_sim::Registry;
 //!
 //! let mut before = Registry::new();
-//! before.counter("fabric/traversals").add(10);
+//! *before.counter("fabric/traversals") += 10;
 //! let mut after = before.clone();
-//! after.counter("fabric/traversals").add(5);
+//! *after.counter("fabric/traversals") += 5;
 //! let delta = after.diff(&before);
 //! assert_eq!(delta.counter_value("fabric/traversals"), Some(5));
 //! ```
 
-use crate::stats::{Counter, Ratio};
+use crate::stats::Ratio;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -32,7 +32,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 pub enum Metric {
     /// A monotonically increasing event count.
-    Counter(Counter),
+    Counter(u64),
     /// A hit/miss ratio.
     Ratio(Ratio),
 }
@@ -65,11 +65,11 @@ impl Registry {
     ///
     /// Panics if `name` is already registered with a different metric
     /// type — a name has exactly one type for the life of a registry.
-    pub fn counter(&mut self, name: &str) -> &mut Counter {
+    pub fn counter(&mut self, name: &str) -> &mut u64 {
         match self
             .metrics
             .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Counter::new()))
+            .or_insert(Metric::Counter(0))
         {
             Metric::Counter(c) => c,
             other => panic!("metric `{name}` is a {}, not a counter", kind(other)),
@@ -96,7 +96,7 @@ impl Registry {
     /// Convenience: the value of a counter, if `name` is a counter.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
         match self.metrics.get(name) {
-            Some(Metric::Counter(c)) => Some(c.value()),
+            Some(Metric::Counter(c)) => Some(*c),
             _ => None,
         }
     }
@@ -120,7 +120,7 @@ impl Registry {
             let metric = match (mine, base.metrics.get(name)) {
                 (m, None) => m.clone(),
                 (Metric::Counter(a), Some(Metric::Counter(b))) => {
-                    Metric::Counter(Counter::from(a.value().saturating_sub(b.value())))
+                    Metric::Counter(a.saturating_sub(*b))
                 }
                 (Metric::Ratio(a), Some(Metric::Ratio(b))) => Metric::Ratio(Ratio::from_parts(
                     a.hits().saturating_sub(b.hits()),
@@ -157,8 +157,8 @@ mod tests {
     #[test]
     fn handles_create_on_first_use() {
         let mut r = Registry::new();
-        r.counter("a/events").add(3);
-        r.counter("a/events").inc();
+        *r.counter("a/events") += 3;
+        *r.counter("a/events") += 1;
         r.ratio("a/hits").record(true);
         assert_eq!(r.metrics.len(), 2);
         assert_eq!(r.counter_value("a/events"), Some(4));
@@ -177,12 +177,12 @@ mod tests {
     #[test]
     fn snapshot_diff_isolates_interval() {
         let mut r = Registry::new();
-        r.counter("c").add(10);
+        *r.counter("c") += 10;
         r.ratio("r").record(true);
         let before = r.clone();
-        r.counter("c").add(7);
+        *r.counter("c") += 7;
         r.ratio("r").record(false);
-        r.counter("new").add(1);
+        *r.counter("new") += 1;
         let delta = r.diff(&before);
         assert_eq!(delta.counter_value("c"), Some(7));
         let ratio = delta.ratio_value("r").unwrap();
@@ -191,10 +191,20 @@ mod tests {
     }
 
     #[test]
+    fn counter_diff_saturates_at_zero() {
+        let mut base = Registry::new();
+        *base.counter("c") += 5;
+        let mut later = Registry::new();
+        *later.counter("c") += 3;
+        assert_eq!(later.diff(&base).counter_value("c"), Some(0));
+        assert_eq!(base.to_string(), format!("{:<32} 5\n", "c"));
+    }
+
+    #[test]
     fn display_is_deterministic_name_order() {
         let mut r = Registry::new();
-        r.counter("z/last").add(1);
-        r.counter("a/first").add(2);
+        *r.counter("z/last") += 1;
+        *r.counter("a/first") += 2;
         let text = r.to_string();
         let a = text.find("a/first").unwrap();
         let z = text.find("z/last").unwrap();

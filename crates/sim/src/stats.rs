@@ -1,63 +1,11 @@
-//! Counters and ratios for simulation statistics.
+//! Ratios for simulation statistics.
 //!
 //! Every figure in the paper is a counter ratio (hit rates, request
 //! percentages) or a derived performance number (IPC). Components
-//! accumulate into these types and the experiment harness reads them
-//! out at the end of a run.
+//! count events in plain `u64`s and hits and misses in [`Ratio`]s; the
+//! experiment harness reads them out at the end of a run.
 
 use std::fmt;
-
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use fam_sim::stats::Counter;
-///
-/// let mut c = Counter::new();
-/// c.add(3);
-/// c.inc();
-/// assert_eq!(c.value(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Counter {
-        Counter(0)
-    }
-
-    /// Adds one, saturating at `u64::MAX` so billion-ref runs can
-    /// never wrap silently.
-    pub fn inc(&mut self) {
-        self.0 = self.0.saturating_add(1);
-    }
-
-    /// Adds `n`, saturating at `u64::MAX`.
-    pub fn add(&mut self, n: u64) {
-        self.0 = self.0.saturating_add(n);
-    }
-
-    /// Current value.
-    pub fn value(self) -> u64 {
-        self.0
-    }
-}
-
-impl From<u64> for Counter {
-    /// Creates a counter holding `value` — used by registry
-    /// snapshot/diff arithmetic.
-    fn from(value: u64) -> Counter {
-        Counter(value)
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// A hit/miss style ratio.
 ///
@@ -176,15 +124,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(9);
-        assert_eq!(c.value(), 10);
-        assert_eq!(Counter::new().to_string(), "0");
-    }
-
-    #[test]
     fn ratio_rates() {
         let mut r = Ratio::new();
         assert_eq!(r.rate(), 1.0, "empty ratio counts as all-hit");
@@ -231,14 +170,5 @@ mod tests {
         // Monotonicity spot check: replacing the zero with a positive
         // value can only increase the mean.
         assert!(g <= geomean(&[1.0, 4.0, 16.0]));
-    }
-
-    #[test]
-    fn saturating_arithmetic_pins_instead_of_wrapping() {
-        let mut c = Counter::from(u64::MAX - 1);
-        c.add(100);
-        assert_eq!(c.value(), u64::MAX);
-        c.inc();
-        assert_eq!(c.value(), u64::MAX);
     }
 }

@@ -26,18 +26,6 @@
 use deact::{try_run_benchmark, Scheme, SimError, SystemConfig};
 use fam_sim::{FaultConfig, PersistentFault};
 
-/// The transient profile with every probability scaled by `x`.
-fn scaled_profile(seed: u64, x: f64) -> FaultConfig {
-    let base = FaultConfig::transient(seed);
-    FaultConfig {
-        drop_prob: base.drop_prob * x,
-        corrupt_prob: base.corrupt_prob * x,
-        stale_prob: base.stale_prob * x,
-        stu_stall_prob: base.stu_stall_prob * x,
-        ..base
-    }
-}
-
 fn transient_sweep() -> Result<(), SimError> {
     let cfg = SystemConfig::paper_default()
         .with_refs_per_core(20_000)
@@ -57,8 +45,10 @@ fn transient_sweep() -> Result<(), SimError> {
             let faulty = if scale == 0.0 {
                 cfg.with_scheme(scheme)
             } else {
-                cfg.with_scheme(scheme)
-                    .with_fault_injection(scaled_profile(7, scale))
+                cfg.with_scheme(scheme).with_fault_injection(FaultConfig {
+                    rate_scale: scale,
+                    ..FaultConfig::transient(7)
+                })
             };
             let r = try_run_benchmark(bench, faulty)?;
             let f = &r.recovery;
@@ -135,7 +125,7 @@ fn chaos_matrix() -> Result<(), SimError> {
                 let faults = if transient {
                     FaultConfig::transient(7).with_persistent(fault, STRIKE_AT)
                 } else {
-                    FaultConfig::persistent_only(7, fault, STRIKE_AT)
+                    FaultConfig::disabled().with_persistent(fault, STRIKE_AT)
                 };
                 // A `SimError` ends the sweep; completing every cell
                 // *is* the survival claim.

@@ -49,8 +49,8 @@ fn every_scheme_survives_every_persistent_fault_class() -> Result<(), SimError> 
         },
     ] {
         for scheme in Scheme::ALL {
-            let cfg =
-                chaos(scheme).with_fault_injection(FaultConfig::persistent_only(11, fault, 500));
+            let cfg = chaos(scheme)
+                .with_fault_injection(FaultConfig::disabled().with_persistent(fault, 500));
             let r = try_run_benchmark("sssp", cfg)?;
             let d = &r.degradation;
             assert!(!d.is_zero(), "{fault:?}/{scheme}: fault never struck");
@@ -69,11 +69,10 @@ fn shootdown_forces_rewalks_instead_of_stale_hits() -> Result<(), SimError> {
         let clean = try_run_benchmark("sssp", chaos(scheme))?;
         let killed = try_run_benchmark(
             "sssp",
-            chaos(scheme).with_fault_injection(FaultConfig::persistent_only(
-                11,
-                PersistentFault::NodeDead { module: 1 },
-                STRIKE_AT,
-            )),
+            chaos(scheme).with_fault_injection(
+                FaultConfig::disabled()
+                    .with_persistent(PersistentFault::NodeDead { module: 1 }, STRIKE_AT),
+            ),
         )?;
         let d = &killed.degradation;
         // The broadcast walk visits every surviving node and pays the
@@ -104,11 +103,10 @@ fn severed_links_evacuate_without_data_loss() -> Result<(), SimError> {
     for scheme in Scheme::ALL {
         let r = try_run_benchmark(
             "sssp",
-            chaos(scheme).with_fault_injection(FaultConfig::persistent_only(
-                11,
-                PersistentFault::LinkSevered { module: 1 },
-                STRIKE_AT,
-            )),
+            chaos(scheme).with_fault_injection(
+                FaultConfig::disabled()
+                    .with_persistent(PersistentFault::LinkSevered { module: 1 }, STRIKE_AT),
+            ),
         )?;
         let d = &r.degradation;
         assert!(d.pages_evacuated > 0, "{scheme}: nothing evacuated");

@@ -22,7 +22,7 @@ fn quick() -> SystemConfig {
 
 /// Drains a fixed draw pattern from an injector and fingerprints it.
 fn schedule_fingerprint(seed: u64) -> Vec<u64> {
-    let mut inj = FaultInjector::new(FaultConfig::transient(seed));
+    let mut inj = FaultInjector::new(FaultConfig::transient(seed)).unwrap();
     let mut fp = Vec::new();
     for i in 0..2_000u64 {
         fp.push(match inj.fabric_fault() {
@@ -110,6 +110,32 @@ fn transient_profile_recovers_every_fault() -> Result<(), SimError> {
     Ok(())
 }
 
+/// `rate_scale` is the profile's one rate knob: at 0 an enabled
+/// injector throws nothing and costs nothing, and doubling it raises
+/// the injected count while every fault still recovers.
+#[test]
+fn rate_scale_scales_the_transient_mix() -> Result<(), SimError> {
+    let cfg = quick().with_scheme(Scheme::DeactN);
+    let clean = try_run_benchmark("mcf", cfg)?;
+    let mut injected = Vec::new();
+    for rate_scale in [0.0, 1.0, 2.0, 4.0] {
+        let faults = FaultConfig {
+            rate_scale,
+            ..FaultConfig::transient(7)
+        };
+        let r = try_run_benchmark("mcf", cfg.with_fault_injection(faults))?;
+        assert_eq!(r.recovery.fatal, 0, "{rate_scale}x");
+        injected.push(r.recovery.injected_total());
+        if rate_scale == 0.0 {
+            assert!(r.recovery.is_zero(), "0x injects nothing");
+            assert_eq!(r.cycles, clean.cycles, "0x costs nothing");
+        }
+    }
+    assert_eq!(injected[0], 0);
+    assert!(injected.is_sorted_by(|a, b| a < b), "{injected:?}");
+    Ok(())
+}
+
 #[test]
 fn faults_cost_cycles_but_not_correctness() -> Result<(), SimError> {
     let clean = try_run_benchmark("mcf", quick().with_scheme(Scheme::DeactN))?;
@@ -163,11 +189,10 @@ fn backoff_stage_agrees_with_recovery_counters() -> Result<(), SimError> {
             .with_scheme(Scheme::DeactN)
             .with_nodes(2)
             .with_fam_modules(2)
-            .with_fault_injection(FaultConfig::persistent_only(
-                11,
-                PersistentFault::NodeDead { module: 1 },
-                500,
-            )),
+            .with_fault_injection(
+                FaultConfig::disabled()
+                    .with_persistent(PersistentFault::NodeDead { module: 1 }, 500),
+            ),
     );
     for cfg in runs {
         let r = try_run_benchmark("mcf", cfg)?;
