@@ -42,6 +42,9 @@ pub(crate) fn table1() {
 pub(crate) fn table2() {
     heading("Table II", "system configuration");
     let c = SystemConfig::paper_default();
+    let [l1_tlb, l2_tlb] = c.tlb.entries();
+    let [l1, l2, l3] = c.hierarchy.level_bytes();
+    let (read_ns, write_ns) = c.nvm.latency_ns();
     let items: Vec<(&str, String)> = vec![
         (
             "CPU",
@@ -55,32 +58,18 @@ pub(crate) fn table2() {
         ),
         (
             "TLB",
-            format!(
-                "2 levels, L1 {} entries, L2 {} entries",
-                c.tlb.l1_entries, c.tlb.l2_entries
-            ),
+            format!("2 levels, L1 {l1_tlb} entries, L2 {l2_tlb} entries"),
         ),
-        (
-            "L1",
-            format!(
-                "private, 64B blocks, {} KB, LRU",
-                c.hierarchy.l1_bytes / 1024
-            ),
-        ),
-        (
-            "L2",
-            format!(
-                "private, 64B blocks, {} KB, LRU",
-                c.hierarchy.l2_bytes / 1024
-            ),
-        ),
-        (
-            "L3",
-            format!("shared, 64B blocks, {} MB, LRU", c.hierarchy.l3_bytes >> 20),
-        ),
+        ("L1", format!("private, 64B blocks, {} KB, LRU", l1 / 1024)),
+        ("L2", format!("private, 64B blocks, {} KB, LRU", l2 / 1024)),
+        ("L3", format!("shared, 64B blocks, {} MB, LRU", l3 >> 20)),
         (
             "Local mem",
-            format!("DRAM, {} GB, {} ns", c.dram_bytes >> 30, c.dram_access_ns),
+            format!(
+                "DRAM, {} GB, {} ns",
+                SystemConfig::DRAM_BYTES >> 30,
+                c.dram_access_ns
+            ),
         ),
         (
             "STU cache",
@@ -93,11 +82,9 @@ pub(crate) fn table2() {
         (
             "FAM (NVM)",
             format!(
-                "{} GB, read {} ns, write {} ns, {} banks, {} outstanding",
+                "{} GB, read {read_ns} ns, write {write_ns} ns, {} banks, {} outstanding",
                 c.fam_bytes >> 30,
-                c.nvm.read_ns,
-                c.nvm.write_ns,
-                c.nvm.banks,
+                c.nvm.banks(),
                 c.nvm.max_outstanding
             ),
         ),

@@ -84,6 +84,30 @@ pub struct FamLayout {
 }
 
 impl FamLayout {
+    /// Pages in one 1 GB sharing region.
+    pub const REGION_PAGES: u64 = REGION_BYTES / PAGE_BYTES;
+
+    /// Usable data pages in a FAM module of `total_bytes`: the most
+    /// pages whose data, ACM entries (rounded up to whole pages) and
+    /// one bitmap per started 1 GB region fit. Bitmaps are allocated
+    /// regardless of sharing (§III-A: overhead < 0.0001%). Closed form,
+    /// whole regions first and then the tail, so it costs the same at
+    /// any size.
+    pub fn usable_pages_of(total_bytes: u64, acm_width: AcmWidth) -> u64 {
+        let pages = total_bytes / PAGE_BYTES;
+        // Bitmaps are whole pages, so only the ACM rounds.
+        let bitmap_pages = BITMAP_BYTES / PAGE_BYTES;
+        // Data pages whose ACM entries fill one page.
+        let per_acm_page = PAGE_BYTES / acm_width.bytes();
+        let region_cost = Self::REGION_PAGES + Self::REGION_PAGES / per_acm_page + bitmap_pages;
+        // A tail of r > 0 pages costs r + ceil(r / per_acm_page) +
+        // bitmap_pages.
+        let t = (pages % region_cost).saturating_sub(bitmap_pages);
+        let tail =
+            t / (per_acm_page + 1) * per_acm_page + (t % (per_acm_page + 1)).saturating_sub(1);
+        pages / region_cost * Self::REGION_PAGES + tail
+    }
+
     /// Lays out a FAM module of `total_bytes` with the given ACM width.
     ///
     /// # Panics
@@ -92,32 +116,16 @@ impl FamLayout {
     /// small to hold any usable memory plus its metadata.
     pub fn new(total_bytes: u64, acm_width: AcmWidth) -> FamLayout {
         assert_eq!(total_bytes % PAGE_BYTES, 0, "FAM size must be page-aligned");
-        let acm_bytes_per_page = acm_width.bytes();
-        // Solve for the largest page-aligned usable size such that
-        // usable + ACM + bitmaps fits. Bitmaps: one per (possibly
-        // partial) 1 GB usable region, allocated regardless of sharing
-        // (§III-A: overhead < 0.0001%).
-        let mut usable_pages = total_bytes / PAGE_BYTES;
-        loop {
-            let usable = usable_pages * PAGE_BYTES;
-            let acm = usable_pages * acm_bytes_per_page;
-            let regions = usable.div_ceil(REGION_BYTES);
-            let bitmaps = regions * BITMAP_BYTES;
-            let meta = (acm + bitmaps).next_multiple_of(PAGE_BYTES);
-            if usable + meta <= total_bytes {
-                let acm_base = usable;
-                let bitmap_base = usable + acm;
-                assert!(usable_pages > 0, "FAM too small for metadata");
-                return FamLayout {
-                    total_bytes,
-                    acm_width,
-                    usable_bytes: usable,
-                    acm_base,
-                    bitmap_base,
-                    quarantine: Quarantine::None,
-                };
-            }
-            usable_pages -= 1;
+        let usable_pages = FamLayout::usable_pages_of(total_bytes, acm_width);
+        assert!(usable_pages > 0, "FAM too small for metadata");
+        let usable = usable_pages * PAGE_BYTES;
+        FamLayout {
+            total_bytes,
+            acm_width,
+            usable_bytes: usable,
+            acm_base: usable,
+            bitmap_base: usable + usable_pages * acm_width.bytes(),
+            quarantine: Quarantine::None,
         }
     }
 
@@ -309,6 +317,42 @@ mod tests {
         let l = FamLayout::new(8 << 20, AcmWidth::W16);
         assert!(l.usable_pages() > 0);
         assert!(l.usable_bytes() < l.total_bytes);
+    }
+
+    /// The closed form finds the page count that trimming one page at a
+    /// time from the whole module finds, at every ACM width, for tiny
+    /// modules and around region boundaries.
+    #[test]
+    fn usable_pages_match_trimming() {
+        fn trimmed(total_bytes: u64, width: AcmWidth) -> u64 {
+            let mut pages = total_bytes / PAGE_BYTES;
+            loop {
+                let usable = pages * PAGE_BYTES;
+                let bitmaps = usable.div_ceil(REGION_BYTES) * BITMAP_BYTES;
+                let meta = (pages * width.bytes() + bitmaps).next_multiple_of(PAGE_BYTES);
+                if usable + meta <= total_bytes {
+                    return pages;
+                }
+                pages -= 1;
+            }
+        }
+        for width in [AcmWidth::W8, AcmWidth::W16, AcmWidth::W32] {
+            let region = FamLayout::REGION_PAGES * (PAGE_BYTES + width.bytes()) / PAGE_BYTES + 2;
+            let mut sizes: Vec<u64> = (0..600).collect();
+            for k in 1..4 {
+                sizes.extend((k * region - 300..k * region + 300).step_by(7));
+                sizes.extend(k * FamLayout::REGION_PAGES - 3..k * FamLayout::REGION_PAGES + 3);
+            }
+            sizes.extend([16 << 18, (16 << 18) + 1]);
+            for pages in sizes {
+                let bytes = pages * PAGE_BYTES;
+                assert_eq!(
+                    FamLayout::usable_pages_of(bytes, width),
+                    trimmed(bytes, width),
+                    "{pages} pages at {width:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -311,12 +311,12 @@ fn workload(name: &str) -> Result<Workload, ExitCode> {
 }
 
 /// Writes the tracer's retained events to `out` as Chrome trace JSON.
-fn write_trace_file(out: &str, system: &System, frequency_mhz: u64) -> Result<(), ExitCode> {
+fn write_trace_file(out: &str, system: &System) -> Result<(), ExitCode> {
     let file = std::fs::File::create(out).map_err(|e| fail(format!("cannot create {out}: {e}")))?;
     write_chrome_trace(
         std::io::BufWriter::new(file),
         system.tracer(),
-        frequency_mhz,
+        SystemConfig::FREQUENCY_MHZ,
     )
     .map_err(|e| fail(format!("cannot write {out}: {e}")))
 }
@@ -376,13 +376,12 @@ fn main() -> ExitCode {
                 Ok(w) => w,
                 Err(code) => return code,
             };
-            let frequency_mhz = cfg.frequency_mhz;
             let mut system = System::new(cfg, &workload);
             let r = match system.try_run() {
                 Ok(r) => r,
                 Err(e) => return fail(e),
             };
-            if let Err(code) = write_trace_file(&out, &system, frequency_mhz) {
+            if let Err(code) = write_trace_file(&out, &system) {
                 return code;
             }
             let tracer = system.tracer();

@@ -1,11 +1,11 @@
 //! Full-system configuration (Table II).
 
-use fam_broker::AcmWidth;
+use fam_broker::{AcmWidth, FamLayout};
 use fam_fabric::FabricConfig;
-use fam_mem::{HierarchyConfig, NvmConfig};
+use fam_mem::{CacheConfig, HierarchyConfig, NvmConfig};
 use fam_sim::{FaultConfig, Frequency, TraceConfig};
 use fam_stu::StuConfig;
-use fam_vm::{NodeId, TlbConfig};
+use fam_vm::{NodeId, TlbConfig, PAGE_BYTES};
 
 use crate::Scheme;
 
@@ -32,8 +32,6 @@ pub struct SystemConfig {
     pub nodes: usize,
     /// Cores per node (Table II: 4).
     pub cores_per_node: usize,
-    /// Core frequency (Table II: 2 GHz).
-    pub frequency_mhz: u64,
     /// Issue/retire width (Table II: 2 instructions per cycle).
     pub issue_width: u32,
     /// Maximum outstanding memory requests per core (Table II: 32).
@@ -48,8 +46,6 @@ pub struct SystemConfig {
     pub dram_access_ns: u64,
     /// Local DRAM channel occupancy in cycles per block.
     pub dram_occupancy_cycles: u64,
-    /// Local DRAM capacity in bytes (Table II: 1 GB).
-    pub dram_bytes: u64,
     /// The FAM NVM device (Table II: 16 GB, 60/150 ns, 32 banks, 128
     /// outstanding).
     pub nvm: NvmConfig,
@@ -120,13 +116,20 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
+    /// Core clock in MHz (Table II: 2 GHz). No study varies it, so it
+    /// is not a knob.
+    pub const FREQUENCY_MHZ: u64 = 2000;
+
+    /// Local DRAM capacity in bytes (Table II: 1 GB). No study varies
+    /// it, so it is not a knob; [`crate::node`] lays DRAM out inside it.
+    pub const DRAM_BYTES: u64 = 1 << 30;
+
     /// The paper's configuration (Table II), one node, DeACT-N.
     pub fn paper_default() -> SystemConfig {
         SystemConfig {
             scheme: Scheme::DeactN,
             nodes: 1,
             cores_per_node: 4,
-            frequency_mhz: 2000,
             issue_width: 2,
             core_outstanding: 32,
             tlb: TlbConfig::default(),
@@ -134,7 +137,6 @@ impl SystemConfig {
             hierarchy: HierarchyConfig::default(),
             dram_access_ns: 60,
             dram_occupancy_cycles: 2,
-            dram_bytes: 1 << 30,
             nvm: NvmConfig::default(),
             fam_bytes: 16 << 30,
             fam_modules: 1,
@@ -282,9 +284,9 @@ impl SystemConfig {
         self
     }
 
-    /// The core clock.
+    /// The core clock ([`SystemConfig::FREQUENCY_MHZ`]).
     pub fn frequency(&self) -> Frequency {
-        Frequency::mhz(self.frequency_mhz)
+        Frequency::mhz(SystemConfig::FREQUENCY_MHZ)
     }
 
     /// The STU cache configuration implied by scheme, geometry and ACM
@@ -321,9 +323,12 @@ impl SystemConfig {
         (self.acm_width.max_nodes() as usize + 1).min(usize::from(NodeId::SHARED_MARKER))
     }
 
-    /// Checks that this configuration can run: the one place that
-    /// decides it. [`crate::System::with_streams`] panics with the
-    /// reason; `deact-sim` prints it.
+    /// Checks that this configuration can run under every scheme
+    /// (`compare` runs one config under all four): the one place that
+    /// decides it. [`crate::try_run_benchmark`] returns the reason as
+    /// [`crate::SimError::InvalidConfig`], [`crate::System::with_streams`]
+    /// panics with it, and `deact-sim` prints it. It allocates nothing
+    /// and costs the same at any size.
     ///
     /// # Errors
     ///
@@ -342,6 +347,18 @@ impl SystemConfig {
             (self.stu_entries == 0, "need at least one STU entry"),
             (self.stu_ways == 0, "need at least one STU way"),
             (
+                self.translation_cache_bytes < 64,
+                "translation_cache_bytes must hold one 64-byte set",
+            ),
+            (
+                !self.fam_bytes.is_multiple_of(PAGE_BYTES),
+                "fam_bytes must be a whole number of 4 KiB pages",
+            ),
+            (
+                self.shared_segment_pages > FamLayout::REGION_PAGES,
+                "shared_segment_pages exceed one 1 GB region of 262144 pages",
+            ),
+            (
                 self.fam_modules == 1 && killed == Some(0),
                 "persistent fault kills the only FAM module, leaving none to survive on",
             ),
@@ -350,10 +367,51 @@ impl SystemConfig {
                 return Err(reason.into());
             }
         }
+        for (knob, value) in [
+            ("core_outstanding", self.core_outstanding),
+            ("ptw_cache_entries", self.ptw_cache_entries),
+            ("stu_ptw_entries", self.stu_ptw_entries),
+            ("nvm.max_outstanding", self.nvm.max_outstanding),
+            ("deact_n_pairs", self.deact_n_pairs.unwrap_or(1)),
+        ] {
+            if value == 0 {
+                return Err(format!("{knob} must be at least 1"));
+            }
+        }
+        // A latency is at most one second of simulated time: far above
+        // any memory system's, far below where cycle sums overflow.
+        let (ns, cycles) = (1_000_000_000, SystemConfig::FREQUENCY_MHZ * 1_000_000);
+        for (knob, value, limit) in [
+            ("fabric.latency_ns", self.fabric.latency_ns, ns),
+            ("router_ns", self.router_ns, ns),
+            ("fault_ns", self.fault_ns, ns),
+            ("dram_access_ns", self.dram_access_ns, ns),
+            ("stu_lookup_cycles", self.stu_lookup_cycles, cycles),
+            ("dram_occupancy_cycles", self.dram_occupancy_cycles, cycles),
+        ] {
+            if value > limit {
+                return Err(format!(
+                    "{knob} = {value} exceeds one second of simulated time"
+                ));
+            }
+        }
         if !self.stu_entries.is_multiple_of(self.stu_ways) {
             return Err(format!(
                 "{} STU entries leave a partial set of {} ways",
                 self.stu_entries, self.stu_ways
+            ));
+        }
+        // DeACT-N's sub-ways are ways of the same set.
+        let pairs = self
+            .with_scheme(Scheme::DeactN)
+            .stu_config()
+            .deact_n_pairs();
+        if self.stu_ways.saturating_mul(pairs) > CacheConfig::MAX_WAYS {
+            return Err(format!(
+                "{} stu_ways x {pairs} DeACT-N pairs (deact_n_pairs) exceed the {} ways \
+                 a set's recency rank orders",
+                self.stu_ways,
+                CacheConfig::MAX_WAYS
             ));
         }
         if self.nodes > self.max_nodes() {
@@ -371,7 +429,48 @@ impl SystemConfig {
                 self.fam_modules
             ));
         }
+        self.validate_fam_capacity()?;
         self.fault_injection.validate()
+    }
+
+    /// The FAM rules of [`SystemConfig::validate`]: the broker's page
+    /// pool holds every usable page as a `u32`, registration takes one
+    /// system-table root page per node, and a shared segment takes a
+    /// spare 1 GB region of its own. Each member maps the segment with
+    /// two interior table pages and a leaf page per 512 pages, holding
+    /// three spare pages per mapping.
+    fn validate_fam_capacity(&self) -> Result<(), String> {
+        let usable = FamLayout::usable_pages_of(self.fam_bytes, self.acm_width);
+        if usable > 1 << 32 {
+            return Err(format!(
+                "fam_bytes = {} hold {usable} usable pages, more than the 2^32 a u32 page pool names",
+                self.fam_bytes
+            ));
+        }
+        let nodes = self.nodes as u64;
+        let segment = self.shared_segment_pages;
+        let (pool, needed) = if segment == 0 {
+            (usable, nodes)
+        } else {
+            let regions = usable.div_ceil(FamLayout::REGION_PAGES);
+            let last = usable - regions.saturating_sub(1) * FamLayout::REGION_PAGES;
+            if regions < 2 || last < segment {
+                return Err(format!(
+                    "fam_bytes = {} leave no spare 1 GB region that holds \
+                     shared_segment_pages = {segment}",
+                    self.fam_bytes
+                ));
+            }
+            (usable - last, nodes * (3 + segment.div_ceil(512)) + 3)
+        };
+        if needed > pool {
+            return Err(format!(
+                "fam_bytes = {} leave {pool} usable pages, fewer than the {needed} \
+                 that setting up {nodes} nodes takes",
+                self.fam_bytes
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -390,19 +489,15 @@ mod tests {
     fn paper_default_matches_table2() {
         let c = SystemConfig::paper_default();
         assert_eq!(c.cores_per_node, 4);
-        assert_eq!(c.frequency_mhz, 2000);
+        assert_eq!(c.frequency(), Frequency::ghz(2));
         assert_eq!(c.issue_width, 2);
         assert_eq!(c.core_outstanding, 32);
-        assert_eq!(c.tlb.l1_entries, 32);
-        assert_eq!(c.tlb.l2_entries, 256);
-        assert_eq!(c.hierarchy.l1_bytes, 32 * 1024);
-        assert_eq!(c.hierarchy.l2_bytes, 256 * 1024);
-        assert_eq!(c.hierarchy.l3_bytes, 1024 * 1024);
-        assert_eq!(c.dram_bytes, 1 << 30);
+        assert_eq!(c.tlb.entries(), [32, 256]);
+        assert_eq!(c.hierarchy.level_bytes(), [32 << 10, 256 << 10, 1 << 20]);
+        assert_eq!(SystemConfig::DRAM_BYTES, 1 << 30);
         assert_eq!(c.fam_bytes, 16 << 30);
-        assert_eq!(c.nvm.read_ns, 60);
-        assert_eq!(c.nvm.write_ns, 150);
-        assert_eq!(c.nvm.banks, 32);
+        assert_eq!(c.nvm.latency_ns(), (60, 150));
+        assert_eq!(c.nvm.banks(), 32);
         assert_eq!(c.nvm.max_outstanding, 128);
         assert_eq!(c.fabric.latency_ns, 500);
         assert_eq!(c.stu_entries, 1024);
@@ -523,6 +618,12 @@ mod tests {
     fn validate_names_each_broken_rule() {
         use PersistentFault::{LinkSevered, MediaFailed, NodeDead};
         let c = SystemConfig::paper_default();
+        let (mut window, mut ptw, mut stu_ptw, mut nvm, mut tcache) = (c, c, c, c, c);
+        window.core_outstanding = 0;
+        ptw.ptw_cache_entries = 0;
+        stu_ptw.stu_ptw_entries = 0;
+        nvm.nvm.max_outstanding = 0;
+        tcache.translation_cache_bytes = 63;
         for (bad, phrase) in [
             (c.with_stu_entries(12), "12 STU entries leave a partial set"),
             (c.with_stu_entries(0), "at least one STU entry"),
@@ -531,6 +632,53 @@ mod tests {
             (killing(1, NodeDead { module: 0 }, 9), "only FAM module"),
             (killing(1, LinkSevered { module: 0 }, 9), "only FAM module"),
             (killing(2, NodeDead { module: 1 }, 0), "1-based ordinal"),
+            (window, "core_outstanding must be at least 1"),
+            (ptw, "ptw_cache_entries must be at least 1"),
+            (stu_ptw, "stu_ptw_entries must be at least 1"),
+            (nvm, "nvm.max_outstanding must be at least 1"),
+            (tcache, "translation_cache_bytes must hold one 64-byte set"),
+            (
+                c.with_deact_n_pairs(Some(0)),
+                "deact_n_pairs must be at least 1",
+            ),
+            (
+                c.with_fam_bytes((16 << 30) + 100),
+                "fam_bytes must be a whole number",
+            ),
+            (c.with_fam_bytes(1 << 50), "more than the 2^32"),
+            (
+                c.with_fam_bytes(0),
+                "fewer than the 1 that setting up 1 nodes",
+            ),
+            (
+                c.with_stu_ways(129).with_stu_entries(129),
+                "129 stu_ways x 2",
+            ),
+            (
+                c.with_deact_n_pairs(Some(33)).with_stu_entries(1024),
+                "8 stu_ways x 33 DeACT-N pairs",
+            ),
+            (
+                c.with_shared_segment_pages(FamLayout::REGION_PAGES + 1),
+                "exceed one 1 GB region",
+            ),
+            (
+                c.with_fabric_latency_ns(u64::MAX),
+                "fabric.latency_ns = 18446744073709551615",
+            ),
+            (
+                c.with_fam_bytes(1 << 30).with_shared_segment_pages(1),
+                "no spare 1 GB region",
+            ),
+            (
+                // Two whole regions at 32-bit ACM: one holds the
+                // segment, too few pages remain for 16,383 members.
+                c.with_nodes(16_383)
+                    .with_acm_width(AcmWidth::W32)
+                    .with_fam_bytes(2 * (FamLayout::REGION_PAGES + 258) * PAGE_BYTES)
+                    .with_shared_segment_pages(7 * 1024),
+                "leave 262144 usable pages, fewer than the 278514",
+            ),
         ] {
             assert_rejected(bad, phrase);
         }

@@ -80,11 +80,6 @@ pub struct CoreState {
     pub(crate) instructions: u64,
     /// References completed.
     pub(crate) refs_done: u64,
-    /// References drawn from the stream and staged for execution.
-    /// Pure bookkeeping for the end-of-run conservation audit
-    /// (`staged == refs_done` once every staged reference retired);
-    /// never read by any timing path, so it cannot affect reports.
-    pub(crate) staged: u64,
     /// Completion time of the core's last reference.
     pub(crate) finish: Cycle,
 }
@@ -151,9 +146,9 @@ impl Node {
         );
         let id = broker
             .register_node()
-            .expect("broker accepts configured node count");
+            .expect("SystemConfig::validate bounds the nodes and leaves a root page for each");
         let freq = config.frequency();
-        let dram_pages = config.dram_bytes / 4096;
+        let dram_pages = SystemConfig::DRAM_BYTES / 4096;
         let root_page = dram_pages - 1;
         let cores = streams
             .into_iter()
@@ -168,7 +163,6 @@ impl Node {
                 last_mem_completion: Cycle::ZERO,
                 instructions: 0,
                 refs_done: 0,
-                staged: 0,
                 finish: Cycle::ZERO,
             })
             .collect();

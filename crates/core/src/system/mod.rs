@@ -178,7 +178,7 @@ impl System {
                 .collect();
             let segment = broker
                 .share_segment(config.shared_segment_pages, &members)
-                .expect("a 1 GB region is reserved for sharing");
+                .expect("SystemConfig::validate leaves a spare region and table pages for it");
             for node in &mut nodes {
                 node.map_shared_segment(segment.first_page, segment.pages);
             }
@@ -305,7 +305,6 @@ impl System {
         let issue_width = u64::from(self.config.issue_width);
         let req = self.tracer.next_request();
         let core = &mut self.nodes[n].cores[c];
-        core.staged += 1;
         let r = {
             let _prof = profile::span(PhaseId::RefGen);
             core.gen.next_ref()

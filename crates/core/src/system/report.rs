@@ -94,12 +94,12 @@ impl System {
     }
 
     /// Collects every component's raw counters into one named
-    /// [`fam_sim::Registry`] snapshot.
+    /// [`fam_sim::Registry`] snapshot, the per-unit export.
     ///
     /// Names are hierarchical and stable: `node{n}/…` for per-node
     /// state, `nvm{m}/…` per FAM module, `traffic/…` for the
     /// cross-fabric request mix, and `recovery/…` for the fault
-    /// ledger. [`System::audit`] consumes this snapshot.
+    /// ledger.
     pub fn metrics(&self) -> fam_sim::Registry {
         let mut reg = fam_sim::Registry::new();
         for (n, node) in self.nodes.iter().enumerate() {
@@ -108,7 +108,7 @@ impl System {
             let mut refs_done = 0u64;
             for core in &node.cores {
                 tlb.merge(core.tlb.stats());
-                staged = staged.saturating_add(core.staged);
+                staged = staged.saturating_add(core.gen.emitted());
                 refs_done = refs_done.saturating_add(core.refs_done);
             }
             *reg.ratio(&format!("node{n}/tlb")) = tlb;
@@ -150,12 +150,13 @@ impl System {
     }
 
     /// End-of-run conservation audit: cross-checks independently
-    /// maintained counters against each other through the
-    /// [`System::metrics`] registry.
+    /// maintained counters against each other, summed straight from
+    /// the components.
     ///
-    /// Invariants checked (each sums over the registry snapshot):
+    /// Invariants checked:
     ///
-    /// 1. `refs-conservation` — every staged reference retired
+    /// 1. `refs-conservation` — every staged reference (each one a
+    ///    generator draw) retired
     ///    (poisoned accesses retire through the degraded path, so
     ///    they are *included* in `refs_done`).
     /// 2. `tlb-conservation` — exactly one TLB hierarchy lookup per
@@ -177,13 +178,7 @@ impl System {
     ///    injector still draws each corruption site, for RNG
     ///    stability, but no frame is encoded per fault.
     pub fn audit(&self) -> AuditReport {
-        let reg = self.metrics();
-        let counter = |name: &str| reg.counter_value(name).unwrap_or(0);
-        let sum = |suffix: &str| -> u64 {
-            (0..self.nodes.len())
-                .map(|n| counter(&format!("node{n}/{suffix}")))
-                .sum()
-        };
+        let cores = || self.nodes.iter().flat_map(|n| &n.cores);
         let mut checks = Vec::new();
         fn check(
             checks: &mut Vec<AuditCheck>,
@@ -205,17 +200,14 @@ impl System {
             });
         }
 
-        let refs_done = sum("refs_done");
+        let refs_done = cores().map(|c| c.refs_done).sum();
         check(
             &mut checks,
             "refs-conservation",
-            ("staged", sum("staged")),
+            ("staged", cores().map(|c| c.gen.emitted()).sum()),
             ("refs_done", refs_done),
         );
-        let tlb_lookups: u64 = (0..self.nodes.len())
-            .filter_map(|n| reg.ratio_value(&format!("node{n}/tlb")))
-            .map(|r| r.total())
-            .sum();
+        let tlb_lookups = cores().map(|c| c.tlb.stats().total()).sum();
         check(
             &mut checks,
             "tlb-conservation",
@@ -229,9 +221,7 @@ impl System {
         if persistent {
             skip(&mut checks, "nvm-traffic-balance", permanent);
         } else {
-            let nvm_accesses: u64 = (0..self.nvm.len())
-                .map(|m| counter(&format!("nvm{m}/reads")) + counter(&format!("nvm{m}/writes")))
-                .sum();
+            let nvm_accesses = self.nvm.iter().map(|m| m.reads() + m.writes()).sum();
             check(
                 &mut checks,
                 "nvm-traffic-balance",
@@ -246,7 +236,7 @@ impl System {
             check(
                 &mut checks,
                 "fabric-parity",
-                ("fabric traversals", counter("fabric/traversals")),
+                ("fabric traversals", self.fabric.traversals()),
                 (
                     "2*traffic - writebacks",
                     2 * traffic_total - self.traffic.writebacks,
@@ -258,20 +248,18 @@ impl System {
             skip(&mut checks, "drop-accounting", permanent);
             skip(&mut checks, "crc-detection", permanent);
         } else {
+            let r = self.recovery_report();
             check(
                 &mut checks,
                 "drop-accounting",
-                ("timeouts", counter("recovery/timeouts")),
-                ("injected drops", counter("recovery/injected_drops")),
+                ("timeouts", r.timeouts),
+                ("injected drops", r.injected_drops),
             );
             check(
                 &mut checks,
                 "crc-detection",
-                ("corrupt NACKs", counter("recovery/nacks_corrupt")),
-                (
-                    "injected corruptions",
-                    counter("recovery/injected_corruptions"),
-                ),
+                ("corrupt NACKs", r.nacks_corrupt),
+                ("injected corruptions", r.injected_corruptions),
             );
         }
         AuditReport { checks }

@@ -52,7 +52,7 @@ fn report_rejects_a_run_whose_books_do_not_balance() {
     let w = Workload::by_name("pf").unwrap();
     let mut sys = System::new(quick(Scheme::DeactN).with_refs_per_core(500), &w);
     sys.try_run().unwrap();
-    sys.nodes[0].cores[0].staged += 1;
+    sys.nodes[0].cores[0].gen.next_ref();
     let err = sys.report().unwrap_err();
     let SimError::AuditFailed { audit } = &err else {
         panic!("expected an audit failure, got {err}");
@@ -65,6 +65,77 @@ fn report_rejects_a_run_whose_books_do_not_balance() {
         msg.contains("refs-conservation (staged = 2001 vs refs_done = 2000)"),
         "{msg}"
     );
+}
+
+/// Each configuration comes back from `try_run_benchmark` as
+/// `InvalidConfig` naming its knob, where building it once panicked.
+#[test]
+fn refused_configs_name_their_knob_instead_of_panicking() {
+    let c = quick(Scheme::DeactN).with_refs_per_core(100);
+    let (mut window, mut ptw, mut stu_ptw, mut tcache, mut nvm) = (c, c, c, c, c);
+    window.core_outstanding = 0;
+    ptw.ptw_cache_entries = 0;
+    stu_ptw.stu_ptw_entries = 0;
+    tcache.translation_cache_bytes = 0;
+    nvm.nvm.max_outstanding = 0;
+    let (mut router, mut lookup) = (c, c);
+    router.router_ns = u64::MAX;
+    lookup.stu_lookup_cycles = u64::MAX;
+    let ifam = c.with_scheme(Scheme::IFam);
+    for (bad, knob) in [
+        (window, "core_outstanding"),
+        (ptw, "ptw_cache_entries"),
+        (stu_ptw, "stu_ptw_entries"),
+        (tcache, "translation_cache_bytes"),
+        (nvm, "nvm.max_outstanding"),
+        (nvm.with_scheme(Scheme::EFam), "nvm.max_outstanding"),
+        (c.with_fam_bytes(0), "fam_bytes"),
+        (c.with_fam_bytes((16 << 30) + 100), "fam_bytes"),
+        (c.with_fam_bytes(1 << 50), "fam_bytes"),
+        (c.with_nodes(2).with_fam_bytes(4 * PAGE_BYTES), "fam_bytes"),
+        (c.with_deact_n_pairs(Some(0)), "deact_n_pairs"),
+        (c.with_deact_n_pairs(Some(200)), "deact_n_pairs"),
+        (c.with_stu_ways(512).with_stu_entries(1024), "stu_ways"),
+        (ifam.with_stu_ways(300).with_stu_entries(300), "stu_ways"),
+        (c.with_shared_segment_pages(1 << 30), "shared_segment_pages"),
+        (c.with_fabric_latency_ns(u64::MAX), "fabric.latency_ns"),
+        (router, "router_ns"),
+        (lookup, "stu_lookup_cycles"),
+        (
+            c.with_nodes(2)
+                .with_fam_bytes(1 << 30)
+                .with_shared_segment_pages(16),
+            "shared_segment_pages",
+        ),
+    ] {
+        match try_run_benchmark("sssp", bad) {
+            Err(SimError::InvalidConfig { reason }) => {
+                assert!(reason.contains(knob), "{reason:?} lacks {knob:?}");
+            }
+            other => panic!("{knob}: expected InvalidConfig, got {other:?}"),
+        }
+    }
+}
+
+/// The smallest or largest values the rules above still allow run
+/// under every scheme.
+#[test]
+fn edge_configs_still_run() -> Result<(), SimError> {
+    let c = quick(Scheme::DeactN).with_refs_per_core(200);
+    let mut tcache = c;
+    tcache.translation_cache_bytes = 64;
+    for edge in [
+        tcache,
+        c.with_fabric_latency_ns(1_000_000_000),
+        c.with_fam_bytes((16 << 30) + PAGE_BYTES),
+        c.with_stu_entries(24),
+        c.with_cores_per_node(64),
+    ] {
+        for scheme in Scheme::ALL {
+            try_run_benchmark("sssp", edge.with_scheme(scheme))?;
+        }
+    }
+    Ok(())
 }
 
 #[test]

@@ -10,6 +10,10 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
+    /// The most ways a set can hold: a one-byte recency rank orders
+    /// them.
+    pub const MAX_WAYS: usize = 256;
+
     /// Creates a config.
     ///
     /// # Panics
@@ -114,7 +118,7 @@ impl<V> SetAssocCache<V> {
     /// one-byte recency rank can order.
     pub fn new(config: CacheConfig) -> SetAssocCache<V> {
         assert!(
-            config.ways <= 256,
+            config.ways <= CacheConfig::MAX_WAYS,
             "{} ways exceed the 256 a one-byte recency rank orders",
             config.ways
         );
@@ -191,6 +195,7 @@ impl<V> SetAssocCache<V> {
     }
 
     /// Checks for `key` without updating recency.
+    #[cfg(test)]
     pub(crate) fn probe(&self, key: u64) -> bool {
         self.find(key).is_some()
     }

@@ -35,23 +35,23 @@ pub struct LookupResult {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyConfig {
     /// L1 capacity in bytes.
-    pub l1_bytes: u64,
+    pub(crate) l1_bytes: u64,
     /// L1 associativity.
-    pub l1_ways: usize,
+    pub(crate) l1_ways: usize,
     /// L1 lookup latency in cycles.
-    pub l1_latency: u64,
+    pub(crate) l1_latency: u64,
     /// L2 capacity in bytes.
-    pub l2_bytes: u64,
+    pub(crate) l2_bytes: u64,
     /// L2 associativity.
-    pub l2_ways: usize,
+    pub(crate) l2_ways: usize,
     /// L2 lookup latency in cycles.
-    pub l2_latency: u64,
+    pub(crate) l2_latency: u64,
     /// Shared L3 capacity in bytes.
-    pub l3_bytes: u64,
+    pub(crate) l3_bytes: u64,
     /// L3 associativity.
-    pub l3_ways: usize,
+    pub(crate) l3_ways: usize,
     /// L3 lookup latency in cycles.
-    pub l3_latency: u64,
+    pub(crate) l3_latency: u64,
 }
 
 impl Default for HierarchyConfig {
@@ -69,6 +69,13 @@ impl Default for HierarchyConfig {
             l3_ways: 16,
             l3_latency: 38,
         }
+    }
+}
+
+impl HierarchyConfig {
+    /// L1, L2 and L3 capacities in bytes.
+    pub fn level_bytes(&self) -> [u64; 3] {
+        [self.l1_bytes, self.l2_bytes, self.l3_bytes]
     }
 }
 
@@ -250,7 +257,8 @@ impl CacheHierarchy {
 
     /// Probes whether a line is resident anywhere, without side
     /// effects.
-    pub fn contains(&self, line_addr: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, line_addr: u64) -> bool {
         self.l3.probe(line_addr)
             || self.l1.iter().any(|c| c.probe(line_addr))
             || self.l2.iter().any(|c| c.probe(line_addr))
@@ -265,7 +273,13 @@ impl CacheHierarchy {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
+    use fam_sim::SimRng;
+
     use super::*;
+
+    const TRIALS: u64 = 32;
 
     fn small() -> CacheHierarchy {
         // Small hierarchy so evictions are easy to trigger:
@@ -454,5 +468,49 @@ mod tests {
         assert_eq!(h.l1.len(), 4);
         // A cold miss pays the full L1 + L2 + L3 lookup path.
         assert_eq!(h.access(0, 0, false).latency, Duration(54));
+    }
+
+    /// Inclusion invariant: any line resident in a private L1/L2 is also
+    /// resident in the shared L3, under arbitrary access streams.
+    #[test]
+    fn hierarchy_inclusion_holds() {
+        let mut rng = SimRng::seeded(0x1DC1);
+        for _ in 0..TRIALS {
+            let mut h = CacheHierarchy::new(
+                2,
+                HierarchyConfig {
+                    l1_bytes: 4 * 64,
+                    l1_ways: 2,
+                    l1_latency: 1,
+                    l2_bytes: 8 * 64,
+                    l2_ways: 2,
+                    l2_latency: 2,
+                    l3_bytes: 16 * 64,
+                    l3_ways: 2,
+                    l3_latency: 3,
+                },
+            );
+            let mut touched = HashSet::new();
+            let n = 1 + rng.below(300);
+            for _ in 0..n {
+                let core = rng.index(2);
+                let line = rng.below(64);
+                let write = rng.chance(0.5);
+                h.access(core, line, write);
+                touched.insert(line);
+            }
+            // `contains` checks all levels; a line in L1/L2 but evicted
+            // from L3 would have been back-invalidated, so any still-
+            // resident line must be L3-resident. We verify through the
+            // public surface: re-access every touched line and confirm the
+            // hierarchy never reports an L1/L2 hit for a line the L3 lost.
+            for line in touched {
+                let resident = h.contains(line);
+                let r = h.access(0, line, false);
+                if !resident {
+                    assert_eq!(r.level, None, "line {line} hit despite eviction");
+                }
+            }
+        }
     }
 }

@@ -15,11 +15,11 @@ pub enum MemOpKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NvmConfig {
     /// Read latency in nanoseconds (paper: 60 ns).
-    pub read_ns: u64,
+    pub(crate) read_ns: u64,
     /// Write latency in nanoseconds (paper: 150 ns).
-    pub write_ns: u64,
+    pub(crate) write_ns: u64,
     /// Independent banks (paper: 32).
-    pub banks: usize,
+    pub(crate) banks: usize,
     /// Maximum outstanding requests (paper: 128).
     pub max_outstanding: usize,
     /// Per-request bank occupancy in cycles (command/data bus time).
@@ -36,6 +36,18 @@ impl Default for NvmConfig {
             max_outstanding: 128,
             bank_occupancy_cycles: 8,
         }
+    }
+}
+
+impl NvmConfig {
+    /// Read and write latencies in nanoseconds.
+    pub fn latency_ns(&self) -> (u64, u64) {
+        (self.read_ns, self.write_ns)
+    }
+
+    /// Independent banks.
+    pub fn banks(&self) -> usize {
+        self.banks
     }
 }
 

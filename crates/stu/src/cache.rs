@@ -63,7 +63,7 @@ impl StuConfig {
     /// Tag/ACM pairs per DeACT-N way (§III-D and §V-D2): the 52+16
     /// bits of freed space fit two 44-bit-tag pairs at 8/16-bit ACM
     /// and one at 32-bit, unless overridden.
-    pub(crate) fn deact_n_pairs(&self) -> usize {
+    pub fn deact_n_pairs(&self) -> usize {
         self.pairs_per_way.unwrap_or(match self.acm_width {
             AcmWidth::W8 | AcmWidth::W16 => 2,
             AcmWidth::W32 => 1,

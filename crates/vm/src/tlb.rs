@@ -21,13 +21,13 @@ pub enum TlbHit {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
     /// L1 TLB entries (paper: 32).
-    pub l1_entries: usize,
+    pub(crate) l1_entries: usize,
     /// L1 associativity.
     pub(crate) l1_ways: usize,
     /// L1 lookup latency in cycles.
     pub(crate) l1_latency: u64,
     /// L2 TLB entries (paper: 256).
-    pub l2_entries: usize,
+    pub(crate) l2_entries: usize,
     /// L2 associativity.
     pub(crate) l2_ways: usize,
     /// L2 lookup latency in cycles.
@@ -46,6 +46,13 @@ impl Default for TlbConfig {
             l2_ways: 8,
             l2_latency: 7,
         }
+    }
+}
+
+impl TlbConfig {
+    /// L1 and L2 TLB entries.
+    pub fn entries(&self) -> [usize; 2] {
+        [self.l1_entries, self.l2_entries]
     }
 }
 

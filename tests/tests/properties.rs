@@ -203,51 +203,6 @@ fn address_roundtrip() {
     }
 }
 
-/// Inclusion invariant: any line resident in a private L1/L2 is also
-/// resident in the shared L3, under arbitrary access streams.
-#[test]
-fn hierarchy_inclusion_holds() {
-    use fam_mem::{CacheHierarchy, HierarchyConfig};
-    let mut rng = SimRng::seeded(0x1DC1);
-    for _ in 0..TRIALS {
-        let mut h = CacheHierarchy::new(
-            2,
-            HierarchyConfig {
-                l1_bytes: 4 * 64,
-                l1_ways: 2,
-                l1_latency: 1,
-                l2_bytes: 8 * 64,
-                l2_ways: 2,
-                l2_latency: 2,
-                l3_bytes: 16 * 64,
-                l3_ways: 2,
-                l3_latency: 3,
-            },
-        );
-        let mut touched = HashSet::new();
-        let n = 1 + rng.below(300);
-        for _ in 0..n {
-            let core = rng.index(2);
-            let line = rng.below(64);
-            let write = rng.chance(0.5);
-            h.access(core, line, write);
-            touched.insert(line);
-        }
-        // `contains` checks all levels; a line in L1/L2 but evicted
-        // from L3 would have been back-invalidated, so any still-
-        // resident line must be L3-resident. We verify through the
-        // public surface: re-access every touched line and confirm the
-        // hierarchy never reports an L1/L2 hit for a line the L3 lost.
-        for line in touched {
-            let resident = h.contains(line);
-            let r = h.access(0, line, false);
-            if !resident {
-                assert_eq!(r.level, None, "line {line} hit despite eviction");
-            }
-        }
-    }
-}
-
 /// DeACT-W resident groups behave exactly like a model keyed by
 /// `page / coverage`: filling any page makes its whole aligned group
 /// resident and nothing else.
