@@ -214,10 +214,6 @@ impl RegionBitmap {
         self.nibbles.insert(node.raw(), bits);
     }
 
-    fn revoke(&mut self, node: NodeId) {
-        self.nibbles.remove(&node.raw());
-    }
-
     fn permits(&self, node: NodeId, kind: AccessKind) -> bool {
         let Some(&bits) = self.nibbles.get(&node.raw()) else {
             return false;
@@ -382,13 +378,6 @@ impl AcmStore {
         self.bitmaps.entry(region).or_default().grant(node, flags);
     }
 
-    /// Revokes `node`'s rights on shared pages in `region`.
-    pub(crate) fn revoke_shared(&mut self, region: u64, node: NodeId) {
-        if let Some(b) = self.bitmaps.get_mut(&region) {
-            b.revoke(node);
-        }
-    }
-
     /// Clears a page's metadata entirely (page freed).
     pub(crate) fn clear(&mut self, fam_page: u64) {
         let region = (fam_page / REGION_PAGES) as usize;
@@ -501,16 +490,6 @@ mod tests {
         assert!(s.check(10, 0, NodeId::new(2), AccessKind::Read));
         assert!(!s.check(10, 0, NodeId::new(2), AccessKind::Write));
         assert!(!s.check(10, 0, NodeId::new(3), AccessKind::Read));
-    }
-
-    #[test]
-    fn revoke_removes_rights() {
-        let mut s = AcmStore::new(AcmWidth::W16);
-        s.set_shared(10, PtFlags::ro());
-        s.grant_shared(0, NodeId::new(1), PtFlags::ro());
-        assert!(s.check(10, 0, NodeId::new(1), AccessKind::Read));
-        s.revoke_shared(0, NodeId::new(1));
-        assert!(!s.check(10, 0, NodeId::new(1), AccessKind::Read));
     }
 
     #[test]

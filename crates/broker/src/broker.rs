@@ -6,7 +6,7 @@ use fam_sim::SimRng;
 use fam_vm::{NodeId, PageTable, PtFlags, Pte, PAGE_BYTES};
 
 use crate::layout::{Quarantine, REGION_BYTES};
-use crate::{AccessKind, AcmStore, AcmWidth, FamLayout, LogicalNodeMap};
+use crate::{AccessKind, AcmStore, AcmWidth, FamLayout};
 
 /// Broker configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,8 +84,8 @@ pub struct SharedSegment {
     /// Number of pages.
     pub pages: u64,
     /// The members the segment is mapped into: `(node, flags,
-    /// npa_start)`. Migration and evacuation need this to find and
-    /// rewrite every member's system-table mappings.
+    /// npa_start)`. Evacuation needs this to find and rewrite every
+    /// member's system-table mappings.
     pub(crate) members: Vec<(NodeId, PtFlags, u64)>,
 }
 
@@ -94,21 +94,6 @@ impl SharedSegment {
     pub fn fam_pages(&self) -> impl Iterator<Item = u64> + '_ {
         self.first_page..self.first_page + self.pages
     }
-}
-
-/// Accounting for a job migration (§VI): what a shootdown costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MigrationReport {
-    /// Pages whose ownership moved.
-    pub pages_moved: u64,
-    /// Shared-segment pages whose membership moved with the node
-    /// (counted once per segment membership transferred).
-    pub(crate) shared_pages_moved: u64,
-    /// ACM entries rewritten in FAM.
-    pub acm_writes: u64,
-    /// System-level translations that must be invalidated (node-side
-    /// FAM-translation-cache lines and STU entries).
-    pub translation_invalidations: u64,
 }
 
 /// One page's fate during a permanent-failure evacuation: the
@@ -195,10 +180,9 @@ pub struct MemoryBroker {
     unshuffled: usize,
     /// Each registered node's system page table, by node index. A
     /// leaf holds a mapping's NPA and the ACM names its FAM page's
-    /// owner; `owned_leaves` reads both for recovery and migration.
+    /// owner; `owned_leaves` reads both for permanent-failure recovery.
     tables: Vec<PageTable>,
     shared_segments: Vec<SharedSegment>,
-    logical: LogicalNodeMap,
     rng: SimRng,
 }
 
@@ -221,7 +205,6 @@ impl MemoryBroker {
             unshuffled: 0,
             tables: Vec::new(),
             shared_segments: Vec::new(),
-            logical: LogicalNodeMap::new(),
             rng: SimRng::seeded(config.seed),
         }
     }
@@ -234,11 +217,6 @@ impl MemoryBroker {
     /// The ACM store (ground truth the STU verifies against).
     pub fn acm(&self) -> &AcmStore {
         &self.acm
-    }
-
-    /// The logical-node-id map (§VI).
-    pub fn logical_nodes(&mut self) -> &mut LogicalNodeMap {
-        &mut self.logical
     }
 
     /// Registers a new compute node, returning its id.
@@ -345,16 +323,18 @@ impl MemoryBroker {
         Ok(())
     }
 
-    /// The mappings `node` owns whose FAM page passes `keep`, as
-    /// `(npa_page, pte)` in ascending NPA order: one pass over the
+    /// The mappings `node` owns whose FAM page `quarantine` takes out,
+    /// as `(npa_page, pte)` in ascending NPA order: one pass over the
     /// leaves of its system table, keeping those whose ACM entry names
     /// `node` as owner. Shared-segment pages carry the shared marker,
     /// so they never qualify.
-    fn owned_leaves(&self, node: NodeId, keep: impl Fn(u64) -> bool) -> Vec<(u64, Pte)> {
+    fn owned_leaves(&self, node: NodeId, quarantine: Quarantine) -> Vec<(u64, Pte)> {
         let mut leaves = Vec::new();
         self.tables[node.index()].for_each_leaf(|npa_page, pte| {
             let fam_page = pte.target_page;
-            if keep(fam_page) && self.acm.entry(fam_page).and_then(|e| e.owner()) == Some(node) {
+            if quarantine.contains(fam_page)
+                && self.acm.entry(fam_page).and_then(|e| e.owner()) == Some(node)
+            {
                 leaves.push((npa_page, pte));
             }
         });
@@ -458,65 +438,6 @@ impl MemoryBroker {
         Ok(segment)
     }
 
-    /// Revokes `node`'s rights on the shared pages of `region` (the
-    /// bitmap update a job teardown performs).
-    pub fn revoke_shared(&mut self, region: u64, node: NodeId) {
-        self.acm.revoke_shared(region, node);
-    }
-
-    /// Migrates every page owned by `from` to `to` (§VI), in ascending
-    /// NPA order: rewrites ACM ownership, moves the system-table
-    /// mappings — including the node's *shared-segment* memberships,
-    /// whose pages the ACM marks shared rather than owned — and reports
-    /// the shootdown work the caller must apply to node-side caches.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BrokerError::UnknownNode`] for unregistered ids.
-    pub fn migrate_node(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-    ) -> Result<MigrationReport, BrokerError> {
-        self.table_ref(from)?;
-        self.table_ref(to)?;
-        let moved = self.owned_leaves(from, |_| true);
-        let mut report = MigrationReport::default();
-
-        for &(npa_page, pte) in &moved {
-            self.tables[from.index()].unmap(npa_page);
-            self.acm.set_owner(pte.target_page, to, PtFlags::rw());
-            report.acm_writes += 1;
-            self.map_in_table(to, npa_page, pte.target_page, pte.flags)?;
-            report.translation_invalidations += 1;
-        }
-        report.pages_moved = moved.len() as u64;
-
-        // Shared-segment memberships travel with the job: revoke the
-        // old node's bitmap grant, grant the new one, and rewrite the
-        // member's system-table mappings under the same NPAs.
-        for seg_idx in 0..self.shared_segments.len() {
-            let segment = self.shared_segments[seg_idx].clone();
-            for (m, &(member, flags, npa_start)) in segment.members.iter().enumerate() {
-                if member != from {
-                    continue;
-                }
-                self.acm.revoke_shared(segment.region, from);
-                self.acm.grant_shared(segment.region, to, flags);
-                report.acm_writes += 1;
-                for (i, fam_page) in segment.fam_pages().enumerate() {
-                    let npa_page = npa_start + i as u64;
-                    self.tables[from.index()].unmap(npa_page);
-                    self.map_in_table(to, npa_page, fam_page, flags)?;
-                    report.translation_invalidations += 1;
-                }
-                report.shared_pages_moved += segment.pages;
-                self.shared_segments[seg_idx].members[m] = (to, flags, npa_start);
-            }
-        }
-        Ok(report)
-    }
-
     /// Quarantines the FAM pages a permanent failure took out and
     /// rewrites every mapping that named them — the broker half of the
     /// permanent-failure recovery protocol.
@@ -567,7 +488,7 @@ impl MemoryBroker {
         // doomed pages are collected before its table is rewritten.
         for node_idx in 0..self.tables.len() {
             let node = NodeId::new(node_idx as u16);
-            let doomed = self.owned_leaves(node, |fam| quarantine.contains(fam));
+            let doomed = self.owned_leaves(node, quarantine);
             for (npa_page, old) in doomed {
                 let old_fam = old.target_page;
                 let replacement = if evacuable {
@@ -834,64 +755,6 @@ mod tests {
     }
 
     #[test]
-    fn migration_moves_ownership_and_mappings() {
-        let mut b = small_broker();
-        let from = b.register_node().unwrap();
-        let to = b.register_node().unwrap();
-        let p0 = b.demand_map(from, 10).unwrap();
-        let p1 = b.demand_map(from, 11).unwrap();
-        let report = b.migrate_node(from, to).unwrap();
-        assert_eq!(report.pages_moved, 2);
-        assert_eq!(report.acm_writes, 2);
-        assert_eq!(report.translation_invalidations, 2);
-        assert!(b.check_access(to, p0, AccessKind::Read));
-        assert!(!b.check_access(from, p1, AccessKind::Read));
-        assert_eq!(b.translate(to, 10).unwrap().target_page, p0);
-        assert_eq!(b.translate(from, 10), None);
-    }
-
-    #[test]
-    fn migration_carries_shared_segment_memberships() {
-        let mut b = small_broker();
-        let from = b.register_node().unwrap();
-        let to = b.register_node().unwrap();
-        let other = b.register_node().unwrap();
-        b.demand_map(from, 10).unwrap();
-        let seg = b
-            .share_segment(
-                8,
-                &[
-                    (from, PtFlags::rw(), 0x9000),
-                    (other, PtFlags::ro(), 0xA000),
-                ],
-            )
-            .unwrap();
-        let report = b.migrate_node(from, to).unwrap();
-        assert_eq!(report.pages_moved, 1);
-        assert_eq!(
-            report.shared_pages_moved, 8,
-            "the shared membership must migrate, not be silently dropped"
-        );
-        assert_eq!(report.translation_invalidations, 1 + 8);
-        // The new node sees the segment under the old NPAs with the old
-        // rights; the old node has lost both mapping and rights.
-        assert_eq!(b.translate(to, 0x9000).unwrap().target_page, seg.first_page);
-        assert_eq!(b.translate(from, 0x9000), None);
-        assert!(b.check_access(to, seg.first_page, AccessKind::Write));
-        assert!(!b.check_access(from, seg.first_page, AccessKind::Read));
-        // The uninvolved member is untouched.
-        assert!(b.check_access(other, seg.first_page, AccessKind::Read));
-        assert_eq!(
-            b.translate(other, 0xA000).unwrap().target_page,
-            seg.first_page
-        );
-        // The member record now names the new node.
-        let members = &b.shared_segments[0].members;
-        assert!(members.iter().any(|&(n, _, _)| n == to));
-        assert!(!members.iter().any(|&(n, _, _)| n == from));
-    }
-
-    #[test]
     fn evacuation_relocates_reachable_pages_and_reports_them() {
         let mut b = small_broker();
         let n = b.register_node().unwrap();
@@ -1152,8 +1015,8 @@ mod tests {
     }
 
     /// A demand-ordered `(npa_page, fam_page)` list per node: the
-    /// reference that evacuation and migration, which read the system
-    /// tables and the ACM, must agree with.
+    /// reference that evacuation, which reads the system tables and
+    /// the ACM, must agree with.
     struct OwnershipModel {
         nodes: Vec<NodeId>,
         owned: Vec<Vec<(u64, u64)>>,
@@ -1308,24 +1171,5 @@ mod tests {
             let (mut b, mut model) = three_nodes_and_a_segment();
             model.evacuate(&mut b, evacuable);
         }
-    }
-
-    #[test]
-    fn migration_matches_the_demand_ordered_list() {
-        let (mut b, mut model) = three_nodes_and_a_segment();
-        let (from, to) = (model.nodes[0], model.nodes[1]);
-        let report = b.migrate_node(from, to).unwrap();
-        assert_eq!(report.pages_moved, model.owned[0].len() as u64);
-        assert_eq!(report.shared_pages_moved, model.segment.pages);
-        let moved = std::mem::take(&mut model.owned[0]);
-        for &(npa, fam) in &moved {
-            assert_eq!(b.translate(to, npa).unwrap().target_page, fam);
-            assert_eq!(b.translate(from, npa), None);
-        }
-        model.owned[1].extend(moved);
-        model.assert_matches(&b);
-        // Evacuation after a migration finds the moved pages under
-        // their new node.
-        model.evacuate(&mut b, true);
     }
 }

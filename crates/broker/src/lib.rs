@@ -14,7 +14,9 @@
 //!   plus the [`AcmEntry`] bit-level encoding (owner node id + R/W/E).
 //! * [`MemoryBroker`] — node registration, on-demand FAM page
 //!   allocation, system-page-table maintenance, page sharing with
-//!   mixed permissions, page migration with logical node ids (§VI).
+//!   mixed permissions, and permanent-failure evacuation. Job
+//!   migration and logical node ids (§VI) are not modelled: the paper
+//!   evaluates neither.
 //!
 //! # Examples
 //!
@@ -33,12 +35,9 @@
 mod acm;
 mod broker;
 mod layout;
-mod logical;
 
 pub use acm::{AccessKind, AcmEntry, AcmStore, AcmWidth};
 pub use broker::{
-    BrokerConfig, BrokerError, EvacuationReport, MemoryBroker, MigrationReport, PageRelocation,
-    SharedSegment,
+    BrokerConfig, BrokerError, EvacuationReport, MemoryBroker, PageRelocation, SharedSegment,
 };
 pub use layout::{FamLayout, Quarantine};
-pub use logical::{JobId, LogicalNodeMap};

@@ -124,6 +124,11 @@ impl SystemConfig {
     /// it, so it is not a knob; [`crate::node`] lays DRAM out inside it.
     pub const DRAM_BYTES: u64 = 1 << 30;
 
+    /// The most cores a node may have: [`crate::System::synthetic_streams`]
+    /// seeds core `c` of node `n` with `n * MAX_CORES_PER_NODE + c`, so
+    /// one more core would share its seed with a core of the next node.
+    pub(crate) const MAX_CORES_PER_NODE: usize = 64;
+
     /// The paper's configuration (Table II), one node, DeACT-N.
     pub fn paper_default() -> SystemConfig {
         SystemConfig {
@@ -394,6 +399,13 @@ impl SystemConfig {
                     "{knob} = {value} exceeds one second of simulated time"
                 ));
             }
+        }
+        if self.cores_per_node > Self::MAX_CORES_PER_NODE {
+            return Err(format!(
+                "cores_per_node = {} exceeds {}, the stride of the per-core stream seeds",
+                self.cores_per_node,
+                Self::MAX_CORES_PER_NODE
+            ));
         }
         if !self.stu_entries.is_multiple_of(self.stu_ways) {
             return Err(format!(

@@ -132,7 +132,7 @@ impl System {
                         let seed = config
                             .seed
                             .wrapping_mul(0x9E37_79B9)
-                            .wrapping_add((n * 64 + c) as u64);
+                            .wrapping_add((n * SystemConfig::MAX_CORES_PER_NODE + c) as u64);
                         TraceGenerator::new(
                             *workload,
                             fam_workloads::VA_BASE + ((c as u64) << 40),

@@ -101,6 +101,7 @@ fn refused_configs_name_their_knob_instead_of_panicking() {
         (c.with_fabric_latency_ns(u64::MAX), "fabric.latency_ns"),
         (router, "router_ns"),
         (lookup, "stu_lookup_cycles"),
+        (c.with_cores_per_node(65), "cores_per_node"),
         (
             c.with_nodes(2)
                 .with_fam_bytes(1 << 30)

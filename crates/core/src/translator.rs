@@ -337,10 +337,10 @@ impl FamTranslator {
         }
     }
 
-    /// Invalidates one node page's entry (migration shootdown, §VI —
-    /// "excess DRAM writes to invalidate system-level mappings").
+    /// Invalidates one node page's entry: the eviction behind a
+    /// stale-translation NACK (§III-C, [`Self::handle_stale_nack`]).
     /// Returns whether an entry was present.
-    pub fn invalidate(&mut self, npa_page: u64) -> bool {
+    pub(crate) fn invalidate(&mut self, npa_page: u64) -> bool {
         let set = self.set_of(npa_page);
         match self.sets[set].find(npa_page) {
             Some(way) => {
@@ -371,7 +371,8 @@ impl FamTranslator {
     }
 
     /// Number of cached mappings.
-    pub fn cached_mappings(&self) -> usize {
+    #[cfg(test)]
+    fn cached_mappings(&self) -> usize {
         self.sets
             .iter()
             .map(|s| s.tags.iter().filter(|&&t| t != EMPTY).count())
@@ -425,7 +426,7 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_for_migration() {
+    fn invalidate_evicts_once_and_then_misses() {
         let mut t = translator();
         t.install(7, 70);
         assert!(t.invalidate(7));

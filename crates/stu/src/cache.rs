@@ -199,9 +199,10 @@ impl StuCache {
             .insert(key, ());
     }
 
-    /// Invalidates everything related to `fam_page` (migration
-    /// shootdown, §VI). For I-FAM, entries are keyed by node page, so
-    /// the caller passes the node page instead.
+    /// Invalidates everything cached for `key_page`, for the
+    /// permanent-failure shootdown (`Stu::shootdown`). DeACT keys by
+    /// FAM page, and DeACT-W drops the page's whole coverage group;
+    /// I-FAM keys by node page, so the caller passes the node page.
     pub(crate) fn invalidate(&mut self, key_page: u64) {
         if let Some(c) = self.translation.as_mut() {
             c.invalidate(key_page);
@@ -335,6 +336,14 @@ mod tests {
         s.acm_fill(5);
         s.invalidate(5);
         assert!(!s.acm_lookup(5));
+
+        // DeACT-W keys a coverage group of 4 FAM pages at 16-bit ACM:
+        // invalidating page 9 also drops page 10.
+        let mut w = StuCache::new(cfg(StuOrganization::DeactW));
+        w.acm_fill(9);
+        assert!(w.acm_lookup(10), "one fill covers the group");
+        w.invalidate(9);
+        assert!(!w.acm_lookup(10));
 
         let mut i = StuCache::new(cfg(StuOrganization::IFam));
         i.ifam_fill(9, 1);

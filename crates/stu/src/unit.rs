@@ -274,12 +274,6 @@ impl Stu {
         )
     }
 
-    /// Invalidates state for a page (migration shootdown, §VI). Pass
-    /// the node page for I-FAM, the FAM page for DeACT.
-    pub fn invalidate_page(&mut self, key_page: u64) {
-        self.cache.invalidate(key_page);
-    }
-
     /// Applies a permanent-failure shootdown: invalidates the cached
     /// entry for every key page in the worklist (node pages for I-FAM,
     /// FAM pages for DeACT) and flushes the FAM-PTW cache — relocated
@@ -435,16 +429,6 @@ mod tests {
         // Neighbouring page: interior levels are PTW-cached.
         let (_, plan2) = stu.walk_system_table(&broker, node, 0x41, REQ).unwrap();
         assert_eq!(plan2.reads(), 1);
-    }
-
-    #[test]
-    fn invalidate_forces_refetch() {
-        let (mut broker, node, mut stu) = setup(StuOrganization::DeactN);
-        let fam_page = broker.demand_map(node, 0x10).unwrap();
-        stu.verify(&broker, node, fam_page, AccessKind::Read, REQ);
-        stu.invalidate_page(fam_page);
-        let v = stu.verify(&broker, node, fam_page, AccessKind::Read, REQ);
-        assert!(!v.acm_hit);
     }
 
     #[test]
